@@ -14,9 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from . import phi_layout
-from .lam import LamParams, eval_scores, lam_forward
+from .lam import LamParams, PairRecord, eval_scores, lam_forward, segment_softmax
 from .neighbors import DenseCloud, Neighborhoods
 from .subsample import PredictionMatrix
+
+# neighbor rows gathered at once by the uniform kernel
+_PAIR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,23 @@ def phi(point: np.ndarray, v_point: np.ndarray, dense: DenseCloud, neighbor_inde
     ])
 
 
+def _valid_pairs(nbh: Neighborhoods):
+    """(row_query, neighbor index, distance) of every valid pair, query by
+    query in slot order."""
+    mask = nbh.mask()
+    return np.repeat(np.arange(len(nbh)), nbh.valid_count), nbh.indices[mask], nbh.distances[mask]
+
+
+def _slice_features(dense: DenseCloud, flat_idx: np.ndarray, dists: np.ndarray) -> dict:
+    """The phi columns the weight histograms slice by, per pair."""
+    norm = 1.0 / dense.window if dense.window >= 1 else 0.0
+    return {
+        "temporal": dense.temporal_offset[flat_idx] * norm,
+        "sensor_distance": dense.sensor_distance[flat_idx],
+        "center_distance": dists,
+    }
+
+
 def phi_pairs(points: np.ndarray, v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods):
     """Feature rows for every valid (query, neighbor) pair of a scan.
 
@@ -82,18 +102,15 @@ def phi_pairs(points: np.ndarray, v: np.ndarray, dense: DenseCloud, nbh: Neighbo
     row_query maps each row back to its query index; rows appear query by
     query in slot order, so stored neighbor distances transfer directly.
     """
-    mask = nbh.mask()
-    row_query = np.repeat(np.arange(len(nbh)), nbh.valid_count)
-    flat_idx = nbh.indices[mask]
-    dists = nbh.distances[mask]
+    row_query, flat_idx, dists = _valid_pairs(nbh)
+    features = _slice_features(dense, flat_idx, dists)
     k = dense.num_classes
-    norm = 1.0 / dense.window if dense.window >= 1 else 0.0
     rows = np.empty((len(flat_idx), phi_layout.feature_dim(k)))
-    rows[:, phi_layout.DISTANCE_COLUMN] = dists
+    rows[:, phi_layout.DISTANCE_COLUMN] = features["center_distance"]
     rows[:, phi_layout.query_label_columns(k)] = v[row_query]
     rows[:, phi_layout.neighbor_label_columns(k)] = dense.probs[flat_idx]
-    rows[:, phi_layout.temporal_column(k)] = dense.temporal_offset[flat_idx] * norm
-    rows[:, phi_layout.sensor_distance_column(k)] = dense.sensor_distance[flat_idx]
+    rows[:, phi_layout.temporal_column(k)] = features["temporal"]
+    rows[:, phi_layout.sensor_distance_column(k)] = features["sensor_distance"]
     return rows, row_query, dense.probs[flat_idx]
 
 
@@ -109,12 +126,14 @@ def kernel_score(kernel, feature: np.ndarray) -> float:
 
 
 def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
-                  nbh: Neighborhoods, kernel) -> PredictionMatrix:
+                  nbh: Neighborhoods, kernel, return_pairs: bool = False):
     """Kernel-weighted average of neighbor labels for every query point.
 
     Queries with an empty neighborhood keep their unrefined row. LAM scores
     are shifted by the per-neighborhood maximum before exponentiation,
     which leaves the normalized weights unchanged and cannot overflow.
+    Returns the refined PredictionMatrix; with return_pairs, also the
+    scan's PairRecord for the weight histograms.
     """
     points = np.asarray(points, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
@@ -123,14 +142,18 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
 
     out = probs.copy()
     if isinstance(kernel, UniformKernel):
-        for q in range(len(points)):
-            n = int(nbh.valid_count[q])
-            if n == 0:
-                continue
-            rows = dense.probs[nbh.indices[q, :n]]
-            out[q] = rows.sum(axis=0) / n
+        # summing each query's rows along an axis of a (queries, n, K) block
+        # adds them in slot order, exactly as a per-query .sum(axis=0) does
+        counts = nbh.valid_count
+        for n in np.unique(counts[counts > 0]):
+            queries = np.flatnonzero(counts == n)
+            step = max(1, _PAIR_CHUNK // n)
+            for lo in range(0, len(queries), step):
+                group = queries[lo:lo + step]
+                out[group] = dense.probs[nbh.indices[group, :n]].sum(axis=1) / n
     else:
         phi_rows, row_query, neighbor_probs = phi_pairs(points, probs, dense, nbh)
+        scores = np.zeros(0)
         if len(phi_rows):
             scores = eval_scores(kernel.params, phi_rows)
             # phi_pairs emits rows grouped by query, so the per-neighborhood
@@ -143,7 +166,16 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
             z = np.add.reduceat(w, starts)
             sums = np.add.reduceat(w[:, None] * neighbor_probs, starts, axis=0)
             out[touched] = sums / z[:, None]
-    return PredictionMatrix(probs=out, point_index=np.arange(len(points)))
+    refined = PredictionMatrix(probs=out, point_index=np.arange(len(points)))
+    if not return_pairs:
+        return refined
+    row_query, flat_idx, dists = _valid_pairs(nbh)
+    if isinstance(kernel, UniformKernel):
+        scores = np.zeros(len(flat_idx))
+    # segment_softmax, not the reduceat weights above, so that the
+    # histograms equal weight_histograms' bit for bit
+    weights = segment_softmax(scores, row_query, len(points))
+    return refined, PairRecord(_slice_features(dense, flat_idx, dists), weights)
 
 
 def write_refinement_manifest(path, spec: AggregationSpec) -> None:

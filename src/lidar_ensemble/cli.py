@@ -24,14 +24,15 @@ from .config import ConfigError, PipelineConfig, load_config
 from .errors import FileFormatError
 from .geometry import load_point_cloud_bin, load_poses, project_to_range_image, save_point_cloud_bin
 from .lam import (LamTrainingError, load_lam_params, modulate_statistics, save_lam_params,
-                  train_lam, weight_histograms, write_histogram_csv, write_loss_trace_csv)
+                  pair_histograms, train_lam, weight_histograms, write_histogram_csv,
+                  write_loss_trace_csv)
 from .metrics import (condense_static_dynamic, confusion, iou, write_confusion_csv,
                       write_iou_csv, write_iou_summary)
 from .neighbors import SpatialIndex, build_dense_cloud, precompute_neighborhoods
 from .selftrain import (LidarSequence, PrecomputedPredictor, build_lam_training_set,
                         cbst_select, file_checksum, generate_refined_predictions, load_labels,
                         mock_predictor, noop_student_hook, run_adaptation, save_labels,
-                        save_selection_mask, write_manifest, _iteration_seed)
+                        save_selection_mask, write_manifest)
 from .subsample import (apply_row_mask, read_prediction_matrix, row_mask, within_frame_ensemble,
                         write_prediction_matrix)
 
@@ -70,8 +71,9 @@ def _load_sequence(cfg: PipelineConfig):
     truths = None
     if cfg.labels_dir is not None:
         label_paths = sorted(cfg.labels_dir.glob("*.label"))
-        if len(label_paths) == len(scans):
-            truths = [load_labels(p) for p in label_paths]
+        if len(label_paths) != len(scans):
+            raise ConfigError(f"dataset.labels: {len(label_paths)} label files for {len(scans)} scans")
+        truths = [load_labels(p) for p in label_paths]
     return LidarSequence(name="sequence", scans=scans, poses=poses[: len(scans)]), truths, paths
 
 
@@ -116,6 +118,8 @@ def _resolve_threads(args) -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise ConfigError(f"LIDAR_ENSEMBLE_THREADS: {exc}") from exc
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 
@@ -392,28 +396,17 @@ def cmd_pipeline(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    run_adaptation([seq], predictor, noop_student_hook, adaptation, out_dir, threads=threads)
+    results, pairs = run_adaptation([seq], predictor, noop_student_hook, adaptation, out_dir,
+                                    threads=threads, return_pairs=True)
 
     # analysis artifacts reflect the first (teacher) iteration
-    seed0 = _iteration_seed(cfg.seed, 0, 0)
-    within, refined = generate_refined_predictions(
-        seq.scans, seq.poses, predictor, adaptation, seed=seed0,
-        use_intensity=False, threads=threads)
-    chunks, queries = _phi_stream(seq, within, cfg.aggregation)
-    rows = np.concatenate(chunks, axis=0)
-    offset = 0
-    shifted = []
-    for t, rq in enumerate(queries):
-        shifted.append(rq + offset)
-        offset += len(seq.scans[t])
-    params = cfg.aggregation.kernel.params if isinstance(cfg.aggregation.kernel, LamKernel) else None
-    report = weight_histograms(params, rows, np.concatenate(shifted), offset, bins=args.bins)
+    report = pair_histograms(pairs[seq.name], bins=args.bins)
     write_histogram_csv(report, out_dir / "histograms.csv")
 
     if truths is not None:
-        pred_all = np.concatenate([r.probs.argmax(axis=1) for r in refined])
+        pred_all = np.concatenate([ls.labels for ls in results[0][seq.name]])
         truth_all = np.concatenate(truths)
-        matrix = confusion(pred_all, truth_all, refined[0].num_classes, ignore_label=cfg.ignore_label)
+        matrix = confusion(pred_all, truth_all, predictor.num_classes, ignore_label=cfg.ignore_label)
         miou_report = iou(matrix)
         write_iou_csv(miou_report, out_dir / "report.csv")
         write_iou_summary(miou_report, out_dir / "summary.json")
@@ -475,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("lam-train", cmd_lam_train, "Train the aggregation model on the configured labeled dataset.")
     p.add_argument("--config", required=True, help="pipeline configuration file")
     p.add_argument("--out", required=True, help="output directory (lam.ckpt, loss_trace.csv)")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: LIDAR_ENSEMBLE_THREADS or all cores)")
+    p.add_argument("--threads", type=int, default=None, help="worker threads (default: LIDAR_ENSEMBLE_THREADS, else the CPUs this process may run on)")
 
     p = add("lam-apply", cmd_lam_apply, "Refine predictions with a trained model, optionally re-fitting its input statistics.")
     p.add_argument("--config", required=True, help="pipeline configuration file")
@@ -509,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="pipeline configuration file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--bins", type=int, default=20, help="histogram bins per slice")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: LIDAR_ENSEMBLE_THREADS or all cores)")
+    p.add_argument("--threads", type=int, default=None, help="worker threads (default: LIDAR_ENSEMBLE_THREADS, else the CPUs this process may run on)")
 
     # internal: synthetic dataset generator used by tests and CI
     p = sub.add_parser("synthgen", description="Generate a synthetic labeled dataset.")

@@ -355,13 +355,19 @@ class LamTrainingSet:
         return np.concatenate(self.phis, axis=0)
 
 
-def _softmax_refine(scores: np.ndarray, row_query: np.ndarray, neighbor_probs: np.ndarray, n: int):
+def segment_softmax(scores: np.ndarray, row_query: np.ndarray, n: int) -> np.ndarray:
+    """Normalized weight of every row: softmax of the scores of the rows
+    that share its query, for n queries."""
     shift = np.full(n, -np.inf)
     np.maximum.at(shift, row_query, scores)
     w = np.exp(scores - shift[row_query])
     z = np.zeros(n)
     np.add.at(z, row_query, w)
-    w = w / z[row_query]
+    return w / z[row_query]
+
+
+def _softmax_refine(scores: np.ndarray, row_query: np.ndarray, neighbor_probs: np.ndarray, n: int):
+    w = segment_softmax(scores, row_query, n)
     refined = np.zeros((n, neighbor_probs.shape[1]))
     np.add.at(refined, row_query, w[:, None] * neighbor_probs)
     return w, refined
@@ -532,6 +538,16 @@ class HistogramReport:
     slices: dict
 
 
+@dataclass(frozen=True)
+class PairRecord:
+    """What the weight histograms read of one scan's valid (query, neighbor)
+    pairs, in pair order: each slice's feature value and the pair's
+    normalized aggregation weight."""
+
+    features: dict
+    weights: np.ndarray
+
+
 def weight_histograms(params: LamParams | None, phis: np.ndarray, row_query: np.ndarray,
                       num_queries: int, slices=HISTOGRAM_SLICES, bins: int = 20) -> HistogramReport:
     """Distribution of normalized aggregation weights over feature slices.
@@ -549,7 +565,7 @@ def weight_histograms(params: LamParams | None, phis: np.ndarray, row_query: np.
         if params.mode != "eval":
             raise ValueError("weight analysis requires eval mode")
         scores = eval_scores(params, phis)
-    weights, _ = _softmax_refine(scores, row_query, np.zeros((len(phis), 1)), num_queries)
+    weights = segment_softmax(scores, row_query, num_queries)
 
     k = phi_layout.num_classes_of(phis.shape[1])
     columns = {
@@ -557,9 +573,18 @@ def weight_histograms(params: LamParams | None, phis: np.ndarray, row_query: np.
         "sensor_distance": phi_layout.sensor_distance_column(k),
         "center_distance": phi_layout.DISTANCE_COLUMN,
     }
+    features = {name: phis[:, column] for name, column in columns.items()}
+    return pair_histograms([PairRecord(features, weights)], slices, bins)
+
+
+def pair_histograms(records, slices=HISTOGRAM_SLICES, bins: int = 20) -> HistogramReport:
+    """weight_histograms over recorded pairs, pooled across the records."""
+    weights = np.concatenate([r.weights for r in records])
+    if len(weights) == 0:
+        raise ValueError("no neighbor pairs to analyze")
     report = {}
     for name in slices:
-        values = phis[:, columns[name]]
+        values = np.concatenate([r.features[name] for r in records])
         edges = np.histogram_bin_edges(values, bins=bins)
         counts, _ = np.histogram(values, bins=edges)
         weight_sum, _ = np.histogram(values, bins=edges, weights=weights)

@@ -20,6 +20,7 @@ from .subsample import PredictionMatrix
 
 NEIGHBOR_MAGIC = b"LNBR"
 _TIE_PAD = 8
+_QUERY_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -189,18 +190,44 @@ class SpatialIndex:
         Returns (indices (N, k), distances (N, k), valid_count (N,)); for
         each query the valid prefix is sorted by (distance, index) and the
         remaining slots are zeroed.
+
+        Queries run in chunks of _QUERY_CHUNK rows, so temporaries stay
+        O(chunk * k) whatever N is. Each chunk asks the kd-tree for k + 8
+        candidates; with eps set the tree search is bounded at slightly
+        more than eps, so it stops early and leaves the slots beyond the
+        ball empty. Every candidate's distance is recomputed canonically,
+        one coordinate at a time, and rechecked against eps, so the
+        result equals a brute-force scan bit for bit.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         n = len(queries)
+        out_idx = np.zeros((n, k), dtype=np.int64)
+        out_dist = np.zeros((n, k))
+        valid = np.zeros(n, dtype=np.int64)
+        for lo in range(0, n, _QUERY_CHUNK):
+            hi = min(lo + _QUERY_CHUNK, n)
+            self._query_chunk(queries[lo:hi], k, eps, out_idx[lo:hi], out_dist[lo:hi], valid[lo:hi])
+        return out_idx, out_dist, valid
+
+    def _query_chunk(self, queries, k, eps, out_idx, out_dist, valid):
+        n = len(queries)
         m = len(self.points)
         kq = min(k + _TIE_PAD, m)
-
-        _, cand = self._tree.query(queries, k=kq)
+        # the tree's own distances may differ from the canonical ones in the
+        # last bits, so the bound is inflated (the added term stays nonzero
+        # when the tree squares it, so eps = 0 still admits duplicates); the
+        # canonical recheck below decides membership
+        bound = np.inf if eps is None else eps * (1.0 + 1e-9) + 1e-100
+        _, cand = self._tree.query(queries, k=kq, distance_upper_bound=bound)
         cand = cand.reshape(n, kq)
-        diff = self.points[cand] - queries[:, None, :]
-        dist = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
+        found = cand < m  # a bounded search marks empty slots with index m
+        safe = np.where(found, cand, 0)
+        sq = np.zeros((n, kq))
+        for axis in range(3):
+            sq += (self.points[safe, axis] - queries[:, axis, None]) ** 2
+        dist = np.where(found, np.sqrt(sq), np.inf)
         order = np.lexsort((cand, dist), axis=1)
         cand = np.take_along_axis(cand, order, axis=1)
         dist = np.take_along_axis(dist, order, axis=1)
@@ -210,26 +237,20 @@ class SpatialIndex:
         sel_dist = dist[:, :take]
         if kq > k:
             # a tie spanning the candidate window may hide better-indexed
-            # duplicates beyond it; redo those rows exhaustively
-            ambiguous = np.flatnonzero(dist[:, k - 1] >= dist[:, kq - 1])
+            # duplicates beyond it; redo those rows exhaustively. A row with
+            # empty slots already holds every point inside the bound.
+            ambiguous = np.flatnonzero(np.isfinite(dist[:, kq - 1]) & (dist[:, k - 1] >= dist[:, kq - 1]))
             for row in ambiguous:
                 idx_r, dist_r = self._query_ties(queries[row], dist[row, k - 1], k)
                 sel_idx[row] = idx_r
                 sel_dist[row] = dist_r
 
-        out_idx = np.zeros((n, k), dtype=np.int64)
-        out_dist = np.zeros((n, k))
-        out_idx[:, :take] = sel_idx
-        out_dist[:, :take] = sel_dist
-        if eps is not None:
-            # distances are sorted, so the epsilon ball is a prefix
-            valid = (sel_dist <= eps).sum(axis=1)
-        else:
-            valid = np.full(n, take, dtype=np.int64)
-        pad = np.arange(k)[None, :] >= valid[:, None]
-        out_idx[pad] = 0
-        out_dist[pad] = 0.0
-        return out_idx, out_dist, valid
+        # distances are sorted, so the epsilon ball is a prefix
+        limit = np.inf if eps is None else eps
+        valid[:] = (sel_dist <= limit).sum(axis=1)
+        keep = np.arange(take)[None, :] < valid[:, None]
+        out_idx[:, :take] = np.where(keep, sel_idx, 0)
+        out_dist[:, :take] = np.where(keep, sel_dist, 0.0)
 
     def _query_ties(self, query: np.ndarray, radius: float, k: int):
         cand = np.asarray(self._tree.query_ball_point(query, r=radius * (1.0 + 1e-12) + 1e-300), dtype=np.int64)

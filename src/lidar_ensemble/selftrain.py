@@ -120,13 +120,17 @@ def _map(fn, items, threads: int):
 
 
 def generate_refined_predictions(scans, poses, predictor: Predictor, config: AdaptationConfig,
-                                 seed: int = 0, use_intensity: bool = True, threads: int = 1):
+                                 seed: int = 0, use_intensity: bool = True, threads: int = 1,
+                                 return_pairs: bool = False):
     """Within-frame then cross-frame ensembling over a whole sequence.
 
     Returns (within, refined): per-scan prediction matrices after the
     subsample-ensemble average and after kernel refinement. A zero-width
     window disables cross-frame refinement entirely, so the pipeline with
     one identity trial and window 0 reduces to the raw predictor.
+    With return_pairs, also returns each scan's PairRecord for the weight
+    histograms, from the same single neighbor search per scan; a zero-width
+    window then still searches the scan itself.
     Deterministic given the seed, independent of thread count.
     """
     agg = config.aggregation
@@ -146,25 +150,26 @@ def generate_refined_predictions(scans, poses, predictor: Predictor, config: Ada
         return within_frame_ensemble(trials, len(cloud))
 
     within = _map(stage_within, range(len(scans)), threads)
-    if agg.window == 0:
+    if agg.window == 0 and not return_pairs:
         return within, within
     pairs = list(zip(scans, within))
 
-    def stage_refine(t: int) -> PredictionMatrix:
+    def stage_refine(t: int):
         dense = build_dense_cloud(pairs, poses, t, agg.window, agg.stride)
         index = SpatialIndex(dense.points)
         nbh = precompute_neighborhoods(index, scans[t].points, agg.k, agg.epsilon)
-        return refine_labels(scans[t].points, within[t].probs, dense, nbh, agg.kernel)
+        return refine_labels(scans[t].points, within[t].probs, dense, nbh, agg.kernel,
+                             return_pairs=return_pairs)
 
     refined = _map(stage_refine, range(len(scans)), threads)
-    return within, refined
+    if not return_pairs:
+        return within, refined
+    records = [record for _, record in refined]
+    refined = within if agg.window == 0 else [pred for pred, _ in refined]
+    return within, refined, records
 
 
-def generate_pseudo_labels(scans, poses, predictor: Predictor, config: AdaptationConfig,
-                           seed: int = 0, use_intensity: bool = True, threads: int = 1):
-    """Per-scan pseudo labels: argmax and max of the refined probabilities."""
-    _, refined = generate_refined_predictions(
-        scans, poses, predictor, config, seed=seed, use_intensity=use_intensity, threads=threads)
+def _label_sets(refined):
     return [
         PseudoLabelSet(
             labels=pred.probs.argmax(axis=1),
@@ -173,6 +178,14 @@ def generate_pseudo_labels(scans, poses, predictor: Predictor, config: Adaptatio
         )
         for pred in refined
     ]
+
+
+def generate_pseudo_labels(scans, poses, predictor: Predictor, config: AdaptationConfig,
+                           seed: int = 0, use_intensity: bool = True, threads: int = 1):
+    """Per-scan pseudo labels: argmax and max of the refined probabilities."""
+    _, refined = generate_refined_predictions(
+        scans, poses, predictor, config, seed=seed, use_intensity=use_intensity, threads=threads)
+    return _label_sets(refined)
 
 
 def cbst_select(labels: np.ndarray, confidence: np.ndarray, config: CbstConfig) -> np.ndarray:
@@ -230,7 +243,7 @@ class LidarSequence:
 
 
 def run_adaptation(sequences, teacher: Predictor, student_hook, config: AdaptationConfig,
-                   out_dir, threads: int = 1):
+                   out_dir, threads: int = 1, return_pairs: bool = False):
     """Iterate label generation and student training.
 
     Iteration 0 uses the teacher with intensity dropped; later iterations
@@ -241,23 +254,29 @@ def run_adaptation(sequences, teacher: Predictor, student_hook, config: Adaptati
     the next predictor (or None to keep the current one).
 
     Returns the per-iteration list of {sequence name: [PseudoLabelSet]}.
+    With return_pairs, returns (that list, {sequence name: [PairRecord]}),
+    the pair records of iteration 0's refinement.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     predictor = teacher
     results = []
+    first_pairs = {}
     manifest_items = [("iterations", str(config.iterations)), ("seed", str(config.seed))]
     for iteration in range(config.iterations):
         use_intensity = config.intensity_allowed(iteration)
         manifest_items.append((f"iteration_{iteration:02d}.intensity_used", str(use_intensity).lower()))
         iter_labels = {}
         for seq_index, seq in enumerate(sequences):
-            label_sets = generate_pseudo_labels(
+            _, refined, *records = generate_refined_predictions(
                 seq.scans, seq.poses, predictor, config,
                 seed=_iteration_seed(config.seed, iteration, seq_index),
                 use_intensity=use_intensity, threads=threads,
+                return_pairs=return_pairs and iteration == 0,
             )
-            label_sets = apply_cbst(label_sets, config.cbst)
+            if records:
+                first_pairs[seq.name] = records[0]
+            label_sets = apply_cbst(_label_sets(refined), config.cbst)
             iter_labels[seq.name] = label_sets
             seq_dir = out_dir / f"iteration_{iteration:02d}" / seq.name
             seq_dir.mkdir(parents=True, exist_ok=True)
@@ -272,7 +291,7 @@ def run_adaptation(sequences, teacher: Predictor, student_hook, config: Adaptati
             raise AdaptationError(f"student hook failed at iteration {iteration}") from exc
         if next_predictor is not None:
             predictor = next_predictor
-    return results
+    return (results, first_pairs) if return_pairs else results
 
 
 def _iteration_seed(seed: int, iteration: int, seq_index: int) -> int:
@@ -442,6 +461,11 @@ def build_lam_training_set(scans, poses, predictions, truth_labels, agg: Aggrega
     """Collect per-query neighborhoods (features, neighbor labels, truth)
     from a labeled sequence; queries with no neighbors or ignored truth are
     dropped."""
+    for t, truth in enumerate(truth_labels):
+        if len(truth) != len(scans[t]):
+            raise FileFormatError(
+                f"frame {t}: {len(truth)} labels for a {len(scans[t])}-point scan "
+                f"(label data ends at byte offset {4 * len(truth)})")
     pairs = list(zip(scans, predictions))
     num_classes = predictions[0].num_classes
     phis, probs, labels = [], [], []
@@ -488,7 +512,12 @@ def save_labels(labels: np.ndarray, path) -> None:
 
 
 def load_labels(path) -> np.ndarray:
-    raw = np.fromfile(path, dtype="<u4")
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    whole = len(blob) - len(blob) % 4
+    if whole != len(blob):
+        raise FileFormatError(f"{path}: truncated u32 label at byte offset {whole}")
+    raw = np.frombuffer(blob, dtype="<u4")
     return (raw & 0xFFFF).astype(np.int64)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lidar_ensemble import phi_layout
+from lidar_ensemble import aggregate, phi_layout
 from lidar_ensemble.aggregate import (
     AggregationSpec,
     LamKernel,
@@ -182,6 +182,23 @@ class TestRefineLabels:
         for q in range(50):
             n = int(nbh.valid_count[q])
             expected = dense.probs[nbh.indices[q, :n]].mean(axis=0)
+            assert np.array_equal(out.probs[q], expected)
+
+    def test_uniform_matches_per_query_loop(self, monkeypatch):
+        # mixed valid counts (empty ones included), 19 classes, and groups
+        # of equal count split across several gathers
+        monkeypatch.setattr(aggregate, "_PAIR_CHUNK", 50)
+        rng = np.random.default_rng(17)
+        dense = make_dense(rng, m=2000, k_classes=19)
+        queries = rng.uniform(-4, 4, size=(300, 3))
+        raw = rng.uniform(0.05, 1.0, size=(300, 19))
+        v = raw / raw.sum(1, keepdims=True)
+        nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=40, eps=0.6)
+        assert (nbh.valid_count == 0).any() and len(np.unique(nbh.valid_count)) > 5
+        out = refine_labels(queries, v, dense, nbh, UniformKernel())
+        for q in range(300):
+            n = int(nbh.valid_count[q])
+            expected = v[q] if n == 0 else dense.probs[nbh.indices[q, :n]].sum(axis=0) / n
             assert np.array_equal(out.probs[q], expected)
 
     def test_lam_matches_brute_force_weighted_average(self):

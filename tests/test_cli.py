@@ -236,6 +236,14 @@ class TestMetricsCommand:
                    "--out", str(tmp_path / "m3")])
         assert rc == EXIT_CONFIG
 
+    def test_truncated_label_file_is_io_error(self, dataset, tmp_path, caplog):
+        pred = tmp_path / "short.label"
+        pred.write_bytes((dataset / "labels" / "000000.label").read_bytes()[:-3])
+        rc = main(["metrics", "--pred", str(pred), "--truth", str(dataset / "labels" / "000000.label"),
+                   "--classes", "3", "--out", str(tmp_path / "m4")])
+        assert rc == EXIT_IO
+        assert f"byte offset {pred.stat().st_size - 1}" in caplog.text
+
 
 class TestPipelineCommand:
     def test_outputs_and_idempotency(self, config_path, tmp_path):
@@ -282,6 +290,85 @@ class TestPipelineCommand:
         monkeypatch.setenv("LIDAR_ENSEMBLE_THREADS", "junk")
         assert main(["pipeline", "--config", str(config_path),
                      "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+
+
+class TestDatasetChecks:
+    def test_label_count_differs_from_scan_count(self, dataset, config_path, tmp_path, caplog):
+        import shutil
+
+        root = tmp_path / "data"
+        shutil.copytree(dataset, root)
+        (root / "labels" / "000003.label").unlink()
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(config_path.read_text().replace(f"root = {dataset}", f"root = {root}"))
+        rc = main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "x"), "--threads", "1"])
+        assert rc == EXIT_CONFIG
+        assert "3 label files for 4 scans" in caplog.text
+
+    def test_default_threads_follow_cpu_affinity(self, monkeypatch):
+        import argparse
+        import os
+
+        from lidar_ensemble.cli import _resolve_threads
+
+        args = argparse.Namespace(threads=None)
+        monkeypatch.delenv("LIDAR_ENSEMBLE_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert _resolve_threads(args) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _resolve_threads(args) == 64
+
+
+class TestPipelineReuse:
+    """pipeline searches each frame once and builds its histograms from
+    that search, with the same bytes as a separate analysis pass."""
+
+    @pytest.mark.parametrize("kernel", ["uniform", "lam"])
+    def test_one_search_per_frame_same_histograms(self, kernel, dataset, checkpoint, tmp_path,
+                                                  monkeypatch):
+        from lidar_ensemble import cli, lam, neighbors, selftrain
+        from lidar_ensemble.config import load_config
+
+        # the uniform run also takes the epsilon-bounded search
+        text = CONFIG_TEMPLATE.format(root=dataset)
+        if kernel == "uniform":
+            text = text.replace("epsilon =", "epsilon = 1.0")
+        else:
+            text = text.replace("kernel = uniform", f"kernel = lam\ncheckpoint = {checkpoint}")
+        path = tmp_path / "reuse.ini"
+        path.write_text(text)
+        calls = []
+        original = neighbors.precompute_neighborhoods
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (neighbors, selftrain, cli):
+            if getattr(module, "precompute_neighborhoods", None) is original:
+                monkeypatch.setattr(module, "precompute_neighborhoods", counting)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(path), "--out", str(out), "--threads", "2",
+                     "--bins", "7"]) == EXIT_OK
+        assert len(calls) == 4  # frames
+        monkeypatch.undo()
+
+        # reference: a separate analysis pass over iteration 0's within-frame
+        # predictions, searched again and scored by weight_histograms
+        cfg = load_config(path)
+        seq, _, _ = cli._load_sequence(cfg)
+        within, _ = selftrain.generate_refined_predictions(
+            seq.scans, seq.poses, cli._predictor_from_config(cfg), cfg.adaptation(),
+            seed=selftrain._iteration_seed(cfg.seed, 0, 0), use_intensity=False)
+        chunks, queries = cli._phi_stream(seq, within, cfg.aggregation)
+        offsets = np.cumsum([0] + [len(scan) for scan in seq.scans])
+        row_query = np.concatenate([rq + offsets[t] for t, rq in enumerate(queries)])
+        params = cfg.aggregation.kernel.params if kernel == "lam" else None
+        report = lam.weight_histograms(params, np.concatenate(chunks), row_query, int(offsets[-1]),
+                                       bins=7)
+        lam.write_histogram_csv(report, tmp_path / "old.csv")
+        assert (out / "histograms.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestPipelineWithLearnedKernel:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from lidar_ensemble import neighbors
 from lidar_ensemble.errors import FileFormatError
 from lidar_ensemble.geometry import PointCloud, RigidTransform
 from lidar_ensemble.neighbors import (
@@ -226,6 +229,68 @@ class TestKnnEpsilon:
         index = SpatialIndex(np.ones((3, 3)))
         with pytest.raises(ValueError, match="k"):
             knn_epsilon(index, [0.0, 0.0, 0.0], k=0)
+
+
+def brute_force_batch(points, queries, k, eps=None):
+    """Padded (indices, distances, valid_count) of every query by a full
+    distance scan, ordered by (distance, index)."""
+    diff = points[None, :, :] - queries[:, None, :]
+    d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
+    index = np.broadcast_to(np.arange(len(points)), d.shape)
+    order = np.lexsort((index, d), axis=1)[:, :k]
+    dist = np.take_along_axis(d, order, axis=1)
+    valid = (dist <= (np.inf if eps is None else eps)).sum(axis=1)
+    keep = np.arange(order.shape[1])[None, :] < valid[:, None]
+    out_idx = np.zeros((len(queries), k), dtype=np.int64)
+    out_dist = np.zeros((len(queries), k))
+    out_idx[:, :order.shape[1]] = np.where(keep, order, 0)
+    out_dist[:, :order.shape[1]] = np.where(keep, dist, 0.0)
+    return out_idx, out_dist, valid
+
+
+@st.composite
+def adversarial_queries(draw):
+    """Quantized cloud with one point copied at least 70 times, queries on
+    and off the grid, and (optionally) an epsilon equal to a grid distance,
+    so ties fall at the k-th slot and exactly at epsilon."""
+    step = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    cells = st.tuples(*[st.integers(-3, 3)] * 3)
+    base = np.array(draw(st.lists(cells, min_size=1, max_size=10)), dtype=np.float64) * step
+    copies = [draw(st.integers(70, 90))] + [draw(st.integers(1, 12)) for _ in base[1:]]
+    points = np.repeat(base, copies, axis=0)
+    points = points[np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(points))]
+
+    on_grid = np.array(draw(st.lists(cells, min_size=1, max_size=6)), dtype=np.float64) * step
+    off_grid = np.array(draw(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), max_size=3)))
+    seeds = [base[:1], on_grid, off_grid.reshape(-1, 3)]
+
+    eps = None
+    if draw(st.booleans()):
+        offset = np.array(draw(cells), dtype=np.float64) * step
+        # the canonical distance of a grid offset, so grid pairs tie with it
+        # exactly; the query at that offset from the copied point sees the
+        # whole ball boundary made of 70+ duplicates
+        eps = float(np.sqrt(offset[0] ** 2 + offset[1] ** 2 + offset[2] ** 2)) or step
+        seeds.append(base[:1] + offset)
+    seeds = np.concatenate(seeds)
+    count = draw(st.sampled_from([0, 1, neighbors._QUERY_CHUNK - 1, neighbors._QUERY_CHUNK,
+                                  neighbors._QUERY_CHUNK + 1]))
+    queries = seeds[np.arange(count) % len(seeds)]
+    k = draw(st.integers(1, 100))
+    return points, queries, k, eps
+
+
+class TestQueryBatchProperty:
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(adversarial_queries())
+    def test_matches_brute_force_bit_for_bit(self, case):
+        points, queries, k, eps = case
+        idx, dist, valid = SpatialIndex(points).query_batch(queries, k, eps)
+        o_idx, o_dist, o_valid = brute_force_batch(points, queries, k, eps)
+        assert idx.shape == dist.shape == (len(queries), k)
+        assert np.array_equal(valid, o_valid)
+        assert np.array_equal(idx, o_idx)
+        assert np.array_equal(dist.view(np.uint64), o_dist.view(np.uint64))
 
 
 class TestNeighborFile:

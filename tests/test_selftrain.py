@@ -14,6 +14,7 @@ from lidar_ensemble.selftrain import (
     LidarSequence,
     Predictor,
     PseudoLabelSet,
+    build_lam_training_set,
     cbst_select,
     generate_pseudo_labels,
     generate_refined_predictions,
@@ -337,6 +338,17 @@ class TestRunAdaptation:
         assert 0 < selected < total
         mask = load_selection_mask(tmp_path / "run" / "iteration_00" / seq.name / "000000.mask")
         assert np.array_equal(mask, label_sets[0].selected)
+
+
+class TestLamTrainingSet:
+    def test_label_length_mismatch_names_the_frame(self):
+        seq, truths = generate_sequence(SyntheticSceneSpec(num_frames=3, points_per_frame=80, seed=19))
+        predictor = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
+        config = identity_config(window=1)
+        within, _ = generate_refined_predictions(seq.scans, seq.poses, predictor, config, seed=0)
+        truths[1] = truths[1][:-5]
+        with pytest.raises(FileFormatError, match="frame 1: 75 labels for a 80-point scan"):
+            build_lam_training_set(seq.scans, seq.poses, within, truths, config.aggregation)
 
 
 class TestArtifactFiles:
