@@ -30,9 +30,9 @@ from .metrics import (condense_static_dynamic, confusion, iou, write_confusion_c
                       write_iou_csv, write_iou_summary)
 from .neighbors import SpatialIndex, build_dense_cloud, precompute_neighborhoods
 from .selftrain import (LidarSequence, PrecomputedPredictor, build_lam_training_set,
-                        cbst_select, file_checksum, generate_refined_predictions, load_labels,
+                        cbst_select, file_checksum, load_labels,
                         mock_predictor, noop_student_hook, run_adaptation, save_labels,
-                        save_selection_mask, write_manifest)
+                        save_selection_mask, within_frame_predictions, write_manifest)
 from .subsample import (apply_row_mask, read_prediction_matrix, row_mask, within_frame_ensemble,
                         write_prediction_matrix)
 
@@ -247,9 +247,8 @@ def cmd_lam_train(args) -> int:
     predictor = _predictor_from_config(cfg)
     adaptation = cfg.adaptation()
     threads = _resolve_threads(args)
-    within, _ = generate_refined_predictions(
-        seq.scans, seq.poses, predictor, adaptation, seed=cfg.seed,
-        use_intensity=False, threads=threads)
+    within = within_frame_predictions(seq.scans, predictor, adaptation, seed=cfg.seed,
+                                      use_intensity=False, threads=threads)
     data = build_lam_training_set(seq.scans, seq.poses, within, truths,
                                   cfg.aggregation, ignore_label=cfg.ignore_label)
     params, trace = train_lam(data, cfg.train)

@@ -130,12 +130,77 @@ def initialize_lam_params(feature_dim: int, hidden_sizes=HIDDEN_SIZES, seed: int
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def lam_forward(params: LamParams, feats: np.ndarray, update_running: bool = True):
+# Rows per block of the elementwise passes: a block of the widest default
+# layer (512 x 128 float64, 512 KB) stays in L2 cache between its steps.
+_ROW_BLOCK = 512
+
+
+class _Workspace:
+    """Named scratch arrays for the LAM step, reused from call to call.
+
+    A buffer grows to the largest row count asked of it; a caller gets a
+    C-contiguous view of its first rows. Whatever a view held is
+    overwritten by the next call that takes the same name.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, rows: int, cols: int, dtype=np.float64) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None or len(buf) < rows or buf.shape[1] != cols:
+            buf = np.empty((rows, cols), dtype=dtype)
+            self._buffers[name] = buf
+        return buf[:rows]
+
+
+class _ColumnSum:
+    """Column sums of an (R, C) array fed one row block at a time.
+
+    numpy reduces a C-ordered array over axis 0 one row after another, so
+    reducing [running total; next block] block after block adds the rows in
+    the same order as .sum(axis=0) over all rows and gives the same bits.
+    A single column is contiguous along the reduction, which numpy sums
+    pairwise instead; _block_rows then makes the whole array one block.
+    Sums sharing a scratch buffer must each fill and add a block before the
+    next one fills.
+    """
+
+    def __init__(self, scratch: np.ndarray):
+        self._scratch = scratch
+        self.total = np.zeros(scratch.shape[1])
+        self._first = True
+
+    def rows(self, n: int) -> np.ndarray:
+        """Where the caller writes the next block's n rows."""
+        return self._scratch[1:n + 1]
+
+    def add(self, n: int) -> None:
+        if self._first:
+            np.sum(self._scratch[1:n + 1], axis=0, out=self.total)
+            self._first = False
+        else:
+            self._scratch[0] = self.total
+            np.sum(self._scratch[:n + 1], axis=0, out=self.total)
+
+
+def _block_rows(rows: int, width: int) -> int:
+    return max(1, rows if width == 1 else min(rows, _ROW_BLOCK))
+
+
+def _blocks(rows: int, block: int):
+    for lo in range(0, rows, block):
+        yield lo, min(lo + block, rows)
+
+
+def lam_forward(params: LamParams, feats: np.ndarray, update_running: bool = True,
+                workspace: _Workspace | None = None):
     """Score a batch of feature vectors.
 
     Returns (scores (R,), cache). In train mode batch statistics normalize
     each block and, unless update_running is False, the running statistics
-    are advanced with momentum 0.1; eval mode is deterministic.
+    are advanced with momentum 0.1; eval mode is deterministic. The cache
+    lives in workspace, when one is given, until its next use.
     """
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != params.feature_dim:
@@ -143,15 +208,28 @@ def lam_forward(params: LamParams, feats: np.ndarray, update_running: bool = Tru
     if not np.isfinite(feats).all():
         raise ValueError("feature batch contains non-finite values")
 
+    ws = _Workspace() if workspace is None else workspace
     train = params.mode == "train"
-    act = (feats - params.std_mean) / np.sqrt(params.std_var)
-    cache = {"x0": act, "train": train, "layers": []}
     rows = len(feats)
-    for layer in params.layers:
-        z = act @ layer.weight.T
+    act = ws.take("x0", rows, params.feature_dim)
+    np.subtract(feats, params.std_mean, out=act)
+    np.divide(act, np.sqrt(params.std_var), out=act)
+    cache = {"x0": act, "train": train, "layers": []}
+    for i, layer in enumerate(params.layers):
+        width = len(layer.weight)
+        block = _block_rows(rows, width)
+        # z, centred in place, becomes xhat
+        z = ws.take(f"xhat{i}", rows, width)
+        np.matmul(act, layer.weight.T, out=z)
         if train:
             mean = z.mean(axis=0)
-            var = z.var(axis=0)
+            sq_sum = _ColumnSum(ws.take(f"sum{i}", block + 1, width))
+            for lo, hi in _blocks(rows, block):
+                zc = z[lo:hi]
+                np.subtract(zc, mean, out=zc)
+                np.multiply(zc, zc, out=sq_sum.rows(hi - lo))
+                sq_sum.add(hi - lo)
+            var = sq_sum.total / rows
             if update_running:
                 run_var_update = var * rows / (rows - 1) if rows > 1 else var
                 layer.run_mean += BN_MOMENTUM * (mean - layer.run_mean)
@@ -160,10 +238,19 @@ def lam_forward(params: LamParams, feats: np.ndarray, update_running: bool = Tru
             mean = layer.run_mean
             var = layer.run_var
         ivar = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (z - mean) * ivar
-        y = layer.gamma * xhat + layer.beta
-        cache["layers"].append({"a_prev": act, "xhat": xhat, "y": y, "ivar": ivar})
-        act = np.maximum(y, 0.0)
+        next_act = ws.take(f"act{i}", rows, width)
+        mask = ws.take(f"mask{i}", rows, width, dtype=bool)
+        for lo, hi in _blocks(rows, block):
+            xhat, y = z[lo:hi], next_act[lo:hi]
+            if not train:
+                np.subtract(xhat, mean, out=xhat)
+            np.multiply(xhat, ivar, out=xhat)
+            np.multiply(xhat, layer.gamma, out=y)
+            np.add(y, layer.beta, out=y)
+            np.greater(y, 0.0, out=mask[lo:hi])
+            np.maximum(y, 0.0, out=y)
+        cache["layers"].append({"a_prev": act, "xhat": z, "mask": mask, "ivar": ivar})
+        act = next_act
     cache["a_last"] = act
     scores = act @ params.head_weight + params.head_bias
     return scores, cache
@@ -173,42 +260,76 @@ def eval_scores(params: LamParams, feats: np.ndarray, chunk: int = 2048) -> np.n
     """Eval-mode scores without activation caches.
 
     Rows are independent in eval mode, so the batch is processed in
-    cache-friendly chunks; large monolithic batches thrash memory.
+    cache-friendly chunks through one reused workspace; large monolithic
+    batches thrash memory.
     """
     if params.mode != "eval":
         raise ValueError("eval_scores requires eval mode")
     feats = np.asarray(feats, dtype=np.float64)
+    ws = _Workspace()
     if len(feats) <= chunk:
-        return lam_forward(params, feats)[0]
+        return lam_forward(params, feats, workspace=ws)[0]
     return np.concatenate([
-        lam_forward(params, feats[i:i + chunk])[0] for i in range(0, len(feats), chunk)
+        lam_forward(params, feats[i:i + chunk], workspace=ws)[0] for i in range(0, len(feats), chunk)
     ])
 
 
-def lam_backward(params: LamParams, cache: dict, dscores: np.ndarray) -> dict:
+def lam_backward(params: LamParams, cache: dict, dscores: np.ndarray,
+                 workspace: _Workspace | None = None) -> dict:
     """Gradients of a scalar objective w.r.t. every trainable tensor,
-    given its gradient w.r.t. the scores."""
+    given its gradient w.r.t. the scores. The cache is left intact."""
+    ws = _Workspace() if workspace is None else workspace
     grads = {}
     a_last = cache["a_last"]
     grads["head.weight"] = a_last.T @ dscores
     grads["head.bias"] = np.atleast_1d(dscores.sum())
-    d_act = np.outer(dscores, params.head_weight)
     rows = len(dscores)
+    train = cache["train"]
+    last = len(params.layers) - 1
+    d_act = ws.take(f"dact{last}", rows, a_last.shape[1])
     for i in reversed(range(len(params.layers))):
         layer = params.layers[i]
         lc = cache["layers"][i]
-        dy = d_act * (lc["y"] > 0)
-        grads[f"layer{i}.gamma"] = (dy * lc["xhat"]).sum(axis=0)
-        grads[f"layer{i}.beta"] = dy.sum(axis=0)
-        dxhat = dy * layer.gamma
-        if cache["train"]:
-            dz = (lc["ivar"] / rows) * (
-                rows * dxhat - dxhat.sum(axis=0) - lc["xhat"] * (dxhat * lc["xhat"]).sum(axis=0)
-            )
-        else:
-            dz = dxhat * lc["ivar"]
-        grads[f"layer{i}.weight"] = dz.T @ lc["a_prev"]
-        d_act = dz @ layer.weight
+        xhat, mask, ivar = lc["xhat"], lc["mask"], lc["ivar"]
+        width = xhat.shape[1]
+        block = _block_rows(rows, width)
+        scratch = ws.take(f"sum{i}", block + 1, width)
+        beta_sum, gamma_sum, dxhat_sum, dxhat_x_sum = (_ColumnSum(scratch) for _ in range(4))
+        # d_act becomes dy, then dxhat, then dz in place
+        for lo, hi in _blocks(rows, block):
+            n, d, x = hi - lo, d_act[lo:hi], xhat[lo:hi]
+            if i == last:  # the head's np.outer(dscores, head_weight), a block at a time
+                np.multiply(dscores[lo:hi, None], params.head_weight, out=d)
+            np.multiply(d, mask[lo:hi], out=d)
+            np.copyto(beta_sum.rows(n), d)
+            beta_sum.add(n)
+            np.multiply(d, x, out=gamma_sum.rows(n))
+            gamma_sum.add(n)
+            np.multiply(d, layer.gamma, out=d)
+            if train:
+                np.copyto(dxhat_sum.rows(n), d)
+                dxhat_sum.add(n)
+                np.multiply(d, x, out=dxhat_x_sum.rows(n))
+                dxhat_x_sum.add(n)
+            else:
+                np.multiply(d, ivar, out=d)
+        grads[f"layer{i}.gamma"] = gamma_sum.total
+        grads[f"layer{i}.beta"] = beta_sum.total
+        if train:
+            # dz = (ivar / rows) * (rows * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
+            coef = ivar / rows
+            for lo, hi in _blocks(rows, block):
+                d, tmp = d_act[lo:hi], scratch[1:hi - lo + 1]
+                np.multiply(d, rows, out=d)
+                np.subtract(d, dxhat_sum.total, out=d)
+                np.multiply(xhat[lo:hi], dxhat_x_sum.total, out=tmp)
+                np.subtract(d, tmp, out=d)
+                np.multiply(d, coef, out=d)
+        grads[f"layer{i}.weight"] = d_act.T @ lc["a_prev"]
+        if i > 0:  # the input gradient of layer 0 has no reader
+            d_prev = ws.take(f"dact{i - 1}", rows, layer.weight.shape[1])
+            np.matmul(d_act, layer.weight, out=d_prev)
+            d_act = d_prev
     return grads
 
 
@@ -376,7 +497,7 @@ def _softmax_refine(scores: np.ndarray, row_query: np.ndarray, neighbor_probs: n
 def training_loss_and_grads(params: LamParams, phis: np.ndarray, row_query: np.ndarray,
                             neighbor_probs: np.ndarray, labels: np.ndarray,
                             ce_weight: float = 1.0, lovasz_weight: float = 1.0,
-                            update_running: bool = False):
+                            update_running: bool = False, workspace: _Workspace | None = None):
     """Loss and analytic parameter gradients for one batch of neighborhoods.
 
     The refinement weights are the softmax of the scores within each
@@ -384,7 +505,7 @@ def training_loss_and_grads(params: LamParams, phis: np.ndarray, row_query: np.n
     normalizer. Returns (total, ce, lovasz, grads).
     """
     n = len(labels)
-    scores, cache = lam_forward(params, phis, update_running=update_running)
+    scores, cache = lam_forward(params, phis, update_running=update_running, workspace=workspace)
     weights, refined = _softmax_refine(scores, row_query, neighbor_probs, n)
     ce, g_ce = _cross_entropy_with_grad(refined, labels)
     lov, g_lov = _lovasz_softmax_with_grad(refined, labels)
@@ -392,7 +513,7 @@ def training_loss_and_grads(params: LamParams, phis: np.ndarray, row_query: np.n
     per_query = np.einsum("qk,qk->q", refined, g_refined)
     per_row = np.einsum("rk,rk->r", neighbor_probs, g_refined[row_query])
     dscores = weights * (per_row - per_query[row_query])
-    grads = lam_backward(params, cache, dscores)
+    grads = lam_backward(params, cache, dscores, workspace=workspace)
     total = ce_weight * ce + lovasz_weight * lov
     return total, ce, lov, grads
 
@@ -440,6 +561,7 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
     rng = np.random.default_rng(config.seed)
     adam = _Adam([name for name, _ in params.named_parameters()], config.learning_rate)
     sizes = np.array([len(p) for p in data.phis])
+    ws = _Workspace()
     trace = []
     global_step = 0
     for epoch in range(config.epochs):
@@ -448,12 +570,15 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
         seen = 0
         for start in range(0, len(perm), config.batch):
             sel = perm[start:start + config.batch]
-            phis = np.concatenate([data.phis[i] for i in sel], axis=0)
-            probs = np.concatenate([data.neighbor_probs[i] for i in sel], axis=0)
+            rows = int(sizes[sel].sum())
+            phis = np.concatenate([data.phis[i] for i in sel], axis=0,
+                                  out=ws.take("phis", rows, data.feature_dim))
+            probs = np.concatenate([data.neighbor_probs[i] for i in sel], axis=0,
+                                   out=ws.take("probs", rows, data.neighbor_probs[0].shape[1]))
             row_query = np.repeat(np.arange(len(sel)), sizes[sel])
             total, ce, lov, grads = training_loss_and_grads(
                 params, phis, row_query, probs, data.labels[sel],
-                config.ce_weight, config.lovasz_weight, update_running=True,
+                config.ce_weight, config.lovasz_weight, update_running=True, workspace=ws,
             )
             if not np.isfinite(total):
                 raise LamTrainingError(f"non-finite loss at step {global_step}")
@@ -630,6 +755,10 @@ def save_lam_params(params: LamParams, path) -> None:
 
 
 def load_lam_params(path) -> LamParams:
+    """Read a checkpoint written by save_lam_params, with any number of
+    hidden layers. Every tensor's shape must agree with the header's D and
+    the width of the layer before it; a malformed, missing or misshapen
+    tensor raises FileFormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
@@ -640,8 +769,10 @@ def load_lam_params(path) -> LamParams:
     if phi_layout.feature_dim(k) != d:
         raise FileFormatError(f"{path}: inconsistent D={d}, K={k} at byte offset 8")
     tensors = {}
+    record_offset = {}
     off = 16
     while off < len(blob):
+        start = off
         try:
             (name_len,) = struct.unpack_from("<I", blob, off)
             off += 4
@@ -656,30 +787,42 @@ def load_lam_params(path) -> LamParams:
             off += 8 * count
         except (struct.error, ValueError) as exc:
             raise FileFormatError(f"{path}: malformed tensor record at byte offset {off}") from exc
+        record_offset[name] = start
 
-    try:
-        layers = []
-        for i in range(3):
-            layers.append(DenseBnLayer(
-                weight=tensors[f"layer{i}.weight"],
-                gamma=tensors[f"layer{i}.gamma"],
-                beta=tensors[f"layer{i}.beta"],
-                run_mean=tensors[f"layer{i}.run_mean"],
-                run_var=tensors[f"layer{i}.run_var"],
-            ))
-        params = LamParams(
-            std_mean=tensors["std_mean"],
-            std_var=tensors["std_var"],
-            layers=layers,
-            head_weight=tensors["head.weight"],
-            head_bias=float(tensors["head.bias"]),
-            mode="eval",
-        )
-    except KeyError as exc:
-        raise FileFormatError(f"{path}: checkpoint missing tensor {exc}") from exc
-    if params.feature_dim != d:
-        raise FileFormatError(f"{path}: std_mean length disagrees with header D")
-    return params
+    def tensor(name: str, shape: tuple) -> np.ndarray:
+        if name not in tensors:
+            raise FileFormatError(f"{path}: checkpoint missing tensor '{name}'")
+        arr = tensors[name]
+        if arr.shape != shape:
+            raise FileFormatError(
+                f"{path}: tensor '{name}' has shape {arr.shape}, expected {shape}, "
+                f"in the record at byte offset {record_offset[name]}")
+        return arr
+
+    num_layers = 0
+    while any(name.startswith(f"layer{num_layers}.") for name in tensors):
+        num_layers += 1
+    layers = []
+    fan_in = d
+    for i in range(num_layers):
+        weight = tensors.get(f"layer{i}.weight")
+        width = weight.shape[0] if weight is not None and weight.ndim == 2 else 0
+        layers.append(DenseBnLayer(
+            weight=tensor(f"layer{i}.weight", (width, fan_in)),
+            gamma=tensor(f"layer{i}.gamma", (width,)),
+            beta=tensor(f"layer{i}.beta", (width,)),
+            run_mean=tensor(f"layer{i}.run_mean", (width,)),
+            run_var=tensor(f"layer{i}.run_var", (width,)),
+        ))
+        fan_in = width
+    return LamParams(
+        std_mean=tensor("std_mean", (d,)),
+        std_var=tensor("std_var", (d,)),
+        layers=layers,
+        head_weight=tensor("head.weight", (fan_in,)),
+        head_bias=float(tensor("head.bias", ())),
+        mode="eval",
+    )
 
 
 def write_loss_trace_csv(trace, path) -> None:

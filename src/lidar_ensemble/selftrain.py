@@ -119,21 +119,11 @@ def _map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def generate_refined_predictions(scans, poses, predictor: Predictor, config: AdaptationConfig,
-                                 seed: int = 0, use_intensity: bool = True, threads: int = 1,
-                                 return_pairs: bool = False):
-    """Within-frame then cross-frame ensembling over a whole sequence.
-
-    Returns (within, refined): per-scan prediction matrices after the
-    subsample-ensemble average and after kernel refinement. A zero-width
-    window disables cross-frame refinement entirely, so the pipeline with
-    one identity trial and window 0 reduces to the raw predictor.
-    With return_pairs, also returns each scan's PairRecord for the weight
-    histograms, from the same single neighbor search per scan; a zero-width
-    window then still searches the scan itself.
-    Deterministic given the seed, independent of thread count.
-    """
-    agg = config.aggregation
+def within_frame_predictions(scans, predictor: Predictor, config: AdaptationConfig,
+                             seed: int = 0, use_intensity: bool = True, threads: int = 1):
+    """Per-scan subsample-ensemble average of the predictor's outputs
+    (within-frame ensembling). Deterministic given the seed, independent of
+    thread count."""
 
     def stage_within(t: int) -> PredictionMatrix:
         cloud = scans[t] if use_intensity else scans[t].without_intensity()
@@ -149,7 +139,26 @@ def generate_refined_predictions(scans, poses, predictor: Predictor, config: Ada
             trials.append(PredictionMatrix(pred.probs, idx_map[pred.point_index]))
         return within_frame_ensemble(trials, len(cloud))
 
-    within = _map(stage_within, range(len(scans)), threads)
+    return _map(stage_within, range(len(scans)), threads)
+
+
+def generate_refined_predictions(scans, poses, predictor: Predictor, config: AdaptationConfig,
+                                 seed: int = 0, use_intensity: bool = True, threads: int = 1,
+                                 return_pairs: bool = False):
+    """Within-frame then cross-frame ensembling over a whole sequence.
+
+    Returns (within, refined): per-scan prediction matrices after the
+    subsample-ensemble average and after kernel refinement. A zero-width
+    window disables cross-frame refinement entirely, so the pipeline with
+    one identity trial and window 0 reduces to the raw predictor.
+    With return_pairs, also returns each scan's PairRecord for the weight
+    histograms, from the same single neighbor search per scan; a zero-width
+    window then still searches the scan itself.
+    Deterministic given the seed, independent of thread count.
+    """
+    agg = config.aggregation
+    within = within_frame_predictions(scans, predictor, config, seed=seed,
+                                      use_intensity=use_intensity, threads=threads)
     if agg.window == 0 and not return_pairs:
         return within, within
     pairs = list(zip(scans, within))

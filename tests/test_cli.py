@@ -139,13 +139,12 @@ def prediction_dir(dataset, config_path, tmp_path_factory):
     """Per-frame within-frame predictions, produced through the library."""
     from lidar_ensemble.config import load_config
     from lidar_ensemble.cli import _load_sequence, _predictor_from_config
-    from lidar_ensemble.selftrain import generate_refined_predictions
+    from lidar_ensemble.selftrain import within_frame_predictions
 
     cfg = load_config(config_path)
     seq, _, _ = _load_sequence(cfg)
     predictor = _predictor_from_config(cfg)
-    within, _ = generate_refined_predictions(seq.scans, seq.poses, predictor,
-                                             cfg.adaptation(), seed=cfg.seed)
+    within = within_frame_predictions(seq.scans, predictor, cfg.adaptation(), seed=cfg.seed)
     out = tmp_path_factory.mktemp("preds")
     for t, pred in enumerate(within):
         write_prediction_matrix(pred, out / f"{t:06d}.lprb")
@@ -179,6 +178,41 @@ class TestLamCommands:
         assert trace[0] == "epoch,mean_ce,mean_lovasz,total"
         assert len(trace) == 3  # header + 2 epochs
 
+    def test_train_searches_each_frame_once(self, config_path, checkpoint, tmp_path, monkeypatch):
+        from lidar_ensemble import cli, lam, neighbors, selftrain
+        from lidar_ensemble.config import load_config
+
+        calls = {"search": 0, "refine": 0}
+
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        search = counting("search", neighbors.precompute_neighborhoods)
+        for module in (neighbors, selftrain, cli):
+            monkeypatch.setattr(module, "precompute_neighborhoods", search)
+        monkeypatch.setattr(selftrain, "refine_labels", counting("refine", selftrain.refine_labels))
+        out = tmp_path / "lam"
+        assert main(["lam-train", "--config", str(config_path), "--out", str(out),
+                     "--threads", "2"]) == EXIT_OK
+        assert calls == {"search": 4, "refine": 0}  # one search per frame, no refinement
+        monkeypatch.undo()
+
+        # same checkpoint as training on the within-frame half of a full refinement pass
+        cfg = load_config(config_path)
+        seq, truths, _ = cli._load_sequence(cfg)
+        within, _ = selftrain.generate_refined_predictions(
+            seq.scans, seq.poses, cli._predictor_from_config(cfg), cfg.adaptation(),
+            seed=cfg.seed, use_intensity=False)
+        data = selftrain.build_lam_training_set(seq.scans, seq.poses, within, truths,
+                                                cfg.aggregation, ignore_label=cfg.ignore_label)
+        params, _ = lam.train_lam(data, cfg.train)
+        lam.save_lam_params(params, tmp_path / "reference.ckpt")
+        assert (out / "lam.ckpt").read_bytes() == (tmp_path / "reference.ckpt").read_bytes()
+        assert (out / "lam.ckpt").read_bytes() == checkpoint.read_bytes()
+
     def test_apply_with_modulation(self, config_path, prediction_dir, checkpoint, tmp_path):
         out = tmp_path / "applied"
         assert main(["lam-apply", "--config", str(config_path), "--pred-dir", str(prediction_dir),
@@ -186,6 +220,19 @@ class TestLamCommands:
         assert (out / "modulated.ckpt").exists()
         assert (out / "refined" / "000000.lprb").exists()
         assert "kernel = lam" in (out / "refinement.txt").read_text()
+
+    def test_apply_misshapen_checkpoint_is_io_error(self, config_path, prediction_dir, tmp_path,
+                                                    caplog):
+        from lidar_ensemble.lam import initialize_lam_params, save_lam_params
+
+        params = initialize_lam_params(9, seed=0)
+        params.layers[1].weight = np.zeros((64, 33))
+        bad = tmp_path / "bad.ckpt"
+        save_lam_params(params, bad)
+        record = bad.read_bytes().index(b"layer1.weight") - 4
+        assert main(["lam-apply", "--config", str(config_path), "--pred-dir", str(prediction_dir),
+                     "--checkpoint", str(bad), "--out", str(tmp_path / "applied")]) == EXIT_IO
+        assert f"byte offset {record}" in caplog.text
 
     def test_analyze_uniform_and_lam(self, config_path, prediction_dir, checkpoint, tmp_path):
         for name, extra in (("u", []), ("l", ["--checkpoint", str(checkpoint)])):

@@ -4,6 +4,7 @@ training, statistics modulation, weight analysis, serialization."""
 import numpy as np
 import pytest
 
+from lidar_ensemble import lam
 from lidar_ensemble.errors import FileFormatError
 from lidar_ensemble.lam import (
     EpochStats,
@@ -11,6 +12,7 @@ from lidar_ensemble.lam import (
     LamTrainingSet,
     TrainConfig,
     initialize_lam_params,
+    lam_backward,
     lam_forward,
     lam_loss,
     load_lam_params,
@@ -94,6 +96,177 @@ class TestForward:
         feats[1, 3] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             lam_forward(params, feats)
+
+
+def oracle_forward(params, feats, update_running=True, workspace=None):
+    """lam_forward as plain whole-array numpy, one fresh array per step."""
+    feats = np.asarray(feats, dtype=np.float64)
+    train = params.mode == "train"
+    act = (feats - params.std_mean) / np.sqrt(params.std_var)
+    cache = {"x0": act, "train": train, "layers": []}
+    rows = len(feats)
+    for layer in params.layers:
+        z = act @ layer.weight.T
+        if train:
+            mean = z.mean(axis=0)
+            var = z.var(axis=0)
+            if update_running:
+                run_var_update = var * rows / (rows - 1) if rows > 1 else var
+                layer.run_mean += 0.1 * (mean - layer.run_mean)
+                layer.run_var += 0.1 * (run_var_update - layer.run_var)
+        else:
+            mean = layer.run_mean
+            var = layer.run_var
+        ivar = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (z - mean) * ivar
+        y = layer.gamma * xhat + layer.beta
+        cache["layers"].append({"a_prev": act, "xhat": xhat, "y": y, "ivar": ivar})
+        act = np.maximum(y, 0.0)
+    cache["a_last"] = act
+    scores = act @ params.head_weight + params.head_bias
+    return scores, cache
+
+
+def oracle_backward(params, cache, dscores, workspace=None):
+    """lam_backward as plain whole-array numpy."""
+    grads = {}
+    a_last = cache["a_last"]
+    grads["head.weight"] = a_last.T @ dscores
+    grads["head.bias"] = np.atleast_1d(dscores.sum())
+    d_act = np.outer(dscores, params.head_weight)
+    rows = len(dscores)
+    for i in reversed(range(len(params.layers))):
+        layer = params.layers[i]
+        lc = cache["layers"][i]
+        dy = d_act * (lc["y"] > 0)
+        grads[f"layer{i}.gamma"] = (dy * lc["xhat"]).sum(axis=0)
+        grads[f"layer{i}.beta"] = dy.sum(axis=0)
+        dxhat = dy * layer.gamma
+        if cache["train"]:
+            dz = (lc["ivar"] / rows) * (
+                rows * dxhat - dxhat.sum(axis=0) - lc["xhat"] * (dxhat * lc["xhat"]).sum(axis=0)
+            )
+        else:
+            dz = dxhat * lc["ivar"]
+        grads[f"layer{i}.weight"] = dz.T @ lc["a_prev"]
+        d_act = dz @ layer.weight
+    return grads
+
+
+def varied_params(rng, d, hidden, mode):
+    """Parameters with every tensor and statistic away from its initial value."""
+    params = miniature_params(rng, d=d, hidden=hidden)
+    for layer in params.layers:
+        layer.gamma = rng.uniform(0.5, 1.5, len(layer.gamma))
+        layer.beta = rng.normal(size=len(layer.beta)) * 0.3
+        layer.run_mean = rng.normal(size=len(layer.run_mean))
+        layer.run_var = rng.uniform(0.5, 2.0, len(layer.run_var))
+    params.head_bias = 0.125
+    params.mode = mode
+    return params
+
+
+BLOCK = lam._ROW_BLOCK
+ORACLE_ROWS = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 4113]
+
+
+class TestBlockedStepMatchesOracle:
+    """The row-blocked, workspace-backed forward and backward give the same
+    bits as the plain whole-array numpy they replace."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("hidden", [(4, 4, 4), (8, 8), (32, 64, 128)])
+    @pytest.mark.parametrize("rows", ORACLE_ROWS)
+    def test_scores_statistics_and_gradients(self, rows, hidden, mode):
+        rng = np.random.default_rng(rows * 7 + len(hidden))
+        params = varied_params(rng, 9, hidden, mode)
+        feats = rng.normal(size=(rows, 9)) * rng.uniform(0.1, 10.0, 9)
+        dscores = rng.normal(size=rows)
+        ref, got = params.copy(), params.copy()
+        ref_scores, ref_cache = oracle_forward(ref, feats)
+        scores, cache = lam_forward(got, feats)
+        assert np.array_equal(scores, ref_scores)
+        for a, b in zip(got.layers, ref.layers):
+            assert np.array_equal(a.run_mean, b.run_mean)
+            assert np.array_equal(a.run_var, b.run_var)
+        for entry, ref_entry in zip(cache["layers"], ref_cache["layers"]):
+            assert np.array_equal(entry["xhat"], ref_entry["xhat"])
+        ref_grads = oracle_backward(ref, ref_cache, dscores)
+        grads = lam_backward(got, cache, dscores)
+        assert grads.keys() == ref_grads.keys()
+        for name, value in ref_grads.items():
+            assert np.array_equal(grads[name], value), name
+
+    def test_reused_workspace_matches_fresh_calls(self):
+        rng = np.random.default_rng(30)
+        params = varied_params(rng, 9, (32, 64, 128), "train")
+        workspace = lam._Workspace()
+        for rows in (4113, 7, BLOCK + 1, 4113):
+            feats = rng.normal(size=(rows, 9))
+            dscores = rng.normal(size=rows)
+            ref_scores, ref_cache = oracle_forward(params, feats, update_running=False)
+            ref_grads = oracle_backward(params, ref_cache, dscores)
+            scores, cache = lam_forward(params, feats, update_running=False, workspace=workspace)
+            grads = lam_backward(params, cache, dscores, workspace=workspace)
+            assert np.array_equal(scores, ref_scores)
+            for name, value in ref_grads.items():
+                assert np.array_equal(grads[name], value), name
+
+    def test_ragged_training_saves_oracle_checkpoint(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(31)
+        data, _ = separable_task(rng, 45, neighbors=40)  # 45 neighborhoods: last batch of 13
+        config = TrainConfig(learning_rate=1e-2, epochs=2, batch=16, seed=3)
+        params, trace = train_lam(data, config)
+        save_lam_params(params, tmp_path / "blocked.ckpt")
+        monkeypatch.setattr(lam, "lam_forward", oracle_forward)
+        monkeypatch.setattr(lam, "lam_backward", oracle_backward)
+        ref_params, ref_trace = train_lam(data, config)
+        save_lam_params(ref_params, tmp_path / "oracle.ckpt")
+        assert trace == ref_trace
+        assert (tmp_path / "blocked.ckpt").read_bytes() == (tmp_path / "oracle.ckpt").read_bytes()
+
+    def test_successive_caches_do_not_share_memory(self):
+        rng = np.random.default_rng(32)
+        params = varied_params(rng, 9, (8, 8), "train")
+
+        def arrays(cache):
+            out = [cache["x0"], cache["a_last"]]
+            for entry in cache["layers"]:
+                out += [value for value in entry.values() if isinstance(value, np.ndarray)]
+            return out
+
+        _, first = lam_forward(params, rng.normal(size=(600, 9)))
+        _, second = lam_forward(params, rng.normal(size=(600, 9)))
+        for a in arrays(first):
+            for b in arrays(second):
+                assert not np.shares_memory(a, b)
+
+
+class TestColumnSumOrder:
+    """Block-chained column sums rely on numpy adding the rows of a C-ordered
+    array one after another when reducing over axis 0. A numpy whose order
+    differs fails here rather than silently changing checkpoint bytes."""
+
+    @staticmethod
+    def chained(a):
+        block = lam._block_rows(len(a), a.shape[1])
+        total = lam._ColumnSum(np.empty((block + 1, a.shape[1])))
+        for lo, hi in lam._blocks(len(a), block):
+            total.rows(hi - lo)[:] = a[lo:hi]
+            total.add(hi - lo)
+        return total.total
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 128])
+    @pytest.mark.parametrize("rows", ORACLE_ROWS)
+    def test_chained_sum_equals_numpy_sum(self, rows, width):
+        rng = np.random.default_rng(rows + width)
+        a = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-12, 13, size=(rows, width))
+        assert np.array_equal(self.chained(a), a.sum(axis=0))
+
+    def test_data_is_order_sensitive(self):
+        rng = np.random.default_rng(33)
+        a = rng.normal(size=(4113, 128)) * 10.0 ** rng.integers(-12, 13, size=(4113, 128))
+        assert not np.array_equal(a[::-1].sum(axis=0), a.sum(axis=0))
 
 
 def prefix_jaccard_oracle(probs, truth):
@@ -490,6 +663,42 @@ class TestSerialization:
         save_lam_params(params, path)
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(FileFormatError, match="byte offset"):
+            load_lam_params(path)
+
+    def test_any_number_of_layers_round_trips(self, tmp_path):
+        rng = np.random.default_rng(23)
+        for hidden in ((8, 8), (5,), (3, 6, 4, 2)):
+            params = varied_params(rng, 9, hidden, "eval")
+            path = tmp_path / "model.ckpt"
+            save_lam_params(params, path)
+            back = load_lam_params(path)
+            assert [len(layer.weight) for layer in back.layers] == list(hidden)
+            for (name, a), (_, b) in zip(params.named_parameters(), back.named_parameters()):
+                assert np.array_equal(a, b), name
+            for a, b in zip(params.layers, back.layers):
+                assert np.array_equal(a.run_mean, b.run_mean)
+                assert np.array_equal(a.run_var, b.run_var)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("layer1.weight", np.zeros((64, 33))),
+        ("layer0.weight", np.zeros((32, 8))),
+        ("layer2.gamma", np.ones(127)),
+        ("head.weight", np.zeros(64)),
+        ("std_var", np.ones(8)),
+    ])
+    def test_misshapen_tensor_reports_its_record_offset(self, tmp_path, name, bad):
+        params = initialize_lam_params(9, seed=0)
+        layer = params.layers[int(name[5])] if name.startswith("layer") else None
+        if layer is not None:
+            setattr(layer, name.split(".")[1], bad)
+        elif name == "head.weight":
+            params.head_weight = bad
+        else:
+            params.std_var = bad
+        path = tmp_path / "bad.ckpt"
+        save_lam_params(params, path)
+        record = path.read_bytes().index(name.encode()) - 4
+        with pytest.raises(FileFormatError, match=f"'{name}' has shape .* byte offset {record}$"):
             load_lam_params(path)
 
     def test_loss_trace_csv(self, tmp_path):
