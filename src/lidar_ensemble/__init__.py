@@ -5,7 +5,7 @@ and segmentation metrics."""
 
 __version__ = "0.1.0"
 
-from .aggregate import AggregationSpec, LamKernel, UniformKernel, kernel_score, phi, refine_labels
+from .aggregate import AggregationSpec, LamKernel, UniformKernel, refine_labels
 from .geometry import (
     AugmentationSpec,
     PointCloud,
@@ -32,11 +32,9 @@ from .lam import (
 from .metrics import ConfusionMatrix, IouReport, condense_static_dynamic, confusion, iou
 from .neighbors import (
     DenseCloud,
-    NeighborSet,
     Neighborhoods,
     SpatialIndex,
     build_dense_cloud,
-    knn_epsilon,
     precompute_neighborhoods,
 )
 from .selftrain import (

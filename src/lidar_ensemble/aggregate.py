@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import phi_layout
-from .lam import LamParams, PairRecord, eval_scores, lam_forward, segment_softmax
+from .lam import LamParams, PairRecord, eval_scores, segment_softmax
 from .neighbors import DenseCloud, Neighborhoods
 from .subsample import PredictionMatrix
 
@@ -61,23 +61,6 @@ class AggregationSpec:
         return "lam" if isinstance(self.kernel, LamKernel) else "uniform"
 
 
-def phi(point: np.ndarray, v_point: np.ndarray, dense: DenseCloud, neighbor_index: int) -> np.ndarray:
-    """Feature vector of one (query, neighbor) pair; see phi_layout."""
-    point = np.asarray(point, dtype=np.float64)
-    v_point = np.asarray(v_point, dtype=np.float64)
-    other = dense.points[neighbor_index]
-    dx, dy, dz = point - other
-    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-    offset = float(dense.temporal_offset[neighbor_index])
-    norm_offset = offset / dense.window if dense.window >= 1 else 0.0
-    return np.concatenate([
-        [dist],
-        v_point,
-        dense.probs[neighbor_index],
-        [norm_offset, dense.sensor_distance[neighbor_index]],
-    ])
-
-
 def _valid_pairs(nbh: Neighborhoods):
     """(row_query, neighbor index, distance) of every valid pair, query by
     query in slot order."""
@@ -112,17 +95,6 @@ def phi_pairs(points: np.ndarray, v: np.ndarray, dense: DenseCloud, nbh: Neighbo
     rows[:, phi_layout.temporal_column(k)] = features["temporal"]
     rows[:, phi_layout.sensor_distance_column(k)] = features["sensor_distance"]
     return rows, row_query, dense.probs[flat_idx]
-
-
-def kernel_score(kernel, feature: np.ndarray) -> float:
-    """Positive score of one pair. Uniform is 1.0; LAM is exp(g(phi))."""
-    feature = np.asarray(feature, dtype=np.float64)
-    if not np.isfinite(feature).all():
-        raise ValueError("feature vector contains non-finite entries")
-    if isinstance(kernel, UniformKernel):
-        return 1.0
-    scores, _ = lam_forward(kernel.params, feature.reshape(1, -1))
-    return float(np.exp(scores[0]))
 
 
 def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,

@@ -10,6 +10,7 @@ where "-" is accepted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -18,21 +19,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .aggregate import (AggregationSpec, LamKernel, phi_pairs, refine_labels,
-                        write_refinement_manifest)
+from .aggregate import LamKernel, UniformKernel, phi_pairs, write_refinement_manifest
 from .config import ConfigError, PipelineConfig, load_config
 from .errors import FileFormatError
 from .geometry import load_point_cloud_bin, load_poses, project_to_range_image, save_point_cloud_bin
 from .lam import (LamTrainingError, load_lam_params, modulate_statistics, save_lam_params,
-                  pair_histograms, train_lam, weight_histograms, write_histogram_csv,
-                  write_loss_trace_csv)
+                  pair_histograms, train_lam, write_histogram_csv, write_loss_trace_csv)
 from .metrics import (condense_static_dynamic, confusion, iou, write_confusion_csv,
                       write_iou_csv, write_iou_summary)
-from .neighbors import SpatialIndex, build_dense_cloud, precompute_neighborhoods
 from .selftrain import (LidarSequence, PrecomputedPredictor, build_lam_training_set,
-                        cbst_select, file_checksum, load_labels,
-                        mock_predictor, noop_student_hook, run_adaptation, save_labels,
-                        save_selection_mask, within_frame_predictions, write_manifest)
+                        cbst_select, cross_frame_refine, file_checksum, frame_neighborhoods,
+                        load_labels, mock_predictor, noop_student_hook, run_adaptation,
+                        save_labels, save_selection_mask, within_frame_predictions,
+                        write_manifest)
 from .subsample import (apply_row_mask, read_prediction_matrix, row_mask, within_frame_ensemble,
                         write_prediction_matrix)
 
@@ -133,19 +132,6 @@ def _command_manifest(out_dir: Path, cfg: PipelineConfig | None, args, inputs=()
     write_manifest(out_dir / "manifest.txt", items)
 
 
-def _phi_stream(seq: LidarSequence, within, agg: AggregationSpec):
-    """Per-frame feature rows plus per-frame query offsets for analysis."""
-    pairs = list(zip(seq.scans, within))
-    chunks, queries = [], []
-    for t in range(len(seq.scans)):
-        dense = build_dense_cloud(pairs, seq.poses, t, agg.window, agg.stride)
-        nbh = precompute_neighborhoods(SpatialIndex(dense.points), seq.scans[t].points, agg.k, agg.epsilon)
-        rows, row_query, _ = phi_pairs(seq.scans[t].points, within[t].probs, dense, nbh)
-        chunks.append(rows)
-        queries.append(row_query)
-    return chunks, queries
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -209,22 +195,22 @@ def cmd_ensemble(args) -> int:
     return EXIT_OK
 
 
-def _refine_sequence_from_files(cfg: PipelineConfig, seq: LidarSequence, pred_dir: Path,
-                                agg: AggregationSpec, out_dir: Path):
+def _read_predictions(seq: LidarSequence, pred_dir: Path):
+    """The per-frame .lprb predictions of pred_dir, one per scan."""
     within = []
-    for t in range(len(seq.scans)):
-        pred = read_prediction_matrix(pred_dir / f"{t:06d}.lprb")
-        if len(pred) != len(seq.scans[t]):
-            raise FileFormatError(
-                f"{pred_dir / f'{t:06d}.lprb'}: {len(pred)} rows for a {len(seq.scans[t])}-point scan")
+    for t, scan in enumerate(seq.scans):
+        path = pred_dir / f"{t:06d}.lprb"
+        pred = read_prediction_matrix(path)
+        if len(pred) != len(scan):
+            raise FileFormatError(f"{path}: {len(pred)} rows for a {len(scan)}-point scan")
         within.append(pred)
-    pairs = list(zip(seq.scans, within))
+    return within
+
+
+def _write_refined(seq: LidarSequence, within, agg, out_dir: Path):
     refined_dir = out_dir / "refined"
     refined_dir.mkdir(parents=True, exist_ok=True)
-    for t in range(len(seq.scans)):
-        dense = build_dense_cloud(pairs, seq.poses, t, agg.window, agg.stride)
-        nbh = precompute_neighborhoods(SpatialIndex(dense.points), seq.scans[t].points, agg.k, agg.epsilon)
-        refined = refine_labels(seq.scans[t].points, within[t].probs, dense, nbh, agg.kernel)
+    for t, refined in enumerate(cross_frame_refine(seq.scans, seq.poses, within, agg)):
         write_prediction_matrix(refined, refined_dir / f"{t:06d}.lprb")
     write_refinement_manifest(out_dir / "refinement.txt", agg)
 
@@ -232,9 +218,10 @@ def _refine_sequence_from_files(cfg: PipelineConfig, seq: LidarSequence, pred_di
 def cmd_aggregate(args) -> int:
     cfg = load_config(args.config)
     seq, _, paths = _load_sequence(cfg)
+    within = _read_predictions(seq, Path(args.pred_dir))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _refine_sequence_from_files(cfg, seq, Path(args.pred_dir), cfg.aggregation, out_dir)
+    _write_refined(seq, within, cfg.aggregation, out_dir)
     _command_manifest(out_dir, cfg, args, inputs=paths, extra=[("pred_dir", str(args.pred_dir))])
     return EXIT_OK
 
@@ -268,20 +255,17 @@ def cmd_lam_apply(args) -> int:
     cfg = load_config(args.config)
     seq, _, paths = _load_sequence(cfg)
     params = load_lam_params(args.checkpoint)
+    within = _read_predictions(seq, Path(args.pred_dir))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    agg = AggregationSpec(kernel=LamKernel(params), k=cfg.aggregation.k,
-                          epsilon=cfg.aggregation.epsilon, window=cfg.aggregation.window,
-                          stride=cfg.aggregation.stride)
     if args.modulate:
-        within = [read_prediction_matrix(Path(args.pred_dir) / f"{t:06d}.lprb")
-                  for t in range(len(seq.scans))]
-        chunks, _ = _phi_stream(seq, within, agg)
-        params = modulate_statistics(params, chunks)
+        stream = []
+        for t, scan in enumerate(seq.scans):
+            dense, nbh = frame_neighborhoods(seq.scans, seq.poses, within, t, cfg.aggregation)
+            stream.append(phi_pairs(scan.points, within[t].probs, dense, nbh)[0])
+        params = modulate_statistics(params, stream)
         save_lam_params(params, out_dir / "modulated.ckpt")
-        agg = AggregationSpec(kernel=LamKernel(params), k=agg.k, epsilon=agg.epsilon,
-                              window=agg.window, stride=agg.stride)
-    _refine_sequence_from_files(cfg, seq, Path(args.pred_dir), agg, out_dir)
+    _write_refined(seq, within, dataclasses.replace(cfg.aggregation, kernel=LamKernel(params)), out_dir)
     _command_manifest(out_dir, cfg, args, inputs=list(paths) + [args.checkpoint],
                       extra=[("pred_dir", str(args.pred_dir)),
                              ("modulated", str(bool(args.modulate)).lower())])
@@ -291,26 +275,16 @@ def cmd_lam_apply(args) -> int:
 def cmd_lam_analyze(args) -> int:
     cfg = load_config(args.config)
     seq, _, paths = _load_sequence(cfg)
-    params = None
-    if args.checkpoint:
-        params = load_lam_params(args.checkpoint)
-    within = [read_prediction_matrix(Path(args.pred_dir) / f"{t:06d}.lprb")
-              for t in range(len(seq.scans))]
-    chunks, queries = _phi_stream(seq, within, cfg.aggregation)
-    rows = np.concatenate(chunks, axis=0)
-    offset = 0
-    shifted = []
-    for t, rq in enumerate(queries):
-        shifted.append(rq + offset)
-        offset += len(seq.scans[t])
-    row_query = np.concatenate(shifted)
-    report = weight_histograms(params, rows, row_query, offset, bins=args.bins)
+    kernel = LamKernel(load_lam_params(args.checkpoint)) if args.checkpoint else UniformKernel()
+    agg = dataclasses.replace(cfg.aggregation, kernel=kernel)
+    within = _read_predictions(seq, Path(args.pred_dir))
+    _, records = cross_frame_refine(seq.scans, seq.poses, within, agg, return_pairs=True)
+    report = pair_histograms(records, bins=args.bins)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_histogram_csv(report, out_dir / "histograms.csv")
     _command_manifest(out_dir, cfg, args, inputs=paths,
-                      extra=[("kernel", "lam" if params is not None else "uniform"),
-                             ("bins", str(args.bins))])
+                      extra=[("kernel", agg.kernel_name), ("bins", str(args.bins))])
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .aggregate import AggregationSpec, LamKernel, UniformKernel
+from .errors import FileFormatError
 from .geometry import AugmentationSpec, SensorConfig
 from .lam import TrainConfig, load_lam_params
 from .selftrain import AdaptationConfig, CbstConfig, SubsampleSpec
@@ -207,7 +208,7 @@ def load_config(path, require_paths: bool = True) -> PipelineConfig:
         )
         iterations = _get(parser, raw, "adaptation", "iterations", int, lambda v: v >= 1)
         policy = raw["adaptation"]["intensity_policy"].strip()
-    except ConfigError:
+    except (ConfigError, FileFormatError):
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -125,15 +125,14 @@ class SensorConfig:
 class RangeImageIndex:
     """Spherical (u, v) pixel assignment of every point of one scan.
 
-    pixel_of_point is (N, 2) int64 columns (u, v); points_of_pixel maps
-    (u, v) to the array of point indices landing there (all kept, no
-    nearest-wins overwrite); range_of_point is the Euclidean norm.
+    pixel_of_point is (N, 2) int64 columns (u, v); several points may share
+    a pixel (all kept, no nearest-wins overwrite); range_of_point is the
+    Euclidean norm.
     """
 
     height: int
     width: int
     pixel_of_point: np.ndarray
-    points_of_pixel: dict
     range_of_point: np.ndarray
 
     def rows_of_points(self) -> np.ndarray:
@@ -171,21 +170,10 @@ def project_to_range_image(cloud: PointCloud, config: SensorConfig) -> RangeImag
     u = np.floor(np.clip(cu, 0.0, np.nextafter(width, 0.0))).astype(np.int64)
     v = np.floor(np.clip(cv, 0.0, np.nextafter(height, 0.0))).astype(np.int64)
 
-    pixel_of_point = np.stack([u, v], axis=1)
-    points_of_pixel: dict = {}
-    order = np.lexsort((u, v))
-    key = v[order] * config.width + u[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    bounds = np.r_[starts, len(key)]
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        idx = order[s:e]
-        points_of_pixel[(int(u[idx[0]]), int(v[idx[0]]))] = np.sort(idx)
-
     return RangeImageIndex(
         height=config.height,
         width=config.width,
-        pixel_of_point=pixel_of_point,
-        points_of_pixel=points_of_pixel,
+        pixel_of_point=np.stack([u, v], axis=1),
         range_of_point=rng,
     )
 

@@ -789,13 +789,17 @@ def load_lam_params(path) -> LamParams:
             raise FileFormatError(f"{path}: malformed tensor record at byte offset {off}") from exc
         record_offset[name] = start
 
-    def tensor(name: str, shape: tuple) -> np.ndarray:
+    def tensor(name: str, shape: tuple, positive: bool = False) -> np.ndarray:
         if name not in tensors:
             raise FileFormatError(f"{path}: checkpoint missing tensor '{name}'")
         arr = tensors[name]
         if arr.shape != shape:
             raise FileFormatError(
                 f"{path}: tensor '{name}' has shape {arr.shape}, expected {shape}, "
+                f"in the record at byte offset {record_offset[name]}")
+        if positive and not (arr > 0).all():
+            raise FileFormatError(
+                f"{path}: tensor '{name}' holds a variance that is not positive, "
                 f"in the record at byte offset {record_offset[name]}")
         return arr
 
@@ -812,12 +816,12 @@ def load_lam_params(path) -> LamParams:
             gamma=tensor(f"layer{i}.gamma", (width,)),
             beta=tensor(f"layer{i}.beta", (width,)),
             run_mean=tensor(f"layer{i}.run_mean", (width,)),
-            run_var=tensor(f"layer{i}.run_var", (width,)),
+            run_var=tensor(f"layer{i}.run_var", (width,), positive=True),
         ))
         fan_in = width
     return LamParams(
         std_mean=tensor("std_mean", (d,)),
-        std_var=tensor("std_var", (d,)),
+        std_var=tensor("std_var", (d,), positive=True),
         layers=layers,
         head_weight=tensor("head.weight", (fan_in,)),
         head_bias=float(tensor("head.bias", ())),

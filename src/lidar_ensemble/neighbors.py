@@ -8,17 +8,14 @@ lower dense-cloud index.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import FileFormatError
 from .geometry import PointCloud, RigidTransform, compose, invert
 from .subsample import PredictionMatrix
 
-NEIGHBOR_MAGIC = b"LNBR"
 _TIE_PAD = 8
 _QUERY_CHUNK = 1024
 
@@ -58,29 +55,13 @@ class DenseCloud:
         return self.probs.shape[1]
 
 
-@dataclass(frozen=True)
-class NeighborSet:
-    """Fixed-capacity zero-padded neighborhood of one query point.
-
-    The first valid_count slots hold neighbor indices into the dense cloud
-    and their distances, sorted ascending; padding slots are index 0,
-    distance 0.0.
-    """
-
-    capacity: int
-    valid_count: int
-    indices: np.ndarray
-    distances: np.ndarray
-
-    def __post_init__(self):
-        if self.valid_count > self.capacity:
-            raise ValueError("valid_count exceeds capacity")
-        if len(self.indices) != self.capacity or len(self.distances) != self.capacity:
-            raise ValueError("indices and distances must have capacity slots")
-
-
 class Neighborhoods:
-    """Precomputed neighbor sets for every query point of one scan."""
+    """Precomputed neighbor sets for every query point of one scan.
+
+    Row i holds query i's neighborhood in k zero-padded slots: the first
+    valid_count[i] hold dense-cloud indices and their distances, sorted by
+    (distance, index); padding slots are index 0, distance 0.0.
+    """
 
     def __init__(self, indices: np.ndarray, distances: np.ndarray, valid_count: np.ndarray):
         self.indices = np.asarray(indices, dtype=np.int64)
@@ -97,14 +78,6 @@ class Neighborhoods:
     @property
     def capacity(self) -> int:
         return self.indices.shape[1]
-
-    def __getitem__(self, i: int) -> NeighborSet:
-        return NeighborSet(
-            capacity=self.capacity,
-            valid_count=int(self.valid_count[i]),
-            indices=self.indices[i],
-            distances=self.distances[i],
-        )
 
     def mask(self) -> np.ndarray:
         """Boolean (N, k) validity mask."""
@@ -260,55 +233,7 @@ class SpatialIndex:
         return cand[order], dist[order]
 
 
-def knn_epsilon(index: SpatialIndex, query: np.ndarray, k: int, eps: float | None = None) -> NeighborSet:
-    """Neighborhood of a single query point; see SpatialIndex.query_batch."""
-    idx, dist, valid = index.query_batch(np.asarray(query, dtype=np.float64).reshape(1, 3), k, eps)
-    return NeighborSet(capacity=k, valid_count=int(valid[0]), indices=idx[0], distances=dist[0])
-
-
 def precompute_neighborhoods(index: SpatialIndex, queries: np.ndarray, k: int, eps: float | None = None) -> Neighborhoods:
     """One-pass neighborhood precomputation for all query points of a scan."""
     idx, dist, valid = index.query_batch(queries, k, eps)
     return Neighborhoods(idx, dist, valid)
-
-
-# ---------------------------------------------------------------------------
-# Precomputed neighbor file format
-# ---------------------------------------------------------------------------
-# Header: magic "LNBR", u32 N_queries, u32 k. Then per query: u16
-# valid_count, k u32 indices, k float32 distances. Padding slots are
-# bit-exact zeros. All little-endian.
-
-def write_neighborhoods(nbh: Neighborhoods, path) -> None:
-    k = nbh.capacity
-    with open(path, "wb") as fh:
-        fh.write(NEIGHBOR_MAGIC)
-        fh.write(struct.pack("<II", len(nbh), k))
-        for i in range(len(nbh)):
-            fh.write(struct.pack("<H", int(nbh.valid_count[i])))
-            fh.write(nbh.indices[i].astype("<u4").tobytes())
-            fh.write(nbh.distances[i].astype("<f4").tobytes())
-
-
-def read_neighborhoods(path) -> Neighborhoods:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12:
-        raise FileFormatError(f"{path}: truncated header at byte offset {len(blob)}")
-    if blob[:4] != NEIGHBOR_MAGIC:
-        raise FileFormatError(f"{path}: bad magic at byte offset 0")
-    n, k = struct.unpack_from("<II", blob, 4)
-    rec = 2 + 8 * k
-    need = 12 + n * rec
-    if len(blob) != need:
-        raise FileFormatError(f"{path}: expected {need} bytes, file ends at byte offset {len(blob)}")
-    indices = np.zeros((n, k), dtype=np.int64)
-    distances = np.zeros((n, k))
-    valid = np.zeros(n, dtype=np.int64)
-    off = 12
-    for i in range(n):
-        (valid[i],) = struct.unpack_from("<H", blob, off)
-        indices[i] = np.frombuffer(blob, dtype="<u4", count=k, offset=off + 2)
-        distances[i] = np.frombuffer(blob, dtype="<f4", count=k, offset=off + 2 + 4 * k)
-        off += rec
-    return Neighborhoods(indices, distances, valid)

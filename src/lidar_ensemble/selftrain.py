@@ -142,6 +142,37 @@ def within_frame_predictions(scans, predictor: Predictor, config: AdaptationConf
     return _map(stage_within, range(len(scans)), threads)
 
 
+def frame_neighborhoods(scans, poses, predictions, t: int, agg: AggregationSpec):
+    """Neighbors of every point of scan t: the dense cloud of its
+    pose-aligned window (scans with their predictions), an index over it
+    and each point's k nearest within epsilon. Returns (DenseCloud,
+    Neighborhoods)."""
+    dense = build_dense_cloud(list(zip(scans, predictions)), poses, t, agg.window, agg.stride)
+    nbh = precompute_neighborhoods(SpatialIndex(dense.points), scans[t].points, agg.k, agg.epsilon)
+    return dense, nbh
+
+
+def cross_frame_refine(scans, poses, within, agg: AggregationSpec, threads: int = 1,
+                       return_pairs: bool = False):
+    """Cross-frame ensembling: every scan's prediction refined with agg's
+    kernel against its window, one neighbor search per scan. A zero-width
+    window refines each scan against itself.
+
+    Returns the refined prediction matrices; with return_pairs,
+    (refined, records) with each scan's PairRecord for the weight
+    histograms. Independent of thread count.
+    """
+    def refine(t: int):
+        dense, nbh = frame_neighborhoods(scans, poses, within, t, agg)
+        return refine_labels(scans[t].points, within[t].probs, dense, nbh, agg.kernel,
+                             return_pairs=return_pairs)
+
+    refined = _map(refine, range(len(scans)), threads)
+    if not return_pairs:
+        return refined
+    return [pred for pred, _ in refined], [record for _, record in refined]
+
+
 def generate_refined_predictions(scans, poses, predictor: Predictor, config: AdaptationConfig,
                                  seed: int = 0, use_intensity: bool = True, threads: int = 1,
                                  return_pairs: bool = False):
@@ -161,21 +192,11 @@ def generate_refined_predictions(scans, poses, predictor: Predictor, config: Ada
                                       use_intensity=use_intensity, threads=threads)
     if agg.window == 0 and not return_pairs:
         return within, within
-    pairs = list(zip(scans, within))
-
-    def stage_refine(t: int):
-        dense = build_dense_cloud(pairs, poses, t, agg.window, agg.stride)
-        index = SpatialIndex(dense.points)
-        nbh = precompute_neighborhoods(index, scans[t].points, agg.k, agg.epsilon)
-        return refine_labels(scans[t].points, within[t].probs, dense, nbh, agg.kernel,
-                             return_pairs=return_pairs)
-
-    refined = _map(stage_refine, range(len(scans)), threads)
     if not return_pairs:
-        return within, refined
-    records = [record for _, record in refined]
-    refined = within if agg.window == 0 else [pred for pred, _ in refined]
-    return within, refined, records
+        return within, cross_frame_refine(scans, poses, within, agg, threads=threads)
+    refined, records = cross_frame_refine(scans, poses, within, agg, threads=threads,
+                                          return_pairs=True)
+    return within, (within if agg.window == 0 else refined), records
 
 
 def _label_sets(refined):
@@ -475,13 +496,10 @@ def build_lam_training_set(scans, poses, predictions, truth_labels, agg: Aggrega
             raise FileFormatError(
                 f"frame {t}: {len(truth)} labels for a {len(scans[t])}-point scan "
                 f"(label data ends at byte offset {4 * len(truth)})")
-    pairs = list(zip(scans, predictions))
     num_classes = predictions[0].num_classes
     phis, probs, labels = [], [], []
     for t in range(len(scans)):
-        dense = build_dense_cloud(pairs, poses, t, agg.window, agg.stride)
-        index = SpatialIndex(dense.points)
-        nbh = precompute_neighborhoods(index, scans[t].points, agg.k, agg.epsilon)
+        dense, nbh = frame_neighborhoods(scans, poses, predictions, t, agg)
         phi_rows, _, neighbor_probs = _aggregate.phi_pairs(
             scans[t].points, predictions[t].probs, dense, nbh)
         bounds = np.concatenate([[0], np.cumsum(nbh.valid_count)])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lidar_ensemble.aggregate import AggregationSpec, LamKernel, UniformKernel, kernel_score, phi
+from lidar_ensemble.aggregate import AggregationSpec, LamKernel, UniformKernel
 from lidar_ensemble.cli import main
 from lidar_ensemble.geometry import PointCloud, SensorConfig, project_to_range_image
 from lidar_ensemble.lam import (
@@ -35,6 +35,7 @@ from lidar_ensemble.selftrain import (
 )
 from lidar_ensemble.subsample import SubsampleSpec, row_mask
 from lidar_ensemble.synth import HEIGHT_THRESHOLDS, SyntheticSceneSpec, generate_sequence, sensor_config
+from tests.oracles import kernel_score, phi, phi_stream
 from tests.test_lam import prefix_jaccard_oracle
 
 
@@ -325,8 +326,7 @@ def test_criterion_07_adaptation_benefit():
         target.scans, target.poses, gated(55), config, seed=3)
 
     # modulate standardization statistics on the target feature stream
-    from lidar_ensemble.cli import _phi_stream
-    chunks, _ = _phi_stream(target, tgt_within, agg)
+    chunks, _ = phi_stream(target.scans, target.poses, tgt_within, agg)
     params = modulate_statistics(params, chunks)
 
     lam_agg = AggregationSpec(kernel=LamKernel(params), k=agg.k, epsilon=agg.epsilon,

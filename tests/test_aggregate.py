@@ -8,14 +8,13 @@ from lidar_ensemble.aggregate import (
     AggregationSpec,
     LamKernel,
     UniformKernel,
-    kernel_score,
-    phi,
     phi_pairs,
     refine_labels,
     write_refinement_manifest,
 )
 from lidar_ensemble.lam import DenseBnLayer, LamParams, initialize_lam_params
 from lidar_ensemble.neighbors import DenseCloud, Neighborhoods, SpatialIndex, precompute_neighborhoods
+from tests.oracles import kernel_score, phi
 
 
 def make_dense(rng, m=200, k_classes=3, window=10):

@@ -1,6 +1,8 @@
 """Tests for the command-line surface: subcommand behavior, exit codes,
 manifests, and end-to-end determinism."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from lidar_ensemble.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from lidar_ensemble.selftrain import load_labels, load_selection_mask
 from lidar_ensemble.subsample import read_prediction_matrix, write_prediction_matrix
 from lidar_ensemble.subsample import PredictionMatrix
+from tests.oracles import phi_stream, sequence_rows
 
 CONFIG_TEMPLATE = """
 [dataset]
@@ -191,7 +194,7 @@ class TestLamCommands:
             return wrapper
 
         search = counting("search", neighbors.precompute_neighborhoods)
-        for module in (neighbors, selftrain, cli):
+        for module in (neighbors, selftrain):
             monkeypatch.setattr(module, "precompute_neighborhoods", search)
         monkeypatch.setattr(selftrain, "refine_labels", counting("refine", selftrain.refine_labels))
         out = tmp_path / "lam"
@@ -233,6 +236,21 @@ class TestLamCommands:
         assert main(["lam-apply", "--config", str(config_path), "--pred-dir", str(prediction_dir),
                      "--checkpoint", str(bad), "--out", str(tmp_path / "applied")]) == EXIT_IO
         assert f"byte offset {record}" in caplog.text
+
+    def test_config_named_corrupt_checkpoint_is_io_error(self, dataset, checkpoint, tmp_path,
+                                                         caplog):
+        bad = tmp_path / "truncated.ckpt"
+        bad.write_bytes(checkpoint.read_bytes()[:100])
+        for ckpt, code, message in ((bad, EXIT_IO, "malformed tensor record at byte offset"),
+                                    (tmp_path / "missing.ckpt", EXIT_CONFIG,
+                                     "aggregate.checkpoint: path does not exist")):
+            cfg = tmp_path / "c.ini"
+            cfg.write_text(CONFIG_TEMPLATE.format(root=dataset).replace(
+                "kernel = uniform", f"kernel = lam\ncheckpoint = {ckpt}"))
+            caplog.clear()
+            assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                         "--threads", "1"]) == code
+            assert message in caplog.text
 
     def test_analyze_uniform_and_lam(self, config_path, prediction_dir, checkpoint, tmp_path):
         for name, extra in (("u", []), ("l", ["--checkpoint", str(checkpoint)])):
@@ -408,14 +426,118 @@ class TestPipelineReuse:
         within, _ = selftrain.generate_refined_predictions(
             seq.scans, seq.poses, cli._predictor_from_config(cfg), cfg.adaptation(),
             seed=selftrain._iteration_seed(cfg.seed, 0, 0), use_intensity=False)
-        chunks, queries = cli._phi_stream(seq, within, cfg.aggregation)
-        offsets = np.cumsum([0] + [len(scan) for scan in seq.scans])
-        row_query = np.concatenate([rq + offsets[t] for t, rq in enumerate(queries)])
+        chunks, queries = phi_stream(seq.scans, seq.poses, within, cfg.aggregation)
+        rows, row_query, num_queries = sequence_rows(seq.scans, chunks, queries)
         params = cfg.aggregation.kernel.params if kernel == "lam" else None
-        report = lam.weight_histograms(params, np.concatenate(chunks), row_query, int(offsets[-1]),
-                                       bins=7)
+        report = lam.weight_histograms(params, rows, row_query, num_queries, bins=7)
         lam.write_histogram_csv(report, tmp_path / "old.csv")
         assert (out / "histograms.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _old_refine_from_files(seq, pred_dir, agg, out_dir):
+    """aggregate's refinement as it was written before the commands shared
+    selftrain.cross_frame_refine: its own dense cloud, index and query per
+    frame."""
+    from lidar_ensemble.aggregate import refine_labels, write_refinement_manifest
+    from lidar_ensemble.neighbors import SpatialIndex, build_dense_cloud, precompute_neighborhoods
+
+    within = [read_prediction_matrix(pred_dir / f"{t:06d}.lprb") for t in range(len(seq.scans))]
+    pairs = list(zip(seq.scans, within))
+    refined_dir = out_dir / "refined"
+    refined_dir.mkdir(parents=True, exist_ok=True)
+    for t in range(len(seq.scans)):
+        dense = build_dense_cloud(pairs, seq.poses, t, agg.window, agg.stride)
+        nbh = precompute_neighborhoods(SpatialIndex(dense.points), seq.scans[t].points, agg.k, agg.epsilon)
+        refined = refine_labels(seq.scans[t].points, within[t].probs, dense, nbh, agg.kernel)
+        write_prediction_matrix(refined, refined_dir / f"{t:06d}.lprb")
+    write_refinement_manifest(out_dir / "refinement.txt", agg)
+
+
+def _old_lam_apply(cfg, seq, pred_dir, checkpoint, modulate, out_dir):
+    from lidar_ensemble.aggregate import AggregationSpec, LamKernel
+    from lidar_ensemble.lam import load_lam_params, modulate_statistics, save_lam_params
+
+    params = load_lam_params(checkpoint)
+    base = cfg.aggregation
+    agg = AggregationSpec(kernel=LamKernel(params), k=base.k, epsilon=base.epsilon,
+                          window=base.window, stride=base.stride)
+    if modulate:
+        within = [read_prediction_matrix(pred_dir / f"{t:06d}.lprb") for t in range(len(seq.scans))]
+        chunks, _ = phi_stream(seq.scans, seq.poses, within, agg)
+        params = modulate_statistics(params, chunks)
+        save_lam_params(params, out_dir / "modulated.ckpt")
+        agg = AggregationSpec(kernel=LamKernel(params), k=agg.k, epsilon=agg.epsilon,
+                              window=agg.window, stride=agg.stride)
+    _old_refine_from_files(seq, pred_dir, agg, out_dir)
+
+
+def _old_lam_analyze(cfg, seq, pred_dir, checkpoint, bins, out_dir):
+    from lidar_ensemble.lam import load_lam_params, weight_histograms, write_histogram_csv
+
+    params = load_lam_params(checkpoint) if checkpoint else None
+    within = [read_prediction_matrix(pred_dir / f"{t:06d}.lprb") for t in range(len(seq.scans))]
+    chunks, queries = phi_stream(seq.scans, seq.poses, within, cfg.aggregation)
+    rows, row_query, num_queries = sequence_rows(seq.scans, chunks, queries)
+    report = weight_histograms(params, rows, row_query, num_queries, bins=bins)
+    write_histogram_csv(report, out_dir / "histograms.csv")
+
+
+class TestSharedNeighborPath:
+    """aggregate, lam-apply and lam-analyze find each frame's neighbors
+    through selftrain.cross_frame_refine and write the same bytes as their
+    earlier per-command searches."""
+
+    @pytest.mark.parametrize("window, epsilon", [(4, ""), (0, "1.0")])
+    def test_same_bytes_as_per_command_search(self, window, epsilon, dataset, prediction_dir,
+                                              checkpoint, tmp_path):
+        from lidar_ensemble.cli import _load_sequence
+        from lidar_ensemble.config import load_config
+
+        path = tmp_path / "shared.ini"
+        path.write_text(CONFIG_TEMPLATE.format(root=dataset)
+                        .replace("window = 4", f"window = {window}")
+                        .replace("epsilon =", f"epsilon = {epsilon}"))
+        cfg = load_config(path)
+        seq, _, _ = _load_sequence(cfg)
+        common = ["--config", str(path), "--pred-dir", str(prediction_dir)]
+        runs = [(["aggregate"], lambda out: _old_refine_from_files(
+            seq, prediction_dir, cfg.aggregation, out))]
+        for modulate in (False, True):
+            runs.append((["lam-apply", "--checkpoint", str(checkpoint)] + ["--modulate"] * modulate,
+                         lambda out, m=modulate: _old_lam_apply(cfg, seq, prediction_dir,
+                                                                checkpoint, m, out)))
+        for ckpt in ("", str(checkpoint)):
+            runs.append((["lam-analyze", "--bins", "6"] + ["--checkpoint", ckpt] * bool(ckpt),
+                         lambda out, c=ckpt: _old_lam_analyze(cfg, seq, prediction_dir, c, 6, out)))
+        for i, (command, reference) in enumerate(runs):
+            out, old = tmp_path / f"new{i}", tmp_path / f"old{i}"
+            old.mkdir()
+            reference(old)
+            assert main(command[:1] + common + command[1:] + ["--out", str(out)]) == EXIT_OK
+            expected = sorted(p.relative_to(old) for p in old.rglob("*") if p.is_file())
+            written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+            assert written == sorted(expected + [Path("manifest.txt")]), command
+            for rel in expected:
+                assert (out / rel).read_bytes() == (old / rel).read_bytes(), (command, str(rel))
+            if command[0] == "lam-analyze":
+                kernel = "lam" if "--checkpoint" in command else "uniform"
+                assert f"kernel = {kernel}\n" in (out / "manifest.txt").read_text()
+
+    @pytest.mark.parametrize("command", [["aggregate"], ["lam-apply", "--modulate"], ["lam-analyze"]])
+    def test_short_prediction_file_is_io_error(self, command, config_path, prediction_dir,
+                                               checkpoint, tmp_path, caplog):
+        import shutil
+
+        preds = tmp_path / "preds"
+        shutil.copytree(prediction_dir, preds)
+        full = read_prediction_matrix(preds / "000002.lprb")
+        write_prediction_matrix(PredictionMatrix(full.probs[:-5], full.point_index[:-5]),
+                                preds / "000002.lprb")
+        extra = ["--checkpoint", str(checkpoint)] if command[0] != "aggregate" else []
+        rc = main(command + ["--config", str(config_path), "--pred-dir", str(preds),
+                             "--out", str(tmp_path / "x")] + extra)
+        assert rc == EXIT_IO
+        assert "000002.lprb: 245 rows for a 250-point scan" in caplog.text
 
 
 class TestPipelineWithLearnedKernel:

@@ -93,8 +93,13 @@ class TestProjection:
         rng = np.random.default_rng(3)
         cloud = PointCloud(points=rng.normal(scale=5.0, size=(800, 3)))
         index = project_to_range_image(cloud, KITTI_LIKE)
+        assert index.pixel_of_point.shape == (len(cloud), 2)
+        points_of_pixel = {}
+        for i, (u, v) in enumerate(index.pixel_of_point.tolist()):
+            points_of_pixel.setdefault((u, v), []).append(i)
         seen = 0
-        for (u, v), members in index.points_of_pixel.items():
+        for (u, v), members in points_of_pixel.items():
+            assert 0 <= u < KITTI_LIKE.width and 0 <= v < KITTI_LIKE.height
             seen += len(members)
             for i in members:
                 assert tuple(index.pixel_of_point[i]) == (u, v)

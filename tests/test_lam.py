@@ -685,6 +685,7 @@ class TestSerialization:
         ("layer2.gamma", np.ones(127)),
         ("head.weight", np.zeros(64)),
         ("std_var", np.ones(8)),
+        ("layer1.run_var", np.r_[0.0, np.ones(63)]),
     ])
     def test_misshapen_tensor_reports_its_record_offset(self, tmp_path, name, bad):
         params = initialize_lam_params(9, seed=0)
@@ -698,7 +699,8 @@ class TestSerialization:
         path = tmp_path / "bad.ckpt"
         save_lam_params(params, path)
         record = path.read_bytes().index(name.encode()) - 4
-        with pytest.raises(FileFormatError, match=f"'{name}' has shape .* byte offset {record}$"):
+        fault = "holds a variance that is not positive" if name.endswith("run_var") else "has shape .*"
+        with pytest.raises(FileFormatError, match=f"'{name}' {fault}, in the record at byte offset {record}$"):
             load_lam_params(path)
 
     def test_loss_trace_csv(self, tmp_path):

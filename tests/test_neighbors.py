@@ -6,17 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lidar_ensemble import neighbors
-from lidar_ensemble.errors import FileFormatError
 from lidar_ensemble.geometry import PointCloud, RigidTransform
-from lidar_ensemble.neighbors import (
-    Neighborhoods,
-    SpatialIndex,
-    build_dense_cloud,
-    knn_epsilon,
-    precompute_neighborhoods,
-    read_neighborhoods,
-    write_neighborhoods,
-)
+from lidar_ensemble.neighbors import SpatialIndex, build_dense_cloud, precompute_neighborhoods
 from lidar_ensemble.subsample import PredictionMatrix
 
 
@@ -147,18 +138,18 @@ class TestKnnEpsilon:
     def test_coincident_point_at_distance_zero(self):
         pts = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
         index = SpatialIndex(pts)
-        nb = knn_epsilon(index, [0.0, 0.0, 0.0], k=1)
-        assert nb.valid_count == 1
-        assert nb.indices[0] == 0
-        assert nb.distances[0] == 0.0
+        idx, dist, valid = index.query_batch([[0.0, 0.0, 0.0]], k=1)
+        assert valid[0] == 1
+        assert idx[0, 0] == 0
+        assert dist[0, 0] == 0.0
 
     def test_everything_outside_epsilon(self):
         pts = np.array([[10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
         index = SpatialIndex(pts)
-        nb = knn_epsilon(index, [0.0, 0.0, 0.0], k=2, eps=0.5)
-        assert nb.valid_count == 0
-        assert np.all(nb.indices == 0)
-        assert np.all(nb.distances == 0.0)
+        idx, dist, valid = index.query_batch([[0.0, 0.0, 0.0]], k=2, eps=0.5)
+        assert valid[0] == 0
+        assert np.all(idx[0] == 0)
+        assert np.all(dist[0] == 0.0)
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(8)
@@ -187,9 +178,9 @@ class TestKnnEpsilon:
     def test_duplicate_points_tie_break_by_index(self):
         pts = np.array([[0.0, 0.0, 0.0]] * 5 + [[1.0, 0.0, 0.0]] * 5)
         index = SpatialIndex(pts)
-        nb = knn_epsilon(index, [0.0, 0.0, 0.0], k=7)
-        assert np.array_equal(nb.indices[:5], [0, 1, 2, 3, 4])
-        assert np.array_equal(nb.indices[5:7], [5, 6])
+        idx, _, _ = index.query_batch([[0.0, 0.0, 0.0]], k=7)
+        assert np.array_equal(idx[0, :5], [0, 1, 2, 3, 4])
+        assert np.array_equal(idx[0, 5:7], [5, 6])
 
     def test_grid_ties_match_brute_force(self):
         # integer grid: massive exact distance ties at every shell
@@ -199,18 +190,18 @@ class TestKnnEpsilon:
         rng = np.random.default_rng(10)
         for _ in range(30):
             q = grid[rng.integers(0, len(grid))]
-            nb = knn_epsilon(index, q, k=9)
+            idx, dist, valid = index.query_batch([q], k=9)
             oi, od = brute_force_neighbors(grid, q, 9)
-            assert np.array_equal(nb.indices[:nb.valid_count], oi)
-            assert np.array_equal(nb.distances[:nb.valid_count], od)
+            assert np.array_equal(idx[0, :valid[0]], oi)
+            assert np.array_equal(dist[0, :valid[0]], od)
 
     def test_fewer_points_than_k(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         index = SpatialIndex(pts)
-        nb = knn_epsilon(index, [0.0, 0.0, 0.0], k=10)
-        assert nb.valid_count == 2
-        assert nb.capacity == 10
-        assert np.all(nb.indices[2:] == 0)
+        idx, _, valid = index.query_batch([[0.0, 0.0, 0.0]], k=10)
+        assert valid[0] == 2
+        assert idx.shape == (1, 10)
+        assert np.all(idx[0, 2:] == 0)
 
     def test_distances_nondecreasing(self):
         rng = np.random.default_rng(11)
@@ -228,7 +219,7 @@ class TestKnnEpsilon:
     def test_k_must_be_positive(self):
         index = SpatialIndex(np.ones((3, 3)))
         with pytest.raises(ValueError, match="k"):
-            knn_epsilon(index, [0.0, 0.0, 0.0], k=0)
+            index.query_batch([[0.0, 0.0, 0.0]], k=0)
 
 
 def brute_force_batch(points, queries, k, eps=None):
@@ -291,40 +282,3 @@ class TestQueryBatchProperty:
         assert np.array_equal(valid, o_valid)
         assert np.array_equal(idx, o_idx)
         assert np.array_equal(dist.view(np.uint64), o_dist.view(np.uint64))
-
-
-class TestNeighborFile:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(12)
-        pts = rng.normal(size=(200, 3)).astype(np.float32).astype(np.float64)
-        index = SpatialIndex(pts)
-        queries = pts[:17]
-        nbh = precompute_neighborhoods(index, queries, k=8, eps=1.0)
-        # distances are stored as float32; quantize before comparing
-        path = tmp_path / "nb.lnbr"
-        write_neighborhoods(nbh, path)
-        back = read_neighborhoods(path)
-        assert np.array_equal(back.indices, nbh.indices)
-        assert np.array_equal(back.valid_count, nbh.valid_count)
-        assert np.array_equal(back.distances, nbh.distances.astype(np.float32).astype(np.float64))
-
-    def test_header_and_record_layout(self, tmp_path):
-        nbh = Neighborhoods(indices=[[3, 0]], distances=[[0.5, 0.0]], valid_count=[1])
-        path = tmp_path / "nb.lnbr"
-        write_neighborhoods(nbh, path)
-        blob = path.read_bytes()
-        assert blob[:4] == b"LNBR"
-        assert int.from_bytes(blob[4:8], "little") == 1
-        assert int.from_bytes(blob[8:12], "little") == 2
-        assert int.from_bytes(blob[12:14], "little") == 1  # valid_count u16
-        # padding slots are bit-exact zeros
-        assert blob[14 + 4:14 + 8] == b"\x00" * 4
-        assert blob[14 + 8 + 4:14 + 16] == b"\x00" * 4
-
-    def test_truncated_file_reports_offset(self, tmp_path):
-        nbh = Neighborhoods(indices=[[3, 0]], distances=[[0.5, 0.0]], valid_count=[1])
-        path = tmp_path / "nb.lnbr"
-        write_neighborhoods(nbh, path)
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(FileFormatError, match="byte offset"):
-            read_neighborhoods(path)

@@ -103,10 +103,8 @@ class TestApplyRowMask:
         keep = np.zeros(CONFIG.height, dtype=bool)
         keep[5] = True
         _, parent = apply_row_mask(cloud, index, RowMask(keep))
-        expected = sorted(
-            i for (u, v), members in index.points_of_pixel.items() if v == 5 for i in members
-        )
-        assert parent.tolist() == expected
+        expected = [i for i, (u, v) in enumerate(index.pixel_of_point.tolist()) if v == 5]
+        assert expected and parent.tolist() == expected
 
     def test_mask_length_mismatch(self):
         cloud = spread_cloud(np.random.default_rng(5))
