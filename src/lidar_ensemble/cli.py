@@ -509,7 +509,10 @@ def main(argv=None) -> int:
     except (LamTrainingError, FloatingPointError, np.linalg.LinAlgError) as exc:
         log.error("numeric: %s", exc)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except MemoryError as exc:
+        log.error("numeric: out of memory%s", f": {exc}" if str(exc) else "")
+        return EXIT_NUMERIC
+    except (ValueError, IndexError, KeyError) as exc:
         log.error("invalid input: %s", exc)
         return EXIT_CONFIG
 

@@ -89,15 +89,10 @@ class LamParams:
         )
 
     def named_parameters(self):
-        """Trainable tensors in a fixed order (running/standardization stats excluded)."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.append((f"layer{i}.weight", layer.weight))
-            out.append((f"layer{i}.gamma", layer.gamma))
-            out.append((f"layer{i}.beta", layer.beta))
-        out.append(("head.weight", self.head_weight))
-        out.append(("head.bias", np.atleast_1d(np.float64(self.head_bias))))
-        return out
+        """Trainable tensors in checkpoint order (running/standardization
+        stats excluded); head.bias comes as a one-element copy."""
+        return [(name, np.atleast_1d(tensor)) for name, tensor in _named_tensors(self)
+                if name.rpartition(".")[2] not in _STATISTICS]
 
 
 def initialize_lam_params(feature_dim: int, hidden_sizes=HIDDEN_SIZES, seed: int = 0) -> LamParams:
@@ -239,7 +234,6 @@ def lam_forward(params: LamParams, feats: np.ndarray, update_running: bool = Tru
             var = layer.run_var
         ivar = 1.0 / np.sqrt(var + BN_EPS)
         next_act = ws.take(f"act{i}", rows, width)
-        mask = ws.take(f"mask{i}", rows, width, dtype=bool)
         for lo, hi in _blocks(rows, block):
             xhat, y = z[lo:hi], next_act[lo:hi]
             if not train:
@@ -247,9 +241,8 @@ def lam_forward(params: LamParams, feats: np.ndarray, update_running: bool = Tru
             np.multiply(xhat, ivar, out=xhat)
             np.multiply(xhat, layer.gamma, out=y)
             np.add(y, layer.beta, out=y)
-            np.greater(y, 0.0, out=mask[lo:hi])
             np.maximum(y, 0.0, out=y)
-        cache["layers"].append({"a_prev": act, "xhat": z, "mask": mask, "ivar": ivar})
+        cache["layers"].append({"a_prev": act, "xhat": z, "act": next_act, "ivar": ivar})
         act = next_act
     cache["a_last"] = act
     scores = act @ params.head_weight + params.head_bias
@@ -290,17 +283,21 @@ def lam_backward(params: LamParams, cache: dict, dscores: np.ndarray,
     for i in reversed(range(len(params.layers))):
         layer = params.layers[i]
         lc = cache["layers"][i]
-        xhat, mask, ivar = lc["xhat"], lc["mask"], lc["ivar"]
+        xhat, act, ivar = lc["xhat"], lc["act"], lc["ivar"]
         width = xhat.shape[1]
         block = _block_rows(rows, width)
         scratch = ws.take(f"sum{i}", block + 1, width)
+        # the ReLU mask: act = max(y, 0) is positive exactly where y is,
+        # NaN included, so it is rebuilt here rather than kept by the forward
+        mask = ws.take(f"mask{i}", block, width, dtype=bool)
         beta_sum, gamma_sum, dxhat_sum, dxhat_x_sum = (_ColumnSum(scratch) for _ in range(4))
         # d_act becomes dy, then dxhat, then dz in place
         for lo, hi in _blocks(rows, block):
             n, d, x = hi - lo, d_act[lo:hi], xhat[lo:hi]
             if i == last:  # the head's np.outer(dscores, head_weight), a block at a time
                 np.multiply(dscores[lo:hi, None], params.head_weight, out=d)
-            np.multiply(d, mask[lo:hi], out=d)
+            np.greater(act[lo:hi], 0.0, out=mask[:n])
+            np.multiply(d, mask[:n], out=d)
             np.copyto(beta_sum.rows(n), d)
             beta_sum.add(n)
             np.multiply(d, x, out=gamma_sum.rows(n))
@@ -722,7 +719,12 @@ def pair_histograms(records, slices=HISTOGRAM_SLICES, bins: int = 20) -> Histogr
 # Serialization
 # ---------------------------------------------------------------------------
 
+# the tensors of _named_tensors that training does not update
+_STATISTICS = ("std_mean", "std_var", "run_mean", "run_var")
+
+
 def _named_tensors(params: LamParams):
+    """Every tensor, in the checkpoint's record order."""
     out = [("std_mean", params.std_mean), ("std_var", params.std_var)]
     for i, layer in enumerate(params.layers):
         out += [

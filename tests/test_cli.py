@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lidar_ensemble.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from lidar_ensemble import cli
+from lidar_ensemble.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from lidar_ensemble.selftrain import load_labels, load_selection_mask
 from lidar_ensemble.subsample import read_prediction_matrix, write_prediction_matrix
 from lidar_ensemble.subsample import PredictionMatrix
@@ -89,6 +90,27 @@ class TestParsing:
         bad.write_bytes(b"XXXX")
         assert main(["ensemble", "--inputs", str(bad), "--parent-size", "5",
                      "--out", str(tmp_path / "o.lprb")]) == EXIT_IO
+
+
+class TestUncaughtErrors:
+    @pytest.mark.parametrize("error, code, message", [
+        (IndexError("index 7 is out of bounds for axis 0 with size 5"), EXIT_CONFIG,
+         "invalid input: index 7 is out of bounds for axis 0 with size 5"),
+        (KeyError("layer3.weight"), EXIT_CONFIG, "invalid input: 'layer3.weight'"),
+        (MemoryError("Unable to allocate 8.00 GiB"), EXIT_NUMERIC,
+         "numeric: out of memory: Unable to allocate 8.00 GiB"),
+        (MemoryError(), EXIT_NUMERIC, "numeric: out of memory"),
+    ], ids=["IndexError", "KeyError", "MemoryError", "MemoryError-no-message"])
+    def test_maps_to_exit_code_without_traceback(self, error, code, message, tmp_path, monkeypatch,
+                                                 capsys, caplog):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_metrics", fail)
+        assert main(["metrics", "--pred", str(tmp_path), "--truth", str(tmp_path),
+                     "--classes", "3", "--out", str(tmp_path / "m")]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert [r.getMessage() for r in caplog.records] == [message]
 
 
 class TestProject:

@@ -282,3 +282,65 @@ class TestQueryBatchProperty:
         assert np.array_equal(valid, o_valid)
         assert np.array_equal(idx, o_idx)
         assert np.array_equal(dist.view(np.uint64), o_dist.view(np.uint64))
+
+
+def assert_matches_brute_force(points, queries, k, eps):
+    idx, dist, valid = SpatialIndex(points).query_batch(queries, k, eps)
+    o_idx, o_dist, o_valid = brute_force_batch(points, queries, k, eps)
+    assert np.array_equal(valid, o_valid)
+    assert np.array_equal(idx, o_idx)
+    assert np.array_equal(dist.view(np.uint64), o_dist.view(np.uint64))
+    return valid
+
+
+class TestFilledWidth:
+    """A bounded chunk is cut to the widest row the kd-tree filled."""
+
+    def test_no_neighbor_inside_epsilon(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        points = rng.uniform(5.0, 6.0, size=(300, 3))
+        queries = rng.uniform(-1.0, 1.0, size=(40, 3))
+        ties = []
+        monkeypatch.setattr(SpatialIndex, "_query_ties", lambda *args: ties.append(args))
+        valid = assert_matches_brute_force(points, queries, 60, 0.2)
+        assert valid.max() == 0
+        assert not ties
+
+    def test_full_row_with_tie_at_k_among_empty_rows(self, monkeypatch):
+        # 100 copies of one point, shuffled among far-away points: query 0
+        # sees all of them at one distance, so its k + 8 candidates tie at
+        # slot k and the tree's pick need not be the lowest indices
+        rng = np.random.default_rng(21)
+        points = np.concatenate([np.repeat([[0.1, 0.0, 0.0]], 100, axis=0),
+                                 rng.uniform(10.0, 20.0, size=(400, 3))])
+        points = points[rng.permutation(len(points))]
+        queries = np.concatenate([[[0.0, 0.0, 0.0]], rng.uniform(-5.0, -4.0, size=(30, 3))])
+        k = 5
+        calls = []
+        original = SpatialIndex._query_ties
+
+        def counting(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(SpatialIndex, "_query_ties", counting)
+        valid = assert_matches_brute_force(points, queries, k, 0.2)
+        assert valid[0] == k and valid[1:].max() == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("count", [neighbors._QUERY_CHUNK - 1, neighbors._QUERY_CHUNK,
+                                       neighbors._QUERY_CHUNK + 1])
+    def test_width_changes_across_chunks(self, count):
+        # a dense cube (about 20 points per ball) next to a sparse one: the
+        # widest row of a chunk sits far above its mean, and a chunk of
+        # sparse queries alone is much narrower
+        rng = np.random.default_rng(22)
+        points = np.concatenate([rng.uniform(0.0, 1.0, size=(600, 3)),
+                                 rng.uniform(-20.0, -10.0, size=(2000, 3))])
+        queries = np.concatenate([rng.uniform(0.0, 1.0, size=(1000, 3)),
+                                  rng.uniform(-20.0, -10.0, size=(count - 1000, 3))])
+        valid = assert_matches_brute_force(points, queries, 60, 0.2)
+        first = valid[:neighbors._QUERY_CHUNK]
+        assert first.max() > 2 * first.mean()
+        if count > neighbors._QUERY_CHUNK:
+            assert valid[neighbors._QUERY_CHUNK:].max() < first.max()
