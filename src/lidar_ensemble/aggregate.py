@@ -61,13 +61,6 @@ class AggregationSpec:
         return "lam" if isinstance(self.kernel, LamKernel) else "uniform"
 
 
-def _valid_pairs(nbh: Neighborhoods):
-    """(row_query, neighbor index, distance) of every valid pair, query by
-    query in slot order."""
-    mask = nbh.mask()
-    return np.repeat(np.arange(len(nbh)), nbh.valid_count), nbh.indices[mask], nbh.distances[mask]
-
-
 def _slice_features(dense: DenseCloud, flat_idx: np.ndarray, dists: np.ndarray) -> dict:
     """The phi columns the weight histograms slice by, per pair."""
     norm = 1.0 / dense.window if dense.window >= 1 else 0.0
@@ -79,14 +72,14 @@ def _slice_features(dense: DenseCloud, flat_idx: np.ndarray, dists: np.ndarray) 
 
 
 def phi_pairs(points: np.ndarray, v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods):
-    """Feature rows for every valid (query, neighbor) pair of a scan.
+    """Feature rows for every (query, neighbor) pair of a scan.
 
     Returns (phi_rows (R, D), row_query (R,), neighbor_probs (R, K)) where
-    row_query maps each row back to its query index; rows appear query by
-    query in slot order, so stored neighbor distances transfer directly.
+    row i is nbh's pair i and row_query maps it back to its query index,
+    so stored neighbor distances transfer directly.
     """
-    row_query, flat_idx, dists = _valid_pairs(nbh)
-    features = _slice_features(dense, flat_idx, dists)
+    row_query, flat_idx = nbh.row_query, nbh.indices
+    features = _slice_features(dense, flat_idx, nbh.distances)
     k = dense.num_classes
     rows = np.empty((len(flat_idx), phi_layout.feature_dim(k)))
     rows[:, phi_layout.DISTANCE_COLUMN] = features["center_distance"]
@@ -115,14 +108,14 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
     out = probs.copy()
     if isinstance(kernel, UniformKernel):
         # summing each query's rows along an axis of a (queries, n, K) block
-        # adds them in slot order, exactly as a per-query .sum(axis=0) does
+        # adds them in pair order, exactly as a per-query .sum(axis=0) does
         counts = nbh.valid_count
         for n in np.unique(counts[counts > 0]):
             queries = np.flatnonzero(counts == n)
             step = max(1, _PAIR_CHUNK // n)
             for lo in range(0, len(queries), step):
                 group = queries[lo:lo + step]
-                out[group] = dense.probs[nbh.indices[group, :n]].sum(axis=1) / n
+                out[group] = dense.probs[nbh.indices[nbh.offsets[group, None] + np.arange(n)]].sum(axis=1) / n
     else:
         phi_rows, row_query, neighbor_probs = phi_pairs(points, probs, dense, nbh)
         scores = np.zeros(0)
@@ -131,7 +124,7 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
             # phi_pairs emits rows grouped by query, so the per-neighborhood
             # softmax and label sums are contiguous-segment reductions
             touched = nbh.valid_count > 0
-            starts = np.concatenate([[0], np.cumsum(nbh.valid_count)])[:-1][touched]
+            starts = nbh.offsets[:-1][touched]
             segment = np.cumsum(touched) - 1
             shift = np.maximum.reduceat(scores, starts)
             w = np.exp(scores - shift[segment[row_query]])
@@ -141,13 +134,12 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
     refined = PredictionMatrix(probs=out, point_index=np.arange(len(points)))
     if not return_pairs:
         return refined
-    row_query, flat_idx, dists = _valid_pairs(nbh)
     if isinstance(kernel, UniformKernel):
-        scores = np.zeros(len(flat_idx))
+        scores = np.zeros(len(nbh.indices))
     # segment_softmax, not the reduceat weights above, so that the
     # histograms equal weight_histograms' bit for bit
-    weights = segment_softmax(scores, row_query, len(points))
-    return refined, PairRecord(_slice_features(dense, flat_idx, dists), weights)
+    weights = segment_softmax(scores, nbh.row_query, len(points))
+    return refined, PairRecord(_slice_features(dense, nbh.indices, nbh.distances), weights)
 
 
 def write_refinement_manifest(path, spec: AggregationSpec) -> None:

@@ -238,6 +238,9 @@ def load_point_cloud_bin(path, frame_id: int = 0) -> PointCloud:
         raise FileFormatError(
             f"{path}: truncated point record at byte offset {(raw.size // 4) * 16}"
         )
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        raise FileFormatError(f"{path}: non-finite value at byte offset {4 * bad[0]}")
     raw = raw.reshape(-1, 4).astype(np.float64)
     return PointCloud(points=raw[:, :3], intensity=raw[:, 3], frame_id=frame_id)
 
@@ -263,7 +266,10 @@ def load_poses(path) -> list:
         if len(vals) != 12:
             raise FileFormatError(f"{path}:{lineno}: expected 12 values per pose, got {len(vals)}")
         mat = np.array(vals).reshape(3, 4)
-        poses.append(RigidTransform(mat[:, :3], mat[:, 3]))
+        try:
+            poses.append(RigidTransform(mat[:, :3], mat[:, 3]))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
     return poses
 
 

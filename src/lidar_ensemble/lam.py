@@ -441,23 +441,28 @@ class EpochStats:
 
 @dataclass
 class LamTrainingSet:
-    """Per-neighborhood training instances.
+    """Per-neighborhood training instances, in compressed rows.
 
-    Each neighborhood holds the feature rows and pseudo-label rows of one
-    query point's neighbors plus the query's ground-truth class. Empty
-    neighborhoods are not representable: drop them when building the set.
+    Neighborhood i is one query point's neighbors: their feature rows
+    phis[offsets[i]:offsets[i + 1]] (R x D over all neighborhoods) and
+    pseudo-label rows neighbor_probs[offsets[i]:offsets[i + 1]] (R x K),
+    plus the query's ground-truth class labels[i]. Empty neighborhoods are
+    not representable: drop them when building the set.
     """
 
-    phis: list
-    neighbor_probs: list
+    phis: np.ndarray
+    neighbor_probs: np.ndarray
+    offsets: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if not (len(self.phis) == len(self.neighbor_probs) == len(self.labels)):
-            raise ValueError("phis, neighbor_probs, and labels must align")
-        if any(len(p) == 0 for p in self.phis):
+        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        if not (len(self.phis) == len(self.neighbor_probs) == self.offsets[-1]
+                and len(self.offsets) == len(self.labels) + 1 and self.offsets[0] == 0):
+            raise ValueError("phis, neighbor_probs, offsets, and labels must align")
+        if (np.diff(self.offsets) < 1).any():
             raise ValueError("every training neighborhood needs at least one neighbor")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("labels out of range")
@@ -467,10 +472,7 @@ class LamTrainingSet:
 
     @property
     def feature_dim(self) -> int:
-        return self.phis[0].shape[1]
-
-    def all_phis(self) -> np.ndarray:
-        return np.concatenate(self.phis, axis=0)
+        return self.phis.shape[1]
 
 
 def segment_softmax(scores: np.ndarray, row_query: np.ndarray, n: int) -> np.ndarray:
@@ -553,11 +555,11 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
         raise ValueError("training set is empty")
     if params is None:
         params = initialize_lam_params(data.feature_dim, seed=config.seed)
-        params = modulate_statistics(params, data.all_phis())
+        params = modulate_statistics(params, data.phis)
     params.mode = "train"
     rng = np.random.default_rng(config.seed)
     adam = _Adam([name for name, _ in params.named_parameters()], config.learning_rate)
-    sizes = np.array([len(p) for p in data.phis])
+    sizes = np.diff(data.offsets)
     ws = _Workspace()
     trace = []
     global_step = 0
@@ -567,12 +569,15 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
         seen = 0
         for start in range(0, len(perm), config.batch):
             sel = perm[start:start + config.batch]
-            rows = int(sizes[sel].sum())
-            phis = np.concatenate([data.phis[i] for i in sel], axis=0,
-                                  out=ws.take("phis", rows, data.feature_dim))
-            probs = np.concatenate([data.neighbor_probs[i] for i in sel], axis=0,
-                                   out=ws.take("probs", rows, data.neighbor_probs[0].shape[1]))
+            # the batch's neighborhoods one after another, each in row order;
+            # the rows are in range, and mode="clip" writes straight into out
             row_query = np.repeat(np.arange(len(sel)), sizes[sel])
+            first = np.cumsum(sizes[sel]) - sizes[sel]
+            rows = np.arange(len(row_query)) + (data.offsets[sel] - first)[row_query]
+            phis = data.phis.take(rows, axis=0, mode="clip",
+                                  out=ws.take("phis", len(rows), data.feature_dim))
+            probs = data.neighbor_probs.take(rows, axis=0, mode="clip",
+                                             out=ws.take("probs", len(rows), data.neighbor_probs.shape[1]))
             total, ce, lov, grads = training_loss_and_grads(
                 params, phis, row_query, probs, data.labels[sel],
                 config.ce_weight, config.lovasz_weight, update_running=True, workspace=ws,
@@ -759,8 +764,8 @@ def save_lam_params(params: LamParams, path) -> None:
 def load_lam_params(path) -> LamParams:
     """Read a checkpoint written by save_lam_params, with any number of
     hidden layers. Every tensor's shape must agree with the header's D and
-    the width of the layer before it; a malformed, missing or misshapen
-    tensor raises FileFormatError."""
+    the width of the layer before it; a malformed, missing, misshapen or
+    non-finite tensor raises FileFormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
@@ -772,6 +777,7 @@ def load_lam_params(path) -> LamParams:
         raise FileFormatError(f"{path}: inconsistent D={d}, K={k} at byte offset 8")
     tensors = {}
     record_offset = {}
+    data_offset = {}
     off = 16
     while off < len(blob):
         start = off
@@ -785,6 +791,7 @@ def load_lam_params(path) -> LamParams:
             dims = struct.unpack_from(f"<{rank}I", blob, off)
             off += 4 * rank
             count = int(np.prod(dims)) if rank else 1
+            data_offset[name] = off
             tensors[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(dims).copy()
             off += 8 * count
         except (struct.error, ValueError) as exc:
@@ -803,6 +810,11 @@ def load_lam_params(path) -> LamParams:
             raise FileFormatError(
                 f"{path}: tensor '{name}' holds a variance that is not positive, "
                 f"in the record at byte offset {record_offset[name]}")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise FileFormatError(
+                f"{path}: tensor '{name}' holds a non-finite value at byte offset "
+                f"{data_offset[name] + 8 * bad[0]}")
         return arr
 
     num_layers = 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import PointCloud, RigidTransform, compose, invert
 from .subsample import PredictionMatrix
@@ -56,32 +55,36 @@ class DenseCloud:
 
 
 class Neighborhoods:
-    """Precomputed neighbor sets for every query point of one scan.
+    """Neighbor sets of every query point of one scan, in compressed rows.
 
-    Row i holds query i's neighborhood in k zero-padded slots: the first
-    valid_count[i] hold dense-cloud indices and their distances, sorted by
-    (distance, index); padding slots are index 0, distance 0.0.
+    Query i's pairs are indices[offsets[i]:offsets[i + 1]] (dense-cloud
+    indices) and the matching distances, sorted by (distance, index);
+    offsets has one entry per query plus a leading 0, and no row holds more
+    than capacity (the search's k) pairs.
     """
 
-    def __init__(self, indices: np.ndarray, distances: np.ndarray, valid_count: np.ndarray):
+    def __init__(self, offsets: np.ndarray, indices: np.ndarray, distances: np.ndarray, capacity: int):
+        self.offsets = np.asarray(offsets, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.distances = np.asarray(distances, dtype=np.float64)
-        self.valid_count = np.asarray(valid_count, dtype=np.int64)
-        if self.indices.shape != self.distances.shape or self.indices.ndim != 2:
-            raise ValueError("indices and distances must both be (N, k)")
-        if self.valid_count.shape != (self.indices.shape[0],):
-            raise ValueError("valid_count must have one entry per query")
+        self.capacity = int(capacity)
+        counts = np.diff(self.offsets)
+        if (self.indices.shape != self.distances.shape or self.offsets[0] != 0
+                or self.offsets[-1] != len(self.indices) or ((counts < 0) | (counts > self.capacity)).any()):
+            raise ValueError("offsets must rise from 0 to the pair count, by at most capacity per query")
 
     def __len__(self) -> int:
-        return self.indices.shape[0]
+        return len(self.offsets) - 1
 
     @property
-    def capacity(self) -> int:
-        return self.indices.shape[1]
+    def valid_count(self) -> np.ndarray:
+        """Number of pairs of each query."""
+        return np.diff(self.offsets)
 
-    def mask(self) -> np.ndarray:
-        """Boolean (N, k) validity mask."""
-        return np.arange(self.capacity)[None, :] < self.valid_count[:, None]
+    @property
+    def row_query(self) -> np.ndarray:
+        """Query index of each pair."""
+        return np.repeat(np.arange(len(self)), self.valid_count)
 
 
 def build_dense_cloud(scans, poses, t: int, window: int, stride: int = 1) -> DenseCloud:
@@ -155,6 +158,9 @@ class SpatialIndex:
         points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
         if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
             raise ValueError("index requires a nonempty (M, 3) point array")
+        # imported here so that commands that never search do not load scipy
+        from scipy.spatial import cKDTree
+
         self.points = points
         self._tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
 
@@ -164,9 +170,9 @@ class SpatialIndex:
     def query_batch(self, queries: np.ndarray, k: int, eps: float | None = None):
         """k nearest neighbors per query, then epsilon filtering.
 
-        Returns (indices (N, k), distances (N, k), valid_count (N,)); for
-        each query the valid prefix is sorted by (distance, index) and the
-        remaining slots are zeroed.
+        Returns Neighborhoods with capacity k: query i's pairs are
+        indices[offsets[i]:offsets[i + 1]] and the matching distances,
+        sorted by (distance, index).
 
         Queries run in chunks of _QUERY_CHUNK rows, so temporaries stay
         O(chunk * k) whatever N is. Each chunk asks the kd-tree for k + 8
@@ -174,27 +180,26 @@ class SpatialIndex:
         more than eps, so it stops early and leaves the slots beyond the
         ball empty. The chunk's candidates are then cut to the widest row
         the tree filled: the empty slots come last in every row, so the
-        recheck, the sort and the output copy work on that width only.
-        Every candidate's distance is recomputed canonically, one
-        coordinate at a time, and rechecked against eps, so the result
-        equals a brute-force scan bit for bit. A tie can span the
-        candidate window only in a chunk where some row fills all k + 8
-        slots (always so without eps); such a chunk keeps its full width
-        and its tied rows are redone exhaustively.
+        recheck and the sort work on that width only, and only the pairs
+        kept are copied out. Every candidate's distance is recomputed
+        canonically, one coordinate at a time, and rechecked against eps,
+        so the result equals a brute-force scan bit for bit. A tie can span
+        the candidate window only in a chunk where some row fills all
+        k + 8 slots (always so without eps); such a chunk keeps its full
+        width and its tied rows are redone exhaustively.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        n = len(queries)
-        out_idx = np.zeros((n, k), dtype=np.int64)
-        out_dist = np.zeros((n, k))
-        valid = np.zeros(n, dtype=np.int64)
-        for lo in range(0, n, _QUERY_CHUNK):
-            hi = min(lo + _QUERY_CHUNK, n)
-            self._query_chunk(queries[lo:hi], k, eps, out_idx[lo:hi], out_dist[lo:hi], valid[lo:hi])
-        return out_idx, out_dist, valid
+        chunks = [self._query_chunk(queries[lo:lo + _QUERY_CHUNK], k, eps)
+                  for lo in range(0, len(queries), _QUERY_CHUNK)]
+        idx, dist, valid = ([np.concatenate(part) for part in zip(*chunks)] if chunks
+                            else (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64)))
+        return Neighborhoods(np.concatenate([[0], np.cumsum(valid)]), idx, dist, k)
 
-    def _query_chunk(self, queries, k, eps, out_idx, out_dist, valid):
+    def _query_chunk(self, queries, k, eps):
+        """(indices, distances) of the chunk's pairs, query by query, and
+        each query's pair count."""
         n = len(queries)
         m = len(self.points)
         kq = min(k + _TIE_PAD, m)
@@ -207,7 +212,7 @@ class SpatialIndex:
         cand = cand.reshape(n, kq)
         # a bounded search puts each row's found slots first and marks the
         # rest empty with index m, so columns past the widest filled row
-        # hold nothing and the recheck, sort and copy skip them
+        # hold nothing and the recheck and sort skip them
         found = cand < m
         width = int(found.sum(axis=1).max())
         cand, found = cand[:, :width], found[:, :width]
@@ -236,10 +241,9 @@ class SpatialIndex:
 
         # distances are sorted, so the epsilon ball is a prefix
         limit = np.inf if eps is None else eps
-        valid[:] = (sel_dist <= limit).sum(axis=1)
+        valid = (sel_dist <= limit).sum(axis=1)
         keep = np.arange(take)[None, :] < valid[:, None]
-        out_idx[:, :take] = np.where(keep, sel_idx, 0)
-        out_dist[:, :take] = np.where(keep, sel_dist, 0.0)
+        return sel_idx[keep], sel_dist[keep], valid
 
     def _query_ties(self, query: np.ndarray, radius: float, k: int):
         cand = np.asarray(self._tree.query_ball_point(query, r=radius * (1.0 + 1e-12) + 1e-300), dtype=np.int64)
@@ -251,5 +255,4 @@ class SpatialIndex:
 
 def precompute_neighborhoods(index: SpatialIndex, queries: np.ndarray, k: int, eps: float | None = None) -> Neighborhoods:
     """One-pass neighborhood precomputation for all query points of a scan."""
-    idx, dist, valid = index.query_batch(queries, k, eps)
-    return Neighborhoods(idx, dist, valid)
+    return index.query_batch(queries, k, eps)

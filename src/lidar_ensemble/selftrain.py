@@ -496,23 +496,23 @@ def build_lam_training_set(scans, poses, predictions, truth_labels, agg: Aggrega
             raise FileFormatError(
                 f"frame {t}: {len(truth)} labels for a {len(scans[t])}-point scan "
                 f"(label data ends at byte offset {4 * len(truth)})")
-    num_classes = predictions[0].num_classes
-    phis, probs, labels = [], [], []
+    phis, probs, counts, labels = [], [], [], []
     for t in range(len(scans)):
         dense, nbh = frame_neighborhoods(scans, poses, predictions, t, agg)
         phi_rows, _, neighbor_probs = _aggregate.phi_pairs(
             scans[t].points, predictions[t].probs, dense, nbh)
-        bounds = np.concatenate([[0], np.cumsum(nbh.valid_count)])
         truth = np.asarray(truth_labels[t], dtype=np.int64)
-        for q in range(len(nbh)):
-            lo, hi = bounds[q], bounds[q + 1]
-            if hi == lo or (ignore_label is not None and truth[q] == ignore_label):
-                continue
-            phis.append(phi_rows[lo:hi])
-            probs.append(neighbor_probs[lo:hi])
-            labels.append(truth[q])
-    return LamTrainingSet(phis=phis, neighbor_probs=probs,
-                          labels=np.asarray(labels, dtype=np.int64), num_classes=num_classes)
+        keep = nbh.valid_count > 0
+        if ignore_label is not None:
+            keep &= truth != ignore_label
+        rows = np.repeat(keep, nbh.valid_count)
+        phis.append(phi_rows[rows])
+        probs.append(neighbor_probs[rows])
+        counts.append(nbh.valid_count[keep])
+        labels.append(truth[keep])
+    return LamTrainingSet(phis=np.concatenate(phis), neighbor_probs=np.concatenate(probs),
+                          offsets=np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
+                          labels=np.concatenate(labels), num_classes=predictions[0].num_classes)
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,12 @@ class PredictionMatrix:
         if idx.shape != (probs.shape[0],):
             raise ValueError("point_index must have one entry per probability row")
         if probs.size:
+            sums = probs.sum(axis=1)
+            # a row holding NaN or inf sums to NaN or inf
+            if not np.isfinite(sums).all():
+                raise ValueError("probabilities must be finite")
             if probs.min() < 0.0:
                 raise ValueError("probabilities must be nonnegative")
-            sums = probs.sum(axis=1)
             worst = np.abs(sums - 1.0).max()
             if worst > SIMPLEX_TOL:
                 raise ValueError(f"probability rows must sum to 1 within {SIMPLEX_TOL}, worst error {worst:.2e}")
@@ -194,6 +197,10 @@ def read_prediction_matrix(path) -> PredictionMatrix:
     need = 16 + 4 * n * k + 4 * n
     if len(blob) != need:
         raise FileFormatError(f"{path}: expected {need} bytes, file ends at byte offset {len(blob)}")
-    probs = np.frombuffer(blob, dtype="<f4", count=n * k, offset=16).reshape(n, k).astype(np.float64)
+    probs = np.frombuffer(blob, dtype="<f4", count=n * k, offset=16)
+    bad = np.flatnonzero(~np.isfinite(probs))
+    if bad.size:
+        raise FileFormatError(f"{path}: non-finite probability at byte offset {16 + 4 * bad[0]}")
+    probs = probs.reshape(n, k).astype(np.float64)
     idx = np.frombuffer(blob, dtype="<u4", count=n, offset=16 + 4 * n * k).astype(np.int64)
     return PredictionMatrix(probs=probs, point_index=idx)

@@ -1,15 +1,25 @@
 """Reference implementations the tests compare the library against.
 
-The scalar feature and kernel of one (query, neighbor) pair, and the
-per-frame feature stream the CLI analysis commands used to build with their
-own dense cloud, index and query per frame.
+The scalar feature and kernel of one (query, neighbor) pair; the per-frame
+feature stream the CLI analysis commands used to build with their own dense
+cloud, index and query per frame; conversions between compressed-row
+Neighborhoods and the padded (N, k) layout; and the per-query LAM
+training-set builder and list-concatenating training loop the compressed
+rows replaced.
 """
 
 import numpy as np
 
+from lidar_ensemble import lam
 from lidar_ensemble.aggregate import UniformKernel, phi_pairs
 from lidar_ensemble.lam import lam_forward
-from lidar_ensemble.neighbors import SpatialIndex, build_dense_cloud, precompute_neighborhoods
+from lidar_ensemble.neighbors import (
+    Neighborhoods,
+    SpatialIndex,
+    build_dense_cloud,
+    precompute_neighborhoods,
+)
+from lidar_ensemble.selftrain import frame_neighborhoods
 
 
 def phi(point, v_point, dense, neighbor_index):
@@ -61,3 +71,79 @@ def sequence_rows(scans, chunks, queries):
     offsets = np.cumsum([0] + [len(scan) for scan in scans])
     row_query = np.concatenate([rq + offsets[t] for t, rq in enumerate(queries)])
     return np.concatenate(chunks, axis=0), row_query, int(offsets[-1])
+
+
+def padded(nbh):
+    """(indices (N, k), distances (N, k), valid_count (N,)) of nbh in k
+    slots per query: the first valid_count[i] slots of row i hold query i's
+    pairs in order, the rest index 0 and distance 0.0."""
+    valid = nbh.valid_count
+    slots = np.arange(nbh.capacity)[None, :] < valid[:, None]
+    indices = np.zeros((len(nbh), nbh.capacity), dtype=np.int64)
+    distances = np.zeros((len(nbh), nbh.capacity))
+    indices[slots] = nbh.indices
+    distances[slots] = nbh.distances
+    return indices, distances, valid
+
+
+def from_padded(indices, distances, valid_count):
+    """Neighborhoods holding the first valid_count[i] slots of each padded
+    row i."""
+    indices = np.asarray(indices, dtype=np.int64)
+    distances = np.asarray(distances, dtype=np.float64)
+    valid_count = np.asarray(valid_count, dtype=np.int64)
+    slots = np.arange(indices.shape[1])[None, :] < valid_count[:, None]
+    return Neighborhoods(np.concatenate([[0], np.cumsum(valid_count)]),
+                         indices[slots], distances[slots], indices.shape[1])
+
+
+def training_lists(scans, poses, predictions, truth_labels, agg, ignore_label=None):
+    """Per-query (feature rows, neighbor label rows) lists and truth labels
+    of a labeled sequence, one query at a time; queries with no neighbors
+    or ignored truth are dropped."""
+    phis, probs, labels = [], [], []
+    for t in range(len(scans)):
+        dense, nbh = frame_neighborhoods(scans, poses, predictions, t, agg)
+        phi_rows, _, neighbor_probs = phi_pairs(scans[t].points, predictions[t].probs, dense, nbh)
+        bounds = np.concatenate([[0], np.cumsum(nbh.valid_count)])
+        truth = np.asarray(truth_labels[t], dtype=np.int64)
+        for q in range(len(nbh)):
+            lo, hi = bounds[q], bounds[q + 1]
+            if hi == lo or (ignore_label is not None and truth[q] == ignore_label):
+                continue
+            phis.append(phi_rows[lo:hi])
+            probs.append(neighbor_probs[lo:hi])
+            labels.append(truth[q])
+    return phis, probs, np.asarray(labels, dtype=np.int64)
+
+
+def train_lam_lists(phis, probs, labels, config):
+    """lam.train_lam over per-neighborhood lists, each batch concatenated
+    from its neighborhoods' arrays."""
+    params = lam.initialize_lam_params(phis[0].shape[1], seed=config.seed)
+    params = lam.modulate_statistics(params, np.concatenate(phis, axis=0))
+    params.mode = "train"
+    rng = np.random.default_rng(config.seed)
+    adam = lam._Adam([name for name, _ in params.named_parameters()], config.learning_rate)
+    sizes = np.array([len(p) for p in phis])
+    ws = lam._Workspace()
+    trace = []
+    for epoch in range(config.epochs):
+        perm = rng.permutation(len(labels))
+        ce_sum = lov_sum = 0.0
+        for start in range(0, len(perm), config.batch):
+            sel = perm[start:start + config.batch]
+            batch_phis = np.concatenate([phis[i] for i in sel], axis=0)
+            batch_probs = np.concatenate([probs[i] for i in sel], axis=0)
+            row_query = np.repeat(np.arange(len(sel)), sizes[sel])
+            _, ce, lov, grads = lam.training_loss_and_grads(
+                params, batch_phis, row_query, batch_probs, labels[sel],
+                config.ce_weight, config.lovasz_weight, update_running=True, workspace=ws)
+            adam.step(params, grads)
+            ce_sum += ce * len(sel)
+            lov_sum += lov * len(sel)
+        mean_ce, mean_lov = ce_sum / len(perm), lov_sum / len(perm)
+        trace.append(lam.EpochStats(epoch, mean_ce, mean_lov,
+                                    config.ce_weight * mean_ce + config.lovasz_weight * mean_lov))
+    params.mode = "eval"
+    return params, trace

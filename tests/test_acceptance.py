@@ -35,7 +35,7 @@ from lidar_ensemble.selftrain import (
 )
 from lidar_ensemble.subsample import SubsampleSpec, row_mask
 from lidar_ensemble.synth import HEIGHT_THRESHOLDS, SyntheticSceneSpec, generate_sequence, sensor_config
-from tests.oracles import kernel_score, phi, phi_stream
+from tests.oracles import from_padded, kernel_score, padded, phi, phi_stream
 from tests.test_lam import prefix_jaccard_oracle
 
 
@@ -143,7 +143,8 @@ def test_criterion_03_refinement_oracle():
     raw = rng.uniform(0.05, 1.0, size=(1000, k_classes))
     v = raw / raw.sum(1, keepdims=True)
     nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=k)
-    assert int(nbh.valid_count.min()) == k
+    indices, distances, valid = padded(nbh)
+    assert int(valid.min()) == k
 
     def oracle_features(q, idx):
         # independent per-point feature assembly, straight from dense arrays
@@ -163,7 +164,7 @@ def test_criterion_03_refinement_oracle():
         assert out.probs.min() >= 0.0
         assert np.abs(out.probs.sum(axis=1) - 1.0).max() < 1e-5
         for q in range(len(queries)):
-            idx = nbh.indices[q, : nbh.valid_count[q]]
+            idx = indices[q, : valid[q]]
             if isinstance(kernel, UniformKernel):
                 # plain averaging: exact equality with the arithmetic mean
                 assert np.array_equal(out.probs[q], dense.probs[idx].mean(axis=0))
@@ -176,7 +177,7 @@ def test_criterion_03_refinement_oracle():
     # spot-check the fully scalar kernel route on a query subsample
     kernel = LamKernel(params)
     for q in rng.choice(len(queries), size=25, replace=False):
-        idx = nbh.indices[q, : nbh.valid_count[q]]
+        idx = indices[q, : valid[q]]
         num = np.zeros(k_classes)
         den = 0.0
         for j in idx:
@@ -184,8 +185,8 @@ def test_criterion_03_refinement_oracle():
             num += s * dense.probs[j]
             den += s
         got = refine_labels(queries[q : q + 1], v[q : q + 1], dense,
-                            nbh.__class__(nbh.indices[q : q + 1], nbh.distances[q : q + 1],
-                                          nbh.valid_count[q : q + 1]), kernel)
+                            from_padded(indices[q : q + 1], distances[q : q + 1],
+                                        valid[q : q + 1]), kernel)
         assert np.abs(got.probs[0] - num / den).max() < 1e-6
 
 
@@ -199,18 +200,18 @@ def test_criterion_04_knn_exactness():
     pts = rng.uniform(-20, 20, size=(100000, 3))
     queries = rng.uniform(-20, 20, size=(100, 3))
     index = SpatialIndex(pts)
-    nbh = precompute_neighborhoods(index, queries, k=60, eps=0.2)
+    indices, distances, valid = padded(precompute_neighborhoods(index, queries, k=60, eps=0.2))
     for qi in range(len(queries)):
         d = np.sqrt(((pts - queries[qi]) ** 2).sum(axis=1))
         order = np.lexsort((np.arange(len(pts)), d))[:60]
         dd = d[order]
         keep = dd <= 0.2
         oracle_idx, oracle_dist = order[keep], dd[keep]
-        n = int(nbh.valid_count[qi])
+        n = int(valid[qi])
         assert n == len(oracle_idx)
-        assert np.array_equal(nbh.indices[qi, :n], oracle_idx)
-        assert np.array_equal(nbh.distances[qi, :n], oracle_dist)
-        assert np.all(nbh.indices[qi, n:] == 0) and np.all(nbh.distances[qi, n:] == 0.0)
+        assert np.array_equal(indices[qi, :n], oracle_idx)
+        assert np.array_equal(distances[qi, :n], oracle_dist)
+        assert np.all(indices[qi, n:] == 0) and np.all(distances[qi, n:] == 0.0)
 
 
 # ---------------------------------------------------------------------------

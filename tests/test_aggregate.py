@@ -13,8 +13,8 @@ from lidar_ensemble.aggregate import (
     write_refinement_manifest,
 )
 from lidar_ensemble.lam import DenseBnLayer, LamParams, initialize_lam_params
-from lidar_ensemble.neighbors import DenseCloud, Neighborhoods, SpatialIndex, precompute_neighborhoods
-from tests.oracles import kernel_score, phi
+from lidar_ensemble.neighbors import DenseCloud, SpatialIndex, precompute_neighborhoods
+from tests.oracles import from_padded, kernel_score, padded, phi
 
 
 def make_dense(rng, m=200, k_classes=3, window=10):
@@ -93,10 +93,11 @@ class TestPhi:
         v = raw / raw.sum(1, keepdims=True)
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=6)
         rows, row_query, nprobs = phi_pairs(queries, v, dense, nbh)
+        indices, _, valid = padded(nbh)
         r = 0
         for q in range(10):
-            for slot in range(int(nbh.valid_count[q])):
-                j = nbh.indices[q, slot]
+            for slot in range(int(valid[q])):
+                j = indices[q, slot]
                 expected = phi(queries[q], v[q], dense, j)
                 assert np.abs(rows[r] - expected).max() < 1e-9
                 assert row_query[r] == q
@@ -166,7 +167,7 @@ class TestRefineLabels:
             source_frame=np.array([0, 0]),
             window=1,
         )
-        nbh = Neighborhoods(indices=[[0, 1]], distances=[[0.1, 0.1]], valid_count=[2])
+        nbh = from_padded(indices=[[0, 1]], distances=[[0.1, 0.1]], valid_count=[2])
         out = refine_labels(np.zeros((1, 3)), np.array([[1.0, 0.0]]), dense, nbh, UniformKernel())
         assert np.allclose(out.probs, [[0.5, 0.5]], atol=1e-12)
 
@@ -178,9 +179,10 @@ class TestRefineLabels:
         v = raw / raw.sum(1, keepdims=True)
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=12)
         out = refine_labels(queries, v, dense, nbh, UniformKernel())
+        indices, _, valid = padded(nbh)
         for q in range(50):
-            n = int(nbh.valid_count[q])
-            expected = dense.probs[nbh.indices[q, :n]].mean(axis=0)
+            n = int(valid[q])
+            expected = dense.probs[indices[q, :n]].mean(axis=0)
             assert np.array_equal(out.probs[q], expected)
 
     def test_uniform_matches_per_query_loop(self, monkeypatch):
@@ -195,9 +197,10 @@ class TestRefineLabels:
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=40, eps=0.6)
         assert (nbh.valid_count == 0).any() and len(np.unique(nbh.valid_count)) > 5
         out = refine_labels(queries, v, dense, nbh, UniformKernel())
+        indices, _, valid = padded(nbh)
         for q in range(300):
-            n = int(nbh.valid_count[q])
-            expected = v[q] if n == 0 else dense.probs[nbh.indices[q, :n]].sum(axis=0) / n
+            n = int(valid[q])
+            expected = v[q] if n == 0 else dense.probs[indices[q, :n]].sum(axis=0) / n
             assert np.array_equal(out.probs[q], expected)
 
     def test_lam_matches_brute_force_weighted_average(self):
@@ -210,12 +213,13 @@ class TestRefineLabels:
         params = initialize_lam_params(phi_layout.feature_dim(3), hidden_sizes=(8, 8, 8), seed=1)
         kernel = LamKernel(params)
         out = refine_labels(queries, v, dense, nbh, kernel)
+        indices, _, valid = padded(nbh)
         for q in range(40):
-            n = int(nbh.valid_count[q])
+            n = int(valid[q])
             num = np.zeros(3)
             den = 0.0
             for slot in range(n):
-                j = nbh.indices[q, slot]
+                j = indices[q, slot]
                 score = kernel_score(kernel, phi(queries[q], v[q], dense, j))
                 num += score * dense.probs[j]
                 den += score
@@ -242,14 +246,15 @@ class TestRefineLabels:
         raw = rng.uniform(0.05, 1.0, size=(10, 3))
         v = raw / raw.sum(1, keepdims=True)
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=7)
-        perm_idx = nbh.indices.copy()
-        perm_dist = nbh.distances.copy()
+        indices, distances, valid = padded(nbh)
+        perm_idx = indices.copy()
+        perm_dist = distances.copy()
         for q in range(10):
-            n = int(nbh.valid_count[q])
+            n = int(valid[q])
             p = rng.permutation(n)
-            perm_idx[q, :n] = nbh.indices[q, :n][p]
-            perm_dist[q, :n] = nbh.distances[q, :n][p]
-        shuffled = Neighborhoods(perm_idx, perm_dist, nbh.valid_count)
+            perm_idx[q, :n] = indices[q, :n][p]
+            perm_dist[q, :n] = distances[q, :n][p]
+        shuffled = from_padded(perm_idx, perm_dist, valid)
         params = initialize_lam_params(phi_layout.feature_dim(3), hidden_sizes=(8, 8, 8), seed=3)
         for kernel in (UniformKernel(), LamKernel(params)):
             a = refine_labels(queries, v, dense, nbh, kernel)
@@ -259,9 +264,9 @@ class TestRefineLabels:
     def test_empty_neighborhood_falls_back_to_input(self):
         rng = np.random.default_rng(11)
         dense = make_dense(rng, m=20)
-        nbh = Neighborhoods(indices=np.zeros((2, 4), dtype=np.int64),
-                            distances=np.zeros((2, 4)), valid_count=[0, 2])
-        nbh.indices[1, :2] = [3, 4]
+        indices = np.zeros((2, 4), dtype=np.int64)
+        indices[1, :2] = [3, 4]
+        nbh = from_padded(indices=indices, distances=np.zeros((2, 4)), valid_count=[0, 2])
         raw = rng.uniform(0.05, 1.0, size=(2, 3))
         v = raw / raw.sum(1, keepdims=True)
         out = refine_labels(rng.normal(size=(2, 3)), v, dense, nbh, UniformKernel())
@@ -276,10 +281,11 @@ class TestRefineLabels:
         raw = rng.uniform(0.05, 1.0, size=(5, 3))
         v = raw / raw.sum(1, keepdims=True)
         full = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=4)
-        valid = full.valid_count.copy()
+        indices, distances, valid = padded(full)
+        valid = valid.copy()
         valid[1] = 0
         valid[3] = 0
-        holes = Neighborhoods(full.indices, full.distances, valid)
+        holes = from_padded(indices, distances, valid)
         params = initialize_lam_params(phi_layout.feature_dim(3), hidden_sizes=(8, 8, 8), seed=5)
         out = refine_labels(queries, v, dense, holes, LamKernel(params))
         assert np.array_equal(out.probs[1], v[1])
@@ -298,7 +304,7 @@ class TestRefineLabels:
             source_frame=np.zeros(5, dtype=np.int64),
             window=1,
         )
-        nbh = Neighborhoods(indices=[[0, 1, 2, 3, 4]], distances=[[0.0] * 5], valid_count=[5])
+        nbh = from_padded(indices=[[0, 1, 2, 3, 4]], distances=[[0.0] * 5], valid_count=[5])
         out = refine_labels(np.zeros((1, 3)), row.reshape(1, 3), dense, nbh, UniformKernel())
         assert np.abs(out.probs[0] - row).max() < 1e-12
 

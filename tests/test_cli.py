@@ -562,6 +562,87 @@ class TestSharedNeighborPath:
         assert "000002.lprb: 245 rows for a 250-point scan" in caplog.text
 
 
+class TestNonFiniteInput:
+    """Each binary reader rejects a NaN with exit 2 and the byte offset of
+    the first bad value; a pose that is not a rigid motion names its line."""
+
+    @pytest.fixture()
+    def copied(self, dataset, tmp_path):
+        import shutil
+
+        root = tmp_path / "data"
+        shutil.copytree(dataset, root)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(CONFIG_TEMPLATE.format(root=root))
+        return root, cfg
+
+    def test_nan_scan_coordinate(self, copied, caplog):
+        root, cfg = copied
+        scan = root / "velodyne" / "000001.bin"
+        raw = np.fromfile(scan, dtype="<f4")
+        raw[7 * 4 + 1] = np.nan  # point 7, y
+        raw.tofile(scan)
+        for command in (["project", "--frame", "1", "--out", "-"],
+                        ["pipeline", "--out", str(root / "run"), "--threads", "1"]):
+            caplog.clear()
+            assert main([command[0], "--config", str(cfg)] + command[1:]) == EXIT_IO
+            assert f"000001.bin: non-finite value at byte offset {7 * 16 + 4}" in caplog.text
+
+    def test_nan_probability(self, config_path, prediction_dir, tmp_path, caplog):
+        import shutil
+
+        preds = tmp_path / "preds"
+        shutil.copytree(prediction_dir, preds)
+        path = preds / "000002.lprb"
+        blob = bytearray(path.read_bytes())
+        k = int.from_bytes(blob[8:12], "little")
+        offset = 16 + 4 * (3 * k + 1)  # row 3, class 1
+        blob[offset:offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        assert main(["aggregate", "--config", str(config_path), "--pred-dir", str(preds),
+                     "--out", str(tmp_path / "agg")]) == EXIT_IO
+        assert f"000002.lprb: non-finite probability at byte offset {offset}" in caplog.text
+
+    def test_nan_checkpoint_weight(self, config_path, prediction_dir, tmp_path, caplog):
+        from lidar_ensemble.lam import initialize_lam_params, save_lam_params
+
+        params = initialize_lam_params(9, seed=0)
+        params.layers[0].weight[2, 3] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_lam_params(params, bad)
+        # record: name length, name, rank, two dims, then the float64 data
+        data = bad.read_bytes().index(b"layer0.weight") + len(b"layer0.weight") + 4 + 8
+        assert main(["lam-apply", "--config", str(config_path), "--pred-dir", str(prediction_dir),
+                     "--checkpoint", str(bad), "--out", str(tmp_path / "applied")]) == EXIT_IO
+        assert (f"tensor 'layer0.weight' holds a non-finite value at byte offset {data + 8 * (2 * 9 + 3)}"
+                in caplog.text)
+
+    def test_non_rigid_pose(self, copied, caplog):
+        root, cfg = copied
+        poses = root / "poses.txt"
+        lines = poses.read_text().splitlines()
+        vals = lines[2].split()
+        vals[0] = repr(2 * float(vals[0]))  # scales the first rotation row
+        lines[2] = " ".join(vals)
+        poses.write_text("\n".join(lines) + "\n")
+        assert main(["pipeline", "--config", str(cfg), "--out", str(root / "run"),
+                     "--threads", "1"]) == EXIT_IO
+        assert f"{poses}:3: rotation is not orthonormal" in caplog.text
+
+
+def test_import_does_not_load_scipy():
+    # only a search needs the kd-tree, so the CLI starts without scipy
+    import os
+    import subprocess
+    import sys
+
+    code = "import sys, lidar_ensemble.cli; print('scipy' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 class TestPipelineWithLearnedKernel:
     def test_histograms_reflect_learned_weights(self, dataset, checkpoint, tmp_path):
         cfg = tmp_path / "lam_pipeline.ini"

@@ -298,6 +298,20 @@ class TestFileFormats:
         with pytest.raises(FileFormatError, match="12"):
             load_poses(path)
 
+    def test_non_rigid_pose_names_its_line(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n2 0 0 0 0 1 0 0 0 0 1 0\n")
+        with pytest.raises(FileFormatError, match=":2: rotation is not orthonormal"):
+            load_poses(path)
+
+    def test_non_finite_point_value_reports_offset(self, tmp_path):
+        path = tmp_path / "scan.bin"
+        raw = np.ones((5, 4), dtype="<f4")
+        raw[3, 2] = np.inf
+        raw.tofile(path)
+        with pytest.raises(FileFormatError, match=f"non-finite value at byte offset {3 * 16 + 8}$"):
+            load_point_cloud_bin(path)
+
     def test_intensity_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="intensity"):
             PointCloud(points=np.ones((3, 3)), intensity=[1.0, 2.0])

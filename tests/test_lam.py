@@ -456,7 +456,8 @@ def separable_task(rng, n_hoods, neighbors=8):
         probs.append(np.ascontiguousarray(v_n, dtype=np.float64))
         labels.append(y)
         reliable_masks.append(reliable)
-    data = LamTrainingSet(phis=phis, neighbor_probs=probs,
+    data = LamTrainingSet(phis=np.concatenate(phis), neighbor_probs=np.concatenate(probs),
+                          offsets=np.arange(n_hoods + 1) * neighbors,
                           labels=np.asarray(labels), num_classes=2)
     return data, reliable_masks
 
@@ -466,7 +467,7 @@ class TestTraining:
         rng = np.random.default_rng(9)
         data, _ = separable_task(rng, 50)
         init = initialize_lam_params(7, seed=5)
-        init = modulate_statistics(init, data.all_phis())
+        init = modulate_statistics(init, data.phis)
         before = {name: t.copy() for name, t in init.named_parameters()}
         params, _ = train_lam(data, TrainConfig(learning_rate=0.0, epochs=3, batch=16, seed=5),
                               params=init)
@@ -482,7 +483,8 @@ class TestTraining:
         assert trace[-1].total < trace[0].total
         wins = 0
         for i in range(len(test_data)):
-            scores, _ = lam_forward(params, test_data.phis[i])
+            lo, hi = test_data.offsets[i], test_data.offsets[i + 1]
+            scores, _ = lam_forward(params, test_data.phis[lo:hi])
             r = reliable[i]
             if scores[r].mean() > scores[~r].mean():
                 wins += 1

@@ -7,8 +7,14 @@ from hypothesis import strategies as st
 
 from lidar_ensemble import neighbors
 from lidar_ensemble.geometry import PointCloud, RigidTransform
-from lidar_ensemble.neighbors import SpatialIndex, build_dense_cloud, precompute_neighborhoods
+from lidar_ensemble.neighbors import (
+    Neighborhoods,
+    SpatialIndex,
+    build_dense_cloud,
+    precompute_neighborhoods,
+)
 from lidar_ensemble.subsample import PredictionMatrix
+from tests.oracles import padded
 
 
 def brute_force_neighbors(points, query, k, eps=None):
@@ -138,7 +144,7 @@ class TestKnnEpsilon:
     def test_coincident_point_at_distance_zero(self):
         pts = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
         index = SpatialIndex(pts)
-        idx, dist, valid = index.query_batch([[0.0, 0.0, 0.0]], k=1)
+        idx, dist, valid = padded(index.query_batch([[0.0, 0.0, 0.0]], k=1))
         assert valid[0] == 1
         assert idx[0, 0] == 0
         assert dist[0, 0] == 0.0
@@ -146,7 +152,7 @@ class TestKnnEpsilon:
     def test_everything_outside_epsilon(self):
         pts = np.array([[10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
         index = SpatialIndex(pts)
-        idx, dist, valid = index.query_batch([[0.0, 0.0, 0.0]], k=2, eps=0.5)
+        idx, dist, valid = padded(index.query_batch([[0.0, 0.0, 0.0]], k=2, eps=0.5))
         assert valid[0] == 0
         assert np.all(idx[0] == 0)
         assert np.all(dist[0] == 0.0)
@@ -156,29 +162,29 @@ class TestKnnEpsilon:
         pts = rng.uniform(-5, 5, size=(1000, 3))
         queries = rng.uniform(-5, 5, size=(100, 3))
         index = SpatialIndex(pts)
-        nbh = precompute_neighborhoods(index, queries, k=60, eps=0.2)
+        idx, dist, valid = padded(precompute_neighborhoods(index, queries, k=60, eps=0.2))
         for qi in range(len(queries)):
             oi, od = brute_force_neighbors(pts, queries[qi], 60, eps=0.2)
-            n = int(nbh.valid_count[qi])
+            n = int(valid[qi])
             assert n == len(oi)
-            assert np.array_equal(nbh.indices[qi, :n], oi)
-            assert np.array_equal(nbh.distances[qi, :n], od)
+            assert np.array_equal(idx[qi, :n], oi)
+            assert np.array_equal(dist[qi, :n], od)
 
     def test_no_epsilon_matches_brute_force(self):
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(500, 3))
         queries = rng.normal(size=(40, 3))
         index = SpatialIndex(pts)
-        nbh = precompute_neighborhoods(index, queries, k=10)
+        idx, dist, _ = padded(precompute_neighborhoods(index, queries, k=10))
         for qi in range(len(queries)):
             oi, od = brute_force_neighbors(pts, queries[qi], 10)
-            assert np.array_equal(nbh.indices[qi], oi)
-            assert np.array_equal(nbh.distances[qi], od)
+            assert np.array_equal(idx[qi], oi)
+            assert np.array_equal(dist[qi], od)
 
     def test_duplicate_points_tie_break_by_index(self):
         pts = np.array([[0.0, 0.0, 0.0]] * 5 + [[1.0, 0.0, 0.0]] * 5)
         index = SpatialIndex(pts)
-        idx, _, _ = index.query_batch([[0.0, 0.0, 0.0]], k=7)
+        idx, _, _ = padded(index.query_batch([[0.0, 0.0, 0.0]], k=7))
         assert np.array_equal(idx[0, :5], [0, 1, 2, 3, 4])
         assert np.array_equal(idx[0, 5:7], [5, 6])
 
@@ -190,7 +196,7 @@ class TestKnnEpsilon:
         rng = np.random.default_rng(10)
         for _ in range(30):
             q = grid[rng.integers(0, len(grid))]
-            idx, dist, valid = index.query_batch([q], k=9)
+            idx, dist, valid = padded(index.query_batch([q], k=9))
             oi, od = brute_force_neighbors(grid, q, 9)
             assert np.array_equal(idx[0, :valid[0]], oi)
             assert np.array_equal(dist[0, :valid[0]], od)
@@ -198,7 +204,7 @@ class TestKnnEpsilon:
     def test_fewer_points_than_k(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         index = SpatialIndex(pts)
-        idx, _, valid = index.query_batch([[0.0, 0.0, 0.0]], k=10)
+        idx, _, valid = padded(index.query_batch([[0.0, 0.0, 0.0]], k=10))
         assert valid[0] == 2
         assert idx.shape == (1, 10)
         assert np.all(idx[0, 2:] == 0)
@@ -207,10 +213,10 @@ class TestKnnEpsilon:
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(300, 3))
         index = SpatialIndex(pts)
-        nbh = precompute_neighborhoods(index, rng.normal(size=(20, 3)), k=15)
+        _, dist, valid = padded(precompute_neighborhoods(index, rng.normal(size=(20, 3)), k=15))
         for qi in range(20):
-            n = int(nbh.valid_count[qi])
-            assert np.all(np.diff(nbh.distances[qi, :n]) >= 0)
+            n = int(valid[qi])
+            assert np.all(np.diff(dist[qi, :n]) >= 0)
 
     def test_empty_index_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -220,6 +226,32 @@ class TestKnnEpsilon:
         index = SpatialIndex(np.ones((3, 3)))
         with pytest.raises(ValueError, match="k"):
             index.query_batch([[0.0, 0.0, 0.0]], k=0)
+
+
+class TestNeighborhoodsLayout:
+    def test_counts_and_row_queries_follow_the_offsets(self):
+        rng = np.random.default_rng(12)
+        points = rng.uniform(-1.0, 1.0, size=(400, 3))
+        nbh = precompute_neighborhoods(SpatialIndex(points), rng.uniform(-1.5, 1.5, size=(60, 3)), k=9, eps=0.3)
+        assert len(nbh) == 60 and nbh.capacity == 9
+        assert (nbh.valid_count == 0).any() and (nbh.valid_count == 9).any()
+        assert np.array_equal(nbh.offsets, np.concatenate([[0], np.cumsum(nbh.valid_count)]))
+        assert len(nbh.indices) == len(nbh.distances) == nbh.offsets[-1]
+        assert np.array_equal(nbh.row_query, np.repeat(np.arange(60), nbh.valid_count))
+
+    def test_no_query_is_empty_layout(self):
+        nbh = SpatialIndex(np.ones((3, 3))).query_batch(np.zeros((0, 3)), k=2)
+        assert len(nbh) == 0 and nbh.offsets.tolist() == [0] and nbh.indices.shape == (0,)
+
+    @pytest.mark.parametrize("offsets, pairs", [
+        ([1, 2], 2),     # does not start at 0
+        ([0, 1], 2),     # does not end at the pair count
+        ([0, 2, 1], 1),  # falls
+        ([0, 0, 3], 3),  # a row over capacity
+    ])
+    def test_malformed_offsets_rejected(self, offsets, pairs):
+        with pytest.raises(ValueError, match="offsets"):
+            Neighborhoods(offsets, np.zeros(pairs, dtype=np.int64), np.zeros(pairs), capacity=2)
 
 
 def brute_force_batch(points, queries, k, eps=None):
@@ -276,7 +308,7 @@ class TestQueryBatchProperty:
     @given(adversarial_queries())
     def test_matches_brute_force_bit_for_bit(self, case):
         points, queries, k, eps = case
-        idx, dist, valid = SpatialIndex(points).query_batch(queries, k, eps)
+        idx, dist, valid = padded(SpatialIndex(points).query_batch(queries, k, eps))
         o_idx, o_dist, o_valid = brute_force_batch(points, queries, k, eps)
         assert idx.shape == dist.shape == (len(queries), k)
         assert np.array_equal(valid, o_valid)
@@ -285,7 +317,7 @@ class TestQueryBatchProperty:
 
 
 def assert_matches_brute_force(points, queries, k, eps):
-    idx, dist, valid = SpatialIndex(points).query_batch(queries, k, eps)
+    idx, dist, valid = padded(SpatialIndex(points).query_batch(queries, k, eps))
     o_idx, o_dist, o_valid = brute_force_batch(points, queries, k, eps)
     assert np.array_equal(valid, o_valid)
     assert np.array_equal(idx, o_idx)

@@ -1,12 +1,15 @@
 """Tests for the self-training orchestration: mock predictors, pseudo-label
 generation, CBST selection, the adaptation loop, and artifact files."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lidar_ensemble.aggregate import AggregationSpec, UniformKernel
 from lidar_ensemble.errors import FileFormatError
 from lidar_ensemble.geometry import PointCloud
+from lidar_ensemble.lam import TrainConfig, save_lam_params, train_lam
 from lidar_ensemble.selftrain import (
     AdaptationConfig,
     AdaptationError,
@@ -16,6 +19,7 @@ from lidar_ensemble.selftrain import (
     PseudoLabelSet,
     build_lam_training_set,
     cbst_select,
+    frame_neighborhoods,
     generate_pseudo_labels,
     generate_refined_predictions,
     load_labels,
@@ -34,6 +38,7 @@ from lidar_ensemble.synth import (
     generate_sequence,
     sensor_config,
 )
+from tests.oracles import train_lam_lists, training_lists
 
 
 def identity_config(k=8, window=6):
@@ -341,6 +346,38 @@ class TestRunAdaptation:
 
 
 class TestLamTrainingSet:
+    def test_equals_per_query_oracle_and_trains_to_its_checkpoint(self, tmp_path):
+        # a stride of 2 over a window of 1 leaves the query's own scan out
+        # of its dense cloud, so with epsilon set some neighborhoods are
+        # empty; with one class ignored, both kinds of query are dropped
+        seq, truths = generate_sequence(SyntheticSceneSpec(num_frames=4, points_per_frame=300, seed=23))
+        base = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
+        predictor = mock_predictor("noisy", base=base, flip_rate=0.2, seed=1)
+        config = identity_config(window=1)
+        within, _ = generate_refined_predictions(seq.scans, seq.poses, predictor, config, seed=0)
+        agg = dataclasses.replace(config.aggregation, k=6, epsilon=0.5, stride=2)
+        data = build_lam_training_set(seq.scans, seq.poses, within, truths, agg, ignore_label=1)
+        phis, probs, labels = training_lists(seq.scans, seq.poses, within, truths, agg, ignore_label=1)
+        counts = [int(frame_neighborhoods(seq.scans, seq.poses, within, t, agg)[1].valid_count.min())
+                  for t in range(len(seq.scans))]
+        assert min(counts) == 0 and 0 < len(labels) < sum(len(t) for t in truths)
+        assert (np.concatenate(truths) == 1).any() and not (labels == 1).any()
+
+        assert len(data) == len(labels) and np.array_equal(data.labels, labels)
+        for i in range(len(labels)):
+            lo, hi = data.offsets[i], data.offsets[i + 1]
+            assert np.array_equal(data.phis[lo:hi], phis[i])
+            assert np.array_equal(data.neighbor_probs[lo:hi], probs[i])
+        assert data.offsets[-1] == len(data.phis) == len(data.neighbor_probs)
+
+        train = TrainConfig(learning_rate=1e-2, epochs=2, batch=32, seed=4)
+        params, trace = train_lam(data, train)
+        ref_params, ref_trace = train_lam_lists(phis, probs, labels, train)
+        save_lam_params(params, tmp_path / "ragged.ckpt")
+        save_lam_params(ref_params, tmp_path / "lists.ckpt")
+        assert trace == ref_trace
+        assert (tmp_path / "ragged.ckpt").read_bytes() == (tmp_path / "lists.ckpt").read_bytes()
+
     def test_label_length_mismatch_names_the_frame(self):
         seq, truths = generate_sequence(SyntheticSceneSpec(num_frames=3, points_per_frame=80, seed=19))
         predictor = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)

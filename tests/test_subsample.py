@@ -277,3 +277,9 @@ class TestPredictionMatrixFormat:
             PredictionMatrix(probs=[[0.7, 0.7]], point_index=[0])
         with pytest.raises(ValueError, match="nonnegative"):
             PredictionMatrix(probs=[[1.2, -0.2]], point_index=[0])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_rows_rejected(self):
+        for row in ([np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], [np.inf, -np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                PredictionMatrix(probs=[[0.5, 0.5], row], point_index=[0, 1])
