@@ -8,6 +8,7 @@ scores each pair from its feature vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,8 +52,8 @@ class AggregationSpec:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive or None")
+        if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and positive, or None")
         if self.window < 0 or self.stride < 1:
             raise ValueError("window must be >= 0 and stride >= 1")
 

@@ -180,13 +180,17 @@ def load_config(path, require_paths: bool = True) -> PipelineConfig:
             kernel = LamKernel(load_lam_params(ckpt_path))
         else:
             raise ConfigError(f"aggregate.kernel: must be 'uniform' or 'lam', got {kernel_name!r}")
-        aggregation = AggregationSpec(
-            kernel=kernel,
-            k=_get(parser, raw, "aggregate", "k", int),
-            epsilon=_get(parser, raw, "aggregate", "epsilon", _optional_float),
-            window=_get(parser, raw, "aggregate", "window", int),
-            stride=_get(parser, raw, "aggregate", "stride", int),
-        )
+        try:
+            aggregation = AggregationSpec(
+                kernel=kernel,
+                k=_get(parser, raw, "aggregate", "k", int),
+                epsilon=_get(parser, raw, "aggregate", "epsilon", _optional_float),
+                window=_get(parser, raw, "aggregate", "window", int),
+                stride=_get(parser, raw, "aggregate", "stride", int),
+            )
+        except ValueError as exc:
+            # the spec's messages start with the field name
+            raise ConfigError(f"aggregate.{exc}") from exc
         train = TrainConfig(
             learning_rate=_get(parser, raw, "lam", "learning_rate", float),
             epochs=_get(parser, raw, "lam", "epochs", int),

@@ -8,6 +8,7 @@ lower dense-cloud index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,10 @@ from .subsample import PredictionMatrix
 
 _TIE_PAD = 8
 _QUERY_CHUNK = 1024
+# candidate pairs per chunk of an epsilon search (about 1 MB per temporary)
+_CANDIDATE_BUDGET = 1 << 17
+# the (dx, dy) cell offsets of the 9 z-columns around a cell
+_COLUMNS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 
 
 @dataclass(frozen=True)
@@ -143,107 +148,100 @@ def _aligned_probs(cloud: PointCloud, pred: PredictionMatrix, frame: int) -> np.
 
 
 class SpatialIndex:
-    """Exact nearest-neighbor index over the points of a dense cloud.
+    """Exact neighbor search over the points of a dense cloud.
 
-    Backed by a kd-tree for the candidate search, with distances recomputed
-    canonically (sqrt(dx^2 + dy^2 + dz^2)) and ties resolved by lower point
-    index, so query results equal a brute-force scan exactly. The tree is
-    built with balanced_tree=False and compact_nodes=False (sliding-midpoint
-    splits, node boxes not shrunk to their points), which builds about
-    twice as fast; the canonical recheck and the tie rule, not the tree's
-    shape, decide every result.
+    Every distance is computed canonically (sqrt(dx^2 + dy^2 + dz^2)) and
+    ties are resolved by lower point index, so query results equal a
+    brute-force scan exactly. An epsilon search runs on a numpy cell grid
+    built for the query (see query_batch). A search without epsilon runs on
+    a kd-tree, built on first use; scipy is imported only then, so a
+    process that searches only with epsilon never loads it. The tree is
+    built with balanced_tree=False and compact_nodes=False
+    (sliding-midpoint splits, node boxes not shrunk to their points), which
+    builds about twice as fast; the canonical recheck and the tie rule, not
+    the tree's shape, decide every result.
     """
 
     def __init__(self, points: np.ndarray):
         points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
-        if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
-            raise ValueError("index requires a nonempty (M, 3) point array")
-        # imported here so that commands that never search do not load scipy
-        from scipy.spatial import cKDTree
-
+        if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0 or not np.isfinite(points).all():
+            raise ValueError("index requires a nonempty (M, 3) array of finite points")
         self.points = points
-        self._tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
+        self._tree = None
 
     def __len__(self) -> int:
         return len(self.points)
 
     def query_batch(self, queries: np.ndarray, k: int, eps: float | None = None):
-        """k nearest neighbors per query, then epsilon filtering.
+        """The k nearest neighbors of each query, all within eps when eps is set.
 
         Returns Neighborhoods with capacity k: query i's pairs are
         indices[offsets[i]:offsets[i + 1]] and the matching distances,
         sorted by (distance, index).
 
-        Queries run in chunks of _QUERY_CHUNK rows, so temporaries stay
-        O(chunk * k) whatever N is. Each chunk asks the kd-tree for k + 8
-        candidates; with eps set the tree search is bounded at slightly
-        more than eps, so it stops early and leaves the slots beyond the
-        ball empty. The chunk's candidates are then cut to the widest row
-        the tree filled: the empty slots come last in every row, so the
-        recheck and the sort work on that width only, and only the pairs
-        kept are copied out. Every candidate's distance is recomputed
-        canonically, one coordinate at a time, and rechecked against eps,
-        so the result equals a brute-force scan bit for bit. A tie can span
-        the candidate window only in a chunk where some row fills all
-        k + 8 slots (always so without eps); such a chunk keeps its full
-        width and its tied rows are redone exhaustively.
+        With eps set, the points and queries go on a grid of cubic cells of
+        side slightly above eps, so every point within eps of a query lies
+        in one of the 27 cells around the query's cell. The points are
+        sorted once by linear cell key; the queries are sorted by cell, and
+        one searchsorted finds the point ranges of the cells around each
+        distinct query cell (the three cells along z are adjacent keys, so
+        they form one range). A cell whose box lies beyond eps from the
+        query is skipped. The queries then run in chunks of about
+        _CANDIDATE_BUDGET candidate pairs, so temporaries stay bounded
+        whatever N is: each candidate's distance is computed canonically,
+        one coordinate at a time, and only pairs within eps are kept; these
+        are ordered by (query, distance, index) and each query's row is cut
+        at k.
+
+        Without eps, queries run in chunks of _QUERY_CHUNK rows on the
+        kd-tree, which returns k + 8 candidates per query; their distances
+        are recomputed canonically and sorted, and a row whose tie at the
+        k-th distance spans all k + 8 candidates is redone exhaustively.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
+        if eps is not None and not (math.isfinite(eps) and eps >= 0):
+            raise ValueError("eps must be finite and >= 0, or None")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        chunks = [self._query_chunk(queries[lo:lo + _QUERY_CHUNK], k, eps)
-                  for lo in range(0, len(queries), _QUERY_CHUNK)]
-        idx, dist, valid = ([np.concatenate(part) for part in zip(*chunks)] if chunks
-                            else (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64)))
-        return Neighborhoods(np.concatenate([[0], np.cumsum(valid)]), idx, dist, k)
+        if not np.isfinite(queries).all():
+            raise ValueError("query coordinates must be finite")
+        if eps is not None:
+            return _grid_search(self.points, queries, k, eps)
+        if self._tree is None:
+            # imported here so that processes that search only with eps do not load scipy
+            from scipy.spatial import cKDTree
 
-    def _query_chunk(self, queries, k, eps):
-        """(indices, distances) of the chunk's pairs, query by query, and
-        each query's pair count."""
+            self._tree = cKDTree(self.points, balanced_tree=False, compact_nodes=False)
+        chunks = [self._query_chunk(queries[lo:lo + _QUERY_CHUNK], k)
+                  for lo in range(0, len(queries), _QUERY_CHUNK)]
+        idx, dist = ([np.concatenate(part) for part in zip(*chunks)] if chunks
+                     else (np.zeros(0, np.int64), np.zeros(0)))
+        width = min(k, len(self.points))
+        return Neighborhoods(np.arange(len(queries) + 1) * width, idx, dist, k)
+
+    def _query_chunk(self, queries, k):
+        """(indices, distances) of the chunk's min(k, M) nearest neighbors
+        per query, query by query."""
         n = len(queries)
-        m = len(self.points)
-        kq = min(k + _TIE_PAD, m)
-        # the tree's own distances may differ from the canonical ones in the
-        # last bits, so the bound is inflated (the added term stays nonzero
-        # when the tree squares it, so eps = 0 still admits duplicates); the
-        # canonical recheck below decides membership
-        bound = np.inf if eps is None else eps * (1.0 + 1e-9) + 1e-100
-        _, cand = self._tree.query(queries, k=kq, distance_upper_bound=bound)
+        kq = min(k + _TIE_PAD, len(self.points))
+        _, cand = self._tree.query(queries, k=kq)
         cand = cand.reshape(n, kq)
-        # a bounded search puts each row's found slots first and marks the
-        # rest empty with index m, so columns past the widest filled row
-        # hold nothing and the recheck and sort skip them
-        found = cand < m
-        width = int(found.sum(axis=1).max())
-        cand, found = cand[:, :width], found[:, :width]
-        safe = np.where(found, cand, 0)
-        sq = np.zeros((n, width))
+        sq = np.zeros((n, kq))
         for axis in range(3):
-            sq += (self.points[safe, axis] - queries[:, axis, None]) ** 2
-        dist = np.where(found, np.sqrt(sq), np.inf)
+            sq += (self.points[cand, axis] - queries[:, axis, None]) ** 2
+        dist = np.sqrt(sq)
         order = np.lexsort((cand, dist), axis=1)
         cand = np.take_along_axis(cand, order, axis=1)
         dist = np.take_along_axis(dist, order, axis=1)
 
-        take = min(k, width)
-        sel_idx = cand[:, :take]
-        sel_dist = dist[:, :take]
-        if width == kq > k:
+        sel_idx = cand[:, :k]
+        sel_dist = dist[:, :k]
+        if kq > k:
             # a tie spanning the candidate window may hide better-indexed
-            # duplicates beyond it; redo those rows exhaustively. A row with
-            # empty slots already holds every point inside the bound, so a
-            # chunk cut below kq has no such row.
-            ambiguous = np.flatnonzero(np.isfinite(dist[:, kq - 1]) & (dist[:, k - 1] >= dist[:, kq - 1]))
-            for row in ambiguous:
-                idx_r, dist_r = self._query_ties(queries[row], dist[row, k - 1], k)
-                sel_idx[row] = idx_r
-                sel_dist[row] = dist_r
-
-        # distances are sorted, so the epsilon ball is a prefix
-        limit = np.inf if eps is None else eps
-        valid = (sel_dist <= limit).sum(axis=1)
-        keep = np.arange(take)[None, :] < valid[:, None]
-        return sel_idx[keep], sel_dist[keep], valid
+            # duplicates beyond it; redo those rows exhaustively
+            for row in np.flatnonzero(dist[:, k - 1] >= dist[:, kq - 1]):
+                sel_idx[row], sel_dist[row] = self._query_ties(queries[row], dist[row, k - 1], k)
+        return sel_idx.ravel(), sel_dist.ravel()
 
     def _query_ties(self, query: np.ndarray, radius: float, k: int):
         cand = np.asarray(self._tree.query_ball_point(query, r=radius * (1.0 + 1e-12) + 1e-300), dtype=np.int64)
@@ -251,6 +249,143 @@ class SpatialIndex:
         dist = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
         order = np.lexsort((cand, dist))[:k]
         return cand[order], dist[order]
+
+
+def _grid_search(points: np.ndarray, queries: np.ndarray, k: int, eps: float) -> Neighborhoods:
+    """Exact epsilon search on a cell grid; see SpatialIndex.query_batch."""
+    n = len(queries)
+    if n == 0:
+        return Neighborhoods(np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros(0), k)
+    grid = _CellGrid(np.stack([points.min(axis=0), points.max(axis=0), queries.min(axis=0), queries.max(axis=0)]), eps)
+    pkey, _ = grid.keys(points)
+    order = np.argsort(pkey)
+    cell_keys = pkey[order]
+    xs, ys, zs = (points[order, axis] for axis in range(3))
+
+    qkey, frac = grid.keys(queries)
+    qorder = np.argsort(qkey)
+    qkey, frac = qkey[qorder], frac[qorder]
+    qx, qy, qz = (queries[qorder, axis] for axis in range(3))
+    start, length = grid.candidate_ranges(cell_keys, qkey, frac)
+    per_query = length.sum(axis=1)
+
+    # candidates of each chunk: rows [lo, hi) of the cell-sorted queries
+    total = np.cumsum(per_query)
+    lo, before = 0, 0
+    shift = -(math.frexp(eps)[1] + 1)
+    valid = np.empty(n, np.int64)
+    idx_parts, dist_parts = [], []
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(total, before + _CANDIDATE_BUDGET, "right")))
+        counts = per_query[lo:hi]
+        span_len = length[lo:hi].ravel()
+        span_start = start[lo:hi].ravel()[span_len > 0]
+        span_len = span_len[span_len > 0]
+        pos = np.repeat(span_start - (np.cumsum(span_len) - span_len), span_len)
+        pos += np.arange(len(pos))
+        sq = xs[pos] - np.repeat(qx[lo:hi], counts)
+        sq *= sq
+        for coords, query_coords in ((ys, qy), (zs, qz)):
+            diff = coords[pos] - np.repeat(query_coords[lo:hi], counts)
+            diff *= diff
+            sq += diff
+        dist = np.sqrt(sq, out=sq)
+        hit = np.flatnonzero(dist <= eps)
+        row = np.repeat(np.arange(hi - lo), counts)[hit]
+        idx, dist = order[pos[hit]], dist[hit]
+
+        # one sort by (row, distance): the row plus the distance scaled by a
+        # power of two below 1/(2 eps) orders the rows apart and the pairs of
+        # a row by distance, up to rounding, which can only merge keys;
+        # every run of equal keys is then put in (distance, index) order
+        key = np.ldexp(dist, shift)
+        key += row
+        rank = np.argsort(key)
+        key = key[rank]
+        tied = np.flatnonzero(key[1:] == key[:-1])
+        if len(tied):
+            runs = np.union1d(tied, tied + 1)
+            members = rank[runs]
+            rank[runs] = members[np.lexsort((idx[members], dist[members], key[runs]))]
+        idx, dist = idx[rank], dist[rank]
+        found = np.bincount(row, minlength=hi - lo)
+        if found.max(initial=0) > k:
+            first = np.cumsum(found) - found
+            keep = np.arange(len(idx)) - np.repeat(first, found) < k
+            idx, dist = idx[keep], dist[keep]
+        valid[lo:hi] = np.minimum(found, k)
+        idx_parts.append(idx)
+        dist_parts.append(dist)
+        lo, before = hi, int(total[hi - 1])
+
+    # back from cell order to query order
+    sorted_first = np.cumsum(valid) - valid
+    valid_out = np.empty(n, np.int64)
+    valid_out[qorder] = valid
+    first_out = np.empty(n, np.int64)
+    first_out[qorder] = sorted_first
+    offsets = np.concatenate([[0], np.cumsum(valid_out)])
+    gather = np.repeat(first_out - offsets[:-1], valid_out) + np.arange(offsets[-1])
+    return Neighborhoods(offsets, np.concatenate(idx_parts)[gather], np.concatenate(dist_parts)[gather], k)
+
+
+class _CellGrid:
+    """Cubic cells of side c > eps over a bounding box, keyed by int64.
+
+    A point's cell is floor(p / c) per axis, counted from one cell below the
+    box, and its key is the row-major linear index of that cell with z
+    fastest. c exceeds eps by more than the rounding of p / c can move a
+    coordinate (it grows with the box's largest coordinate, which also keeps
+    p / c below 2^48, so cell indices are exact in float64); so two points
+    within eps of each other (canonical distance) lie in the same or
+    adjacent cells on every axis. With eps = 0 only exact duplicates match,
+    and they share a cell under any c. Where the keys would not fit in
+    int64, c is doubled until they do; larger cells stay exact.
+    """
+
+    def __init__(self, box: np.ndarray, eps: float):
+        reach = float(np.abs(box).max())
+        cell = eps * (1.0 + 2.0 ** -40) + reach * 2.0 ** -48 or 1.0
+        while True:
+            first = np.floor(box.min(axis=0) / cell)
+            dims = np.floor(box.max(axis=0) / cell) - first + 3
+            if np.prod(dims) < 2.0 ** 62:
+                break
+            cell *= 2.0
+        self.cell = cell
+        self.eps = eps
+        self.origin = first - 1
+        self.stride = np.array([dims[1] * dims[2], dims[2], 1], dtype=np.int64)
+        # bound, in cell units, on how far the computed position of a point
+        # inside its cell can sit from the true one: the rounding of p / c and
+        # of its fraction, with a factor 4 to spare
+        self.slack = (reach / cell + 1.0) * 2.0 ** -51
+
+    def keys(self, points: np.ndarray):
+        """(linear cell key, position inside the cell in [0, 1] per axis)."""
+        scaled = points / self.cell
+        floor = np.floor(scaled)
+        cells = (floor - self.origin).astype(np.int64)
+        return cells @ self.stride, scaled - floor
+
+    def candidate_ranges(self, cell_keys: np.ndarray, qkey: np.ndarray, frac: np.ndarray):
+        """Start and length in cell_keys order of the 9 z-columns of 3 cells
+        around each query's cell, (N, 9) each; a cell whose box lies beyond
+        eps from the query is left out of its column, and a column whose
+        middle cell is beyond eps has length 0."""
+        cells, cell_of = np.unique(qkey, return_inverse=True)
+        middle = cells[:, None] + _COLUMNS @ self.stride[:2]
+        bounds = np.searchsorted(cell_keys, middle[:, :, None] + np.arange(-1, 3))[cell_of]
+        # squared gap from the query to the lower and upper face of its cell
+        # per axis, in cell units, less the rounding slack
+        below = np.maximum(frac - self.slack, 0.0) ** 2
+        above = np.maximum(1.0 - frac - self.slack, 0.0) ** 2
+        gap = np.stack([below, np.zeros_like(below), above], axis=2)
+        column_gap = (gap[:, 0, :, None] + gap[:, 1, None, :]).reshape(len(qkey), 9)
+        limit = (self.eps / self.cell) ** 2 * (1.0 + 2.0 ** -30)
+        start = np.where(column_gap + gap[:, 2, :1] <= limit, bounds[..., 0], bounds[..., 1])
+        end = np.where(column_gap + gap[:, 2, 2:] <= limit, bounds[..., 3], bounds[..., 2])
+        return start, np.where(column_gap <= limit, end - start, 0)
 
 
 def precompute_neighborhoods(index: SpatialIndex, queries: np.ndarray, k: int, eps: float | None = None) -> Neighborhoods:

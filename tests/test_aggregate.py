@@ -342,3 +342,8 @@ class TestAggregationSpec:
             AggregationSpec(kernel=UniformKernel(), epsilon=-1.0)
         with pytest.raises(ValueError):
             AggregationSpec(kernel=UniformKernel(), stride=0)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            AggregationSpec(kernel=UniformKernel(), epsilon=epsilon)

@@ -643,6 +643,34 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("command, epsilon, loaded", [("pipeline", "0.5", False), ("aggregate", "", True)])
+def test_only_search_without_epsilon_loads_scipy(command, epsilon, loaded, dataset, prediction_dir, tmp_path):
+    # an epsilon search runs on the numpy cell grid; only the kd-tree of a
+    # search without epsilon needs scipy
+    import os
+    import subprocess
+    import sys
+
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG_TEMPLATE.format(root=dataset).replace("epsilon =", f"epsilon = {epsilon}"))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    argv += ["--threads", "1"] if command == "pipeline" else ["--pred-dir", str(prediction_dir)]
+    code = ("import sys; from lidar_ensemble.cli import main; "
+            f"code = main({argv!r}); print(code, 'scipy' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == [str(EXIT_OK), str(loaded)]
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+def test_non_finite_epsilon_is_config_error(epsilon, dataset, tmp_path, caplog):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG_TEMPLATE.format(root=dataset).replace("epsilon =", f"epsilon = {epsilon}"))
+    assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", "1"]) == EXIT_CONFIG
+    assert "aggregate.epsilon" in caplog.text
+
+
 class TestPipelineWithLearnedKernel:
     def test_histograms_reflect_learned_weights(self, dataset, checkpoint, tmp_path):
         cfg = tmp_path / "lam_pipeline.ini"

@@ -73,6 +73,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="dataset.root"):
             load_config(path)
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "0", "-0.2"])
+    def test_epsilon_must_be_finite_and_positive(self, tmp_path, dataset, epsilon):
+        with pytest.raises(ConfigError, match="aggregate.epsilon"):
+            load_config(write_config(tmp_path, dataset, f"[aggregate]\nepsilon = {epsilon}\n"))
+
     def test_lam_kernel_requires_checkpoint(self, tmp_path, dataset):
         with pytest.raises(ConfigError, match="aggregate.checkpoint"):
             load_config(write_config(tmp_path, dataset, "[aggregate]\nkernel = lam\n"))

@@ -227,6 +227,19 @@ class TestKnnEpsilon:
         with pytest.raises(ValueError, match="k"):
             index.query_batch([[0.0, 0.0, 0.0]], k=0)
 
+    @pytest.mark.parametrize("eps", [-0.1, -np.inf, np.inf, np.nan])
+    def test_eps_must_be_finite_and_non_negative(self, eps):
+        index = SpatialIndex(np.ones((3, 3)))
+        with pytest.raises(ValueError, match="eps"):
+            index.query_batch([[0.0, 0.0, 0.0]], k=2, eps=eps)
+
+    @pytest.mark.parametrize("eps", [None, 0.5])
+    def test_non_finite_coordinates_rejected(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            SpatialIndex(np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            SpatialIndex(np.ones((3, 3))).query_batch([[0.0, np.inf, 0.0]], k=2, eps=eps)
+
 
 class TestNeighborhoodsLayout:
     def test_counts_and_row_queries_follow_the_offsets(self):
@@ -275,7 +288,15 @@ def brute_force_batch(points, queries, k, eps=None):
 def adversarial_queries(draw):
     """Quantized cloud with one point copied at least 70 times, queries on
     and off the grid, and (optionally) an epsilon equal to a grid distance,
-    so ties fall at the k-th slot and exactly at epsilon."""
+    so ties fall at the k-th slot and exactly at epsilon.
+
+    Further draws: epsilon 0, so only exact duplicates match; epsilon equal
+    to the grid step, with points at epsilon from the copied point along
+    each axis and one ulp nearer and further, so pairs at epsilon straddle
+    the faces of the search's cells (of side just above epsilon) from
+    either side; far outliers, so the search's int64 cell-key span
+    overflows and its cells grow; and the whole case translated far from
+    the origin."""
     step = draw(st.sampled_from([0.25, 0.5, 1.0]))
     cells = st.tuples(*[st.integers(-3, 3)] * 3)
     base = np.array(draw(st.lists(cells, min_size=1, max_size=10)), dtype=np.float64) * step
@@ -295,12 +316,21 @@ def adversarial_queries(draw):
         # whole ball boundary made of 70+ duplicates
         eps = float(np.sqrt(offset[0] ** 2 + offset[1] ** 2 + offset[2] ** 2)) or step
         seeds.append(base[:1] + offset)
+    else:
+        eps = draw(st.sampled_from([None, 0.0, step]))
+    if eps == step and draw(st.booleans()):
+        rim = base[:1] + np.concatenate([np.eye(3), -np.eye(3)]) * step
+        points = np.concatenate([points, rim, np.nextafter(rim, base[:1]), np.nextafter(rim, 2 * rim - base[:1])])
+    if draw(st.booleans()):
+        corners = np.array([[x, y, z] for x in (-1e9, 1e9) for y in (-1e9, 1e9) for z in (-1e9, 1e9)])
+        points = np.concatenate([points, corners])
     seeds = np.concatenate(seeds)
     count = draw(st.sampled_from([0, 1, neighbors._QUERY_CHUNK - 1, neighbors._QUERY_CHUNK,
                                   neighbors._QUERY_CHUNK + 1]))
     queries = seeds[np.arange(count) % len(seeds)]
+    shift = draw(st.sampled_from([0.0, 1e6, 2.0 ** 40]))
     k = draw(st.integers(1, 100))
-    return points, queries, k, eps
+    return points + shift, queries + shift, k, eps
 
 
 class TestQueryBatchProperty:
@@ -326,7 +356,11 @@ def assert_matches_brute_force(points, queries, k, eps):
 
 
 class TestFilledWidth:
-    """A bounded chunk is cut to the widest row the kd-tree filled."""
+    """Epsilon searches whose rows are mostly far from full: no neighbor at
+    all, one full row tied at k among empty rows, and chunks whose widest
+    row differs. The grid gathers each query's whole ball, so the kd-tree's
+    exhaustive tie redo (_query_ties) never runs for them; it still runs
+    for a search without epsilon."""
 
     def test_no_neighbor_inside_epsilon(self, monkeypatch):
         rng = np.random.default_rng(20)
@@ -340,8 +374,9 @@ class TestFilledWidth:
 
     def test_full_row_with_tie_at_k_among_empty_rows(self, monkeypatch):
         # 100 copies of one point, shuffled among far-away points: query 0
-        # sees all of them at one distance, so its k + 8 candidates tie at
-        # slot k and the tree's pick need not be the lowest indices
+        # sees all of them at one distance, so it ties at slot k; without
+        # eps the tree's k + 8 candidates tie too, and its pick need not be
+        # the lowest indices
         rng = np.random.default_rng(21)
         points = np.concatenate([np.repeat([[0.1, 0.0, 0.0]], 100, axis=0),
                                  rng.uniform(10.0, 20.0, size=(400, 3))])
@@ -358,6 +393,11 @@ class TestFilledWidth:
         monkeypatch.setattr(SpatialIndex, "_query_ties", counting)
         valid = assert_matches_brute_force(points, queries, k, 0.2)
         assert valid[0] == k and valid[1:].max() == 0
+        assert not calls
+        # without eps every one of these queries sees the copies first, so
+        # query 0 alone gives one tied row
+        valid = assert_matches_brute_force(points, queries[:1], k, None)
+        assert valid[0] == k
         assert len(calls) == 1
 
     @pytest.mark.parametrize("count", [neighbors._QUERY_CHUNK - 1, neighbors._QUERY_CHUNK,
@@ -376,3 +416,45 @@ class TestFilledWidth:
         assert first.max() > 2 * first.mean()
         if count > neighbors._QUERY_CHUNK:
             assert valid[neighbors._QUERY_CHUNK:].max() < first.max()
+
+
+class TestCellGrid:
+    @pytest.mark.parametrize("budget", [1, 40, 5000])
+    def test_candidate_budget_splits_queries(self, monkeypatch, budget):
+        # a budget below one query's candidates gives one query per chunk
+        monkeypatch.setattr(neighbors, "_CANDIDATE_BUDGET", budget)
+        rng = np.random.default_rng(23)
+        points = rng.uniform(0.0, 1.0, size=(800, 3))
+        queries = rng.uniform(-0.1, 1.1, size=(300, 3))
+        valid = assert_matches_brute_force(points, queries, 12, 0.2)
+        assert valid.max() == 12 and valid.min() < 12
+
+    def test_key_span_beyond_int64_enlarges_cells(self):
+        box = np.array([[-1e9, -1e9, -1e9], [1e9, 1e9, 1e9]])
+        grid = neighbors._CellGrid(box, 0.2)
+        assert grid.cell > 1e3
+        keys, _ = grid.keys(box)
+        assert 0 < keys[0] < keys[1] < 2 ** 62
+
+    def test_pairs_at_eps_across_cell_faces(self):
+        # pairs a 3-4-5 triangle apart (distance exactly eps in binary), each
+        # placed a few ulps either side of the spot where it straddles a cell
+        # face, edge or corner; anchors fix the box, hence the cell size
+        eps = 0.3125
+        anchors = np.array([[-8.0, -8.0, -8.0], [8.0, 8.0, 8.0]])
+        cell = neighbors._CellGrid(anchors, eps).cell
+        legs = np.array([[eps, 0.0, 0.0], [0.1875, 0.25, 0.0], [0.0, 0.1875, 0.25], [0.25, 0.0, 0.1875]])
+        queries, points = [], [anchors]
+        for leg in np.concatenate([legs, -legs]):
+            for face in (-7, -1, 0, 1, 6):
+                for ulps in range(-3, 4):
+                    q = face * cell - leg
+                    q += ulps * np.spacing(q)
+                    queries.append(q)
+                    points.append((q + leg)[None])
+        # across the face at 0, p - q rounds down to eps though the pair is
+        # further apart
+        queries.append([-1e-18, 0.0, 0.0])
+        points.append([[eps, 0.0, 0.0]])
+        valid = assert_matches_brute_force(np.concatenate(points), np.array(queries), 500, eps)
+        assert valid.min() >= 1
