@@ -3,7 +3,8 @@
 A dense cloud is the union of pose-aligned scans over a temporal window,
 expressed in the reference scan's frame. Neighborhood queries are exact:
 the returned sets match a brute-force distance scan, with ties broken by
-lower dense-cloud index.
+lower dense-cloud index. Both kinds of query, k nearest within an epsilon
+ball and k nearest without one, run on one numpy cell grid search.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 from .geometry import PointCloud, RigidTransform, compose, invert
 from .subsample import PredictionMatrix
 
-_TIE_PAD = 8
-_QUERY_CHUNK = 1024
 # candidate pairs per chunk of an epsilon search (about 1 MB per temporary)
 _CANDIDATE_BUDGET = 1 << 17
 # the (dx, dy) cell offsets of the 9 z-columns around a cell
@@ -93,7 +92,8 @@ class Neighborhoods:
 
 
 def build_dense_cloud(scans, poses, t: int, window: int, stride: int = 1) -> DenseCloud:
-    """Aggregate scans at frames {t-window, t-window+stride, ...} <= t+window.
+    """Aggregate scans at frames t + j*stride for every integer j with
+    |j*stride| <= window.
 
     scans is a list of (PointCloud, PredictionMatrix) pairs covering the
     sequence; poses maps each frame into the shared global frame. Every
@@ -103,7 +103,8 @@ def build_dense_cloud(scans, poses, t: int, window: int, stride: int = 1) -> Den
         raise ValueError("stride must be >= 1")
     if not (0 <= t < len(scans)):
         raise ValueError(f"reference frame {t} outside sequence of length {len(scans)}")
-    frames = [i for i in range(t - window, t + window + 1, stride) if 0 <= i < len(scans)]
+    reach = window // stride * stride
+    frames = [i for i in range(t - reach, t + reach + 1, stride) if 0 <= i < len(scans)]
     to_ref = invert(_pose_at(poses, t, t))
 
     pts_parts, prob_parts, off_parts, dist_parts, frame_parts = [], [], [], [], []
@@ -152,14 +153,8 @@ class SpatialIndex:
 
     Every distance is computed canonically (sqrt(dx^2 + dy^2 + dz^2)) and
     ties are resolved by lower point index, so query results equal a
-    brute-force scan exactly. An epsilon search runs on a numpy cell grid
-    built for the query (see query_batch). A search without epsilon runs on
-    a kd-tree, built on first use; scipy is imported only then, so a
-    process that searches only with epsilon never loads it. The tree is
-    built with balanced_tree=False and compact_nodes=False
-    (sliding-midpoint splits, node boxes not shrunk to their points), which
-    builds about twice as fast; the canonical recheck and the tie rule, not
-    the tree's shape, decide every result.
+    brute-force scan exactly. Every search, with or without epsilon, runs
+    on a numpy cell grid built for the query (see query_batch).
     """
 
     def __init__(self, points: np.ndarray):
@@ -167,7 +162,6 @@ class SpatialIndex:
         if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0 or not np.isfinite(points).all():
             raise ValueError("index requires a nonempty (M, 3) array of finite points")
         self.points = points
-        self._tree = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -193,10 +187,16 @@ class SpatialIndex:
         are ordered by (query, distance, index) and each query's row is cut
         at k.
 
-        Without eps, queries run in chunks of _QUERY_CHUNK rows on the
-        kd-tree, which returns k + 8 candidates per query; their distances
-        are recomputed canonically and sorted, and a row whose tie at the
-        k-th distance spans all k + 8 candidates is redone exhaustively.
+        Without eps, the same search runs at a radius r, first
+        sqrt(e1 * e2 * min(k, M) / (pi * M)), or 1 where that is 0: the
+        radius that holds min(k, M) points of a cloud spread evenly over an
+        e1 x e2 plane. e1 and e2 are the two largest of twice the per-axis
+        interquartile ranges, which are the extents of an evenly spread
+        cloud; a few far points, which would make the extents and so r and
+        every query's candidates huge, leave them unchanged. A row with
+        min(k, M) pairs within r is final: every point outside the ball is
+        farther than each of them. The other rows are searched again at 2r
+        until every row is full.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -207,48 +207,25 @@ class SpatialIndex:
             raise ValueError("query coordinates must be finite")
         if eps is not None:
             return _grid_search(self.points, queries, k, eps)
-        if self._tree is None:
-            # imported here so that processes that search only with eps do not load scipy
-            from scipy.spatial import cKDTree
-
-            self._tree = cKDTree(self.points, balanced_tree=False, compact_nodes=False)
-        chunks = [self._query_chunk(queries[lo:lo + _QUERY_CHUNK], k)
-                  for lo in range(0, len(queries), _QUERY_CHUNK)]
-        idx, dist = ([np.concatenate(part) for part in zip(*chunks)] if chunks
-                     else (np.zeros(0, np.int64), np.zeros(0)))
-        width = min(k, len(self.points))
-        return Neighborhoods(np.arange(len(queries) + 1) * width, idx, dist, k)
-
-    def _query_chunk(self, queries, k):
-        """(indices, distances) of the chunk's min(k, M) nearest neighbors
-        per query, query by query."""
-        n = len(queries)
-        kq = min(k + _TIE_PAD, len(self.points))
-        _, cand = self._tree.query(queries, k=kq)
-        cand = cand.reshape(n, kq)
-        sq = np.zeros((n, kq))
-        for axis in range(3):
-            sq += (self.points[cand, axis] - queries[:, axis, None]) ** 2
-        dist = np.sqrt(sq)
-        order = np.lexsort((cand, dist), axis=1)
-        cand = np.take_along_axis(cand, order, axis=1)
-        dist = np.take_along_axis(dist, order, axis=1)
-
-        sel_idx = cand[:, :k]
-        sel_dist = dist[:, :k]
-        if kq > k:
-            # a tie spanning the candidate window may hide better-indexed
-            # duplicates beyond it; redo those rows exhaustively
-            for row in np.flatnonzero(dist[:, k - 1] >= dist[:, kq - 1]):
-                sel_idx[row], sel_dist[row] = self._query_ties(queries[row], dist[row, k - 1], k)
-        return sel_idx.ravel(), sel_dist.ravel()
-
-    def _query_ties(self, query: np.ndarray, radius: float, k: int):
-        cand = np.asarray(self._tree.query_ball_point(query, r=radius * (1.0 + 1e-12) + 1e-300), dtype=np.int64)
-        diff = self.points[cand] - query
-        dist = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
-        order = np.lexsort((cand, dist))[:k]
-        return cand[order], dist[order]
+        m = len(self.points)
+        width = min(k, m)
+        low, high = np.quantile(self.points, [0.25, 0.75], axis=0)
+        e1, e2 = np.sort(2.0 * (high - low))[1:]
+        radius = math.sqrt(e1 * e2 * width / (math.pi * m)) or 1.0
+        idx = np.empty((len(queries), width), np.int64)
+        dist = np.empty((len(queries), width))
+        rows = np.arange(len(queries))
+        while len(rows):
+            found = _grid_search(self.points, queries[rows], k, radius)
+            full = found.valid_count == width
+            pairs = np.repeat(full, found.valid_count)
+            idx[rows[full]] = found.indices[pairs].reshape(-1, width)
+            dist[rows[full]] = found.distances[pairs].reshape(-1, width)
+            rows = rows[~full]
+            radius *= 2.0
+            if math.isinf(radius):
+                raise ValueError("point distances overflow float64")
+        return Neighborhoods(np.arange(len(queries) + 1) * width, idx.ravel(), dist.ravel(), k)
 
 
 def _grid_search(points: np.ndarray, queries: np.ndarray, k: int, eps: float) -> Neighborhoods:
@@ -256,7 +233,7 @@ def _grid_search(points: np.ndarray, queries: np.ndarray, k: int, eps: float) ->
     n = len(queries)
     if n == 0:
         return Neighborhoods(np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros(0), k)
-    grid = _CellGrid(np.stack([points.min(axis=0), points.max(axis=0), queries.min(axis=0), queries.max(axis=0)]), eps)
+    grid = _CellGrid(np.concatenate([_bounds(points), _bounds(queries)]), eps)
     pkey, _ = grid.keys(points)
     order = np.argsort(pkey)
     cell_keys = pkey[order]
@@ -327,6 +304,12 @@ def _grid_search(points: np.ndarray, queries: np.ndarray, k: int, eps: float) ->
     offsets = np.concatenate([[0], np.cumsum(valid_out)])
     gather = np.repeat(first_out - offsets[:-1], valid_out) + np.arange(offsets[-1])
     return Neighborhoods(offsets, np.concatenate(idx_parts)[gather], np.concatenate(dist_parts)[gather], k)
+
+
+def _bounds(points: np.ndarray) -> np.ndarray:
+    """Per-axis minimum and maximum, (2, 3); reduced one column at a time,
+    which numpy does several times faster than along axis 0 of (M, 3)."""
+    return np.array([[col.min() for col in points.T], [col.max() for col in points.T]])
 
 
 class _CellGrid:

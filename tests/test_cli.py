@@ -631,7 +631,7 @@ class TestNonFiniteInput:
 
 
 def test_import_does_not_load_scipy():
-    # only a search needs the kd-tree, so the CLI starts without scipy
+    # scipy is a test-only dependency, so the CLI starts without it
     import os
     import subprocess
     import sys
@@ -643,10 +643,10 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("command, epsilon, loaded", [("pipeline", "0.5", False), ("aggregate", "", True)])
-def test_only_search_without_epsilon_loads_scipy(command, epsilon, loaded, dataset, prediction_dir, tmp_path):
-    # an epsilon search runs on the numpy cell grid; only the kd-tree of a
-    # search without epsilon needs scipy
+@pytest.mark.parametrize("command, epsilon", [("pipeline", "0.5"), ("pipeline", ""), ("aggregate", ""),
+                                              ("lam-apply", ""), ("lam-train", "")])
+def test_no_command_loads_scipy(command, epsilon, dataset, prediction_dir, checkpoint, tmp_path):
+    # searches with and without epsilon both run on the numpy cell grid
     import os
     import subprocess
     import sys
@@ -654,13 +654,18 @@ def test_only_search_without_epsilon_loads_scipy(command, epsilon, loaded, datas
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG_TEMPLATE.format(root=dataset).replace("epsilon =", f"epsilon = {epsilon}"))
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
-    argv += ["--threads", "1"] if command == "pipeline" else ["--pred-dir", str(prediction_dir)]
+    if command in ("aggregate", "lam-apply"):
+        argv += ["--pred-dir", str(prediction_dir)]
+    if command == "lam-apply":
+        argv += ["--checkpoint", str(checkpoint)]
+    if command in ("pipeline", "lam-train"):
+        argv += ["--threads", "1"]
     code = ("import sys; from lidar_ensemble.cli import main; "
             f"code = main({argv!r}); print(code, 'scipy' in sys.modules)")
     src = str(Path(cli.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == [str(EXIT_OK), str(loaded)]
+    assert out.stdout.split() == [str(EXIT_OK), "False"]
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])

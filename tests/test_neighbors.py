@@ -96,6 +96,17 @@ class TestBuildDenseCloud:
         assert sorted(set(dense.source_frame.tolist())) == [1, 3, 5, 7, 9]
         assert len(dense) == 5 * 4
 
+    def test_stride_not_dividing_window_is_symmetric(self):
+        # window 4 at stride 3 reaches offsets -3, 0, +3: the reference scan
+        # stays in its own dense cloud
+        rng = np.random.default_rng(3)
+        scans = [(PointCloud(points=rng.normal(size=(4, 3)), frame_id=i), uniform_pred(4, 2, rng))
+                 for i in range(10)]
+        poses = [translation(i, 0, 0) for i in range(10)]
+        dense = build_dense_cloud(scans, poses, t=5, window=4, stride=3)
+        assert sorted(set(dense.source_frame.tolist())) == [2, 5, 8]
+        assert sorted(set(dense.temporal_offset.tolist())) == [-3, 0, 3]
+
     def test_point_count_is_sum_of_selected_scans(self):
         rng = np.random.default_rng(4)
         sizes = [7, 13, 5]
@@ -218,6 +229,13 @@ class TestKnnEpsilon:
             n = int(valid[qi])
             assert np.all(np.diff(dist[qi, :n]) >= 0)
 
+    def test_overflowing_distance_rejected(self):
+        # the canonical distance to the far point is inf, so no finite
+        # radius fills the row
+        index = SpatialIndex(np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+            index.query_batch([[0.0, 0.0, 0.0]], k=2)
+
     def test_empty_index_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             SpatialIndex(np.zeros((0, 3)))
@@ -295,8 +313,9 @@ def adversarial_queries(draw):
     each axis and one ulp nearer and further, so pairs at epsilon straddle
     the faces of the search's cells (of side just above epsilon) from
     either side; far outliers, so the search's int64 cell-key span
-    overflows and its cells grow; and the whole case translated far from
-    the origin."""
+    overflows and its cells grow; the cloud flattened to one point, a line
+    or a plane; queries far outside the cloud; and the whole case
+    translated far from the origin."""
     step = draw(st.sampled_from([0.25, 0.5, 1.0]))
     cells = st.tuples(*[st.integers(-3, 3)] * 3)
     base = np.array(draw(st.lists(cells, min_size=1, max_size=10)), dtype=np.float64) * step
@@ -324,9 +343,16 @@ def adversarial_queries(draw):
     if draw(st.booleans()):
         corners = np.array([[x, y, z] for x in (-1e9, 1e9) for y in (-1e9, 1e9) for z in (-1e9, 1e9)])
         points = np.concatenate([points, corners])
+    # all points coincident, collinear or coplanar: the cloud's extent is 0
+    # on three, two or one axes
+    flat = draw(st.sampled_from([(), (0, 1, 2), (1, 2), (2,)]))
+    points[:, flat] = points[:1, flat]
+    if draw(st.booleans()):
+        # far outside the cloud, so a search without epsilon grows its radius
+        # over many rounds
+        seeds.append(base[:1] + np.array([[1.0, -1.0, 0.5]]) * draw(st.sampled_from([1e3, 1e7])))
     seeds = np.concatenate(seeds)
-    count = draw(st.sampled_from([0, 1, neighbors._QUERY_CHUNK - 1, neighbors._QUERY_CHUNK,
-                                  neighbors._QUERY_CHUNK + 1]))
+    count = draw(st.sampled_from([0, 1, 1023, 1024, 1025]))
     queries = seeds[np.arange(count) % len(seeds)]
     shift = draw(st.sampled_from([0.0, 1e6, 2.0 ** 40]))
     k = draw(st.integers(1, 100))
@@ -356,66 +382,48 @@ def assert_matches_brute_force(points, queries, k, eps):
 
 
 class TestFilledWidth:
-    """Epsilon searches whose rows are mostly far from full: no neighbor at
-    all, one full row tied at k among empty rows, and chunks whose widest
-    row differs. The grid gathers each query's whole ball, so the kd-tree's
-    exhaustive tie redo (_query_ties) never runs for them; it still runs
-    for a search without epsilon."""
+    """Searches whose rows are mostly far from full: no neighbor at all, one
+    full row tied at k among empty rows, and query sets whose widest row
+    differs."""
 
-    def test_no_neighbor_inside_epsilon(self, monkeypatch):
+    def test_no_neighbor_inside_epsilon(self):
         rng = np.random.default_rng(20)
         points = rng.uniform(5.0, 6.0, size=(300, 3))
         queries = rng.uniform(-1.0, 1.0, size=(40, 3))
-        ties = []
-        monkeypatch.setattr(SpatialIndex, "_query_ties", lambda *args: ties.append(args))
         valid = assert_matches_brute_force(points, queries, 60, 0.2)
         assert valid.max() == 0
-        assert not ties
 
-    def test_full_row_with_tie_at_k_among_empty_rows(self, monkeypatch):
+    def test_full_row_with_tie_at_k_among_empty_rows(self):
         # 100 copies of one point, shuffled among far-away points: query 0
-        # sees all of them at one distance, so it ties at slot k; without
-        # eps the tree's k + 8 candidates tie too, and its pick need not be
-        # the lowest indices
+        # sees all of them at one distance, so it ties at slot k, and only
+        # the lowest indices may be kept
         rng = np.random.default_rng(21)
         points = np.concatenate([np.repeat([[0.1, 0.0, 0.0]], 100, axis=0),
                                  rng.uniform(10.0, 20.0, size=(400, 3))])
         points = points[rng.permutation(len(points))]
         queries = np.concatenate([[[0.0, 0.0, 0.0]], rng.uniform(-5.0, -4.0, size=(30, 3))])
         k = 5
-        calls = []
-        original = SpatialIndex._query_ties
-
-        def counting(self, *args):
-            calls.append(args)
-            return original(self, *args)
-
-        monkeypatch.setattr(SpatialIndex, "_query_ties", counting)
         valid = assert_matches_brute_force(points, queries, k, 0.2)
         assert valid[0] == k and valid[1:].max() == 0
-        assert not calls
-        # without eps every one of these queries sees the copies first, so
-        # query 0 alone gives one tied row
+        # without eps every one of these queries sees the copies first
         valid = assert_matches_brute_force(points, queries[:1], k, None)
         assert valid[0] == k
-        assert len(calls) == 1
 
-    @pytest.mark.parametrize("count", [neighbors._QUERY_CHUNK - 1, neighbors._QUERY_CHUNK,
-                                       neighbors._QUERY_CHUNK + 1])
+    @pytest.mark.parametrize("count", [1023, 1024, 1025])
     def test_width_changes_across_chunks(self, count):
         # a dense cube (about 20 points per ball) next to a sparse one: the
-        # widest row of a chunk sits far above its mean, and a chunk of
-        # sparse queries alone is much narrower
+        # widest row of the first 1024 queries sits far above their mean,
+        # and the sparse queries after them alone are much narrower
         rng = np.random.default_rng(22)
         points = np.concatenate([rng.uniform(0.0, 1.0, size=(600, 3)),
                                  rng.uniform(-20.0, -10.0, size=(2000, 3))])
         queries = np.concatenate([rng.uniform(0.0, 1.0, size=(1000, 3)),
                                   rng.uniform(-20.0, -10.0, size=(count - 1000, 3))])
         valid = assert_matches_brute_force(points, queries, 60, 0.2)
-        first = valid[:neighbors._QUERY_CHUNK]
+        first = valid[:1024]
         assert first.max() > 2 * first.mean()
-        if count > neighbors._QUERY_CHUNK:
-            assert valid[neighbors._QUERY_CHUNK:].max() < first.max()
+        if count > 1024:
+            assert valid[1024:].max() < first.max()
 
 
 class TestCellGrid:
