@@ -44,7 +44,6 @@ from .selftrain import (
     Predictor,
     PseudoLabelSet,
     cbst_select,
-    generate_pseudo_labels,
     mock_predictor,
     run_adaptation,
 )

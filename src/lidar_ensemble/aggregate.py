@@ -72,12 +72,13 @@ def _slice_features(dense: DenseCloud, flat_idx: np.ndarray, dists: np.ndarray) 
     }
 
 
-def phi_pairs(points: np.ndarray, v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods):
+def phi_pairs(v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods):
     """Feature rows for every (query, neighbor) pair of a scan.
 
-    Returns (phi_rows (R, D), row_query (R,), neighbor_probs (R, K)) where
-    row i is nbh's pair i and row_query maps it back to its query index,
-    so stored neighbor distances transfer directly.
+    Returns (phi_rows (R, D), row_query (R,)) where row i is nbh's pair i
+    and row_query maps it back to its query index, so stored neighbor
+    distances transfer directly. The neighbor's pseudo-label row is the
+    phi_layout.neighbor_label_columns view of its phi row.
     """
     row_query, flat_idx = nbh.row_query, nbh.indices
     features = _slice_features(dense, flat_idx, nbh.distances)
@@ -88,7 +89,7 @@ def phi_pairs(points: np.ndarray, v: np.ndarray, dense: DenseCloud, nbh: Neighbo
     rows[:, phi_layout.neighbor_label_columns(k)] = dense.probs[flat_idx]
     rows[:, phi_layout.temporal_column(k)] = features["temporal"]
     rows[:, phi_layout.sensor_distance_column(k)] = features["sensor_distance"]
-    return rows, row_query, dense.probs[flat_idx]
+    return rows, row_query
 
 
 def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
@@ -118,10 +119,11 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
                 group = queries[lo:lo + step]
                 out[group] = dense.probs[nbh.indices[nbh.offsets[group, None] + np.arange(n)]].sum(axis=1) / n
     else:
-        phi_rows, row_query, neighbor_probs = phi_pairs(points, probs, dense, nbh)
+        phi_rows, row_query = phi_pairs(probs, dense, nbh)
         scores = np.zeros(0)
         if len(phi_rows):
             scores = eval_scores(kernel.params, phi_rows)
+            neighbor_labels = phi_rows[:, phi_layout.neighbor_label_columns(dense.num_classes)]
             # phi_pairs emits rows grouped by query, so the per-neighborhood
             # softmax and label sums are contiguous-segment reductions
             touched = nbh.valid_count > 0
@@ -130,7 +132,7 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
             shift = np.maximum.reduceat(scores, starts)
             w = np.exp(scores - shift[segment[row_query]])
             z = np.add.reduceat(w, starts)
-            sums = np.add.reduceat(w[:, None] * neighbor_probs, starts, axis=0)
+            sums = np.add.reduceat(w[:, None] * neighbor_labels, starts, axis=0)
             out[touched] = sums / z[:, None]
     refined = PredictionMatrix(probs=out, point_index=np.arange(len(points)))
     if not return_pairs:

@@ -259,11 +259,12 @@ def cmd_lam_apply(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.modulate:
-        stream = []
-        for t, scan in enumerate(seq.scans):
-            dense, nbh = frame_neighborhoods(seq.scans, seq.poses, within, t, cfg.aggregation)
-            stream.append(phi_pairs(scan.points, within[t].probs, dense, nbh)[0])
-        params = modulate_statistics(params, stream)
+        def frame_rows():  # one frame's feature rows at a time
+            for t in range(len(seq.scans)):
+                dense, nbh = frame_neighborhoods(seq.scans, seq.poses, within, t, cfg.aggregation)
+                yield phi_pairs(within[t].probs, dense, nbh)[0]
+
+        params = modulate_statistics(params, frame_rows())
         save_lam_params(params, out_dir / "modulated.ckpt")
     _write_refined(seq, within, dataclasses.replace(cfg.aggregation, kernel=LamKernel(params)), out_dir)
     _command_manifest(out_dir, cfg, args, inputs=list(paths) + [args.checkpoint],

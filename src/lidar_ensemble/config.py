@@ -83,7 +83,7 @@ class PipelineConfig:
         return items
 
 
-def _get(parser, raw, section, key, convert, validate=None):
+def _get(raw, section, key, convert, validate=None):
     text = raw[section][key]
     try:
         value = convert(text)
@@ -117,12 +117,11 @@ def _optional_int(text: str):
     return int(text)
 
 
-def load_config(path, require_paths: bool = True) -> PipelineConfig:
+def load_config(path) -> PipelineConfig:
     """Parse, validate, and resolve a configuration file.
 
-    Unknown sections or keys are errors; referenced dataset paths must
-    exist unless require_paths is False (used by subcommands that do not
-    touch the dataset).
+    Unknown sections or keys are errors; the dataset root, scans and poses
+    must exist, and a labels directory that does not is treated as unset.
     """
     path = Path(path)
     if not path.exists():
@@ -146,26 +145,25 @@ def load_config(path, require_paths: bool = True) -> PipelineConfig:
     scans_dir = root / raw["dataset"]["scans"]
     poses_path = root / raw["dataset"]["poses"]
     labels_dir = root / raw["dataset"]["labels"] if raw["dataset"]["labels"].strip() else None
-    if require_paths:
-        for name, p in (("dataset.root", root), ("dataset.scans", scans_dir), ("dataset.poses", poses_path)):
-            if not p.exists():
-                raise ConfigError(f"{name}: path does not exist: {p}")
-        if labels_dir is not None and not labels_dir.exists():
-            labels_dir = None
+    for name, p in (("dataset.root", root), ("dataset.scans", scans_dir), ("dataset.poses", poses_path)):
+        if not p.exists():
+            raise ConfigError(f"{name}: path does not exist: {p}")
+    if labels_dir is not None and not labels_dir.exists():
+        labels_dir = None
 
     try:
         sensor = SensorConfig(
-            height=_get(parser, raw, "sensor", "height", int),
-            width=_get(parser, raw, "sensor", "width", int),
-            fov_up=_get(parser, raw, "sensor", "fov_up", float),
-            fov_down=_get(parser, raw, "sensor", "fov_down", float),
-            beams=_get(parser, raw, "sensor", "beams", int),
+            height=_get(raw, "sensor", "height", int),
+            width=_get(raw, "sensor", "width", int),
+            fov_up=_get(raw, "sensor", "fov_up", float),
+            fov_down=_get(raw, "sensor", "fov_down", float),
+            beams=_get(raw, "sensor", "beams", int),
         )
         subsample = SubsampleSpec(
             mode=raw["subsample"]["mode"],
-            ratio=_get(parser, raw, "subsample", "ratio", float),
-            trials=_get(parser, raw, "subsample", "trials", int),
-            include_identity=_get(parser, raw, "subsample", "include_identity", _bool),
+            ratio=_get(raw, "subsample", "ratio", float),
+            trials=_get(raw, "subsample", "trials", int),
+            include_identity=_get(raw, "subsample", "include_identity", _bool),
         )
         kernel_name = raw["aggregate"]["kernel"].strip().lower()
         if kernel_name == "uniform":
@@ -183,34 +181,34 @@ def load_config(path, require_paths: bool = True) -> PipelineConfig:
         try:
             aggregation = AggregationSpec(
                 kernel=kernel,
-                k=_get(parser, raw, "aggregate", "k", int),
-                epsilon=_get(parser, raw, "aggregate", "epsilon", _optional_float),
-                window=_get(parser, raw, "aggregate", "window", int),
-                stride=_get(parser, raw, "aggregate", "stride", int),
+                k=_get(raw, "aggregate", "k", int),
+                epsilon=_get(raw, "aggregate", "epsilon", _optional_float),
+                window=_get(raw, "aggregate", "window", int),
+                stride=_get(raw, "aggregate", "stride", int),
             )
         except ValueError as exc:
             # the spec's messages start with the field name
             raise ConfigError(f"aggregate.{exc}") from exc
         train = TrainConfig(
-            learning_rate=_get(parser, raw, "lam", "learning_rate", float),
-            epochs=_get(parser, raw, "lam", "epochs", int),
-            batch=_get(parser, raw, "lam", "batch", int),
-            ce_weight=_get(parser, raw, "lam", "ce_weight", float),
-            lovasz_weight=_get(parser, raw, "lam", "lovasz_weight", float),
-            seed=_get(parser, raw, "run", "seed", int),
+            learning_rate=_get(raw, "lam", "learning_rate", float),
+            epochs=_get(raw, "lam", "epochs", int),
+            batch=_get(raw, "lam", "batch", int),
+            ce_weight=_get(raw, "lam", "ce_weight", float),
+            lovasz_weight=_get(raw, "lam", "lovasz_weight", float),
+            seed=_get(raw, "run", "seed", int),
         )
-        cbst = CbstConfig(portion=_get(parser, raw, "cbst", "portion", float))
+        cbst = CbstConfig(portion=_get(raw, "cbst", "portion", float))
         augmentation = AugmentationSpec(
-            rotation_range=_get(parser, raw, "augment", "rotation", float),
-            flip_x=_get(parser, raw, "augment", "flip_x", _bool),
-            flip_y=_get(parser, raw, "augment", "flip_y", _bool),
+            rotation_range=_get(raw, "augment", "rotation", float),
+            flip_x=_get(raw, "augment", "flip_x", _bool),
+            flip_y=_get(raw, "augment", "flip_y", _bool),
             scale_range=(
-                _get(parser, raw, "augment", "scale_min", float),
-                _get(parser, raw, "augment", "scale_max", float),
+                _get(raw, "augment", "scale_min", float),
+                _get(raw, "augment", "scale_max", float),
             ),
-            translation_sigma=_get(parser, raw, "augment", "translation_sigma", float),
+            translation_sigma=_get(raw, "augment", "translation_sigma", float),
         )
-        iterations = _get(parser, raw, "adaptation", "iterations", int, lambda v: v >= 1)
+        iterations = _get(raw, "adaptation", "iterations", int, lambda v: v >= 1)
         policy = raw["adaptation"]["intensity_policy"].strip()
     except (ConfigError, FileFormatError):
         raise
@@ -232,7 +230,7 @@ def load_config(path, require_paths: bool = True) -> PipelineConfig:
         intensity_policy=policy,
         student_augmentation=augmentation,
         predictor=predictor,
-        seed=_get(parser, raw, "run", "seed", int),
-        ignore_label=_get(parser, raw, "run", "ignore_label", _optional_int),
+        seed=_get(raw, "run", "seed", int),
+        ignore_label=_get(raw, "run", "ignore_label", _optional_int),
         raw=raw,
     )

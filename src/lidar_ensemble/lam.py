@@ -128,6 +128,8 @@ def initialize_lam_params(feature_dim: int, hidden_sizes=HIDDEN_SIZES, seed: int
 # Rows per block of the elementwise passes: a block of the widest default
 # layer (512 x 128 float64, 512 KB) stays in L2 cache between its steps.
 _ROW_BLOCK = 512
+# rows per lam_forward call of eval_scores
+_EVAL_CHUNK = 2048
 
 
 class _Workspace:
@@ -249,7 +251,7 @@ def lam_forward(params: LamParams, feats: np.ndarray, update_running: bool = Tru
     return scores, cache
 
 
-def eval_scores(params: LamParams, feats: np.ndarray, chunk: int = 2048) -> np.ndarray:
+def eval_scores(params: LamParams, feats: np.ndarray) -> np.ndarray:
     """Eval-mode scores without activation caches.
 
     Rows are independent in eval mode, so the batch is processed in
@@ -260,10 +262,11 @@ def eval_scores(params: LamParams, feats: np.ndarray, chunk: int = 2048) -> np.n
         raise ValueError("eval_scores requires eval mode")
     feats = np.asarray(feats, dtype=np.float64)
     ws = _Workspace()
-    if len(feats) <= chunk:
+    if len(feats) <= _EVAL_CHUNK:
         return lam_forward(params, feats, workspace=ws)[0]
     return np.concatenate([
-        lam_forward(params, feats[i:i + chunk], workspace=ws)[0] for i in range(0, len(feats), chunk)
+        lam_forward(params, feats[i:i + _EVAL_CHUNK], workspace=ws)[0]
+        for i in range(0, len(feats), _EVAL_CHUNK)
     ])
 
 
@@ -444,27 +447,26 @@ class LamTrainingSet:
     """Per-neighborhood training instances, in compressed rows.
 
     Neighborhood i is one query point's neighbors: their feature rows
-    phis[offsets[i]:offsets[i + 1]] (R x D over all neighborhoods) and
-    pseudo-label rows neighbor_probs[offsets[i]:offsets[i + 1]] (R x K),
-    plus the query's ground-truth class labels[i]. Empty neighborhoods are
-    not representable: drop them when building the set.
+    phis[offsets[i]:offsets[i + 1]] (R x D over all neighborhoods, D = 2K+3;
+    each neighbor's pseudo-label row is the phi_layout.neighbor_label_columns
+    view), plus the query's ground-truth class labels[i] in [0, K). Empty
+    neighborhoods are not representable: drop them when building the set.
     """
 
     phis: np.ndarray
-    neighbor_probs: np.ndarray
     offsets: np.ndarray
     labels: np.ndarray
-    num_classes: int
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        if not (len(self.phis) == len(self.neighbor_probs) == self.offsets[-1]
+        if not (len(self.phis) == self.offsets[-1]
                 and len(self.offsets) == len(self.labels) + 1 and self.offsets[0] == 0):
-            raise ValueError("phis, neighbor_probs, offsets, and labels must align")
+            raise ValueError("phis, offsets, and labels must align")
         if (np.diff(self.offsets) < 1).any():
             raise ValueError("every training neighborhood needs at least one neighbor")
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
+        num_classes = phi_layout.num_classes_of(self.feature_dim)
+        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= num_classes):
             raise ValueError("labels out of range")
 
     def __len__(self) -> int:
@@ -486,31 +488,32 @@ def segment_softmax(scores: np.ndarray, row_query: np.ndarray, n: int) -> np.nda
     return w / z[row_query]
 
 
-def _softmax_refine(scores: np.ndarray, row_query: np.ndarray, neighbor_probs: np.ndarray, n: int):
+def _softmax_refine(scores: np.ndarray, row_query: np.ndarray, probs: np.ndarray, n: int):
     w = segment_softmax(scores, row_query, n)
-    refined = np.zeros((n, neighbor_probs.shape[1]))
-    np.add.at(refined, row_query, w[:, None] * neighbor_probs)
+    refined = np.zeros((n, probs.shape[1]))
+    np.add.at(refined, row_query, w[:, None] * probs)
     return w, refined
 
 
 def training_loss_and_grads(params: LamParams, phis: np.ndarray, row_query: np.ndarray,
-                            neighbor_probs: np.ndarray, labels: np.ndarray,
+                            probs: np.ndarray, labels: np.ndarray,
                             ce_weight: float = 1.0, lovasz_weight: float = 1.0,
                             update_running: bool = False, workspace: _Workspace | None = None):
     """Loss and analytic parameter gradients for one batch of neighborhoods.
 
+    probs (R, K) holds the neighbor pseudo-label row of each phi row.
     The refinement weights are the softmax of the scores within each
     neighborhood, so every neighbor's score receives gradient through the
     normalizer. Returns (total, ce, lovasz, grads).
     """
     n = len(labels)
     scores, cache = lam_forward(params, phis, update_running=update_running, workspace=workspace)
-    weights, refined = _softmax_refine(scores, row_query, neighbor_probs, n)
+    weights, refined = _softmax_refine(scores, row_query, probs, n)
     ce, g_ce = _cross_entropy_with_grad(refined, labels)
     lov, g_lov = _lovasz_softmax_with_grad(refined, labels)
     g_refined = ce_weight * g_ce + lovasz_weight * g_lov
     per_query = np.einsum("qk,qk->q", refined, g_refined)
-    per_row = np.einsum("rk,rk->r", neighbor_probs, g_refined[row_query])
+    per_row = np.einsum("rk,rk->r", probs, g_refined[row_query])
     dscores = weights * (per_row - per_query[row_query])
     grads = lam_backward(params, cache, dscores, workspace=workspace)
     total = ce_weight * ce + lovasz_weight * lov
@@ -560,6 +563,7 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
     rng = np.random.default_rng(config.seed)
     adam = _Adam([name for name, _ in params.named_parameters()], config.learning_rate)
     sizes = np.diff(data.offsets)
+    k = phi_layout.num_classes_of(data.feature_dim)
     ws = _Workspace()
     trace = []
     global_step = 0
@@ -576,8 +580,11 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
             rows = np.arange(len(row_query)) + (data.offsets[sel] - first)[row_query]
             phis = data.phis.take(rows, axis=0, mode="clip",
                                   out=ws.take("phis", len(rows), data.feature_dim))
-            probs = data.neighbor_probs.take(rows, axis=0, mode="clip",
-                                             out=ws.take("probs", len(rows), data.neighbor_probs.shape[1]))
+            # the loss gets the neighbor label columns as a contiguous (R, K)
+            # block, the layout a separate label array has, so the order of
+            # its einsum and add.at sums cannot depend on the phi row stride
+            probs = ws.take("probs", len(rows), k)
+            np.copyto(probs, phis[:, phi_layout.neighbor_label_columns(k)])
             total, ce, lov, grads = training_loss_and_grads(
                 params, phis, row_query, probs, data.labels[sel],
                 config.ce_weight, config.lovasz_weight, update_running=True, workspace=ws,
@@ -603,36 +610,26 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
 def modulate_statistics(params: LamParams, stream) -> LamParams:
     """Replace the standardization statistics with the stream's mean/variance.
 
-    stream is a (R, D) array or an iterable of such chunks; every other
-    parameter is untouched. Features with variance below 1e-8 are floored
-    there, with a warning naming the columns.
+    stream is a (R, D) array or an iterable of such chunks, read one chunk
+    at a time; every other parameter is untouched. Features with variance
+    below 1e-8 are floored there, with a warning naming the columns.
     """
-    if isinstance(stream, np.ndarray):
-        chunks = [stream]
-    else:
-        chunks = list(stream)
-    if not chunks or sum(len(c) for c in chunks) == 0:
+    # each chunk is merged in with the weights a = count / new_count and
+    # b = len(chunk) / new_count; the first chunk has a = 0 and b = 1, so one
+    # array gives exactly its own mean and var
+    count, mean, var = 0, 0.0, 0.0
+    for chunk in (stream,) if isinstance(stream, np.ndarray) else stream:
+        chunk = np.asarray(chunk, dtype=np.float64)
+        if len(chunk) == 0:
+            continue
+        new_count = count + len(chunk)
+        a, b = count / new_count, len(chunk) / new_count
+        delta = chunk.mean(axis=0) - mean
+        mean = mean + delta * b
+        var = var * a + chunk.var(axis=0) * b + delta * (delta * (a * b))
+        count = new_count
+    if count == 0:
         raise ValueError("statistics stream is empty")
-    if len(chunks) == 1:
-        arr = np.asarray(chunks[0], dtype=np.float64)
-        mean = arr.mean(axis=0)
-        var = arr.var(axis=0)
-    else:
-        count, mean, m2 = 0, None, None
-        for chunk in chunks:
-            chunk = np.asarray(chunk, dtype=np.float64)
-            if len(chunk) == 0:
-                continue
-            c_n, c_mean, c_m2 = len(chunk), chunk.mean(axis=0), chunk.var(axis=0) * len(chunk)
-            if mean is None:
-                count, mean, m2 = c_n, c_mean, c_m2
-                continue
-            delta = c_mean - mean
-            new_count = count + c_n
-            mean = mean + delta * (c_n / new_count)
-            m2 = m2 + c_m2 + delta * delta * (count * c_n / new_count)
-            count = new_count
-        var = m2 / count
     floored = var < VAR_FLOOR
     if floored.any():
         warnings.warn(
@@ -676,7 +673,7 @@ class PairRecord:
 
 
 def weight_histograms(params: LamParams | None, phis: np.ndarray, row_query: np.ndarray,
-                      num_queries: int, slices=HISTOGRAM_SLICES, bins: int = 20) -> HistogramReport:
+                      num_queries: int, bins: int = 20) -> HistogramReport:
     """Distribution of normalized aggregation weights over feature slices.
 
     params None substitutes the uniform kernel (every neighborhood weight
@@ -701,16 +698,16 @@ def weight_histograms(params: LamParams | None, phis: np.ndarray, row_query: np.
         "center_distance": phi_layout.DISTANCE_COLUMN,
     }
     features = {name: phis[:, column] for name, column in columns.items()}
-    return pair_histograms([PairRecord(features, weights)], slices, bins)
+    return pair_histograms([PairRecord(features, weights)], bins)
 
 
-def pair_histograms(records, slices=HISTOGRAM_SLICES, bins: int = 20) -> HistogramReport:
+def pair_histograms(records, bins: int = 20) -> HistogramReport:
     """weight_histograms over recorded pairs, pooled across the records."""
     weights = np.concatenate([r.weights for r in records])
     if len(weights) == 0:
         raise ValueError("no neighbor pairs to analyze")
     report = {}
-    for name in slices:
+    for name in HISTOGRAM_SLICES:
         values = np.concatenate([r.features[name] for r in records])
         edges = np.histogram_bin_edges(values, bins=bins)
         counts, _ = np.histogram(values, bins=edges)

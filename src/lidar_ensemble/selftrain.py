@@ -210,14 +210,6 @@ def _label_sets(refined):
     ]
 
 
-def generate_pseudo_labels(scans, poses, predictor: Predictor, config: AdaptationConfig,
-                           seed: int = 0, use_intensity: bool = True, threads: int = 1):
-    """Per-scan pseudo labels: argmax and max of the refined probabilities."""
-    _, refined = generate_refined_predictions(
-        scans, poses, predictor, config, seed=seed, use_intensity=use_intensity, threads=threads)
-    return _label_sets(refined)
-
-
 def cbst_select(labels: np.ndarray, confidence: np.ndarray, config: CbstConfig) -> np.ndarray:
     """Class-balanced selection mask.
 
@@ -488,31 +480,28 @@ def mock_predictor(kind: str, **kwargs) -> Predictor:
 
 def build_lam_training_set(scans, poses, predictions, truth_labels, agg: AggregationSpec,
                            ignore_label: int | None = None) -> LamTrainingSet:
-    """Collect per-query neighborhoods (features, neighbor labels, truth)
-    from a labeled sequence; queries with no neighbors or ignored truth are
-    dropped."""
+    """Collect per-query neighborhoods (feature rows, truth) from a labeled
+    sequence; queries with no neighbors or ignored truth are dropped."""
     for t, truth in enumerate(truth_labels):
         if len(truth) != len(scans[t]):
             raise FileFormatError(
                 f"frame {t}: {len(truth)} labels for a {len(scans[t])}-point scan "
                 f"(label data ends at byte offset {4 * len(truth)})")
-    phis, probs, counts, labels = [], [], [], []
+    phis, counts, labels = [], [], []
     for t in range(len(scans)):
         dense, nbh = frame_neighborhoods(scans, poses, predictions, t, agg)
-        phi_rows, _, neighbor_probs = _aggregate.phi_pairs(
-            scans[t].points, predictions[t].probs, dense, nbh)
+        phi_rows, _ = _aggregate.phi_pairs(predictions[t].probs, dense, nbh)
         truth = np.asarray(truth_labels[t], dtype=np.int64)
         keep = nbh.valid_count > 0
         if ignore_label is not None:
             keep &= truth != ignore_label
         rows = np.repeat(keep, nbh.valid_count)
         phis.append(phi_rows[rows])
-        probs.append(neighbor_probs[rows])
         counts.append(nbh.valid_count[keep])
         labels.append(truth[keep])
-    return LamTrainingSet(phis=np.concatenate(phis), neighbor_probs=np.concatenate(probs),
+    return LamTrainingSet(phis=np.concatenate(phis),
                           offsets=np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
-                          labels=np.concatenate(labels), num_classes=predictions[0].num_classes)
+                          labels=np.concatenate(labels))
 
 
 # ---------------------------------------------------------------------------

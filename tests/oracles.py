@@ -58,7 +58,7 @@ def phi_stream(scans, poses, within, agg):
     for t in range(len(scans)):
         dense = build_dense_cloud(pairs, poses, t, agg.window, agg.stride)
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), scans[t].points, agg.k, agg.epsilon)
-        rows, row_query, _ = phi_pairs(scans[t].points, within[t].probs, dense, nbh)
+        rows, row_query = phi_pairs(within[t].probs, dense, nbh)
         chunks.append(rows)
         queries.append(row_query)
     return chunks, queries
@@ -104,7 +104,8 @@ def training_lists(scans, poses, predictions, truth_labels, agg, ignore_label=No
     phis, probs, labels = [], [], []
     for t in range(len(scans)):
         dense, nbh = frame_neighborhoods(scans, poses, predictions, t, agg)
-        phi_rows, _, neighbor_probs = phi_pairs(scans[t].points, predictions[t].probs, dense, nbh)
+        phi_rows, _ = phi_pairs(predictions[t].probs, dense, nbh)
+        neighbor_probs = dense.probs[nbh.indices]
         bounds = np.concatenate([[0], np.cumsum(nbh.valid_count)])
         truth = np.asarray(truth_labels[t], dtype=np.int64)
         for q in range(len(nbh)):

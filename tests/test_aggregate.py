@@ -92,7 +92,7 @@ class TestPhi:
         raw = rng.uniform(0.05, 1.0, size=(10, 3))
         v = raw / raw.sum(1, keepdims=True)
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=6)
-        rows, row_query, nprobs = phi_pairs(queries, v, dense, nbh)
+        rows, row_query = phi_pairs(v, dense, nbh)
         indices, _, valid = padded(nbh)
         r = 0
         for q in range(10):
@@ -101,7 +101,7 @@ class TestPhi:
                 expected = phi(queries[q], v[q], dense, j)
                 assert np.abs(rows[r] - expected).max() < 1e-9
                 assert row_query[r] == q
-                assert np.array_equal(nprobs[r], dense.probs[j])
+                assert np.array_equal(rows[r, phi_layout.neighbor_label_columns(3)], dense.probs[j])
                 r += 1
         assert r == len(rows)
 

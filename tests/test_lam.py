@@ -437,7 +437,7 @@ class TestGradients:
 
 def separable_task(rng, n_hoods, neighbors=8):
     """Sensor-distance column perfectly separates reliable neighbors."""
-    phis, probs, labels, reliable_masks = [], [], [], []
+    phis, labels, reliable_masks = [], [], []
     for _ in range(n_hoods):
         y = int(rng.integers(0, 2))
         reliable = rng.random(neighbors) < 0.5
@@ -453,12 +453,10 @@ def separable_task(rng, n_hoods, neighbors=8):
         phi[:, 5] = rng.uniform(-1.0, 1.0, neighbors)
         phi[:, 6] = np.where(reliable, rng.uniform(2, 10, neighbors), rng.uniform(20, 40, neighbors))
         phis.append(phi)
-        probs.append(np.ascontiguousarray(v_n, dtype=np.float64))
         labels.append(y)
         reliable_masks.append(reliable)
-    data = LamTrainingSet(phis=np.concatenate(phis), neighbor_probs=np.concatenate(probs),
-                          offsets=np.arange(n_hoods + 1) * neighbors,
-                          labels=np.asarray(labels), num_classes=2)
+    data = LamTrainingSet(phis=np.concatenate(phis), offsets=np.arange(n_hoods + 1) * neighbors,
+                          labels=np.asarray(labels))
     return data, reliable_masks
 
 
@@ -570,6 +568,27 @@ class TestModulateStatistics:
         params = initialize_lam_params(7, seed=0)
         with pytest.raises(ValueError, match="empty"):
             modulate_statistics(params, np.zeros((0, 7)))
+        with pytest.raises(ValueError, match="statistics stream is empty"):
+            modulate_statistics(params, (np.zeros((0, 7)) for _ in range(3)))
+
+    def test_generator_gives_the_bits_of_a_list(self):
+        rng = np.random.default_rng(22)
+        stream = rng.normal(loc=-1.5, scale=3.0, size=(700, 7))
+        chunks = [stream[:5], stream[5:5], stream[5:300], stream[300:]]
+        params = initialize_lam_params(7, seed=0)
+        listed = modulate_statistics(params, chunks)
+        streamed = modulate_statistics(params, (chunk for chunk in chunks))
+        assert np.array_equal(listed.std_mean, streamed.std_mean)
+        assert np.array_equal(listed.std_var, streamed.std_var)
+
+    def test_one_array_gives_exactly_its_mean_and_var(self):
+        rng = np.random.default_rng(23)
+        stream = rng.normal(loc=7.0, scale=0.3, size=(333, 7)) * rng.uniform(0.1, 9.0, 7)
+        params = initialize_lam_params(7, seed=0)
+        for given in (stream, [stream], iter([stream])):
+            out = modulate_statistics(params, given)
+            assert np.array_equal(out.std_mean, stream.mean(axis=0))
+            assert np.array_equal(out.std_var, stream.var(axis=0))
 
 
 class TestWeightHistograms:

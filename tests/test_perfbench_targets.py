@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
-from lidar_ensemble.neighbors import SpatialIndex, precompute_neighborhoods
+from lidar_ensemble.aggregate import AggregationSpec, UniformKernel, phi_pairs
+from lidar_ensemble.neighbors import DenseCloud, SpatialIndex, precompute_neighborhoods
+from lidar_ensemble.selftrain import build_lam_training_set, frame_neighborhoods, mock_predictor
+from lidar_ensemble.synth import HEIGHT_THRESHOLDS, SyntheticSceneSpec, generate_sequence
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -39,3 +42,33 @@ def test_neighborhood_counts_read_the_search_result():
     assert counts["queries"] == 7 and counts["slots"] == 28
     assert counts["valid"] == int(nbh.valid_count.sum())
     assert counts["empty"] == int((nbh.valid_count == 0).sum())
+
+
+def test_phi_pair_count_reads_the_feature_rows():
+    tracer = load_tracer()
+    rng = np.random.default_rng(1)
+    dense = DenseCloud(points=rng.uniform(-1, 1, size=(40, 3)), probs=np.full((40, 2), 0.5),
+                       temporal_offset=np.zeros(40, dtype=np.int64), sensor_distance=np.ones(40),
+                       source_frame=np.zeros(40, dtype=np.int64), window=0)
+    near = rng.uniform(-1, 1, size=(6, 3))
+    far = near + 100.0  # no point within eps: a frame with zero pairs
+    for queries in (near, far):
+        nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=5, eps=0.5)
+        result = phi_pairs(np.full((6, 2), 0.5), dense, nbh)
+        counts = tracer.COUNTS["aggregate.phi"]({}, result)
+        assert counts == {"pairs": int(nbh.valid_count.sum())}
+    assert counts == {"pairs": 0}
+
+
+def test_training_set_count_reads_the_neighborhoods():
+    tracer = load_tracer()
+    seq, truths = generate_sequence(SyntheticSceneSpec(num_frames=3, points_per_frame=60, seed=2))
+    predictor = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
+    predictions = [predictor(scan) for scan in seq.scans]
+    truths[1][:] = 9  # every query of frame 1 ignored: it adds zero pairs
+    agg = AggregationSpec(kernel=UniformKernel(), k=4, epsilon=None, window=1, stride=1)
+    data = build_lam_training_set(seq.scans, seq.poses, predictions, truths, agg, ignore_label=9)
+    kept = [int(((frame_neighborhoods(seq.scans, seq.poses, predictions, t, agg)[1].valid_count > 0)
+                 & (truths[t] != 9)).sum()) for t in range(3)]
+    assert kept[1] == 0 and kept[0] > 0
+    assert tracer.COUNTS["selftrain.trainset"]({}, data) == {"neighborhoods": sum(kept)}

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from lidar_ensemble import phi_layout
 from lidar_ensemble.aggregate import AggregationSpec, UniformKernel
 from lidar_ensemble.errors import FileFormatError
 from lidar_ensemble.geometry import PointCloud
@@ -20,7 +21,6 @@ from lidar_ensemble.selftrain import (
     build_lam_training_set,
     cbst_select,
     frame_neighborhoods,
-    generate_pseudo_labels,
     generate_refined_predictions,
     load_labels,
     load_selection_mask,
@@ -31,6 +31,7 @@ from lidar_ensemble.selftrain import (
     save_selection_mask,
     write_manifest,
 )
+from lidar_ensemble.selftrain import _label_sets
 from lidar_ensemble.subsample import SubsampleSpec
 from lidar_ensemble.synth import (
     HEIGHT_THRESHOLDS,
@@ -163,7 +164,8 @@ class TestGeneratePseudoLabels:
         seq, truths = generate_sequence(spec)
         predictor = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
         config = identity_config(window=0)
-        labels = generate_pseudo_labels(seq.scans, seq.poses, predictor, config, seed=0)
+        _, refined = generate_refined_predictions(seq.scans, seq.poses, predictor, config, seed=0)
+        labels = _label_sets(refined)
         assert len(labels) == 1
         assert np.array_equal(labels[0].labels, truths[0])
         assert np.all(labels[0].confidence == 1.0)
@@ -218,8 +220,10 @@ class TestGeneratePseudoLabels:
         base = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
         noisy = mock_predictor("noisy", base=base, flip_rate=0.2, seed=10)
         config = identity_config(window=4)
-        one = generate_pseudo_labels(seq.scans, seq.poses, noisy, config, seed=2, threads=1)
-        many = generate_pseudo_labels(seq.scans, seq.poses, noisy, config, seed=2, threads=8)
+        one = _label_sets(generate_refined_predictions(seq.scans, seq.poses, noisy, config, seed=2,
+                                                       threads=1)[1])
+        many = _label_sets(generate_refined_predictions(seq.scans, seq.poses, noisy, config, seed=2,
+                                                        threads=8)[1])
         for a, b in zip(one, many):
             assert np.array_equal(a.labels, b.labels)
             assert np.array_equal(a.confidence, b.confidence)
@@ -235,7 +239,7 @@ class TestGeneratePseudoLabels:
         seq, _ = generate_sequence(spec)
         broken = BrokenPredictor(mock_predictor("height_threshold", thresholds=(0.0,)).rule)
         with pytest.raises(ValueError, match="shape mismatch"):
-            generate_pseudo_labels(seq.scans, seq.poses, broken, identity_config(window=0), seed=0)
+            generate_refined_predictions(seq.scans, seq.poses, broken, identity_config(window=0), seed=0)
 
 
 class TestRunAdaptation:
@@ -256,8 +260,9 @@ class TestRunAdaptation:
         results = run_adaptation([seq], predictor, noop_student_hook, config, tmp_path / "run")
         assert len(results) == 1
         from lidar_ensemble.selftrain import _iteration_seed
-        direct = generate_pseudo_labels(seq.scans, seq.poses, predictor, config,
-                                        seed=_iteration_seed(5, 0, 0), use_intensity=False)
+        _, refined = generate_refined_predictions(seq.scans, seq.poses, predictor, config,
+                                                  seed=_iteration_seed(5, 0, 0), use_intensity=False)
+        direct = _label_sets(refined)
         for a, b in zip(results[0][seq.name], direct):
             assert np.array_equal(a.labels, b.labels)
             assert np.array_equal(a.confidence, b.confidence)
@@ -364,11 +369,12 @@ class TestLamTrainingSet:
         assert (np.concatenate(truths) == 1).any() and not (labels == 1).any()
 
         assert len(data) == len(labels) and np.array_equal(data.labels, labels)
+        neighbor_labels = phi_layout.neighbor_label_columns(within[0].num_classes)
         for i in range(len(labels)):
             lo, hi = data.offsets[i], data.offsets[i + 1]
             assert np.array_equal(data.phis[lo:hi], phis[i])
-            assert np.array_equal(data.neighbor_probs[lo:hi], probs[i])
-        assert data.offsets[-1] == len(data.phis) == len(data.neighbor_probs)
+            assert np.array_equal(data.phis[lo:hi, neighbor_labels], probs[i])
+        assert data.offsets[-1] == len(data.phis)
 
         train = TrainConfig(learning_rate=1e-2, epochs=2, batch=32, seed=4)
         params, trace = train_lam(data, train)
