@@ -27,13 +27,13 @@ from .lam import (LamTrainingError, load_lam_params, modulate_statistics, save_l
                   pair_histograms, train_lam, write_histogram_csv, write_loss_trace_csv)
 from .metrics import (condense_static_dynamic, confusion, iou, write_confusion_csv,
                       write_iou_csv, write_iou_summary)
-from .selftrain import (LidarSequence, PrecomputedPredictor, build_lam_training_set,
-                        cbst_select, cross_frame_refine, file_checksum, frame_neighborhoods,
-                        load_labels, mock_predictor, noop_student_hook, run_adaptation,
-                        save_labels, save_selection_mask, within_frame_predictions,
-                        write_manifest)
-from .subsample import (apply_row_mask, read_prediction_matrix, row_mask, within_frame_ensemble,
-                        write_prediction_matrix)
+from .selftrain import (LidarSequence, PrecomputedPredictor, _label_sets, apply_cbst,
+                        build_lam_training_set, cross_frame_refine, file_checksum,
+                        frame_neighborhoods, load_labels, mock_predictor, noop_student_hook,
+                        run_adaptation, save_labels, save_selection_mask,
+                        within_frame_predictions, write_manifest)
+from .subsample import (apply_row_mask, read_prediction_matrix, read_scan_prediction, row_mask,
+                        within_frame_ensemble, write_prediction_matrix)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -196,11 +196,11 @@ def cmd_ensemble(args) -> int:
 
 
 def _read_predictions(seq: LidarSequence, pred_dir: Path):
-    """The per-frame .lprb predictions of pred_dir, one per scan."""
+    """The per-frame .lprb predictions of pred_dir, one per scan, in point order."""
     within = []
     for t, scan in enumerate(seq.scans):
         path = pred_dir / f"{t:06d}.lprb"
-        pred = read_prediction_matrix(path)
+        pred = read_scan_prediction(path)
         if len(pred) != len(scan):
             raise FileFormatError(f"{path}: {len(pred)} rows for a {len(scan)}-point scan")
         within.append(pred)
@@ -295,18 +295,13 @@ def cmd_cbst(args) -> int:
     paths = sorted(pred_dir.glob("*.lprb"))
     if not paths:
         raise ConfigError(f"--pred-dir: no .lprb files under {pred_dir}")
-    preds = [read_prediction_matrix(p) for p in paths]
-    labels = np.concatenate([p.probs.argmax(axis=1) for p in preds])
-    conf = np.concatenate([p.probs.max(axis=1) for p in preds])
-    mask = cbst_select(labels, conf, cfg.cbst)
+    label_sets = apply_cbst(_label_sets([read_scan_prediction(p) for p in paths]), cfg.cbst)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    start = 0
-    for path, pred in zip(paths, preds):
-        n = len(pred)
-        save_labels(pred.probs.argmax(axis=1), out_dir / (path.stem + ".label"))
-        save_selection_mask(mask[start:start + n], out_dir / (path.stem + ".mask"))
-        start += n
+    for path, ls in zip(paths, label_sets):
+        save_labels(ls.labels, out_dir / (path.stem + ".label"))
+        save_selection_mask(ls.selected, out_dir / (path.stem + ".mask"))
+    mask = np.concatenate([ls.selected for ls in label_sets])
     _command_manifest(out_dir, cfg, args, inputs=paths,
                       extra=[("portion", repr(cfg.cbst.portion)),
                              ("selected", str(int(mask.sum()))),
@@ -331,12 +326,9 @@ def cmd_metrics(args) -> int:
     if len(pred) != len(truth):
         raise ConfigError(f"prediction and truth cover {len(pred)} vs {len(truth)} points")
     matrix = confusion(pred, truth, args.classes, ignore_label=args.ignore)
-    report = iou(matrix)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_iou_csv(report, out_dir / "report.csv")
-    write_iou_summary(report, out_dir / "summary.json")
-    write_confusion_csv(matrix, out_dir / "confusion.csv")
+    report = _write_scores(matrix, out_dir)
     extra = [("classes", str(args.classes)), ("miou", f"{report.miou:.2f}")]
     if args.static or args.dynamic:
         grouping = {}
@@ -353,6 +345,16 @@ def cmd_metrics(args) -> int:
     _command_manifest(out_dir, None, args, inputs=list(pred_files) + list(truth_files), extra=extra)
     sys.stdout.write(f"mIoU {report.miou:.2f}\n")
     return EXIT_OK
+
+
+def _write_scores(matrix, out_dir: Path):
+    """report.csv, summary.json and confusion.csv of a confusion matrix;
+    returns its IoU report."""
+    report = iou(matrix)
+    write_iou_csv(report, out_dir / "report.csv")
+    write_iou_summary(report, out_dir / "summary.json")
+    write_confusion_csv(matrix, out_dir / "confusion.csv")
+    return report
 
 
 def _parse_class_list(text):
@@ -381,10 +383,7 @@ def cmd_pipeline(args) -> int:
         pred_all = np.concatenate([ls.labels for ls in results[0][seq.name]])
         truth_all = np.concatenate(truths)
         matrix = confusion(pred_all, truth_all, predictor.num_classes, ignore_label=cfg.ignore_label)
-        miou_report = iou(matrix)
-        write_iou_csv(miou_report, out_dir / "report.csv")
-        write_iou_summary(miou_report, out_dir / "summary.json")
-        write_confusion_csv(matrix, out_dir / "confusion.csv")
+        miou_report = _write_scores(matrix, out_dir)
         log.info("teacher mIoU vs ground truth: %.2f", miou_report.miou)
 
     _command_manifest(out_dir, cfg, args, inputs=paths, extra=[("frames", str(len(seq.scans)))])

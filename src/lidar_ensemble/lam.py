@@ -262,8 +262,6 @@ def eval_scores(params: LamParams, feats: np.ndarray) -> np.ndarray:
         raise ValueError("eval_scores requires eval mode")
     feats = np.asarray(feats, dtype=np.float64)
     ws = _Workspace()
-    if len(feats) <= _EVAL_CHUNK:
-        return lam_forward(params, feats, workspace=ws)[0]
     return np.concatenate([
         lam_forward(params, feats[i:i + _EVAL_CHUNK], workspace=ws)[0]
         for i in range(0, len(feats), _EVAL_CHUNK)
@@ -563,7 +561,7 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
     rng = np.random.default_rng(config.seed)
     adam = _Adam([name for name, _ in params.named_parameters()], config.learning_rate)
     sizes = np.diff(data.offsets)
-    k = phi_layout.num_classes_of(data.feature_dim)
+    label_columns = phi_layout.neighbor_label_columns(phi_layout.num_classes_of(data.feature_dim))
     ws = _Workspace()
     trace = []
     global_step = 0
@@ -580,13 +578,8 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
             rows = np.arange(len(row_query)) + (data.offsets[sel] - first)[row_query]
             phis = data.phis.take(rows, axis=0, mode="clip",
                                   out=ws.take("phis", len(rows), data.feature_dim))
-            # the loss gets the neighbor label columns as a contiguous (R, K)
-            # block, the layout a separate label array has, so the order of
-            # its einsum and add.at sums cannot depend on the phi row stride
-            probs = ws.take("probs", len(rows), k)
-            np.copyto(probs, phis[:, phi_layout.neighbor_label_columns(k)])
             total, ce, lov, grads = training_loss_and_grads(
-                params, phis, row_query, probs, data.labels[sel],
+                params, phis, row_query, phis[:, label_columns], data.labels[sel],
                 config.ce_weight, config.lovasz_weight, update_running=True, workspace=ws,
             )
             if not np.isfinite(total):

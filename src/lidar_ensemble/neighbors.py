@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud, RigidTransform, compose, invert
-from .subsample import PredictionMatrix
+from .geometry import RigidTransform, compose, invert
 
 # candidate pairs per chunk of an epsilon search (about 1 MB per temporary)
 _CANDIDATE_BUDGET = 1 << 17
@@ -96,8 +95,9 @@ def build_dense_cloud(scans, poses, t: int, window: int, stride: int = 1) -> Den
     |j*stride| <= window.
 
     scans is a list of (PointCloud, PredictionMatrix) pairs covering the
-    sequence; poses maps each frame into the shared global frame. Every
-    selected scan is re-expressed in frame t via inv(pose_t) . pose_i.
+    sequence, each prediction's rows in point order (within_frame_ensemble
+    puts them so); poses maps each frame into the shared global frame.
+    Every selected scan is re-expressed in frame t via inv(pose_t) . pose_i.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -112,12 +112,13 @@ def build_dense_cloud(scans, poses, t: int, window: int, stride: int = 1) -> Den
         cloud, pred = scans[i]
         if pred is None:
             raise ValueError(f"missing prediction for frame {i}")
-        probs = _aligned_probs(cloud, pred, i)
+        if not np.array_equal(pred.point_index, np.arange(len(cloud))):
+            raise ValueError(f"frame {i}: prediction rows are not the {len(cloud)} points in point order")
         align = compose(to_ref, _pose_at(poses, i, t))
         own = cloud.points
         dist_parts.append(np.sqrt(own[:, 0] ** 2 + own[:, 1] ** 2 + own[:, 2] ** 2))
         pts_parts.append(align.apply(own))
-        prob_parts.append(probs)
+        prob_parts.append(pred.probs)
         off_parts.append(np.full(len(cloud), i - t, dtype=np.int64))
         frame_parts.append(np.full(len(cloud), i, dtype=np.int64))
 
@@ -135,17 +136,6 @@ def _pose_at(poses, i: int, t: int) -> RigidTransform:
     if i >= len(poses) or poses[i] is None:
         raise ValueError(f"missing pose for frame {i} (reference {t})")
     return poses[i]
-
-
-def _aligned_probs(cloud: PointCloud, pred: PredictionMatrix, frame: int) -> np.ndarray:
-    if len(pred) != len(cloud):
-        raise ValueError(f"frame {frame}: prediction covers {len(pred)} of {len(cloud)} points")
-    idx = pred.point_index
-    if not np.array_equal(np.sort(idx), np.arange(len(cloud))):
-        raise ValueError(f"frame {frame}: prediction does not cover every point exactly once")
-    out = np.empty_like(pred.probs)
-    out[idx] = pred.probs
-    return out
 
 
 class SpatialIndex:

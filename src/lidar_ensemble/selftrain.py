@@ -25,7 +25,8 @@ from .errors import FileFormatError
 from .geometry import AugmentationSpec, PointCloud, SensorConfig
 from .lam import LamTrainingSet
 from .neighbors import SpatialIndex, build_dense_cloud, precompute_neighborhoods
-from .subsample import PredictionMatrix, SubsampleSpec, make_ensemble, within_frame_ensemble
+from .subsample import (PredictionMatrix, SubsampleSpec, make_ensemble, read_scan_prediction,
+                        within_frame_ensemble)
 from . import aggregate as _aggregate
 
 INTENSITY_POLICIES = ("drop_first_iteration_then_use",)
@@ -38,13 +39,11 @@ class AdaptationError(RuntimeError):
 class Predictor(abc.ABC):
     """External segmentation model contract: cloud in, probability rows out.
 
-    Implementations declare their class count and whether they consume
-    per-point intensity; returned rows must lie on the simplex with one row
-    per input point, indexed by point_index.
+    Implementations declare their class count; returned rows must lie on
+    the simplex with one row per input point, indexed by point_index.
     """
 
     num_classes: int
-    uses_intensity: bool
 
     @abc.abstractmethod
     def __call__(self, cloud: PointCloud) -> PredictionMatrix:
@@ -359,8 +358,6 @@ class RadialBandsRule:
 class MockPredictor(Predictor):
     """Deterministic geometric labeler emitting one-hot (or softened) rows."""
 
-    uses_intensity = False
-
     def __init__(self, rule, num_classes: int | None = None, smoothing: float = 0.0):
         self.rule = rule
         self.num_classes = num_classes if num_classes is not None else rule.num_classes
@@ -389,7 +386,6 @@ class NoisyPredictor(Predictor):
         self.flip_rate = flip_rate
         self.seed = seed
         self.num_classes = base.num_classes
-        self.uses_intensity = base.uses_intensity
 
     def _flip_rates(self, cloud: PointCloud) -> np.ndarray:
         return np.full(len(cloud), self.flip_rate)
@@ -425,17 +421,13 @@ class PrecomputedPredictor(Predictor):
     """Serves stored prediction files by frame id; the integration path for
     external networks that export their probabilities."""
 
-    uses_intensity = False
-
     def __init__(self, directory, num_classes: int, pattern: str = "{frame:06d}.lprb"):
         self.directory = Path(directory)
         self.num_classes = num_classes
         self.pattern = pattern
 
     def __call__(self, cloud: PointCloud) -> PredictionMatrix:
-        from .subsample import read_prediction_matrix
-
-        pred = read_prediction_matrix(self.directory / self.pattern.format(frame=cloud.frame_id))
+        pred = read_scan_prediction(self.directory / self.pattern.format(frame=cloud.frame_id))
         if len(pred) != len(cloud):
             raise ValueError(
                 f"stored prediction for frame {cloud.frame_id} covers {len(pred)} points, scan has {len(cloud)}"

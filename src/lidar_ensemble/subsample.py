@@ -147,7 +147,9 @@ def within_frame_ensemble(predictions, parent_size: int) -> PredictionMatrix:
     """Average all predictions of each parent point across ensemble trials.
 
     Every parent point must appear in at least one prediction (the
-    identity trial guarantees this in normal pipelines).
+    identity trial guarantees this in normal pipelines). With one matrix
+    that lists every point once, the result is that matrix's rows in point
+    order, bit for bit: each row is added once into zeros and divided by 1.
     """
     if not predictions:
         raise ValueError("at least one prediction matrix required")
@@ -204,3 +206,17 @@ def read_prediction_matrix(path) -> PredictionMatrix:
     probs = probs.reshape(n, k).astype(np.float64)
     idx = np.frombuffer(blob, dtype="<u4", count=n, offset=16 + 4 * n * k).astype(np.int64)
     return PredictionMatrix(probs=probs, point_index=idx)
+
+
+def read_scan_prediction(path) -> PredictionMatrix:
+    """A whole-scan prediction file, its rows put in point order.
+
+    The file may list its rows in any order, but must name every point
+    index in [0, N) once, N being its row count.
+    """
+    pred = read_prediction_matrix(path)
+    try:
+        return within_frame_ensemble([pred], len(pred))
+    except ValueError as exc:
+        raise FileFormatError(
+            f"{path}: each point index in [0, {len(pred)}) must appear once ({exc})") from exc

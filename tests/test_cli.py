@@ -562,6 +562,53 @@ class TestSharedNeighborPath:
         assert "000002.lprb: 245 rows for a 250-point scan" in caplog.text
 
 
+class TestPredictionRowOrder:
+    """A whole-scan .lprb may list its rows in any order: every command that
+    reads one puts the rows in point order first."""
+
+    @pytest.fixture(scope="class")
+    def permuted_dir(self, prediction_dir, tmp_path_factory):
+        rng = np.random.default_rng(11)
+        out = tmp_path_factory.mktemp("permuted")
+        for path in sorted(prediction_dir.glob("*.lprb")):
+            pred = read_prediction_matrix(path)
+            perm = rng.permutation(len(pred))
+            write_prediction_matrix(PredictionMatrix(pred.probs[perm], pred.point_index[perm]),
+                                    out / path.name)
+        return out
+
+    @pytest.mark.parametrize("command", [
+        ["aggregate"], ["lam-apply", "--modulate"], ["lam-analyze"], ["cbst"]])
+    def test_row_order_does_not_change_outputs(self, command, config_path, prediction_dir,
+                                               permuted_dir, checkpoint, tmp_path):
+        extra = ["--checkpoint", str(checkpoint)] if command[0].startswith("lam-") else []
+        outputs = []
+        for name, preds in (("ordered", prediction_dir), ("permuted", permuted_dir)):
+            out = tmp_path / name
+            assert main(command + ["--config", str(config_path), "--pred-dir", str(preds),
+                                   "--out", str(out)] + extra) == EXIT_OK
+            outputs.append({str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+                            if p.is_file() and p.name != "manifest.txt"})
+        assert outputs[0]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["aggregate", "cbst"])
+    @pytest.mark.parametrize("bad_index", [0, 250])
+    def test_index_not_a_permutation_is_io_error(self, command, bad_index, config_path,
+                                                 prediction_dir, tmp_path, caplog):
+        import shutil
+
+        preds = tmp_path / "preds"
+        shutil.copytree(prediction_dir, preds)
+        pred = read_prediction_matrix(preds / "000002.lprb")
+        index = pred.point_index.copy()
+        index[7] = bad_index  # a repeat of point 0, or one past the last point
+        write_prediction_matrix(PredictionMatrix(pred.probs, index), preds / "000002.lprb")
+        assert main([command, "--config", str(config_path), "--pred-dir", str(preds),
+                     "--out", str(tmp_path / "x")]) == EXIT_IO
+        assert "000002.lprb: each point index in [0, 250) must appear once" in caplog.text
+
+
 class TestNonFiniteInput:
     """Each binary reader rejects a NaN with exit 2 and the byte offset of
     the first bad value; a pose that is not a rigid motion names its line."""

@@ -4,7 +4,7 @@ training, statistics modulation, weight analysis, serialization."""
 import numpy as np
 import pytest
 
-from lidar_ensemble import lam
+from lidar_ensemble import lam, phi_layout
 from lidar_ensemble.errors import FileFormatError
 from lidar_ensemble.lam import (
     EpochStats,
@@ -433,6 +433,30 @@ class TestGradients:
         _, _, _, grads = training_loss_and_grads(
             params, phis, row_query, probs, labels, 1.0, 1.0)
         assert abs(grads["head.bias"][0]) < 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 19])
+    def test_strided_label_columns_give_the_bits_of_a_copy(self, k):
+        # train_lam hands the loss the neighbor-label columns of its phi rows
+        # as a strided view; a contiguous copy must give the same bits
+        rng = np.random.default_rng(k)
+        d = phi_layout.feature_dim(k)
+        params = miniature_params(rng, d=d)
+        params.mode = "train"
+        columns = phi_layout.neighbor_label_columns(k)
+        for n in range(1, 257):
+            sizes = rng.integers(1, 13, size=n)
+            row_query = np.repeat(np.arange(n), sizes)
+            phis = rng.normal(size=(len(row_query), d))
+            phis[:, columns] = random_simplex(rng, len(row_query), k)
+            labels = rng.integers(0, k, size=n)
+            view = phis[:, columns]
+            assert not view.flags.c_contiguous
+            strided = training_loss_and_grads(params, phis, row_query, view, labels)
+            copied = training_loss_and_grads(params, phis, row_query, np.ascontiguousarray(view),
+                                             labels)
+            assert strided[:3] == copied[:3], n
+            for name, grad in copied[3].items():
+                assert np.array_equal(strided[3][name], grad), (n, name)
 
 
 def separable_task(rng, n_hoods, neighbors=8):

@@ -13,7 +13,7 @@ from lidar_ensemble.neighbors import (
     build_dense_cloud,
     precompute_neighborhoods,
 )
-from lidar_ensemble.subsample import PredictionMatrix
+from lidar_ensemble.subsample import PredictionMatrix, within_frame_ensemble
 from tests.oracles import padded
 
 
@@ -146,7 +146,10 @@ class TestBuildDenseCloud:
         raw = rng.uniform(0.1, 1.0, size=(6, 2))
         probs = raw / raw.sum(1, keepdims=True)
         pred = PredictionMatrix(probs=probs, point_index=perm)
-        dense = build_dense_cloud([(cloud, pred)], [translation(0, 0, 0)], t=0, window=0)
+        with pytest.raises(ValueError, match="point order"):
+            build_dense_cloud([(cloud, pred)], [translation(0, 0, 0)], t=0, window=0)
+        ordered = within_frame_ensemble([pred], len(cloud))
+        dense = build_dense_cloud([(cloud, ordered)], [translation(0, 0, 0)], t=0, window=0)
         # dense probs must follow cloud order, not matrix row order
         assert np.abs(dense.probs[perm] - probs).max() < 1e-12
 

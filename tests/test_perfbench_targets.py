@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from lidar_ensemble.aggregate import AggregationSpec, UniformKernel, phi_pairs
-from lidar_ensemble.neighbors import DenseCloud, SpatialIndex, precompute_neighborhoods
+from lidar_ensemble.neighbors import (DenseCloud, SpatialIndex, build_dense_cloud,
+                                      precompute_neighborhoods)
 from lidar_ensemble.selftrain import build_lam_training_set, frame_neighborhoods, mock_predictor
 from lidar_ensemble.synth import HEIGHT_THRESHOLDS, SyntheticSceneSpec, generate_sequence
 
@@ -72,3 +73,15 @@ def test_training_set_count_reads_the_neighborhoods():
                  & (truths[t] != 9)).sum()) for t in range(3)]
     assert kept[1] == 0 and kept[0] > 0
     assert tracer.COUNTS["selftrain.trainset"]({}, data) == {"neighborhoods": sum(kept)}
+
+
+def test_dense_cloud_count_reads_a_built_cloud():
+    tracer = load_tracer()
+    seq, _ = generate_sequence(SyntheticSceneSpec(num_frames=3, points_per_frame=60, seed=3))
+    predictor = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
+    scans = [(scan, predictor(scan)) for scan in seq.scans]
+    dense = build_dense_cloud(scans, seq.poses, t=1, window=1)
+    counts = tracer.COUNTS["neighbors.dense"]({}, dense)
+    assert counts["points"] == len(dense) == sum(len(scan) for scan in seq.scans)
+    assert counts["bytes"] == sum(array.nbytes for array in (
+        dense.points, dense.probs, dense.temporal_offset, dense.sensor_distance, dense.source_frame))

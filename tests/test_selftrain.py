@@ -196,7 +196,6 @@ class TestGeneratePseudoLabels:
 
         class FrameGatedNoise(Predictor):
             num_classes = base.num_classes
-            uses_intensity = False
 
             def __call__(self, cloud):
                 return noisy(cloud) if cloud.frame_id == target_frame else base(cloud)
