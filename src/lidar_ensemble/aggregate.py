@@ -15,12 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import phi_layout
-from .lam import LamParams, PairRecord, eval_scores, segment_softmax
+from .lam import LamParams, PairRecord, eval_scores, segment_exp, segment_sum
 from .neighbors import DenseCloud, Neighborhoods
 from .subsample import PredictionMatrix
-
-# neighbor rows gathered at once by the uniform kernel
-_PAIR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -96,52 +93,32 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
                   nbh: Neighborhoods, kernel, return_pairs: bool = False):
     """Kernel-weighted average of neighbor labels for every query point.
 
-    Queries with an empty neighborhood keep their unrefined row. LAM scores
-    are shifted by the per-neighborhood maximum before exponentiation,
-    which leaves the normalized weights unchanged and cannot overflow.
-    Returns the refined PredictionMatrix; with return_pairs, also the
-    scan's PairRecord for the weight histograms.
+    Each neighbor's weight is exp(score) / sum of its neighborhood's
+    exp(score); the uniform kernel scores every pair 0, the LAM kernel
+    scores its phi row. Queries with an empty neighborhood keep their
+    unrefined row. Returns the refined PredictionMatrix; with return_pairs,
+    also the scan's PairRecord for the weight histograms.
     """
     points = np.asarray(points, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
     if len(points) != len(probs) or len(points) != len(nbh):
         raise ValueError("points, probs, and neighborhoods must align")
 
-    out = probs.copy()
     if isinstance(kernel, UniformKernel):
-        # summing each query's rows along an axis of a (queries, n, K) block
-        # adds them in pair order, exactly as a per-query .sum(axis=0) does
-        counts = nbh.valid_count
-        for n in np.unique(counts[counts > 0]):
-            queries = np.flatnonzero(counts == n)
-            step = max(1, _PAIR_CHUNK // n)
-            for lo in range(0, len(queries), step):
-                group = queries[lo:lo + step]
-                out[group] = dense.probs[nbh.indices[nbh.offsets[group, None] + np.arange(n)]].sum(axis=1) / n
+        scores, labels = np.zeros(len(nbh.indices)), dense.probs[nbh.indices]
     else:
-        phi_rows, row_query = phi_pairs(probs, dense, nbh)
-        scores = np.zeros(0)
-        if len(phi_rows):
-            scores = eval_scores(kernel.params, phi_rows)
-            neighbor_labels = phi_rows[:, phi_layout.neighbor_label_columns(dense.num_classes)]
-            # phi_pairs emits rows grouped by query, so the per-neighborhood
-            # softmax and label sums are contiguous-segment reductions
-            touched = nbh.valid_count > 0
-            starts = nbh.offsets[:-1][touched]
-            segment = np.cumsum(touched) - 1
-            shift = np.maximum.reduceat(scores, starts)
-            w = np.exp(scores - shift[segment[row_query]])
-            z = np.add.reduceat(w, starts)
-            sums = np.add.reduceat(w[:, None] * neighbor_labels, starts, axis=0)
-            out[touched] = sums / z[:, None]
+        phi_rows, _ = phi_pairs(probs, dense, nbh)
+        scores = eval_scores(kernel.params, phi_rows) if len(phi_rows) else np.zeros(0)
+        labels = phi_rows[:, phi_layout.neighbor_label_columns(dense.num_classes)]
+    e, z = segment_exp(scores, nbh.row_query, len(points))
+    sums = segment_sum(e[:, None] * labels, nbh.row_query, len(points))
+    touched = nbh.valid_count > 0
+    out = probs.copy()
+    out[touched] = sums[touched] / z[touched, None]
     refined = PredictionMatrix(probs=out, point_index=np.arange(len(points)))
     if not return_pairs:
         return refined
-    if isinstance(kernel, UniformKernel):
-        scores = np.zeros(len(nbh.indices))
-    # segment_softmax, not the reduceat weights above, so that the
-    # histograms equal weight_histograms' bit for bit
-    weights = segment_softmax(scores, nbh.row_query, len(points))
+    weights = e / z[nbh.row_query]
     return refined, PairRecord(_slice_features(dense, nbh.indices, nbh.distances), weights)
 
 

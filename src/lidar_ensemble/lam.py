@@ -475,22 +475,38 @@ class LamTrainingSet:
         return self.phis.shape[1]
 
 
+def segment_sum(rows: np.ndarray, row_query: np.ndarray, n: int) -> np.ndarray:
+    """Sums of the rows (R,) or (R, C) that share a query, for n queries,
+    each added in row order. Every per-query sum of the package, in both
+    ensembles and in LAM training, goes through here."""
+    if rows.ndim == 1:
+        return np.bincount(row_query, weights=rows, minlength=n)
+    out = np.empty((n, rows.shape[1]))
+    for c in range(rows.shape[1]):
+        out[:, c] = np.bincount(row_query, weights=rows[:, c], minlength=n)
+    return out
+
+
+def segment_exp(scores: np.ndarray, row_query: np.ndarray, n: int):
+    """(e, z): every row's exp(score), shifted by the largest score of its
+    query so it cannot overflow, and the per-query sums z of e. A query
+    without rows has z = 0."""
+    shift = np.full(n, -np.inf)
+    np.maximum.at(shift, row_query, scores)
+    e = np.exp(scores - shift[row_query])
+    return e, segment_sum(e, row_query, n)
+
+
 def segment_softmax(scores: np.ndarray, row_query: np.ndarray, n: int) -> np.ndarray:
     """Normalized weight of every row: softmax of the scores of the rows
     that share its query, for n queries."""
-    shift = np.full(n, -np.inf)
-    np.maximum.at(shift, row_query, scores)
-    w = np.exp(scores - shift[row_query])
-    z = np.zeros(n)
-    np.add.at(z, row_query, w)
-    return w / z[row_query]
+    e, z = segment_exp(scores, row_query, n)
+    return e / z[row_query]
 
 
 def _softmax_refine(scores: np.ndarray, row_query: np.ndarray, probs: np.ndarray, n: int):
     w = segment_softmax(scores, row_query, n)
-    refined = np.zeros((n, probs.shape[1]))
-    np.add.at(refined, row_query, w[:, None] * probs)
-    return w, refined
+    return w, segment_sum(w[:, None] * probs, row_query, n)
 
 
 def training_loss_and_grads(params: LamParams, phis: np.ndarray, row_query: np.ndarray,

@@ -427,11 +427,10 @@ class PrecomputedPredictor(Predictor):
         self.pattern = pattern
 
     def __call__(self, cloud: PointCloud) -> PredictionMatrix:
-        pred = read_scan_prediction(self.directory / self.pattern.format(frame=cloud.frame_id))
+        path = self.directory / self.pattern.format(frame=cloud.frame_id)
+        pred = read_scan_prediction(path)
         if len(pred) != len(cloud):
-            raise ValueError(
-                f"stored prediction for frame {cloud.frame_id} covers {len(pred)} points, scan has {len(cloud)}"
-            )
+            raise FileFormatError(f"{path}: {len(pred)} rows for a {len(cloud)}-point scan")
         return pred
 
 

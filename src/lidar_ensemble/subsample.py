@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .geometry import PointCloud, RangeImageIndex, SensorConfig, project_to_range_image
+from .lam import segment_sum
 
 PREDICTION_MAGIC = b"LPRB"
 SIMPLEX_TOL = 1e-5
@@ -75,6 +76,8 @@ class PredictionMatrix:
             raise ValueError(f"probs must be 2-D, got shape {probs.shape}")
         if idx.shape != (probs.shape[0],):
             raise ValueError("point_index must have one entry per probability row")
+        if len(idx) and idx.min() < 0:
+            raise ValueError(f"point_index must be nonnegative, got {idx.min()}")
         if probs.size:
             sums = probs.sum(axis=1)
             # a row holding NaN or inf sums to NaN or inf
@@ -153,16 +156,14 @@ def within_frame_ensemble(predictions, parent_size: int) -> PredictionMatrix:
     """
     if not predictions:
         raise ValueError("at least one prediction matrix required")
-    num_classes = predictions[0].num_classes
-    sums = np.zeros((parent_size, num_classes))
-    counts = np.zeros(parent_size)
-    for pred in predictions:
-        if pred.num_classes != num_classes:
-            raise ValueError("prediction matrices disagree on class count")
-        if len(pred) and pred.point_index.max() >= parent_size:
-            raise ValueError("point_index exceeds parent cloud size")
-        np.add.at(sums, pred.point_index, pred.probs)
-        np.add.at(counts, pred.point_index, 1.0)
+    if len({pred.num_classes for pred in predictions}) > 1:
+        raise ValueError("prediction matrices disagree on class count")
+    # the trials' rows one after another, so each point's rows add in trial order
+    point_index = np.concatenate([pred.point_index for pred in predictions])
+    if len(point_index) and point_index.max() >= parent_size:
+        raise ValueError("point_index exceeds parent cloud size")
+    sums = segment_sum(np.concatenate([pred.probs for pred in predictions]), point_index, parent_size)
+    counts = np.bincount(point_index, minlength=parent_size)
     missing = counts == 0
     if missing.any():
         raise ValueError(

@@ -3,9 +3,10 @@
 The scalar feature and kernel of one (query, neighbor) pair; the per-frame
 feature stream the CLI analysis commands used to build with their own dense
 cloud, index and query per frame; conversions between compressed-row
-Neighborhoods and the padded (N, k) layout; and the per-query LAM
+Neighborhoods and the padded (N, k) layout; the per-query LAM
 training-set builder and list-concatenating training loop the compressed
-rows replaced.
+rows replaced; and the per-trial accumulation within-frame ensembling
+used before its rows went through lam.segment_sum.
 """
 
 import numpy as np
@@ -148,3 +149,14 @@ def train_lam_lists(phis, probs, labels, config):
                                     config.ce_weight * mean_ce + config.lovasz_weight * mean_lov))
     params.mode = "eval"
     return params, trace
+
+
+def within_frame_add_at(predictions, parent_size):
+    """Per-trial np.add.at accumulation of the trials' rows and counts,
+    divided per point."""
+    sums = np.zeros((parent_size, predictions[0].num_classes))
+    counts = np.zeros(parent_size)
+    for pred in predictions:
+        np.add.at(sums, pred.point_index, pred.probs)
+        np.add.at(counts, pred.point_index, 1.0)
+    return sums / counts[:, None]

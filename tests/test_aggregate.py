@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lidar_ensemble import aggregate, phi_layout
+from lidar_ensemble import phi_layout
 from lidar_ensemble.aggregate import (
     AggregationSpec,
     LamKernel,
@@ -12,7 +12,8 @@ from lidar_ensemble.aggregate import (
     refine_labels,
     write_refinement_manifest,
 )
-from lidar_ensemble.lam import DenseBnLayer, LamParams, initialize_lam_params
+from lidar_ensemble.lam import (DenseBnLayer, LamParams, eval_scores, initialize_lam_params,
+                                 segment_softmax)
 from lidar_ensemble.neighbors import DenseCloud, SpatialIndex, precompute_neighborhoods
 from tests.oracles import from_padded, kernel_score, padded, phi
 
@@ -185,10 +186,8 @@ class TestRefineLabels:
             expected = dense.probs[indices[q, :n]].mean(axis=0)
             assert np.array_equal(out.probs[q], expected)
 
-    def test_uniform_matches_per_query_loop(self, monkeypatch):
-        # mixed valid counts (empty ones included), 19 classes, and groups
-        # of equal count split across several gathers
-        monkeypatch.setattr(aggregate, "_PAIR_CHUNK", 50)
+    def test_uniform_matches_per_query_loop(self):
+        # mixed valid counts (empty ones included) and 19 classes
         rng = np.random.default_rng(17)
         dense = make_dense(rng, m=2000, k_classes=19)
         queries = rng.uniform(-4, 4, size=(300, 3))
@@ -224,6 +223,50 @@ class TestRefineLabels:
                 num += score * dense.probs[j]
                 den += score
             assert np.abs(out.probs[q] - num / den).max() < 1e-6
+
+    def test_lam_matches_per_query_loop(self):
+        # each neighborhood's exp(s - max) * row added in pair order, over
+        # its exp sum added in the same order; empty neighborhoods included
+        rng = np.random.default_rng(19)
+        dense = make_dense(rng, m=2000, k_classes=19)
+        queries = rng.uniform(-4, 4, size=(300, 3))
+        raw = rng.uniform(0.05, 1.0, size=(300, 19))
+        v = raw / raw.sum(1, keepdims=True)
+        nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=40, eps=0.6)
+        assert (nbh.valid_count == 0).any() and len(np.unique(nbh.valid_count)) > 5
+        params = initialize_lam_params(phi_layout.feature_dim(19), hidden_sizes=(8, 8, 8), seed=4)
+        out = refine_labels(queries, v, dense, nbh, LamKernel(params))
+        rows, _ = phi_pairs(v, dense, nbh)
+        scores = eval_scores(params, rows)
+        labels = dense.probs[nbh.indices]
+        for q in range(300):
+            lo, hi = nbh.offsets[q], nbh.offsets[q + 1]
+            if hi == lo:
+                assert np.array_equal(out.probs[q], v[q])
+                continue
+            e = np.exp(scores[lo:hi] - scores[lo:hi].max())
+            num, den = np.zeros(19), 0.0
+            for j in range(hi - lo):
+                num += e[j] * labels[lo + j]
+                den += e[j]
+            assert np.array_equal(out.probs[q], num / den)
+
+    def test_pair_weights_come_from_the_refinement_pass(self):
+        rng = np.random.default_rng(20)
+        dense = make_dense(rng, m=600, k_classes=5)
+        queries = rng.uniform(-4, 4, size=(120, 3))
+        raw = rng.uniform(0.05, 1.0, size=(120, 5))
+        v = raw / raw.sum(1, keepdims=True)
+        nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=20, eps=0.8)
+        assert (nbh.valid_count == 0).any()
+        _, record = refine_labels(queries, v, dense, nbh, UniformKernel(), return_pairs=True)
+        counts = nbh.valid_count[nbh.valid_count > 0]
+        assert np.array_equal(record.weights, np.repeat(1 / counts, counts))
+        params = initialize_lam_params(phi_layout.feature_dim(5), hidden_sizes=(8, 8, 8), seed=5)
+        _, record = refine_labels(queries, v, dense, nbh, LamKernel(params), return_pairs=True)
+        rows, row_query = phi_pairs(v, dense, nbh)
+        assert np.array_equal(record.weights,
+                              segment_softmax(eval_scores(params, rows), row_query, len(queries)))
 
     def test_head_bias_shift_leaves_labels_unchanged(self):
         rng = np.random.default_rng(9)

@@ -509,6 +509,7 @@ class TestSharedNeighborPath:
     through selftrain.cross_frame_refine and write the same bytes as their
     earlier per-command searches."""
 
+    @pytest.mark.filterwarnings("ignore:variance floored:RuntimeWarning")
     @pytest.mark.parametrize("window, epsilon", [(4, ""), (0, "1.0")])
     def test_same_bytes_as_per_command_search(self, window, epsilon, dataset, prediction_dir,
                                               checkpoint, tmp_path):
@@ -798,6 +799,19 @@ seed = 3
         assert main(["pipeline", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == EXIT_OK
         labels = load_labels(out / "iteration_00" / "sequence" / "000000.label")
         assert len(labels) == 250
+
+    def test_short_prediction_file_is_io_error(self, dataset, prediction_dir, tmp_path, caplog):
+        import shutil
+
+        preds = tmp_path / "preds"
+        shutil.copytree(prediction_dir, preds)
+        full = read_prediction_matrix(preds / "000002.lprb")
+        write_prediction_matrix(PredictionMatrix(full.probs[:-5], full.point_index[:-5]),
+                                preds / "000002.lprb")
+        cfg = self.precomputed_config(dataset, preds, tmp_path)
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "--threads", "1"]) == EXIT_IO
+        assert "000002.lprb: 245 rows for a 250-point scan" in caplog.text
 
     def test_subsample_trials_rejected(self, dataset, prediction_dir, tmp_path):
         cfg = self.precomputed_config(dataset, prediction_dir, tmp_path, trials=3)

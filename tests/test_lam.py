@@ -19,6 +19,9 @@ from lidar_ensemble.lam import (
     lovasz_softmax,
     modulate_statistics,
     save_lam_params,
+    segment_exp,
+    segment_softmax,
+    segment_sum,
     train_lam,
     training_loss_and_grads,
     weight_histograms,
@@ -613,6 +616,33 @@ class TestModulateStatistics:
             out = modulate_statistics(params, given)
             assert np.array_equal(out.std_mean, stream.mean(axis=0))
             assert np.array_equal(out.std_var, stream.var(axis=0))
+
+
+class TestSegmentSums:
+    """The one reduction of every per-query average: rows add in row
+    order, bit for bit the order of np.add.at."""
+
+    def test_sums_equal_add_at(self):
+        rng = np.random.default_rng(22)
+        row_query = rng.integers(0, 40, size=3000)  # unsorted; query 40 has no rows
+        rows = rng.normal(size=(3000, 19)) * 10.0 ** rng.integers(-8, 8, size=(3000, 1))
+        expected = np.zeros((41, 19))
+        np.add.at(expected, row_query, rows)
+        assert np.array_equal(segment_sum(rows, row_query, 41), expected)
+        expected = np.zeros(41)
+        np.add.at(expected, row_query, rows[:, 3])
+        assert np.array_equal(segment_sum(rows[:, 3], row_query, 41), expected)
+
+    def test_exp_is_shifted_by_the_query_maximum(self):
+        rng = np.random.default_rng(23)
+        row_query = np.repeat(np.arange(5), [4, 1, 0, 7, 3])
+        scores = rng.normal(size=15) * 300.0
+        e, z = segment_exp(scores, row_query, 5)
+        for q in range(5):
+            s = scores[row_query == q]
+            assert np.array_equal(e[row_query == q], np.exp(s - s.max()) if len(s) else s)
+        assert z[2] == 0.0 and np.isfinite(e).all() and (z[z > 0] >= 1.0).all()
+        assert np.array_equal(segment_softmax(scores, row_query, 5), e / z[row_query])
 
 
 class TestWeightHistograms:

@@ -29,10 +29,11 @@ from lidar_ensemble.selftrain import (
     run_adaptation,
     save_labels,
     save_selection_mask,
+    within_frame_predictions,
     write_manifest,
 )
 from lidar_ensemble.selftrain import _label_sets
-from lidar_ensemble.subsample import SubsampleSpec
+from lidar_ensemble.subsample import PredictionMatrix, SubsampleSpec
 from lidar_ensemble.synth import (
     HEIGHT_THRESHOLDS,
     SyntheticSceneSpec,
@@ -240,6 +241,21 @@ class TestGeneratePseudoLabels:
         with pytest.raises(ValueError, match="shape mismatch"):
             generate_refined_predictions(seq.scans, seq.poses, broken, identity_config(window=0), seed=0)
 
+    def test_negative_point_index_from_predictor_rejected(self):
+        # idx_map[-1] would move the row onto the subsample's last point
+        class WrappingPredictor(Predictor):
+            num_classes = 2
+
+            def __call__(self, cloud):
+                index = np.arange(len(cloud))
+                index[-1] = -1
+                return PredictionMatrix(np.full((len(cloud), 2), 0.5), index)
+
+        spec = SyntheticSceneSpec(num_frames=1, points_per_frame=50, seed=11)
+        seq, _ = generate_sequence(spec)
+        with pytest.raises(ValueError, match="nonnegative"):
+            within_frame_predictions(seq.scans, WrappingPredictor(), identity_config(window=0))
+
 
 class TestRunAdaptation:
     def make_sequence(self, seed=12, frames=3, points=150):
@@ -350,6 +366,7 @@ class TestRunAdaptation:
 
 
 class TestLamTrainingSet:
+    @pytest.mark.filterwarnings("ignore:variance floored:RuntimeWarning")
     def test_equals_per_query_oracle_and_trains_to_its_checkpoint(self, tmp_path):
         # a stride of 2 over a window of 1 keeps only the query's own scan,
         # so every neighborhood holds at least the query itself; with one

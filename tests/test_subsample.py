@@ -17,6 +17,7 @@ from lidar_ensemble.subsample import (
     within_frame_ensemble,
     write_prediction_matrix,
 )
+from tests.oracles import within_frame_add_at
 
 CONFIG = SensorConfig(height=64, width=512, fov_up=15.0, fov_down=25.0, beams=64)
 
@@ -197,6 +198,7 @@ class TestWithinFrameEnsemble:
 
         out = within_frame_ensemble(trials, parent)
         assert np.abs(out.probs - expected).max() < 1e-9
+        assert np.array_equal(out.probs, within_frame_add_at(trials, parent))
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(12)
@@ -226,6 +228,12 @@ class TestWithinFrameEnsemble:
         pred = PredictionMatrix(probs=[[1.0, 0.0]], point_index=[0])
         with pytest.raises(ValueError, match="zero predictions"):
             within_frame_ensemble([pred], 2)
+
+    def test_negative_index_is_an_error(self):
+        # it would otherwise wrap around to the last point
+        with pytest.raises(ValueError, match="nonnegative"):
+            within_frame_ensemble([PredictionMatrix(probs=[[1, 0], [0, 1], [.5, .5]],
+                                                    point_index=[0, -1, 1])], 3)
 
     def test_out_of_range_index_is_an_error(self):
         pred = PredictionMatrix(probs=[[1.0, 0.0]], point_index=[5])
