@@ -44,7 +44,6 @@ from .selftrain import (
     Predictor,
     PseudoLabelSet,
     cbst_select,
-    mock_predictor,
     run_adaptation,
 )
 from .subsample import (

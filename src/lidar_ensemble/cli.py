@@ -24,14 +24,15 @@ from .config import ConfigError, PipelineConfig, load_config
 from .errors import FileFormatError
 from .geometry import load_point_cloud_bin, load_poses, project_to_range_image, save_point_cloud_bin
 from .lam import (LamTrainingError, load_lam_params, modulate_statistics, save_lam_params,
-                  pair_histograms, train_lam, write_histogram_csv, write_loss_trace_csv)
+                  train_lam, weight_histograms, write_histogram_csv, write_loss_trace_csv)
 from .metrics import (condense_static_dynamic, confusion, iou, write_confusion_csv,
                       write_iou_csv, write_iou_summary)
-from .selftrain import (LidarSequence, PrecomputedPredictor, _label_sets, apply_cbst,
+from .selftrain import (HeightThresholdRule, LidarSequence, MockPredictor, NoisyPredictor,
+                        PrecomputedPredictor, RadialBandsRule, _label_sets, apply_cbst,
                         build_lam_training_set, cross_frame_refine, file_checksum,
-                        frame_neighborhoods, load_labels, mock_predictor, noop_student_hook,
-                        run_adaptation, save_labels, save_selection_mask,
-                        within_frame_predictions, write_manifest)
+                        frame_neighborhoods, load_labels, noop_student_hook, run_adaptation,
+                        save_labels, save_selection_mask, within_frame_predictions,
+                        write_manifest)
 from .subsample import (apply_row_mask, read_prediction_matrix, read_scan_prediction, row_mask,
                         within_frame_ensemble, write_prediction_matrix)
 
@@ -81,10 +82,9 @@ def _predictor_from_config(cfg: PipelineConfig):
     kind = spec["kind"].strip()
     if kind == "mock_height":
         thresholds = tuple(float(tok) for tok in spec["thresholds"].split(",") if tok.strip())
-        base = mock_predictor("height_threshold", thresholds=thresholds)
+        base = MockPredictor(HeightThresholdRule(thresholds))
     elif kind == "mock_bands":
-        base = mock_predictor("radial_bands", band_width=float(spec["band_width"]),
-                              num_classes=int(spec["num_classes"]))
+        base = MockPredictor(RadialBandsRule(float(spec["band_width"]), int(spec["num_classes"])))
     elif kind == "precomputed":
         directory = spec["directory"].strip()
         if not directory:
@@ -100,11 +100,11 @@ def _predictor_from_config(cfg: PipelineConfig):
     if near or far or gate:
         if not (near and far and gate):
             raise ConfigError("predictor: near_noise, far_noise, and range_threshold must be set together")
-        return mock_predictor("range_gated_noisy", base=base, near_rate=float(near),
-                              far_rate=float(far), range_threshold=float(gate), seed=cfg.seed)
+        return NoisyPredictor(base, float(near), float(far), float(gate), cfg.seed)
     noise = float(spec["noise"])
     if noise > 0:
-        return mock_predictor("noisy", base=base, flip_rate=noise, seed=cfg.seed)
+        # one rate on both sides of the gate: any threshold gives the same flips
+        return NoisyPredictor(base, noise, noise, np.inf, cfg.seed)
     return base
 
 
@@ -280,7 +280,7 @@ def cmd_lam_analyze(args) -> int:
     agg = dataclasses.replace(cfg.aggregation, kernel=kernel)
     within = _read_predictions(seq, Path(args.pred_dir))
     _, records = cross_frame_refine(seq.scans, seq.poses, within, agg, return_pairs=True)
-    report = pair_histograms(records, bins=args.bins)
+    report = weight_histograms(records, bins=args.bins)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_histogram_csv(report, out_dir / "histograms.csv")
@@ -376,7 +376,7 @@ def cmd_pipeline(args) -> int:
                                     threads=threads, return_pairs=True)
 
     # analysis artifacts reflect the first (teacher) iteration
-    report = pair_histograms(pairs[seq.name], bins=args.bins)
+    report = weight_histograms(pairs[seq.name], bins=args.bins)
     write_histogram_csv(report, out_dir / "histograms.csv")
 
     if truths is not None:

@@ -681,37 +681,11 @@ class PairRecord:
     weights: np.ndarray
 
 
-def weight_histograms(params: LamParams | None, phis: np.ndarray, row_query: np.ndarray,
-                      num_queries: int, bins: int = 20) -> HistogramReport:
-    """Distribution of normalized aggregation weights over feature slices.
-
-    params None substitutes the uniform kernel (every neighborhood weight
-    is 1/valid_count). Each slice bins all contributing pairs by one
-    feature column, so per-slice counts sum to the number of pairs.
-    """
-    phis = np.asarray(phis, dtype=np.float64)
-    if len(phis) == 0:
-        raise ValueError("no neighbor pairs to analyze")
-    if params is None:
-        scores = np.zeros(len(phis))
-    else:
-        if params.mode != "eval":
-            raise ValueError("weight analysis requires eval mode")
-        scores = eval_scores(params, phis)
-    weights = segment_softmax(scores, row_query, num_queries)
-
-    k = phi_layout.num_classes_of(phis.shape[1])
-    columns = {
-        "temporal": phi_layout.temporal_column(k),
-        "sensor_distance": phi_layout.sensor_distance_column(k),
-        "center_distance": phi_layout.DISTANCE_COLUMN,
-    }
-    features = {name: phis[:, column] for name, column in columns.items()}
-    return pair_histograms([PairRecord(features, weights)], bins)
-
-
-def pair_histograms(records, bins: int = 20) -> HistogramReport:
-    """weight_histograms over recorded pairs, pooled across the records."""
+def weight_histograms(records, bins: int = 20) -> HistogramReport:
+    """Distribution of normalized aggregation weights over feature slices,
+    pooled across the records (one PairRecord per scan). Each slice bins
+    every pair by one feature, so per-slice counts sum to the number of
+    pairs."""
     weights = np.concatenate([r.weights for r in records])
     if len(weights) == 0:
         raise ValueError("no neighbor pairs to analyze")

@@ -135,6 +135,11 @@ def within_frame_predictions(scans, predictor: Predictor, config: AdaptationConf
                     f"predictor output shape mismatch on frame {cloud.frame_id}: "
                     f"{len(pred)}x{pred.num_classes} for {len(sub)} points"
                 )
+            if (np.bincount(pred.point_index, minlength=len(sub)) != 1).any():
+                raise ValueError(
+                    f"predictor point_index on frame {cloud.frame_id} does not list each of "
+                    f"the {len(sub)} subsample points exactly once"
+                )
             trials.append(PredictionMatrix(pred.probs, idx_map[pred.point_index]))
         return within_frame_ensemble(trials, len(cloud))
 
@@ -358,9 +363,9 @@ class RadialBandsRule:
 class MockPredictor(Predictor):
     """Deterministic geometric labeler emitting one-hot (or softened) rows."""
 
-    def __init__(self, rule, num_classes: int | None = None, smoothing: float = 0.0):
+    def __init__(self, rule, smoothing: float = 0.0):
         self.rule = rule
-        self.num_classes = num_classes if num_classes is not None else rule.num_classes
+        self.num_classes = rule.num_classes
         if not (0.0 <= smoothing < 1.0):
             raise ValueError("smoothing must be in [0, 1)")
         self.smoothing = smoothing
@@ -372,62 +377,50 @@ class MockPredictor(Predictor):
 
 
 class NoisyPredictor(Predictor):
-    """Flips the base predictor's labels i.i.d. at flip_rate.
+    """Flips the base predictor's labels independently per point: at
+    near_rate within range_threshold of the sensor, at far_rate beyond it.
+    Equal rates give i.i.d. noise whatever the threshold.
 
     The flip pattern is a pure function of (seed, frame id, point
     coordinates), so repeated calls on identical clouds agree regardless of
     call order.
     """
 
-    def __init__(self, base: Predictor, flip_rate: float, seed: int = 0):
-        if not (0.0 <= flip_rate <= 1.0):
-            raise ValueError("flip_rate must be in [0, 1]")
+    def __init__(self, base: Predictor, near_rate: float, far_rate: float,
+                 range_threshold: float, seed: int = 0):
+        for name, rate in (("near_rate", near_rate), ("far_rate", far_rate)):
+            if not (0.0 <= rate <= 1.0):
+                raise ValueError(f"{name} must be in [0, 1]")
         self.base = base
-        self.flip_rate = flip_rate
+        self.near_rate = near_rate
+        self.far_rate = far_rate
+        self.range_threshold = range_threshold
         self.seed = seed
         self.num_classes = base.num_classes
-
-    def _flip_rates(self, cloud: PointCloud) -> np.ndarray:
-        return np.full(len(cloud), self.flip_rate)
 
     def __call__(self, cloud: PointCloud) -> PredictionMatrix:
         pred = self.base(cloud)
         labels = pred.probs.argmax(axis=1)
         rng = _cloud_rng(self.seed, cloud)
-        flip = rng.random(len(cloud)) < self._flip_rates(cloud)
+        pts = cloud.points
+        ranges = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2)
+        rates = np.where(ranges <= self.range_threshold, self.near_rate, self.far_rate)
+        flip = rng.random(len(cloud)) < rates
         offsets = rng.integers(1, self.num_classes, size=len(cloud))
         labels = np.where(flip, (labels + offsets) % self.num_classes, labels)
         return PredictionMatrix(_one_hot(labels, self.num_classes), pred.point_index)
 
 
-class RangeGatedNoisyPredictor(NoisyPredictor):
-    """Noise gated on sensor range: near_rate inside range_threshold, far_rate beyond."""
-
-    def __init__(self, base: Predictor, near_rate: float, far_rate: float,
-                 range_threshold: float, seed: int = 0):
-        super().__init__(base, near_rate, seed)
-        if not (0.0 <= far_rate <= 1.0):
-            raise ValueError("far_rate must be in [0, 1]")
-        self.far_rate = far_rate
-        self.range_threshold = range_threshold
-
-    def _flip_rates(self, cloud: PointCloud) -> np.ndarray:
-        pts = cloud.points
-        ranges = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2)
-        return np.where(ranges <= self.range_threshold, self.flip_rate, self.far_rate)
-
-
 class PrecomputedPredictor(Predictor):
-    """Serves stored prediction files by frame id; the integration path for
-    external networks that export their probabilities."""
+    """Serves stored prediction files, {frame id:06d}.lprb, by frame id; the
+    integration path for external networks that export their probabilities."""
 
-    def __init__(self, directory, num_classes: int, pattern: str = "{frame:06d}.lprb"):
+    def __init__(self, directory, num_classes: int):
         self.directory = Path(directory)
         self.num_classes = num_classes
-        self.pattern = pattern
 
     def __call__(self, cloud: PointCloud) -> PredictionMatrix:
-        path = self.directory / self.pattern.format(frame=cloud.frame_id)
+        path = self.directory / f"{cloud.frame_id:06d}.lprb"
         pred = read_scan_prediction(path)
         if len(pred) != len(cloud):
             raise FileFormatError(f"{path}: {len(pred)} rows for a {len(cloud)}-point scan")
@@ -445,24 +438,6 @@ def _cloud_rng(seed: int, cloud: PointCloud) -> np.random.Generator:
     digest.update(struct.pack("<qq", seed, cloud.frame_id))
     digest.update(np.ascontiguousarray(cloud.points).tobytes())
     return np.random.default_rng(int.from_bytes(digest.digest()[:16], "little"))
-
-
-def mock_predictor(kind: str, **kwargs) -> Predictor:
-    """Factory for the test predictors: height_threshold, radial_bands, and
-    their noisy/range-gated wrappers."""
-    if kind == "height_threshold":
-        base = MockPredictor(HeightThresholdRule(tuple(kwargs.pop("thresholds"))), **kwargs)
-        return base
-    if kind == "radial_bands":
-        return MockPredictor(
-            RadialBandsRule(kwargs.pop("band_width"), kwargs.pop("num_classes")), **kwargs)
-    if kind == "noisy":
-        return NoisyPredictor(kwargs.pop("base"), kwargs.pop("flip_rate"), kwargs.pop("seed", 0))
-    if kind == "range_gated_noisy":
-        return RangeGatedNoisyPredictor(
-            kwargs.pop("base"), kwargs.pop("near_rate"), kwargs.pop("far_rate"),
-            kwargs.pop("range_threshold"), kwargs.pop("seed", 0))
-    raise ValueError(f"unknown mock predictor kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

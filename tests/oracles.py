@@ -5,13 +5,15 @@ feature stream the CLI analysis commands used to build with their own dense
 cloud, index and query per frame; conversions between compressed-row
 Neighborhoods and the padded (N, k) layout; the per-query LAM
 training-set builder and list-concatenating training loop the compressed
-rows replaced; and the per-trial accumulation within-frame ensembling
-used before its rows went through lam.segment_sum.
+rows replaced; the per-trial accumulation within-frame ensembling
+used before its rows went through lam.segment_sum; and the weight
+histograms scored from joined phi rows, as the analysis commands computed
+them before the refinement pass recorded each pair's weight.
 """
 
 import numpy as np
 
-from lidar_ensemble import lam
+from lidar_ensemble import lam, phi_layout
 from lidar_ensemble.aggregate import UniformKernel, phi_pairs
 from lidar_ensemble.lam import lam_forward
 from lidar_ensemble.neighbors import (
@@ -160,3 +162,28 @@ def within_frame_add_at(predictions, parent_size):
         np.add.at(sums, pred.point_index, pred.probs)
         np.add.at(counts, pred.point_index, 1.0)
     return sums / counts[:, None]
+
+
+def weight_histograms(params, phis, row_query, num_queries, bins=20):
+    """lam.weight_histograms of one record built from phi rows: each pair's
+    weight is the segment softmax of its eval score (of 0 for params None,
+    the uniform kernel), and the slices are the rows' temporal, sensor
+    distance and center distance columns."""
+    phis = np.asarray(phis, dtype=np.float64)
+    if len(phis) == 0:
+        raise ValueError("no neighbor pairs to analyze")
+    if params is None:
+        scores = np.zeros(len(phis))
+    else:
+        if params.mode != "eval":
+            raise ValueError("weight analysis requires eval mode")
+        scores = lam.eval_scores(params, phis)
+    weights = lam.segment_softmax(scores, row_query, num_queries)
+    k = phi_layout.num_classes_of(phis.shape[1])
+    columns = {
+        "temporal": phi_layout.temporal_column(k),
+        "sensor_distance": phi_layout.sensor_distance_column(k),
+        "center_distance": phi_layout.DISTANCE_COLUMN,
+    }
+    features = {name: phis[:, column] for name, column in columns.items()}
+    return lam.weight_histograms([lam.PairRecord(features, weights)], bins)

@@ -28,10 +28,12 @@ from lidar_ensemble.neighbors import DenseCloud, SpatialIndex, precompute_neighb
 from lidar_ensemble.selftrain import (
     AdaptationConfig,
     CbstConfig,
+    HeightThresholdRule,
+    MockPredictor,
+    NoisyPredictor,
     build_lam_training_set,
     cbst_select,
     generate_refined_predictions,
-    mock_predictor,
 )
 from lidar_ensemble.subsample import SubsampleSpec, row_mask
 from lidar_ensemble.synth import HEIGHT_THRESHOLDS, SyntheticSceneSpec, generate_sequence, sensor_config
@@ -295,12 +297,12 @@ def _sequence_accuracy(predictions, truths):
 def test_criterion_07_adaptation_benefit():
     subsample = SubsampleSpec(mode="random", ratio=0.5, trials=3, include_identity=True)
     agg = AggregationSpec(kernel=UniformKernel(), k=16, epsilon=None, window=20, stride=1)
-    base = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
+    base = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
 
     # (a) flat 30% label noise: uniform cross-frame refinement recovers >= 5pp
     target_spec = SyntheticSceneSpec(num_frames=20, points_per_frame=1000, seed=11)
     target, target_truth = generate_sequence(target_spec)
-    flat_noisy = mock_predictor("noisy", base=base, flip_rate=0.3, seed=5)
+    flat_noisy = NoisyPredictor(base, 0.3, 0.3, np.inf, seed=5)
     config = AdaptationConfig(sensor=sensor_config(), subsample=subsample, aggregation=agg)
     within, refined = generate_refined_predictions(
         target.scans, target.poses, flat_noisy, config, seed=3)
@@ -312,8 +314,7 @@ def test_criterion_07_adaptation_benefit():
     # (b) noise correlated with sensor distance: a LAM trained on a clean
     # source sequence (paper-default 25 epochs at lr 1e-3) beats uniform
     def gated(seed):
-        return mock_predictor("range_gated_noisy", base=base, near_rate=0.05,
-                              far_rate=0.75, range_threshold=10.0, seed=seed)
+        return NoisyPredictor(base, near_rate=0.05, far_rate=0.75, range_threshold=10.0, seed=seed)
 
     source_spec = SyntheticSceneSpec(num_frames=14, points_per_frame=700, seed=21)
     source, source_truth = generate_sequence(source_spec)

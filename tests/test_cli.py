@@ -11,7 +11,7 @@ from lidar_ensemble.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from lidar_ensemble.selftrain import load_labels, load_selection_mask
 from lidar_ensemble.subsample import read_prediction_matrix, write_prediction_matrix
 from lidar_ensemble.subsample import PredictionMatrix
-from tests.oracles import phi_stream, sequence_rows
+from tests.oracles import phi_stream, sequence_rows, weight_histograms
 
 CONFIG_TEMPLATE = """
 [dataset]
@@ -362,6 +362,23 @@ class TestPipelineCommand:
         assert "input.000000.bin = " in manifest
         assert (out / "summary.json").exists()
 
+    def test_noise_is_the_equal_rate_range_gate(self, config_path, tmp_path):
+        # predictor.noise = r flips like near_noise = far_noise = r at any range_threshold
+        flat = config_path.read_text().replace("noise = 0.25", "noise = 0.3")
+        gated = flat.replace("noise = 0.3", "near_noise = 0.3\nfar_noise = 0.3\nrange_threshold = 10")
+        outs = []
+        for name, text in (("flat", flat), ("gated", gated)):
+            (tmp_path / f"{name}.ini").write_text(text)
+            outs.append(tmp_path / name)
+            assert main(["pipeline", "--config", str(tmp_path / f"{name}.ini"), "--out", str(outs[-1]),
+                         "--threads", "1"]) == EXIT_OK
+        files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
+        assert files[0] == files[1]
+        for rel in files[0]:
+            if str(rel) != "manifest.txt":
+                assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), str(rel)
+        assert "config.predictor.near_noise = 0.3" in (outs[1] / "manifest.txt").read_text()
+
     def test_thread_env_variable(self, config_path, tmp_path, monkeypatch):
         out_env, out_flag = tmp_path / "env", tmp_path / "flag"
         monkeypatch.setenv("LIDAR_ENSEMBLE_THREADS", "2")
@@ -451,7 +468,7 @@ class TestPipelineReuse:
         chunks, queries = phi_stream(seq.scans, seq.poses, within, cfg.aggregation)
         rows, row_query, num_queries = sequence_rows(seq.scans, chunks, queries)
         params = cfg.aggregation.kernel.params if kernel == "lam" else None
-        report = lam.weight_histograms(params, rows, row_query, num_queries, bins=7)
+        report = weight_histograms(params, rows, row_query, num_queries, bins=7)
         lam.write_histogram_csv(report, tmp_path / "old.csv")
         assert (out / "histograms.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -494,7 +511,7 @@ def _old_lam_apply(cfg, seq, pred_dir, checkpoint, modulate, out_dir):
 
 
 def _old_lam_analyze(cfg, seq, pred_dir, checkpoint, bins, out_dir):
-    from lidar_ensemble.lam import load_lam_params, weight_histograms, write_histogram_csv
+    from lidar_ensemble.lam import load_lam_params, write_histogram_csv
 
     params = load_lam_params(checkpoint) if checkpoint else None
     within = [read_prediction_matrix(pred_dir / f"{t:06d}.lprb") for t in range(len(seq.scans))]

@@ -3,14 +3,21 @@ renamed or deleted function would break `perfbench/run.py --trace 1`."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import lidar_ensemble
+from lidar_ensemble.cli import EXIT_OK, main
 from lidar_ensemble.aggregate import AggregationSpec, UniformKernel, phi_pairs
 from lidar_ensemble.neighbors import (DenseCloud, SpatialIndex, build_dense_cloud,
                                       precompute_neighborhoods)
-from lidar_ensemble.selftrain import build_lam_training_set, frame_neighborhoods, mock_predictor
+from lidar_ensemble.selftrain import (HeightThresholdRule, MockPredictor, build_lam_training_set,
+                                      frame_neighborhoods)
 from lidar_ensemble.synth import HEIGHT_THRESHOLDS, SyntheticSceneSpec, generate_sequence
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -64,7 +71,7 @@ def test_phi_pair_count_reads_the_feature_rows():
 def test_training_set_count_reads_the_neighborhoods():
     tracer = load_tracer()
     seq, truths = generate_sequence(SyntheticSceneSpec(num_frames=3, points_per_frame=60, seed=2))
-    predictor = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
+    predictor = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
     predictions = [predictor(scan) for scan in seq.scans]
     truths[1][:] = 9  # every query of frame 1 ignored: it adds zero pairs
     agg = AggregationSpec(kernel=UniformKernel(), k=4, epsilon=None, window=1, stride=1)
@@ -78,10 +85,30 @@ def test_training_set_count_reads_the_neighborhoods():
 def test_dense_cloud_count_reads_a_built_cloud():
     tracer = load_tracer()
     seq, _ = generate_sequence(SyntheticSceneSpec(num_frames=3, points_per_frame=60, seed=3))
-    predictor = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
+    predictor = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
     scans = [(scan, predictor(scan)) for scan in seq.scans]
     dense = build_dense_cloud(scans, seq.poses, t=1, window=1)
     counts = tracer.COUNTS["neighbors.dense"]({}, dense)
     assert counts["points"] == len(dense) == sum(len(scan) for scan in seq.scans)
     assert counts["bytes"] == sum(array.nbytes for array in (
         dense.points, dense.probs, dense.temporal_offset, dense.sensor_distance, dense.source_frame))
+
+
+def test_traced_pipeline_counts_predictions_and_times_histograms(tmp_path):
+    # one run under the tracer, as run.py --trace 1 makes it
+    tracer = load_tracer()
+    drive, out, spans_path = tmp_path / "drive", tmp_path / "run", tmp_path / "spans.json"
+    assert main(["synthgen", "--out", str(drive), "--frames", "3", "--points", "300",
+                 "--seed", "4"]) == EXIT_OK
+    config = tmp_path / "pipeline.ini"
+    config.write_text(f"[dataset]\nroot = {drive}\n\n[predictor]\nnoise = 0.3\n")
+    src = str(Path(lidar_ensemble.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, str(TRACER), "--spans", str(spans_path), "--run-id", "test", "--",
+                    "pipeline", "--config", str(config), "--out", str(out), "--threads", "1"],
+                   env=env, check=True, timeout=300, capture_output=True)
+    spans = json.loads(spans_path.read_text())
+    metrics = tracer.layer_metrics(spans["spans"], spans["main_thread"], traced_wall_s=1.0)
+    # 3 frames x 3 subsample trials; the noise wrapper's call of its base predictor is not counted
+    assert metrics["selftrain.predict_calls"] == 9
+    assert metrics["lam.histogram_s"] > 0

@@ -15,16 +15,19 @@ from lidar_ensemble.selftrain import (
     AdaptationConfig,
     AdaptationError,
     CbstConfig,
+    HeightThresholdRule,
     LidarSequence,
+    MockPredictor,
+    NoisyPredictor,
     Predictor,
     PseudoLabelSet,
+    RadialBandsRule,
     build_lam_training_set,
     cbst_select,
     frame_neighborhoods,
     generate_refined_predictions,
     load_labels,
     load_selection_mask,
-    mock_predictor,
     noop_student_hook,
     run_adaptation,
     save_labels,
@@ -53,43 +56,42 @@ def identity_config(k=8, window=6):
 
 class TestMockPredictors:
     def test_height_threshold_classes(self):
-        predictor = mock_predictor("height_threshold", thresholds=(0.0,))
+        predictor = MockPredictor(HeightThresholdRule((0.0,)))
         cloud = PointCloud(points=np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]))
         pred = predictor(cloud)
         assert pred.probs.argmax(axis=1).tolist() == [0, 1]
         assert predictor.num_classes == 2
 
     def test_radial_bands_cycle(self):
-        predictor = mock_predictor("radial_bands", band_width=1.0, num_classes=3)
+        predictor = MockPredictor(RadialBandsRule(1.0, 3))
         pts = np.array([[0.5, 0.0, 0.0], [1.5, 0.0, 0.0], [2.5, 0.0, 0.0], [3.5, 0.0, 0.0]])
         pred = predictor(PointCloud(points=pts))
         assert pred.probs.argmax(axis=1).tolist() == [0, 1, 2, 0]
 
     def test_zero_flip_rate_matches_base(self):
-        base = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
-        noisy = mock_predictor("noisy", base=base, flip_rate=0.0, seed=1)
+        base = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
+        noisy = NoisyPredictor(base, 0.0, 0.0, np.inf, seed=1)
         cloud = PointCloud(points=np.random.default_rng(0).normal(size=(100, 3)))
         assert np.array_equal(noisy(cloud).probs, base(cloud).probs)
 
     def test_flip_rate_monte_carlo(self):
-        base = mock_predictor("height_threshold", thresholds=(0.0,))
-        noisy = mock_predictor("noisy", base=base, flip_rate=0.3, seed=2)
+        base = MockPredictor(HeightThresholdRule((0.0,)))
+        noisy = NoisyPredictor(base, 0.3, 0.3, np.inf, seed=2)
         cloud = PointCloud(points=np.random.default_rng(1).normal(size=(100000, 3)))
         flips = (noisy(cloud).probs.argmax(1) != base(cloud).probs.argmax(1)).mean()
         assert abs(flips - 0.3) < 0.01
 
     def test_noise_is_pure_function_of_input(self):
-        base = mock_predictor("height_threshold", thresholds=(0.0,))
-        noisy = mock_predictor("noisy", base=base, flip_rate=0.5, seed=3)
+        base = MockPredictor(HeightThresholdRule((0.0,)))
+        noisy = NoisyPredictor(base, 0.5, 0.5, np.inf, seed=3)
         cloud = PointCloud(points=np.random.default_rng(2).normal(size=(500, 3)), frame_id=4)
         assert np.array_equal(noisy(cloud).probs, noisy(cloud).probs)
         other = PointCloud(points=cloud.points, frame_id=5)
         assert not np.array_equal(noisy(cloud).probs, noisy(other).probs)
 
     def test_range_gated_rates(self):
-        base = mock_predictor("height_threshold", thresholds=(0.0,))
-        gated = mock_predictor("range_gated_noisy", base=base, near_rate=0.0,
-                               far_rate=1.0, range_threshold=10.0, seed=4)
+        base = MockPredictor(HeightThresholdRule((0.0,)))
+        gated = NoisyPredictor(base, near_rate=0.0, far_rate=1.0, range_threshold=10.0, seed=4)
         rng = np.random.default_rng(3)
         near = rng.normal(size=(200, 3))
         far = rng.normal(size=(200, 3)) + np.array([100.0, 0.0, 0.0])
@@ -100,8 +102,20 @@ class TestMockPredictors:
         assert not flipped[:200].any()
         assert flipped[200:].all()
 
+    def test_equal_rates_ignore_the_threshold(self):
+        base = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
+        cloud = PointCloud(points=np.random.default_rng(4).normal(scale=10.0, size=(2000, 3)), frame_id=2)
+        ranges = np.linalg.norm(cloud.points, axis=1)
+        assert (ranges <= 10.0).any() and (ranges > 10.0).any()
+        preds = [NoisyPredictor(base, 0.3, 0.3, threshold, seed=6)(cloud)
+                 for threshold in (0.0, 10.0, np.inf)]
+        assert (preds[0].probs.argmax(1) != base(cloud).probs.argmax(1)).any()
+        for pred in preds[1:]:
+            assert pred.probs.tobytes() == preds[0].probs.tobytes()
+            assert pred.point_index.tobytes() == preds[0].point_index.tobytes()
+
     def test_smoothing_keeps_argmax(self):
-        predictor = mock_predictor("height_threshold", thresholds=(0.0,), smoothing=0.2)
+        predictor = MockPredictor(HeightThresholdRule((0.0,)), smoothing=0.2)
         cloud = PointCloud(points=np.array([[0.0, 0.0, 1.0]]))
         pred = predictor(cloud)
         assert pred.probs.argmax(axis=1).tolist() == [1]
@@ -163,7 +177,7 @@ class TestGeneratePseudoLabels:
         # single trial, uniform kernel, window 0: argmax of the raw predictor
         spec = SyntheticSceneSpec(num_frames=1, points_per_frame=300, seed=6)
         seq, truths = generate_sequence(spec)
-        predictor = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
+        predictor = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
         config = identity_config(window=0)
         _, refined = generate_refined_predictions(seq.scans, seq.poses, predictor, config, seed=0)
         labels = _label_sets(refined)
@@ -175,8 +189,8 @@ class TestGeneratePseudoLabels:
     def test_refinement_beats_unrefined_under_noise(self):
         spec = SyntheticSceneSpec(num_frames=5, points_per_frame=500, seed=7)
         seq, truths = generate_sequence(spec)
-        base = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
-        noisy = mock_predictor("noisy", base=base, flip_rate=0.3, seed=8)
+        base = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
+        noisy = NoisyPredictor(base, 0.3, 0.3, np.inf, seed=8)
         config = AdaptationConfig(
             sensor=sensor_config(),
             subsample=SubsampleSpec(mode="random", ratio=0.5, trials=3, include_identity=True),
@@ -192,8 +206,8 @@ class TestGeneratePseudoLabels:
         target_frame = 2
         spec = SyntheticSceneSpec(num_frames=5, points_per_frame=500, seed=17)
         seq, truths = generate_sequence(spec)
-        base = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
-        noisy = mock_predictor("noisy", base=base, flip_rate=0.3, seed=18)
+        base = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
+        noisy = NoisyPredictor(base, 0.3, 0.3, np.inf, seed=18)
 
         class FrameGatedNoise(Predictor):
             num_classes = base.num_classes
@@ -217,8 +231,8 @@ class TestGeneratePseudoLabels:
     def test_thread_count_does_not_change_results(self):
         spec = SyntheticSceneSpec(num_frames=4, points_per_frame=200, seed=9)
         seq, _ = generate_sequence(spec)
-        base = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
-        noisy = mock_predictor("noisy", base=base, flip_rate=0.2, seed=10)
+        base = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
+        noisy = NoisyPredictor(base, 0.2, 0.2, np.inf, seed=10)
         config = identity_config(window=4)
         one = _label_sets(generate_refined_predictions(seq.scans, seq.poses, noisy, config, seed=2,
                                                        threads=1)[1])
@@ -229,7 +243,7 @@ class TestGeneratePseudoLabels:
             assert np.array_equal(a.confidence, b.confidence)
 
     def test_predictor_shape_mismatch_detected(self):
-        class BrokenPredictor(mock_predictor("height_threshold", thresholds=(0.0,)).__class__):
+        class BrokenPredictor(MockPredictor):
             def __call__(self, cloud):
                 pred = super().__call__(cloud)
                 from lidar_ensemble.subsample import PredictionMatrix
@@ -237,7 +251,7 @@ class TestGeneratePseudoLabels:
 
         spec = SyntheticSceneSpec(num_frames=1, points_per_frame=50, seed=11)
         seq, _ = generate_sequence(spec)
-        broken = BrokenPredictor(mock_predictor("height_threshold", thresholds=(0.0,)).rule)
+        broken = BrokenPredictor(HeightThresholdRule((0.0,)))
         with pytest.raises(ValueError, match="shape mismatch"):
             generate_refined_predictions(seq.scans, seq.poses, broken, identity_config(window=0), seed=0)
 
@@ -257,6 +271,28 @@ class TestGeneratePseudoLabels:
             within_frame_predictions(seq.scans, WrappingPredictor(), identity_config(window=0))
 
 
+    def test_repeated_point_index_from_predictor_rejected(self):
+        # a subsample trial whose rows all land on point 0 would turn that
+        # point's within-frame row into a mix of the trial's rows
+        spec = SyntheticSceneSpec(num_frames=1, points_per_frame=50, seed=11)
+        seq, _ = generate_sequence(spec)
+        base = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
+
+        class CollapsingPredictor(Predictor):
+            num_classes = base.num_classes
+
+            def __call__(self, cloud):
+                pred = base(cloud)
+                if len(cloud) == len(seq.scans[0]):  # the identity trial
+                    return pred
+                return PredictionMatrix(pred.probs, np.zeros(len(cloud), dtype=np.int64))
+
+        config = dataclasses.replace(identity_config(window=0), subsample=SubsampleSpec(
+            mode="random", ratio=0.5, trials=3, include_identity=True))
+        with pytest.raises(ValueError, match="frame 0 does not list each of the .* exactly once"):
+            within_frame_predictions(seq.scans, CollapsingPredictor(), config)
+
+
 class TestRunAdaptation:
     def make_sequence(self, seed=12, frames=3, points=150):
         spec = SyntheticSceneSpec(num_frames=frames, points_per_frame=points, seed=seed)
@@ -264,7 +300,7 @@ class TestRunAdaptation:
 
     def test_single_iteration_noop_hook_equals_generate(self, tmp_path):
         seq, _ = self.make_sequence()
-        predictor = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
+        predictor = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
         config = AdaptationConfig(
             sensor=sensor_config(),
             subsample=SubsampleSpec(mode="random", ratio=0.5, trials=1, include_identity=True),
@@ -284,7 +320,7 @@ class TestRunAdaptation:
 
     def test_intensity_flag_sequence_off_on_on(self, tmp_path):
         seq, _ = self.make_sequence()
-        predictor = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
+        predictor = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
         config = AdaptationConfig(
             sensor=sensor_config(),
             subsample=SubsampleSpec(mode="random", ratio=0.5, trials=1, include_identity=True),
@@ -306,7 +342,7 @@ class TestRunAdaptation:
 
     def test_artifacts_persisted_before_hook_runs(self, tmp_path):
         seq, _ = self.make_sequence()
-        predictor = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
+        predictor = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
         config = AdaptationConfig(
             sensor=sensor_config(),
             subsample=SubsampleSpec(mode="random", ratio=0.5, trials=1, include_identity=True),
@@ -326,8 +362,8 @@ class TestRunAdaptation:
 
     def test_replay_is_byte_identical(self, tmp_path):
         seq, _ = self.make_sequence()
-        base = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
-        noisy = mock_predictor("noisy", base=base, flip_rate=0.25, seed=13)
+        base = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
+        noisy = NoisyPredictor(base, 0.25, 0.25, np.inf, seed=13)
         config = AdaptationConfig(
             sensor=sensor_config(),
             subsample=SubsampleSpec(mode="random", ratio=0.5, trials=2, include_identity=True),
@@ -347,8 +383,8 @@ class TestRunAdaptation:
 
     def test_cbst_masks_written(self, tmp_path):
         seq, _ = self.make_sequence()
-        base = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
-        noisy = mock_predictor("noisy", base=base, flip_rate=0.3, seed=14)
+        base = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
+        noisy = NoisyPredictor(base, 0.3, 0.3, np.inf, seed=14)
         config = AdaptationConfig(
             sensor=sensor_config(),
             subsample=SubsampleSpec(mode="random", ratio=0.5, trials=1, include_identity=True),
@@ -372,8 +408,8 @@ class TestLamTrainingSet:
         # so every neighborhood holds at least the query itself; with one
         # class ignored, its queries are dropped
         seq, truths = generate_sequence(SyntheticSceneSpec(num_frames=4, points_per_frame=300, seed=23))
-        base = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
-        predictor = mock_predictor("noisy", base=base, flip_rate=0.2, seed=1)
+        base = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
+        predictor = NoisyPredictor(base, 0.2, 0.2, np.inf, seed=1)
         config = identity_config(window=1)
         within, _ = generate_refined_predictions(seq.scans, seq.poses, predictor, config, seed=0)
         agg = dataclasses.replace(config.aggregation, k=6, epsilon=0.5, stride=2)
@@ -402,7 +438,7 @@ class TestLamTrainingSet:
 
     def test_label_length_mismatch_names_the_frame(self):
         seq, truths = generate_sequence(SyntheticSceneSpec(num_frames=3, points_per_frame=80, seed=19))
-        predictor = mock_predictor("height_threshold", thresholds=HEIGHT_THRESHOLDS)
+        predictor = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
         config = identity_config(window=1)
         within, _ = generate_refined_predictions(seq.scans, seq.poses, predictor, config, seed=0)
         truths[1] = truths[1][:-5]
