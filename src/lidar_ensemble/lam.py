@@ -197,7 +197,8 @@ def lam_forward(params: LamParams, feats: np.ndarray, update_running: bool = Tru
     Returns (scores (R,), cache). In train mode batch statistics normalize
     each block and, unless update_running is False, the running statistics
     are advanced with momentum 0.1; eval mode is deterministic. The cache
-    lives in workspace, when one is given, until its next use.
+    lives in workspace, when one is given, until its next use, and
+    lam_backward consumes it.
     """
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != params.feature_dim:
@@ -271,7 +272,14 @@ def eval_scores(params: LamParams, feats: np.ndarray) -> np.ndarray:
 def lam_backward(params: LamParams, cache: dict, dscores: np.ndarray,
                  workspace: _Workspace | None = None) -> dict:
     """Gradients of a scalar objective w.r.t. every trainable tensor,
-    given its gradient w.r.t. the scores. The cache is left intact."""
+    given its gradient w.r.t. the scores.
+
+    The cache is consumed: the gradients are written over activations that
+    are dead by then. The top layer's gradient overwrites a_last, a block
+    at a time after the block's ReLU mask is read, and layer i - 1's
+    overwrites layer i's xhat once layer i's weight gradient is taken; a
+    workspace buffer holds it only where the fan-in is wider than the
+    layer."""
     ws = _Workspace() if workspace is None else workspace
     grads = {}
     a_last = cache["a_last"]
@@ -280,7 +288,7 @@ def lam_backward(params: LamParams, cache: dict, dscores: np.ndarray,
     rows = len(dscores)
     train = cache["train"]
     last = len(params.layers) - 1
-    d_act = ws.take(f"dact{last}", rows, a_last.shape[1])
+    d_act = a_last
     for i in reversed(range(len(params.layers))):
         layer = params.layers[i]
         lc = cache["layers"][i]
@@ -295,9 +303,9 @@ def lam_backward(params: LamParams, cache: dict, dscores: np.ndarray,
         # d_act becomes dy, then dxhat, then dz in place
         for lo, hi in _blocks(rows, block):
             n, d, x = hi - lo, d_act[lo:hi], xhat[lo:hi]
+            np.greater(act[lo:hi], 0.0, out=mask[:n])
             if i == last:  # the head's np.outer(dscores, head_weight), a block at a time
                 np.multiply(dscores[lo:hi, None], params.head_weight, out=d)
-            np.greater(act[lo:hi], 0.0, out=mask[:n])
             np.multiply(d, mask[:n], out=d)
             np.copyto(beta_sum.rows(n), d)
             beta_sum.add(n)
@@ -325,7 +333,11 @@ def lam_backward(params: LamParams, cache: dict, dscores: np.ndarray,
                 np.multiply(d, coef, out=d)
         grads[f"layer{i}.weight"] = d_act.T @ lc["a_prev"]
         if i > 0:  # the input gradient of layer 0 has no reader
-            d_prev = ws.take(f"dact{i - 1}", rows, layer.weight.shape[1])
+            fan_in = layer.weight.shape[1]
+            if fan_in <= width:  # the first rows * fan_in values of the C-contiguous xhat
+                d_prev = xhat.reshape(-1)[:rows * fan_in].reshape(rows, fan_in)
+            else:
+                d_prev = ws.take(f"dact{i - 1}", rows, fan_in)
             np.matmul(d_act, layer.weight, out=d_prev)
             d_act = d_prev
     return grads
@@ -346,7 +358,7 @@ def _lovasz_extension_grad(fg_sorted: np.ndarray) -> np.ndarray:
 
 
 def _lovasz_softmax_with_grad(probs: np.ndarray, truth: np.ndarray):
-    present = np.unique(truth)
+    present = np.flatnonzero(np.bincount(truth))
     if len(probs) == 0:
         raise ValueError("lovasz_softmax requires at least one point")
     total = 0.0

@@ -167,10 +167,12 @@ class SpatialIndex:
         side slightly above eps, so every point within eps of a query lies
         in one of the 27 cells around the query's cell. The points are
         sorted once by linear cell key; the queries are sorted by cell, and
-        one searchsorted finds the point ranges of the cells around each
-        distinct query cell (the three cells along z are adjacent keys, so
-        they form one range). A cell whose box lies beyond eps from the
-        query is skipped. The queries then run in chunks of about
+        for each distinct query cell two binary searches per z-column, for
+        the first keys of its z - 1 and z + 2 cells, find the point range of
+        the column's three cells (adjacent keys along z). A column whose
+        box lies beyond eps from the query in x or y is skipped; a z cell
+        beyond eps is not, as its candidates fail the distance test anyway.
+        The queries then run in chunks of about
         _CANDIDATE_BUDGET candidate pairs, so temporaries stay bounded
         whatever N is: each candidate's distance is computed canonically,
         one coordinate at a time, and only pairs within eps are kept; these
@@ -199,7 +201,12 @@ class SpatialIndex:
             return _grid_search(self.points, queries, k, eps)
         m = len(self.points)
         width = min(k, m)
-        low, high = np.quantile(self.points, [0.25, 0.75], axis=0)
+        # the quartiles by linear interpolation, np.quantile's default
+        pos = np.array([0.25, 0.75]) * (m - 1)
+        below = np.floor(pos).astype(np.int64)
+        above = np.minimum(below + 1, m - 1)
+        part = np.partition(self.points, sorted({*below, *above}), axis=0)
+        low, high = part[below] + (part[above] - part[below]) * (pos - below)[:, None]
         e1, e2 = np.sort(2.0 * (high - low))[1:]
         radius = math.sqrt(e1 * e2 * width / (math.pi * m)) or 1.0
         idx = np.empty((len(queries), width), np.int64)
@@ -271,7 +278,9 @@ def _grid_search(points: np.ndarray, queries: np.ndarray, k: int, eps: float) ->
         key = key[rank]
         tied = np.flatnonzero(key[1:] == key[:-1])
         if len(tied):
-            runs = np.union1d(tied, tied + 1)
+            in_run = np.zeros(len(key), bool)
+            in_run[tied] = in_run[tied + 1] = True
+            runs = np.flatnonzero(in_run)
             members = rank[runs]
             rank[runs] = members[np.lexsort((idx[members], dist[members], key[runs]))]
         idx, dist = idx[rank], dist[rank]
@@ -343,22 +352,22 @@ class _CellGrid:
 
     def candidate_ranges(self, cell_keys: np.ndarray, qkey: np.ndarray, frac: np.ndarray):
         """Start and length in cell_keys order of the 9 z-columns of 3 cells
-        around each query's cell, (N, 9) each; a cell whose box lies beyond
-        eps from the query is left out of its column, and a column whose
-        middle cell is beyond eps has length 0."""
-        cells, cell_of = np.unique(qkey, return_inverse=True)
-        middle = cells[:, None] + _COLUMNS @ self.stride[:2]
-        bounds = np.searchsorted(cell_keys, middle[:, :, None] + np.arange(-1, 3))[cell_of]
+        around each query's cell, (N, 9) each, for queries sorted by cell
+        key; a column whose middle cell's box lies beyond eps from the query
+        has length 0."""
+        first = np.concatenate([[True], qkey[1:] != qkey[:-1]])
+        middle = qkey[first][:, None] + _COLUMNS @ self.stride[:2]
+        # each column runs from the first key of its z - 1 cell to that of z + 2
+        bounds = np.searchsorted(cell_keys, middle[:, :, None] + np.array([-1, 2]))[np.cumsum(first) - 1]
         # squared gap from the query to the lower and upper face of its cell
-        # per axis, in cell units, less the rounding slack
-        below = np.maximum(frac - self.slack, 0.0) ** 2
-        above = np.maximum(1.0 - frac - self.slack, 0.0) ** 2
+        # in x and y, in cell units, less the rounding slack
+        below = np.maximum(frac[:, :2] - self.slack, 0.0) ** 2
+        above = np.maximum(1.0 - frac[:, :2] - self.slack, 0.0) ** 2
         gap = np.stack([below, np.zeros_like(below), above], axis=2)
         column_gap = (gap[:, 0, :, None] + gap[:, 1, None, :]).reshape(len(qkey), 9)
         limit = (self.eps / self.cell) ** 2 * (1.0 + 2.0 ** -30)
-        start = np.where(column_gap + gap[:, 2, :1] <= limit, bounds[..., 0], bounds[..., 1])
-        end = np.where(column_gap + gap[:, 2, 2:] <= limit, bounds[..., 3], bounds[..., 2])
-        return start, np.where(column_gap <= limit, end - start, 0)
+        start = bounds[..., 0]
+        return start, np.where(column_gap <= limit, bounds[..., 1] - start, 0)
 
 
 def precompute_neighborhoods(index: SpatialIndex, queries: np.ndarray, k: int, eps: float | None = None) -> Neighborhoods:

@@ -24,10 +24,11 @@ from .aggregate import AggregationSpec, refine_labels
 from .errors import FileFormatError
 from .geometry import AugmentationSpec, PointCloud, SensorConfig
 from .lam import LamTrainingSet
-from .neighbors import SpatialIndex, build_dense_cloud, precompute_neighborhoods
+from .neighbors import Neighborhoods, SpatialIndex, build_dense_cloud, precompute_neighborhoods
 from .subsample import (PredictionMatrix, SubsampleSpec, make_ensemble, read_scan_prediction,
                         within_frame_ensemble)
 from . import aggregate as _aggregate
+from . import phi_layout
 
 INTENSITY_POLICIES = ("drop_first_iteration_then_use",)
 
@@ -151,9 +152,14 @@ def frame_neighborhoods(scans, poses, predictions, t: int, agg: AggregationSpec)
     pose-aligned window (scans with their predictions), an index over it
     and each point's k nearest within epsilon. Returns (DenseCloud,
     Neighborhoods)."""
-    dense = build_dense_cloud(list(zip(scans, predictions)), poses, t, agg.window, agg.stride)
+    dense = _window_cloud(scans, poses, predictions, t, agg)
     nbh = precompute_neighborhoods(SpatialIndex(dense.points), scans[t].points, agg.k, agg.epsilon)
     return dense, nbh
+
+
+def _window_cloud(scans, poses, predictions, t: int, agg: AggregationSpec):
+    """The dense cloud of scan t's window that frame_neighborhoods searches."""
+    return build_dense_cloud(list(zip(scans, predictions)), poses, t, agg.window, agg.stride)
 
 
 def cross_frame_refine(scans, poses, within, agg: AggregationSpec, threads: int = 1,
@@ -226,7 +232,7 @@ def cbst_select(labels: np.ndarray, confidence: np.ndarray, config: CbstConfig) 
     if len(labels) == 0:
         raise ValueError("cbst_select requires at least one labeled point")
     selected = np.zeros(len(labels), dtype=bool)
-    for c in np.unique(labels):
+    for c in np.flatnonzero(np.bincount(labels)):
         members = labels == c
         conf_c = np.sort(confidence[members])[::-1]
         rank = max(1, int(np.ceil(config.portion * len(conf_c) - 1e-9)))
@@ -447,27 +453,42 @@ def _cloud_rng(seed: int, cloud: PointCloud) -> np.random.Generator:
 def build_lam_training_set(scans, poses, predictions, truth_labels, agg: AggregationSpec,
                            ignore_label: int | None = None) -> LamTrainingSet:
     """Collect per-query neighborhoods (feature rows, truth) from a labeled
-    sequence; queries with no neighbors or ignored truth are dropped."""
+    sequence; queries with no neighbors or ignored truth are dropped.
+
+    The feature rows are held once, in two passes. The first searches
+    every frame once and keeps only the kept queries' neighborhoods (16
+    bytes per pair, against 8 * (2K + 3) per feature row) and their truth.
+    The phis, offsets and labels are then allocated from the summed
+    counts, and the second pass rebuilds each frame's dense cloud, without
+    a search, and writes the frame's feature rows into its slice, freeing
+    its neighborhoods as it goes."""
     for t, truth in enumerate(truth_labels):
         if len(truth) != len(scans[t]):
             raise FileFormatError(
                 f"frame {t}: {len(truth)} labels for a {len(scans[t])}-point scan "
                 f"(label data ends at byte offset {4 * len(truth)})")
-    phis, counts, labels = [], [], []
+    kept, counts, labels = [], [], []
     for t in range(len(scans)):
-        dense, nbh = frame_neighborhoods(scans, poses, predictions, t, agg)
-        phi_rows, _ = _aggregate.phi_pairs(predictions[t].probs, dense, nbh)
+        nbh = frame_neighborhoods(scans, poses, predictions, t, agg)[1]
         truth = np.asarray(truth_labels[t], dtype=np.int64)
         keep = nbh.valid_count > 0
         if ignore_label is not None:
             keep &= truth != ignore_label
-        rows = np.repeat(keep, nbh.valid_count)
-        phis.append(phi_rows[rows])
+        pairs = np.repeat(keep, nbh.valid_count)
         counts.append(nbh.valid_count[keep])
+        kept.append((keep, Neighborhoods(np.concatenate([[0], np.cumsum(counts[-1])]),
+                                         nbh.indices[pairs], nbh.distances[pairs], nbh.capacity)))
         labels.append(truth[keep])
-    return LamTrainingSet(phis=np.concatenate(phis),
-                          offsets=np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
-                          labels=np.concatenate(labels))
+    offsets = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    phis = np.empty((offsets[-1], phi_layout.feature_dim(predictions[0].num_classes)))
+    lo = 0
+    for t in range(len(scans)):
+        (keep, nbh), kept[t] = kept[t], None
+        # no reference to the frame's cloud or rows outlives the slice write
+        phis[lo:lo + len(nbh.indices)] = _aggregate.phi_pairs(
+            predictions[t].probs[keep], _window_cloud(scans, poses, predictions, t, agg), nbh)[0]
+        lo += len(nbh.indices)
+    return LamTrainingSet(phis=phis, offsets=offsets, labels=np.concatenate(labels))
 
 
 # ---------------------------------------------------------------------------

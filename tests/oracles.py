@@ -5,7 +5,8 @@ feature stream the CLI analysis commands used to build with their own dense
 cloud, index and query per frame; conversions between compressed-row
 Neighborhoods and the padded (N, k) layout; the per-query LAM
 training-set builder and list-concatenating training loop the compressed
-rows replaced; the per-trial accumulation within-frame ensembling
+rows replaced; the one-pass training-set builder that concatenated each
+frame's kept feature rows; the per-trial accumulation within-frame ensembling
 used before its rows went through lam.segment_sum; and the weight
 histograms scored from joined phi rows, as the analysis commands computed
 them before the refinement pass recorded each pair's weight.
@@ -119,6 +120,25 @@ def training_lists(scans, poses, predictions, truth_labels, agg, ignore_label=No
             probs.append(neighbor_probs[lo:hi])
             labels.append(truth[q])
     return phis, probs, np.asarray(labels, dtype=np.int64)
+
+
+def concatenated_training_set(scans, poses, predictions, truth_labels, agg, ignore_label=None):
+    """selftrain.build_lam_training_set in one pass: each frame's kept
+    feature rows gathered from all of its rows, then all concatenated."""
+    phis, counts, labels = [], [], []
+    for t in range(len(scans)):
+        dense, nbh = frame_neighborhoods(scans, poses, predictions, t, agg)
+        phi_rows, _ = phi_pairs(predictions[t].probs, dense, nbh)
+        truth = np.asarray(truth_labels[t], dtype=np.int64)
+        keep = nbh.valid_count > 0
+        if ignore_label is not None:
+            keep &= truth != ignore_label
+        phis.append(phi_rows[np.repeat(keep, nbh.valid_count)])
+        counts.append(nbh.valid_count[keep])
+        labels.append(truth[keep])
+    return lam.LamTrainingSet(phis=np.concatenate(phis),
+                              offsets=np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
+                              labels=np.concatenate(labels))
 
 
 def train_lam_lists(phis, probs, labels, config):

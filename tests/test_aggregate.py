@@ -8,6 +8,7 @@ from lidar_ensemble.aggregate import (
     AggregationSpec,
     LamKernel,
     UniformKernel,
+    _slice_features,
     phi_pairs,
     refine_labels,
     write_refinement_manifest,
@@ -267,6 +268,24 @@ class TestRefineLabels:
         rows, row_query = phi_pairs(v, dense, nbh)
         assert np.array_equal(record.weights,
                               segment_softmax(eval_scores(params, rows), row_query, len(queries)))
+
+    def test_pair_features_equal_the_slice_gather(self):
+        # the LAM kernel copies them from its phi rows; the uniform one gathers them
+        rng = np.random.default_rng(21)
+        dense = make_dense(rng, m=600, k_classes=4)
+        queries = rng.uniform(-4, 4, size=(120, 3))
+        raw = rng.uniform(0.05, 1.0, size=(120, 4))
+        v = raw / raw.sum(1, keepdims=True)
+        nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=20, eps=0.8)
+        want = _slice_features(dense, nbh.indices, nbh.distances)
+        params = initialize_lam_params(phi_layout.feature_dim(4), hidden_sizes=(8, 8, 8), seed=6)
+        for kernel in (UniformKernel(), LamKernel(params)):
+            _, record = refine_labels(queries, v, dense, nbh, kernel, return_pairs=True)
+            assert record.features.keys() == want.keys()
+            for name, values in want.items():
+                got = record.features[name]
+                assert got.flags.c_contiguous and got.dtype == values.dtype
+                assert got.tobytes() == values.tobytes(), name
 
     def test_head_bias_shift_leaves_labels_unchanged(self):
         rng = np.random.default_rng(9)

@@ -711,7 +711,8 @@ def test_import_does_not_load_scipy():
 @pytest.mark.parametrize("command, epsilon", [("pipeline", "0.5"), ("pipeline", ""), ("aggregate", ""),
                                               ("lam-apply", ""), ("lam-train", "")])
 def test_no_command_loads_scipy(command, epsilon, dataset, prediction_dir, checkpoint, tmp_path):
-    # searches with and without epsilon both run on the numpy cell grid
+    # searches with and without epsilon both run on the numpy cell grid; nor
+    # numpy.ma, which np.unique and np.quantile import on their first call
     import os
     import subprocess
     import sys
@@ -726,11 +727,11 @@ def test_no_command_loads_scipy(command, epsilon, dataset, prediction_dir, check
     if command in ("pipeline", "lam-train"):
         argv += ["--threads", "1"]
     code = ("import sys; from lidar_ensemble.cli import main; "
-            f"code = main({argv!r}); print(code, 'scipy' in sys.modules)")
+            f"code = main({argv!r}); print(code, 'scipy' in sys.modules, 'numpy.ma' in sys.modules)")
     src = str(Path(cli.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == [str(EXIT_OK), "False"]
+    assert out.stdout.split() == [str(EXIT_OK), "False", "False"]
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])

@@ -178,7 +178,9 @@ class TestBlockedStepMatchesOracle:
     bits as the plain whole-array numpy they replace."""
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
-    @pytest.mark.parametrize("hidden", [(4, 4, 4), (8, 8), (32, 64, 128)])
+    # (64, 32) and (8, 16, 4) narrow, so an input gradient wider than its
+    # layer's xhat takes a workspace buffer
+    @pytest.mark.parametrize("hidden", [(4, 4, 4), (8, 8), (32, 64, 128), (64, 32), (8, 16, 4)])
     @pytest.mark.parametrize("rows", ORACLE_ROWS)
     def test_scores_statistics_and_gradients(self, rows, hidden, mode):
         rng = np.random.default_rng(rows * 7 + len(hidden))

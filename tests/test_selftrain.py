@@ -43,7 +43,7 @@ from lidar_ensemble.synth import (
     generate_sequence,
     sensor_config,
 )
-from tests.oracles import train_lam_lists, training_lists
+from tests.oracles import concatenated_training_set, train_lam_lists, training_lists
 
 
 def identity_config(k=8, window=6):
@@ -435,6 +435,45 @@ class TestLamTrainingSet:
         save_lam_params(ref_params, tmp_path / "lists.ckpt")
         assert trace == ref_trace
         assert (tmp_path / "ragged.ckpt").read_bytes() == (tmp_path / "lists.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("epsilon, ignore_label", [(None, None), (0.5, None), (0.5, 1), (None, 2)])
+    def test_two_pass_build_equals_concatenate_oracle(self, epsilon, ignore_label):
+        # with eps the neighborhoods are ragged; with an ignore label all of
+        # frame 2's queries are ignored, so it adds no rows
+        seq, truths = generate_sequence(SyntheticSceneSpec(num_frames=5, points_per_frame=250, seed=29))
+        predictor = NoisyPredictor(MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS)), 0.2, 0.2,
+                                   np.inf, seed=2)
+        within = [predictor(scan) for scan in seq.scans]
+        if ignore_label is not None:
+            truths[2][:] = ignore_label
+        agg = AggregationSpec(kernel=UniformKernel(), k=7, epsilon=epsilon, window=2, stride=1)
+        data = build_lam_training_set(seq.scans, seq.poses, within, truths, agg, ignore_label=ignore_label)
+        ref = concatenated_training_set(seq.scans, seq.poses, within, truths, agg, ignore_label=ignore_label)
+        sizes = np.diff(data.offsets)
+        assert len(data) > 0 and (epsilon is None or sizes.min() < sizes.max())
+        for got, want in ((data.phis, ref.phis), (data.offsets, ref.offsets), (data.labels, ref.labels)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_build_holds_the_training_set_once(self):
+        # criterion-7 search settings on a 12 x 600 drive: the set is 8.3 MB.
+        # Holding every frame's rows and then their concatenation peaks at
+        # 2.35 times its bytes; the two-pass build at 1.46 times
+        import tracemalloc
+
+        seq, truths = generate_sequence(SyntheticSceneSpec(num_frames=12, points_per_frame=600, seed=5))
+        predictor = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
+        within = [predictor(scan) for scan in seq.scans]
+        agg = AggregationSpec(kernel=UniformKernel(), k=16, epsilon=None, window=20, stride=1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            data = build_lam_training_set(seq.scans, seq.poses, within, truths, agg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.phis.nbytes == 12 * 600 * 16 * phi_layout.feature_dim(3) * 8
+        assert peak - start < 1.9 * data.phis.nbytes
 
     def test_label_length_mismatch_names_the_frame(self):
         seq, truths = generate_sequence(SyntheticSceneSpec(num_frames=3, points_per_frame=80, seed=19))
