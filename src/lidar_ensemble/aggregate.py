@@ -31,10 +31,6 @@ class LamKernel:
 
     params: LamParams
 
-    def __post_init__(self):
-        if self.params.mode != "eval":
-            raise ValueError("LAM kernel requires params in eval mode")
-
 
 @dataclass(frozen=True)
 class AggregationSpec:
@@ -119,15 +115,7 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
     if not return_pairs:
         return refined
     weights = e / z[nbh.row_query]
-    if isinstance(kernel, UniformKernel):
-        features = _slice_features(dense, nbh.indices, nbh.distances)
-    else:  # the slices are columns of the phi rows already built
-        k = dense.num_classes
-        features = {name: phi_rows[:, column].copy() for name, column in (
-            ("temporal", phi_layout.temporal_column(k)),
-            ("sensor_distance", phi_layout.sensor_distance_column(k)),
-            ("center_distance", phi_layout.DISTANCE_COLUMN))}
-    return refined, PairRecord(features, weights)
+    return refined, PairRecord(_slice_features(dense, nbh.indices, nbh.distances), weights)
 
 
 def write_refinement_manifest(path, spec: AggregationSpec) -> None:

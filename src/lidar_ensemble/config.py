@@ -56,7 +56,6 @@ class PipelineConfig:
     train: TrainConfig
     cbst: CbstConfig
     adaptation_iterations: int
-    intensity_policy: str
     student_augmentation: AugmentationSpec
     predictor: dict
     seed: int
@@ -68,10 +67,8 @@ class PipelineConfig:
             sensor=self.sensor,
             subsample=self.subsample,
             aggregation=self.aggregation,
-            student_augmentation=self.student_augmentation,
             cbst=self.cbst,
             iterations=self.adaptation_iterations,
-            intensity_policy=self.intensity_policy,
             seed=self.seed,
         )
 
@@ -209,7 +206,9 @@ def load_config(path) -> PipelineConfig:
             translation_sigma=_get(raw, "augment", "translation_sigma", float),
         )
         iterations = _get(raw, "adaptation", "iterations", int, lambda v: v >= 1)
-        policy = raw["adaptation"]["intensity_policy"].strip()
+        # the one policy there is: intensity off in iteration 0, on afterwards
+        _get(raw, "adaptation", "intensity_policy", str.strip,
+             lambda v: v == "drop_first_iteration_then_use")
     except (ConfigError, FileFormatError):
         raise
     except ValueError as exc:
@@ -227,7 +226,6 @@ def load_config(path) -> PipelineConfig:
         train=train,
         cbst=cbst,
         adaptation_iterations=iterations,
-        intensity_policy=policy,
         student_augmentation=augmentation,
         predictor=predictor,
         seed=_get(raw, "run", "seed", int),

@@ -52,22 +52,15 @@ class DenseBnLayer:
 
 @dataclass
 class LamParams:
-    """Full parameter set of the aggregation model.
-
-    mode selects batch statistics ("train", running stats updated on each
-    forward) or running statistics ("eval", a pure function of the input).
-    """
+    """Full parameter set of the aggregation model."""
 
     std_mean: np.ndarray
     std_var: np.ndarray
     layers: list
     head_weight: np.ndarray
     head_bias: float
-    mode: str = "eval"
 
     def __post_init__(self):
-        if self.mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {self.mode!r}")
         if np.any(self.std_var <= 0):
             raise ValueError("standardization variances must be positive")
         for i, layer in enumerate(self.layers):
@@ -85,7 +78,6 @@ class LamParams:
             layers=[layer.copy() for layer in self.layers],
             head_weight=self.head_weight.copy(),
             head_bias=float(self.head_bias),
-            mode=self.mode,
         )
 
     def named_parameters(self):
@@ -117,7 +109,6 @@ def initialize_lam_params(feature_dim: int, hidden_sizes=HIDDEN_SIZES, seed: int
         layers=layers,
         head_weight=rng.uniform(-bound, bound, size=fan_in),
         head_bias=0.0,
-        mode="eval",
     )
 
 
@@ -190,15 +181,16 @@ def _blocks(rows: int, block: int):
         yield lo, min(lo + block, rows)
 
 
-def lam_forward(params: LamParams, feats: np.ndarray, update_running: bool = True,
+def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
                 workspace: _Workspace | None = None):
     """Score a batch of feature vectors.
 
-    Returns (scores (R,), cache). In train mode batch statistics normalize
-    each block and, unless update_running is False, the running statistics
-    are advanced with momentum 0.1; eval mode is deterministic. The cache
+    Returns (scores (R,), cache). With train, batch statistics normalize
+    each layer and the running statistics advance with momentum 0.1;
+    otherwise the running statistics normalize and params is not written,
+    so the scores are a pure function of params and feats. The cache
     lives in workspace, when one is given, until its next use, and
-    lam_backward consumes it.
+    lam_backward of a train forward consumes it.
     """
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != params.feature_dim:
@@ -207,12 +199,11 @@ def lam_forward(params: LamParams, feats: np.ndarray, update_running: bool = Tru
         raise ValueError("feature batch contains non-finite values")
 
     ws = _Workspace() if workspace is None else workspace
-    train = params.mode == "train"
     rows = len(feats)
     act = ws.take("x0", rows, params.feature_dim)
     np.subtract(feats, params.std_mean, out=act)
     np.divide(act, np.sqrt(params.std_var), out=act)
-    cache = {"x0": act, "train": train, "layers": []}
+    cache = {"x0": act, "layers": []}
     for i, layer in enumerate(params.layers):
         width = len(layer.weight)
         block = _block_rows(rows, width)
@@ -228,10 +219,9 @@ def lam_forward(params: LamParams, feats: np.ndarray, update_running: bool = Tru
                 np.multiply(zc, zc, out=sq_sum.rows(hi - lo))
                 sq_sum.add(hi - lo)
             var = sq_sum.total / rows
-            if update_running:
-                run_var_update = var * rows / (rows - 1) if rows > 1 else var
-                layer.run_mean += BN_MOMENTUM * (mean - layer.run_mean)
-                layer.run_var += BN_MOMENTUM * (run_var_update - layer.run_var)
+            run_var_update = var * rows / (rows - 1) if rows > 1 else var
+            layer.run_mean += BN_MOMENTUM * (mean - layer.run_mean)
+            layer.run_var += BN_MOMENTUM * (run_var_update - layer.run_var)
         else:
             mean = layer.run_mean
             var = layer.run_var
@@ -253,14 +243,12 @@ def lam_forward(params: LamParams, feats: np.ndarray, update_running: bool = Tru
 
 
 def eval_scores(params: LamParams, feats: np.ndarray) -> np.ndarray:
-    """Eval-mode scores without activation caches.
+    """The scores of lam_forward without train, without activation caches.
 
-    Rows are independent in eval mode, so the batch is processed in
-    cache-friendly chunks through one reused workspace; large monolithic
+    Running statistics make the rows independent, so the batch is processed
+    in cache-friendly chunks through one reused workspace; large monolithic
     batches thrash memory.
     """
-    if params.mode != "eval":
-        raise ValueError("eval_scores requires eval mode")
     feats = np.asarray(feats, dtype=np.float64)
     ws = _Workspace()
     return np.concatenate([
@@ -272,7 +260,8 @@ def eval_scores(params: LamParams, feats: np.ndarray) -> np.ndarray:
 def lam_backward(params: LamParams, cache: dict, dscores: np.ndarray,
                  workspace: _Workspace | None = None) -> dict:
     """Gradients of a scalar objective w.r.t. every trainable tensor,
-    given its gradient w.r.t. the scores.
+    given its gradient w.r.t. the scores, for a cache of a train forward
+    (batch statistics).
 
     The cache is consumed: the gradients are written over activations that
     are dead by then. The top layer's gradient overwrites a_last, a block
@@ -286,7 +275,6 @@ def lam_backward(params: LamParams, cache: dict, dscores: np.ndarray,
     grads["head.weight"] = a_last.T @ dscores
     grads["head.bias"] = np.atleast_1d(dscores.sum())
     rows = len(dscores)
-    train = cache["train"]
     last = len(params.layers) - 1
     d_act = a_last
     for i in reversed(range(len(params.layers))):
@@ -312,25 +300,21 @@ def lam_backward(params: LamParams, cache: dict, dscores: np.ndarray,
             np.multiply(d, x, out=gamma_sum.rows(n))
             gamma_sum.add(n)
             np.multiply(d, layer.gamma, out=d)
-            if train:
-                np.copyto(dxhat_sum.rows(n), d)
-                dxhat_sum.add(n)
-                np.multiply(d, x, out=dxhat_x_sum.rows(n))
-                dxhat_x_sum.add(n)
-            else:
-                np.multiply(d, ivar, out=d)
+            np.copyto(dxhat_sum.rows(n), d)
+            dxhat_sum.add(n)
+            np.multiply(d, x, out=dxhat_x_sum.rows(n))
+            dxhat_x_sum.add(n)
         grads[f"layer{i}.gamma"] = gamma_sum.total
         grads[f"layer{i}.beta"] = beta_sum.total
-        if train:
-            # dz = (ivar / rows) * (rows * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
-            coef = ivar / rows
-            for lo, hi in _blocks(rows, block):
-                d, tmp = d_act[lo:hi], scratch[1:hi - lo + 1]
-                np.multiply(d, rows, out=d)
-                np.subtract(d, dxhat_sum.total, out=d)
-                np.multiply(xhat[lo:hi], dxhat_x_sum.total, out=tmp)
-                np.subtract(d, tmp, out=d)
-                np.multiply(d, coef, out=d)
+        # dz = (ivar / rows) * (rows * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
+        coef = ivar / rows
+        for lo, hi in _blocks(rows, block):
+            d, tmp = d_act[lo:hi], scratch[1:hi - lo + 1]
+            np.multiply(d, rows, out=d)
+            np.subtract(d, dxhat_sum.total, out=d)
+            np.multiply(xhat[lo:hi], dxhat_x_sum.total, out=tmp)
+            np.subtract(d, tmp, out=d)
+            np.multiply(d, coef, out=d)
         grads[f"layer{i}.weight"] = d_act.T @ lc["a_prev"]
         if i > 0:  # the input gradient of layer 0 has no reader
             fan_in = layer.weight.shape[1]
@@ -524,8 +508,9 @@ def _softmax_refine(scores: np.ndarray, row_query: np.ndarray, probs: np.ndarray
 def training_loss_and_grads(params: LamParams, phis: np.ndarray, row_query: np.ndarray,
                             probs: np.ndarray, labels: np.ndarray,
                             ce_weight: float = 1.0, lovasz_weight: float = 1.0,
-                            update_running: bool = False, workspace: _Workspace | None = None):
-    """Loss and analytic parameter gradients for one batch of neighborhoods.
+                            workspace: _Workspace | None = None):
+    """Loss and analytic parameter gradients for one batch of neighborhoods,
+    through a train forward (batch statistics, running statistics advanced).
 
     probs (R, K) holds the neighbor pseudo-label row of each phi row.
     The refinement weights are the softmax of the scores within each
@@ -533,7 +518,7 @@ def training_loss_and_grads(params: LamParams, phis: np.ndarray, row_query: np.n
     normalizer. Returns (total, ce, lovasz, grads).
     """
     n = len(labels)
-    scores, cache = lam_forward(params, phis, update_running=update_running, workspace=workspace)
+    scores, cache = lam_forward(params, phis, train=True, workspace=workspace)
     weights, refined = _softmax_refine(scores, row_query, probs, n)
     ce, g_ce = _cross_entropy_with_grad(refined, labels)
     lov, g_lov = _lovasz_softmax_with_grad(refined, labels)
@@ -578,14 +563,13 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
 
     Fresh parameters are initialized from config.seed and standardization
     statistics fit to the training features unless params is given.
-    Returns (params in eval mode, per-epoch EpochStats list).
+    Returns (params, per-epoch EpochStats list).
     """
     if len(data) == 0:
         raise ValueError("training set is empty")
     if params is None:
         params = initialize_lam_params(data.feature_dim, seed=config.seed)
         params = modulate_statistics(params, data.phis)
-    params.mode = "train"
     rng = np.random.default_rng(config.seed)
     adam = _Adam([name for name, _ in params.named_parameters()], config.learning_rate)
     sizes = np.diff(data.offsets)
@@ -608,7 +592,7 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
                                   out=ws.take("phis", len(rows), data.feature_dim))
             total, ce, lov, grads = training_loss_and_grads(
                 params, phis, row_query, phis[:, label_columns], data.labels[sel],
-                config.ce_weight, config.lovasz_weight, update_running=True, workspace=ws,
+                config.ce_weight, config.lovasz_weight, workspace=ws,
             )
             if not np.isfinite(total):
                 raise LamTrainingError(f"non-finite loss at step {global_step}")
@@ -620,7 +604,6 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
         mean_ce, mean_lov = ce_sum / seen, lov_sum / seen
         trace.append(EpochStats(epoch, mean_ce, mean_lov,
                                 config.ce_weight * mean_ce + config.lovasz_weight * mean_lov))
-    params.mode = "eval"
     return params, trace
 
 
@@ -831,7 +814,6 @@ def load_lam_params(path) -> LamParams:
         layers=layers,
         head_weight=tensor("head.weight", (fan_in,)),
         head_bias=float(tensor("head.bias", ())),
-        mode="eval",
     )
 
 

@@ -28,11 +28,6 @@ class ConfusionMatrix:
     def num_classes(self) -> int:
         return self.counts.shape[0]
 
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if self.num_classes != other.num_classes or self.ignore_label != other.ignore_label:
-            raise ValueError("cannot add confusion matrices with different shape or ignore label")
-        return ConfusionMatrix(self.counts + other.counts, self.ignore_label)
-
 
 def confusion(pred: np.ndarray, truth: np.ndarray, num_classes: int,
               ignore_label: int | None = None) -> ConfusionMatrix:

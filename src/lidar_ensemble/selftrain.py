@@ -22,16 +22,13 @@ import numpy as np
 
 from .aggregate import AggregationSpec, refine_labels
 from .errors import FileFormatError
-from .geometry import AugmentationSpec, PointCloud, SensorConfig
+from .geometry import PointCloud, SensorConfig
 from .lam import LamTrainingSet
 from .neighbors import Neighborhoods, SpatialIndex, build_dense_cloud, precompute_neighborhoods
 from .subsample import (PredictionMatrix, SubsampleSpec, make_ensemble, read_scan_prediction,
                         within_frame_ensemble)
 from . import aggregate as _aggregate
 from . import phi_layout
-
-INTENSITY_POLICIES = ("drop_first_iteration_then_use",)
-
 
 class AdaptationError(RuntimeError):
     """Raised when the student trainer hook fails; carries the iteration."""
@@ -88,20 +85,13 @@ class AdaptationConfig:
     sensor: SensorConfig
     subsample: SubsampleSpec
     aggregation: AggregationSpec
-    student_augmentation: AugmentationSpec | None = None
     cbst: CbstConfig | None = None
     iterations: int = 1
-    intensity_policy: str = "drop_first_iteration_then_use"
     seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.intensity_policy not in INTENSITY_POLICIES:
-            raise ValueError(f"unknown intensity policy {self.intensity_policy!r}")
-
-    def intensity_allowed(self, iteration: int) -> bool:
-        return iteration > 0
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +286,7 @@ def run_adaptation(sequences, teacher: Predictor, student_hook, config: Adaptati
     first_pairs = {}
     manifest_items = [("iterations", str(config.iterations)), ("seed", str(config.seed))]
     for iteration in range(config.iterations):
-        use_intensity = config.intensity_allowed(iteration)
+        use_intensity = iteration > 0
         manifest_items.append((f"iteration_{iteration:02d}.intensity_used", str(use_intensity).lower()))
         iter_labels = {}
         for seq_index, seq in enumerate(sequences):

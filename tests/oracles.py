@@ -146,7 +146,6 @@ def train_lam_lists(phis, probs, labels, config):
     from its neighborhoods' arrays."""
     params = lam.initialize_lam_params(phis[0].shape[1], seed=config.seed)
     params = lam.modulate_statistics(params, np.concatenate(phis, axis=0))
-    params.mode = "train"
     rng = np.random.default_rng(config.seed)
     adam = lam._Adam([name for name, _ in params.named_parameters()], config.learning_rate)
     sizes = np.array([len(p) for p in phis])
@@ -162,14 +161,13 @@ def train_lam_lists(phis, probs, labels, config):
             row_query = np.repeat(np.arange(len(sel)), sizes[sel])
             _, ce, lov, grads = lam.training_loss_and_grads(
                 params, batch_phis, row_query, batch_probs, labels[sel],
-                config.ce_weight, config.lovasz_weight, update_running=True, workspace=ws)
+                config.ce_weight, config.lovasz_weight, workspace=ws)
             adam.step(params, grads)
             ce_sum += ce * len(sel)
             lov_sum += lov * len(sel)
         mean_ce, mean_lov = ce_sum / len(perm), lov_sum / len(perm)
         trace.append(lam.EpochStats(epoch, mean_ce, mean_lov,
                                     config.ce_weight * mean_ce + config.lovasz_weight * mean_lov))
-    params.mode = "eval"
     return params, trace
 
 
@@ -192,12 +190,7 @@ def weight_histograms(params, phis, row_query, num_queries, bins=20):
     phis = np.asarray(phis, dtype=np.float64)
     if len(phis) == 0:
         raise ValueError("no neighbor pairs to analyze")
-    if params is None:
-        scores = np.zeros(len(phis))
-    else:
-        if params.mode != "eval":
-            raise ValueError("weight analysis requires eval mode")
-        scores = lam.eval_scores(params, phis)
+    scores = np.zeros(len(phis)) if params is None else lam.eval_scores(params, phis)
     weights = lam.segment_softmax(scores, row_query, num_queries)
     k = phi_layout.num_classes_of(phis.shape[1])
     columns = {

@@ -226,7 +226,6 @@ def test_criterion_05_gradient_check():
     params = initialize_lam_params(7, hidden_sizes=(4, 4, 4), seed=3)
     params.std_mean = rng.normal(size=7) * 0.1
     params.std_var = rng.uniform(0.5, 2.0, size=7)
-    params.mode = "train"
 
     sizes = (4, 5, 3)  # 3 neighborhoods
     row_query = np.repeat(np.arange(3), sizes)
@@ -236,12 +235,10 @@ def test_criterion_05_gradient_check():
     labels = np.array([0, 1, 0])
 
     def loss_at(p):
-        total, _, _, _ = training_loss_and_grads(
-            p, phis, row_query, probs, labels, 1.0, 1.0, update_running=False)
+        total, _, _, _ = training_loss_and_grads(p, phis, row_query, probs, labels, 1.0, 1.0)
         return total
 
-    _, _, _, grads = training_loss_and_grads(
-        params, phis, row_query, probs, labels, 1.0, 1.0, update_running=False)
+    _, _, _, grads = training_loss_and_grads(params, phis, row_query, probs, labels, 1.0, 1.0)
 
     h = 1e-4
     worst = 0.0
@@ -401,8 +398,8 @@ def test_criterion_10_metrics():
 
     # additivity under sharding is exact
     whole = confusion(pred, truth, 10)
-    parts = confusion(pred[:1234], truth[:1234], 10) + confusion(pred[1234:], truth[1234:], 10)
-    assert np.array_equal(whole.counts, parts.counts)
+    parts = confusion(pred[:1234], truth[:1234], 10).counts + confusion(pred[1234:], truth[1234:], 10).counts
+    assert np.array_equal(whole.counts, parts)
 
 
 # ---------------------------------------------------------------------------

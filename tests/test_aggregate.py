@@ -13,8 +13,9 @@ from lidar_ensemble.aggregate import (
     refine_labels,
     write_refinement_manifest,
 )
-from lidar_ensemble.lam import (DenseBnLayer, LamParams, eval_scores, initialize_lam_params,
-                                 segment_softmax)
+from lidar_ensemble.lam import (DenseBnLayer, LamParams, LamTrainingSet, TrainConfig, eval_scores,
+                                 initialize_lam_params, load_lam_params, save_lam_params,
+                                 segment_softmax, train_lam)
 from lidar_ensemble.neighbors import DenseCloud, SpatialIndex, precompute_neighborhoods
 from tests.oracles import from_padded, kernel_score, padded, phi
 
@@ -48,7 +49,6 @@ def zero_lam_params(feature_dim, hidden=(4, 4, 4)):
         layers=layers,
         head_weight=np.zeros(hidden[-1]),
         head_bias=0.0,
-        mode="eval",
     )
 
 
@@ -152,11 +152,28 @@ class TestKernelScore:
         with pytest.raises(ValueError, match="non-finite"):
             kernel_score(UniformKernel(), np.array([np.inf, 0.0]))
 
-    def test_train_mode_params_rejected(self):
-        params = zero_lam_params(7)
-        params.mode = "train"
-        with pytest.raises(ValueError, match="eval"):
-            LamKernel(params)
+    def test_trained_kernel_refines_like_its_checkpoint(self, tmp_path):
+        # train_lam's params score with their running statistics as they
+        # are: refining with them gives the bits of refining with their
+        # saved-and-loaded checkpoint
+        rng = np.random.default_rng(12)
+        dense = make_dense(rng, m=300)
+        queries = rng.uniform(-3, 3, size=(60, 3))
+        raw = rng.uniform(0.05, 1.0, size=(60, 3))
+        v = raw / raw.sum(1, keepdims=True)
+        nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=8)
+        phis, _ = phi_pairs(v, dense, nbh)
+        data = LamTrainingSet(phis=phis, offsets=np.arange(61) * 8, labels=rng.integers(0, 3, 60))
+        params, _ = train_lam(data, TrainConfig(epochs=2, batch=16, seed=4))
+        save_lam_params(params, tmp_path / "lam.ckpt")
+        loaded = load_lam_params(tmp_path / "lam.ckpt")
+        trained, trained_pairs = refine_labels(queries, v, dense, nbh, LamKernel(params),
+                                               return_pairs=True)
+        restored, restored_pairs = refine_labels(queries, v, dense, nbh, LamKernel(loaded),
+                                                 return_pairs=True)
+        assert not np.allclose(trained_pairs.weights, 1 / 8)
+        assert trained.probs.tobytes() == restored.probs.tobytes()
+        assert trained_pairs.weights.tobytes() == restored_pairs.weights.tobytes()
 
 
 class TestRefineLabels:
@@ -270,7 +287,7 @@ class TestRefineLabels:
                               segment_softmax(eval_scores(params, rows), row_query, len(queries)))
 
     def test_pair_features_equal_the_slice_gather(self):
-        # the LAM kernel copies them from its phi rows; the uniform one gathers them
+        # both kernels gather them with _slice_features, as phi_pairs does its columns
         rng = np.random.default_rng(21)
         dense = make_dense(rng, m=600, k_classes=4)
         queries = rng.uniform(-4, 4, size=(120, 3))

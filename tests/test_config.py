@@ -40,7 +40,8 @@ class TestDefaults:
         assert cfg.sensor.height == 64 and cfg.sensor.width == 2048
         assert cfg.student_augmentation.scale_range == (0.9, 1.1)
         assert cfg.student_augmentation.translation_sigma == 0.5
-        assert cfg.intensity_policy == "drop_first_iteration_then_use"
+        assert ("config.adaptation.intensity_policy",
+                "drop_first_iteration_then_use") in cfg.manifest_items()
 
     def test_blank_epsilon_disables_filtering(self, tmp_path, dataset):
         cfg = load_config(write_config(tmp_path, dataset, "[aggregate]\nepsilon =\n"))
@@ -89,6 +90,13 @@ class TestValidation:
             tmp_path, dataset, "[aggregate]\nkernel = lam\ncheckpoint = model.ckpt\n"))
         assert isinstance(cfg.aggregation.kernel, LamKernel)
         assert cfg.aggregation.kernel.params.feature_dim == 9
+
+    def test_only_the_one_intensity_policy_loads(self, tmp_path, dataset):
+        with pytest.raises(ConfigError, match="adaptation.intensity_policy"):
+            load_config(write_config(tmp_path, dataset, "[adaptation]\nintensity_policy = always\n"))
+        cfg = load_config(write_config(
+            tmp_path, dataset, "[adaptation]\nintensity_policy = drop_first_iteration_then_use\n"))
+        assert cfg.adaptation().iterations == 1
 
     def test_module_invariants_enforced(self, tmp_path, dataset):
         with pytest.raises(ConfigError):

@@ -11,6 +11,7 @@ from lidar_ensemble.lam import (
     LamTrainingError,
     LamTrainingSet,
     TrainConfig,
+    eval_scores,
     initialize_lam_params,
     lam_backward,
     lam_forward,
@@ -51,9 +52,8 @@ class TestForward:
         params.head_weight[:] = 0.0
         params.head_bias = 0.0
         feats = np.random.default_rng(0).normal(size=(10, 7))
-        for mode in ("eval", "train"):
-            params.mode = mode
-            scores, _ = lam_forward(params, feats, update_running=False)
+        for train in (False, True):
+            scores, _ = lam_forward(params, feats, train=train)
             assert np.abs(scores).max() == 0.0
 
     def test_eval_mode_is_bit_deterministic(self):
@@ -67,9 +67,8 @@ class TestForward:
     def test_train_mode_uses_batch_statistics(self):
         rng = np.random.default_rng(2)
         params = miniature_params(rng)
-        params.mode = "train"
         feats = rng.normal(size=(64, 7))
-        _, cache = lam_forward(params, feats, update_running=False)
+        _, cache = lam_forward(params, feats, train=True)
         for entry in cache["layers"]:
             # batch-normalized pre-activations are standardized
             assert np.abs(entry["xhat"].mean(axis=0)).max() < 1e-12
@@ -78,10 +77,9 @@ class TestForward:
     def test_running_statistics_momentum(self):
         rng = np.random.default_rng(3)
         params = miniature_params(rng)
-        params.mode = "train"
         feats = rng.normal(size=(50, 7))
         before = [(l.run_mean.copy(), l.run_var.copy()) for l in params.layers]
-        _, cache = lam_forward(params, feats, update_running=True)
+        _, cache = lam_forward(params, feats, train=True)
         z0 = cache["layers"][0]["a_prev"] @ params.layers[0].weight.T
         expected_mean = before[0][0] * 0.9 + 0.1 * z0.mean(axis=0)
         assert np.abs(params.layers[0].run_mean - expected_mean).max() < 1e-12
@@ -101,22 +99,20 @@ class TestForward:
             lam_forward(params, feats)
 
 
-def oracle_forward(params, feats, update_running=True, workspace=None):
+def oracle_forward(params, feats, train=False, workspace=None):
     """lam_forward as plain whole-array numpy, one fresh array per step."""
     feats = np.asarray(feats, dtype=np.float64)
-    train = params.mode == "train"
     act = (feats - params.std_mean) / np.sqrt(params.std_var)
-    cache = {"x0": act, "train": train, "layers": []}
+    cache = {"x0": act, "layers": []}
     rows = len(feats)
     for layer in params.layers:
         z = act @ layer.weight.T
         if train:
             mean = z.mean(axis=0)
             var = z.var(axis=0)
-            if update_running:
-                run_var_update = var * rows / (rows - 1) if rows > 1 else var
-                layer.run_mean += 0.1 * (mean - layer.run_mean)
-                layer.run_var += 0.1 * (run_var_update - layer.run_var)
+            run_var_update = var * rows / (rows - 1) if rows > 1 else var
+            layer.run_mean += 0.1 * (mean - layer.run_mean)
+            layer.run_var += 0.1 * (run_var_update - layer.run_var)
         else:
             mean = layer.run_mean
             var = layer.run_var
@@ -131,7 +127,7 @@ def oracle_forward(params, feats, update_running=True, workspace=None):
 
 
 def oracle_backward(params, cache, dscores, workspace=None):
-    """lam_backward as plain whole-array numpy."""
+    """lam_backward (of a train forward) as plain whole-array numpy."""
     grads = {}
     a_last = cache["a_last"]
     grads["head.weight"] = a_last.T @ dscores
@@ -145,18 +141,15 @@ def oracle_backward(params, cache, dscores, workspace=None):
         grads[f"layer{i}.gamma"] = (dy * lc["xhat"]).sum(axis=0)
         grads[f"layer{i}.beta"] = dy.sum(axis=0)
         dxhat = dy * layer.gamma
-        if cache["train"]:
-            dz = (lc["ivar"] / rows) * (
-                rows * dxhat - dxhat.sum(axis=0) - lc["xhat"] * (dxhat * lc["xhat"]).sum(axis=0)
-            )
-        else:
-            dz = dxhat * lc["ivar"]
+        dz = (lc["ivar"] / rows) * (
+            rows * dxhat - dxhat.sum(axis=0) - lc["xhat"] * (dxhat * lc["xhat"]).sum(axis=0)
+        )
         grads[f"layer{i}.weight"] = dz.T @ lc["a_prev"]
         d_act = dz @ layer.weight
     return grads
 
 
-def varied_params(rng, d, hidden, mode):
+def varied_params(rng, d, hidden):
     """Parameters with every tensor and statistic away from its initial value."""
     params = miniature_params(rng, d=d, hidden=hidden)
     for layer in params.layers:
@@ -165,7 +158,6 @@ def varied_params(rng, d, hidden, mode):
         layer.run_mean = rng.normal(size=len(layer.run_mean))
         layer.run_var = rng.uniform(0.5, 2.0, len(layer.run_var))
     params.head_bias = 0.125
-    params.mode = mode
     return params
 
 
@@ -175,7 +167,9 @@ ORACLE_ROWS = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 4113]
 
 class TestBlockedStepMatchesOracle:
     """The row-blocked, workspace-backed forward and backward give the same
-    bits as the plain whole-array numpy they replace."""
+    bits as the plain whole-array numpy they replace. Only a train forward
+    has a backward; an eval forward leaves the running statistics as they
+    were."""
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     # (64, 32) and (8, 16, 4) narrow, so an input gradient wider than its
@@ -184,18 +178,24 @@ class TestBlockedStepMatchesOracle:
     @pytest.mark.parametrize("rows", ORACLE_ROWS)
     def test_scores_statistics_and_gradients(self, rows, hidden, mode):
         rng = np.random.default_rng(rows * 7 + len(hidden))
-        params = varied_params(rng, 9, hidden, mode)
+        train = mode == "train"
+        params = varied_params(rng, 9, hidden)
         feats = rng.normal(size=(rows, 9)) * rng.uniform(0.1, 10.0, 9)
         dscores = rng.normal(size=rows)
         ref, got = params.copy(), params.copy()
-        ref_scores, ref_cache = oracle_forward(ref, feats)
-        scores, cache = lam_forward(got, feats)
+        ref_scores, ref_cache = oracle_forward(ref, feats, train=train)
+        scores, cache = lam_forward(got, feats, train=train)
         assert np.array_equal(scores, ref_scores)
-        for a, b in zip(got.layers, ref.layers):
+        for a, b, before in zip(got.layers, ref.layers, params.layers):
             assert np.array_equal(a.run_mean, b.run_mean)
             assert np.array_equal(a.run_var, b.run_var)
+            if not train:
+                assert np.array_equal(a.run_mean, before.run_mean)
+                assert np.array_equal(a.run_var, before.run_var)
         for entry, ref_entry in zip(cache["layers"], ref_cache["layers"]):
             assert np.array_equal(entry["xhat"], ref_entry["xhat"])
+        if not train:
+            return
         ref_grads = oracle_backward(ref, ref_cache, dscores)
         grads = lam_backward(got, cache, dscores)
         assert grads.keys() == ref_grads.keys()
@@ -204,18 +204,22 @@ class TestBlockedStepMatchesOracle:
 
     def test_reused_workspace_matches_fresh_calls(self):
         rng = np.random.default_rng(30)
-        params = varied_params(rng, 9, (32, 64, 128), "train")
+        params = varied_params(rng, 9, (32, 64, 128))
+        ref, got = params.copy(), params.copy()
         workspace = lam._Workspace()
         for rows in (4113, 7, BLOCK + 1, 4113):
             feats = rng.normal(size=(rows, 9))
             dscores = rng.normal(size=rows)
-            ref_scores, ref_cache = oracle_forward(params, feats, update_running=False)
-            ref_grads = oracle_backward(params, ref_cache, dscores)
-            scores, cache = lam_forward(params, feats, update_running=False, workspace=workspace)
-            grads = lam_backward(params, cache, dscores, workspace=workspace)
+            ref_scores, ref_cache = oracle_forward(ref, feats, train=True)
+            ref_grads = oracle_backward(ref, ref_cache, dscores)
+            scores, cache = lam_forward(got, feats, train=True, workspace=workspace)
+            grads = lam_backward(got, cache, dscores, workspace=workspace)
             assert np.array_equal(scores, ref_scores)
             for name, value in ref_grads.items():
                 assert np.array_equal(grads[name], value), name
+            for a, b in zip(got.layers, ref.layers):
+                assert np.array_equal(a.run_mean, b.run_mean)
+                assert np.array_equal(a.run_var, b.run_var)
 
     def test_ragged_training_saves_oracle_checkpoint(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(31)
@@ -232,7 +236,7 @@ class TestBlockedStepMatchesOracle:
 
     def test_successive_caches_do_not_share_memory(self):
         rng = np.random.default_rng(32)
-        params = varied_params(rng, 9, (8, 8), "train")
+        params = varied_params(rng, 9, (8, 8))
 
         def arrays(cache):
             out = [cache["x0"], cache["a_last"]]
@@ -240,8 +244,8 @@ class TestBlockedStepMatchesOracle:
                 out += [value for value in entry.values() if isinstance(value, np.ndarray)]
             return out
 
-        _, first = lam_forward(params, rng.normal(size=(600, 9)))
-        _, second = lam_forward(params, rng.normal(size=(600, 9)))
+        _, first = lam_forward(params, rng.normal(size=(600, 9)), train=True)
+        _, second = lam_forward(params, rng.normal(size=(600, 9)), train=True)
         for a in arrays(first):
             for b in arrays(second):
                 assert not np.shares_memory(a, b)
@@ -399,16 +403,13 @@ class TestGradients:
     def test_analytic_matches_central_differences(self):
         rng = np.random.default_rng(42)
         params = miniature_params(rng)
-        params.mode = "train"
         phis, row_query, probs, labels = miniature_batch(rng)
 
         def loss_at(p):
-            total, _, _, _ = training_loss_and_grads(
-                p, phis, row_query, probs, labels, 1.0, 1.0, update_running=False)
+            total, _, _, _ = training_loss_and_grads(p, phis, row_query, probs, labels, 1.0, 1.0)
             return total
 
-        _, _, _, grads = training_loss_and_grads(
-            params, phis, row_query, probs, labels, 1.0, 1.0, update_running=False)
+        _, _, _, grads = training_loss_and_grads(params, phis, row_query, probs, labels, 1.0, 1.0)
         h = 1e-4
         for name, tensor in params.named_parameters():
             analytic = np.atleast_1d(grads[name])
@@ -433,7 +434,6 @@ class TestGradients:
         # so the score gradient must sum to zero per neighborhood
         rng = np.random.default_rng(8)
         params = miniature_params(rng)
-        params.mode = "train"
         phis, row_query, probs, labels = miniature_batch(rng)
         _, _, _, grads = training_loss_and_grads(
             params, phis, row_query, probs, labels, 1.0, 1.0)
@@ -446,7 +446,6 @@ class TestGradients:
         rng = np.random.default_rng(k)
         d = phi_layout.feature_dim(k)
         params = miniature_params(rng, d=d)
-        params.mode = "train"
         columns = phi_layout.neighbor_label_columns(k)
         for n in range(1, 257):
             sizes = rng.integers(1, 13, size=n)
@@ -677,11 +676,17 @@ class TestWeightHistograms:
         edges = report.slices["temporal"].edges
         assert edges[0] == -1.0 and edges[-1] == 1.0
 
-    def test_requires_eval_mode(self):
-        params = initialize_lam_params(7, seed=0)
-        params.mode = "train"
-        with pytest.raises(ValueError, match="eval"):
-            weight_histograms(params, np.zeros((2, 7)), np.zeros(2, dtype=np.int64), 1)
+    def test_scoring_leaves_running_statistics_untouched(self):
+        # scores come from the running statistics, which no scoring call writes
+        rng = np.random.default_rng(24)
+        params = varied_params(rng, 7, (8, 16, 4))
+        before = [(name, np.array(t).tobytes()) for name, t in lam._named_tensors(params)]
+        phis = rng.normal(size=(lam._EVAL_CHUNK + 5, 7))
+        row_query = np.repeat(np.arange(len(phis) // 5), 5)
+        eval_scores(params, phis)
+        weight_histograms(params, phis[:len(row_query)], row_query, len(row_query) // 5)
+        lam_forward(params, phis)
+        assert [(name, np.array(t).tobytes()) for name, t in lam._named_tensors(params)] == before
 
     def test_csv_rendering(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -707,7 +712,6 @@ class TestSerialization:
         path = tmp_path / "model.ckpt"
         save_lam_params(params, path)
         back = load_lam_params(path)
-        assert back.mode == "eval"
         assert np.array_equal(back.std_mean, params.std_mean)
         assert np.array_equal(back.std_var, params.std_var)
         assert back.head_bias == params.head_bias
@@ -745,7 +749,7 @@ class TestSerialization:
     def test_any_number_of_layers_round_trips(self, tmp_path):
         rng = np.random.default_rng(23)
         for hidden in ((8, 8), (5,), (3, 6, 4, 2)):
-            params = varied_params(rng, 9, hidden, "eval")
+            params = varied_params(rng, 9, hidden)
             path = tmp_path / "model.ckpt"
             save_lam_params(params, path)
             back = load_lam_params(path)

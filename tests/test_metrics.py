@@ -52,8 +52,8 @@ class TestConfusion:
         pred = rng.integers(0, 4, 1000)
         truth = rng.integers(0, 4, 1000)
         whole = confusion(pred, truth, 4)
-        parts = confusion(pred[:300], truth[:300], 4) + confusion(pred[300:], truth[300:], 4)
-        assert np.array_equal(whole.counts, parts.counts)
+        parts = confusion(pred[:300], truth[:300], 4).counts + confusion(pred[300:], truth[300:], 4).counts
+        assert np.array_equal(whole.counts, parts)
 
 
 class TestIou:

@@ -3,6 +3,7 @@ renamed or deleted function would break `perfbench/run.py --trace 1`."""
 
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import lidar_ensemble
+from lidar_ensemble import selftrain
 from lidar_ensemble.cli import EXIT_OK, main
 from lidar_ensemble.aggregate import AggregationSpec, UniformKernel, phi_pairs
 from lidar_ensemble.neighbors import (DenseCloud, SpatialIndex, build_dense_cloud,
@@ -39,6 +41,56 @@ def test_every_target_resolves():
             assert hasattr(owner, attr), f"{span}: lidar_ensemble.{dotted} is gone"
             owner = getattr(owner, attr)
         assert callable(owner), span
+
+
+class _ArgumentRecorder(dict):
+    """Stands in for a call's bound arguments and records each name read."""
+
+    def __init__(self, value):
+        super().__init__()
+        self.value, self.read = value, set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return self.value
+
+
+def test_count_arguments_are_parameters_of_the_wrapped_function(tmp_path):
+    # a count reads the call's arguments by parameter name, so a renamed
+    # parameter would still resolve as a target and break only --trace 1
+    tracer = load_tracer()
+    stand_in = tmp_path / "file"
+    stand_in.write_bytes(b"x")
+    read = {}
+    for span, count in tracer.COUNTS.items():
+        args = _ArgumentRecorder(str(stand_in))
+        try:
+            count(args, None)
+        except (TypeError, AttributeError):  # a count of the result
+            pass
+        if args.read:
+            read[span] = args.read
+    assert read == {
+        "geometry.project": {"cloud"}, tracer.PREDICT: {"cloud"}, "lam.forward": {"feats"},
+        "selftrain.save_labels": {"path"}, "selftrain.save_mask": {"path"},
+        "selftrain.write_manifest": {"path"},
+    }
+    predictors = [cls.__call__ for cls in vars(selftrain).values()
+                  if isinstance(cls, type) and issubclass(cls, selftrain.Predictor)
+                  and "__call__" in vars(cls)
+                  and not getattr(cls.__call__, "__isabstractmethod__", False)]
+    assert len(predictors) >= 3
+    for span, names in read.items():
+        if span == tracer.PREDICT:
+            wrapped = predictors
+        else:
+            module_name, *attrs = tracer.TARGETS[span].split(".")
+            owner = importlib.import_module(f"lidar_ensemble.{module_name}")
+            for attr in attrs:
+                owner = getattr(owner, attr)
+            wrapped = [owner]
+        for fn in wrapped:
+            assert names <= set(inspect.signature(fn).parameters), (span, fn.__qualname__)
 
 
 def test_neighborhood_counts_read_the_search_result():
