@@ -27,12 +27,10 @@ from .lam import (LamTrainingError, load_lam_params, modulate_statistics, save_l
                   train_lam, weight_histograms, write_histogram_csv, write_loss_trace_csv)
 from .metrics import (condense_static_dynamic, confusion, iou, write_confusion_csv,
                       write_iou_csv, write_iou_summary)
-from .selftrain import (HeightThresholdRule, LidarSequence, MockPredictor, NoisyPredictor,
-                        PrecomputedPredictor, RadialBandsRule, _label_sets, apply_cbst,
-                        build_lam_training_set, cross_frame_refine, file_checksum,
-                        frame_neighborhoods, load_labels, noop_student_hook, run_adaptation,
-                        save_labels, save_selection_mask, within_frame_predictions,
-                        write_manifest)
+from .selftrain import (LidarSequence, _label_sets, apply_cbst, build_lam_training_set,
+                        cross_frame_refine, file_checksum, frame_neighborhoods, load_labels,
+                        noop_student_hook, run_adaptation, save_labels, save_selection_mask,
+                        within_frame_predictions, write_manifest)
 from .subsample import (apply_row_mask, read_prediction_matrix, read_scan_prediction, row_mask,
                         within_frame_ensemble, write_prediction_matrix)
 
@@ -77,37 +75,6 @@ def _load_sequence(cfg: PipelineConfig):
     return LidarSequence(name="sequence", scans=scans, poses=poses[: len(scans)]), truths, paths
 
 
-def _predictor_from_config(cfg: PipelineConfig):
-    spec = cfg.predictor
-    kind = spec["kind"].strip()
-    if kind == "mock_height":
-        thresholds = tuple(float(tok) for tok in spec["thresholds"].split(",") if tok.strip())
-        base = MockPredictor(HeightThresholdRule(thresholds))
-    elif kind == "mock_bands":
-        base = MockPredictor(RadialBandsRule(float(spec["band_width"]), int(spec["num_classes"])))
-    elif kind == "precomputed":
-        directory = spec["directory"].strip()
-        if not directory:
-            raise ConfigError("predictor.directory: required for kind = precomputed")
-        if cfg.subsample.trials != 1:
-            raise ConfigError(
-                "subsample.trials: stored predictions only cover full frames; "
-                "use trials = 1 with kind = precomputed")
-        return PrecomputedPredictor(cfg.root / directory, int(spec["num_classes"]))
-    else:
-        raise ConfigError(f"predictor.kind: unknown kind {kind!r}")
-    near, far, gate = spec["near_noise"].strip(), spec["far_noise"].strip(), spec["range_threshold"].strip()
-    if near or far or gate:
-        if not (near and far and gate):
-            raise ConfigError("predictor: near_noise, far_noise, and range_threshold must be set together")
-        return NoisyPredictor(base, float(near), float(far), float(gate), cfg.seed)
-    noise = float(spec["noise"])
-    if noise > 0:
-        # one rate on both sides of the gate: any threshold gives the same flips
-        return NoisyPredictor(base, noise, noise, np.inf, cfg.seed)
-    return base
-
-
 def _resolve_threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
@@ -125,7 +92,7 @@ def _resolve_threads(args) -> int:
 def _command_manifest(out_dir: Path, cfg: PipelineConfig | None, args, inputs=(), extra=()):
     items = [("tool", "lidar-ensemble"), ("version", __version__), ("command", args.command)]
     if cfg is not None:
-        items += [("seed", str(cfg.seed))] + cfg.manifest_items()
+        items += [("seed", str(cfg.adaptation.seed))] + cfg.manifest_items()
     items += list(extra)
     for path in inputs:
         items.append((f"input.{Path(path).name}", file_checksum(path)))
@@ -142,7 +109,7 @@ def cmd_project(args) -> int:
     if not (0 <= args.frame < len(paths)):
         raise ConfigError(f"--frame {args.frame} outside dataset of {len(paths)} scans")
     cloud = load_point_cloud_bin(paths[args.frame], frame_id=args.frame)
-    index = project_to_range_image(cloud, cfg.sensor)
+    index = project_to_range_image(cloud, cfg.adaptation.sensor)
     lines = ["point,u,v,range"]
     for i in range(len(cloud)):
         u, v = index.pixel_of_point[i]
@@ -165,9 +132,9 @@ def cmd_subsample(args) -> int:
     if not (0 <= args.frame < len(paths)):
         raise ConfigError(f"--frame {args.frame} outside dataset of {len(paths)} scans")
     cloud = load_point_cloud_bin(paths[args.frame], frame_id=args.frame)
-    index = project_to_range_image(cloud, cfg.sensor)
-    rng = np.random.default_rng(cfg.seed)
-    mask = row_mask(cfg.sensor, cfg.subsample, rng)
+    index = project_to_range_image(cloud, cfg.adaptation.sensor)
+    rng = np.random.default_rng(cfg.adaptation.seed)
+    mask = row_mask(cfg.adaptation.sensor, cfg.adaptation.subsample, rng)
     sub, parent = apply_row_mask(cloud, index, mask)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -221,7 +188,7 @@ def cmd_aggregate(args) -> int:
     within = _read_predictions(seq, Path(args.pred_dir))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_refined(seq, within, cfg.aggregation, out_dir)
+    _write_refined(seq, within, cfg.adaptation.aggregation, out_dir)
     _command_manifest(out_dir, cfg, args, inputs=paths, extra=[("pred_dir", str(args.pred_dir))])
     return EXIT_OK
 
@@ -231,13 +198,11 @@ def cmd_lam_train(args) -> int:
     seq, truths, paths = _load_sequence(cfg)
     if truths is None:
         raise ConfigError("dataset.labels: ground-truth labels are required to train the aggregation model")
-    predictor = _predictor_from_config(cfg)
-    adaptation = cfg.adaptation()
-    threads = _resolve_threads(args)
-    within = within_frame_predictions(seq.scans, predictor, adaptation, seed=cfg.seed,
-                                      use_intensity=False, threads=threads)
+    within = within_frame_predictions(seq.scans, cfg.predictor, cfg.adaptation,
+                                      seed=cfg.adaptation.seed, use_intensity=False,
+                                      threads=_resolve_threads(args))
     data = build_lam_training_set(seq.scans, seq.poses, within, truths,
-                                  cfg.aggregation, ignore_label=cfg.ignore_label)
+                                  cfg.adaptation.aggregation, ignore_label=cfg.ignore_label)
     params, trace = train_lam(data, cfg.train)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -254,6 +219,7 @@ def cmd_lam_train(args) -> int:
 def cmd_lam_apply(args) -> int:
     cfg = load_config(args.config)
     seq, _, paths = _load_sequence(cfg)
+    agg = cfg.adaptation.aggregation
     params = load_lam_params(args.checkpoint)
     within = _read_predictions(seq, Path(args.pred_dir))
     out_dir = Path(args.out)
@@ -261,12 +227,12 @@ def cmd_lam_apply(args) -> int:
     if args.modulate:
         def frame_rows():  # one frame's feature rows at a time
             for t in range(len(seq.scans)):
-                dense, nbh = frame_neighborhoods(seq.scans, seq.poses, within, t, cfg.aggregation)
+                dense, nbh = frame_neighborhoods(seq.scans, seq.poses, within, t, agg)
                 yield phi_pairs(within[t].probs, dense, nbh)[0]
 
         params = modulate_statistics(params, frame_rows())
         save_lam_params(params, out_dir / "modulated.ckpt")
-    _write_refined(seq, within, dataclasses.replace(cfg.aggregation, kernel=LamKernel(params)), out_dir)
+    _write_refined(seq, within, dataclasses.replace(agg, kernel=LamKernel(params)), out_dir)
     _command_manifest(out_dir, cfg, args, inputs=list(paths) + [args.checkpoint],
                       extra=[("pred_dir", str(args.pred_dir)),
                              ("modulated", str(bool(args.modulate)).lower())])
@@ -277,7 +243,7 @@ def cmd_lam_analyze(args) -> int:
     cfg = load_config(args.config)
     seq, _, paths = _load_sequence(cfg)
     kernel = LamKernel(load_lam_params(args.checkpoint)) if args.checkpoint else UniformKernel()
-    agg = dataclasses.replace(cfg.aggregation, kernel=kernel)
+    agg = dataclasses.replace(cfg.adaptation.aggregation, kernel=kernel)
     within = _read_predictions(seq, Path(args.pred_dir))
     _, records = cross_frame_refine(seq.scans, seq.poses, within, agg, return_pairs=True)
     report = weight_histograms(records, bins=args.bins)
@@ -291,11 +257,12 @@ def cmd_lam_analyze(args) -> int:
 
 def cmd_cbst(args) -> int:
     cfg = load_config(args.config)
+    portion = cfg.adaptation.cbst.portion
     pred_dir = Path(args.pred_dir)
     paths = sorted(pred_dir.glob("*.lprb"))
     if not paths:
         raise ConfigError(f"--pred-dir: no .lprb files under {pred_dir}")
-    label_sets = apply_cbst(_label_sets([read_scan_prediction(p) for p in paths]), cfg.cbst)
+    label_sets = apply_cbst(_label_sets([read_scan_prediction(p) for p in paths]), cfg.adaptation.cbst)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for path, ls in zip(paths, label_sets):
@@ -303,10 +270,10 @@ def cmd_cbst(args) -> int:
         save_selection_mask(ls.selected, out_dir / (path.stem + ".mask"))
     mask = np.concatenate([ls.selected for ls in label_sets])
     _command_manifest(out_dir, cfg, args, inputs=paths,
-                      extra=[("portion", repr(cfg.cbst.portion)),
+                      extra=[("portion", repr(portion)),
                              ("selected", str(int(mask.sum()))),
                              ("total", str(len(mask)))])
-    log.info("selected %d of %d points at portion %.3f", int(mask.sum()), len(mask), cfg.cbst.portion)
+    log.info("selected %d of %d points at portion %.3f", int(mask.sum()), len(mask), portion)
     return EXIT_OK
 
 
@@ -366,13 +333,11 @@ def _parse_class_list(text):
 def cmd_pipeline(args) -> int:
     cfg = load_config(args.config)
     seq, truths, paths = _load_sequence(cfg)
-    predictor = _predictor_from_config(cfg)
-    adaptation = cfg.adaptation()
     threads = _resolve_threads(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results, pairs = run_adaptation([seq], predictor, noop_student_hook, adaptation, out_dir,
+    results, pairs = run_adaptation([seq], cfg.predictor, noop_student_hook, cfg.adaptation, out_dir,
                                     threads=threads, return_pairs=True)
 
     # analysis artifacts reflect the first (teacher) iteration
@@ -382,7 +347,7 @@ def cmd_pipeline(args) -> int:
     if truths is not None:
         pred_all = np.concatenate([ls.labels for ls in results[0][seq.name]])
         truth_all = np.concatenate(truths)
-        matrix = confusion(pred_all, truth_all, predictor.num_classes, ignore_label=cfg.ignore_label)
+        matrix = confusion(pred_all, truth_all, cfg.predictor.num_classes, ignore_label=cfg.ignore_label)
         miou_report = _write_scores(matrix, out_dir)
         log.info("teacher mIoU vs ground truth: %.2f", miou_report.miou)
 

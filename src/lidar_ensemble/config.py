@@ -9,6 +9,7 @@ within-frame trials of the original plus two random subsamples at ratio
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,7 +17,9 @@ from .aggregate import AggregationSpec, LamKernel, UniformKernel
 from .errors import FileFormatError
 from .geometry import AugmentationSpec, SensorConfig
 from .lam import TrainConfig, load_lam_params
-from .selftrain import AdaptationConfig, CbstConfig, SubsampleSpec
+from .selftrain import (AdaptationConfig, CbstConfig, HeightThresholdRule, MockPredictor,
+                        NoisyPredictor, PrecomputedPredictor, Predictor, RadialBandsRule,
+                        SubsampleSpec)
 
 
 class ConfigError(Exception):
@@ -50,27 +53,11 @@ class PipelineConfig:
     scans_dir: Path
     poses_path: Path
     labels_dir: Path | None
-    sensor: SensorConfig
-    subsample: SubsampleSpec
-    aggregation: AggregationSpec
+    adaptation: AdaptationConfig
     train: TrainConfig
-    cbst: CbstConfig
-    adaptation_iterations: int
-    student_augmentation: AugmentationSpec
-    predictor: dict
-    seed: int
+    predictor: Predictor
     ignore_label: int | None
     raw: dict = field(default_factory=dict)
-
-    def adaptation(self) -> AdaptationConfig:
-        return AdaptationConfig(
-            sensor=self.sensor,
-            subsample=self.subsample,
-            aggregation=self.aggregation,
-            cbst=self.cbst,
-            iterations=self.adaptation_iterations,
-            seed=self.seed,
-        )
 
     def manifest_items(self):
         items = []
@@ -107,11 +94,56 @@ def _optional_float(text: str):
     return float(text)
 
 
-def _optional_int(text: str):
-    text = text.strip()
-    if text == "":
-        return None
-    return int(text)
+def _optional(convert):
+    return lambda text: convert(text) if text.strip() else None
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _increasing(values) -> bool:
+    return all(map(math.isfinite, values)) and all(a < b for a, b in zip(values, values[1:]))
+
+
+def _rate(value) -> bool:
+    return value is None or 0.0 <= value <= 1.0
+
+
+def _predictor(raw, root: Path, subsample: SubsampleSpec, seed: int) -> Predictor:
+    """The teacher: the base predictor of predictor.kind, wrapped in label
+    noise when a rate is set. Every key is checked, whatever the kind."""
+    thresholds = _get(raw, "predictor", "thresholds", _floats, _increasing)
+    band_width = _get(raw, "predictor", "band_width", float, lambda v: math.isfinite(v) and v > 0)
+    num_classes = _get(raw, "predictor", "num_classes", int, lambda v: v >= 1)
+    noise = _get(raw, "predictor", "noise", float, _rate)
+    near = _get(raw, "predictor", "near_noise", _optional(float), _rate)
+    far = _get(raw, "predictor", "far_noise", _optional(float), _rate)
+    gate = _get(raw, "predictor", "range_threshold", _optional(float), lambda v: v is None or v >= 0)
+    kind = raw["predictor"]["kind"].strip()
+    if kind == "mock_height":
+        base = MockPredictor(HeightThresholdRule(thresholds))
+    elif kind == "mock_bands":
+        base = MockPredictor(RadialBandsRule(band_width, num_classes))
+    elif kind == "precomputed":
+        directory = raw["predictor"]["directory"].strip()
+        if not directory:
+            raise ConfigError("predictor.directory: required for kind = precomputed")
+        if subsample.trials != 1:
+            raise ConfigError(
+                "subsample.trials: stored predictions only cover full frames; "
+                "use trials = 1 with kind = precomputed")
+        base = PrecomputedPredictor(root / directory, num_classes)
+    else:
+        raise ConfigError(f"predictor.kind: unknown kind {kind!r}")
+    if (near, far, gate) != (None, None, None):
+        if None in (near, far, gate):
+            raise ConfigError("predictor: near_noise, far_noise, and range_threshold must be set together")
+        return NoisyPredictor(base, near, far, gate, seed)
+    if noise > 0:
+        # one rate on both sides of the gate: any threshold gives the same flips
+        return NoisyPredictor(base, noise, noise, math.inf, seed)
+    return base
 
 
 def load_config(path) -> PipelineConfig:
@@ -154,7 +186,6 @@ def load_config(path) -> PipelineConfig:
             width=_get(raw, "sensor", "width", int),
             fov_up=_get(raw, "sensor", "fov_up", float),
             fov_down=_get(raw, "sensor", "fov_down", float),
-            beams=_get(raw, "sensor", "beams", int),
         )
         subsample = SubsampleSpec(
             mode=raw["subsample"]["mode"],
@@ -186,16 +217,27 @@ def load_config(path) -> PipelineConfig:
         except ValueError as exc:
             # the spec's messages start with the field name
             raise ConfigError(f"aggregate.{exc}") from exc
+        seed = _get(raw, "run", "seed", int, lambda v: v >= 0)
         train = TrainConfig(
             learning_rate=_get(raw, "lam", "learning_rate", float),
             epochs=_get(raw, "lam", "epochs", int),
             batch=_get(raw, "lam", "batch", int),
             ce_weight=_get(raw, "lam", "ce_weight", float),
             lovasz_weight=_get(raw, "lam", "lovasz_weight", float),
-            seed=_get(raw, "run", "seed", int),
+            seed=seed,
         )
-        cbst = CbstConfig(portion=_get(raw, "cbst", "portion", float))
-        augmentation = AugmentationSpec(
+        adaptation = AdaptationConfig(
+            sensor=sensor,
+            subsample=subsample,
+            aggregation=aggregation,
+            cbst=CbstConfig(portion=_get(raw, "cbst", "portion", float)),
+            iterations=_get(raw, "adaptation", "iterations", int, lambda v: v >= 1),
+            seed=seed,
+        )
+        predictor = _predictor(raw, root, subsample, seed)
+        # checked but read by nothing; the keys go at the benchmark re-baseline
+        _get(raw, "sensor", "beams", int, lambda v: v >= 1)
+        AugmentationSpec(
             rotation_range=_get(raw, "augment", "rotation", float),
             flip_x=_get(raw, "augment", "flip_x", _bool),
             flip_y=_get(raw, "augment", "flip_y", _bool),
@@ -205,7 +247,6 @@ def load_config(path) -> PipelineConfig:
             ),
             translation_sigma=_get(raw, "augment", "translation_sigma", float),
         )
-        iterations = _get(raw, "adaptation", "iterations", int, lambda v: v >= 1)
         # the one policy there is: intensity off in iteration 0, on afterwards
         _get(raw, "adaptation", "intensity_policy", str.strip,
              lambda v: v == "drop_first_iteration_then_use")
@@ -214,21 +255,14 @@ def load_config(path) -> PipelineConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    predictor = {key: raw["predictor"][key] for key in DEFAULTS["predictor"]}
     return PipelineConfig(
         root=root,
         scans_dir=scans_dir,
         poses_path=poses_path,
         labels_dir=labels_dir,
-        sensor=sensor,
-        subsample=subsample,
-        aggregation=aggregation,
+        adaptation=adaptation,
         train=train,
-        cbst=cbst,
-        adaptation_iterations=iterations,
-        student_augmentation=augmentation,
         predictor=predictor,
-        seed=_get(raw, "run", "seed", int),
-        ignore_label=_get(raw, "run", "ignore_label", _optional_int),
+        ignore_label=_get(raw, "run", "ignore_label", _optional(int)),
         raw=raw,
     )

@@ -110,15 +110,12 @@ class SensorConfig:
     width: int
     fov_up: float
     fov_down: float
-    beams: int
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
             raise ValueError("height and width must be >= 1")
         if self.fov_up + self.fov_down <= 0:
             raise ValueError("total vertical field of view must be positive")
-        if self.beams < 1:
-            raise ValueError("beams must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ class SyntheticSceneSpec:
 
 def sensor_config() -> SensorConfig:
     """Range-image geometry used by all synthetic drives."""
-    return SensorConfig(height=32, width=512, fov_up=15.0, fov_down=25.0, beams=32)
+    return SensorConfig(height=32, width=512, fov_up=15.0, fov_down=25.0)
 
 
 def _sensor_pose(spec: SyntheticSceneSpec, frame: int) -> RigidTransform:

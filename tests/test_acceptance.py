@@ -71,7 +71,7 @@ def criterion(number, name, budget_seconds):
 
 @criterion(1, "projection conformance", 1.0)
 def test_criterion_01_projection_conformance():
-    cfg = SensorConfig(height=64, width=2048, fov_up=3.0, fov_down=25.0, beams=64)
+    cfg = SensorConfig(height=64, width=2048, fov_up=3.0, fov_down=25.0)
 
     # worked examples
     index = project_to_range_image(PointCloud(points=np.array([[10.0, 0.0, 0.0]])), cfg)
@@ -102,7 +102,7 @@ def test_criterion_01_projection_conformance():
 
 @criterion(2, "subsampling statistics", 5.0)
 def test_criterion_02_subsampling_statistics():
-    cfg = SensorConfig(height=64, width=2048, fov_up=3.0, fov_down=25.0, beams=64)
+    cfg = SensorConfig(height=64, width=2048, fov_up=3.0, fov_down=25.0)
     spec = SubsampleSpec(mode="random", ratio=0.5)
     rng = np.random.default_rng(1)
     counts = np.zeros(cfg.height)

@@ -163,13 +163,13 @@ class TestEnsemble:
 def prediction_dir(dataset, config_path, tmp_path_factory):
     """Per-frame within-frame predictions, produced through the library."""
     from lidar_ensemble.config import load_config
-    from lidar_ensemble.cli import _load_sequence, _predictor_from_config
+    from lidar_ensemble.cli import _load_sequence
     from lidar_ensemble.selftrain import within_frame_predictions
 
     cfg = load_config(config_path)
     seq, _, _ = _load_sequence(cfg)
-    predictor = _predictor_from_config(cfg)
-    within = within_frame_predictions(seq.scans, predictor, cfg.adaptation(), seed=cfg.seed)
+    within = within_frame_predictions(seq.scans, cfg.predictor, cfg.adaptation,
+                                      seed=cfg.adaptation.seed)
     out = tmp_path_factory.mktemp("preds")
     for t, pred in enumerate(within):
         write_prediction_matrix(pred, out / f"{t:06d}.lprb")
@@ -229,10 +229,10 @@ class TestLamCommands:
         cfg = load_config(config_path)
         seq, truths, _ = cli._load_sequence(cfg)
         within, _ = selftrain.generate_refined_predictions(
-            seq.scans, seq.poses, cli._predictor_from_config(cfg), cfg.adaptation(),
-            seed=cfg.seed, use_intensity=False)
+            seq.scans, seq.poses, cfg.predictor, cfg.adaptation,
+            seed=cfg.adaptation.seed, use_intensity=False)
         data = selftrain.build_lam_training_set(seq.scans, seq.poses, within, truths,
-                                                cfg.aggregation, ignore_label=cfg.ignore_label)
+                                                cfg.adaptation.aggregation, ignore_label=cfg.ignore_label)
         params, _ = lam.train_lam(data, cfg.train)
         lam.save_lam_params(params, tmp_path / "reference.ckpt")
         assert (out / "lam.ckpt").read_bytes() == (tmp_path / "reference.ckpt").read_bytes()
@@ -463,11 +463,11 @@ class TestPipelineReuse:
         cfg = load_config(path)
         seq, _, _ = cli._load_sequence(cfg)
         within, _ = selftrain.generate_refined_predictions(
-            seq.scans, seq.poses, cli._predictor_from_config(cfg), cfg.adaptation(),
-            seed=selftrain._iteration_seed(cfg.seed, 0, 0), use_intensity=False)
-        chunks, queries = phi_stream(seq.scans, seq.poses, within, cfg.aggregation)
+            seq.scans, seq.poses, cfg.predictor, cfg.adaptation,
+            seed=selftrain._iteration_seed(cfg.adaptation.seed, 0, 0), use_intensity=False)
+        chunks, queries = phi_stream(seq.scans, seq.poses, within, cfg.adaptation.aggregation)
         rows, row_query, num_queries = sequence_rows(seq.scans, chunks, queries)
-        params = cfg.aggregation.kernel.params if kernel == "lam" else None
+        params = cfg.adaptation.aggregation.kernel.params if kernel == "lam" else None
         report = weight_histograms(params, rows, row_query, num_queries, bins=7)
         lam.write_histogram_csv(report, tmp_path / "old.csv")
         assert (out / "histograms.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -497,7 +497,7 @@ def _old_lam_apply(cfg, seq, pred_dir, checkpoint, modulate, out_dir):
     from lidar_ensemble.lam import load_lam_params, modulate_statistics, save_lam_params
 
     params = load_lam_params(checkpoint)
-    base = cfg.aggregation
+    base = cfg.adaptation.aggregation
     agg = AggregationSpec(kernel=LamKernel(params), k=base.k, epsilon=base.epsilon,
                           window=base.window, stride=base.stride)
     if modulate:
@@ -515,7 +515,7 @@ def _old_lam_analyze(cfg, seq, pred_dir, checkpoint, bins, out_dir):
 
     params = load_lam_params(checkpoint) if checkpoint else None
     within = [read_prediction_matrix(pred_dir / f"{t:06d}.lprb") for t in range(len(seq.scans))]
-    chunks, queries = phi_stream(seq.scans, seq.poses, within, cfg.aggregation)
+    chunks, queries = phi_stream(seq.scans, seq.poses, within, cfg.adaptation.aggregation)
     rows, row_query, num_queries = sequence_rows(seq.scans, chunks, queries)
     report = weight_histograms(params, rows, row_query, num_queries, bins=bins)
     write_histogram_csv(report, out_dir / "histograms.csv")
@@ -541,7 +541,7 @@ class TestSharedNeighborPath:
         seq, _, _ = _load_sequence(cfg)
         common = ["--config", str(path), "--pred-dir", str(prediction_dir)]
         runs = [(["aggregate"], lambda out: _old_refine_from_files(
-            seq, prediction_dir, cfg.aggregation, out))]
+            seq, prediction_dir, cfg.adaptation.aggregation, out))]
         for modulate in (False, True):
             runs.append((["lam-apply", "--checkpoint", str(checkpoint)] + ["--modulate"] * modulate,
                          lambda out, m=modulate: _old_lam_apply(cfg, seq, prediction_dir,
@@ -742,6 +742,53 @@ def test_non_finite_epsilon_is_config_error(epsilon, dataset, tmp_path, caplog):
     assert "aggregate.epsilon" in caplog.text
 
 
+# commands that read a config, with their other required arguments
+CONFIG_COMMANDS = {
+    "project": ["--frame", "0"],
+    "subsample": ["--frame", "0"],
+    "aggregate": ["--pred-dir", "."],
+    "lam-train": [],
+    "lam-apply": ["--pred-dir", ".", "--checkpoint", "model.ckpt"],
+    "lam-analyze": ["--pred-dir", "."],
+    "cbst": ["--pred-dir", "."],
+    "pipeline": [],
+}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("predictor.thresholds", "2.5,0.5"),
+    ("predictor.thresholds", "0.5,0.5"),
+    ("predictor.thresholds", "0.5,nan"),
+    ("predictor.thresholds", "0.5,inf"),
+    ("predictor.thresholds", "low,high"),
+    ("predictor.band_width", "0"),
+    ("predictor.band_width", "-1"),
+    ("predictor.band_width", "inf"),
+    ("predictor.band_width", "nan"),
+    ("predictor.band_width", "wide"),
+    ("predictor.num_classes", "0"),
+    ("predictor.num_classes", "three"),
+    ("predictor.noise", "1.5"),
+    ("predictor.noise", "-0.1"),
+    ("predictor.noise", "nan"),
+    ("predictor.near_noise", "2"),
+    ("predictor.far_noise", "-1"),
+    ("predictor.range_threshold", "nan"),
+    ("run.seed", "-1"),
+])
+def test_bad_value_exits_1_from_every_command(key, value, dataset, tmp_path, caplog):
+    # the config is read in one place, so each command rejects the value
+    # the same way, whatever it builds, and the message names the key
+    section, name = key.split(".")
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[dataset]\nroot = {dataset}\n[{section}]\n{name} = {value}\n")
+    for command, argv in CONFIG_COMMANDS.items():
+        caplog.clear()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)] + argv) \
+            == EXIT_CONFIG, command
+        assert key in caplog.text, command
+
+
 class TestPipelineWithLearnedKernel:
     def test_histograms_reflect_learned_weights(self, dataset, checkpoint, tmp_path):
         cfg = tmp_path / "lam_pipeline.ini"
@@ -783,7 +830,7 @@ seed = 3
 class TestPrecomputedPredictor:
     """The integration surface for external networks: exported predictions."""
 
-    def precomputed_config(self, dataset, prediction_dir, tmp_path, trials=1):
+    def precomputed_config(self, dataset, prediction_dir, tmp_path, trials=1, noise="0.0"):
         path = tmp_path / "pre.ini"
         path.write_text(f"""
 [dataset]
@@ -806,6 +853,7 @@ stride = 1
 kind = precomputed
 directory = {prediction_dir}
 num_classes = 3
+noise = {noise}
 [run]
 seed = 3
 """)
@@ -817,6 +865,17 @@ seed = 3
         assert main(["pipeline", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == EXIT_OK
         labels = load_labels(out / "iteration_00" / "sequence" / "000000.label")
         assert len(labels) == 250
+
+    def test_noise_applies_to_exported_predictions(self, dataset, prediction_dir, tmp_path):
+        # the noise keys wrap every kind of predictor, stored predictions too
+        labels = {}
+        for noise in ("0.0", "0.4"):
+            cfg = self.precomputed_config(dataset, prediction_dir, tmp_path, noise=noise)
+            out = tmp_path / f"noise-{noise}"
+            assert main(["pipeline", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == EXIT_OK
+            labels[noise] = np.concatenate([load_labels(p) for p in
+                                            sorted((out / "iteration_00" / "sequence").glob("*.label"))])
+        assert (labels["0.0"] != labels["0.4"]).mean() > 0.05
 
     def test_short_prediction_file_is_io_error(self, dataset, prediction_dir, tmp_path, caplog):
         import shutil

@@ -44,7 +44,7 @@ def scalar_pixel(point, config):
     return u, v
 
 
-KITTI_LIKE = SensorConfig(height=64, width=2048, fov_up=3.0, fov_down=25.0, beams=64)
+KITTI_LIKE = SensorConfig(height=64, width=2048, fov_up=3.0, fov_down=25.0)
 
 
 class TestProjection:

@@ -1,6 +1,7 @@
 """The benchmark's span tracer names library functions by dotted path; a
 renamed or deleted function would break `perfbench/run.py --trace 1`."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -23,6 +24,7 @@ from lidar_ensemble.selftrain import (HeightThresholdRule, MockPredictor, build_
 from lidar_ensemble.synth import HEIGHT_THRESHOLDS, SyntheticSceneSpec, generate_sequence
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+RUN = TRACER.with_name("run.py")
 
 
 def load_tracer():
@@ -164,3 +166,18 @@ def test_traced_pipeline_counts_predictions_and_times_histograms(tmp_path):
     # 3 frames x 3 subsample trials; the noise wrapper's call of its base predictor is not counted
     assert metrics["selftrain.predict_calls"] == 9
     assert metrics["lam.histogram_s"] > 0
+
+
+def test_setup_probe_loads_a_drive(tmp_path):
+    # setup_s times this probe in a fresh process; it reads the config's
+    # paths by name, so a config refactor could break it unseen
+    probe = next(ast.literal_eval(node.value) for node in ast.parse(RUN.read_text()).body
+                 if isinstance(node, ast.Assign) and node.targets[0].id == "SETUP_PROBE")
+    assert main(["synthgen", "--out", str(tmp_path / "drive"), "--frames", "2", "--points", "100",
+                 "--seed", "1"]) == EXIT_OK
+    (tmp_path / "config.ini").write_text("[dataset]\nroot = drive\n")
+    src = str(Path(lidar_ensemble.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", probe, "config.ini"], cwd=tmp_path, env=env,
+                            timeout=120, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -19,7 +19,7 @@ from lidar_ensemble.subsample import (
 )
 from tests.oracles import within_frame_add_at
 
-CONFIG = SensorConfig(height=64, width=512, fov_up=15.0, fov_down=25.0, beams=64)
+CONFIG = SensorConfig(height=64, width=512, fov_up=15.0, fov_down=25.0)
 
 
 def spread_cloud(rng, n=2000):
