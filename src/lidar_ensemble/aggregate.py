@@ -57,9 +57,8 @@ class AggregationSpec:
 
 def _slice_features(dense: DenseCloud, flat_idx: np.ndarray, dists: np.ndarray) -> dict:
     """The phi columns the weight histograms slice by, per pair."""
-    norm = 1.0 / dense.window if dense.window >= 1 else 0.0
     return {
-        "temporal": dense.temporal_offset[flat_idx] * norm,
+        "temporal": phi_layout.temporal_feature(dense.temporal_offset[flat_idx], dense.window),
         "sensor_distance": dense.sensor_distance[flat_idx],
         "center_distance": dists,
     }
@@ -75,13 +74,10 @@ def phi_pairs(v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods):
     """
     row_query, flat_idx = nbh.row_query, nbh.indices
     features = _slice_features(dense, flat_idx, nbh.distances)
-    k = dense.num_classes
-    rows = np.empty((len(flat_idx), phi_layout.feature_dim(k)))
-    rows[:, phi_layout.DISTANCE_COLUMN] = features["center_distance"]
-    rows[:, phi_layout.query_label_columns(k)] = v[row_query]
-    rows[:, phi_layout.neighbor_label_columns(k)] = dense.probs[flat_idx]
-    rows[:, phi_layout.temporal_column(k)] = features["temporal"]
-    rows[:, phi_layout.sensor_distance_column(k)] = features["sensor_distance"]
+    rows = phi_layout.write_rows(
+        np.empty((len(flat_idx), phi_layout.feature_dim(dense.num_classes))),
+        features["center_distance"], v[row_query], dense.probs[flat_idx], features["temporal"],
+        features["sensor_distance"])
     return rows, row_query
 
 

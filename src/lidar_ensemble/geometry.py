@@ -137,6 +137,11 @@ class RangeImageIndex:
         return self.pixel_of_point[:, 1]
 
 
+def sensor_range(points: np.ndarray) -> np.ndarray:
+    """Distance of each (N, 3) point to the origin of its own sensor frame."""
+    return np.sqrt(points[:, 0] ** 2 + points[:, 1] ** 2 + points[:, 2] ** 2)
+
+
 def project_to_range_image(cloud: PointCloud, config: SensorConfig) -> RangeImageIndex:
     """Spherical projection of a scan onto an H x W pixel grid.
 
@@ -152,7 +157,7 @@ def project_to_range_image(cloud: PointCloud, config: SensorConfig) -> RangeImag
     if bad.any():
         raise ValueError(f"non-finite points at indices {np.nonzero(bad)[0][:10].tolist()}")
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    rng = np.sqrt(x * x + y * y + z * z)
+    rng = sensor_range(pts)
     zero = rng <= 0.0
     if zero.any():
         raise ValueError(f"zero-range points at indices {np.nonzero(zero)[0][:10].tolist()}")

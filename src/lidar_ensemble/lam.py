@@ -12,6 +12,7 @@ neighborhood are coupled).
 from __future__ import annotations
 
 import csv
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -438,37 +439,105 @@ class EpochStats:
 
 @dataclass
 class LamTrainingSet:
-    """Per-neighborhood training instances, in compressed rows.
+    """Per-neighborhood training instances, as references into the points
+    of a labeled sequence (its scans' points, one frame after another).
 
-    Neighborhood i is one query point's neighbors: their feature rows
-    phis[offsets[i]:offsets[i + 1]] (R x D over all neighborhoods, D = 2K+3;
-    each neighbor's pseudo-label row is the phi_layout.neighbor_label_columns
-    view), plus the query's ground-truth class labels[i] in [0, K). Empty
-    neighborhoods are not representable: drop them when building the set.
+    Sequence point j has its within-frame pseudo-label row probs[j] (P x
+    K), its range to its own sensor sensor_distance[j] and its frame index
+    frame[j]. Neighborhood i is query point query[i], with ground-truth
+    class labels[i] in [0, K), and its pairs offsets[i]:offsets[i + 1]:
+    pair r joins the query to point neighbor[r] at center distance
+    distance[r]. The pairs' feature rows (phi_layout, D = 2K + 3) are not
+    held: phi_rows builds them on demand, with the temporal offset
+    frame[neighbor] - frame[query] over window. Empty neighborhoods are
+    not representable: drop them when building the set.
     """
 
-    phis: np.ndarray
     offsets: np.ndarray
+    neighbor: np.ndarray
+    distance: np.ndarray
+    query: np.ndarray
     labels: np.ndarray
+    probs: np.ndarray
+    sensor_distance: np.ndarray
+    frame: np.ndarray
+    window: int
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        if not (len(self.phis) == self.offsets[-1]
-                and len(self.offsets) == len(self.labels) + 1 and self.offsets[0] == 0):
-            raise ValueError("phis, offsets, and labels must align")
+        for name, dtype in (("offsets", np.int64), ("neighbor", np.int64), ("distance", np.float64),
+                            ("query", np.int64), ("labels", np.int64), ("probs", np.float64),
+                            ("sensor_distance", np.float64), ("frame", np.int64)):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if not (len(self.offsets) == len(self.query) + 1 == len(self.labels) + 1
+                and self.offsets[0] == 0 and self.offsets[-1] == len(self.neighbor) == len(self.distance)):
+            raise ValueError("offsets, pair references, queries, and labels must align")
+        points = len(self.probs)
+        if self.probs.ndim != 2 or not len(self.sensor_distance) == len(self.frame) == points:
+            raise ValueError("probs, sensor_distance, and frame need one entry per sequence point")
         if (np.diff(self.offsets) < 1).any():
             raise ValueError("every training neighborhood needs at least one neighbor")
-        num_classes = phi_layout.num_classes_of(self.feature_dim)
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= num_classes):
+        for name in ("neighbor", "query"):
+            refs = getattr(self, name)
+            if len(refs) and (refs.min() < 0 or refs.max() >= points):
+                raise ValueError(f"{name} indices must refer to the {points} sequence points")
+        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("labels out of range")
 
     def __len__(self) -> int:
         return len(self.labels)
 
     @property
+    def num_classes(self) -> int:
+        return self.probs.shape[1]
+
+    @property
     def feature_dim(self) -> int:
-        return self.phis.shape[1]
+        return phi_layout.feature_dim(self.num_classes)
+
+    def phi_rows(self, pairs, queries: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the feature rows of the given pairs (indices or a slice)
+        into out, (R, D); queries holds each pair's neighborhood. Returns
+        out."""
+        neighbor = self.neighbor[pairs]
+        query = self.query[queries]
+        temporal = phi_layout.temporal_feature(self.frame[neighbor] - self.frame[query], self.window)
+        # take gathers rows several times faster than fancy indexing
+        return phi_layout.write_rows(out, self.distance[pairs], self.probs.take(query, axis=0),
+                                     self.probs.take(neighbor, axis=0), temporal,
+                                     self.sensor_distance[neighbor])
+
+    def phi_moments(self):
+        """(mean, var): the bits of np.mean and np.var over axis 0 of the
+        set's (R, D) feature rows, which are built a block at a time."""
+        def fill(lo, hi, out):
+            pairs = np.arange(lo, hi)
+            self.phi_rows(pairs, np.searchsorted(self.offsets, pairs, side="right") - 1, out)
+
+        return _column_moments(fill, len(self.neighbor), self.feature_dim)
+
+
+def _column_moments(fill, rows: int, width: int, block: int = _ROW_BLOCK):
+    """(mean, var): the bits of np.mean(a, axis=0) and np.var(a, axis=0)
+    for an (rows, width) array a, rows >= 1 and width >= 2, that is never
+    held whole: fill(lo, hi, out) writes a's rows lo:hi into out, at most
+    block rows at a time. numpy takes both as column sums in row order
+    (_ColumnSum), divided by rows: of a, then of the squared deviations
+    from the mean, so each is one pass of fill calls."""
+    block = min(block, rows)
+    scratch = np.empty((block + 1, width))
+    total = _ColumnSum(scratch)
+    for lo, hi in _blocks(rows, block):
+        fill(lo, hi, total.rows(hi - lo))
+        total.add(hi - lo)
+    mean = total.total / rows
+    squares = _ColumnSum(scratch)
+    for lo, hi in _blocks(rows, block):
+        dev = squares.rows(hi - lo)
+        fill(lo, hi, dev)
+        np.subtract(dev, mean, out=dev)
+        np.multiply(dev, dev, out=dev)
+        squares.add(hi - lo)
+    return mean, squares.total / rows
 
 
 def segment_sum(rows: np.ndarray, row_query: np.ndarray, n: int) -> np.ndarray:
@@ -563,17 +632,18 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
 
     Fresh parameters are initialized from config.seed and standardization
     statistics fit to the training features unless params is given.
+    Each batch's feature rows are built into a reused workspace buffer.
     Returns (params, per-epoch EpochStats list).
     """
     if len(data) == 0:
         raise ValueError("training set is empty")
     if params is None:
         params = initialize_lam_params(data.feature_dim, seed=config.seed)
-        params = modulate_statistics(params, data.phis)
+        params = modulate_statistics(params, data)
     rng = np.random.default_rng(config.seed)
     adam = _Adam([name for name, _ in params.named_parameters()], config.learning_rate)
     sizes = np.diff(data.offsets)
-    label_columns = phi_layout.neighbor_label_columns(phi_layout.num_classes_of(data.feature_dim))
+    label_columns = phi_layout.neighbor_label_columns(data.num_classes)
     ws = _Workspace()
     trace = []
     global_step = 0
@@ -583,13 +653,11 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
         seen = 0
         for start in range(0, len(perm), config.batch):
             sel = perm[start:start + config.batch]
-            # the batch's neighborhoods one after another, each in row order;
-            # the rows are in range, and mode="clip" writes straight into out
+            # the batch's neighborhoods one after another, each in pair order
             row_query = np.repeat(np.arange(len(sel)), sizes[sel])
             first = np.cumsum(sizes[sel]) - sizes[sel]
-            rows = np.arange(len(row_query)) + (data.offsets[sel] - first)[row_query]
-            phis = data.phis.take(rows, axis=0, mode="clip",
-                                  out=ws.take("phis", len(rows), data.feature_dim))
+            pairs = np.arange(len(row_query)) + (data.offsets[sel] - first)[row_query]
+            phis = data.phi_rows(pairs, sel[row_query], ws.take("phis", len(pairs), data.feature_dim))
             total, ce, lov, grads = training_loss_and_grads(
                 params, phis, row_query, phis[:, label_columns], data.labels[sel],
                 config.ce_weight, config.lovasz_weight, workspace=ws,
@@ -614,23 +682,22 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
 def modulate_statistics(params: LamParams, stream) -> LamParams:
     """Replace the standardization statistics with the stream's mean/variance.
 
-    stream is a (R, D) array or an iterable of such chunks, read one chunk
-    at a time; every other parameter is untouched. Features with variance
-    below 1e-8 are floored there, with a warning naming the columns.
+    stream is a (R, D) array, an iterable of such chunks, read one chunk
+    at a time, or a LamTrainingSet, which counts as the one array of its
+    feature rows (LamTrainingSet.phi_moments); every other parameter is
+    untouched. Features with variance below 1e-8 are floored there, with a
+    warning naming the columns.
     """
     # each chunk is merged in with the weights a = count / new_count and
-    # b = len(chunk) / new_count; the first chunk has a = 0 and b = 1, so one
+    # b = rows / new_count; the first chunk has a = 0 and b = 1, so one
     # array gives exactly its own mean and var
     count, mean, var = 0, 0.0, 0.0
-    for chunk in (stream,) if isinstance(stream, np.ndarray) else stream:
-        chunk = np.asarray(chunk, dtype=np.float64)
-        if len(chunk) == 0:
-            continue
-        new_count = count + len(chunk)
-        a, b = count / new_count, len(chunk) / new_count
-        delta = chunk.mean(axis=0) - mean
+    for rows, chunk_mean, chunk_var in _chunk_moments(stream):
+        new_count = count + rows
+        a, b = count / new_count, rows / new_count
+        delta = chunk_mean - mean
         mean = mean + delta * b
-        var = var * a + chunk.var(axis=0) * b + delta * (delta * (a * b))
+        var = var * a + chunk_var * b + delta * (delta * (a * b))
         count = new_count
     if count == 0:
         raise ValueError("statistics stream is empty")
@@ -646,6 +713,19 @@ def modulate_statistics(params: LamParams, stream) -> LamParams:
     out.std_mean = mean
     out.std_var = var
     return out
+
+
+def _chunk_moments(stream):
+    """(rows, mean, var) of each nonempty chunk of a modulate_statistics
+    stream."""
+    if isinstance(stream, LamTrainingSet):
+        if len(stream):
+            yield (len(stream.neighbor), *stream.phi_moments())
+        return
+    for chunk in (stream,) if isinstance(stream, np.ndarray) else stream:
+        chunk = np.asarray(chunk, dtype=np.float64)
+        if len(chunk):
+            yield len(chunk), chunk.mean(axis=0), chunk.var(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -701,19 +781,15 @@ def weight_histograms(records, bins: int = 20) -> HistogramReport:
 
 # the tensors of _named_tensors that training does not update
 _STATISTICS = ("std_mean", "std_var", "run_mean", "run_var")
+# each hidden layer's tensors, in record order
+_LAYER_TENSORS = ("weight", "gamma", "beta", "run_mean", "run_var")
 
 
 def _named_tensors(params: LamParams):
     """Every tensor, in the checkpoint's record order."""
     out = [("std_mean", params.std_mean), ("std_var", params.std_var)]
     for i, layer in enumerate(params.layers):
-        out += [
-            (f"layer{i}.weight", layer.weight),
-            (f"layer{i}.gamma", layer.gamma),
-            (f"layer{i}.beta", layer.beta),
-            (f"layer{i}.run_mean", layer.run_mean),
-            (f"layer{i}.run_var", layer.run_var),
-        ]
+        out += [(f"layer{i}.{attr}", getattr(layer, attr)) for attr in _LAYER_TENSORS]
     out += [("head.weight", params.head_weight), ("head.bias", np.float64(params.head_bias))]
     return out
 
@@ -739,12 +815,15 @@ def save_lam_params(params: LamParams, path) -> None:
 def load_lam_params(path) -> LamParams:
     """Read a checkpoint written by save_lam_params, with any number of
     hidden layers. Every tensor's shape must agree with the header's D and
-    the width of the layer before it; a malformed, missing, misshapen or
-    non-finite tensor raises FileFormatError."""
+    the width of the layer before it; a malformed, repeated, unknown,
+    missing, misshapen or non-finite tensor raises FileFormatError naming
+    a byte offset (for a missing one, where the records end)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
+    if blob[:4] != CHECKPOINT_MAGIC:
         raise FileFormatError(f"{path}: bad magic at byte offset 0")
+    if len(blob) < 16:
+        raise FileFormatError(f"{path}: truncated header, the file ends at byte offset {len(blob)}")
     version, d, k = struct.unpack_from("<III", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise FileFormatError(f"{path}: unsupported checkpoint version {version} at byte offset 4")
@@ -765,17 +844,20 @@ def load_lam_params(path) -> LamParams:
             off += 4
             dims = struct.unpack_from(f"<{rank}I", blob, off)
             off += 4 * rank
-            count = int(np.prod(dims)) if rank else 1
-            data_offset[name] = off
-            tensors[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(dims).copy()
-            off += 8 * count
-        except (struct.error, ValueError) as exc:
-            raise FileFormatError(f"{path}: malformed tensor record at byte offset {off}") from exc
-        record_offset[name] = start
+            count = math.prod(dims)
+            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(dims).copy()
+        except (struct.error, ValueError, OverflowError) as exc:
+            raise FileFormatError(
+                f"{path}: malformed tensor record at byte offset {min(off, len(blob))}") from exc
+        if name in tensors:
+            raise FileFormatError(f"{path}: repeated tensor '{name}' in the record at byte offset {start}")
+        tensors[name], record_offset[name], data_offset[name] = arr, start, off
+        off += 8 * count
 
     def tensor(name: str, shape: tuple, positive: bool = False) -> np.ndarray:
         if name not in tensors:
-            raise FileFormatError(f"{path}: checkpoint missing tensor '{name}'")
+            raise FileFormatError(
+                f"{path}: checkpoint missing tensor '{name}'; its records end at byte offset {len(blob)}")
         arr = tensors[name]
         if arr.shape != shape:
             raise FileFormatError(
@@ -795,6 +877,12 @@ def load_lam_params(path) -> LamParams:
     num_layers = 0
     while any(name.startswith(f"layer{num_layers}.") for name in tensors):
         num_layers += 1
+    known = {"std_mean", "std_var", "head.weight", "head.bias",
+             *(f"layer{i}.{attr}" for i in range(num_layers) for attr in _LAYER_TENSORS)}
+    unknown = sorted(tensors.keys() - known, key=record_offset.get)
+    if unknown:
+        raise FileFormatError(
+            f"{path}: unknown tensor '{unknown[0]}' in the record at byte offset {record_offset[unknown[0]]}")
     layers = []
     fan_in = d
     for i in range(num_layers):

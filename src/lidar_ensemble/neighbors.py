@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RigidTransform, compose, invert
+from .geometry import RigidTransform, compose, invert, sensor_range
 
 # candidate pairs per chunk of an epsilon search (about 1 MB per temporary)
 _CANDIDATE_BUDGET = 1 << 17
@@ -115,9 +115,8 @@ def build_dense_cloud(scans, poses, t: int, window: int, stride: int = 1) -> Den
         if not np.array_equal(pred.point_index, np.arange(len(cloud))):
             raise ValueError(f"frame {i}: prediction rows are not the {len(cloud)} points in point order")
         align = compose(to_ref, _pose_at(poses, i, t))
-        own = cloud.points
-        dist_parts.append(np.sqrt(own[:, 0] ** 2 + own[:, 1] ** 2 + own[:, 2] ** 2))
-        pts_parts.append(align.apply(own))
+        dist_parts.append(sensor_range(cloud.points))
+        pts_parts.append(align.apply(cloud.points))
         prob_parts.append(pred.probs)
         off_parts.append(np.full(len(cloud), i - t, dtype=np.int64))
         frame_parts.append(np.full(len(cloud), i, dtype=np.int64))

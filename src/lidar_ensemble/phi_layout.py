@@ -43,3 +43,22 @@ def temporal_column(num_classes: int) -> int:
 
 def sensor_distance_column(num_classes: int) -> int:
     return 2 * num_classes + 2
+
+
+def temporal_feature(offset, window: int):
+    """The temporal column of pairs whose neighbors lie offset frames from
+    their query: offset / window, or 0 for a zero-width window."""
+    return offset * (1.0 / window if window >= 1 else 0.0)
+
+
+def write_rows(out, distance, query_probs, neighbor_probs, temporal, sensor_distance):
+    """Fill out, (R, 2K + 3), with the feature rows of R pairs, one column
+    group at a time; returns out. Every phi row of the package is built
+    here."""
+    k = query_probs.shape[1]
+    out[:, DISTANCE_COLUMN] = distance
+    out[:, query_label_columns(k)] = query_probs
+    out[:, neighbor_label_columns(k)] = neighbor_probs
+    out[:, temporal_column(k)] = temporal
+    out[:, sensor_distance_column(k)] = sensor_distance
+    return out

@@ -22,13 +22,11 @@ import numpy as np
 
 from .aggregate import AggregationSpec, refine_labels
 from .errors import FileFormatError
-from .geometry import PointCloud, SensorConfig
+from .geometry import PointCloud, SensorConfig, sensor_range
 from .lam import LamTrainingSet
-from .neighbors import Neighborhoods, SpatialIndex, build_dense_cloud, precompute_neighborhoods
+from .neighbors import SpatialIndex, build_dense_cloud, precompute_neighborhoods
 from .subsample import (PredictionMatrix, SubsampleSpec, make_ensemble, read_scan_prediction,
                         within_frame_ensemble)
-from . import aggregate as _aggregate
-from . import phi_layout
 
 class AdaptationError(RuntimeError):
     """Raised when the student trainer hook fails; carries the iteration."""
@@ -142,14 +140,9 @@ def frame_neighborhoods(scans, poses, predictions, t: int, agg: AggregationSpec)
     pose-aligned window (scans with their predictions), an index over it
     and each point's k nearest within epsilon. Returns (DenseCloud,
     Neighborhoods)."""
-    dense = _window_cloud(scans, poses, predictions, t, agg)
+    dense = build_dense_cloud(list(zip(scans, predictions)), poses, t, agg.window, agg.stride)
     nbh = precompute_neighborhoods(SpatialIndex(dense.points), scans[t].points, agg.k, agg.epsilon)
     return dense, nbh
-
-
-def _window_cloud(scans, poses, predictions, t: int, agg: AggregationSpec):
-    """The dense cloud of scan t's window that frame_neighborhoods searches."""
-    return build_dense_cloud(list(zip(scans, predictions)), poses, t, agg.window, agg.stride)
 
 
 def cross_frame_refine(scans, poses, within, agg: AggregationSpec, threads: int = 1,
@@ -375,7 +368,9 @@ class MockPredictor(Predictor):
 class NoisyPredictor(Predictor):
     """Flips the base predictor's labels independently per point: at
     near_rate within range_threshold of the sensor, at far_rate beyond it.
-    Equal rates give i.i.d. noise whatever the threshold.
+    Equal rates give i.i.d. noise whatever the threshold. A flipped
+    point's row becomes the one-hot row of its new label; the others keep
+    the base predictor's row.
 
     The flip pattern is a pure function of (seed, frame id, point
     coordinates), so repeated calls on identical clouds agree regardless of
@@ -396,15 +391,14 @@ class NoisyPredictor(Predictor):
 
     def __call__(self, cloud: PointCloud) -> PredictionMatrix:
         pred = self.base(cloud)
-        labels = pred.probs.argmax(axis=1)
         rng = _cloud_rng(self.seed, cloud)
-        pts = cloud.points
-        ranges = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2)
-        rates = np.where(ranges <= self.range_threshold, self.near_rate, self.far_rate)
+        rates = np.where(sensor_range(cloud.points) <= self.range_threshold, self.near_rate, self.far_rate)
         flip = rng.random(len(cloud)) < rates
         offsets = rng.integers(1, self.num_classes, size=len(cloud))
-        labels = np.where(flip, (labels + offsets) % self.num_classes, labels)
-        return PredictionMatrix(_one_hot(labels, self.num_classes), pred.point_index)
+        probs = pred.probs.copy()
+        labels = (probs[flip].argmax(axis=1) + offsets[flip]) % self.num_classes
+        probs[flip] = _one_hot(labels, self.num_classes)
+        return PredictionMatrix(probs, pred.point_index)
 
 
 class PrecomputedPredictor(Predictor):
@@ -442,43 +436,45 @@ def _cloud_rng(seed: int, cloud: PointCloud) -> np.random.Generator:
 
 def build_lam_training_set(scans, poses, predictions, truth_labels, agg: AggregationSpec,
                            ignore_label: int | None = None) -> LamTrainingSet:
-    """Collect per-query neighborhoods (feature rows, truth) from a labeled
-    sequence; queries with no neighbors or ignored truth are dropped.
+    """Collect per-query neighborhoods (pair references, truth) from a
+    labeled sequence; queries with no neighbors or ignored truth are
+    dropped.
 
-    The feature rows are held once, in two passes. The first searches
-    every frame once and keeps only the kept queries' neighborhoods (16
-    bytes per pair, against 8 * (2K + 3) per feature row) and their truth.
-    The phis, offsets and labels are then allocated from the summed
-    counts, and the second pass rebuilds each frame's dense cloud, without
-    a search, and writes the frame's feature rows into its slice, freeing
-    its neighborhoods as it goes."""
+    Each frame is searched once, and each kept pair is held as its
+    neighbor's sequence-point index and its center distance (16 bytes,
+    against 8 * (2K + 3) for its feature row, which train_lam builds a
+    batch at a time)."""
     for t, truth in enumerate(truth_labels):
         if len(truth) != len(scans[t]):
             raise FileFormatError(
                 f"frame {t}: {len(truth)} labels for a {len(scans[t])}-point scan "
                 f"(label data ends at byte offset {4 * len(truth)})")
-    kept, counts, labels = [], [], []
+    # sequence index of each frame's first point
+    first = np.cumsum([0] + [len(scan) for scan in scans])
+    counts, neighbors, distances, queries, labels = [], [], [], [], []
     for t in range(len(scans)):
-        nbh = frame_neighborhoods(scans, poses, predictions, t, agg)[1]
+        dense, nbh = frame_neighborhoods(scans, poses, predictions, t, agg)
         truth = np.asarray(truth_labels[t], dtype=np.int64)
         keep = nbh.valid_count > 0
         if ignore_label is not None:
             keep &= truth != ignore_label
         pairs = np.repeat(keep, nbh.valid_count)
+        idx = nbh.indices[pairs]
+        # the cloud holds its frames whole and in frame order, so dense
+        # index i of frame f is f's point i - (f's first dense index)
+        shift = first[:-1] - np.searchsorted(dense.source_frame, np.arange(len(scans)))
+        neighbors.append(idx + shift[dense.source_frame[idx]])
+        distances.append(nbh.distances[pairs])
         counts.append(nbh.valid_count[keep])
-        kept.append((keep, Neighborhoods(np.concatenate([[0], np.cumsum(counts[-1])]),
-                                         nbh.indices[pairs], nbh.distances[pairs], nbh.capacity)))
+        queries.append(first[t] + np.flatnonzero(keep))
         labels.append(truth[keep])
-    offsets = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    phis = np.empty((offsets[-1], phi_layout.feature_dim(predictions[0].num_classes)))
-    lo = 0
-    for t in range(len(scans)):
-        (keep, nbh), kept[t] = kept[t], None
-        # no reference to the frame's cloud or rows outlives the slice write
-        phis[lo:lo + len(nbh.indices)] = _aggregate.phi_pairs(
-            predictions[t].probs[keep], _window_cloud(scans, poses, predictions, t, agg), nbh)[0]
-        lo += len(nbh.indices)
-    return LamTrainingSet(phis=phis, offsets=offsets, labels=np.concatenate(labels))
+    return LamTrainingSet(
+        offsets=np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
+        neighbor=np.concatenate(neighbors), distance=np.concatenate(distances),
+        query=np.concatenate(queries), labels=np.concatenate(labels),
+        probs=np.concatenate([pred.probs for pred in predictions]),
+        sensor_distance=np.concatenate([sensor_range(scan.points) for scan in scans]),
+        frame=np.repeat(np.arange(len(scans)), np.diff(first)), window=agg.window)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ feature stream the CLI analysis commands used to build with their own dense
 cloud, index and query per frame; conversions between compressed-row
 Neighborhoods and the padded (N, k) layout; the per-query LAM
 training-set builder and list-concatenating training loop the compressed
-rows replaced; the one-pass training-set builder that concatenated each
-frame's kept feature rows; the per-trial accumulation within-frame ensembling
+rows replaced; the training-set builder that concatenated each frame's
+kept feature rows, and every feature row of a training set as one array;
+the per-trial accumulation within-frame ensembling
 used before its rows went through lam.segment_sum; and the weight
 histograms scored from joined phi rows, as the analysis commands computed
 them before the refinement pass recorded each pair's weight.
@@ -123,8 +124,9 @@ def training_lists(scans, poses, predictions, truth_labels, agg, ignore_label=No
 
 
 def concatenated_training_set(scans, poses, predictions, truth_labels, agg, ignore_label=None):
-    """selftrain.build_lam_training_set in one pass: each frame's kept
-    feature rows gathered from all of its rows, then all concatenated."""
+    """selftrain.build_lam_training_set as dense rows: each frame's kept
+    feature rows gathered from all of its rows, then all concatenated.
+    Returns (phis (R, D), offsets, labels)."""
     phis, counts, labels = [], [], []
     for t in range(len(scans)):
         dense, nbh = frame_neighborhoods(scans, poses, predictions, t, agg)
@@ -136,9 +138,16 @@ def concatenated_training_set(scans, poses, predictions, truth_labels, agg, igno
         phis.append(phi_rows[np.repeat(keep, nbh.valid_count)])
         counts.append(nbh.valid_count[keep])
         labels.append(truth[keep])
-    return lam.LamTrainingSet(phis=np.concatenate(phis),
-                              offsets=np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
-                              labels=np.concatenate(labels))
+    return (np.concatenate(phis), np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
+            np.concatenate(labels))
+
+
+def phi_matrix(data):
+    """Every feature row of a LamTrainingSet, in pair order, as one (R, D)
+    array."""
+    pairs = np.arange(len(data.neighbor))
+    return data.phi_rows(pairs, np.searchsorted(data.offsets, pairs, side="right") - 1,
+                         np.empty((len(pairs), data.feature_dim)))
 
 
 def train_lam_lists(phis, probs, labels, config):

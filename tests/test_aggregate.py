@@ -13,11 +13,12 @@ from lidar_ensemble.aggregate import (
     refine_labels,
     write_refinement_manifest,
 )
+from lidar_ensemble.geometry import sensor_range
 from lidar_ensemble.lam import (DenseBnLayer, LamParams, LamTrainingSet, TrainConfig, eval_scores,
                                  initialize_lam_params, load_lam_params, save_lam_params,
                                  segment_softmax, train_lam)
 from lidar_ensemble.neighbors import DenseCloud, SpatialIndex, precompute_neighborhoods
-from tests.oracles import from_padded, kernel_score, padded, phi
+from tests.oracles import from_padded, kernel_score, padded, phi, phi_matrix
 
 
 def make_dense(rng, m=200, k_classes=3, window=10):
@@ -162,8 +163,15 @@ class TestKernelScore:
         raw = rng.uniform(0.05, 1.0, size=(60, 3))
         v = raw / raw.sum(1, keepdims=True)
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=8)
-        phis, _ = phi_pairs(v, dense, nbh)
-        data = LamTrainingSet(phis=phis, offsets=np.arange(61) * 8, labels=rng.integers(0, 3, 60))
+        # the point table: the 60 queries at frame 0, then the dense points
+        # at their temporal offsets
+        data = LamTrainingSet(
+            offsets=nbh.offsets, neighbor=60 + nbh.indices, distance=nbh.distances,
+            query=np.arange(60), labels=rng.integers(0, 3, 60),
+            probs=np.concatenate([v, dense.probs]),
+            sensor_distance=np.concatenate([sensor_range(queries), dense.sensor_distance]),
+            frame=np.concatenate([np.zeros(60, np.int64), dense.temporal_offset]), window=dense.window)
+        assert phi_matrix(data).tobytes() == phi_pairs(v, dense, nbh)[0].tobytes()
         params, _ = train_lam(data, TrainConfig(epochs=2, batch=16, seed=4))
         save_lam_params(params, tmp_path / "lam.ckpt")
         loaded = load_lam_params(tmp_path / "lam.ckpt")

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidar_ensemble import cli
 from lidar_ensemble.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from lidar_ensemble.selftrain import load_labels, load_selection_mask
-from lidar_ensemble.subsample import read_prediction_matrix, write_prediction_matrix
+from lidar_ensemble.subsample import read_prediction_matrix, read_scan_prediction, write_prediction_matrix
 from lidar_ensemble.subsample import PredictionMatrix
 from tests.oracles import phi_stream, sequence_rows, weight_histograms
 
@@ -207,7 +209,7 @@ class TestLamCommands:
         from lidar_ensemble import cli, lam, neighbors, selftrain
         from lidar_ensemble.config import load_config
 
-        calls = {"search": 0, "refine": 0}
+        calls = {"search": 0, "dense": 0, "refine": 0}
 
         def counting(key, original):
             def wrapper(*args, **kwargs):
@@ -219,10 +221,12 @@ class TestLamCommands:
         for module in (neighbors, selftrain):
             monkeypatch.setattr(module, "precompute_neighborhoods", search)
         monkeypatch.setattr(selftrain, "refine_labels", counting("refine", selftrain.refine_labels))
+        monkeypatch.setattr(selftrain, "build_dense_cloud", counting("dense", selftrain.build_dense_cloud))
         out = tmp_path / "lam"
         assert main(["lam-train", "--config", str(config_path), "--out", str(out),
                      "--threads", "2"]) == EXIT_OK
-        assert calls == {"search": 4, "refine": 0}  # one search per frame, no refinement
+        # one dense cloud and one search per frame, no refinement
+        assert calls == {"search": 4, "dense": 4, "refine": 0}
         monkeypatch.undo()
 
         # same checkpoint as training on the within-frame half of a full refinement pass
@@ -283,6 +287,73 @@ class TestLamCommands:
             lines = (out / "histograms.csv").read_text().strip().splitlines()
             assert lines[0] == "slice,bin_left,bin_right,count,normalized_weight_mean"
             assert len(lines) == 1 + 3 * 5
+
+
+def _checkpoint_records(blob):
+    """(start, data start, end) of every tensor record of a checkpoint."""
+    records, off = [], 16
+    while off < len(blob):
+        name_len = int.from_bytes(blob[off:off + 4], "little")
+        rank = int.from_bytes(blob[off + 4 + name_len:off + 8 + name_len], "little")
+        head = off + 8 + name_len
+        dims = np.frombuffer(blob, dtype="<u4", count=rank, offset=head)
+        data = head + 4 * rank
+        records.append((off, data, data + 8 * int(np.prod(dims))))
+        off = records[-1][2]
+    return records
+
+
+class TestCheckpointFuzz:
+    """A checkpoint cut at any byte, or with one bit flipped in its header,
+    a record head or its data, loads or is rejected with a byte offset, and
+    lam-apply exits 2 on it without a traceback."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=300)
+    @given(case=st.data())
+    def test_cut_or_flipped_checkpoint_loads_or_names_an_offset(self, case, config_path, prediction_dir,
+                                                                 checkpoint, work):
+        import logging
+        import re
+
+        from lidar_ensemble.errors import FileFormatError
+        from lidar_ensemble.lam import load_lam_params
+
+        blob = bytearray(checkpoint.read_bytes())
+        records = _checkpoint_records(bytes(blob))
+        kind = case.draw(st.sampled_from(["cut", "header", "head", "data"]), label="kind")
+        if kind == "cut":
+            ends = [start for start, _, _ in records]
+            blob = blob[:case.draw(st.one_of(st.sampled_from(ends), st.integers(0, len(blob) - 1)),
+                                   label="cut at")]
+        else:
+            start, data, end = case.draw(st.sampled_from(records), label="record")
+            lo, hi = {"header": (0, 16), "head": (start, data), "data": (data, end)}[kind]
+            bit = case.draw(st.integers(8 * lo, 8 * hi - 1), label="bit")
+            blob[bit // 8] ^= 1 << bit % 8
+        path = work / "fuzzed.ckpt"
+        path.write_bytes(bytes(blob))
+        try:
+            load_lam_params(path)
+        except FileFormatError as exc:
+            error = str(exc)
+            offset = re.search(r"byte offset (\d+)", error)
+            assert offset is not None and int(offset.group(1)) <= len(blob), error
+        else:
+            return
+        messages = []
+        handler = logging.Handler()
+        handler.emit = messages.append
+        logging.getLogger("lidar_ensemble").addHandler(handler)
+        try:
+            assert main(["lam-apply", "--config", str(config_path), "--pred-dir", str(prediction_dir),
+                         "--checkpoint", str(path), "--out", str(work / "applied")]) == EXIT_IO
+        finally:
+            logging.getLogger("lidar_ensemble").removeHandler(handler)
+        assert [m.getMessage() for m in messages] == [f"i/o: {error}"]
 
 
 class TestCbstCommand:
@@ -876,6 +947,28 @@ seed = 3
             labels[noise] = np.concatenate([load_labels(p) for p in
                                             sorted((out / "iteration_00" / "sequence").glob("*.label"))])
         assert (labels["0.0"] != labels["0.4"]).mean() > 0.05
+
+        # a flipped point's row becomes one-hot; every other point keeps its
+        # stored row, soft as exported
+        from lidar_ensemble.config import load_config
+
+        soft = tmp_path / "soft"
+        soft.mkdir()
+        for path in sorted(prediction_dir.glob("*.lprb")):
+            pred = read_prediction_matrix(path)
+            write_prediction_matrix(PredictionMatrix(0.7 * pred.probs + 0.1, pred.point_index),
+                                    soft / path.name)
+        cfg = load_config(self.precomputed_config(dataset, soft, tmp_path, noise="0.4"))
+        seq, _, _ = cli._load_sequence(cfg)
+        flipped = []
+        for scan in seq.scans:
+            stored = read_scan_prediction(soft / f"{scan.frame_id:06d}.lprb").probs
+            rows = cfg.predictor(scan).probs
+            flip = rows.max(axis=1) == 1.0
+            assert rows[~flip].tobytes() == stored[~flip].tobytes()
+            assert (rows[flip].argmax(axis=1) != stored[flip].argmax(axis=1)).all()
+            flipped.append(flip)
+        assert 0.3 < np.concatenate(flipped).mean() < 0.5
 
     def test_short_prediction_file_is_io_error(self, dataset, prediction_dir, tmp_path, caplog):
         import shutil

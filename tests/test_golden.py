@@ -89,6 +89,25 @@ noise = 0.3
 seed = 7
 ignore_label = 2
 """,
+    # the LAM at 3 classes inside eps: a stride of 2 over a window of 4 on
+    # 3 frames clips the middle frame's window at both ends of the drive
+    "lam-train-eps.ini": SENSOR + """
+[dataset]
+root = source
+[aggregate]
+k = 8
+epsilon = 0.5
+window = 4
+stride = 2
+[lam]
+epochs = 2
+batch = 64
+[predictor]
+noise = 0.2
+[run]
+seed = 9
+ignore_label = 1
+""",
     # ... and refining the target drive with the trained checkpoint
     "lam.ini": SENSOR + f"""
 [dataset]
@@ -118,6 +137,7 @@ COMMANDS = {
     "pipeline-uniform-t2": ["pipeline", "--config", "uniform.ini", "--threads", "2"],
     "pipeline-knn-t2": ["pipeline", "--config", "knn.ini", "--threads", "2", "--bins", "7"],
     "lam-train": ["lam-train", "--config", "lam-train.ini", "--threads", "2"],
+    "lam-train-eps": ["lam-train", "--config", "lam-train-eps.ini", "--threads", "1"],
     "pipeline-lam-t1": ["pipeline", "--config", "lam.ini", "--threads", "1"],
     "aggregate": ["aggregate", "--config", "lam.ini", "--pred-dir", "preds"],
     "lam-apply": ["lam-apply", "--config", "lam.ini", "--pred-dir", "preds",

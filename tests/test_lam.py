@@ -1,8 +1,13 @@
 """Tests for the learned aggregation model: forward/backward, losses,
 training, statistics modulation, weight analysis, serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lidar_ensemble import lam, phi_layout
 from lidar_ensemble.errors import FileFormatError
@@ -28,7 +33,7 @@ from lidar_ensemble.lam import (
     write_histogram_csv,
     write_loss_trace_csv,
 )
-from tests.oracles import weight_histograms
+from tests.oracles import phi_matrix, weight_histograms
 from lidar_ensemble.lam import _lovasz_softmax_with_grad
 
 
@@ -463,28 +468,33 @@ class TestGradients:
                 assert np.array_equal(strided[3][name], grad), (n, name)
 
 
-def separable_task(rng, n_hoods, neighbors=8):
-    """Sensor-distance column perfectly separates reliable neighbors."""
-    phis, labels, reliable_masks = [], [], []
+def separable_task(rng, n_hoods, neighbors=8, window=4):
+    """Sensor-distance column perfectly separates reliable neighbors.
+
+    Each neighborhood owns a query point and its neighbor points in the
+    point table, the neighbors up to window frames from the query."""
+    probs, sensor_distance, frames, labels, reliable_masks = [], [], [], [], []
     for _ in range(n_hoods):
         y = int(rng.integers(0, 2))
         reliable = rng.random(neighbors) < 0.5
         reliable[0] = True
         reliable[1] = False
-        phi = np.zeros((neighbors, 7))
-        phi[:, 0] = rng.uniform(0.0, 0.2, neighbors)
-        phi[:, 1:3] = random_simplex(rng, neighbors, 2)
         v_n = np.where(reliable[:, None], [[0.9, 0.1]], [[0.1, 0.9]])
         if y == 1:
             v_n = v_n[:, ::-1]
-        phi[:, 3:5] = v_n
-        phi[:, 5] = rng.uniform(-1.0, 1.0, neighbors)
-        phi[:, 6] = np.where(reliable, rng.uniform(2, 10, neighbors), rng.uniform(20, 40, neighbors))
-        phis.append(phi)
+        probs += [random_simplex(rng, 1, 2), v_n]
+        sensor_distance += [rng.uniform(2, 40, 1),
+                            np.where(reliable, rng.uniform(2, 10, neighbors), rng.uniform(20, 40, neighbors))]
+        frames += [[window], window + rng.integers(-window, window + 1, neighbors)]
         labels.append(y)
         reliable_masks.append(reliable)
-    data = LamTrainingSet(phis=np.concatenate(phis), offsets=np.arange(n_hoods + 1) * neighbors,
-                          labels=np.asarray(labels))
+    query = np.arange(n_hoods) * (neighbors + 1)
+    data = LamTrainingSet(
+        offsets=np.arange(n_hoods + 1) * neighbors,
+        neighbor=(query[:, None] + np.arange(1, neighbors + 1)).ravel(),
+        distance=rng.uniform(0.0, 0.2, n_hoods * neighbors),
+        query=query, labels=labels, probs=np.concatenate(probs),
+        sensor_distance=np.concatenate(sensor_distance), frame=np.concatenate(frames), window=window)
     return data, reliable_masks
 
 
@@ -493,7 +503,7 @@ class TestTraining:
         rng = np.random.default_rng(9)
         data, _ = separable_task(rng, 50)
         init = initialize_lam_params(7, seed=5)
-        init = modulate_statistics(init, data.phis)
+        init = modulate_statistics(init, data)
         before = {name: t.copy() for name, t in init.named_parameters()}
         params, _ = train_lam(data, TrainConfig(learning_rate=0.0, epochs=3, batch=16, seed=5),
                               params=init)
@@ -508,9 +518,10 @@ class TestTraining:
             train_data, TrainConfig(learning_rate=1e-3, epochs=25, batch=64, seed=1))
         assert trace[-1].total < trace[0].total
         wins = 0
+        phis = phi_matrix(test_data)
         for i in range(len(test_data)):
             lo, hi = test_data.offsets[i], test_data.offsets[i + 1]
-            scores, _ = lam_forward(params, test_data.phis[lo:hi])
+            scores, _ = lam_forward(params, phis[lo:hi])
             r = reliable[i]
             if scores[r].mean() > scores[~r].mean():
                 wins += 1
@@ -608,6 +619,41 @@ class TestModulateStatistics:
         streamed = modulate_statistics(params, (chunk for chunk in chunks))
         assert np.array_equal(listed.std_mean, streamed.std_mean)
         assert np.array_equal(listed.std_var, streamed.std_var)
+
+    @pytest.mark.parametrize("window", [4, 0])
+    def test_training_set_gives_the_bits_of_its_rows(self, window):
+        # a zero-width window makes the temporal column 0, which is floored
+        rng = np.random.default_rng(24)
+        data, _ = separable_task(rng, 300, neighbors=7, window=window)
+        params = initialize_lam_params(data.feature_dim, seed=0)
+        with warnings.catch_warnings(record=True) as from_set:
+            warnings.simplefilter("always")
+            streamed = modulate_statistics(params, data)
+        with warnings.catch_warnings(record=True) as from_rows:
+            warnings.simplefilter("always")
+            whole = modulate_statistics(params, phi_matrix(data))
+        assert [str(w.message) for w in from_set] == [str(w.message) for w in from_rows]
+        assert len(from_set) == (window == 0)
+        assert streamed.std_mean.tobytes() == whole.std_mean.tobytes()
+        assert streamed.std_var.tobytes() == whole.std_var.tobytes()
+
+    @given(st.data())
+    def test_streamed_moments_give_the_bits_of_numpy(self, data):
+        rows = data.draw(st.integers(1, 40), label="rows")
+        width = data.draw(st.integers(2, 9), label="width")
+        block = data.draw(st.one_of(st.just(1), st.integers(1, rows + 2)), label="block")
+        values = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]),
+                           st.floats(-1e6, 1e6, allow_nan=False))
+        a = data.draw(hnp.arrays(np.float64, (rows, width), elements=values), label="a")
+
+        def fill(lo, hi, out):
+            assert hi - lo <= block
+            out[:] = a[lo:hi]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, var = lam._column_moments(fill, rows, width, block)
+            assert mean.tobytes() == np.mean(a, axis=0).tobytes()
+            assert var.tobytes() == np.var(a, axis=0).tobytes()
 
     def test_one_array_gives_exactly_its_mean_and_var(self):
         rng = np.random.default_rng(23)

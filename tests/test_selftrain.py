@@ -43,7 +43,7 @@ from lidar_ensemble.synth import (
     generate_sequence,
     sensor_config,
 )
-from tests.oracles import concatenated_training_set, train_lam_lists, training_lists
+from tests.oracles import concatenated_training_set, phi_matrix, train_lam_lists, training_lists
 
 
 def identity_config(k=8, window=6):
@@ -424,9 +424,10 @@ class TestLamTrainingSet:
         neighbor_labels = phi_layout.neighbor_label_columns(within[0].num_classes)
         for i in range(len(labels)):
             lo, hi = data.offsets[i], data.offsets[i + 1]
-            assert np.array_equal(data.phis[lo:hi], phis[i])
-            assert np.array_equal(data.phis[lo:hi, neighbor_labels], probs[i])
-        assert data.offsets[-1] == len(data.phis)
+            rows = data.phi_rows(slice(lo, hi), np.full(hi - lo, i), np.empty((hi - lo, data.feature_dim)))
+            assert rows.tobytes() == phis[i].tobytes()
+            assert np.array_equal(rows[:, neighbor_labels], probs[i])
+        assert data.offsets[-1] == len(data.neighbor) == len(data.distance)
 
         train = TrainConfig(learning_rate=1e-2, epochs=2, batch=32, seed=4)
         params, trace = train_lam(data, train)
@@ -448,17 +449,20 @@ class TestLamTrainingSet:
             truths[2][:] = ignore_label
         agg = AggregationSpec(kernel=UniformKernel(), k=7, epsilon=epsilon, window=2, stride=1)
         data = build_lam_training_set(seq.scans, seq.poses, within, truths, agg, ignore_label=ignore_label)
-        ref = concatenated_training_set(seq.scans, seq.poses, within, truths, agg, ignore_label=ignore_label)
+        phis, offsets, labels = concatenated_training_set(seq.scans, seq.poses, within, truths, agg,
+                                                          ignore_label=ignore_label)
         sizes = np.diff(data.offsets)
         assert len(data) > 0 and (epsilon is None or sizes.min() < sizes.max())
-        for got, want in ((data.phis, ref.phis), (data.offsets, ref.offsets), (data.labels, ref.labels)):
+        for got, want in ((phi_matrix(data), phis), (data.offsets, offsets), (data.labels, labels)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
     def test_build_holds_the_training_set_once(self):
-        # criterion-7 search settings on a 12 x 600 drive: the set is 8.3 MB.
-        # Holding every frame's rows and then their concatenation peaks at
-        # 2.35 times its bytes; the two-pass build at 1.46 times
+        # criterion-7 search settings on a 12 x 600 drive: its feature rows
+        # would take 8.3 MB. The set holds 16 bytes per pair and its query
+        # and point tables; the build peaks at 0.74 times the rows' bytes
+        # (mostly one frame's search) and training at batch 32 at 0.45
+        # times; an (R, D) array alone would break the bound of 0.9 times
         import tracemalloc
 
         seq, truths = generate_sequence(SyntheticSceneSpec(num_frames=12, points_per_frame=600, seed=5))
@@ -469,11 +473,21 @@ class TestLamTrainingSet:
         try:
             start = tracemalloc.get_traced_memory()[0]
             data = build_lam_training_set(seq.scans, seq.poses, within, truths, agg)
-            peak = tracemalloc.get_traced_memory()[1]
+            build_peak = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            train_lam(data, TrainConfig(epochs=1, batch=32, seed=0))
+            train_peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert data.phis.nbytes == 12 * 600 * 16 * phi_layout.feature_dim(3) * 8
-        assert peak - start < 1.9 * data.phis.nbytes
+        queries = points = 12 * 600
+        pairs = queries * 16
+        phi_bytes = pairs * phi_layout.feature_dim(3) * 8
+        assert len(data.neighbor) == pairs
+        assert data.neighbor.nbytes + data.distance.nbytes <= 16 * pairs
+        assert data.offsets.nbytes + data.query.nbytes + data.labels.nbytes == 8 * (3 * queries + 1)
+        assert data.probs.nbytes + data.sensor_distance.nbytes + data.frame.nbytes == points * (3 + 2) * 8
+        assert build_peak < 0.9 * phi_bytes and train_peak < 0.9 * phi_bytes
 
     def test_label_length_mismatch_names_the_frame(self):
         seq, truths = generate_sequence(SyntheticSceneSpec(num_frames=3, points_per_frame=80, seed=19))
