@@ -15,9 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from . import phi_layout
-from .lam import LamParams, PairRecord, eval_scores, segment_exp, segment_sum
+from .lam import (_EVAL_CHUNK, LamParams, PairRecord, _blocks, _column_moments, _Workspace, eval_scores,
+                  segment_exp, segment_sum)
 from .neighbors import DenseCloud, Neighborhoods
 from .subsample import PredictionMatrix
+
+# pairs per block of the weighted label sums: a (block, K) array of
+# neighbor rows and the block's per-query sums are all a refinement holds
+# besides its per-pair vectors
+_PAIR_BUDGET = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -58,27 +64,52 @@ class AggregationSpec:
 def _slice_features(dense: DenseCloud, flat_idx: np.ndarray, dists: np.ndarray) -> dict:
     """The phi columns the weight histograms slice by, per pair."""
     return {
-        "temporal": phi_layout.temporal_feature(dense.temporal_offset[flat_idx], dense.window),
-        "sensor_distance": dense.sensor_distance[flat_idx],
+        "temporal": phi_layout.temporal_feature(dense.temporal_offset.take(flat_idx), dense.window),
+        "sensor_distance": dense.sensor_distance.take(flat_idx),
         "center_distance": dists,
     }
 
 
-def phi_pairs(v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods):
-    """Feature rows for every (query, neighbor) pair of a scan.
+def phi_pairs(v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods, lo: int = 0, hi: int | None = None,
+              out: np.ndarray | None = None):
+    """Feature rows of the (query, neighbor) pairs lo:hi of a scan (all
+    of them by default), written into out (R, D) when it is given.
 
-    Returns (phi_rows (R, D), row_query (R,)) where row i is nbh's pair i
-    and row_query maps it back to its query index, so stored neighbor
-    distances transfer directly. The neighbor's pseudo-label row is the
-    phi_layout.neighbor_label_columns view of its phi row.
+    Returns (phi_rows (R, D), row_query (R,)) where row i is nbh's pair
+    lo + i and row_query maps it back to its query index, so stored
+    neighbor distances transfer directly. The neighbor's pseudo-label row
+    is the phi_layout.neighbor_label_columns view of its phi row.
     """
-    row_query, flat_idx = nbh.row_query, nbh.indices
-    features = _slice_features(dense, flat_idx, nbh.distances)
+    hi = len(nbh.indices) if hi is None else hi
+    row_query = np.searchsorted(nbh.offsets, np.arange(lo, hi), side="right") - 1
+    flat_idx = nbh.indices[lo:hi]
+    features = _slice_features(dense, flat_idx, nbh.distances[lo:hi])
+    if out is None:
+        out = np.empty((hi - lo, phi_layout.feature_dim(dense.num_classes)))
+    # take gathers rows several times faster than fancy indexing
     rows = phi_layout.write_rows(
-        np.empty((len(flat_idx), phi_layout.feature_dim(dense.num_classes))),
-        features["center_distance"], v[row_query], dense.probs[flat_idx], features["temporal"],
-        features["sensor_distance"])
+        out, features["center_distance"], v.take(row_query, axis=0), dense.probs.take(flat_idx, axis=0),
+        features["temporal"], features["sensor_distance"])
     return rows, row_query
+
+
+def phi_moments(v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods):
+    """(mean, var): the bits of np.mean and np.var over axis 0 of the
+    scan's phi_pairs rows, for a scan with at least one pair; the rows are
+    built _EVAL_CHUNK at a time, twice (lam._column_moments)."""
+    return _column_moments(lambda lo, hi, out: phi_pairs(v, dense, nbh, lo, hi, out),
+                           len(nbh.indices), phi_layout.feature_dim(dense.num_classes), _EVAL_CHUNK)
+
+
+def _query_blocks(offsets: np.ndarray, budget: int):
+    """(q0, q1): consecutive ranges of whole queries, each holding at most
+    budget pairs, or a single query that alone holds more."""
+    n = len(offsets) - 1
+    q0 = 0
+    while q0 < n:
+        q1 = max(q0 + 1, int(np.searchsorted(offsets, offsets[q0] + budget, side="right")) - 1)
+        yield q0, q1
+        q0 = q1
 
 
 def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
@@ -90,27 +121,41 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
     scores its phi row. Queries with an empty neighborhood keep their
     unrefined row. Returns the refined PredictionMatrix; with return_pairs,
     also the scan's PairRecord for the weight histograms.
+
+    The scan holds per-pair vectors only: the LAM kernel's phi rows are
+    built and scored _EVAL_CHUNK pairs at a time in one reused buffer, and
+    the weighted label sums run over blocks of whole queries of at most
+    _PAIR_BUDGET pairs, so every query's sum adds its pairs in order, as
+    over the whole scan.
     """
     points = np.asarray(points, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
     if len(points) != len(probs) or len(points) != len(nbh):
         raise ValueError("points, probs, and neighborhoods must align")
 
+    n, pairs, row_query = len(points), len(nbh.indices), nbh.row_query
     if isinstance(kernel, UniformKernel):
-        scores, labels = np.zeros(len(nbh.indices)), dense.probs[nbh.indices]
+        scores = np.zeros(pairs)
     else:
-        phi_rows, _ = phi_pairs(probs, dense, nbh)
-        scores = eval_scores(kernel.params, phi_rows) if len(phi_rows) else np.zeros(0)
-        labels = phi_rows[:, phi_layout.neighbor_label_columns(dense.num_classes)]
-    e, z = segment_exp(scores, nbh.row_query, len(points))
-    sums = segment_sum(e[:, None] * labels, nbh.row_query, len(points))
-    touched = nbh.valid_count > 0
+        scores = np.empty(pairs)
+        ws = _Workspace()
+        width = phi_layout.feature_dim(dense.num_classes)
+        for lo, hi in _blocks(pairs, _EVAL_CHUNK):
+            rows, _ = phi_pairs(probs, dense, nbh, lo, hi, out=ws.take("phi", hi - lo, width))
+            scores[lo:hi] = eval_scores(kernel.params, rows, ws)
+    e, z = segment_exp(scores, row_query, n)
     out = probs.copy()
-    out[touched] = sums[touched] / z[touched, None]
-    refined = PredictionMatrix(probs=out, point_index=np.arange(len(points)))
+    for q0, q1 in _query_blocks(nbh.offsets, _PAIR_BUDGET):
+        p0, p1 = nbh.offsets[q0], nbh.offsets[q1]
+        labels = dense.probs.take(nbh.indices[p0:p1], axis=0)
+        np.multiply(e[p0:p1, None], labels, out=labels)
+        sums = segment_sum(labels, row_query[p0:p1] - q0, q1 - q0)
+        touched = nbh.valid_count[q0:q1] > 0
+        out[q0:q1][touched] = sums[touched] / z[q0:q1][touched, None]
+    refined = PredictionMatrix(probs=out, point_index=np.arange(n))
     if not return_pairs:
         return refined
-    weights = e / z[nbh.row_query]
+    weights = e / z[row_query]
     return refined, PairRecord(_slice_features(dense, nbh.indices, nbh.distances), weights)
 
 

@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .aggregate import LamKernel, UniformKernel, phi_pairs, write_refinement_manifest
+from .aggregate import LamKernel, UniformKernel, phi_moments, write_refinement_manifest
 from .config import ConfigError, PipelineConfig, load_config
 from .errors import FileFormatError
 from .geometry import load_point_cloud_bin, load_poses, project_to_range_image, save_point_cloud_bin
-from .lam import (LamTrainingError, load_lam_params, modulate_statistics, save_lam_params,
+from .lam import (LamTrainingError, RowMoments, load_lam_params, modulate_statistics, save_lam_params,
                   train_lam, weight_histograms, write_histogram_csv, write_loss_trace_csv)
 from .metrics import (condense_static_dynamic, confusion, iou, write_confusion_csv,
                       write_iou_csv, write_iou_summary)
@@ -225,12 +225,13 @@ def cmd_lam_apply(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.modulate:
-        def frame_rows():  # one frame's feature rows at a time
+        def frame_moments():  # each frame's feature-row moments, built one block at a time
             for t in range(len(seq.scans)):
                 dense, nbh = frame_neighborhoods(seq.scans, seq.poses, within, t, agg)
-                yield phi_pairs(within[t].probs, dense, nbh)[0]
+                if len(nbh.indices):
+                    yield RowMoments(len(nbh.indices), *phi_moments(within[t].probs, dense, nbh))
 
-        params = modulate_statistics(params, frame_rows())
+        params = modulate_statistics(params, frame_moments())
         save_lam_params(params, out_dir / "modulated.ckpt")
     _write_refined(seq, within, dataclasses.replace(agg, kernel=LamKernel(params)), out_dir)
     _command_manifest(out_dir, cfg, args, inputs=list(paths) + [args.checkpoint],

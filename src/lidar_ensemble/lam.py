@@ -120,7 +120,7 @@ def initialize_lam_params(feature_dim: int, hidden_sizes=HIDDEN_SIZES, seed: int
 # Rows per block of the elementwise passes: a block of the widest default
 # layer (512 x 128 float64, 512 KB) stays in L2 cache between its steps.
 _ROW_BLOCK = 512
-# rows per lam_forward call of eval_scores
+# rows per lam_forward call of eval_scores, and per phi block of a refinement
 _EVAL_CHUNK = 2048
 
 
@@ -141,6 +141,16 @@ class _Workspace:
             buf = np.empty((rows, cols), dtype=dtype)
             self._buffers[name] = buf
         return buf[:rows]
+
+    def flat(self, name: str, rows: int, cols: int) -> np.ndarray:
+        """A C-contiguous (rows, cols) float64 view of a 1-D buffer that
+        grows to the largest rows * cols asked of it, so arrays of any
+        width can take turns in it."""
+        buf = self._buffers.get(name)
+        if buf is None or len(buf) < rows * cols:
+            buf = np.empty(rows * cols)
+            self._buffers[name] = buf
+        return buf[:rows * cols].reshape(rows, cols)
 
 
 class _ColumnSum:
@@ -183,7 +193,7 @@ def _blocks(rows: int, block: int):
 
 
 def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
-                workspace: _Workspace | None = None):
+                workspace: _Workspace | None = None, cache: bool = True):
     """Score a batch of feature vectors.
 
     Returns (scores (R,), cache). With train, batch statistics normalize
@@ -191,25 +201,30 @@ def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
     otherwise the running statistics normalize and params is not written,
     so the scores are a pure function of params and feats. The cache
     lives in workspace, when one is given, until its next use, and
-    lam_backward of a train forward consumes it.
+    lam_backward of a train forward consumes it. Without cache (eval
+    only) no activation is kept: two workspace buffers take turns as a
+    layer's input and output, each output is normalized and rectified
+    where its matmul wrote it, and the cache returned is None.
     """
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != params.feature_dim:
         raise ValueError(f"expected (R, {params.feature_dim}) features, got {feats.shape}")
     if not np.isfinite(feats).all():
         raise ValueError("feature batch contains non-finite values")
+    if train and not cache:
+        raise ValueError("a train forward keeps its cache for lam_backward")
 
     ws = _Workspace() if workspace is None else workspace
     rows = len(feats)
-    act = ws.take("x0", rows, params.feature_dim)
+    act = ws.take("x0", rows, params.feature_dim) if cache else ws.flat("turn0", rows, params.feature_dim)
     np.subtract(feats, params.std_mean, out=act)
     np.divide(act, np.sqrt(params.std_var), out=act)
-    cache = {"x0": act, "layers": []}
+    x0, layers = act, []
     for i, layer in enumerate(params.layers):
         width = len(layer.weight)
         block = _block_rows(rows, width)
         # z, centred in place, becomes xhat
-        z = ws.take(f"xhat{i}", rows, width)
+        z = ws.take(f"xhat{i}", rows, width) if cache else ws.flat(f"turn{(i + 1) % 2}", rows, width)
         np.matmul(act, layer.weight.T, out=z)
         if train:
             mean = z.mean(axis=0)
@@ -227,7 +242,7 @@ def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
             mean = layer.run_mean
             var = layer.run_var
         ivar = 1.0 / np.sqrt(var + BN_EPS)
-        next_act = ws.take(f"act{i}", rows, width)
+        next_act = ws.take(f"act{i}", rows, width) if cache else z
         for lo, hi in _blocks(rows, block):
             xhat, y = z[lo:hi], next_act[lo:hi]
             if not train:
@@ -236,26 +251,29 @@ def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
             np.multiply(xhat, layer.gamma, out=y)
             np.add(y, layer.beta, out=y)
             np.maximum(y, 0.0, out=y)
-        cache["layers"].append({"a_prev": act, "xhat": z, "act": next_act, "ivar": ivar})
+        if cache:
+            layers.append({"a_prev": act, "xhat": z, "act": next_act, "ivar": ivar})
         act = next_act
-    cache["a_last"] = act
     scores = act @ params.head_weight + params.head_bias
-    return scores, cache
+    if not cache:
+        return scores, None
+    return scores, {"x0": x0, "layers": layers, "a_last": act}
 
 
-def eval_scores(params: LamParams, feats: np.ndarray) -> np.ndarray:
+def eval_scores(params: LamParams, feats: np.ndarray, workspace: _Workspace | None = None) -> np.ndarray:
     """The scores of lam_forward without train, without activation caches.
 
-    Running statistics make the rows independent, so the batch is processed
-    in cache-friendly chunks through one reused workspace; large monolithic
-    batches thrash memory.
+    Running statistics make the rows independent, so the batch is scored
+    in chunks of _EVAL_CHUNK rows through one workspace, which a caller
+    scoring block after block passes in to reuse; large monolithic
+    batches thrash memory. Zero rows give zero scores.
     """
     feats = np.asarray(feats, dtype=np.float64)
-    ws = _Workspace()
-    return np.concatenate([
-        lam_forward(params, feats[i:i + _EVAL_CHUNK], workspace=ws)[0]
-        for i in range(0, len(feats), _EVAL_CHUNK)
-    ])
+    ws = _Workspace() if workspace is None else workspace
+    scores = np.empty(len(feats))
+    for lo, hi in _blocks(len(feats), _EVAL_CHUNK):
+        scores[lo:hi] = lam_forward(params, feats[lo:hi], workspace=ws, cache=False)[0]
+    return scores
 
 
 def lam_backward(params: LamParams, cache: dict, dscores: np.ndarray,
@@ -679,14 +697,26 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
 # Target-domain statistics modulation
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class RowMoments:
+    """A chunk of a modulate_statistics stream given by its row count and
+    the bits of np.mean and np.var over axis 0 of its rows, which need
+    not be held."""
+
+    rows: int
+    mean: np.ndarray
+    var: np.ndarray
+
+
 def modulate_statistics(params: LamParams, stream) -> LamParams:
     """Replace the standardization statistics with the stream's mean/variance.
 
-    stream is a (R, D) array, an iterable of such chunks, read one chunk
-    at a time, or a LamTrainingSet, which counts as the one array of its
-    feature rows (LamTrainingSet.phi_moments); every other parameter is
-    untouched. Features with variance below 1e-8 are floored there, with a
-    warning naming the columns.
+    stream is a (R, D) array, an iterable of such chunks (or of their
+    RowMoments), read one chunk at a time, or a LamTrainingSet, which
+    counts as the one array of its feature rows
+    (LamTrainingSet.phi_moments); every other parameter is untouched.
+    Features with variance below 1e-8 are floored there, with a warning
+    naming the columns.
     """
     # each chunk is merged in with the weights a = count / new_count and
     # b = rows / new_count; the first chunk has a = 0 and b = 1, so one
@@ -723,6 +753,10 @@ def _chunk_moments(stream):
             yield (len(stream.neighbor), *stream.phi_moments())
         return
     for chunk in (stream,) if isinstance(stream, np.ndarray) else stream:
+        if isinstance(chunk, RowMoments):
+            if chunk.rows:
+                yield chunk.rows, chunk.mean, chunk.var
+            continue
         chunk = np.asarray(chunk, dtype=np.float64)
         if len(chunk):
             yield len(chunk), chunk.mean(axis=0), chunk.var(axis=0)

@@ -8,15 +8,17 @@ training-set builder and list-concatenating training loop the compressed
 rows replaced; the training-set builder that concatenated each frame's
 kept feature rows, and every feature row of a training set as one array;
 the per-trial accumulation within-frame ensembling
-used before its rows went through lam.segment_sum; and the weight
+used before its rows went through lam.segment_sum; the weight
 histograms scored from joined phi rows, as the analysis commands computed
-them before the refinement pass recorded each pair's weight.
+them before the refinement pass recorded each pair's weight; and
+refinement over whole-scan (pairs, K) and (pairs, 2K + 3) arrays, as it
+ran before its blocks.
 """
 
 import numpy as np
 
 from lidar_ensemble import lam, phi_layout
-from lidar_ensemble.aggregate import UniformKernel, phi_pairs
+from lidar_ensemble.aggregate import UniformKernel, _slice_features, phi_pairs
 from lidar_ensemble.lam import lam_forward
 from lidar_ensemble.neighbors import (
     Neighborhoods,
@@ -25,6 +27,7 @@ from lidar_ensemble.neighbors import (
     precompute_neighborhoods,
 )
 from lidar_ensemble.selftrain import frame_neighborhoods
+from lidar_ensemble.subsample import PredictionMatrix
 
 
 def phi(point, v_point, dense, neighbor_index):
@@ -209,3 +212,27 @@ def weight_histograms(params, phis, row_query, num_queries, bins=20):
     }
     features = {name: phis[:, column] for name, column in columns.items()}
     return lam.weight_histograms([lam.PairRecord(features, weights)], bins)
+
+
+def refine_labels_unblocked(probs, dense, nbh, kernel, return_pairs=False):
+    """aggregate.refine_labels with every array of the scan held whole:
+    the phi rows of all pairs scored by one eval_scores call, and the
+    weighted neighbor rows of all pairs summed by one segment_sum."""
+    probs = np.asarray(probs, dtype=np.float64)
+    n = len(probs)
+    if isinstance(kernel, UniformKernel):
+        scores, labels = np.zeros(len(nbh.indices)), dense.probs[nbh.indices]
+    else:
+        phi_rows, _ = phi_pairs(probs, dense, nbh)
+        scores = lam.eval_scores(kernel.params, phi_rows)
+        labels = phi_rows[:, phi_layout.neighbor_label_columns(dense.num_classes)]
+    e, z = lam.segment_exp(scores, nbh.row_query, n)
+    sums = lam.segment_sum(e[:, None] * labels, nbh.row_query, n)
+    touched = nbh.valid_count > 0
+    out = probs.copy()
+    out[touched] = sums[touched] / z[touched, None]
+    refined = PredictionMatrix(probs=out, point_index=np.arange(n))
+    if not return_pairs:
+        return refined
+    weights = e / z[nbh.row_query]
+    return refined, lam.PairRecord(_slice_features(dense, nbh.indices, nbh.distances), weights)

@@ -1,14 +1,19 @@
 """Tests for kernel-weighted cross-frame label refinement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lidar_ensemble import phi_layout
+from lidar_ensemble import aggregate, lam, phi_layout
 from lidar_ensemble.aggregate import (
     AggregationSpec,
     LamKernel,
     UniformKernel,
     _slice_features,
+    phi_moments,
     phi_pairs,
     refine_labels,
     write_refinement_manifest,
@@ -17,8 +22,8 @@ from lidar_ensemble.geometry import sensor_range
 from lidar_ensemble.lam import (DenseBnLayer, LamParams, LamTrainingSet, TrainConfig, eval_scores,
                                  initialize_lam_params, load_lam_params, save_lam_params,
                                  segment_softmax, train_lam)
-from lidar_ensemble.neighbors import DenseCloud, SpatialIndex, precompute_neighborhoods
-from tests.oracles import from_padded, kernel_score, padded, phi, phi_matrix
+from lidar_ensemble.neighbors import DenseCloud, Neighborhoods, SpatialIndex, precompute_neighborhoods
+from tests.oracles import from_padded, kernel_score, padded, phi, phi_matrix, refine_labels_unblocked
 
 
 def make_dense(rng, m=200, k_classes=3, window=10):
@@ -407,6 +412,120 @@ class TestRefineLabels:
             out = refine_labels(queries, v, dense, nbh, kernel)
             assert out.probs.min() >= 0.0
             assert np.abs(out.probs.sum(axis=1) - 1.0).max() < 1e-5
+
+
+def ragged_frame(rng, queries, capacity, k_classes, empty=0.2, full=0.5, m=300):
+    """A dense cloud, query rows and Neighborhoods whose rows are empty
+    with probability empty, else at capacity with probability full, else
+    of a random size in between."""
+    dense = make_dense(rng, m=m, k_classes=k_classes)
+    draw = rng.uniform(size=queries)
+    counts = np.where(draw < empty, 0,
+                      np.where(draw < empty + (1 - empty) * full, capacity,
+                               rng.integers(1, capacity + 1, size=queries)))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    nbh = Neighborhoods(offsets, rng.integers(0, m, size=offsets[-1]),
+                        np.sort(rng.uniform(0, 2, size=offsets[-1])), capacity)
+    raw = rng.uniform(0.05, 1.0, size=(queries, k_classes))
+    return dense, raw / raw.sum(1, keepdims=True), nbh
+
+
+def assert_same_refinement(got, want, return_pairs):
+    if return_pairs:
+        (got, got_record), (want, want_record) = got, want
+        assert np.array_equal(got_record.weights, want_record.weights)
+        assert got_record.features.keys() == want_record.features.keys()
+        for name, values in want_record.features.items():
+            assert np.array_equal(got_record.features[name], values), name
+    assert np.array_equal(got.probs, want.probs)
+    assert np.array_equal(got.point_index, want.point_index)
+
+
+PAIR_BUDGETS = [1, 7, lam._EVAL_CHUNK - 1, lam._EVAL_CHUNK + 1, 12345]
+
+
+class TestBlockedRefinement:
+    """refine_labels scores _EVAL_CHUNK pairs at a time and sums labels
+    over blocks of whole queries; every output bit is that of the same
+    arithmetic over the whole scan's arrays."""
+
+    @settings(max_examples=60)
+    @given(queries=st.integers(0, 400), capacity=st.integers(1, 12), k_classes=st.integers(1, 5),
+           empty=st.floats(0, 1), full=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1),
+           budget=st.sampled_from(PAIR_BUDGETS), kernel=st.sampled_from(["uniform", "lam"]),
+           return_pairs=st.booleans())
+    @example(queries=400, capacity=12, k_classes=3, empty=0.1, full=0.8, seed=0, budget=7,
+             kernel="lam", return_pairs=True)
+    def test_matches_the_unblocked_oracle(self, queries, capacity, k_classes, empty, full, seed, budget,
+                                          kernel, return_pairs):
+        rng = np.random.default_rng(seed)
+        dense, v, nbh = ragged_frame(rng, queries, capacity, k_classes, empty, full)
+        if kernel == "lam":
+            params = initialize_lam_params(phi_layout.feature_dim(k_classes), hidden_sizes=(8, 8, 8),
+                                           seed=seed % 1000)
+            kernel = LamKernel(params)
+        else:
+            kernel = UniformKernel()
+        want = refine_labels_unblocked(v, dense, nbh, kernel, return_pairs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aggregate, "_PAIR_BUDGET", budget)
+            got = refine_labels(np.zeros((queries, 3)), v, dense, nbh, kernel, return_pairs)
+        assert_same_refinement(got, want, return_pairs)
+
+    @pytest.mark.parametrize("budget", PAIR_BUDGETS)
+    def test_query_blocks_cross_eval_chunks(self, budget, monkeypatch):
+        rng = np.random.default_rng(budget)
+        dense, v, nbh = ragged_frame(rng, 600, 16, 4, empty=0.1, full=0.6)
+        blocks = list(aggregate._query_blocks(nbh.offsets, budget))
+        assert [q for block in blocks for q in range(*block)] == list(range(len(nbh)))
+        for q0, q1 in blocks:  # at most budget pairs, or one query
+            assert nbh.offsets[q1] - nbh.offsets[q0] <= budget or q1 - q0 == 1
+        chunk = lam._EVAL_CHUNK
+        assert len(nbh.indices) > 2 * chunk
+        assert any(nbh.offsets[q0] // chunk != (nbh.offsets[q1] - 1) // chunk
+                   for q0, q1 in blocks if nbh.offsets[q1] > nbh.offsets[q0])
+        params = initialize_lam_params(phi_layout.feature_dim(4), hidden_sizes=(8, 8, 8), seed=7)
+        monkeypatch.setattr(aggregate, "_PAIR_BUDGET", budget)
+        for kernel in (UniformKernel(), LamKernel(params)):
+            got = refine_labels(np.zeros((600, 3)), v, dense, nbh, kernel, return_pairs=True)
+            assert_same_refinement(got, refine_labels_unblocked(v, dense, nbh, kernel, True), True)
+
+    @pytest.mark.parametrize("kernel", ["uniform", "lam"])
+    @pytest.mark.parametrize("k_classes", [3, 19])
+    def test_scan_memory_has_no_pairs_times_k_term(self, k_classes, kernel):
+        # per pair, a few float64 vectors (scores, exp, weights, the pair
+        # record's features and their temporaries); per scan, the refined
+        # rows and their copy; per block, (_PAIR_BUDGET, K) neighbor rows
+        # and, for the LAM, one eval chunk's phi rows and activations
+        rng = np.random.default_rng(k_classes)
+        dense, v, nbh = ragged_frame(rng, 10000, 30, k_classes, empty=0.05, full=0.3, m=5000)
+        width = phi_layout.feature_dim(k_classes)
+        if kernel == "lam":  # the default 32/64/128 network
+            kernel, widest = LamKernel(initialize_lam_params(width, seed=1)), max(lam.HIDDEN_SIZES)
+            eval_bytes = lam._EVAL_CHUNK * 8 * (2 * width + 2 * widest)
+        else:
+            kernel, eval_bytes = UniformKernel(), 0
+        pairs = len(nbh.indices)
+        bound = (64 * pairs + 2 * v.nbytes + 2 * aggregate._PAIR_BUDGET * 8 * k_classes + eval_bytes)
+        points = np.zeros((len(v), 3))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            refine_labels(points, v, dense, nbh, kernel, return_pairs=True)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak / pairs, bound / pairs)
+
+    @pytest.mark.parametrize("queries", [1, 40, 600])
+    def test_modulation_moments_give_the_bits_of_numpy(self, queries):
+        # 600 queries hold several eval chunks of pairs
+        rng = np.random.default_rng(queries)
+        dense, v, nbh = ragged_frame(rng, queries, 16, 3, empty=0.0, full=0.5)
+        rows, _ = phi_pairs(v, dense, nbh)
+        mean, var = phi_moments(v, dense, nbh)
+        assert mean.tobytes() == np.mean(rows, axis=0).tobytes()
+        assert var.tobytes() == np.var(rows, axis=0).tobytes()
 
 
 class TestAggregationSpec:

@@ -15,6 +15,7 @@ from lidar_ensemble.lam import (
     EpochStats,
     LamTrainingError,
     LamTrainingSet,
+    RowMoments,
     TrainConfig,
     eval_scores,
     initialize_lam_params,
@@ -254,6 +255,37 @@ class TestBlockedStepMatchesOracle:
         for a in arrays(first):
             for b in arrays(second):
                 assert not np.shares_memory(a, b)
+
+
+class TestCacheFreeEval:
+    """eval_scores keeps no activation: each layer's output is normalized
+    and rectified in place, in two workspace buffers used in turn."""
+
+    def test_scores_match_the_oracle_chunk_by_chunk(self):
+        rng = np.random.default_rng(33)
+        workspace = lam._Workspace()  # reused across widths and row counts
+        chunk = lam._EVAL_CHUNK
+        for d, hidden, rows in ((9, (32, 64, 128), 2 * chunk + 17), (41, (8, 16, 4), 7),
+                                (9, (64, 32), chunk + 1), (41, (32, 64, 128), chunk)):
+            params = varied_params(rng, d, hidden)
+            feats = rng.normal(size=(rows, d)) * rng.uniform(0.1, 10.0, d)
+            want = np.concatenate([oracle_forward(params, feats[lo:lo + chunk])[0]
+                                   for lo in range(0, rows, chunk)])
+            assert np.array_equal(eval_scores(params, feats, workspace), want)
+            assert np.array_equal(eval_scores(params, feats), want)
+
+    def test_zero_rows_give_zero_scores(self):
+        params = initialize_lam_params(7, seed=0)
+        scores = eval_scores(params, np.zeros((0, 7)))
+        assert scores.shape == (0,) and scores.dtype == np.float64
+
+    def test_forward_without_cache_is_eval_only(self):
+        params = initialize_lam_params(7, seed=0)
+        feats = np.random.default_rng(34).normal(size=(5, 7))
+        scores, cache = lam_forward(params, feats, cache=False)
+        assert cache is None and np.array_equal(scores, lam_forward(params, feats)[0])
+        with pytest.raises(ValueError, match="cache"):
+            lam_forward(params, feats, train=True, cache=False)
 
 
 class TestColumnSumOrder:
@@ -654,6 +686,16 @@ class TestModulateStatistics:
             mean, var = lam._column_moments(fill, rows, width, block)
             assert mean.tobytes() == np.mean(a, axis=0).tobytes()
             assert var.tobytes() == np.var(a, axis=0).tobytes()
+
+    def test_row_moments_stand_for_their_chunk(self):
+        rng = np.random.default_rng(25)
+        a, b = rng.normal(size=(40, 7)), rng.normal(loc=3.0, size=(13, 7))
+        params = initialize_lam_params(7, seed=0)
+        want = modulate_statistics(params, [a, b])
+        empty = RowMoments(0, np.zeros(7), np.zeros(7))
+        got = modulate_statistics(params, [RowMoments(len(a), a.mean(axis=0), a.var(axis=0)), empty, b])
+        assert got.std_mean.tobytes() == want.std_mean.tobytes()
+        assert got.std_var.tobytes() == want.std_var.tobytes()
 
     def test_one_array_gives_exactly_its_mean_and_var(self):
         rng = np.random.default_rng(23)
