@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import phi_layout
-from .lam import (_EVAL_CHUNK, LamParams, PairRecord, _blocks, _column_moments, _Workspace, eval_scores,
-                  segment_exp, segment_sum)
+from .lam import LamParams, PairRecord, column_moments, eval_scores, segment_exp, segment_sum
 from .neighbors import DenseCloud, Neighborhoods
 from .subsample import PredictionMatrix
 
@@ -96,9 +95,9 @@ def phi_pairs(v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods, lo: int = 0,
 def phi_moments(v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods):
     """(mean, var): the bits of np.mean and np.var over axis 0 of the
     scan's phi_pairs rows, for a scan with at least one pair; the rows are
-    built _EVAL_CHUNK at a time, twice (lam._column_moments)."""
-    return _column_moments(lambda lo, hi, out: phi_pairs(v, dense, nbh, lo, hi, out),
-                           len(nbh.indices), phi_layout.feature_dim(dense.num_classes), _EVAL_CHUNK)
+    built a block at a time, twice (lam.column_moments)."""
+    return column_moments(lambda lo, hi, out: phi_pairs(v, dense, nbh, lo, hi, out),
+                          len(nbh.indices), phi_layout.feature_dim(dense.num_classes))
 
 
 def _query_blocks(offsets: np.ndarray, budget: int):
@@ -122,11 +121,10 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
     unrefined row. Returns the refined PredictionMatrix; with return_pairs,
     also the scan's PairRecord for the weight histograms.
 
-    The scan holds per-pair vectors only: the LAM kernel's phi rows are
-    built and scored _EVAL_CHUNK pairs at a time in one reused buffer, and
-    the weighted label sums run over blocks of whole queries of at most
-    _PAIR_BUDGET pairs, so every query's sum adds its pairs in order, as
-    over the whole scan.
+    The scan holds per-pair vectors only: eval_scores has the LAM
+    kernel's phi rows built a chunk at a time, and the weighted label sums
+    run over blocks of whole queries of at most _PAIR_BUDGET pairs, so
+    every query's sum adds its pairs in order, as over the whole scan.
     """
     points = np.asarray(points, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
@@ -137,12 +135,12 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
     if isinstance(kernel, UniformKernel):
         scores = np.zeros(pairs)
     else:
-        scores = np.empty(pairs)
-        ws = _Workspace()
         width = phi_layout.feature_dim(dense.num_classes)
-        for lo, hi in _blocks(pairs, _EVAL_CHUNK):
-            rows, _ = phi_pairs(probs, dense, nbh, lo, hi, out=ws.take("phi", hi - lo, width))
-            scores[lo:hi] = eval_scores(kernel.params, rows, ws)
+        if kernel.params.feature_dim != width:
+            raise ValueError(f"LAM parameters take {kernel.params.feature_dim} features, "
+                             f"the scan's phi rows have {width}")
+        scores = eval_scores(kernel.params, pairs,
+                             lambda lo, hi, out: phi_pairs(probs, dense, nbh, lo, hi, out))
     e, z = segment_exp(scores, row_query, n)
     out = probs.copy()
     for q0, q1 in _query_blocks(nbh.offsets, _PAIR_BUDGET):
@@ -150,7 +148,7 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
         labels = dense.probs.take(nbh.indices[p0:p1], axis=0)
         np.multiply(e[p0:p1, None], labels, out=labels)
         sums = segment_sum(labels, row_query[p0:p1] - q0, q1 - q0)
-        touched = nbh.valid_count[q0:q1] > 0
+        touched = nbh.offsets[q0 + 1:q1 + 1] > nbh.offsets[q0:q1]
         out[q0:q1][touched] = sums[touched] / z[q0:q1][touched, None]
     refined = PredictionMatrix(probs=out, point_index=np.arange(n))
     if not return_pairs:

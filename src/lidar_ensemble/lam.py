@@ -120,7 +120,7 @@ def initialize_lam_params(feature_dim: int, hidden_sizes=HIDDEN_SIZES, seed: int
 # Rows per block of the elementwise passes: a block of the widest default
 # layer (512 x 128 float64, 512 KB) stays in L2 cache between its steps.
 _ROW_BLOCK = 512
-# rows per lam_forward call of eval_scores, and per phi block of a refinement
+# rows per lam_forward call of eval_scores
 _EVAL_CHUNK = 2048
 
 
@@ -193,17 +193,16 @@ def _blocks(rows: int, block: int):
 
 
 def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
-                workspace: _Workspace | None = None, cache: bool = True):
+                workspace: _Workspace | None = None):
     """Score a batch of feature vectors.
 
     Returns (scores (R,), cache). With train, batch statistics normalize
-    each layer and the running statistics advance with momentum 0.1;
-    otherwise the running statistics normalize and params is not written,
-    so the scores are a pure function of params and feats. The cache
-    lives in workspace, when one is given, until its next use, and
-    lam_backward of a train forward consumes it. Without cache (eval
-    only) no activation is kept: two workspace buffers take turns as a
-    layer's input and output, each output is normalized and rectified
+    each layer and the running statistics advance with momentum 0.1; the
+    cache lives in workspace, when one is given, until its next use, and
+    lam_backward consumes it. Otherwise the running statistics normalize
+    and params is not written, so the scores are a pure function of params
+    and feats, and no activation is kept: two workspace buffers take turns
+    as a layer's input and output, each output is normalized and rectified
     where its matmul wrote it, and the cache returned is None.
     """
     feats = np.asarray(feats, dtype=np.float64)
@@ -211,12 +210,10 @@ def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
         raise ValueError(f"expected (R, {params.feature_dim}) features, got {feats.shape}")
     if not np.isfinite(feats).all():
         raise ValueError("feature batch contains non-finite values")
-    if train and not cache:
-        raise ValueError("a train forward keeps its cache for lam_backward")
 
     ws = _Workspace() if workspace is None else workspace
     rows = len(feats)
-    act = ws.take("x0", rows, params.feature_dim) if cache else ws.flat("turn0", rows, params.feature_dim)
+    act = ws.take("x0", rows, params.feature_dim) if train else ws.flat("turn0", rows, params.feature_dim)
     np.subtract(feats, params.std_mean, out=act)
     np.divide(act, np.sqrt(params.std_var), out=act)
     x0, layers = act, []
@@ -224,7 +221,7 @@ def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
         width = len(layer.weight)
         block = _block_rows(rows, width)
         # z, centred in place, becomes xhat
-        z = ws.take(f"xhat{i}", rows, width) if cache else ws.flat(f"turn{(i + 1) % 2}", rows, width)
+        z = ws.take(f"xhat{i}", rows, width) if train else ws.flat(f"turn{(i + 1) % 2}", rows, width)
         np.matmul(act, layer.weight.T, out=z)
         if train:
             mean = z.mean(axis=0)
@@ -242,7 +239,7 @@ def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
             mean = layer.run_mean
             var = layer.run_var
         ivar = 1.0 / np.sqrt(var + BN_EPS)
-        next_act = ws.take(f"act{i}", rows, width) if cache else z
+        next_act = ws.take(f"act{i}", rows, width) if train else z
         for lo, hi in _blocks(rows, block):
             xhat, y = z[lo:hi], next_act[lo:hi]
             if not train:
@@ -251,28 +248,30 @@ def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
             np.multiply(xhat, layer.gamma, out=y)
             np.add(y, layer.beta, out=y)
             np.maximum(y, 0.0, out=y)
-        if cache:
+        if train:
             layers.append({"a_prev": act, "xhat": z, "act": next_act, "ivar": ivar})
         act = next_act
     scores = act @ params.head_weight + params.head_bias
-    if not cache:
+    if not train:
         return scores, None
     return scores, {"x0": x0, "layers": layers, "a_last": act}
 
 
-def eval_scores(params: LamParams, feats: np.ndarray, workspace: _Workspace | None = None) -> np.ndarray:
-    """The scores of lam_forward without train, without activation caches.
+def eval_scores(params: LamParams, rows: int, fill) -> np.ndarray:
+    """The scores of lam_forward without train of rows feature rows that
+    fill(lo, hi, out) writes into out (hi - lo, D) a chunk at a time, so
+    they are never held whole.
 
-    Running statistics make the rows independent, so the batch is scored
-    in chunks of _EVAL_CHUNK rows through one workspace, which a caller
-    scoring block after block passes in to reuse; large monolithic
+    Running statistics make the rows independent, so the rows are scored
+    in chunks of _EVAL_CHUNK rows through one workspace; large monolithic
     batches thrash memory. Zero rows give zero scores.
     """
-    feats = np.asarray(feats, dtype=np.float64)
-    ws = _Workspace() if workspace is None else workspace
-    scores = np.empty(len(feats))
-    for lo, hi in _blocks(len(feats), _EVAL_CHUNK):
-        scores[lo:hi] = lam_forward(params, feats[lo:hi], workspace=ws, cache=False)[0]
+    ws = _Workspace()
+    scores = np.empty(rows)
+    for lo, hi in _blocks(rows, _EVAL_CHUNK):
+        chunk = ws.take("feats", hi - lo, params.feature_dim)
+        fill(lo, hi, chunk)
+        scores[lo:hi] = lam_forward(params, chunk, workspace=ws)[0]
     return scores
 
 
@@ -531,10 +530,10 @@ class LamTrainingSet:
             pairs = np.arange(lo, hi)
             self.phi_rows(pairs, np.searchsorted(self.offsets, pairs, side="right") - 1, out)
 
-        return _column_moments(fill, len(self.neighbor), self.feature_dim)
+        return column_moments(fill, len(self.neighbor), self.feature_dim)
 
 
-def _column_moments(fill, rows: int, width: int, block: int = _ROW_BLOCK):
+def column_moments(fill, rows: int, width: int, block: int = _ROW_BLOCK):
     """(mean, var): the bits of np.mean(a, axis=0) and np.var(a, axis=0)
     for an (rows, width) array a, rows >= 1 and width >= 2, that is never
     held whole: fill(lo, hi, out) writes a's rows lo:hi into out, at most
@@ -699,9 +698,9 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
 
 @dataclass(frozen=True)
 class RowMoments:
-    """A chunk of a modulate_statistics stream given by its row count and
-    the bits of np.mean and np.var over axis 0 of its rows, which need
-    not be held."""
+    """A chunk of a modulate_statistics stream given by its row count (at
+    least one) and the bits of np.mean and np.var over axis 0 of its rows,
+    which need not be held."""
 
     rows: int
     mean: np.ndarray
@@ -746,16 +745,15 @@ def modulate_statistics(params: LamParams, stream) -> LamParams:
 
 
 def _chunk_moments(stream):
-    """(rows, mean, var) of each nonempty chunk of a modulate_statistics
-    stream."""
+    """(rows, mean, var) of each chunk of a modulate_statistics stream;
+    empty arrays are skipped."""
     if isinstance(stream, LamTrainingSet):
         if len(stream):
             yield (len(stream.neighbor), *stream.phi_moments())
         return
     for chunk in (stream,) if isinstance(stream, np.ndarray) else stream:
         if isinstance(chunk, RowMoments):
-            if chunk.rows:
-                yield chunk.rows, chunk.mean, chunk.var
+            yield chunk.rows, chunk.mean, chunk.var
             continue
         chunk = np.asarray(chunk, dtype=np.float64)
         if len(chunk):

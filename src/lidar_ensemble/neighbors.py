@@ -16,8 +16,8 @@ import numpy as np
 
 from .geometry import RigidTransform, compose, invert, sensor_range
 
-# candidate pairs per chunk of an epsilon search (256 KB per temporary,
-# so a chunk's temporaries stay in L2 cache)
+# candidate pairs per chunk of a grid search, with or without epsilon
+# (256 KB per temporary)
 _CANDIDATE_BUDGET = 1 << 15
 # the (dx, dy) cell offsets of the 9 z-columns around a cell
 _COLUMNS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])

@@ -194,6 +194,12 @@ def within_frame_add_at(predictions, parent_size):
     return sums / counts[:, None]
 
 
+def score_array(params, feats):
+    """lam.eval_scores of the rows of an (R, D) array."""
+    feats = np.asarray(feats, dtype=np.float64)
+    return lam.eval_scores(params, len(feats), lambda lo, hi, out: np.copyto(out, feats[lo:hi]))
+
+
 def weight_histograms(params, phis, row_query, num_queries, bins=20):
     """lam.weight_histograms of one record built from phi rows: each pair's
     weight is the segment softmax of its eval score (of 0 for params None,
@@ -202,7 +208,7 @@ def weight_histograms(params, phis, row_query, num_queries, bins=20):
     phis = np.asarray(phis, dtype=np.float64)
     if len(phis) == 0:
         raise ValueError("no neighbor pairs to analyze")
-    scores = np.zeros(len(phis)) if params is None else lam.eval_scores(params, phis)
+    scores = np.zeros(len(phis)) if params is None else score_array(params, phis)
     weights = lam.segment_softmax(scores, row_query, num_queries)
     k = phi_layout.num_classes_of(phis.shape[1])
     columns = {
@@ -224,7 +230,7 @@ def refine_labels_unblocked(probs, dense, nbh, kernel, return_pairs=False):
         scores, labels = np.zeros(len(nbh.indices)), dense.probs[nbh.indices]
     else:
         phi_rows, _ = phi_pairs(probs, dense, nbh)
-        scores = lam.eval_scores(kernel.params, phi_rows)
+        scores = score_array(kernel.params, phi_rows)
         labels = phi_rows[:, phi_layout.neighbor_label_columns(dense.num_classes)]
     e, z = lam.segment_exp(scores, nbh.row_query, n)
     sums = lam.segment_sum(e[:, None] * labels, nbh.row_query, n)

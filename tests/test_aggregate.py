@@ -19,11 +19,12 @@ from lidar_ensemble.aggregate import (
     write_refinement_manifest,
 )
 from lidar_ensemble.geometry import sensor_range
-from lidar_ensemble.lam import (DenseBnLayer, LamParams, LamTrainingSet, TrainConfig, eval_scores,
+from lidar_ensemble.lam import (DenseBnLayer, LamParams, LamTrainingSet, TrainConfig,
                                  initialize_lam_params, load_lam_params, save_lam_params,
                                  segment_softmax, train_lam)
 from lidar_ensemble.neighbors import DenseCloud, Neighborhoods, SpatialIndex, precompute_neighborhoods
-from tests.oracles import from_padded, kernel_score, padded, phi, phi_matrix, refine_labels_unblocked
+from tests.oracles import (from_padded, kernel_score, padded, phi, phi_matrix, refine_labels_unblocked,
+                           score_array)
 
 
 def make_dense(rng, m=200, k_classes=3, window=10):
@@ -268,7 +269,7 @@ class TestRefineLabels:
         params = initialize_lam_params(phi_layout.feature_dim(19), hidden_sizes=(8, 8, 8), seed=4)
         out = refine_labels(queries, v, dense, nbh, LamKernel(params))
         rows, _ = phi_pairs(v, dense, nbh)
-        scores = eval_scores(params, rows)
+        scores = score_array(params, rows)
         labels = dense.probs[nbh.indices]
         for q in range(300):
             lo, hi = nbh.offsets[q], nbh.offsets[q + 1]
@@ -297,7 +298,7 @@ class TestRefineLabels:
         _, record = refine_labels(queries, v, dense, nbh, LamKernel(params), return_pairs=True)
         rows, row_query = phi_pairs(v, dense, nbh)
         assert np.array_equal(record.weights,
-                              segment_softmax(eval_scores(params, rows), row_query, len(queries)))
+                              segment_softmax(score_array(params, rows), row_query, len(queries)))
 
     def test_pair_features_equal_the_slice_gather(self):
         # both kernels gather them with _slice_features, as phi_pairs does its columns
@@ -516,6 +517,13 @@ class TestBlockedRefinement:
         finally:
             tracemalloc.stop()
         assert peak <= bound, (peak / pairs, bound / pairs)
+
+    def test_lam_of_another_class_count_is_rejected(self):
+        rng = np.random.default_rng(3)
+        dense, v, nbh = ragged_frame(rng, 40, 8, 3, empty=0.1, full=0.5)
+        kernel = LamKernel(initialize_lam_params(phi_layout.feature_dim(4), seed=0))
+        with pytest.raises(ValueError, match="take 11 features.*have 9"):
+            refine_labels(np.zeros((40, 3)), v, dense, nbh, kernel)
 
     @pytest.mark.parametrize("queries", [1, 40, 600])
     def test_modulation_moments_give_the_bits_of_numpy(self, queries):

@@ -34,7 +34,7 @@ from lidar_ensemble.lam import (
     write_histogram_csv,
     write_loss_trace_csv,
 )
-from tests.oracles import phi_matrix, weight_histograms
+from tests.oracles import phi_matrix, score_array, weight_histograms
 from lidar_ensemble.lam import _lovasz_softmax_with_grad
 
 
@@ -198,10 +198,11 @@ class TestBlockedStepMatchesOracle:
             if not train:
                 assert np.array_equal(a.run_mean, before.run_mean)
                 assert np.array_equal(a.run_var, before.run_var)
+        if not train:
+            assert cache is None
+            return
         for entry, ref_entry in zip(cache["layers"], ref_cache["layers"]):
             assert np.array_equal(entry["xhat"], ref_entry["xhat"])
-        if not train:
-            return
         ref_grads = oracle_backward(ref, ref_cache, dscores)
         grads = lam_backward(got, cache, dscores)
         assert grads.keys() == ref_grads.keys()
@@ -263,7 +264,6 @@ class TestCacheFreeEval:
 
     def test_scores_match_the_oracle_chunk_by_chunk(self):
         rng = np.random.default_rng(33)
-        workspace = lam._Workspace()  # reused across widths and row counts
         chunk = lam._EVAL_CHUNK
         for d, hidden, rows in ((9, (32, 64, 128), 2 * chunk + 17), (41, (8, 16, 4), 7),
                                 (9, (64, 32), chunk + 1), (41, (32, 64, 128), chunk)):
@@ -271,21 +271,17 @@ class TestCacheFreeEval:
             feats = rng.normal(size=(rows, d)) * rng.uniform(0.1, 10.0, d)
             want = np.concatenate([oracle_forward(params, feats[lo:lo + chunk])[0]
                                    for lo in range(0, rows, chunk)])
-            assert np.array_equal(eval_scores(params, feats, workspace), want)
-            assert np.array_equal(eval_scores(params, feats), want)
+
+            def fill(lo, hi, out):
+                assert lo % chunk == 0 and hi == min(lo + chunk, rows) and out.shape == (hi - lo, d)
+                out[:] = feats[lo:hi]
+
+            assert np.array_equal(eval_scores(params, rows, fill), want)
 
     def test_zero_rows_give_zero_scores(self):
         params = initialize_lam_params(7, seed=0)
-        scores = eval_scores(params, np.zeros((0, 7)))
+        scores = eval_scores(params, 0, lambda lo, hi, out: pytest.fail("no rows to fill"))
         assert scores.shape == (0,) and scores.dtype == np.float64
-
-    def test_forward_without_cache_is_eval_only(self):
-        params = initialize_lam_params(7, seed=0)
-        feats = np.random.default_rng(34).normal(size=(5, 7))
-        scores, cache = lam_forward(params, feats, cache=False)
-        assert cache is None and np.array_equal(scores, lam_forward(params, feats)[0])
-        with pytest.raises(ValueError, match="cache"):
-            lam_forward(params, feats, train=True, cache=False)
 
 
 class TestColumnSumOrder:
@@ -683,7 +679,7 @@ class TestModulateStatistics:
             out[:] = a[lo:hi]
 
         with np.errstate(over="ignore", invalid="ignore"):
-            mean, var = lam._column_moments(fill, rows, width, block)
+            mean, var = lam.column_moments(fill, rows, width, block)
             assert mean.tobytes() == np.mean(a, axis=0).tobytes()
             assert var.tobytes() == np.var(a, axis=0).tobytes()
 
@@ -692,8 +688,7 @@ class TestModulateStatistics:
         a, b = rng.normal(size=(40, 7)), rng.normal(loc=3.0, size=(13, 7))
         params = initialize_lam_params(7, seed=0)
         want = modulate_statistics(params, [a, b])
-        empty = RowMoments(0, np.zeros(7), np.zeros(7))
-        got = modulate_statistics(params, [RowMoments(len(a), a.mean(axis=0), a.var(axis=0)), empty, b])
+        got = modulate_statistics(params, [RowMoments(len(a), a.mean(axis=0), a.var(axis=0)), b])
         assert got.std_mean.tobytes() == want.std_mean.tobytes()
         assert got.std_var.tobytes() == want.std_var.tobytes()
 
@@ -771,7 +766,7 @@ class TestWeightHistograms:
         before = [(name, np.array(t).tobytes()) for name, t in lam._named_tensors(params)]
         phis = rng.normal(size=(lam._EVAL_CHUNK + 5, 7))
         row_query = np.repeat(np.arange(len(phis) // 5), 5)
-        eval_scores(params, phis)
+        score_array(params, phis)
         weight_histograms(params, phis[:len(row_query)], row_query, len(row_query) // 5)
         lam_forward(params, phis)
         assert [(name, np.array(t).tobytes()) for name, t in lam._named_tensors(params)] == before
