@@ -21,6 +21,7 @@ from .geometry import (
 from .lam import (
     LamParams,
     LamTrainingSet,
+    RowMoments,
     TrainConfig,
     lam_forward,
     lam_loss,

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import phi_layout
-from .lam import LamParams, PairRecord, column_moments, eval_scores, segment_exp, segment_sum
-from .neighbors import DenseCloud, Neighborhoods
+from .lam import LamParams, PairRecord, RowMoments, column_moments, eval_scores, segment_exp, segment_sum
+from .neighbors import DenseCloud, Neighborhoods, _query_blocks
 from .subsample import PredictionMatrix
 
 # pairs per block of the weighted label sums: a (block, K) array of
@@ -59,6 +58,17 @@ class AggregationSpec:
     def kernel_name(self) -> str:
         return "lam" if isinstance(self.kernel, LamKernel) else "uniform"
 
+    def manifest_items(self):
+        """The refinement.txt record of how refined predictions were made."""
+        return [
+            ("kernel", self.kernel_name),
+            ("k", str(self.k)),
+            ("epsilon", "none" if self.epsilon is None else repr(self.epsilon)),
+            ("window", str(self.window)),
+            ("stride", str(self.stride)),
+            ("phi_layout_version", str(phi_layout.PHI_LAYOUT_VERSION)),
+        ]
+
 
 def _slice_features(dense: DenseCloud, flat_idx: np.ndarray, dists: np.ndarray) -> dict:
     """The phi columns the weight histograms slice by, per pair."""
@@ -92,23 +102,12 @@ def phi_pairs(v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods, lo: int = 0,
     return rows, row_query
 
 
-def phi_moments(v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods):
-    """(mean, var): the bits of np.mean and np.var over axis 0 of the
-    scan's phi_pairs rows, for a scan with at least one pair; the rows are
-    built a block at a time, twice (lam.column_moments)."""
+def phi_moments(v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods) -> RowMoments:
+    """The RowMoments of the scan's phi_pairs rows, for a scan with at
+    least one pair; the rows are built a block at a time, twice
+    (lam.column_moments)."""
     return column_moments(lambda lo, hi, out: phi_pairs(v, dense, nbh, lo, hi, out),
                           len(nbh.indices), phi_layout.feature_dim(dense.num_classes))
-
-
-def _query_blocks(offsets: np.ndarray, budget: int):
-    """(q0, q1): consecutive ranges of whole queries, each holding at most
-    budget pairs, or a single query that alone holds more."""
-    n = len(offsets) - 1
-    q0 = 0
-    while q0 < n:
-        q1 = max(q0 + 1, int(np.searchsorted(offsets, offsets[q0] + budget, side="right")) - 1)
-        yield q0, q1
-        q0 = q1
 
 
 def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
@@ -155,16 +154,3 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
         return refined
     weights = e / z[row_query]
     return refined, PairRecord(_slice_features(dense, nbh.indices, nbh.distances), weights)
-
-
-def write_refinement_manifest(path, spec: AggregationSpec) -> None:
-    """Sidecar record of how a refined prediction file was produced."""
-    lines = [
-        f"kernel = {spec.kernel_name}",
-        f"k = {spec.k}",
-        f"epsilon = {'none' if spec.epsilon is None else repr(spec.epsilon)}",
-        f"window = {spec.window}",
-        f"stride = {spec.stride}",
-        f"phi_layout_version = {phi_layout.PHI_LAYOUT_VERSION}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -19,18 +19,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .aggregate import LamKernel, UniformKernel, phi_moments, write_refinement_manifest
+from .aggregate import LamKernel, UniformKernel, phi_moments
 from .config import ConfigError, PipelineConfig, load_config
 from .errors import FileFormatError
 from .geometry import load_point_cloud_bin, load_poses, project_to_range_image, save_point_cloud_bin
-from .lam import (LamTrainingError, RowMoments, load_lam_params, modulate_statistics, save_lam_params,
+from .lam import (LamTrainingError, load_lam_params, modulate_statistics, save_lam_params,
                   train_lam, weight_histograms, write_histogram_csv, write_loss_trace_csv)
 from .metrics import (condense_static_dynamic, confusion, iou, write_confusion_csv,
                       write_iou_csv, write_iou_summary)
-from .selftrain import (LidarSequence, _label_sets, apply_cbst, build_lam_training_set,
-                        cross_frame_refine, file_checksum, frame_neighborhoods, load_labels,
-                        noop_student_hook, run_adaptation, save_labels, save_selection_mask,
-                        within_frame_predictions, write_manifest)
+from .selftrain import (LidarSequence, PrecomputedPredictor, _label_sets, apply_cbst,
+                        build_lam_training_set, cross_frame_refine, file_checksum,
+                        frame_neighborhoods, load_labels, noop_student_hook, run_adaptation,
+                        save_labels, save_selection_mask, within_frame_predictions,
+                        write_manifest)
 from .subsample import (apply_row_mask, read_prediction_matrix, read_scan_prediction, row_mask,
                         within_frame_ensemble, write_prediction_matrix)
 
@@ -47,6 +48,18 @@ log = logging.getLogger("lidar_ensemble")
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
+
+
+def _bins(text: str) -> int:
+    """--bins: a histogram needs at least one bin, so 0 fails here and not
+    after the run has written its labels."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -162,30 +175,18 @@ def cmd_ensemble(args) -> int:
     return EXIT_OK
 
 
-def _read_predictions(seq: LidarSequence, pred_dir: Path):
-    """The per-frame .lprb predictions of pred_dir, one per scan, in point order."""
-    within = []
-    for t, scan in enumerate(seq.scans):
-        path = pred_dir / f"{t:06d}.lprb"
-        pred = read_scan_prediction(path)
-        if len(pred) != len(scan):
-            raise FileFormatError(f"{path}: {len(pred)} rows for a {len(scan)}-point scan")
-        within.append(pred)
-    return within
-
-
 def _write_refined(seq: LidarSequence, within, agg, out_dir: Path):
     refined_dir = out_dir / "refined"
     refined_dir.mkdir(parents=True, exist_ok=True)
     for t, refined in enumerate(cross_frame_refine(seq.scans, seq.poses, within, agg)):
         write_prediction_matrix(refined, refined_dir / f"{t:06d}.lprb")
-    write_refinement_manifest(out_dir / "refinement.txt", agg)
+    write_manifest(out_dir / "refinement.txt", agg.manifest_items())
 
 
 def cmd_aggregate(args) -> int:
     cfg = load_config(args.config)
     seq, _, paths = _load_sequence(cfg)
-    within = _read_predictions(seq, Path(args.pred_dir))
+    within = [PrecomputedPredictor(args.pred_dir, cfg.predictor.num_classes)(scan) for scan in seq.scans]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_refined(seq, within, cfg.adaptation.aggregation, out_dir)
@@ -221,7 +222,7 @@ def cmd_lam_apply(args) -> int:
     seq, _, paths = _load_sequence(cfg)
     agg = cfg.adaptation.aggregation
     params = load_lam_params(args.checkpoint)
-    within = _read_predictions(seq, Path(args.pred_dir))
+    within = [PrecomputedPredictor(args.pred_dir, cfg.predictor.num_classes)(scan) for scan in seq.scans]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.modulate:
@@ -229,7 +230,7 @@ def cmd_lam_apply(args) -> int:
             for t in range(len(seq.scans)):
                 dense, nbh = frame_neighborhoods(seq.scans, seq.poses, within, t, agg)
                 if len(nbh.indices):
-                    yield RowMoments(len(nbh.indices), *phi_moments(within[t].probs, dense, nbh))
+                    yield phi_moments(within[t].probs, dense, nbh)
 
         params = modulate_statistics(params, frame_moments())
         save_lam_params(params, out_dir / "modulated.ckpt")
@@ -245,7 +246,7 @@ def cmd_lam_analyze(args) -> int:
     seq, _, paths = _load_sequence(cfg)
     kernel = LamKernel(load_lam_params(args.checkpoint)) if args.checkpoint else UniformKernel()
     agg = dataclasses.replace(cfg.adaptation.aggregation, kernel=kernel)
-    within = _read_predictions(seq, Path(args.pred_dir))
+    within = [PrecomputedPredictor(args.pred_dir, cfg.predictor.num_classes)(scan) for scan in seq.scans]
     _, records = cross_frame_refine(seq.scans, seq.poses, within, agg, return_pairs=True)
     report = weight_histograms(records, bins=args.bins)
     out_dir = Path(args.out)
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="pipeline configuration file")
     p.add_argument("--pred-dir", required=True, help="directory of per-frame .lprb predictions")
     p.add_argument("--checkpoint", default="", help="model checkpoint; omit for the uniform kernel")
-    p.add_argument("--bins", type=int, default=20, help="histogram bins per slice")
+    p.add_argument("--bins", type=_bins, default=20, help="histogram bins per slice")
     p.add_argument("--out", required=True, help="output directory")
 
     p = add("cbst", cmd_cbst, "Class-balanced selection of the most confident pseudo labels.")
@@ -440,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pipeline", cmd_pipeline, "Full pseudo-label pipeline: ensembling, refinement, CBST, reports.")
     p.add_argument("--config", required=True, help="pipeline configuration file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--bins", type=int, default=20, help="histogram bins per slice")
+    p.add_argument("--bins", type=_bins, default=20, help="histogram bins per slice")
     p.add_argument("--threads", type=int, default=None, help="worker threads (default: LIDAR_ENSEMBLE_THREADS, else the CPUs this process may run on)")
 
     # internal: synthetic dataset generator used by tests and CI

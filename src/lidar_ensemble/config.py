@@ -87,11 +87,19 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _float(text: str) -> float:
+    """The one converter of every float key: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
 def _optional_float(text: str):
     text = text.strip()
     if text in ("", "none", "off"):
         return None
-    return float(text)
+    return _float(text)
 
 
 def _optional(convert):
@@ -99,11 +107,11 @@ def _optional(convert):
 
 
 def _floats(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    return tuple(_float(tok) for tok in text.split(",") if tok.strip())
 
 
 def _increasing(values) -> bool:
-    return all(map(math.isfinite, values)) and all(a < b for a, b in zip(values, values[1:]))
+    return all(a < b for a, b in zip(values, values[1:]))
 
 
 def _rate(value) -> bool:
@@ -114,12 +122,12 @@ def _predictor(raw, root: Path, subsample: SubsampleSpec, seed: int) -> Predicto
     """The teacher: the base predictor of predictor.kind, wrapped in label
     noise when a rate is set. Every key is checked, whatever the kind."""
     thresholds = _get(raw, "predictor", "thresholds", _floats, _increasing)
-    band_width = _get(raw, "predictor", "band_width", float, lambda v: math.isfinite(v) and v > 0)
+    band_width = _get(raw, "predictor", "band_width", _float, lambda v: v > 0)
     num_classes = _get(raw, "predictor", "num_classes", int, lambda v: v >= 1)
-    noise = _get(raw, "predictor", "noise", float, _rate)
-    near = _get(raw, "predictor", "near_noise", _optional(float), _rate)
-    far = _get(raw, "predictor", "far_noise", _optional(float), _rate)
-    gate = _get(raw, "predictor", "range_threshold", _optional(float), lambda v: v is None or v >= 0)
+    noise = _get(raw, "predictor", "noise", _float, _rate)
+    near = _get(raw, "predictor", "near_noise", _optional(_float), _rate)
+    far = _get(raw, "predictor", "far_noise", _optional(_float), _rate)
+    gate = _get(raw, "predictor", "range_threshold", _optional(_float), lambda v: v is None or v >= 0)
     kind = raw["predictor"]["kind"].strip()
     if kind == "mock_height":
         base = MockPredictor(HeightThresholdRule(thresholds))
@@ -184,12 +192,12 @@ def load_config(path) -> PipelineConfig:
         sensor = SensorConfig(
             height=_get(raw, "sensor", "height", int),
             width=_get(raw, "sensor", "width", int),
-            fov_up=_get(raw, "sensor", "fov_up", float),
-            fov_down=_get(raw, "sensor", "fov_down", float),
+            fov_up=_get(raw, "sensor", "fov_up", _float),
+            fov_down=_get(raw, "sensor", "fov_down", _float),
         )
         subsample = SubsampleSpec(
             mode=raw["subsample"]["mode"],
-            ratio=_get(raw, "subsample", "ratio", float),
+            ratio=_get(raw, "subsample", "ratio", _float),
             trials=_get(raw, "subsample", "trials", int),
             include_identity=_get(raw, "subsample", "include_identity", _bool),
         )
@@ -219,18 +227,18 @@ def load_config(path) -> PipelineConfig:
             raise ConfigError(f"aggregate.{exc}") from exc
         seed = _get(raw, "run", "seed", int, lambda v: v >= 0)
         train = TrainConfig(
-            learning_rate=_get(raw, "lam", "learning_rate", float),
+            learning_rate=_get(raw, "lam", "learning_rate", _float),
             epochs=_get(raw, "lam", "epochs", int),
             batch=_get(raw, "lam", "batch", int),
-            ce_weight=_get(raw, "lam", "ce_weight", float),
-            lovasz_weight=_get(raw, "lam", "lovasz_weight", float),
+            ce_weight=_get(raw, "lam", "ce_weight", _float),
+            lovasz_weight=_get(raw, "lam", "lovasz_weight", _float),
             seed=seed,
         )
         adaptation = AdaptationConfig(
             sensor=sensor,
             subsample=subsample,
             aggregation=aggregation,
-            cbst=CbstConfig(portion=_get(raw, "cbst", "portion", float)),
+            cbst=CbstConfig(portion=_get(raw, "cbst", "portion", _float)),
             iterations=_get(raw, "adaptation", "iterations", int, lambda v: v >= 1),
             seed=seed,
         )
@@ -238,14 +246,14 @@ def load_config(path) -> PipelineConfig:
         # checked but read by nothing; the keys go at the benchmark re-baseline
         _get(raw, "sensor", "beams", int, lambda v: v >= 1)
         AugmentationSpec(
-            rotation_range=_get(raw, "augment", "rotation", float),
+            rotation_range=_get(raw, "augment", "rotation", _float),
             flip_x=_get(raw, "augment", "flip_x", _bool),
             flip_y=_get(raw, "augment", "flip_y", _bool),
             scale_range=(
-                _get(raw, "augment", "scale_min", float),
-                _get(raw, "augment", "scale_max", float),
+                _get(raw, "augment", "scale_min", _float),
+                _get(raw, "augment", "scale_max", _float),
             ),
-            translation_sigma=_get(raw, "augment", "translation_sigma", float),
+            translation_sigma=_get(raw, "augment", "translation_sigma", _float),
         )
         # the one policy there is: intensity off in iteration 0, on afterwards
         _get(raw, "adaptation", "intensity_policy", str.strip,

@@ -127,9 +127,11 @@ _EVAL_CHUNK = 2048
 class _Workspace:
     """Named scratch arrays for the LAM step, reused from call to call.
 
-    A buffer grows to the largest row count asked of it; a caller gets a
-    C-contiguous view of its first rows. Whatever a view held is
-    overwritten by the next call that takes the same name.
+    Each name is a 1-D buffer of one dtype that grows to the largest
+    rows * cols asked of it; a caller gets a C-contiguous (rows, cols) view
+    of its start, so arrays of any width can take turns in one name.
+    Whatever a view held is overwritten by the next call that takes the
+    same name.
     """
 
     def __init__(self):
@@ -137,18 +139,8 @@ class _Workspace:
 
     def take(self, name: str, rows: int, cols: int, dtype=np.float64) -> np.ndarray:
         buf = self._buffers.get(name)
-        if buf is None or len(buf) < rows or buf.shape[1] != cols:
-            buf = np.empty((rows, cols), dtype=dtype)
-            self._buffers[name] = buf
-        return buf[:rows]
-
-    def flat(self, name: str, rows: int, cols: int) -> np.ndarray:
-        """A C-contiguous (rows, cols) float64 view of a 1-D buffer that
-        grows to the largest rows * cols asked of it, so arrays of any
-        width can take turns in it."""
-        buf = self._buffers.get(name)
         if buf is None or len(buf) < rows * cols:
-            buf = np.empty(rows * cols)
+            buf = np.empty(rows * cols, dtype=dtype)
             self._buffers[name] = buf
         return buf[:rows * cols].reshape(rows, cols)
 
@@ -213,7 +205,7 @@ def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
 
     ws = _Workspace() if workspace is None else workspace
     rows = len(feats)
-    act = ws.take("x0", rows, params.feature_dim) if train else ws.flat("turn0", rows, params.feature_dim)
+    act = ws.take("x0" if train else "turn0", rows, params.feature_dim)
     np.subtract(feats, params.std_mean, out=act)
     np.divide(act, np.sqrt(params.std_var), out=act)
     x0, layers = act, []
@@ -221,7 +213,7 @@ def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
         width = len(layer.weight)
         block = _block_rows(rows, width)
         # z, centred in place, becomes xhat
-        z = ws.take(f"xhat{i}", rows, width) if train else ws.flat(f"turn{(i + 1) % 2}", rows, width)
+        z = ws.take(f"xhat{i}" if train else f"turn{(i + 1) % 2}", rows, width)
         np.matmul(act, layer.weight.T, out=z)
         if train:
             mean = z.mean(axis=0)
@@ -523,9 +515,9 @@ class LamTrainingSet:
                                      self.probs.take(neighbor, axis=0), temporal,
                                      self.sensor_distance[neighbor])
 
-    def phi_moments(self):
-        """(mean, var): the bits of np.mean and np.var over axis 0 of the
-        set's (R, D) feature rows, which are built a block at a time."""
+    def phi_moments(self) -> RowMoments:
+        """The RowMoments of the set's (R, D) feature rows, which are built
+        a block at a time; the set must hold at least one pair."""
         def fill(lo, hi, out):
             pairs = np.arange(lo, hi)
             self.phi_rows(pairs, np.searchsorted(self.offsets, pairs, side="right") - 1, out)
@@ -533,13 +525,13 @@ class LamTrainingSet:
         return column_moments(fill, len(self.neighbor), self.feature_dim)
 
 
-def column_moments(fill, rows: int, width: int, block: int = _ROW_BLOCK):
-    """(mean, var): the bits of np.mean(a, axis=0) and np.var(a, axis=0)
-    for an (rows, width) array a, rows >= 1 and width >= 2, that is never
-    held whole: fill(lo, hi, out) writes a's rows lo:hi into out, at most
-    block rows at a time. numpy takes both as column sums in row order
-    (_ColumnSum), divided by rows: of a, then of the squared deviations
-    from the mean, so each is one pass of fill calls."""
+def column_moments(fill, rows: int, width: int, block: int = _ROW_BLOCK) -> RowMoments:
+    """RowMoments(rows, mean, var) with the bits of np.mean(a, axis=0) and
+    np.var(a, axis=0) for an (rows, width) array a, rows >= 1 and width >=
+    2, that is never held whole: fill(lo, hi, out) writes a's rows lo:hi
+    into out, at most block rows at a time. numpy takes both as column sums
+    in row order (_ColumnSum), divided by rows: of a, then of the squared
+    deviations from the mean, so each is one pass of fill calls."""
     block = min(block, rows)
     scratch = np.empty((block + 1, width))
     total = _ColumnSum(scratch)
@@ -554,7 +546,7 @@ def column_moments(fill, rows: int, width: int, block: int = _ROW_BLOCK):
         np.subtract(dev, mean, out=dev)
         np.multiply(dev, dev, out=dev)
         squares.add(hi - lo)
-    return mean, squares.total / rows
+    return RowMoments(rows, mean, squares.total / rows)
 
 
 def segment_sum(rows: np.ndarray, row_query: np.ndarray, n: int) -> np.ndarray:
@@ -656,7 +648,7 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
         raise ValueError("training set is empty")
     if params is None:
         params = initialize_lam_params(data.feature_dim, seed=config.seed)
-        params = modulate_statistics(params, data)
+        params = modulate_statistics(params, [data.phi_moments()])
     rng = np.random.default_rng(config.seed)
     adam = _Adam([name for name, _ in params.named_parameters()], config.learning_rate)
     sizes = np.diff(data.offsets)
@@ -698,9 +690,9 @@ def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | Non
 
 @dataclass(frozen=True)
 class RowMoments:
-    """A chunk of a modulate_statistics stream given by its row count (at
-    least one) and the bits of np.mean and np.var over axis 0 of its rows,
-    which need not be held."""
+    """A chunk of feature rows given by its row count (at least one) and
+    the bits of np.mean and np.var over axis 0 of its rows, which need not
+    be held (column_moments)."""
 
     rows: int
     mean: np.ndarray
@@ -710,23 +702,23 @@ class RowMoments:
 def modulate_statistics(params: LamParams, stream) -> LamParams:
     """Replace the standardization statistics with the stream's mean/variance.
 
-    stream is a (R, D) array, an iterable of such chunks (or of their
-    RowMoments), read one chunk at a time, or a LamTrainingSet, which
-    counts as the one array of its feature rows
-    (LamTrainingSet.phi_moments); every other parameter is untouched.
-    Features with variance below 1e-8 are floored there, with a warning
-    naming the columns.
+    stream is an iterable of RowMoments, one per chunk of the feature rows,
+    read one chunk at a time; every other parameter is untouched. Features
+    with variance below 1e-8 are floored there, with a warning naming the
+    columns.
     """
     # each chunk is merged in with the weights a = count / new_count and
     # b = rows / new_count; the first chunk has a = 0 and b = 1, so one
-    # array gives exactly its own mean and var
+    # chunk gives exactly its own mean and var
     count, mean, var = 0, 0.0, 0.0
-    for rows, chunk_mean, chunk_var in _chunk_moments(stream):
-        new_count = count + rows
-        a, b = count / new_count, rows / new_count
-        delta = chunk_mean - mean
+    for chunk in stream:
+        if not isinstance(chunk, RowMoments):
+            raise TypeError(f"modulate_statistics streams RowMoments, not {type(chunk).__name__}")
+        new_count = count + chunk.rows
+        a, b = count / new_count, chunk.rows / new_count
+        delta = chunk.mean - mean
         mean = mean + delta * b
-        var = var * a + chunk_var * b + delta * (delta * (a * b))
+        var = var * a + chunk.var * b + delta * (delta * (a * b))
         count = new_count
     if count == 0:
         raise ValueError("statistics stream is empty")
@@ -742,22 +734,6 @@ def modulate_statistics(params: LamParams, stream) -> LamParams:
     out.std_mean = mean
     out.std_var = var
     return out
-
-
-def _chunk_moments(stream):
-    """(rows, mean, var) of each chunk of a modulate_statistics stream;
-    empty arrays are skipped."""
-    if isinstance(stream, LamTrainingSet):
-        if len(stream):
-            yield (len(stream.neighbor), *stream.phi_moments())
-        return
-    for chunk in (stream,) if isinstance(stream, np.ndarray) else stream:
-        if isinstance(chunk, RowMoments):
-            yield chunk.rows, chunk.mean, chunk.var
-            continue
-        chunk = np.asarray(chunk, dtype=np.float64)
-        if len(chunk):
-            yield len(chunk), chunk.mean(axis=0), chunk.var(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -243,14 +243,11 @@ def _grid_search(points: np.ndarray, queries: np.ndarray, k: int, eps: float) ->
     start, length = grid.candidate_ranges(cell_keys, qkey, frac)
     per_query = length.sum(axis=1)
 
-    # candidates of each chunk: rows [lo, hi) of the cell-sorted queries
-    total = np.cumsum(per_query)
-    lo, before = 0, 0
     shift = -(math.frexp(eps)[1] + 1)
     valid = np.empty(n, np.int64)
     idx_parts, dist_parts = [], []
-    while lo < n:
-        hi = max(lo + 1, int(np.searchsorted(total, before + _CANDIDATE_BUDGET, "right")))
+    # candidates of each chunk: rows [lo, hi) of the cell-sorted queries
+    for lo, hi in _query_blocks(np.concatenate([[0], np.cumsum(per_query)]), _CANDIDATE_BUDGET):
         counts = per_query[lo:hi]
         span_len = length[lo:hi].ravel()
         span_start = start[lo:hi].ravel()[span_len > 0]
@@ -292,7 +289,6 @@ def _grid_search(points: np.ndarray, queries: np.ndarray, k: int, eps: float) ->
         valid[lo:hi] = np.minimum(found, k)
         idx_parts.append(idx)
         dist_parts.append(dist)
-        lo, before = hi, int(total[hi - 1])
 
     # back from cell order to query order
     sorted_first = np.cumsum(valid) - valid
@@ -303,6 +299,18 @@ def _grid_search(points: np.ndarray, queries: np.ndarray, k: int, eps: float) ->
     offsets = np.concatenate([[0], np.cumsum(valid_out)])
     gather = np.repeat(first_out - offsets[:-1], valid_out) + np.arange(offsets[-1])
     return Neighborhoods(offsets, np.concatenate(idx_parts)[gather], np.concatenate(dist_parts)[gather], k)
+
+
+def _query_blocks(offsets: np.ndarray, budget: int):
+    """(q0, q1): consecutive ranges of whole queries, each holding at most
+    budget pairs, or a single query that alone holds more; query q holds
+    pairs offsets[q]:offsets[q + 1]."""
+    n = len(offsets) - 1
+    q0 = 0
+    while q0 < n:
+        q1 = max(q0 + 1, int(np.searchsorted(offsets, offsets[q0] + budget, side="right")) - 1)
+        yield q0, q1
+        q0 = q1
 
 
 def _bounds(points: np.ndarray) -> np.ndarray:

@@ -145,6 +145,11 @@ def concatenated_training_set(scans, poses, predictions, truth_labels, agg, igno
             np.concatenate(labels))
 
 
+def row_moments(a):
+    """The lam.RowMoments of an (R, D) array, R >= 1."""
+    return lam.RowMoments(len(a), a.mean(axis=0), a.var(axis=0))
+
+
 def phi_matrix(data):
     """Every feature row of a LamTrainingSet, in pair order, as one (R, D)
     array."""
@@ -157,7 +162,7 @@ def train_lam_lists(phis, probs, labels, config):
     """lam.train_lam over per-neighborhood lists, each batch concatenated
     from its neighborhoods' arrays."""
     params = lam.initialize_lam_params(phis[0].shape[1], seed=config.seed)
-    params = lam.modulate_statistics(params, np.concatenate(phis, axis=0))
+    params = lam.modulate_statistics(params, [row_moments(np.concatenate(phis, axis=0))])
     rng = np.random.default_rng(config.seed)
     adam = lam._Adam([name for name, _ in params.named_parameters()], config.learning_rate)
     sizes = np.array([len(p) for p in phis])

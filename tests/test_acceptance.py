@@ -37,7 +37,7 @@ from lidar_ensemble.selftrain import (
 )
 from lidar_ensemble.subsample import SubsampleSpec, row_mask
 from lidar_ensemble.synth import HEIGHT_THRESHOLDS, SyntheticSceneSpec, generate_sequence, sensor_config
-from tests.oracles import from_padded, kernel_score, padded, phi, phi_stream
+from tests.oracles import from_padded, kernel_score, padded, phi, phi_stream, row_moments
 from tests.test_lam import prefix_jaccard_oracle
 
 
@@ -326,7 +326,7 @@ def test_criterion_07_adaptation_benefit():
 
     # modulate standardization statistics on the target feature stream
     chunks, _ = phi_stream(target.scans, target.poses, tgt_within, agg)
-    params = modulate_statistics(params, chunks)
+    params = modulate_statistics(params, [row_moments(chunk) for chunk in chunks if len(chunk)])
 
     lam_agg = AggregationSpec(kernel=LamKernel(params), k=agg.k, epsilon=agg.epsilon,
                               window=agg.window, stride=agg.stride)
@@ -350,12 +350,12 @@ def test_criterion_08_statistics_modulation():
     d = 9
     stream = rng.normal(size=(4000, d)) * rng.uniform(0.5, 12.0, d) + rng.normal(size=d) * 30.0
     params = initialize_lam_params(d, seed=0)
-    modulated = modulate_statistics(params, stream)
+    modulated = modulate_statistics(params, [row_moments(stream)])
     standardized = (stream - modulated.std_mean) / np.sqrt(modulated.std_var)
     assert np.abs(standardized.mean(axis=0)).max() < 1e-6
     assert np.abs(standardized.var(axis=0) - 1.0).max() < 1e-6
 
-    again = modulate_statistics(modulated, stream)
+    again = modulate_statistics(modulated, [row_moments(stream)])
     assert np.array_equal(modulated.std_mean, again.std_mean)
     assert np.array_equal(modulated.std_var, again.std_var)
 

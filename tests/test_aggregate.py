@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lidar_ensemble import aggregate, lam, phi_layout
+from lidar_ensemble import aggregate, lam, neighbors, phi_layout
 from lidar_ensemble.aggregate import (
     AggregationSpec,
     LamKernel,
@@ -16,13 +16,13 @@ from lidar_ensemble.aggregate import (
     phi_moments,
     phi_pairs,
     refine_labels,
-    write_refinement_manifest,
 )
 from lidar_ensemble.geometry import sensor_range
 from lidar_ensemble.lam import (DenseBnLayer, LamParams, LamTrainingSet, TrainConfig,
                                  initialize_lam_params, load_lam_params, save_lam_params,
                                  segment_softmax, train_lam)
 from lidar_ensemble.neighbors import DenseCloud, Neighborhoods, SpatialIndex, precompute_neighborhoods
+from lidar_ensemble.selftrain import write_manifest
 from tests.oracles import (from_padded, kernel_score, padded, phi, phi_matrix, refine_labels_unblocked,
                            score_array)
 
@@ -477,7 +477,7 @@ class TestBlockedRefinement:
     def test_query_blocks_cross_eval_chunks(self, budget, monkeypatch):
         rng = np.random.default_rng(budget)
         dense, v, nbh = ragged_frame(rng, 600, 16, 4, empty=0.1, full=0.6)
-        blocks = list(aggregate._query_blocks(nbh.offsets, budget))
+        blocks = list(neighbors._query_blocks(nbh.offsets, budget))
         assert [q for block in blocks for q in range(*block)] == list(range(len(nbh)))
         for q0, q1 in blocks:  # at most budget pairs, or one query
             assert nbh.offsets[q1] - nbh.offsets[q0] <= budget or q1 - q0 == 1
@@ -531,16 +531,17 @@ class TestBlockedRefinement:
         rng = np.random.default_rng(queries)
         dense, v, nbh = ragged_frame(rng, queries, 16, 3, empty=0.0, full=0.5)
         rows, _ = phi_pairs(v, dense, nbh)
-        mean, var = phi_moments(v, dense, nbh)
-        assert mean.tobytes() == np.mean(rows, axis=0).tobytes()
-        assert var.tobytes() == np.var(rows, axis=0).tobytes()
+        moments = phi_moments(v, dense, nbh)
+        assert moments.rows == len(rows)
+        assert moments.mean.tobytes() == np.mean(rows, axis=0).tobytes()
+        assert moments.var.tobytes() == np.var(rows, axis=0).tobytes()
 
 
 class TestAggregationSpec:
     def test_manifest_contents(self, tmp_path):
         spec = AggregationSpec(kernel=UniformKernel(), k=60, epsilon=0.2, window=90, stride=3)
         path = tmp_path / "refinement.txt"
-        write_refinement_manifest(path, spec)
+        write_manifest(path, spec.manifest_items())
         text = path.read_text()
         assert "kernel = uniform" in text
         assert "k = 60" in text

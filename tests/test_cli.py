@@ -13,7 +13,7 @@ from lidar_ensemble.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from lidar_ensemble.selftrain import load_labels, load_selection_mask
 from lidar_ensemble.subsample import read_prediction_matrix, read_scan_prediction, write_prediction_matrix
 from lidar_ensemble.subsample import PredictionMatrix
-from tests.oracles import phi_stream, sequence_rows, weight_histograms
+from tests.oracles import phi_stream, row_moments, sequence_rows, weight_histograms
 
 CONFIG_TEMPLATE = """
 [dataset]
@@ -289,6 +289,18 @@ class TestLamCommands:
             assert len(lines) == 1 + 3 * 5
 
 
+@pytest.mark.parametrize("bins", ["0", "-3"])
+@pytest.mark.parametrize("command", ["pipeline", "lam-analyze"])
+def test_bins_below_one_exit_1_before_any_work(command, bins, config_path, prediction_dir, tmp_path,
+                                               caplog):
+    out = tmp_path / "out"
+    extra = ["--threads", "1"] if command == "pipeline" else ["--pred-dir", str(prediction_dir)]
+    assert main([command, "--config", str(config_path), "--out", str(out), "--bins", bins]
+                + extra) == EXIT_CONFIG
+    assert "--bins: must be at least 1" in caplog.text
+    assert not out.exists()
+
+
 def _checkpoint_records(blob):
     """(start, data start, end) of every tensor record of a checkpoint."""
     records, off = [], 16
@@ -548,7 +560,8 @@ def _old_refine_from_files(seq, pred_dir, agg, out_dir):
     """aggregate's refinement as it was written before the commands shared
     selftrain.cross_frame_refine: its own dense cloud, index and query per
     frame."""
-    from lidar_ensemble.aggregate import refine_labels, write_refinement_manifest
+    from lidar_ensemble import phi_layout
+    from lidar_ensemble.aggregate import refine_labels
     from lidar_ensemble.neighbors import SpatialIndex, build_dense_cloud, precompute_neighborhoods
 
     within = [read_prediction_matrix(pred_dir / f"{t:06d}.lprb") for t in range(len(seq.scans))]
@@ -560,7 +573,10 @@ def _old_refine_from_files(seq, pred_dir, agg, out_dir):
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), seq.scans[t].points, agg.k, agg.epsilon)
         refined = refine_labels(seq.scans[t].points, within[t].probs, dense, nbh, agg.kernel)
         write_prediction_matrix(refined, refined_dir / f"{t:06d}.lprb")
-    write_refinement_manifest(out_dir / "refinement.txt", agg)
+    epsilon = "none" if agg.epsilon is None else repr(agg.epsilon)
+    (out_dir / "refinement.txt").write_text(
+        f"kernel = {agg.kernel_name}\nk = {agg.k}\nepsilon = {epsilon}\nwindow = {agg.window}\n"
+        f"stride = {agg.stride}\nphi_layout_version = {phi_layout.PHI_LAYOUT_VERSION}\n")
 
 
 def _old_lam_apply(cfg, seq, pred_dir, checkpoint, modulate, out_dir):
@@ -574,7 +590,7 @@ def _old_lam_apply(cfg, seq, pred_dir, checkpoint, modulate, out_dir):
     if modulate:
         within = [read_prediction_matrix(pred_dir / f"{t:06d}.lprb") for t in range(len(seq.scans))]
         chunks, _ = phi_stream(seq.scans, seq.poses, within, agg)
-        params = modulate_statistics(params, chunks)
+        params = modulate_statistics(params, [row_moments(chunk) for chunk in chunks if len(chunk)])
         save_lam_params(params, out_dir / "modulated.ckpt")
         agg = AggregationSpec(kernel=LamKernel(params), k=agg.k, epsilon=agg.epsilon,
                               window=agg.window, stride=agg.stride)
@@ -846,6 +862,13 @@ CONFIG_COMMANDS = {
     ("predictor.far_noise", "-1"),
     ("predictor.range_threshold", "nan"),
     ("run.seed", "-1"),
+    ("lam.learning_rate", "nan"),
+    ("lam.learning_rate", "inf"),
+    ("lam.ce_weight", "nan"),
+    ("lam.lovasz_weight", "inf"),
+    ("subsample.ratio", "nan"),
+    ("sensor.fov_up", "nan"),
+    ("sensor.fov_down", "inf"),
 ])
 def test_bad_value_exits_1_from_every_command(key, value, dataset, tmp_path, caplog):
     # the config is read in one place, so each command rejects the value

@@ -1,11 +1,17 @@
 """Tests for configuration parsing, defaults, and validation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from lidar_ensemble.aggregate import LamKernel, UniformKernel
-from lidar_ensemble.config import ConfigError, load_config
+from lidar_ensemble.cli import EXIT_OK, main
+from lidar_ensemble.config import DEFAULTS, ConfigError, load_config
+from lidar_ensemble.geometry import load_point_cloud_bin
 from lidar_ensemble.lam import initialize_lam_params, save_lam_params
+from lidar_ensemble.selftrain import HeightThresholdRule, MockPredictor, RadialBandsRule
+from lidar_ensemble.subsample import write_prediction_matrix
 
 
 @pytest.fixture
@@ -113,3 +119,147 @@ class TestValidation:
         # read by nothing, listed in every manifest: removed at the benchmark re-baseline
         with pytest.raises(ConfigError, match=key):
             load_config(write_config(tmp_path, dataset, body))
+
+
+# ---------------------------------------------------------------------------
+# Every key changes some output or is rejected
+# ---------------------------------------------------------------------------
+
+# read by nothing, waiting for ROADMAP item 1 (the benchmark re-baseline)
+UNREAD_KEYS = {"sensor.beams", "augment.rotation", "augment.flip_x", "augment.flip_y",
+               "augment.scale_min", "augment.scale_max", "augment.translation_sigma",
+               "adaptation.intensity_policy"}
+
+# what changes each key: a second valid value, the command whose output it
+# changes, and the other keys that command needs for it to show. The mock
+# predictors label by geometry, so sensor.* and subsample.* show only in
+# project and subsample, and a seed shows only through label noise. With 3
+# frames at stride 3 each frame's window holds only itself, so poses and
+# the window need stride 1; so few points lie within epsilon that k and
+# the CBST portion (which needs confidences below 1) need the search
+# without it. {drive}, {drive_b}, {ckpt_a}, {ckpt_b}, {preds_a} and
+# {preds_b} name the files the drives fixture makes.
+NOISE = {"predictor.noise": "0.3"}
+KNN = {"aggregate.epsilon": ""}
+LAM = {"aggregate.stride": "1", "lam.epochs": "1"}
+GATED = {"predictor.near_noise": "0.0", "predictor.far_noise": "0.5", "predictor.range_threshold": "10"}
+KEY_EFFECTS = {
+    "dataset.root": ("{drive_b}", "project", {}),
+    "dataset.scans": ("velodyne_b", "project", {}),
+    "dataset.poses": ("poses_b.txt", "pipeline", {"aggregate.stride": "1"}),
+    "dataset.labels": ("", "pipeline", {}),
+    "sensor.height": ("32", "project", {}),
+    "sensor.width": ("1024", "project", {}),
+    "sensor.fov_up": ("10", "project", {}),
+    "sensor.fov_down": ("20", "project", {}),
+    "sensor.beams": ("32", "pipeline", {}),
+    "subsample.mode": ("regular", "subsample", {}),
+    "subsample.ratio": ("0.25", "subsample", {}),
+    "subsample.trials": ("2", "pipeline", NOISE),
+    # without the identity trial every point must land in a subsample
+    "subsample.include_identity": ("false", "pipeline", {**NOISE, "subsample.ratio": "0.9"}),
+    "aggregate.kernel": ("lam", "pipeline", {"aggregate.checkpoint": "{ckpt_a}"}),
+    "aggregate.checkpoint": ("{ckpt_b}", "pipeline", {"aggregate.kernel": "lam",
+                                                      "aggregate.checkpoint": "{ckpt_a}"}),
+    "aggregate.k": ("5", "pipeline", KNN),
+    "aggregate.epsilon": ("0.5", "pipeline", {}),
+    "aggregate.window": ("1", "pipeline", {"aggregate.stride": "1"}),
+    "aggregate.stride": ("1", "pipeline", {}),
+    "lam.learning_rate": ("1e-2", "lam-train", LAM),
+    "lam.epochs": ("2", "lam-train", LAM),
+    "lam.batch": ("64", "lam-train", LAM),
+    "lam.ce_weight": ("0.5", "lam-train", LAM),
+    "lam.lovasz_weight": ("0.5", "lam-train", LAM),
+    "cbst.portion": ("0.5", "pipeline", KNN),
+    "adaptation.iterations": ("2", "pipeline", {}),
+    "adaptation.intensity_policy": ("use_always", "pipeline", {}),
+    "augment.rotation": ("30", "pipeline", {}),
+    "augment.flip_x": ("false", "pipeline", {}),
+    "augment.flip_y": ("false", "pipeline", {}),
+    "augment.scale_min": ("0.8", "pipeline", {}),
+    "augment.scale_max": ("1.2", "pipeline", {}),
+    "augment.translation_sigma": ("0.25", "pipeline", {}),
+    "predictor.kind": ("mock_bands", "pipeline", {}),
+    "predictor.thresholds": ("0.2,2.0", "pipeline", {}),
+    "predictor.band_width": ("2.0", "pipeline", {"predictor.kind": "mock_bands"}),
+    "predictor.num_classes": ("4", "pipeline", {"predictor.kind": "mock_bands"}),
+    "predictor.directory": ("{preds_b}", "pipeline", {"predictor.kind": "precomputed",
+                                                      "predictor.directory": "{preds_a}",
+                                                      "subsample.trials": "1"}),
+    "predictor.noise": ("0.3", "pipeline", {}),
+    "predictor.near_noise": ("0.5", "pipeline", GATED),
+    "predictor.far_noise": ("0.2", "pipeline", GATED),
+    "predictor.range_threshold": ("20", "pipeline", GATED),
+    "run.seed": ("7", "pipeline", NOISE),
+    "run.ignore_label": ("1", "pipeline", {}),
+}
+COMMAND_ARGS = {"project": ["--frame", "0"], "subsample": ["--frame", "0"],
+                "pipeline": ["--threads", "1"], "lam-train": ["--threads", "1"]}
+
+
+@pytest.fixture(scope="module")
+def drives(tmp_path_factory):
+    root = tmp_path_factory.mktemp("keys")
+    names = {"drive": root / "drive", "drive_b": root / "drive_b", "ckpt_a": root / "a.ckpt",
+             "ckpt_b": root / "b.ckpt", "preds_a": "preds_a", "preds_b": "preds_b"}
+    for seed, name in ((5, "drive"), (6, "drive_b")):
+        assert main(["synthgen", "--out", str(names[name]), "--frames", "3", "--points", "150",
+                     "--seed", str(seed)]) == EXIT_OK
+    drive = names["drive"]
+    scans = sorted((drive / "velodyne").glob("*.bin"))
+    (drive / "velodyne_b").mkdir()
+    for path, source in zip(scans, reversed(scans)):
+        (drive / "velodyne_b" / path.name).write_bytes(source.read_bytes())
+    poses = np.loadtxt(drive / "poses.txt")
+    poses[:, 3] += np.arange(len(poses)) * 0.4  # frames drift apart along x
+    np.savetxt(drive / "poses_b.txt", poses)
+    for seed, name in ((0, "ckpt_a"), (1, "ckpt_b")):
+        save_lam_params(initialize_lam_params(9, seed=seed), names[name])
+    for rule, name in ((HeightThresholdRule((0.5, 2.5)), "preds_a"), (RadialBandsRule(4.0, 3), "preds_b")):
+        (drive / name).mkdir()
+        for i, path in enumerate(scans):
+            pred = MockPredictor(rule)(load_point_cloud_bin(path, frame_id=i))
+            write_prediction_matrix(pred, drive / name / f"{i:06d}.lprb")
+    return names
+
+
+def test_every_key_changes_an_output_or_is_rejected(drives, tmp_path):
+    # ROADMAP item 8: a key that no command reads fails here, so a new key
+    # needs its reader, and a table entry, from the start
+    keys = {f"{section}.{key}" for section, items in DEFAULTS.items() for key in items}
+    assert set(KEY_EFFECTS) == keys
+    run_ids = itertools.count()
+    baselines = {}
+
+    def outputs(command, settings):
+        """Every output file of command under settings but the manifests,
+        or None when load_config rejects the settings."""
+        sections = {"dataset": {"root": str(drives["drive"])}}
+        for dotted, value in settings.items():
+            section, key = dotted.split(".")
+            sections.setdefault(section, {})[key] = value.format(**drives)
+        run = next(run_ids)
+        cfg = tmp_path / f"{run}.ini"
+        cfg.write_text("".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+                               for section, items in sections.items()))
+        try:
+            load_config(cfg)
+        except ConfigError:
+            return None
+        out = tmp_path / f"out{run}"
+        target = out / "pixels.csv" if command == "project" else out
+        assert main([command, "--config", str(cfg), "--out", str(target)] + COMMAND_ARGS[command]) \
+            == EXIT_OK, (command, settings)
+        return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+                if p.is_file() and not p.name.endswith("manifest.txt")}
+
+    for key, (value, command, context) in KEY_EFFECTS.items():
+        base = (command, tuple(sorted(context.items())))
+        if base not in baselines:
+            baselines[base] = outputs(command, context)
+        assert baselines[base] is not None, (key, "its context must load")
+        changed = outputs(command, {**context, key: value})
+        if key in UNREAD_KEYS:
+            assert changed is None or changed == baselines[base], f"{key} now changes an output"
+        else:
+            assert changed != baselines[base], f"{key} = {value!r} changes no {command} output"

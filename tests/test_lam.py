@@ -15,7 +15,6 @@ from lidar_ensemble.lam import (
     EpochStats,
     LamTrainingError,
     LamTrainingSet,
-    RowMoments,
     TrainConfig,
     eval_scores,
     initialize_lam_params,
@@ -34,7 +33,7 @@ from lidar_ensemble.lam import (
     write_histogram_csv,
     write_loss_trace_csv,
 )
-from tests.oracles import phi_matrix, score_array, weight_histograms
+from tests.oracles import phi_matrix, row_moments, score_array, weight_histograms
 from lidar_ensemble.lam import _lovasz_softmax_with_grad
 
 
@@ -531,7 +530,7 @@ class TestTraining:
         rng = np.random.default_rng(9)
         data, _ = separable_task(rng, 50)
         init = initialize_lam_params(7, seed=5)
-        init = modulate_statistics(init, data)
+        init = modulate_statistics(init, [data.phi_moments()])
         before = {name: t.copy() for name, t in init.named_parameters()}
         params, _ = train_lam(data, TrainConfig(learning_rate=0.0, epochs=3, batch=16, seed=5),
                               params=init)
@@ -594,8 +593,8 @@ class TestModulateStatistics:
         rng = np.random.default_rng(14)
         stream = rng.normal(loc=3.0, scale=2.0, size=(500, 7))
         params = initialize_lam_params(7, seed=0)
-        once = modulate_statistics(params, stream)
-        twice = modulate_statistics(once, stream)
+        once = modulate_statistics(params, [row_moments(stream)])
+        twice = modulate_statistics(once, [row_moments(stream)])
         assert np.abs(once.std_mean - twice.std_mean).max() < 1e-9
         assert np.abs(once.std_var - twice.std_var).max() < 1e-9
 
@@ -603,14 +602,14 @@ class TestModulateStatistics:
         stream = np.ones((100, 7)) * 4.0
         params = initialize_lam_params(7, seed=0)
         with pytest.warns(RuntimeWarning, match="floored"):
-            out = modulate_statistics(params, stream)
+            out = modulate_statistics(params, [row_moments(stream)])
         assert np.abs(out.std_mean - 4.0).max() == 0.0
         assert np.all(out.std_var == 1e-8)
 
     def test_standardized_stream_has_unit_statistics(self):
         rng = np.random.default_rng(15)
         stream = rng.normal(size=(2000, 7)) * rng.uniform(0.5, 8.0, 7) + rng.normal(size=7) * 50
-        params = modulate_statistics(initialize_lam_params(7, seed=0), stream)
+        params = modulate_statistics(initialize_lam_params(7, seed=0), [row_moments(stream)])
         standardized = (stream - params.std_mean) / np.sqrt(params.std_var)
         assert np.abs(standardized.mean(axis=0)).max() < 1e-6
         assert np.abs(standardized.var(axis=0) - 1.0).max() < 1e-6
@@ -618,7 +617,7 @@ class TestModulateStatistics:
     def test_other_parameters_untouched(self):
         rng = np.random.default_rng(16)
         params = initialize_lam_params(7, seed=3)
-        out = modulate_statistics(params, rng.normal(size=(50, 7)))
+        out = modulate_statistics(params, [row_moments(rng.normal(size=(50, 7)))])
         for (name, a), (_, b) in zip(params.named_parameters(), out.named_parameters()):
             assert np.array_equal(a, b), name
 
@@ -626,22 +625,29 @@ class TestModulateStatistics:
         rng = np.random.default_rng(17)
         stream = rng.normal(loc=2.0, size=(999, 7))
         params = initialize_lam_params(7, seed=0)
-        whole = modulate_statistics(params, stream)
-        chunked = modulate_statistics(params, [stream[:100], stream[100:350], stream[350:]])
+        whole = modulate_statistics(params, [row_moments(stream)])
+        chunked = modulate_statistics(params, map(row_moments, [stream[:100], stream[100:350], stream[350:]]))
         assert np.abs(whole.std_mean - chunked.std_mean).max() < 1e-9
         assert np.abs(whole.std_var - chunked.std_var).max() < 1e-9
 
     def test_empty_stream_rejected(self):
         params = initialize_lam_params(7, seed=0)
         with pytest.raises(ValueError, match="empty"):
-            modulate_statistics(params, np.zeros((0, 7)))
+            modulate_statistics(params, [])
         with pytest.raises(ValueError, match="statistics stream is empty"):
-            modulate_statistics(params, (np.zeros((0, 7)) for _ in range(3)))
+            modulate_statistics(params, (row_moments(chunk) for chunk in ()))
+
+    def test_only_row_moments_are_streamed(self):
+        params = initialize_lam_params(7, seed=0)
+        stream = np.random.default_rng(26).normal(size=(20, 7))
+        for given in (stream, [stream], [row_moments(stream), stream[:5]]):
+            with pytest.raises(TypeError, match="RowMoments"):
+                modulate_statistics(params, given)
 
     def test_generator_gives_the_bits_of_a_list(self):
         rng = np.random.default_rng(22)
         stream = rng.normal(loc=-1.5, scale=3.0, size=(700, 7))
-        chunks = [stream[:5], stream[5:5], stream[5:300], stream[300:]]
+        chunks = [row_moments(c) for c in (stream[:5], stream[5:300], stream[300:])]
         params = initialize_lam_params(7, seed=0)
         listed = modulate_statistics(params, chunks)
         streamed = modulate_statistics(params, (chunk for chunk in chunks))
@@ -656,10 +662,10 @@ class TestModulateStatistics:
         params = initialize_lam_params(data.feature_dim, seed=0)
         with warnings.catch_warnings(record=True) as from_set:
             warnings.simplefilter("always")
-            streamed = modulate_statistics(params, data)
+            streamed = modulate_statistics(params, [data.phi_moments()])
         with warnings.catch_warnings(record=True) as from_rows:
             warnings.simplefilter("always")
-            whole = modulate_statistics(params, phi_matrix(data))
+            whole = modulate_statistics(params, [row_moments(phi_matrix(data))])
         assert [str(w.message) for w in from_set] == [str(w.message) for w in from_rows]
         assert len(from_set) == (window == 0)
         assert streamed.std_mean.tobytes() == whole.std_mean.tobytes()
@@ -679,16 +685,23 @@ class TestModulateStatistics:
             out[:] = a[lo:hi]
 
         with np.errstate(over="ignore", invalid="ignore"):
-            mean, var = lam.column_moments(fill, rows, width, block)
-            assert mean.tobytes() == np.mean(a, axis=0).tobytes()
-            assert var.tobytes() == np.var(a, axis=0).tobytes()
+            moments = lam.column_moments(fill, rows, width, block)
+            assert moments.rows == rows
+            assert moments.mean.tobytes() == np.mean(a, axis=0).tobytes()
+            assert moments.var.tobytes() == np.var(a, axis=0).tobytes()
 
     def test_row_moments_stand_for_their_chunk(self):
+        # moments streamed from blocks of a chunk never held whole merge
+        # like the chunk's own
         rng = np.random.default_rng(25)
         a, b = rng.normal(size=(40, 7)), rng.normal(loc=3.0, size=(13, 7))
         params = initialize_lam_params(7, seed=0)
-        want = modulate_statistics(params, [a, b])
-        got = modulate_statistics(params, [RowMoments(len(a), a.mean(axis=0), a.var(axis=0)), b])
+        want = modulate_statistics(params, [row_moments(a), row_moments(b)])
+
+        def fill(lo, hi, out):
+            out[:] = a[lo:hi]
+
+        got = modulate_statistics(params, [lam.column_moments(fill, len(a), 7, block=9), row_moments(b)])
         assert got.std_mean.tobytes() == want.std_mean.tobytes()
         assert got.std_var.tobytes() == want.std_var.tobytes()
 
@@ -696,7 +709,7 @@ class TestModulateStatistics:
         rng = np.random.default_rng(23)
         stream = rng.normal(loc=7.0, scale=0.3, size=(333, 7)) * rng.uniform(0.1, 9.0, 7)
         params = initialize_lam_params(7, seed=0)
-        for given in (stream, [stream], iter([stream])):
+        for given in ([row_moments(stream)], iter([row_moments(stream)])):
             out = modulate_statistics(params, given)
             assert np.array_equal(out.std_mean, stream.mean(axis=0))
             assert np.array_equal(out.std_var, stream.var(axis=0))

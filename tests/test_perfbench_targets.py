@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -181,3 +182,25 @@ def test_setup_probe_loads_a_drive(tmp_path):
     result = subprocess.run([sys.executable, "-c", probe, "config.ini"], cwd=tmp_path, env=env,
                             timeout=120, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_seed_0_runs_reproduce_the_baseline_digests(tmp_path, monkeypatch):
+    # the benchmark's own set-up and output digest, one pipeline run per
+    # workload at --threads 1 (thread counts change no byte); the checkpoint
+    # that pipeline-lam trains is the lam-train workload's output
+    monkeypatch.syspath_prepend(str(RUN.parent))
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # dataclasses look their module up there
+    spec.loader.exec_module(run)
+    monkeypatch.setattr(run, "WORK", tmp_path / "work")
+    expected = json.loads(run.BASELINE.read_text())["workloads"]
+    deadline = time.monotonic() + 600
+    for name in ("pipeline-uniform", "pipeline-lam"):
+        assert expected[name]["seed"] == 0
+        workload = run.WORKLOADS[name]
+        inputs = run.build_inputs(workload, 0, {}, deadline)
+        result = run.run_once(name, workload, 1, 0, inputs["target"]["frames"], deadline)
+        assert result.exit_code == 0 and not result.problems, result.problems
+        assert result.digest == expected[name]["digest"], name
+    assert run.tree_digest(run.WORK / "train") == expected["lam-train"]["digest"]
