@@ -49,7 +49,6 @@ from .selftrain import (
 )
 from .subsample import (
     PredictionMatrix,
-    RowMask,
     SubsampleSpec,
     apply_row_mask,
     make_ensemble,

@@ -51,8 +51,10 @@ class AggregationSpec:
             raise ValueError("k must be >= 1")
         if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be finite and positive, or None")
-        if self.window < 0 or self.stride < 1:
-            raise ValueError("window must be >= 0 and stride >= 1")
+        if self.window < 0:
+            raise ValueError("window must be >= 0")
+        if self.stride < 1:
+            raise ValueError("stride must be >= 1")
 
     @property
     def kernel_name(self) -> str:

@@ -27,11 +27,10 @@ from .lam import (LamTrainingError, load_lam_params, modulate_statistics, save_l
                   train_lam, weight_histograms, write_histogram_csv, write_loss_trace_csv)
 from .metrics import (condense_static_dynamic, confusion, iou, write_confusion_csv,
                       write_iou_csv, write_iou_summary)
-from .selftrain import (LidarSequence, PrecomputedPredictor, _label_sets, apply_cbst,
-                        build_lam_training_set, cross_frame_refine, file_checksum,
-                        frame_neighborhoods, load_labels, noop_student_hook, run_adaptation,
-                        save_labels, save_selection_mask, within_frame_predictions,
-                        write_manifest)
+from .selftrain import (LidarSequence, PrecomputedPredictor, apply_cbst, build_lam_training_set,
+                        cross_frame_refine, file_checksum, frame_neighborhoods, load_labels,
+                        noop_student_hook, run_adaptation, save_labels, save_selection_mask,
+                        within_frame_predictions, write_manifest)
 from .subsample import (apply_row_mask, read_prediction_matrix, read_scan_prediction, row_mask,
                         within_frame_ensemble, write_prediction_matrix)
 
@@ -88,15 +87,23 @@ def _load_sequence(cfg: PipelineConfig):
     return LidarSequence(name="sequence", scans=scans, poses=poses[: len(scans)]), truths, paths
 
 
+def _load_frame(cfg: PipelineConfig, frame: int):
+    """Scan --frame of the dataset and its path."""
+    paths = _scan_paths(cfg)
+    if not (0 <= frame < len(paths)):
+        raise ConfigError(f"--frame {frame} outside dataset of {len(paths)} scans")
+    return load_point_cloud_bin(paths[frame], frame_id=frame), paths[frame]
+
+
+def _read_pred_dir(cfg: PipelineConfig, seq: LidarSequence, pred_dir):
+    """The stored prediction of every scan, read from --pred-dir."""
+    stored = PrecomputedPredictor(pred_dir, cfg.predictor.num_classes)
+    return [stored(scan) for scan in seq.scans]
+
+
 def _resolve_threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
-    env = os.environ.get("LIDAR_ENSEMBLE_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"LIDAR_ENSEMBLE_THREADS: {exc}") from exc
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
@@ -118,10 +125,7 @@ def _command_manifest(out_dir: Path, cfg: PipelineConfig | None, args, inputs=()
 
 def cmd_project(args) -> int:
     cfg = load_config(args.config)
-    paths = _scan_paths(cfg)
-    if not (0 <= args.frame < len(paths)):
-        raise ConfigError(f"--frame {args.frame} outside dataset of {len(paths)} scans")
-    cloud = load_point_cloud_bin(paths[args.frame], frame_id=args.frame)
+    cloud, path = _load_frame(cfg, args.frame)
     index = project_to_range_image(cloud, cfg.adaptation.sensor)
     lines = ["point,u,v,range"]
     for i in range(len(cloud)):
@@ -134,17 +138,14 @@ def cmd_project(args) -> int:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text)
-        _command_manifest(out.parent, cfg, args, inputs=[paths[args.frame]],
+        _command_manifest(out.parent, cfg, args, inputs=[path],
                           extra=[("frame", str(args.frame)), ("output", out.name)])
     return EXIT_OK
 
 
 def cmd_subsample(args) -> int:
     cfg = load_config(args.config)
-    paths = _scan_paths(cfg)
-    if not (0 <= args.frame < len(paths)):
-        raise ConfigError(f"--frame {args.frame} outside dataset of {len(paths)} scans")
-    cloud = load_point_cloud_bin(paths[args.frame], frame_id=args.frame)
+    cloud, path = _load_frame(cfg, args.frame)
     index = project_to_range_image(cloud, cfg.adaptation.sensor)
     rng = np.random.default_rng(cfg.adaptation.seed)
     mask = row_mask(cfg.adaptation.sensor, cfg.adaptation.subsample, rng)
@@ -156,11 +157,11 @@ def cmd_subsample(args) -> int:
         fh.write(INDEX_MAGIC)
         fh.write(np.uint32(len(parent)).tobytes())
         fh.write(parent.astype("<u4").tobytes())
-    _command_manifest(out_dir, cfg, args, inputs=[paths[args.frame]],
+    _command_manifest(out_dir, cfg, args, inputs=[path],
                       extra=[("frame", str(args.frame)),
                              ("kept_points", str(len(sub))),
-                             ("kept_rows", str(int(mask.keep.sum())))])
-    log.info("kept %d of %d points (%d rows)", len(sub), len(cloud), int(mask.keep.sum()))
+                             ("kept_rows", str(int(mask.sum())))])
+    log.info("kept %d of %d points (%d rows)", len(sub), len(cloud), int(mask.sum()))
     return EXIT_OK
 
 
@@ -186,7 +187,7 @@ def _write_refined(seq: LidarSequence, within, agg, out_dir: Path):
 def cmd_aggregate(args) -> int:
     cfg = load_config(args.config)
     seq, _, paths = _load_sequence(cfg)
-    within = [PrecomputedPredictor(args.pred_dir, cfg.predictor.num_classes)(scan) for scan in seq.scans]
+    within = _read_pred_dir(cfg, seq, args.pred_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_refined(seq, within, cfg.adaptation.aggregation, out_dir)
@@ -222,7 +223,7 @@ def cmd_lam_apply(args) -> int:
     seq, _, paths = _load_sequence(cfg)
     agg = cfg.adaptation.aggregation
     params = load_lam_params(args.checkpoint)
-    within = [PrecomputedPredictor(args.pred_dir, cfg.predictor.num_classes)(scan) for scan in seq.scans]
+    within = _read_pred_dir(cfg, seq, args.pred_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.modulate:
@@ -246,7 +247,7 @@ def cmd_lam_analyze(args) -> int:
     seq, _, paths = _load_sequence(cfg)
     kernel = LamKernel(load_lam_params(args.checkpoint)) if args.checkpoint else UniformKernel()
     agg = dataclasses.replace(cfg.adaptation.aggregation, kernel=kernel)
-    within = [PrecomputedPredictor(args.pred_dir, cfg.predictor.num_classes)(scan) for scan in seq.scans]
+    within = _read_pred_dir(cfg, seq, args.pred_dir)
     _, records = cross_frame_refine(seq.scans, seq.poses, within, agg, return_pairs=True)
     report = weight_histograms(records, bins=args.bins)
     out_dir = Path(args.out)
@@ -264,7 +265,7 @@ def cmd_cbst(args) -> int:
     paths = sorted(pred_dir.glob("*.lprb"))
     if not paths:
         raise ConfigError(f"--pred-dir: no .lprb files under {pred_dir}")
-    label_sets = apply_cbst(_label_sets([read_scan_prediction(p) for p in paths]), cfg.adaptation.cbst)
+    label_sets = apply_cbst([read_scan_prediction(p) for p in paths], cfg.adaptation.cbst)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for path, ls in zip(paths, label_sets):
@@ -335,19 +336,18 @@ def _parse_class_list(text):
 def cmd_pipeline(args) -> int:
     cfg = load_config(args.config)
     seq, truths, paths = _load_sequence(cfg)
-    threads = _resolve_threads(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results, pairs = run_adaptation([seq], cfg.predictor, noop_student_hook, cfg.adaptation, out_dir,
-                                    threads=threads, return_pairs=True)
+    results, pairs = run_adaptation(seq, cfg.predictor, noop_student_hook, cfg.adaptation, out_dir,
+                                    threads=_resolve_threads(args))
 
     # analysis artifacts reflect the first (teacher) iteration
-    report = weight_histograms(pairs[seq.name], bins=args.bins)
+    report = weight_histograms(pairs, bins=args.bins)
     write_histogram_csv(report, out_dir / "histograms.csv")
 
     if truths is not None:
-        pred_all = np.concatenate([ls.labels for ls in results[0][seq.name]])
+        pred_all = np.concatenate([ls.labels for ls in results[0]])
         truth_all = np.concatenate(truths)
         matrix = confusion(pred_all, truth_all, cfg.predictor.num_classes, ignore_label=cfg.ignore_label)
         miou_report = _write_scores(matrix, out_dir)
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("lam-train", cmd_lam_train, "Train the aggregation model on the configured labeled dataset.")
     p.add_argument("--config", required=True, help="pipeline configuration file")
     p.add_argument("--out", required=True, help="output directory (lam.ckpt, loss_trace.csv)")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: LIDAR_ENSEMBLE_THREADS, else the CPUs this process may run on)")
+    p.add_argument("--threads", type=int, default=None, help="worker threads (default: the CPUs this process may run on)")
 
     p = add("lam-apply", cmd_lam_apply, "Refine predictions with a trained model, optionally re-fitting its input statistics.")
     p.add_argument("--config", required=True, help="pipeline configuration file")
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="pipeline configuration file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--bins", type=_bins, default=20, help="histogram bins per slice")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: LIDAR_ENSEMBLE_THREADS, else the CPUs this process may run on)")
+    p.add_argument("--threads", type=int, default=None, help="worker threads (default: the CPUs this process may run on)")
 
     # internal: synthetic dataset generator used by tests and CI
     p = sub.add_parser("synthgen", description="Generate a synthetic labeled dataset.")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .aggregate import AggregationSpec, LamKernel, UniformKernel
-from .errors import FileFormatError
 from .geometry import AugmentationSpec, SensorConfig
 from .lam import TrainConfig, load_lam_params
 from .selftrain import (AdaptationConfig, CbstConfig, HeightThresholdRule, MockPredictor,
@@ -76,6 +75,16 @@ def _get(raw, section, key, convert, validate=None):
     if validate is not None and not validate(value):
         raise ConfigError(f"{section}.{key}: invalid value {text!r}")
     return value
+
+
+def _build(section: str, cls, **fields):
+    """cls(**fields), with the ValueError of its checks, whose messages
+    start with the field name, turned into a ConfigError naming
+    section.field."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def _bool(text: str) -> bool:
@@ -188,80 +197,77 @@ def load_config(path) -> PipelineConfig:
     if labels_dir is not None and not labels_dir.exists():
         labels_dir = None
 
-    try:
-        sensor = SensorConfig(
-            height=_get(raw, "sensor", "height", int),
-            width=_get(raw, "sensor", "width", int),
-            fov_up=_get(raw, "sensor", "fov_up", _float),
-            fov_down=_get(raw, "sensor", "fov_down", _float),
-        )
-        subsample = SubsampleSpec(
-            mode=raw["subsample"]["mode"],
-            ratio=_get(raw, "subsample", "ratio", _float),
-            trials=_get(raw, "subsample", "trials", int),
-            include_identity=_get(raw, "subsample", "include_identity", _bool),
-        )
-        kernel_name = raw["aggregate"]["kernel"].strip().lower()
-        if kernel_name == "uniform":
-            kernel = UniformKernel()
-        elif kernel_name == "lam":
-            ckpt = raw["aggregate"]["checkpoint"].strip()
-            if not ckpt:
-                raise ConfigError("aggregate.checkpoint: required when aggregate.kernel = lam")
-            ckpt_path = root / ckpt if not Path(ckpt).is_absolute() else Path(ckpt)
-            if not ckpt_path.exists():
-                raise ConfigError(f"aggregate.checkpoint: path does not exist: {ckpt_path}")
-            kernel = LamKernel(load_lam_params(ckpt_path))
-        else:
-            raise ConfigError(f"aggregate.kernel: must be 'uniform' or 'lam', got {kernel_name!r}")
-        try:
-            aggregation = AggregationSpec(
-                kernel=kernel,
-                k=_get(raw, "aggregate", "k", int),
-                epsilon=_get(raw, "aggregate", "epsilon", _optional_float),
-                window=_get(raw, "aggregate", "window", int),
-                stride=_get(raw, "aggregate", "stride", int),
-            )
-        except ValueError as exc:
-            # the spec's messages start with the field name
-            raise ConfigError(f"aggregate.{exc}") from exc
-        seed = _get(raw, "run", "seed", int, lambda v: v >= 0)
-        train = TrainConfig(
-            learning_rate=_get(raw, "lam", "learning_rate", _float),
-            epochs=_get(raw, "lam", "epochs", int),
-            batch=_get(raw, "lam", "batch", int),
-            ce_weight=_get(raw, "lam", "ce_weight", _float),
-            lovasz_weight=_get(raw, "lam", "lovasz_weight", _float),
-            seed=seed,
-        )
-        adaptation = AdaptationConfig(
-            sensor=sensor,
-            subsample=subsample,
-            aggregation=aggregation,
-            cbst=CbstConfig(portion=_get(raw, "cbst", "portion", _float)),
-            iterations=_get(raw, "adaptation", "iterations", int, lambda v: v >= 1),
-            seed=seed,
-        )
-        predictor = _predictor(raw, root, subsample, seed)
-        # checked but read by nothing; the keys go at the benchmark re-baseline
-        _get(raw, "sensor", "beams", int, lambda v: v >= 1)
-        AugmentationSpec(
-            rotation_range=_get(raw, "augment", "rotation", _float),
-            flip_x=_get(raw, "augment", "flip_x", _bool),
-            flip_y=_get(raw, "augment", "flip_y", _bool),
-            scale_range=(
-                _get(raw, "augment", "scale_min", _float),
-                _get(raw, "augment", "scale_max", _float),
-            ),
-            translation_sigma=_get(raw, "augment", "translation_sigma", _float),
-        )
-        # the one policy there is: intensity off in iteration 0, on afterwards
-        _get(raw, "adaptation", "intensity_policy", str.strip,
-             lambda v: v == "drop_first_iteration_then_use")
-    except (ConfigError, FileFormatError):
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    sensor = _build(
+        "sensor", SensorConfig,
+        height=_get(raw, "sensor", "height", int),
+        width=_get(raw, "sensor", "width", int),
+        fov_up=_get(raw, "sensor", "fov_up", _float),
+        fov_down=_get(raw, "sensor", "fov_down", _float),
+    )
+    subsample = _build(
+        "subsample", SubsampleSpec,
+        mode=raw["subsample"]["mode"],
+        ratio=_get(raw, "subsample", "ratio", _float),
+        trials=_get(raw, "subsample", "trials", int),
+        include_identity=_get(raw, "subsample", "include_identity", _bool),
+    )
+    kernel_name = raw["aggregate"]["kernel"].strip().lower()
+    if kernel_name == "uniform":
+        kernel = UniformKernel()
+    elif kernel_name == "lam":
+        ckpt = raw["aggregate"]["checkpoint"].strip()
+        if not ckpt:
+            raise ConfigError("aggregate.checkpoint: required when aggregate.kernel = lam")
+        ckpt_path = root / ckpt if not Path(ckpt).is_absolute() else Path(ckpt)
+        if not ckpt_path.exists():
+            raise ConfigError(f"aggregate.checkpoint: path does not exist: {ckpt_path}")
+        kernel = LamKernel(load_lam_params(ckpt_path))
+    else:
+        raise ConfigError(f"aggregate.kernel: must be 'uniform' or 'lam', got {kernel_name!r}")
+    aggregation = _build(
+        "aggregate", AggregationSpec,
+        kernel=kernel,
+        k=_get(raw, "aggregate", "k", int),
+        epsilon=_get(raw, "aggregate", "epsilon", _optional_float),
+        window=_get(raw, "aggregate", "window", int),
+        stride=_get(raw, "aggregate", "stride", int),
+    )
+    seed = _get(raw, "run", "seed", int, lambda v: v >= 0)
+    train = _build(
+        "lam", TrainConfig,
+        learning_rate=_get(raw, "lam", "learning_rate", _float),
+        epochs=_get(raw, "lam", "epochs", int),
+        batch=_get(raw, "lam", "batch", int),
+        ce_weight=_get(raw, "lam", "ce_weight", _float),
+        lovasz_weight=_get(raw, "lam", "lovasz_weight", _float),
+        seed=seed,
+    )
+    adaptation = _build(
+        "adaptation", AdaptationConfig,
+        sensor=sensor,
+        subsample=subsample,
+        aggregation=aggregation,
+        cbst=_build("cbst", CbstConfig, portion=_get(raw, "cbst", "portion", _float)),
+        iterations=_get(raw, "adaptation", "iterations", int),
+        seed=seed,
+    )
+    predictor = _predictor(raw, root, subsample, seed)
+    # checked but read by nothing; the keys go at the benchmark re-baseline
+    _get(raw, "sensor", "beams", int, lambda v: v >= 1)
+    _build(
+        "augment", AugmentationSpec,
+        rotation_range=_get(raw, "augment", "rotation", _float),
+        flip_x=_get(raw, "augment", "flip_x", _bool),
+        flip_y=_get(raw, "augment", "flip_y", _bool),
+        scale_range=(
+            _get(raw, "augment", "scale_min", _float),
+            _get(raw, "augment", "scale_max", _float),
+        ),
+        translation_sigma=_get(raw, "augment", "translation_sigma", _float),
+    )
+    # the one policy there is: intensity off in iteration 0, on afterwards
+    _get(raw, "adaptation", "intensity_policy", str.strip,
+         lambda v: v == "drop_first_iteration_then_use")
 
     return PipelineConfig(
         root=root,

@@ -112,10 +112,12 @@ class SensorConfig:
     fov_down: float
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError("height and width must be >= 1")
+        if self.height < 1:
+            raise ValueError("height must be >= 1")
+        if self.width < 1:
+            raise ValueError("width must be >= 1")
         if self.fov_up + self.fov_down <= 0:
-            raise ValueError("total vertical field of view must be positive")
+            raise ValueError("fov_up + fov_down, the vertical field of view, must be positive")
 
 
 @dataclass(frozen=True)

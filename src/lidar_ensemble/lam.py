@@ -11,6 +11,7 @@ neighborhood are coupled).
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import struct
@@ -47,9 +48,6 @@ class DenseBnLayer:
     run_mean: np.ndarray
     run_var: np.ndarray
 
-    def copy(self) -> "DenseBnLayer":
-        return DenseBnLayer(*(x.copy() for x in (self.weight, self.gamma, self.beta, self.run_mean, self.run_var)))
-
 
 @dataclass
 class LamParams:
@@ -73,13 +71,7 @@ class LamParams:
         return len(self.std_mean)
 
     def copy(self) -> "LamParams":
-        return LamParams(
-            std_mean=self.std_mean.copy(),
-            std_var=self.std_var.copy(),
-            layers=[layer.copy() for layer in self.layers],
-            head_weight=self.head_weight.copy(),
-            head_bias=float(self.head_bias),
-        )
+        return copy.deepcopy(self)
 
     def named_parameters(self):
         """Trainable tensors in checkpoint order (running/standardization
@@ -434,8 +426,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        if self.ce_weight < 0 or self.lovasz_weight < 0 or (self.ce_weight == 0 and self.lovasz_weight == 0):
-            raise ValueError("loss weights must be nonnegative and not both zero")
+        if self.ce_weight < 0:
+            raise ValueError("ce_weight must be >= 0")
+        if self.lovasz_weight < 0:
+            raise ValueError("lovasz_weight must be >= 0")
+        if self.ce_weight == 0 and self.lovasz_weight == 0:
+            raise ValueError("ce_weight and lovasz_weight must not both be 0")
 
 
 @dataclass(frozen=True)
@@ -748,13 +744,6 @@ class HistogramSlice:
 
 
 @dataclass(frozen=True)
-class HistogramReport:
-    """Normalized kernel weights binned along one feature per slice."""
-
-    slices: dict
-
-
-@dataclass(frozen=True)
 class PairRecord:
     """What the weight histograms read of one scan's valid (query, neighbor)
     pairs, in pair order: each slice's feature value and the pair's
@@ -764,11 +753,11 @@ class PairRecord:
     weights: np.ndarray
 
 
-def weight_histograms(records, bins: int = 20) -> HistogramReport:
+def weight_histograms(records, bins: int = 20) -> dict:
     """Distribution of normalized aggregation weights over feature slices,
-    pooled across the records (one PairRecord per scan). Each slice bins
-    every pair by one feature, so per-slice counts sum to the number of
-    pairs."""
+    pooled across the records (one PairRecord per scan): {slice name:
+    HistogramSlice}. Each slice bins every pair by one feature, so
+    per-slice counts sum to the number of pairs."""
     weights = np.concatenate([r.weights for r in records])
     if len(weights) == 0:
         raise ValueError("no neighbor pairs to analyze")
@@ -780,7 +769,7 @@ def weight_histograms(records, bins: int = 20) -> HistogramReport:
         weight_sum, _ = np.histogram(values, bins=edges, weights=weights)
         mean_weight = np.divide(weight_sum, counts, out=np.zeros(len(counts)), where=counts > 0)
         report[name] = HistogramSlice(edges=edges, counts=counts, mean_weight=mean_weight)
-    return HistogramReport(slices=report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -921,11 +910,11 @@ def write_loss_trace_csv(trace, path) -> None:
             writer.writerow([rec.epoch, repr(rec.mean_ce), repr(rec.mean_lovasz), repr(rec.total)])
 
 
-def write_histogram_csv(report: HistogramReport, path) -> None:
+def write_histogram_csv(report: dict, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slice", "bin_left", "bin_right", "count", "normalized_weight_mean"])
-        for name, hs in report.slices.items():
+        for name, hs in report.items():
             for b in range(len(hs.counts)):
                 writer.writerow([name, repr(float(hs.edges[b])), repr(float(hs.edges[b + 1])),
                                  int(hs.counts[b]), repr(float(hs.mean_weight[b]))])

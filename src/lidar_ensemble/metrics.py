@@ -59,14 +59,6 @@ class IouReport:
     support: np.ndarray
     undefined: tuple
 
-    def render_summary(self) -> str:
-        lines = []
-        for c in range(len(self.iou)):
-            val = "undefined" if np.isnan(self.iou[c]) else f"{self.iou[c]:.2f}"
-            lines.append(f"class {c}: iou {val} support {int(self.support[c])}")
-        lines.append(f"mIoU {self.miou:.2f}")
-        return "\n".join(lines)
-
 
 def iou(matrix: ConfusionMatrix) -> IouReport:
     """IoU_c = TP / (TP + FP + FN) in percent; undefined classes are

@@ -83,7 +83,7 @@ class AdaptationConfig:
     sensor: SensorConfig
     subsample: SubsampleSpec
     aggregation: AggregationSpec
-    cbst: CbstConfig | None = None
+    cbst: CbstConfig
     iterations: int = 1
     seed: int = 0
 
@@ -192,17 +192,6 @@ def generate_refined_predictions(scans, poses, predictor: Predictor, config: Ada
     return within, (within if agg.window == 0 else refined), records
 
 
-def _label_sets(refined):
-    return [
-        PseudoLabelSet(
-            labels=pred.probs.argmax(axis=1),
-            confidence=pred.probs.max(axis=1),
-            selected=np.ones(len(pred), dtype=bool),
-        )
-        for pred in refined
-    ]
-
-
 def cbst_select(labels: np.ndarray, confidence: np.ndarray, config: CbstConfig) -> np.ndarray:
     """Class-balanced selection mask.
 
@@ -224,20 +213,14 @@ def cbst_select(labels: np.ndarray, confidence: np.ndarray, config: CbstConfig) 
     return selected
 
 
-def apply_cbst(label_sets, config: CbstConfig | None):
-    """Pool all scans, select per class across the pool, and unpool."""
-    if config is None:
-        return label_sets
-    sizes = [len(ls.labels) for ls in label_sets]
-    all_labels = np.concatenate([ls.labels for ls in label_sets])
-    all_conf = np.concatenate([ls.confidence for ls in label_sets])
-    mask = cbst_select(all_labels, all_conf, config)
-    out = []
-    start = 0
-    for ls, n in zip(label_sets, sizes):
-        out.append(PseudoLabelSet(ls.labels, ls.confidence, mask[start:start + n]))
-        start += n
-    return out
+def apply_cbst(predictions, config: CbstConfig):
+    """Each scan's hard labels and confidences from its prediction matrix,
+    with the class-balanced selection made over all scans pooled."""
+    labels = [pred.probs.argmax(axis=1) for pred in predictions]
+    confidence = [pred.probs.max(axis=1) for pred in predictions]
+    mask = cbst_select(np.concatenate(labels), np.concatenate(confidence), config)
+    selected = np.split(mask, np.cumsum([len(pred) for pred in predictions])[:-1])
+    return [PseudoLabelSet(*fields) for fields in zip(labels, confidence, selected)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,60 +240,54 @@ class LidarSequence:
             raise ValueError("scans and poses must have equal length")
 
 
-def run_adaptation(sequences, teacher: Predictor, student_hook, config: AdaptationConfig,
-                   out_dir, threads: int = 1, return_pairs: bool = False):
-    """Iterate label generation and student training.
+def run_adaptation(seq: LidarSequence, teacher: Predictor, student_hook, config: AdaptationConfig,
+                   out_dir, threads: int = 1):
+    """Iterate label generation and student training on one sequence.
 
     Iteration 0 uses the teacher with intensity dropped; later iterations
     use the predictor returned by student_hook with intensity enabled.
     Labels, masks, and the manifest are persisted (atomically) before the
     hook runs, so a crashed student never loses its inputs. student_hook
-    is called as hook(iteration, {sequence: [PseudoLabelSet]}) and returns
-    the next predictor (or None to keep the current one).
+    is called as hook(iteration, [PseudoLabelSet]) and returns the next
+    predictor (or None to keep the current one).
 
-    Returns the per-iteration list of {sequence name: [PseudoLabelSet]}.
-    With return_pairs, returns (that list, {sequence name: [PairRecord]}),
-    the pair records of iteration 0's refinement.
+    Returns the per-iteration [PseudoLabelSet] lists and the PairRecord of
+    each scan of iteration 0's refinement, for the weight histograms.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     predictor = teacher
     results = []
-    first_pairs = {}
     manifest_items = [("iterations", str(config.iterations)), ("seed", str(config.seed))]
     for iteration in range(config.iterations):
         use_intensity = iteration > 0
         manifest_items.append((f"iteration_{iteration:02d}.intensity_used", str(use_intensity).lower()))
-        iter_labels = {}
-        for seq_index, seq in enumerate(sequences):
-            _, refined, *records = generate_refined_predictions(
-                seq.scans, seq.poses, predictor, config,
-                seed=_iteration_seed(config.seed, iteration, seq_index),
-                use_intensity=use_intensity, threads=threads,
-                return_pairs=return_pairs and iteration == 0,
-            )
-            if records:
-                first_pairs[seq.name] = records[0]
-            label_sets = apply_cbst(_label_sets(refined), config.cbst)
-            iter_labels[seq.name] = label_sets
-            seq_dir = out_dir / f"iteration_{iteration:02d}" / seq.name
-            seq_dir.mkdir(parents=True, exist_ok=True)
-            for frame, ls in enumerate(label_sets):
-                save_labels(ls.labels, seq_dir / f"{frame:06d}.label")
-                save_selection_mask(ls.selected, seq_dir / f"{frame:06d}.mask")
-        results.append(iter_labels)
+        _, refined, *records = generate_refined_predictions(
+            seq.scans, seq.poses, predictor, config, seed=_iteration_seed(config.seed, iteration),
+            use_intensity=use_intensity, threads=threads, return_pairs=iteration == 0)
+        if iteration == 0:
+            (pairs,) = records
+        label_sets = apply_cbst(refined, config.cbst)
+        results.append(label_sets)
+        seq_dir = out_dir / f"iteration_{iteration:02d}" / seq.name
+        seq_dir.mkdir(parents=True, exist_ok=True)
+        for frame, ls in enumerate(label_sets):
+            save_labels(ls.labels, seq_dir / f"{frame:06d}.label")
+            save_selection_mask(ls.selected, seq_dir / f"{frame:06d}.mask")
         write_manifest(out_dir / "run_manifest.txt", manifest_items)
         try:
-            next_predictor = student_hook(iteration, iter_labels)
+            next_predictor = student_hook(iteration, label_sets)
         except Exception as exc:
             raise AdaptationError(f"student hook failed at iteration {iteration}") from exc
         if next_predictor is not None:
             predictor = next_predictor
-    return (results, first_pairs) if return_pairs else results
+    return results, pairs
 
 
-def _iteration_seed(seed: int, iteration: int, seq_index: int) -> int:
-    mix = np.random.SeedSequence(entropy=(seed, iteration, seq_index))
+def _iteration_seed(seed: int, iteration: int) -> int:
+    # the trailing 0 was the sequence index when the loop took several
+    # sequences; it stays so that no recorded run changes its seeds
+    mix = np.random.SeedSequence(entropy=(seed, iteration, 0))
     return int(mix.generate_state(1, dtype=np.uint64)[0])
 
 

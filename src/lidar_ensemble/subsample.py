@@ -48,18 +48,8 @@ class SubsampleSpec:
     def _regular_step(self) -> int:
         step = round(1.0 / self.ratio)
         if step < 1 or abs(1.0 / self.ratio - step) > 1e-9:
-            raise ValueError(f"regular mode requires ratio = 1/m for integer m, got {self.ratio}")
+            raise ValueError(f"ratio must be 1/m for an integer m in regular mode, got {self.ratio}")
         return step
-
-
-@dataclass(frozen=True)
-class RowMask:
-    """Boolean keep flag per range-image row."""
-
-    keep: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "keep", np.asarray(self.keep, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -99,26 +89,24 @@ class PredictionMatrix:
         return self.probs.shape[1]
 
 
-def row_mask(config: SensorConfig, spec: SubsampleSpec, rng: np.random.Generator) -> RowMask:
-    """Draw one keep/drop mask over the H rows of the range image."""
+def row_mask(config: SensorConfig, spec: SubsampleSpec, rng: np.random.Generator) -> np.ndarray:
+    """Draw one keep/drop mask over the H rows of the range image: a
+    boolean keep flag per row."""
     if spec.mode == "random":
-        keep_prob = min(1.0, spec.ratio)
-        keep = rng.random(config.height) < keep_prob
-    else:
-        step = spec._regular_step()
-        keep = np.arange(config.height) % step == 0
-    return RowMask(keep)
+        return rng.random(config.height) < min(1.0, spec.ratio)
+    return np.arange(config.height) % spec._regular_step() == 0
 
 
-def apply_row_mask(cloud: PointCloud, index: RangeImageIndex, mask: RowMask):
-    """Keep exactly the points whose range-image row is kept.
+def apply_row_mask(cloud: PointCloud, index: RangeImageIndex, keep: np.ndarray):
+    """Keep exactly the points whose range-image row is kept (keep holds
+    one flag per row).
 
     Returns the subsampled cloud and the injective map from its points back
     to indices in the parent cloud (ascending).
     """
-    if len(mask.keep) != index.height:
-        raise ValueError(f"mask length {len(mask.keep)} does not match image height {index.height}")
-    point_kept = mask.keep[index.rows_of_points()]
+    if len(keep) != index.height:
+        raise ValueError(f"mask length {len(keep)} does not match image height {index.height}")
+    point_kept = keep[index.rows_of_points()]
     parent_indices = np.flatnonzero(point_kept)
     sub = PointCloud(
         points=cloud.points[parent_indices],

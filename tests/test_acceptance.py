@@ -108,7 +108,7 @@ def test_criterion_02_subsampling_statistics():
     counts = np.zeros(cfg.height)
     masks = 10000
     for _ in range(masks):
-        counts += row_mask(cfg, spec, rng).keep
+        counts += row_mask(cfg, spec, rng)
     frac = counts.sum() / (masks * cfg.height)
     assert abs(frac - 0.5) < 0.02
 
@@ -117,7 +117,7 @@ def test_criterion_02_subsampling_statistics():
     assert chi2 < stats.chi2.ppf(0.99, cfg.height - 1)
 
     regular = row_mask(cfg, SubsampleSpec(mode="regular", ratio=0.5), rng)
-    assert np.array_equal(np.flatnonzero(regular.keep), np.arange(0, cfg.height, 2))
+    assert np.array_equal(np.flatnonzero(regular), np.arange(0, cfg.height, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,8 @@ def test_criterion_07_adaptation_benefit():
     target_spec = SyntheticSceneSpec(num_frames=20, points_per_frame=1000, seed=11)
     target, target_truth = generate_sequence(target_spec)
     flat_noisy = NoisyPredictor(base, 0.3, 0.3, np.inf, seed=5)
-    config = AdaptationConfig(sensor=sensor_config(), subsample=subsample, aggregation=agg)
+    config = AdaptationConfig(sensor=sensor_config(), subsample=subsample, aggregation=agg,
+                              cbst=CbstConfig(portion=1.0))
     within, refined = generate_refined_predictions(
         target.scans, target.poses, flat_noisy, config, seed=3)
     acc_unrefined = _sequence_accuracy(within, target_truth)
@@ -330,7 +331,8 @@ def test_criterion_07_adaptation_benefit():
 
     lam_agg = AggregationSpec(kernel=LamKernel(params), k=agg.k, epsilon=agg.epsilon,
                               window=agg.window, stride=agg.stride)
-    lam_config = AdaptationConfig(sensor=sensor_config(), subsample=subsample, aggregation=lam_agg)
+    lam_config = AdaptationConfig(sensor=sensor_config(), subsample=subsample, aggregation=lam_agg,
+                                  cbst=CbstConfig(portion=1.0))
     _, tgt_lam = generate_refined_predictions(
         target.scans, target.poses, gated(55), lam_config, seed=3)
 

@@ -463,20 +463,27 @@ class TestPipelineCommand:
         assert "config.predictor.near_noise = 0.3" in (outs[1] / "manifest.txt").read_text()
 
     def test_thread_env_variable(self, config_path, tmp_path, monkeypatch):
+        # --threads is the one thread setting: the variable that used to
+        # set the default is ignored, and outputs stay byte-identical
         out_env, out_flag = tmp_path / "env", tmp_path / "flag"
-        monkeypatch.setenv("LIDAR_ENSEMBLE_THREADS", "2")
-        assert main(["pipeline", "--config", str(config_path), "--out", str(out_env)]) == EXIT_OK
-        # the flag overrides the environment; outputs stay byte-identical
         monkeypatch.setenv("LIDAR_ENSEMBLE_THREADS", "junk")
+        assert main(["pipeline", "--config", str(config_path), "--out", str(out_env)]) == EXIT_OK
         assert main(["pipeline", "--config", str(config_path), "--out", str(out_flag),
                      "--threads", "1"]) == EXIT_OK
         for rel in ("iteration_00/sequence/000000.label", "histograms.csv", "manifest.txt"):
             assert (out_env / rel).read_bytes() == (out_flag / rel).read_bytes()
 
-    def test_bad_thread_env_without_flag_is_config_error(self, config_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("LIDAR_ENSEMBLE_THREADS", "junk")
-        assert main(["pipeline", "--config", str(config_path),
-                     "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    def test_bad_thread_env_without_flag_is_ignored(self, monkeypatch):
+        import argparse
+
+        from lidar_ensemble.cli import _resolve_threads
+
+        args = argparse.Namespace(threads=None)
+        monkeypatch.delenv("LIDAR_ENSEMBLE_THREADS", raising=False)
+        unset = _resolve_threads(args)
+        for value in ("junk", "0", "64"):
+            monkeypatch.setenv("LIDAR_ENSEMBLE_THREADS", value)
+            assert _resolve_threads(args) == unset
 
 
 class TestDatasetChecks:
@@ -499,7 +506,6 @@ class TestDatasetChecks:
         from lidar_ensemble.cli import _resolve_threads
 
         args = argparse.Namespace(threads=None)
-        monkeypatch.delenv("LIDAR_ENSEMBLE_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
         assert _resolve_threads(args) == 2
@@ -547,7 +553,7 @@ class TestPipelineReuse:
         seq, _, _ = cli._load_sequence(cfg)
         within, _ = selftrain.generate_refined_predictions(
             seq.scans, seq.poses, cfg.predictor, cfg.adaptation,
-            seed=selftrain._iteration_seed(cfg.adaptation.seed, 0, 0), use_intensity=False)
+            seed=selftrain._iteration_seed(cfg.adaptation.seed, 0), use_intensity=False)
         chunks, queries = phi_stream(seq.scans, seq.poses, within, cfg.adaptation.aggregation)
         rows, row_query, num_queries = sequence_rows(seq.scans, chunks, queries)
         params = cfg.adaptation.aggregation.kernel.params if kernel == "lam" else None
@@ -869,6 +875,17 @@ CONFIG_COMMANDS = {
     ("subsample.ratio", "nan"),
     ("sensor.fov_up", "nan"),
     ("sensor.fov_down", "inf"),
+    ("sensor.height", "0"),
+    ("sensor.width", "0"),
+    ("sensor.fov_up", "-30"),
+    ("lam.epochs", "0"),
+    ("lam.batch", "0"),
+    ("lam.learning_rate", "-1"),
+    ("cbst.portion", "0"),
+    ("subsample.trials", "0"),
+    ("subsample.mode", "foo"),
+    ("subsample.ratio", "0"),
+    ("adaptation.iterations", "0"),
 ])
 def test_bad_value_exits_1_from_every_command(key, value, dataset, tmp_path, caplog):
     # the config is read in one place, so each command rejects the value

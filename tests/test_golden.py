@@ -12,6 +12,7 @@ Every path in the configs and on the command lines is relative to one work
 directory, so the manifests are covered too.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lidar_ensemble.cli import EXIT_OK, main
+from lidar_ensemble.cli import EXIT_OK, build_parser, main
 from lidar_ensemble.selftrain import load_labels
 from lidar_ensemble.subsample import PredictionMatrix, write_prediction_matrix
 
@@ -129,9 +130,54 @@ noise = 0.3
 [run]
 seed = 7
 """,
+    # the radial-bands labeler, regular row subsampling, and a second
+    # iteration (intensity on, no pair records)
+    "bands.ini": SENSOR + """
+[dataset]
+root = target
+[subsample]
+mode = regular
+ratio = 0.5
+trials = 3
+[aggregate]
+k = 5
+epsilon = 0.6
+window = 1
+stride = 1
+[adaptation]
+iterations = 2
+[predictor]
+kind = mock_bands
+band_width = 3.0
+num_classes = 4
+noise = 0.1
+[run]
+seed = 13
+""",
+    # the stored 19-class predictions as the teacher
+    "precomputed.ini": SENSOR + """
+[dataset]
+root = target
+[subsample]
+trials = 1
+[aggregate]
+k = 7
+epsilon = 0.5
+window = 1
+stride = 1
+[cbst]
+portion = 0.4
+[predictor]
+kind = precomputed
+directory = ../preds
+num_classes = 19
+[run]
+seed = 17
+""",
 }
 
-# case -> command line; each case writes under its own output directory
+# case -> command line; each case writes under its own output directory, given
+# as --out unless the command line names its own output file in that directory
 COMMANDS = {
     "pipeline-uniform-t1": ["pipeline", "--config", "uniform.ini", "--threads", "1"],
     "pipeline-uniform-t2": ["pipeline", "--config", "uniform.ini", "--threads", "2"],
@@ -148,6 +194,13 @@ COMMANDS = {
     "metrics": ["metrics", "--pred", "cbst", "--truth", "target/labels",
                 "--classes", str(LAM_CLASSES), "--ignore", "1", "--static", "0,2",
                 "--dynamic", ",".join(map(str, [1, *range(3, LAM_CLASSES)]))],
+    "project": ["project", "--config", "uniform.ini", "--frame", "1", "--out", "project/points.csv"],
+    "subsample-random": ["subsample", "--config", "uniform.ini", "--frame", "2"],
+    "subsample-regular": ["subsample", "--config", "bands.ini", "--frame", "0"],
+    "ensemble": ["ensemble", "--inputs", "preds/000000.lprb", "aggregate/refined/000000.lprb",
+                 "--parent-size", "220", "--out", "ensemble/000000.lprb"],
+    "pipeline-bands-t2": ["pipeline", "--config", "bands.ini", "--threads", "2"],
+    "pipeline-precomputed-t1": ["pipeline", "--config", "precomputed.ini", "--threads", "1"],
 }
 
 
@@ -178,7 +231,7 @@ def run_all(work: Path) -> dict:
             Path(name).write_text(text)
         _write_predictions(Path("preds"), Path("target/labels"))
         for case, argv in COMMANDS.items():
-            assert main(argv + ["--out", case]) == EXIT_OK, case
+            assert main(argv if "--out" in argv else argv + ["--out", case]) == EXIT_OK, case
     finally:
         os.chdir(previous)
     return {case: {path.relative_to(work / case).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -189,6 +242,13 @@ def run_all(work: Path) -> dict:
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     return run_all(tmp_path_factory.mktemp("golden"))
+
+
+def test_every_public_command_has_a_case():
+    subcommands = next(action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    public = subcommands.metavar.strip("{}").split(",")
+    assert sorted(set(public) - {argv[0] for argv in COMMANDS.values()}) == []
 
 
 def test_table_covers_every_case():

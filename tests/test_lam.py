@@ -748,7 +748,7 @@ class TestWeightHistograms:
         phis = rng.normal(size=(5, 7))
         row_query = np.zeros(5, dtype=np.int64)
         report = weight_histograms(None, phis, row_query, 1, bins=4)
-        for hs in report.slices.values():
+        for hs in report.values():
             assert hs.counts.sum() == 5
             nonzero = hs.counts > 0
             assert np.abs(hs.mean_weight[nonzero] - 0.2).max() < 1e-12
@@ -760,7 +760,7 @@ class TestWeightHistograms:
         phis = rng.normal(size=(sum(sizes), 7))
         params = initialize_lam_params(7, seed=1)
         report = weight_histograms(params, phis, row_query, 4, bins=6)
-        for hs in report.slices.values():
+        for hs in report.values():
             assert hs.counts.sum() == sum(sizes)
 
     def test_temporal_slice_covers_normalized_offsets(self):
@@ -769,7 +769,7 @@ class TestWeightHistograms:
         phis[:, 5] = rng.uniform(-1.0, 1.0, 50)
         phis[0, 5], phis[1, 5] = -1.0, 1.0
         report = weight_histograms(None, phis, np.zeros(50, dtype=np.int64), 1, bins=10)
-        edges = report.slices["temporal"].edges
+        edges = report["temporal"].edges
         assert edges[0] == -1.0 and edges[-1] == 1.0
 
     def test_scoring_leaves_running_statistics_untouched(self):
@@ -792,7 +792,7 @@ class TestWeightHistograms:
         write_histogram_csv(report, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "slice,bin_left,bin_right,count,normalized_weight_mean"
-        assert len(lines) == 1 + 3 * len(report.slices)
+        assert len(lines) == 1 + 3 * len(report)
 
 
 class TestSerialization:

@@ -78,7 +78,7 @@ class TestIou:
         assert report.undefined == (2,)
         assert report.miou == pytest.approx(100.0)
 
-    def test_two_decimal_rendering(self):
+    def test_two_decimal_rendering(self, tmp_path):
         # 7027 of 16795 scored points hit: IoU 41.8398..., shown as 41.84
         counts = np.zeros((2, 2), dtype=np.int64)
         counts[0, 0] = 7027
@@ -87,9 +87,10 @@ class TestIou:
         counts[1, 1] = 100000
         report = iou(ConfusionMatrix(counts))
         assert f"{report.iou[0]:.2f}" == "41.84"
-        summary = report.render_summary()
-        assert "41.84" in summary
-        assert summary.splitlines()[-1].startswith("mIoU ")
+        write_iou_csv(report, tmp_path / "report.csv")
+        rendered = (tmp_path / "report.csv").read_text()
+        assert "41.84" in rendered
+        assert rendered.splitlines()[-1].startswith("miou,")
 
     def test_invariant_under_class_relabeling(self):
         rng = np.random.default_rng(1)

@@ -22,6 +22,7 @@ from lidar_ensemble.selftrain import (
     Predictor,
     PseudoLabelSet,
     RadialBandsRule,
+    apply_cbst,
     build_lam_training_set,
     cbst_select,
     frame_neighborhoods,
@@ -35,7 +36,6 @@ from lidar_ensemble.selftrain import (
     within_frame_predictions,
     write_manifest,
 )
-from lidar_ensemble.selftrain import _label_sets
 from lidar_ensemble.subsample import PredictionMatrix, SubsampleSpec
 from lidar_ensemble.synth import (
     HEIGHT_THRESHOLDS,
@@ -51,6 +51,7 @@ def identity_config(k=8, window=6):
         sensor=sensor_config(),
         subsample=SubsampleSpec(mode="random", ratio=0.5, trials=1, include_identity=True),
         aggregation=AggregationSpec(kernel=UniformKernel(), k=k, epsilon=None, window=window, stride=1),
+        cbst=CbstConfig(portion=1.0),
     )
 
 
@@ -180,7 +181,7 @@ class TestGeneratePseudoLabels:
         predictor = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
         config = identity_config(window=0)
         _, refined = generate_refined_predictions(seq.scans, seq.poses, predictor, config, seed=0)
-        labels = _label_sets(refined)
+        labels = apply_cbst(refined, CbstConfig(portion=1.0))
         assert len(labels) == 1
         assert np.array_equal(labels[0].labels, truths[0])
         assert np.all(labels[0].confidence == 1.0)
@@ -195,6 +196,7 @@ class TestGeneratePseudoLabels:
             sensor=sensor_config(),
             subsample=SubsampleSpec(mode="random", ratio=0.5, trials=3, include_identity=True),
             aggregation=AggregationSpec(kernel=UniformKernel(), k=10, epsilon=None, window=5, stride=1),
+            cbst=CbstConfig(portion=1.0),
         )
         within, refined = generate_refined_predictions(seq.scans, seq.poses, noisy, config, seed=1)
         acc_within = np.mean([(w.probs.argmax(1) == t).mean() for w, t in zip(within, truths)])
@@ -219,6 +221,7 @@ class TestGeneratePseudoLabels:
             sensor=sensor_config(),
             subsample=SubsampleSpec(mode="random", ratio=0.5, trials=3, include_identity=True),
             aggregation=AggregationSpec(kernel=UniformKernel(), k=10, epsilon=None, window=5, stride=1),
+            cbst=CbstConfig(portion=1.0),
         )
         within, refined = generate_refined_predictions(
             seq.scans, seq.poses, FrameGatedNoise(), config, seed=2)
@@ -234,10 +237,10 @@ class TestGeneratePseudoLabels:
         base = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
         noisy = NoisyPredictor(base, 0.2, 0.2, np.inf, seed=10)
         config = identity_config(window=4)
-        one = _label_sets(generate_refined_predictions(seq.scans, seq.poses, noisy, config, seed=2,
-                                                       threads=1)[1])
-        many = _label_sets(generate_refined_predictions(seq.scans, seq.poses, noisy, config, seed=2,
-                                                        threads=8)[1])
+        one = apply_cbst(generate_refined_predictions(seq.scans, seq.poses, noisy, config, seed=2,
+                                                      threads=1)[1], config.cbst)
+        many = apply_cbst(generate_refined_predictions(seq.scans, seq.poses, noisy, config, seed=2,
+                                                       threads=8)[1], config.cbst)
         for a, b in zip(one, many):
             assert np.array_equal(a.labels, b.labels)
             assert np.array_equal(a.confidence, b.confidence)
@@ -305,16 +308,17 @@ class TestRunAdaptation:
             sensor=sensor_config(),
             subsample=SubsampleSpec(mode="random", ratio=0.5, trials=1, include_identity=True),
             aggregation=AggregationSpec(kernel=UniformKernel(), k=8, epsilon=None, window=3, stride=1),
+            cbst=CbstConfig(portion=1.0),
             iterations=1,
             seed=5,
         )
-        results = run_adaptation([seq], predictor, noop_student_hook, config, tmp_path / "run")
+        results, _ = run_adaptation(seq, predictor, noop_student_hook, config, tmp_path / "run")
         assert len(results) == 1
         from lidar_ensemble.selftrain import _iteration_seed
         _, refined = generate_refined_predictions(seq.scans, seq.poses, predictor, config,
-                                                  seed=_iteration_seed(5, 0, 0), use_intensity=False)
-        direct = _label_sets(refined)
-        for a, b in zip(results[0][seq.name], direct):
+                                                  seed=_iteration_seed(5, 0), use_intensity=False)
+        direct = apply_cbst(refined, CbstConfig(portion=1.0))
+        for a, b in zip(results[0], direct):
             assert np.array_equal(a.labels, b.labels)
             assert np.array_equal(a.confidence, b.confidence)
 
@@ -325,6 +329,7 @@ class TestRunAdaptation:
             sensor=sensor_config(),
             subsample=SubsampleSpec(mode="random", ratio=0.5, trials=1, include_identity=True),
             aggregation=AggregationSpec(kernel=UniformKernel(), k=6, epsilon=None, window=2, stride=1),
+            cbst=CbstConfig(portion=1.0),
             iterations=3,
         )
         seen = []
@@ -334,7 +339,7 @@ class TestRunAdaptation:
             hook_calls.append(iteration)
             return predictor
 
-        run_adaptation([seq], predictor, hook, config, tmp_path / "run")
+        run_adaptation(seq, predictor, hook, config, tmp_path / "run")
         manifest = (tmp_path / "run" / "run_manifest.txt").read_text()
         for it, expected in enumerate(["false", "true", "true"]):
             assert f"iteration_{it:02d}.intensity_used = {expected}" in manifest
@@ -347,6 +352,7 @@ class TestRunAdaptation:
             sensor=sensor_config(),
             subsample=SubsampleSpec(mode="random", ratio=0.5, trials=1, include_identity=True),
             aggregation=AggregationSpec(kernel=UniformKernel(), k=6, epsilon=None, window=2, stride=1),
+            cbst=CbstConfig(portion=1.0),
             iterations=1,
         )
         out = tmp_path / "run"
@@ -358,7 +364,7 @@ class TestRunAdaptation:
             raise RuntimeError("student crashed")
 
         with pytest.raises(AdaptationError, match="iteration 0"):
-            run_adaptation([seq], predictor, hook, config, out)
+            run_adaptation(seq, predictor, hook, config, out)
 
     def test_replay_is_byte_identical(self, tmp_path):
         seq, _ = self.make_sequence()
@@ -372,8 +378,8 @@ class TestRunAdaptation:
             iterations=1,
             seed=99,
         )
-        run_adaptation([seq], noisy, noop_student_hook, config, tmp_path / "a")
-        run_adaptation([seq], noisy, noop_student_hook, config, tmp_path / "b")
+        run_adaptation(seq, noisy, noop_student_hook, config, tmp_path / "a")
+        run_adaptation(seq, noisy, noop_student_hook, config, tmp_path / "b")
         files_a = sorted((tmp_path / "a").rglob("*"))
         files_b = sorted((tmp_path / "b").rglob("*"))
         assert [f.name for f in files_a] == [f.name for f in files_b]
@@ -392,8 +398,8 @@ class TestRunAdaptation:
             cbst=CbstConfig(portion=0.2),
             iterations=1,
         )
-        results = run_adaptation([seq], noisy, noop_student_hook, config, tmp_path / "run")
-        label_sets = results[0][seq.name]
+        results, _ = run_adaptation(seq, noisy, noop_student_hook, config, tmp_path / "run")
+        label_sets = results[0]
         total = sum(len(ls.labels) for ls in label_sets)
         selected = sum(int(ls.selected.sum()) for ls in label_sets)
         assert 0 < selected < total

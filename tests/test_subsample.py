@@ -8,7 +8,6 @@ from lidar_ensemble.errors import FileFormatError
 from lidar_ensemble.geometry import PointCloud, SensorConfig, project_to_range_image
 from lidar_ensemble.subsample import (
     PredictionMatrix,
-    RowMask,
     SubsampleSpec,
     apply_row_mask,
     make_ensemble,
@@ -40,13 +39,13 @@ class TestRowMask:
         spec = SubsampleSpec(mode="random", ratio=1.0)
         for seed in range(5):
             mask = row_mask(CONFIG, spec, np.random.default_rng(seed))
-            assert mask.keep.all()
+            assert mask.all()
 
     def test_half_ratio_keep_fraction(self):
         # drop probability 1 - min(1, r) with r = 0.5
         spec = SubsampleSpec(mode="random", ratio=0.5)
         rng = np.random.default_rng(0)
-        total = sum(row_mask(CONFIG, spec, rng).keep.sum() for _ in range(10000))
+        total = sum(row_mask(CONFIG, spec, rng).sum() for _ in range(10000))
         frac = total / (10000 * CONFIG.height)
         assert abs(frac - 0.5) < 0.02
 
@@ -56,7 +55,7 @@ class TestRowMask:
         counts = np.zeros(CONFIG.height)
         n = 10000
         for _ in range(n):
-            counts += row_mask(CONFIG, spec, rng).keep
+            counts += row_mask(CONFIG, spec, rng)
         expected = counts.mean()
         chi2 = ((counts - expected) ** 2 / expected).sum()
         assert chi2 < stats.chi2.ppf(0.99, CONFIG.height - 1)
@@ -64,12 +63,12 @@ class TestRowMask:
     def test_regular_mode_alternates_from_row_zero(self):
         spec = SubsampleSpec(mode="regular", ratio=0.5)
         mask = row_mask(CONFIG, spec, np.random.default_rng(0))
-        assert np.array_equal(np.flatnonzero(mask.keep), np.arange(0, CONFIG.height, 2))
+        assert np.array_equal(np.flatnonzero(mask), np.arange(0, CONFIG.height, 2))
 
     def test_regular_mode_every_fourth(self):
         spec = SubsampleSpec(mode="regular", ratio=0.25)
         mask = row_mask(CONFIG, spec, np.random.default_rng(0))
-        assert np.array_equal(np.flatnonzero(mask.keep), np.arange(0, CONFIG.height, 4))
+        assert np.array_equal(np.flatnonzero(mask), np.arange(0, CONFIG.height, 4))
 
     def test_regular_mode_rejects_non_unit_fraction(self):
         with pytest.raises(ValueError, match="regular"):
@@ -88,14 +87,14 @@ class TestApplyRowMask:
     def test_all_keep_is_identity(self):
         cloud = spread_cloud(np.random.default_rng(2))
         index = project_to_range_image(cloud, CONFIG)
-        sub, parent = apply_row_mask(cloud, index, RowMask(np.ones(CONFIG.height, dtype=bool)))
+        sub, parent = apply_row_mask(cloud, index, np.ones(CONFIG.height, dtype=bool))
         assert np.array_equal(sub.points, cloud.points)
         assert np.array_equal(parent, np.arange(len(cloud)))
 
     def test_all_drop_is_empty(self):
         cloud = spread_cloud(np.random.default_rng(3))
         index = project_to_range_image(cloud, CONFIG)
-        sub, parent = apply_row_mask(cloud, index, RowMask(np.zeros(CONFIG.height, dtype=bool)))
+        sub, parent = apply_row_mask(cloud, index, np.zeros(CONFIG.height, dtype=bool))
         assert len(sub) == 0 and len(parent) == 0
 
     def test_single_row_matches_pixel_map(self):
@@ -103,7 +102,7 @@ class TestApplyRowMask:
         index = project_to_range_image(cloud, CONFIG)
         keep = np.zeros(CONFIG.height, dtype=bool)
         keep[5] = True
-        _, parent = apply_row_mask(cloud, index, RowMask(keep))
+        _, parent = apply_row_mask(cloud, index, keep)
         expected = [i for i, (u, v) in enumerate(index.pixel_of_point.tolist()) if v == 5]
         assert expected and parent.tolist() == expected
 
@@ -111,7 +110,7 @@ class TestApplyRowMask:
         cloud = spread_cloud(np.random.default_rng(5))
         index = project_to_range_image(cloud, CONFIG)
         with pytest.raises(ValueError, match="mask length"):
-            apply_row_mask(cloud, index, RowMask(np.ones(10, dtype=bool)))
+            apply_row_mask(cloud, index, np.ones(10, dtype=bool))
 
     def test_map_is_injective_and_ascending(self):
         cloud = spread_cloud(np.random.default_rng(6))
