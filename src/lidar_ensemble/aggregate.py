@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phi_layout
-from .lam import LamParams, PairRecord, RowMoments, column_moments, eval_scores, segment_exp, segment_sum
+from .lam import LamParams, RowMoments, column_moments, eval_scores, segment_exp, segment_sum
 from .neighbors import DenseCloud, Neighborhoods, _query_blocks
 from .subsample import PredictionMatrix
 
@@ -120,7 +120,7 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
     exp(score); the uniform kernel scores every pair 0, the LAM kernel
     scores its phi row. Queries with an empty neighborhood keep their
     unrefined row. Returns the refined PredictionMatrix; with return_pairs,
-    also the scan's PairRecord for the weight histograms.
+    also each pair's weight, for the weight histograms.
 
     The scan holds per-pair vectors only: eval_scores has the LAM
     kernel's phi rows built a chunk at a time, and the weighted label sums
@@ -154,5 +154,4 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
     refined = PredictionMatrix(probs=out, point_index=np.arange(n))
     if not return_pairs:
         return refined
-    weights = e / z[row_query]
-    return refined, PairRecord(_slice_features(dense, nbh.indices, nbh.distances), weights)
+    return refined, e / z[row_query]

@@ -30,7 +30,7 @@ from .metrics import (condense_static_dynamic, confusion, iou, write_confusion_c
 from .selftrain import (LidarSequence, PrecomputedPredictor, apply_cbst, build_lam_training_set,
                         cross_frame_refine, file_checksum, frame_neighborhoods, load_labels,
                         noop_student_hook, run_adaptation, save_labels, save_selection_mask,
-                        within_frame_predictions, write_manifest)
+                        sequence_sensor_range, within_frame_predictions, write_manifest)
 from .subsample import (apply_row_mask, read_prediction_matrix, read_scan_prediction, row_mask,
                         within_frame_ensemble, write_prediction_matrix)
 
@@ -77,7 +77,8 @@ def _load_sequence(cfg: PipelineConfig):
     scans = [load_point_cloud_bin(p, frame_id=i) for i, p in enumerate(paths)]
     poses = load_poses(cfg.poses_path)
     if len(poses) < len(scans):
-        raise ConfigError(f"dataset.poses: {len(poses)} poses for {len(scans)} scans")
+        raise FileFormatError(f"{cfg.poses_path}: {len(poses)} poses for {len(scans)} scans, file ends "
+                              f"at byte offset {cfg.poses_path.stat().st_size}")
     truths = None
     if cfg.labels_dir is not None:
         label_paths = sorted(cfg.labels_dir.glob("*.label"))
@@ -242,6 +243,12 @@ def cmd_lam_apply(args) -> int:
     return EXIT_OK
 
 
+def _write_histograms(seq: LidarSequence, records, window: int, bins: int, out_dir: Path):
+    """histograms.csv of the PairRecords of seq's scans, searched with window."""
+    report = weight_histograms(records, sequence_sensor_range(seq.scans), window, bins=bins)
+    write_histogram_csv(report, out_dir / "histograms.csv")
+
+
 def cmd_lam_analyze(args) -> int:
     cfg = load_config(args.config)
     seq, _, paths = _load_sequence(cfg)
@@ -249,10 +256,9 @@ def cmd_lam_analyze(args) -> int:
     agg = dataclasses.replace(cfg.adaptation.aggregation, kernel=kernel)
     within = _read_pred_dir(cfg, seq, args.pred_dir)
     _, records = cross_frame_refine(seq.scans, seq.poses, within, agg, return_pairs=True)
-    report = weight_histograms(records, bins=args.bins)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_histogram_csv(report, out_dir / "histograms.csv")
+    _write_histograms(seq, records, agg.window, args.bins, out_dir)
     _command_manifest(out_dir, cfg, args, inputs=paths,
                       extra=[("kernel", agg.kernel_name), ("bins", str(args.bins))])
     return EXIT_OK
@@ -343,8 +349,7 @@ def cmd_pipeline(args) -> int:
                                     threads=_resolve_threads(args))
 
     # analysis artifacts reflect the first (teacher) iteration
-    report = weight_histograms(pairs, bins=args.bins)
-    write_histogram_csv(report, out_dir / "histograms.csv")
+    _write_histograms(seq, pairs, cfg.adaptation.aggregation.window, args.bins, out_dir)
 
     if truths is not None:
         pred_all = np.concatenate([ls.labels for ls in results[0]])

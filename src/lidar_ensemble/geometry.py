@@ -258,22 +258,23 @@ def save_point_cloud_bin(cloud: PointCloud, path) -> None:
 
 
 def load_poses(path) -> list:
-    """Read one pose per line: 12 decimals, row-major 3x4 frame-to-global matrix."""
+    """Read one pose per line: 12 decimals, row-major 3x4 frame-to-global
+    matrix. Each error names the line and the byte offset it starts at."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
     poses = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
+    start = 0
+    for lineno, line in enumerate(blob.splitlines(keepends=True), start=1):
         try:
-            vals = [float(tok) for tok in line.split()]
+            if line.strip():
+                vals = [float(tok) for tok in line.split()]  # float takes ASCII bytes
+                if len(vals) != 12:
+                    raise ValueError(f"expected 12 values per pose, got {len(vals)}")
+                mat = np.array(vals).reshape(3, 4)
+                poses.append(RigidTransform(mat[:, :3], mat[:, 3]))
         except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-        if len(vals) != 12:
-            raise FileFormatError(f"{path}:{lineno}: expected 12 values per pose, got {len(vals)}")
-        mat = np.array(vals).reshape(3, 4)
-        try:
-            poses.append(RigidTransform(mat[:, :3], mat[:, 3]))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+            raise FileFormatError(f"{path}:{lineno}: {exc} (line at byte offset {start})") from exc
+        start += len(line)
     return poses
 
 

@@ -743,27 +743,67 @@ class HistogramSlice:
     mean_weight: np.ndarray
 
 
+# neighbor references per np.take call when a slice is rebuilt: take
+# converts its indices to intp and, with out given, writes a copy of out,
+# so a block bounds both temporaries
+_TAKE_BLOCK = 1 << 16
+
+
+def offset_dtype(window: int):
+    """The smallest signed integer type that holds every offset in
+    [-window, window]."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= window)
+
+
 @dataclass(frozen=True)
 class PairRecord:
-    """What the weight histograms read of one scan's valid (query, neighbor)
-    pairs, in pair order: each slice's feature value and the pair's
-    normalized aggregation weight."""
+    """What the weight histograms read of one scan's valid (query,
+    neighbor) pairs, in pair order, as references into the points of the
+    sequence: each pair's normalized aggregation weight and center
+    distance (float64), its neighbor's sequence point index (uint32) and
+    the neighbor's frame minus the query's (offset_dtype of the window),
+    21 bytes per pair at windows up to 127."""
 
-    features: dict
     weights: np.ndarray
+    center_distance: np.ndarray
+    neighbor: np.ndarray
+    temporal_offset: np.ndarray
+
+    def feature(self, name: str, sensor_distance: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
+        """Write the pairs' values of histogram slice name (one of
+        HISTOGRAM_SLICES) into out (float64, one per pair) with the bits
+        of their phi column, for a sequence whose points lie
+        sensor_distance from their sensors and that was searched with this
+        window; returns out."""
+        if name == "temporal":
+            phi_layout.temporal_feature(self.temporal_offset, window, out=out)
+        elif name == "sensor_distance":
+            for lo in range(0, len(out), _TAKE_BLOCK):
+                np.take(sensor_distance, self.neighbor[lo:lo + _TAKE_BLOCK], out=out[lo:lo + _TAKE_BLOCK])
+        else:
+            out[:] = self.center_distance
+        return out
 
 
-def weight_histograms(records, bins: int = 20) -> dict:
+def weight_histograms(records, sensor_distance: np.ndarray, window: int, bins: int = 20) -> dict:
     """Distribution of normalized aggregation weights over feature slices,
-    pooled across the records (one PairRecord per scan): {slice name:
-    HistogramSlice}. Each slice bins every pair by one feature, so
-    per-slice counts sum to the number of pairs."""
+    pooled across the records (one PairRecord per scan, in frame order) of
+    a sequence whose points lie sensor_distance from their sensors and that
+    was searched with this window: {slice name: HistogramSlice}. Each
+    slice bins every pair by one feature, so per-slice counts sum to the
+    number of pairs.
+
+    Beside the records it holds the pooled weights and one pooled slice,
+    which it rebuilds record by record for each slice in turn."""
     weights = np.concatenate([r.weights for r in records])
     if len(weights) == 0:
         raise ValueError("no neighbor pairs to analyze")
+    values = np.empty(len(weights))
+    ends = np.cumsum([len(r.weights) for r in records])
     report = {}
     for name in HISTOGRAM_SLICES:
-        values = np.concatenate([r.features[name] for r in records])
+        for r, end in zip(records, ends):
+            r.feature(name, sensor_distance, window, values[end - len(r.weights):end])
         edges = np.histogram_bin_edges(values, bins=bins)
         counts, _ = np.histogram(values, bins=edges)
         weight_sum, _ = np.histogram(values, bins=edges, weights=weights)

@@ -13,6 +13,8 @@ The layout version is recorded in refinement manifests so stored features
 and checkpoints can be validated against the code that reads them.
 """
 
+import numpy as np
+
 PHI_LAYOUT_VERSION = 1
 
 
@@ -45,10 +47,11 @@ def sensor_distance_column(num_classes: int) -> int:
     return 2 * num_classes + 2
 
 
-def temporal_feature(offset, window: int):
+def temporal_feature(offset, window: int, out=None):
     """The temporal column of pairs whose neighbors lie offset frames from
-    their query: offset / window, or 0 for a zero-width window."""
-    return offset * (1.0 / window if window >= 1 else 0.0)
+    their query (integers of any type): offset times 1 / window, or 0 for
+    a zero-width window; written into out when it is given."""
+    return np.multiply(offset, 1.0 / window if window >= 1 else 0.0, out=out)
 
 
 def write_rows(out, distance, query_probs, neighbor_probs, temporal, sensor_distance):

@@ -23,7 +23,7 @@ import numpy as np
 from .aggregate import AggregationSpec, refine_labels
 from .errors import FileFormatError
 from .geometry import PointCloud, SensorConfig, sensor_range
-from .lam import LamTrainingSet
+from .lam import LamTrainingSet, PairRecord, offset_dtype
 from .neighbors import SpatialIndex, build_dense_cloud, precompute_neighborhoods
 from .subsample import (PredictionMatrix, SubsampleSpec, make_ensemble, read_scan_prediction,
                         within_frame_ensemble)
@@ -145,6 +145,27 @@ def frame_neighborhoods(scans, poses, predictions, t: int, agg: AggregationSpec)
     return dense, nbh
 
 
+def first_points(scans) -> np.ndarray:
+    """Sequence index of each scan's first point, then the point count:
+    the points of a sequence are its scans' points, one scan after
+    another."""
+    return np.cumsum([0] + [len(scan) for scan in scans])
+
+
+def sequence_sensor_range(scans) -> np.ndarray:
+    """Each sequence point's range to its own sensor."""
+    return np.concatenate([sensor_range(scan.points) for scan in scans])
+
+
+def sequence_points(dense, first: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The sequence point index of rows of a dense cloud of the sequence
+    whose scans start at first (first_points). The cloud holds its frames
+    whole and in frame order, so row i of frame f is f's point i - (f's
+    first row)."""
+    shift = first[:-1] - np.searchsorted(dense.source_frame, np.arange(len(first) - 1))
+    return rows + shift[dense.source_frame[rows]]
+
+
 def cross_frame_refine(scans, poses, within, agg: AggregationSpec, threads: int = 1,
                        return_pairs: bool = False):
     """Cross-frame ensembling: every scan's prediction refined with agg's
@@ -153,12 +174,24 @@ def cross_frame_refine(scans, poses, within, agg: AggregationSpec, threads: int 
 
     Returns the refined prediction matrices; with return_pairs,
     (refined, records) with each scan's PairRecord for the weight
-    histograms. Independent of thread count.
+    histograms (weight_histograms reads them with sequence_sensor_range
+    and agg.window). Independent of thread count.
     """
+    first = first_points(scans)
+    if return_pairs and first[-1] > np.iinfo(np.uint32).max + 1:
+        raise ValueError(f"pair records index at most 2^32 sequence points, not {first[-1]}")
+
     def refine(t: int):
         dense, nbh = frame_neighborhoods(scans, poses, within, t, agg)
-        return refine_labels(scans[t].points, within[t].probs, dense, nbh, agg.kernel,
-                             return_pairs=return_pairs)
+        result = refine_labels(scans[t].points, within[t].probs, dense, nbh, agg.kernel,
+                               return_pairs=return_pairs)
+        if not return_pairs:
+            return result
+        refined, weights = result
+        return refined, PairRecord(
+            weights=weights, center_distance=nbh.distances,
+            neighbor=sequence_points(dense, first, nbh.indices).astype(np.uint32),
+            temporal_offset=dense.temporal_offset.take(nbh.indices).astype(offset_dtype(agg.window)))
 
     refined = _map(refine, range(len(scans)), threads)
     if not return_pairs:
@@ -390,7 +423,8 @@ class PrecomputedPredictor(Predictor):
         path = self.directory / f"{cloud.frame_id:06d}.lprb"
         pred = read_scan_prediction(path)
         if len(pred) != len(cloud):
-            raise FileFormatError(f"{path}: {len(pred)} rows for a {len(cloud)}-point scan")
+            raise FileFormatError(f"{path}: {len(pred)} rows for a {len(cloud)}-point scan "
+                                  f"(row count at byte offset 4)")
         return pred
 
 
@@ -426,8 +460,7 @@ def build_lam_training_set(scans, poses, predictions, truth_labels, agg: Aggrega
             raise FileFormatError(
                 f"frame {t}: {len(truth)} labels for a {len(scans[t])}-point scan "
                 f"(label data ends at byte offset {4 * len(truth)})")
-    # sequence index of each frame's first point
-    first = np.cumsum([0] + [len(scan) for scan in scans])
+    first = first_points(scans)
     counts, neighbors, distances, queries, labels = [], [], [], [], []
     for t in range(len(scans)):
         dense, nbh = frame_neighborhoods(scans, poses, predictions, t, agg)
@@ -436,11 +469,7 @@ def build_lam_training_set(scans, poses, predictions, truth_labels, agg: Aggrega
         if ignore_label is not None:
             keep &= truth != ignore_label
         pairs = np.repeat(keep, nbh.valid_count)
-        idx = nbh.indices[pairs]
-        # the cloud holds its frames whole and in frame order, so dense
-        # index i of frame f is f's point i - (f's first dense index)
-        shift = first[:-1] - np.searchsorted(dense.source_frame, np.arange(len(scans)))
-        neighbors.append(idx + shift[dense.source_frame[idx]])
+        neighbors.append(sequence_points(dense, first, nbh.indices[pairs]))
         distances.append(nbh.distances[pairs])
         counts.append(nbh.valid_count[keep])
         queries.append(first[t] + np.flatnonzero(keep))
@@ -450,7 +479,7 @@ def build_lam_training_set(scans, poses, predictions, truth_labels, agg: Aggrega
         neighbor=np.concatenate(neighbors), distance=np.concatenate(distances),
         query=np.concatenate(queries), labels=np.concatenate(labels),
         probs=np.concatenate([pred.probs for pred in predictions]),
-        sensor_distance=np.concatenate([sensor_range(scan.points) for scan in scans]),
+        sensor_distance=sequence_sensor_range(scans),
         frame=np.repeat(np.arange(len(scans)), np.diff(first)), window=agg.window)
 
 

@@ -189,10 +189,15 @@ def read_prediction_matrix(path) -> PredictionMatrix:
     if len(blob) != need:
         raise FileFormatError(f"{path}: expected {need} bytes, file ends at byte offset {len(blob)}")
     probs = np.frombuffer(blob, dtype="<f4", count=n * k, offset=16)
-    bad = np.flatnonzero(~np.isfinite(probs))
-    if bad.size:
-        raise FileFormatError(f"{path}: non-finite probability at byte offset {16 + 4 * bad[0]}")
+    for fault, bad in (("non-finite", ~np.isfinite(probs)), ("negative", probs < 0)):
+        if bad.any():
+            raise FileFormatError(f"{path}: {fault} probability at byte offset {16 + 4 * bad.argmax()}")
     probs = probs.reshape(n, k).astype(np.float64)
+    if probs.size:  # PredictionMatrix's test of each row's sum
+        off = np.abs(probs.sum(axis=1) - 1.0) > SIMPLEX_TOL
+        if off.any():
+            raise FileFormatError(f"{path}: probability row does not sum to 1 within {SIMPLEX_TOL} "
+                                  f"at byte offset {16 + 4 * k * off.argmax()}")
     idx = np.frombuffer(blob, dtype="<u4", count=n, offset=16 + 4 * n * k).astype(np.int64)
     return PredictionMatrix(probs=probs, point_index=idx)
 
@@ -204,8 +209,14 @@ def read_scan_prediction(path) -> PredictionMatrix:
     index in [0, N) once, N being its row count.
     """
     pred = read_prediction_matrix(path)
-    try:
-        return within_frame_ensemble([pred], len(pred))
-    except ValueError as exc:
+    idx = pred.point_index
+    order = np.argsort(idx, kind="stable")
+    ranked = idx[order]
+    # the rows whose index is out of range, then those that an earlier row names
+    bad = np.concatenate([np.flatnonzero(idx >= len(idx)), order[1:][ranked[1:] == ranked[:-1]]])
+    if len(bad):
+        row = bad.min()
         raise FileFormatError(
-            f"{path}: each point index in [0, {len(pred)}) must appear once ({exc})") from exc
+            f"{path}: each point index in [0, {len(idx)}) must appear once; index {idx[row]} at byte "
+            f"offset {16 + 4 * pred.probs.size + 4 * row} is out of range or repeated")
+    return within_frame_ensemble([pred], len(pred))

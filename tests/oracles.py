@@ -9,8 +9,10 @@ rows replaced; the training-set builder that concatenated each frame's
 kept feature rows, and every feature row of a training set as one array;
 the per-trial accumulation within-frame ensembling
 used before its rows went through lam.segment_sum; the weight
-histograms scored from joined phi rows, as the analysis commands computed
-them before the refinement pass recorded each pair's weight; and
+histograms pooled from float64 feature slices, as they were computed
+before the pair records became references into the sequence, and scored
+from joined phi rows, as the analysis commands computed them before the
+refinement pass recorded each pair's weight; and
 refinement over whole-scan (pairs, K) and (pairs, 2K + 3) arrays, as it
 ran before its blocks.
 """
@@ -18,7 +20,7 @@ ran before its blocks.
 import numpy as np
 
 from lidar_ensemble import lam, phi_layout
-from lidar_ensemble.aggregate import UniformKernel, _slice_features, phi_pairs
+from lidar_ensemble.aggregate import UniformKernel, phi_pairs
 from lidar_ensemble.lam import lam_forward
 from lidar_ensemble.neighbors import (
     Neighborhoods,
@@ -205,10 +207,28 @@ def score_array(params, feats):
     return lam.eval_scores(params, len(feats), lambda lo, hi, out: np.copyto(out, feats[lo:hi]))
 
 
+def pooled_weight_histograms(features, weights, bins=20):
+    """lam.weight_histograms as it was when each scan's record held its
+    pairs' float64 feature slices ({slice name: values}) beside their
+    weights: the weights of all scans pooled, then each slice's values."""
+    weights = np.concatenate(weights)
+    if len(weights) == 0:
+        raise ValueError("no neighbor pairs to analyze")
+    report = {}
+    for name in lam.HISTOGRAM_SLICES:
+        values = np.concatenate([f[name] for f in features])
+        edges = np.histogram_bin_edges(values, bins=bins)
+        counts, _ = np.histogram(values, bins=edges)
+        weight_sum, _ = np.histogram(values, bins=edges, weights=weights)
+        mean_weight = np.divide(weight_sum, counts, out=np.zeros(len(counts)), where=counts > 0)
+        report[name] = lam.HistogramSlice(edges=edges, counts=counts, mean_weight=mean_weight)
+    return report
+
+
 def weight_histograms(params, phis, row_query, num_queries, bins=20):
-    """lam.weight_histograms of one record built from phi rows: each pair's
-    weight is the segment softmax of its eval score (of 0 for params None,
-    the uniform kernel), and the slices are the rows' temporal, sensor
+    """pooled_weight_histograms of one scan's phi rows: each pair's weight
+    is the segment softmax of its eval score (of 0 for params None, the
+    uniform kernel), and the slices are the rows' temporal, sensor
     distance and center distance columns."""
     phis = np.asarray(phis, dtype=np.float64)
     if len(phis) == 0:
@@ -222,7 +242,7 @@ def weight_histograms(params, phis, row_query, num_queries, bins=20):
         "center_distance": phi_layout.DISTANCE_COLUMN,
     }
     features = {name: phis[:, column] for name, column in columns.items()}
-    return lam.weight_histograms([lam.PairRecord(features, weights)], bins)
+    return pooled_weight_histograms([features], [weights], bins)
 
 
 def refine_labels_unblocked(probs, dense, nbh, kernel, return_pairs=False):
@@ -245,5 +265,4 @@ def refine_labels_unblocked(probs, dense, nbh, kernel, return_pairs=False):
     refined = PredictionMatrix(probs=out, point_index=np.arange(n))
     if not return_pairs:
         return refined
-    weights = e / z[nbh.row_query]
-    return refined, lam.PairRecord(_slice_features(dense, nbh.indices, nbh.distances), weights)
+    return refined, e / z[nbh.row_query]

@@ -1,5 +1,6 @@
 """Tests for kernel-weighted cross-frame label refinement."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,10 @@ from lidar_ensemble.lam import (DenseBnLayer, LamParams, LamTrainingSet, TrainCo
                                  initialize_lam_params, load_lam_params, save_lam_params,
                                  segment_softmax, train_lam)
 from lidar_ensemble.neighbors import DenseCloud, Neighborhoods, SpatialIndex, precompute_neighborhoods
-from lidar_ensemble.selftrain import write_manifest
+from lidar_ensemble.selftrain import (cross_frame_refine, frame_neighborhoods, sequence_sensor_range,
+                                      write_manifest)
+from lidar_ensemble.subsample import PredictionMatrix
+from lidar_ensemble.synth import SyntheticSceneSpec, generate_sequence
 from tests.oracles import (from_padded, kernel_score, padded, phi, phi_matrix, refine_labels_unblocked,
                            score_array)
 
@@ -181,13 +185,13 @@ class TestKernelScore:
         params, _ = train_lam(data, TrainConfig(epochs=2, batch=16, seed=4))
         save_lam_params(params, tmp_path / "lam.ckpt")
         loaded = load_lam_params(tmp_path / "lam.ckpt")
-        trained, trained_pairs = refine_labels(queries, v, dense, nbh, LamKernel(params),
-                                               return_pairs=True)
-        restored, restored_pairs = refine_labels(queries, v, dense, nbh, LamKernel(loaded),
+        trained, trained_weights = refine_labels(queries, v, dense, nbh, LamKernel(params),
                                                  return_pairs=True)
-        assert not np.allclose(trained_pairs.weights, 1 / 8)
+        restored, restored_weights = refine_labels(queries, v, dense, nbh, LamKernel(loaded),
+                                                   return_pairs=True)
+        assert not np.allclose(trained_weights, 1 / 8)
         assert trained.probs.tobytes() == restored.probs.tobytes()
-        assert trained_pairs.weights.tobytes() == restored_pairs.weights.tobytes()
+        assert trained_weights.tobytes() == restored_weights.tobytes()
 
 
 class TestRefineLabels:
@@ -291,32 +295,42 @@ class TestRefineLabels:
         v = raw / raw.sum(1, keepdims=True)
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=20, eps=0.8)
         assert (nbh.valid_count == 0).any()
-        _, record = refine_labels(queries, v, dense, nbh, UniformKernel(), return_pairs=True)
+        _, weights = refine_labels(queries, v, dense, nbh, UniformKernel(), return_pairs=True)
         counts = nbh.valid_count[nbh.valid_count > 0]
-        assert np.array_equal(record.weights, np.repeat(1 / counts, counts))
+        assert np.array_equal(weights, np.repeat(1 / counts, counts))
         params = initialize_lam_params(phi_layout.feature_dim(5), hidden_sizes=(8, 8, 8), seed=5)
-        _, record = refine_labels(queries, v, dense, nbh, LamKernel(params), return_pairs=True)
+        _, weights = refine_labels(queries, v, dense, nbh, LamKernel(params), return_pairs=True)
         rows, row_query = phi_pairs(v, dense, nbh)
-        assert np.array_equal(record.weights,
+        assert np.array_equal(weights,
                               segment_softmax(score_array(params, rows), row_query, len(queries)))
 
     def test_pair_features_equal_the_slice_gather(self):
-        # both kernels gather them with _slice_features, as phi_pairs does its columns
+        # both kernels, with and without eps, at zero and wider windows:
+        # each scan's PairRecord, read through the sequence's sensor ranges
+        # and the window, gives the bits that _slice_features gathers from
+        # the scan's dense cloud, as phi_pairs does its columns
         rng = np.random.default_rng(21)
-        dense = make_dense(rng, m=600, k_classes=4)
-        queries = rng.uniform(-4, 4, size=(120, 3))
-        raw = rng.uniform(0.05, 1.0, size=(120, 4))
-        v = raw / raw.sum(1, keepdims=True)
-        nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=20, eps=0.8)
-        want = _slice_features(dense, nbh.indices, nbh.distances)
+        seq, _ = generate_sequence(SyntheticSceneSpec(num_frames=5, points_per_frame=150, seed=21))
+        within = []
+        for scan in seq.scans:
+            raw = rng.uniform(0.05, 1.0, size=(len(scan), 4))
+            within.append(PredictionMatrix(raw / raw.sum(1, keepdims=True), np.arange(len(scan))))
+        table = sequence_sensor_range(seq.scans)
         params = initialize_lam_params(phi_layout.feature_dim(4), hidden_sizes=(8, 8, 8), seed=6)
-        for kernel in (UniformKernel(), LamKernel(params)):
-            _, record = refine_labels(queries, v, dense, nbh, kernel, return_pairs=True)
-            assert record.features.keys() == want.keys()
-            for name, values in want.items():
-                got = record.features[name]
-                assert got.flags.c_contiguous and got.dtype == values.dtype
-                assert got.tobytes() == values.tobytes(), name
+        for kernel, (window, stride, epsilon) in itertools.product(
+                (UniformKernel(), LamKernel(params)), ((0, 1, 0.8), (3, 2, 0.8), (2, 1, None))):
+            agg = AggregationSpec(kernel=kernel, k=20, epsilon=epsilon, window=window, stride=stride)
+            _, records = cross_frame_refine(seq.scans, seq.poses, within, agg, return_pairs=True)
+            for t, record in enumerate(records):
+                dense, nbh = frame_neighborhoods(seq.scans, seq.poses, within, t, agg)
+                assert [(a.dtype, a.flags.c_contiguous) for a in (
+                    record.weights, record.center_distance, record.neighbor, record.temporal_offset)] == [
+                    (np.float64, True), (np.float64, True), (np.uint32, True), (np.int8, True)]
+                want = _slice_features(dense, nbh.indices, nbh.distances)
+                for name, values in want.items():
+                    got = record.feature(name, table, window, np.empty(len(values)))
+                    assert got.dtype == values.dtype
+                    assert got.tobytes() == values.tobytes(), name
 
     def test_head_bias_shift_leaves_labels_unchanged(self):
         rng = np.random.default_rng(9)
@@ -433,11 +447,8 @@ def ragged_frame(rng, queries, capacity, k_classes, empty=0.2, full=0.5, m=300):
 
 def assert_same_refinement(got, want, return_pairs):
     if return_pairs:
-        (got, got_record), (want, want_record) = got, want
-        assert np.array_equal(got_record.weights, want_record.weights)
-        assert got_record.features.keys() == want_record.features.keys()
-        for name, values in want_record.features.items():
-            assert np.array_equal(got_record.features[name], values), name
+        (got, got_weights), (want, want_weights) = got, want
+        assert np.array_equal(got_weights, want_weights)
     assert np.array_equal(got.probs, want.probs)
     assert np.array_equal(got.point_index, want.point_index)
 
@@ -494,8 +505,8 @@ class TestBlockedRefinement:
     @pytest.mark.parametrize("kernel", ["uniform", "lam"])
     @pytest.mark.parametrize("k_classes", [3, 19])
     def test_scan_memory_has_no_pairs_times_k_term(self, k_classes, kernel):
-        # per pair, a few float64 vectors (scores, exp, weights, the pair
-        # record's features and their temporaries); per scan, the refined
+        # per pair, a few float64 vectors (scores, exp, weights and their
+        # temporaries); per scan, the refined
         # rows and their copy; per block, (_PAIR_BUDGET, K) neighbor rows
         # and, for the LAM, one eval chunk's phi rows and activations
         rng = np.random.default_rng(k_classes)

@@ -368,6 +368,93 @@ class TestCheckpointFuzz:
         assert [m.getMessage() for m in messages] == [f"i/o: {error}"]
 
 
+def _run_logged(argv):
+    """main's exit code and the messages it logged at ERROR."""
+    import logging
+
+    messages = []
+    handler = logging.Handler(level=logging.ERROR)
+    handler.emit = messages.append
+    logging.getLogger("lidar_ensemble").addHandler(handler)
+    try:
+        code = main(argv)
+    finally:
+        logging.getLogger("lidar_ensemble").removeHandler(handler)
+    return code, [m.getMessage() for m in messages]
+
+
+class TestReaderFuzz:
+    """A prediction file or poses.txt cut at any byte, or with one bit
+    flipped, is read or rejected: aggregate --pred-dir and pipeline exit 0,
+    or exit 2 with one logged error that names a byte offset no larger
+    than the file, and raise nothing."""
+
+    @pytest.fixture(scope="class")
+    def work(self, dataset, prediction_dir, tmp_path_factory):
+        import shutil
+
+        work = tmp_path_factory.mktemp("reader-fuzz")
+        shutil.copytree(dataset, work / "data")
+        shutil.copytree(prediction_dir, work / "preds")
+        (work / "c.ini").write_text(CONFIG_TEMPLATE.format(root=work / "data"))
+        return work
+
+    @staticmethod
+    def fuzz(case, blob: bytes, regions) -> bytes:
+        """blob cut at a region boundary or any byte, or with one bit of a
+        region flipped; regions are (start, end) byte ranges."""
+        blob = bytearray(blob)
+        if case.draw(st.booleans(), label="cut"):
+            ends = sorted({end for region in regions for end in region} - {len(blob)})
+            return bytes(blob[:case.draw(st.one_of(st.sampled_from(ends), st.integers(0, len(blob) - 1)),
+                                         label="cut at")])
+        lo, hi = case.draw(st.sampled_from(regions), label="region")
+        bit = case.draw(st.integers(8 * lo, 8 * hi - 1), label="bit")
+        blob[bit // 8] ^= 1 << bit % 8
+        return bytes(blob)
+
+    @staticmethod
+    def check(argv, size):
+        import re
+
+        code, errors = _run_logged(argv)
+        assert code in (EXIT_OK, EXIT_IO), errors
+        if code == EXIT_IO:
+            (error,) = errors
+            offset = re.search(r"byte offset (\d+)", error)
+            assert error.startswith("i/o: ") and offset is not None and int(offset.group(1)) <= size, error
+
+    @settings(max_examples=200)
+    @given(case=st.data())
+    def test_cut_or_flipped_prediction_file(self, case, work):
+        path = work / "preds" / "000001.lprb"
+        original = path.read_bytes()
+        n, k = np.frombuffer(original, "<u4", count=2, offset=4)
+        # header, probabilities, point indices
+        regions = [(0, 16), (16, 16 + 4 * n * k), (16 + 4 * n * k, len(original))]
+        blob = self.fuzz(case, original, regions)
+        path.write_bytes(blob)
+        try:
+            self.check(["aggregate", "--config", str(work / "c.ini"), "--pred-dir", str(work / "preds"),
+                        "--out", str(work / "aggregated")], len(blob))
+        finally:
+            path.write_bytes(original)
+
+    @settings(max_examples=150)
+    @given(case=st.data())
+    def test_cut_or_flipped_poses(self, case, work):
+        path = work / "data" / "poses.txt"
+        original = path.read_bytes()
+        lines = np.cumsum([0] + [len(line) for line in original.splitlines(keepends=True)])
+        blob = self.fuzz(case, original, list(zip(lines[:-1], lines[1:])))
+        path.write_bytes(blob)
+        try:
+            self.check(["pipeline", "--config", str(work / "c.ini"), "--out", str(work / "run"),
+                        "--threads", "1"], len(blob))
+        finally:
+            path.write_bytes(original)
+
+
 class TestCbstCommand:
     def test_writes_labels_and_masks(self, config_path, prediction_dir, tmp_path):
         out = tmp_path / "cbst"

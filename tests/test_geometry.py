@@ -298,6 +298,16 @@ class TestFileFormats:
         with pytest.raises(FileFormatError, match="12"):
             load_poses(path)
 
+    def test_pose_errors_name_the_line_and_its_offset(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        good = b"1 0 0 0 0 1 0 0 0 0 1 0\n"
+        for bad, reason in ((b"1 0 0 0 0 1 0 0 \xb0 0 1 0\n", "could not convert"),
+                            (b"1 0 0 0 0 1\n", "expected 12 values per pose, got 6"),
+                            (b"2 0 0 0 0 1 0 0 0 0 1 0\n", "rotation is not orthonormal")):
+            path.write_bytes(good + b"\n" + bad + good)
+            with pytest.raises(FileFormatError, match=f":3: {reason}.* \\(line at byte offset {len(good) + 1}\\)$"):
+                load_poses(path)
+
     def test_non_rigid_pose_names_its_line(self, tmp_path):
         path = tmp_path / "poses.txt"
         path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n2 0 0 0 0 1 0 0 0 0 1 0\n")

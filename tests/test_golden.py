@@ -9,20 +9,24 @@ moves and declares them:
     PYTHONPATH=src python -m tests.test_golden --record
 
 Every path in the configs and on the command lines is relative to one work
-directory, so the manifests are covered too.
+directory, so the manifests are covered too. The run is traced, and every
+function in src/ must be called by some case or be listed in UNREACHED.
 """
 
 import argparse
+import ast
 import hashlib
 import json
 import os
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lidar_ensemble
 from lidar_ensemble.cli import EXIT_OK, build_parser, main
 from lidar_ensemble.selftrain import load_labels
 from lidar_ensemble.subsample import PredictionMatrix, write_prediction_matrix
@@ -154,6 +158,25 @@ noise = 0.1
 [run]
 seed = 13
 """,
+    # random subsampling, noise and a second iteration: pins the seeds of
+    # the draws after iteration 0 (_iteration_seed)
+    "iterations.ini": SENSOR + """
+[dataset]
+root = target
+[subsample]
+trials = 2
+[aggregate]
+k = 6
+epsilon = 0.5
+window = 1
+stride = 1
+[adaptation]
+iterations = 2
+[predictor]
+noise = 0.2
+[run]
+seed = 19
+""",
     # the stored 19-class predictions as the teacher
     "precomputed.ini": SENSOR + """
 [dataset]
@@ -201,6 +224,7 @@ COMMANDS = {
                  "--parent-size", "220", "--out", "ensemble/000000.lprb"],
     "pipeline-bands-t2": ["pipeline", "--config", "bands.ini", "--threads", "2"],
     "pipeline-precomputed-t1": ["pipeline", "--config", "precomputed.ini", "--threads", "1"],
+    "pipeline-iterations-t1": ["pipeline", "--config", "iterations.ini", "--threads", "1"],
 }
 
 
@@ -239,9 +263,81 @@ def run_all(work: Path) -> dict:
             for case in COMMANDS}
 
 
+# the functions in src/ that no case calls, as module.qualified_name; the
+# reach test fails on any other, and on an entry here that a case calls
+UNREACHED = {
+    # the console-script wrapper around cli.main, which the cases call
+    "cli.entry",
+    # argparse's hook for a malformed command line, which no case has
+    "cli._Parser.error",
+    # abstract: every predictor the cases build overrides it
+    "selftrain.Predictor.__call__",
+    # sizes that the library offers and the pipeline does not ask for
+    "neighbors.DenseCloud.__len__",
+    "neighbors.SpatialIndex.__len__",
+    # library and test helpers that no command calls (ROADMAP item 11
+    # moves them to tests/oracles.py or names their library caller)
+    "geometry.apply_transform",
+    "geometry.augment",
+    "geometry.AugmentationSpec.basic",
+    "geometry.AugmentationSpec.intense",
+    "geometry.RigidTransform.identity",
+    "lam.lovasz_softmax",
+    "lam.lam_loss",
+    "selftrain.load_selection_mask",
+    "synth.sensor_config",
+}
+
+
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
-    return run_all(tmp_path_factory.mktemp("golden"))
+def golden_run(tmp_path_factory):
+    """The digests of one run of every case, and the code objects it
+    called in any thread (sys.setprofile)."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        digests = run_all(tmp_path_factory.mktemp("golden"))
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    return digests, called
+
+
+@pytest.fixture(scope="module")
+def digests(golden_run):
+    return golden_run[0]
+
+
+def source_functions():
+    """{(file, first line of its code object): module.qualified_name} of
+    every function and method defined in src/lidar_ensemble."""
+    found = {}
+
+    def walk(path, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # a decorated function's code starts at its first decorator
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(str(path), line)] = f"{path.stem}.{prefix}{child.name}"
+                walk(path, child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                walk(path, child, f"{prefix}{child.name}.")
+
+    for path in sorted(Path(lidar_ensemble.__file__).resolve().parent.glob("*.py")):
+        walk(path, ast.parse(path.read_text()), "")
+    return found
+
+
+def test_every_function_is_reached_by_a_case(golden_run):
+    called = {(code.co_filename, code.co_firstlineno) for code in golden_run[1]}
+    unreached = {name for key, name in source_functions().items() if key not in called}
+    assert sorted(unreached) == sorted(UNREACHED)
 
 
 def test_every_public_command_has_a_case():

@@ -1,6 +1,7 @@
 """Tests for the learned aggregation model: forward/backward, losses,
 training, statistics modulation, weight analysis, serialization."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -742,12 +743,28 @@ class TestSegmentSums:
         assert np.array_equal(segment_softmax(scores, row_query, 5), e / z[row_query])
 
 
+def pair_records(rng, sizes, scores, window, points=40):
+    """One PairRecord per list in sizes (a scan's neighborhood sizes), its
+    weights the segment softmax of its share of scores, its pairs at
+    random center distances from random neighbors among points sequence
+    points, at offsets in [-window, window]."""
+    records, lo = [], 0
+    for scan in sizes:
+        n = sum(scan)
+        weights = segment_softmax(scores[lo:lo + n], np.repeat(np.arange(len(scan)), scan), len(scan))
+        records.append(lam.PairRecord(
+            weights=weights, center_distance=rng.uniform(0, 2, n),
+            neighbor=rng.integers(0, points, n).astype(np.uint32),
+            temporal_offset=rng.integers(-window, window + 1, n).astype(lam.offset_dtype(window))))
+        lo += n
+    return records
+
+
 class TestWeightHistograms:
     def test_uniform_kernel_gives_reciprocal_counts(self):
         rng = np.random.default_rng(18)
-        phis = rng.normal(size=(5, 7))
-        row_query = np.zeros(5, dtype=np.int64)
-        report = weight_histograms(None, phis, row_query, 1, bins=4)
+        records = pair_records(rng, [[5]], np.zeros(5), window=3)
+        report = lam.weight_histograms(records, rng.uniform(1, 40, 40), 3, bins=4)
         for hs in report.values():
             assert hs.counts.sum() == 5
             nonzero = hs.counts > 0
@@ -755,20 +772,19 @@ class TestWeightHistograms:
 
     def test_counts_conserved_across_slices(self):
         rng = np.random.default_rng(19)
-        sizes = [3, 7, 5, 1]
-        row_query = np.repeat(np.arange(4), sizes)
-        phis = rng.normal(size=(sum(sizes), 7))
+        sizes = [[3, 7], [5, 1]]
         params = initialize_lam_params(7, seed=1)
-        report = weight_histograms(params, phis, row_query, 4, bins=6)
+        scores = score_array(params, rng.normal(size=(16, 7)))
+        records = pair_records(rng, sizes, scores, window=2)
+        report = lam.weight_histograms(records, rng.uniform(1, 40, 40), 2, bins=6)
         for hs in report.values():
-            assert hs.counts.sum() == sum(sizes)
+            assert hs.counts.sum() == 16
 
     def test_temporal_slice_covers_normalized_offsets(self):
         rng = np.random.default_rng(20)
-        phis = rng.normal(size=(50, 7))
-        phis[:, 5] = rng.uniform(-1.0, 1.0, 50)
-        phis[0, 5], phis[1, 5] = -1.0, 1.0
-        report = weight_histograms(None, phis, np.zeros(50, dtype=np.int64), 1, bins=10)
+        records = pair_records(rng, [[50]], np.zeros(50), window=4)
+        records[0].temporal_offset[:2] = -4, 4
+        report = lam.weight_histograms(records, rng.uniform(1, 40, 40), 4, bins=10)
         edges = report["temporal"].edges
         assert edges[0] == -1.0 and edges[-1] == 1.0
 
@@ -784,10 +800,29 @@ class TestWeightHistograms:
         lam_forward(params, phis)
         assert [(name, np.array(t).tobytes()) for name, t in lam._named_tensors(params)] == before
 
+    def test_memory_above_the_records_is_two_pooled_vectors(self):
+        # the pooled weights and one pooled slice, 8 bytes per pair each,
+        # plus block buffers of 65536 elements: numpy's histogram sorts and
+        # sums its input a block at a time, and the sensor distances are
+        # gathered lam._TAKE_BLOCK references at a time
+        rng = np.random.default_rng(25)
+        sizes = [[16] * 7500] * 10
+        records = pair_records(rng, sizes, np.zeros(16 * 75000), window=90, points=50000)
+        table = rng.uniform(1, 40, 50000)
+        pairs = 16 * 75000
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            lam.weight_histograms(records, table, 90)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * pairs + 8 * (1 << 16) * 8, peak / pairs
+
     def test_csv_rendering(self, tmp_path):
         rng = np.random.default_rng(21)
-        report = weight_histograms(None, rng.normal(size=(10, 7)),
-                                   np.zeros(10, dtype=np.int64), 1, bins=3)
+        report = lam.weight_histograms(pair_records(rng, [[10]], np.zeros(10), window=1),
+                                       rng.uniform(1, 40, 40), 1, bins=3)
         path = tmp_path / "hist.csv"
         write_histogram_csv(report, path)
         lines = path.read_text().strip().splitlines()

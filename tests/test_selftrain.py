@@ -2,15 +2,19 @@
 generation, CBST selection, the adaptation loop, and artifact files."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lidar_ensemble import phi_layout
-from lidar_ensemble.aggregate import AggregationSpec, UniformKernel
+from lidar_ensemble.aggregate import AggregationSpec, LamKernel, UniformKernel, _slice_features
 from lidar_ensemble.errors import FileFormatError
 from lidar_ensemble.geometry import PointCloud
-from lidar_ensemble.lam import TrainConfig, save_lam_params, train_lam
+from lidar_ensemble.lam import (TrainConfig, initialize_lam_params, save_lam_params, train_lam,
+                                 weight_histograms)
 from lidar_ensemble.selftrain import (
     AdaptationConfig,
     AdaptationError,
@@ -25,6 +29,7 @@ from lidar_ensemble.selftrain import (
     apply_cbst,
     build_lam_training_set,
     cbst_select,
+    cross_frame_refine,
     frame_neighborhoods,
     generate_refined_predictions,
     load_labels,
@@ -33,6 +38,7 @@ from lidar_ensemble.selftrain import (
     run_adaptation,
     save_labels,
     save_selection_mask,
+    sequence_sensor_range,
     within_frame_predictions,
     write_manifest,
 )
@@ -43,7 +49,8 @@ from lidar_ensemble.synth import (
     generate_sequence,
     sensor_config,
 )
-from tests.oracles import concatenated_training_set, phi_matrix, train_lam_lists, training_lists
+from tests.oracles import (concatenated_training_set, phi_matrix, pooled_weight_histograms,
+                           refine_labels_unblocked, train_lam_lists, training_lists)
 
 
 def identity_config(k=8, window=6):
@@ -405,6 +412,65 @@ class TestRunAdaptation:
         assert 0 < selected < total
         mask = load_selection_mask(tmp_path / "run" / "iteration_00" / seq.name / "000000.mask")
         assert np.array_equal(mask, label_sets[0].selected)
+
+
+def random_within(rng, scans, k_classes):
+    """A random probability row per point of each scan."""
+    out = []
+    for scan in scans:
+        raw = rng.uniform(0.05, 1.0, size=(len(scan), k_classes))
+        out.append(PredictionMatrix(raw / raw.sum(axis=1, keepdims=True), np.arange(len(scan))))
+    return out
+
+
+class TestHistogramPairRecords:
+    """Iteration 0's pairs are held as references into the sequence's
+    points, and weight_histograms rebuilds the parent's pooled float64
+    feature slices from them bit for bit."""
+
+    @settings(max_examples=25)
+    @given(frames=st.integers(1, 5), points=st.integers(20, 90), window=st.integers(0, 4),
+           stride=st.integers(1, 3), k=st.integers(1, 12),
+           epsilon=st.one_of(st.none(), st.floats(0.05, 2.0)), lam_kernel=st.booleans(),
+           bins=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+    @example(frames=4, points=60, window=0, stride=1, k=6, epsilon=None, lam_kernel=False, bins=5, seed=0)
+    @example(frames=5, points=60, window=4, stride=3, k=8, epsilon=0.5, lam_kernel=True, bins=7, seed=1)
+    def test_histograms_match_the_pooled_feature_oracle(self, frames, points, window, stride, k, epsilon,
+                                                        lam_kernel, bins, seed):
+        rng = np.random.default_rng(seed)
+        seq, _ = generate_sequence(SyntheticSceneSpec(num_frames=frames, points_per_frame=points, seed=seed))
+        within = random_within(rng, seq.scans, 3)
+        kernel = (LamKernel(initialize_lam_params(phi_layout.feature_dim(3), hidden_sizes=(8, 8, 8),
+                                                  seed=seed)) if lam_kernel else UniformKernel())
+        agg = AggregationSpec(kernel=kernel, k=k, epsilon=epsilon, window=window, stride=stride)
+        _, records = cross_frame_refine(seq.scans, seq.poses, within, agg, return_pairs=True)
+        features, weights = [], []
+        for t in range(frames):
+            dense, nbh = frame_neighborhoods(seq.scans, seq.poses, within, t, agg)
+            features.append(_slice_features(dense, nbh.indices, nbh.distances))
+            weights.append(refine_labels_unblocked(within[t].probs, dense, nbh, kernel, True)[1])
+        want = pooled_weight_histograms(features, weights, bins)
+        got = weight_histograms(records, sequence_sensor_range(seq.scans), window, bins)
+        assert list(got) == list(want)
+        for name, hs in want.items():
+            for field in ("edges", "counts", "mean_weight"):
+                assert getattr(got[name], field).tobytes() == getattr(hs, field).tobytes(), (name, field)
+
+    def test_records_hold_at_most_24_bytes_per_pair(self):
+        seq, _ = generate_sequence(SyntheticSceneSpec(num_frames=4, points_per_frame=2000, seed=4))
+        within = random_within(np.random.default_rng(4), seq.scans, 3)
+        agg = AggregationSpec(kernel=UniformKernel(), k=16, epsilon=None, window=2, stride=1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            refined, records = cross_frame_refine(seq.scans, seq.poses, within, agg, return_pairs=True)
+            del refined
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        pairs = sum(len(r.weights) for r in records)
+        assert pairs == 4 * 2000 * 16
+        assert held <= 24 * pairs, held / pairs
 
 
 class TestLamTrainingSet:

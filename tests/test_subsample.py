@@ -12,6 +12,7 @@ from lidar_ensemble.subsample import (
     apply_row_mask,
     make_ensemble,
     read_prediction_matrix,
+    read_scan_prediction,
     row_mask,
     within_frame_ensemble,
     write_prediction_matrix,
@@ -278,6 +279,29 @@ class TestPredictionMatrixFormat:
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(FileFormatError, match="byte offset"):
             read_prediction_matrix(path)
+
+    def test_off_simplex_values_name_their_offset(self, tmp_path):
+        probs = np.full((4, 3), 0.25)
+        probs[:, 0] = 0.5
+        path = tmp_path / "pred.lprb"
+        write_prediction_matrix(PredictionMatrix(probs, np.arange(4)), path)
+        blob = bytearray(path.read_bytes())
+        blob[19] ^= 0x80  # the sign bit of row 0's first value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FileFormatError, match="negative probability at byte offset 16$"):
+            read_prediction_matrix(path)
+        blob[19] ^= 0x80
+        blob[16 + 4 * 3 * 2 + 7] ^= 0x01  # the exponent of row 2's second value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FileFormatError, match=f"does not sum to 1 within 1e-05 at byte offset {16 + 4 * 3 * 2}$"):
+            read_prediction_matrix(path)
+
+    @pytest.mark.parametrize("index, row", [([2, 0, 0, 1], 2), ([3, 1, 1, 1], 2), ([0, 9, 2, 2], 1)])
+    def test_scan_index_names_the_first_repeated_or_out_of_range_row(self, tmp_path, index, row):
+        path = tmp_path / "pred.lprb"
+        write_prediction_matrix(PredictionMatrix(np.full((4, 2), 0.5), index), path)
+        with pytest.raises(FileFormatError, match=f"index {index[row]} at byte offset {16 + 4 * 8 + 4 * row} "):
+            read_scan_prediction(path)
 
     def test_off_simplex_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
