@@ -12,7 +12,6 @@ from .geometry import (
     RangeImageIndex,
     RigidTransform,
     SensorConfig,
-    apply_transform,
     augment,
     compose,
     invert,
@@ -24,8 +23,6 @@ from .lam import (
     RowMoments,
     TrainConfig,
     lam_forward,
-    lam_loss,
-    lovasz_softmax,
     modulate_statistics,
     train_lam,
     weight_histograms,

@@ -113,14 +113,13 @@ def phi_moments(v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods) -> RowMome
 
 
 def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
-                  nbh: Neighborhoods, kernel, return_pairs: bool = False):
+                  nbh: Neighborhoods, kernel):
     """Kernel-weighted average of neighbor labels for every query point.
 
     Each neighbor's weight is exp(score) / sum of its neighborhood's
     exp(score); the uniform kernel scores every pair 0, the LAM kernel
     scores its phi row. Queries with an empty neighborhood keep their
-    unrefined row. Returns the refined PredictionMatrix; with return_pairs,
-    also each pair's weight, for the weight histograms.
+    unrefined row. Returns (refined PredictionMatrix, each pair's weight).
 
     The scan holds per-pair vectors only: eval_scores has the LAM
     kernel's phi rows built a chunk at a time, and the weighted label sums
@@ -151,7 +150,4 @@ def refine_labels(points: np.ndarray, probs: np.ndarray, dense: DenseCloud,
         sums = segment_sum(labels, row_query[p0:p1] - q0, q1 - q0)
         touched = nbh.offsets[q0 + 1:q1 + 1] > nbh.offsets[q0:q1]
         out[q0:q1][touched] = sums[touched] / z[q0:q1][touched, None]
-    refined = PredictionMatrix(probs=out, point_index=np.arange(n))
-    if not return_pairs:
-        return refined
-    return refined, e / z[row_query]
+    return PredictionMatrix(probs=out, point_index=np.arange(n)), e / z[row_query]

@@ -28,9 +28,10 @@ from .lam import (LamTrainingError, load_lam_params, modulate_statistics, save_l
 from .metrics import (condense_static_dynamic, confusion, iou, write_confusion_csv,
                       write_iou_csv, write_iou_summary)
 from .selftrain import (LidarSequence, PrecomputedPredictor, apply_cbst, build_lam_training_set,
-                        cross_frame_refine, file_checksum, frame_neighborhoods, load_labels,
-                        noop_student_hook, run_adaptation, save_labels, save_selection_mask,
-                        sequence_sensor_range, within_frame_predictions, write_manifest)
+                        cross_frame_refine, file_checksum, frame_neighborhoods, hard_labels,
+                        load_labels, noop_student_hook, run_adaptation, save_labels,
+                        save_selection_mask, sequence_sensor_range, within_frame_predictions,
+                        write_manifest)
 from .subsample import (apply_row_mask, read_prediction_matrix, read_scan_prediction, row_mask,
                         within_frame_ensemble, write_prediction_matrix)
 
@@ -178,10 +179,14 @@ def cmd_ensemble(args) -> int:
 
 
 def _write_refined(seq: LidarSequence, within, agg, out_dir: Path):
+    """Each scan's refined/{t:06d}.lprb, written by the worker that refined it."""
     refined_dir = out_dir / "refined"
     refined_dir.mkdir(parents=True, exist_ok=True)
-    for t, refined in enumerate(cross_frame_refine(seq.scans, seq.poses, within, agg)):
+
+    def write(t, refined, pairs):
         write_prediction_matrix(refined, refined_dir / f"{t:06d}.lprb")
+
+    cross_frame_refine(seq.scans, seq.poses, within, agg, write)
     write_manifest(out_dir / "refinement.txt", agg.manifest_items())
 
 
@@ -255,7 +260,7 @@ def cmd_lam_analyze(args) -> int:
     kernel = LamKernel(load_lam_params(args.checkpoint)) if args.checkpoint else UniformKernel()
     agg = dataclasses.replace(cfg.adaptation.aggregation, kernel=kernel)
     within = _read_pred_dir(cfg, seq, args.pred_dir)
-    _, records = cross_frame_refine(seq.scans, seq.poses, within, agg, return_pairs=True)
+    records = cross_frame_refine(seq.scans, seq.poses, within, agg, lambda t, refined, pairs: pairs())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_histograms(seq, records, agg.window, args.bins, out_dir)
@@ -271,7 +276,7 @@ def cmd_cbst(args) -> int:
     paths = sorted(pred_dir.glob("*.lprb"))
     if not paths:
         raise ConfigError(f"--pred-dir: no .lprb files under {pred_dir}")
-    label_sets = apply_cbst([read_scan_prediction(p) for p in paths], cfg.adaptation.cbst)
+    label_sets = apply_cbst([hard_labels(read_scan_prediction(p)) for p in paths], cfg.adaptation.cbst)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for path, ls in zip(paths, label_sets):

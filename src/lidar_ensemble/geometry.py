@@ -75,10 +75,6 @@ class RigidTransform:
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tra)
 
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
 
@@ -91,11 +87,6 @@ def compose(t1: RigidTransform, t2: RigidTransform) -> RigidTransform:
 def invert(t: RigidTransform) -> RigidTransform:
     rot_inv = t.rotation.T
     return RigidTransform(rot_inv, -rot_inv @ t.translation)
-
-
-def apply_transform(cloud: PointCloud, t: RigidTransform) -> PointCloud:
-    """Rigidly move a cloud; intensity and frame_id are preserved."""
-    return dataclasses.replace(cloud, points=t.apply(cloud.points))
 
 
 @dataclass(frozen=True)
@@ -200,16 +191,6 @@ class AugmentationSpec:
             raise ValueError("rotation_range must be >= 0")
         if self.translation_sigma < 0:
             raise ValueError("translation_sigma must be >= 0")
-
-    @staticmethod
-    def basic() -> "AugmentationSpec":
-        """Rotation +-45 deg, x/y flips, scale [0.95, 1.05], translation sigma 0.1 m."""
-        return AugmentationSpec(45.0, True, True, (0.95, 1.05), 0.1)
-
-    @staticmethod
-    def intense() -> "AugmentationSpec":
-        """Same as basic but scale [0.9, 1.1] and translation sigma 0.5 m."""
-        return AugmentationSpec(45.0, True, True, (0.9, 1.1), 0.5)
 
 
 def augment(cloud: PointCloud, spec: AugmentationSpec, rng: np.random.Generator) -> PointCloud:

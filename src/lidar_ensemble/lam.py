@@ -362,19 +362,6 @@ def _lovasz_softmax_with_grad(probs: np.ndarray, truth: np.ndarray):
     return total / n, grad / n
 
 
-def lovasz_softmax(probs: np.ndarray, truth: np.ndarray) -> float:
-    """Lovasz-Softmax loss: mean over present classes of the Lovasz extension
-    of the Jaccard loss applied to the per-class probability errors.
-
-    Zero exactly when predictions are one-hot correct for every present
-    class; always in [0, 1].
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.int64)
-    loss, _ = _lovasz_softmax_with_grad(probs, truth)
-    return loss
-
-
 def _cross_entropy_with_grad(probs: np.ndarray, truth: np.ndarray):
     n = len(truth)
     p_true = probs[np.arange(n), truth]
@@ -383,25 +370,6 @@ def _cross_entropy_with_grad(probs: np.ndarray, truth: np.ndarray):
     grad = np.zeros_like(probs)
     grad[np.arange(n), truth] = np.where(p_true > PROB_FLOOR, -1.0 / (clamped * n), 0.0)
     return loss, grad
-
-
-def lam_loss(refined, truth: np.ndarray, ce_weight: float = 1.0, lovasz_weight: float = 1.0,
-             ignore_label: int | None = None) -> float:
-    """Weighted sum of multi-class cross-entropy and Lovasz-Softmax.
-
-    Cross-entropy clamps probabilities at 1e-12; points whose truth equals
-    ignore_label are excluded from both terms.
-    """
-    probs = np.asarray(getattr(refined, "probs", refined), dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if ignore_label is not None:
-        keep = truth != ignore_label
-        probs, truth = probs[keep], truth[keep]
-    if len(truth) == 0:
-        raise ValueError("all points ignored")
-    ce, _ = _cross_entropy_with_grad(probs, truth)
-    lov, _ = _lovasz_softmax_with_grad(probs, truth)
-    return ce_weight * ce + lovasz_weight * lov
 
 
 # ---------------------------------------------------------------------------

@@ -166,63 +166,61 @@ def sequence_points(dense, first: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return rows + shift[dense.source_frame[rows]]
 
 
-def cross_frame_refine(scans, poses, within, agg: AggregationSpec, threads: int = 1,
-                       return_pairs: bool = False):
+def cross_frame_refine(scans, poses, within, agg: AggregationSpec, finish, threads: int = 1):
     """Cross-frame ensembling: every scan's prediction refined with agg's
     kernel against its window, one neighbor search per scan. A zero-width
     window refines each scan against itself.
 
-    Returns the refined prediction matrices; with return_pairs,
-    (refined, records) with each scan's PairRecord for the weight
-    histograms (weight_histograms reads them with sequence_sensor_range
-    and agg.window). Independent of thread count.
+    Returns finish(t, refined, pairs) for every scan t, in frame order,
+    called by the worker that refined t; pairs() builds t's PairRecord for
+    the weight histograms (weight_histograms reads them with
+    sequence_sensor_range and agg.window). Independent of thread count.
     """
     first = first_points(scans)
-    if return_pairs and first[-1] > np.iinfo(np.uint32).max + 1:
-        raise ValueError(f"pair records index at most 2^32 sequence points, not {first[-1]}")
 
     def refine(t: int):
         dense, nbh = frame_neighborhoods(scans, poses, within, t, agg)
-        result = refine_labels(scans[t].points, within[t].probs, dense, nbh, agg.kernel,
-                               return_pairs=return_pairs)
-        if not return_pairs:
-            return result
-        refined, weights = result
-        return refined, PairRecord(
-            weights=weights, center_distance=nbh.distances,
-            neighbor=sequence_points(dense, first, nbh.indices).astype(np.uint32),
-            temporal_offset=dense.temporal_offset.take(nbh.indices).astype(offset_dtype(agg.window)))
+        refined, weights = refine_labels(scans[t].points, within[t].probs, dense, nbh, agg.kernel)
 
-    refined = _map(refine, range(len(scans)), threads)
-    if not return_pairs:
-        return refined
-    return [pred for pred, _ in refined], [record for _, record in refined]
+        def pairs() -> PairRecord:
+            if first[-1] > np.iinfo(np.uint32).max + 1:
+                raise ValueError(f"pair records index at most 2^32 sequence points, not {first[-1]}")
+            return PairRecord(
+                weights=weights, center_distance=nbh.distances,
+                neighbor=sequence_points(dense, first, nbh.indices).astype(np.uint32),
+                temporal_offset=dense.temporal_offset.take(nbh.indices).astype(offset_dtype(agg.window)))
+
+        return finish(t, refined, pairs)
+
+    return _map(refine, range(len(scans)), threads)
 
 
-def generate_refined_predictions(scans, poses, predictor: Predictor, config: AdaptationConfig,
-                                 seed: int = 0, use_intensity: bool = True, threads: int = 1,
-                                 return_pairs: bool = False):
+def generate_refined_predictions(scans, poses, predictor: Predictor, config: AdaptationConfig, finish,
+                                 seed: int = 0, use_intensity: bool = True, threads: int = 1):
     """Within-frame then cross-frame ensembling over a whole sequence.
 
-    Returns (within, refined): per-scan prediction matrices after the
-    subsample-ensemble average and after kernel refinement. A zero-width
-    window disables cross-frame refinement entirely, so the pipeline with
-    one identity trial and window 0 reduces to the raw predictor.
-    With return_pairs, also returns each scan's PairRecord for the weight
-    histograms, from the same single neighbor search per scan; a zero-width
-    window then still searches the scan itself.
-    Deterministic given the seed, independent of thread count.
+    Returns (within, kept): the per-scan prediction matrices after the
+    subsample-ensemble average, and finish(t, refined, pairs) of every scan
+    (cross_frame_refine). A zero-width window gives finish the within-frame
+    prediction as refined, so the pipeline with one identity trial and
+    window 0 reduces to the raw predictor; pairs() then holds the scan's
+    search of itself. Deterministic given the seed, independent of thread
+    count.
     """
     agg = config.aggregation
     within = within_frame_predictions(scans, predictor, config, seed=seed,
                                       use_intensity=use_intensity, threads=threads)
-    if agg.window == 0 and not return_pairs:
-        return within, within
-    if not return_pairs:
-        return within, cross_frame_refine(scans, poses, within, agg, threads=threads)
-    refined, records = cross_frame_refine(scans, poses, within, agg, threads=threads,
-                                          return_pairs=True)
-    return within, (within if agg.window == 0 else refined), records
+
+    def finish_frame(t, refined, pairs):
+        return finish(t, within[t] if agg.window == 0 else refined, pairs)
+
+    return within, cross_frame_refine(scans, poses, within, agg, finish_frame, threads=threads)
+
+
+def hard_labels(pred: PredictionMatrix):
+    """(labels, confidence): each point's most probable class and its
+    probability."""
+    return pred.probs.argmax(axis=1), pred.probs.max(axis=1)
 
 
 def cbst_select(labels: np.ndarray, confidence: np.ndarray, config: CbstConfig) -> np.ndarray:
@@ -246,13 +244,13 @@ def cbst_select(labels: np.ndarray, confidence: np.ndarray, config: CbstConfig) 
     return selected
 
 
-def apply_cbst(predictions, config: CbstConfig):
-    """Each scan's hard labels and confidences from its prediction matrix,
-    with the class-balanced selection made over all scans pooled."""
-    labels = [pred.probs.argmax(axis=1) for pred in predictions]
-    confidence = [pred.probs.max(axis=1) for pred in predictions]
+def apply_cbst(frames, config: CbstConfig):
+    """Each scan's PseudoLabelSet from its (labels, confidence) pair
+    (hard_labels), with the class-balanced selection made over all scans
+    pooled."""
+    labels, confidence = zip(*frames)
     mask = cbst_select(np.concatenate(labels), np.concatenate(confidence), config)
-    selected = np.split(mask, np.cumsum([len(pred) for pred in predictions])[:-1])
+    selected = np.split(mask, np.cumsum([len(scan) for scan in labels])[:-1])
     return [PseudoLabelSet(*fields) for fields in zip(labels, confidence, selected)]
 
 
@@ -295,12 +293,16 @@ def run_adaptation(seq: LidarSequence, teacher: Predictor, student_hook, config:
     for iteration in range(config.iterations):
         use_intensity = iteration > 0
         manifest_items.append((f"iteration_{iteration:02d}.intensity_used", str(use_intensity).lower()))
-        _, refined, *records = generate_refined_predictions(
-            seq.scans, seq.poses, predictor, config, seed=_iteration_seed(config.seed, iteration),
-            use_intensity=use_intensity, threads=threads, return_pairs=iteration == 0)
+        # each frame ends in its labels and confidences in the worker that
+        # refined it, and in its PairRecord at iteration 0; no (N, K) rows,
+        # within-frame or refined, outlive the call
+        kept = generate_refined_predictions(
+            seq.scans, seq.poses, predictor, config,
+            lambda t, refined, pairs: (hard_labels(refined), pairs() if iteration == 0 else None),
+            seed=_iteration_seed(config.seed, iteration), use_intensity=use_intensity, threads=threads)[1]
         if iteration == 0:
-            (pairs,) = records
-        label_sets = apply_cbst(refined, config.cbst)
+            records = [record for _, record in kept]
+        label_sets = apply_cbst([frame for frame, _ in kept], config.cbst)
         results.append(label_sets)
         seq_dir = out_dir / f"iteration_{iteration:02d}" / seq.name
         seq_dir.mkdir(parents=True, exist_ok=True)
@@ -314,7 +316,7 @@ def run_adaptation(seq: LidarSequence, teacher: Predictor, student_hook, config:
             raise AdaptationError(f"student hook failed at iteration {iteration}") from exc
         if next_predictor is not None:
             predictor = next_predictor
-    return results, pairs
+    return results, records
 
 
 def _iteration_seed(seed: int, iteration: int) -> int:
@@ -425,6 +427,9 @@ class PrecomputedPredictor(Predictor):
         if len(pred) != len(cloud):
             raise FileFormatError(f"{path}: {len(pred)} rows for a {len(cloud)}-point scan "
                                   f"(row count at byte offset 4)")
+        if pred.num_classes != self.num_classes:
+            raise FileFormatError(f"{path}: {pred.num_classes} classes, expected {self.num_classes} "
+                                  f"(class count at byte offset 8)")
         return pred
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import PointCloud, RigidTransform, SensorConfig, invert, save_point_cloud_bin, save_poses
+from .geometry import PointCloud, RigidTransform, invert, save_point_cloud_bin, save_poses
 from .selftrain import LidarSequence, save_labels
 
 HEIGHT_THRESHOLDS = (0.5, 2.5)
@@ -40,11 +40,6 @@ class SyntheticSceneSpec:
     def __post_init__(self):
         if self.num_frames < 1 or self.points_per_frame < 1:
             raise ValueError("num_frames and points_per_frame must be >= 1")
-
-
-def sensor_config() -> SensorConfig:
-    """Range-image geometry used by all synthetic drives."""
-    return SensorConfig(height=32, width=512, fov_up=15.0, fov_down=25.0)
 
 
 def _sensor_pose(spec: SyntheticSceneSpec, frame: int) -> RigidTransform:

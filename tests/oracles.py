@@ -12,15 +12,22 @@ used before its rows went through lam.segment_sum; the weight
 histograms pooled from float64 feature slices, as they were computed
 before the pair records became references into the sequence, and scored
 from joined phi rows, as the analysis commands computed them before the
-refinement pass recorded each pair's weight; and
+refinement pass recorded each pair's weight;
 refinement over whole-scan (pairs, K) and (pairs, 2K + 3) arrays, as it
-ran before its blocks.
+ran before its blocks; cross_frame_refine finish callbacks that keep each
+scan's refined rows, hard labels or pair record; the LAM loss and the
+Lovasz-Softmax value without gradients, beside the training loss that
+computes them with gradients; and the rigid-transform, augmentation-scheme
+and synthetic-sensor helpers that only tests use.
 """
+
+import dataclasses
 
 import numpy as np
 
 from lidar_ensemble import lam, phi_layout
 from lidar_ensemble.aggregate import UniformKernel, phi_pairs
+from lidar_ensemble.geometry import AugmentationSpec, PointCloud, RigidTransform, SensorConfig
 from lidar_ensemble.lam import lam_forward
 from lidar_ensemble.neighbors import (
     Neighborhoods,
@@ -28,7 +35,7 @@ from lidar_ensemble.neighbors import (
     build_dense_cloud,
     precompute_neighborhoods,
 )
-from lidar_ensemble.selftrain import frame_neighborhoods
+from lidar_ensemble.selftrain import frame_neighborhoods, hard_labels
 from lidar_ensemble.subsample import PredictionMatrix
 
 
@@ -245,7 +252,7 @@ def weight_histograms(params, phis, row_query, num_queries, bins=20):
     return pooled_weight_histograms([features], [weights], bins)
 
 
-def refine_labels_unblocked(probs, dense, nbh, kernel, return_pairs=False):
+def refine_labels_unblocked(probs, dense, nbh, kernel):
     """aggregate.refine_labels with every array of the scan held whole:
     the phi rows of all pairs scored by one eval_scores call, and the
     weighted neighbor rows of all pairs summed by one segment_sum."""
@@ -262,7 +269,82 @@ def refine_labels_unblocked(probs, dense, nbh, kernel, return_pairs=False):
     touched = nbh.valid_count > 0
     out = probs.copy()
     out[touched] = sums[touched] / z[touched, None]
-    refined = PredictionMatrix(probs=out, point_index=np.arange(n))
-    if not return_pairs:
-        return refined
-    return refined, e / z[nbh.row_query]
+    return PredictionMatrix(probs=out, point_index=np.arange(n)), e / z[nbh.row_query]
+
+
+def keep_refined(t, refined, pairs):
+    """A cross_frame_refine finish that keeps every scan's refined matrix,
+    as cross_frame_refine returned them before each frame ended in its
+    worker."""
+    return refined
+
+
+def keep_pairs(t, refined, pairs):
+    """A cross_frame_refine finish that keeps every scan's PairRecord."""
+    return pairs()
+
+
+def keep_labels(t, refined, pairs):
+    """A cross_frame_refine finish that keeps every scan's (labels,
+    confidence), which apply_cbst takes."""
+    return hard_labels(refined)
+
+
+def lovasz_softmax(probs, truth) -> float:
+    """Lovasz-Softmax loss: mean over present classes of the Lovasz extension
+    of the Jaccard loss applied to the per-class probability errors.
+
+    Zero exactly when predictions are one-hot correct for every present
+    class; always in [0, 1]. The loss half of the term that
+    lam.training_loss_and_grads differentiates.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.int64)
+    loss, _ = lam._lovasz_softmax_with_grad(probs, truth)
+    return loss
+
+
+def lam_loss(refined, truth, ce_weight: float = 1.0, lovasz_weight: float = 1.0,
+             ignore_label: int | None = None) -> float:
+    """Weighted sum of multi-class cross-entropy and Lovasz-Softmax, the
+    loss lam.training_loss_and_grads computes with its gradients.
+
+    Cross-entropy clamps probabilities at 1e-12; points whose truth equals
+    ignore_label are excluded from both terms.
+    """
+    probs = np.asarray(getattr(refined, "probs", refined), dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.int64)
+    if ignore_label is not None:
+        keep = truth != ignore_label
+        probs, truth = probs[keep], truth[keep]
+    if len(truth) == 0:
+        raise ValueError("all points ignored")
+    ce, _ = lam._cross_entropy_with_grad(probs, truth)
+    lov, _ = lam._lovasz_softmax_with_grad(probs, truth)
+    return ce_weight * ce + lovasz_weight * lov
+
+
+def identity_transform() -> RigidTransform:
+    return RigidTransform(np.eye(3), np.zeros(3))
+
+
+def apply_transform(cloud: PointCloud, t: RigidTransform) -> PointCloud:
+    """Rigidly move a cloud; intensity and frame_id are preserved."""
+    return dataclasses.replace(cloud, points=t.apply(cloud.points))
+
+
+def basic_augmentation() -> AugmentationSpec:
+    """The paper's basic scheme: rotation +-45 deg, x/y flips, scale
+    [0.95, 1.05], translation sigma 0.1 m."""
+    return AugmentationSpec(45.0, True, True, (0.95, 1.05), 0.1)
+
+
+def intense_augmentation() -> AugmentationSpec:
+    """The paper's intense scheme: as basic, but scale [0.9, 1.1] and
+    translation sigma 0.5 m."""
+    return AugmentationSpec(45.0, True, True, (0.9, 1.1), 0.5)
+
+
+def sensor_config() -> SensorConfig:
+    """Range-image geometry of the synthetic drives (synth.generate_sequence)."""
+    return SensorConfig(height=32, width=512, fov_up=15.0, fov_down=25.0)

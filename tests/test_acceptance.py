@@ -18,7 +18,6 @@ from lidar_ensemble.geometry import PointCloud, SensorConfig, project_to_range_i
 from lidar_ensemble.lam import (
     TrainConfig,
     initialize_lam_params,
-    lovasz_softmax,
     modulate_statistics,
     train_lam,
     training_loss_and_grads,
@@ -36,8 +35,9 @@ from lidar_ensemble.selftrain import (
     generate_refined_predictions,
 )
 from lidar_ensemble.subsample import SubsampleSpec, row_mask
-from lidar_ensemble.synth import HEIGHT_THRESHOLDS, SyntheticSceneSpec, generate_sequence, sensor_config
-from tests.oracles import from_padded, kernel_score, padded, phi, phi_stream, row_moments
+from lidar_ensemble.synth import HEIGHT_THRESHOLDS, SyntheticSceneSpec, generate_sequence
+from tests.oracles import (from_padded, keep_refined, kernel_score, lovasz_softmax, padded, phi, phi_stream,
+                           row_moments, sensor_config)
 from tests.test_lam import prefix_jaccard_oracle
 
 
@@ -161,7 +161,7 @@ def test_criterion_03_refinement_oracle():
 
     params = initialize_lam_params(2 * k_classes + 3, seed=7)
     for kernel in (UniformKernel(), LamKernel(params)):
-        out = refine_labels(queries, v, dense, nbh, kernel)
+        out, _ = refine_labels(queries, v, dense, nbh, kernel)
         # simplex preservation
         assert out.probs.min() >= 0.0
         assert np.abs(out.probs.sum(axis=1) - 1.0).max() < 1e-5
@@ -186,9 +186,9 @@ def test_criterion_03_refinement_oracle():
             s = kernel_score(kernel, phi(queries[q], v[q], dense, j))
             num += s * dense.probs[j]
             den += s
-        got = refine_labels(queries[q : q + 1], v[q : q + 1], dense,
-                            from_padded(indices[q : q + 1], distances[q : q + 1],
-                                        valid[q : q + 1]), kernel)
+        got, _ = refine_labels(queries[q : q + 1], v[q : q + 1], dense,
+                               from_padded(indices[q : q + 1], distances[q : q + 1],
+                                           valid[q : q + 1]), kernel)
         assert np.abs(got.probs[0] - num / den).max() < 1e-6
 
 
@@ -303,7 +303,7 @@ def test_criterion_07_adaptation_benefit():
     config = AdaptationConfig(sensor=sensor_config(), subsample=subsample, aggregation=agg,
                               cbst=CbstConfig(portion=1.0))
     within, refined = generate_refined_predictions(
-        target.scans, target.poses, flat_noisy, config, seed=3)
+        target.scans, target.poses, flat_noisy, config, keep_refined, seed=3)
     acc_unrefined = _sequence_accuracy(within, target_truth)
     acc_uniform = _sequence_accuracy(refined, target_truth)
     print(f"\n  flat noise: unrefined {acc_unrefined:.4f}, uniform {acc_uniform:.4f}")
@@ -317,13 +317,13 @@ def test_criterion_07_adaptation_benefit():
     source_spec = SyntheticSceneSpec(num_frames=14, points_per_frame=700, seed=21)
     source, source_truth = generate_sequence(source_spec)
     source_within, _ = generate_refined_predictions(
-        source.scans, source.poses, gated(101), config, seed=8)
+        source.scans, source.poses, gated(101), config, keep_refined, seed=8)
     data = build_lam_training_set(source.scans, source.poses, source_within, source_truth, agg)
     params, trace = train_lam(data, TrainConfig(learning_rate=1e-3, epochs=25, batch=256, seed=0))
     assert trace[-1].total < trace[0].total
 
     tgt_within, tgt_uniform = generate_refined_predictions(
-        target.scans, target.poses, gated(55), config, seed=3)
+        target.scans, target.poses, gated(55), config, keep_refined, seed=3)
 
     # modulate standardization statistics on the target feature stream
     chunks, _ = phi_stream(target.scans, target.poses, tgt_within, agg)
@@ -334,7 +334,7 @@ def test_criterion_07_adaptation_benefit():
     lam_config = AdaptationConfig(sensor=sensor_config(), subsample=subsample, aggregation=lam_agg,
                                   cbst=CbstConfig(portion=1.0))
     _, tgt_lam = generate_refined_predictions(
-        target.scans, target.poses, gated(55), lam_config, seed=3)
+        target.scans, target.poses, gated(55), lam_config, keep_refined, seed=3)
 
     acc_gated_uniform = _sequence_accuracy(tgt_uniform, target_truth)
     acc_gated_lam = _sequence_accuracy(tgt_lam, target_truth)

@@ -27,8 +27,8 @@ from lidar_ensemble.selftrain import (cross_frame_refine, frame_neighborhoods, s
                                       write_manifest)
 from lidar_ensemble.subsample import PredictionMatrix
 from lidar_ensemble.synth import SyntheticSceneSpec, generate_sequence
-from tests.oracles import (from_padded, kernel_score, padded, phi, phi_matrix, refine_labels_unblocked,
-                           score_array)
+from tests.oracles import (from_padded, keep_pairs, kernel_score, padded, phi, phi_matrix,
+                           refine_labels_unblocked, score_array)
 
 
 def make_dense(rng, m=200, k_classes=3, window=10):
@@ -185,10 +185,8 @@ class TestKernelScore:
         params, _ = train_lam(data, TrainConfig(epochs=2, batch=16, seed=4))
         save_lam_params(params, tmp_path / "lam.ckpt")
         loaded = load_lam_params(tmp_path / "lam.ckpt")
-        trained, trained_weights = refine_labels(queries, v, dense, nbh, LamKernel(params),
-                                                 return_pairs=True)
-        restored, restored_weights = refine_labels(queries, v, dense, nbh, LamKernel(loaded),
-                                                   return_pairs=True)
+        trained, trained_weights = refine_labels(queries, v, dense, nbh, LamKernel(params))
+        restored, restored_weights = refine_labels(queries, v, dense, nbh, LamKernel(loaded))
         assert not np.allclose(trained_weights, 1 / 8)
         assert trained.probs.tobytes() == restored.probs.tobytes()
         assert trained_weights.tobytes() == restored_weights.tobytes()
@@ -205,7 +203,7 @@ class TestRefineLabels:
             window=1,
         )
         nbh = from_padded(indices=[[0, 1]], distances=[[0.1, 0.1]], valid_count=[2])
-        out = refine_labels(np.zeros((1, 3)), np.array([[1.0, 0.0]]), dense, nbh, UniformKernel())
+        out, _ = refine_labels(np.zeros((1, 3)), np.array([[1.0, 0.0]]), dense, nbh, UniformKernel())
         assert np.allclose(out.probs, [[0.5, 0.5]], atol=1e-12)
 
     def test_uniform_equals_arithmetic_mean_exactly(self):
@@ -215,7 +213,7 @@ class TestRefineLabels:
         raw = rng.uniform(0.05, 1.0, size=(50, 3))
         v = raw / raw.sum(1, keepdims=True)
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=12)
-        out = refine_labels(queries, v, dense, nbh, UniformKernel())
+        out, _ = refine_labels(queries, v, dense, nbh, UniformKernel())
         indices, _, valid = padded(nbh)
         for q in range(50):
             n = int(valid[q])
@@ -231,7 +229,7 @@ class TestRefineLabels:
         v = raw / raw.sum(1, keepdims=True)
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=40, eps=0.6)
         assert (nbh.valid_count == 0).any() and len(np.unique(nbh.valid_count)) > 5
-        out = refine_labels(queries, v, dense, nbh, UniformKernel())
+        out, _ = refine_labels(queries, v, dense, nbh, UniformKernel())
         indices, _, valid = padded(nbh)
         for q in range(300):
             n = int(valid[q])
@@ -247,7 +245,7 @@ class TestRefineLabels:
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=8)
         params = initialize_lam_params(phi_layout.feature_dim(3), hidden_sizes=(8, 8, 8), seed=1)
         kernel = LamKernel(params)
-        out = refine_labels(queries, v, dense, nbh, kernel)
+        out, _ = refine_labels(queries, v, dense, nbh, kernel)
         indices, _, valid = padded(nbh)
         for q in range(40):
             n = int(valid[q])
@@ -271,7 +269,7 @@ class TestRefineLabels:
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=40, eps=0.6)
         assert (nbh.valid_count == 0).any() and len(np.unique(nbh.valid_count)) > 5
         params = initialize_lam_params(phi_layout.feature_dim(19), hidden_sizes=(8, 8, 8), seed=4)
-        out = refine_labels(queries, v, dense, nbh, LamKernel(params))
+        out, _ = refine_labels(queries, v, dense, nbh, LamKernel(params))
         rows, _ = phi_pairs(v, dense, nbh)
         scores = score_array(params, rows)
         labels = dense.probs[nbh.indices]
@@ -295,11 +293,11 @@ class TestRefineLabels:
         v = raw / raw.sum(1, keepdims=True)
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=20, eps=0.8)
         assert (nbh.valid_count == 0).any()
-        _, weights = refine_labels(queries, v, dense, nbh, UniformKernel(), return_pairs=True)
+        _, weights = refine_labels(queries, v, dense, nbh, UniformKernel())
         counts = nbh.valid_count[nbh.valid_count > 0]
         assert np.array_equal(weights, np.repeat(1 / counts, counts))
         params = initialize_lam_params(phi_layout.feature_dim(5), hidden_sizes=(8, 8, 8), seed=5)
-        _, weights = refine_labels(queries, v, dense, nbh, LamKernel(params), return_pairs=True)
+        _, weights = refine_labels(queries, v, dense, nbh, LamKernel(params))
         rows, row_query = phi_pairs(v, dense, nbh)
         assert np.array_equal(weights,
                               segment_softmax(score_array(params, rows), row_query, len(queries)))
@@ -320,7 +318,7 @@ class TestRefineLabels:
         for kernel, (window, stride, epsilon) in itertools.product(
                 (UniformKernel(), LamKernel(params)), ((0, 1, 0.8), (3, 2, 0.8), (2, 1, None))):
             agg = AggregationSpec(kernel=kernel, k=20, epsilon=epsilon, window=window, stride=stride)
-            _, records = cross_frame_refine(seq.scans, seq.poses, within, agg, return_pairs=True)
+            records = cross_frame_refine(seq.scans, seq.poses, within, agg, keep_pairs)
             for t, record in enumerate(records):
                 dense, nbh = frame_neighborhoods(seq.scans, seq.poses, within, t, agg)
                 assert [(a.dtype, a.flags.c_contiguous) for a in (
@@ -340,10 +338,10 @@ class TestRefineLabels:
         v = raw / raw.sum(1, keepdims=True)
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=6)
         params = initialize_lam_params(phi_layout.feature_dim(3), hidden_sizes=(8, 8, 8), seed=2)
-        base = refine_labels(queries, v, dense, nbh, LamKernel(params))
+        base, _ = refine_labels(queries, v, dense, nbh, LamKernel(params))
         shifted_params = params.copy()
         shifted_params.head_bias += 37.5
-        shifted = refine_labels(queries, v, dense, nbh, LamKernel(shifted_params))
+        shifted, _ = refine_labels(queries, v, dense, nbh, LamKernel(shifted_params))
         assert np.abs(base.probs - shifted.probs).max() < 1e-9
 
     def test_neighbor_order_permutation_invariant(self):
@@ -364,8 +362,8 @@ class TestRefineLabels:
         shuffled = from_padded(perm_idx, perm_dist, valid)
         params = initialize_lam_params(phi_layout.feature_dim(3), hidden_sizes=(8, 8, 8), seed=3)
         for kernel in (UniformKernel(), LamKernel(params)):
-            a = refine_labels(queries, v, dense, nbh, kernel)
-            b = refine_labels(queries, v, dense, shuffled, kernel)
+            a, _ = refine_labels(queries, v, dense, nbh, kernel)
+            b, _ = refine_labels(queries, v, dense, shuffled, kernel)
             assert np.abs(a.probs - b.probs).max() < 1e-12
 
     def test_empty_neighborhood_falls_back_to_input(self):
@@ -376,7 +374,7 @@ class TestRefineLabels:
         nbh = from_padded(indices=indices, distances=np.zeros((2, 4)), valid_count=[0, 2])
         raw = rng.uniform(0.05, 1.0, size=(2, 3))
         v = raw / raw.sum(1, keepdims=True)
-        out = refine_labels(rng.normal(size=(2, 3)), v, dense, nbh, UniformKernel())
+        out, _ = refine_labels(rng.normal(size=(2, 3)), v, dense, nbh, UniformKernel())
         assert np.array_equal(out.probs[0], v[0])
         assert not np.array_equal(out.probs[1], v[1])
 
@@ -394,10 +392,10 @@ class TestRefineLabels:
         valid[3] = 0
         holes = from_padded(indices, distances, valid)
         params = initialize_lam_params(phi_layout.feature_dim(3), hidden_sizes=(8, 8, 8), seed=5)
-        out = refine_labels(queries, v, dense, holes, LamKernel(params))
+        out, _ = refine_labels(queries, v, dense, holes, LamKernel(params))
         assert np.array_equal(out.probs[1], v[1])
         assert np.array_equal(out.probs[3], v[3])
-        reference = refine_labels(queries, v, dense, full, LamKernel(params))
+        reference, _ = refine_labels(queries, v, dense, full, LamKernel(params))
         for q in (0, 2, 4):
             assert np.abs(out.probs[q] - reference.probs[q]).max() < 1e-12
 
@@ -412,7 +410,7 @@ class TestRefineLabels:
             window=1,
         )
         nbh = from_padded(indices=[[0, 1, 2, 3, 4]], distances=[[0.0] * 5], valid_count=[5])
-        out = refine_labels(np.zeros((1, 3)), row.reshape(1, 3), dense, nbh, UniformKernel())
+        out, _ = refine_labels(np.zeros((1, 3)), row.reshape(1, 3), dense, nbh, UniformKernel())
         assert np.abs(out.probs[0] - row).max() < 1e-12
 
     def test_simplex_preserved(self):
@@ -424,7 +422,7 @@ class TestRefineLabels:
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), queries, k=10)
         params = initialize_lam_params(phi_layout.feature_dim(5), hidden_sizes=(8, 8, 8), seed=4)
         for kernel in (UniformKernel(), LamKernel(params)):
-            out = refine_labels(queries, v, dense, nbh, kernel)
+            out, _ = refine_labels(queries, v, dense, nbh, kernel)
             assert out.probs.min() >= 0.0
             assert np.abs(out.probs.sum(axis=1) - 1.0).max() < 1e-5
 
@@ -445,10 +443,9 @@ def ragged_frame(rng, queries, capacity, k_classes, empty=0.2, full=0.5, m=300):
     return dense, raw / raw.sum(1, keepdims=True), nbh
 
 
-def assert_same_refinement(got, want, return_pairs):
-    if return_pairs:
-        (got, got_weights), (want, want_weights) = got, want
-        assert np.array_equal(got_weights, want_weights)
+def assert_same_refinement(got, want):
+    (got, got_weights), (want, want_weights) = got, want
+    assert np.array_equal(got_weights, want_weights)
     assert np.array_equal(got.probs, want.probs)
     assert np.array_equal(got.point_index, want.point_index)
 
@@ -464,12 +461,10 @@ class TestBlockedRefinement:
     @settings(max_examples=60)
     @given(queries=st.integers(0, 400), capacity=st.integers(1, 12), k_classes=st.integers(1, 5),
            empty=st.floats(0, 1), full=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1),
-           budget=st.sampled_from(PAIR_BUDGETS), kernel=st.sampled_from(["uniform", "lam"]),
-           return_pairs=st.booleans())
-    @example(queries=400, capacity=12, k_classes=3, empty=0.1, full=0.8, seed=0, budget=7,
-             kernel="lam", return_pairs=True)
+           budget=st.sampled_from(PAIR_BUDGETS), kernel=st.sampled_from(["uniform", "lam"]))
+    @example(queries=400, capacity=12, k_classes=3, empty=0.1, full=0.8, seed=0, budget=7, kernel="lam")
     def test_matches_the_unblocked_oracle(self, queries, capacity, k_classes, empty, full, seed, budget,
-                                          kernel, return_pairs):
+                                          kernel):
         rng = np.random.default_rng(seed)
         dense, v, nbh = ragged_frame(rng, queries, capacity, k_classes, empty, full)
         if kernel == "lam":
@@ -478,11 +473,11 @@ class TestBlockedRefinement:
             kernel = LamKernel(params)
         else:
             kernel = UniformKernel()
-        want = refine_labels_unblocked(v, dense, nbh, kernel, return_pairs)
+        want = refine_labels_unblocked(v, dense, nbh, kernel)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(aggregate, "_PAIR_BUDGET", budget)
-            got = refine_labels(np.zeros((queries, 3)), v, dense, nbh, kernel, return_pairs)
-        assert_same_refinement(got, want, return_pairs)
+            got = refine_labels(np.zeros((queries, 3)), v, dense, nbh, kernel)
+        assert_same_refinement(got, want)
 
     @pytest.mark.parametrize("budget", PAIR_BUDGETS)
     def test_query_blocks_cross_eval_chunks(self, budget, monkeypatch):
@@ -499,8 +494,8 @@ class TestBlockedRefinement:
         params = initialize_lam_params(phi_layout.feature_dim(4), hidden_sizes=(8, 8, 8), seed=7)
         monkeypatch.setattr(aggregate, "_PAIR_BUDGET", budget)
         for kernel in (UniformKernel(), LamKernel(params)):
-            got = refine_labels(np.zeros((600, 3)), v, dense, nbh, kernel, return_pairs=True)
-            assert_same_refinement(got, refine_labels_unblocked(v, dense, nbh, kernel, True), True)
+            got = refine_labels(np.zeros((600, 3)), v, dense, nbh, kernel)
+            assert_same_refinement(got, refine_labels_unblocked(v, dense, nbh, kernel))
 
     @pytest.mark.parametrize("kernel", ["uniform", "lam"])
     @pytest.mark.parametrize("k_classes", [3, 19])
@@ -523,7 +518,7 @@ class TestBlockedRefinement:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            refine_labels(points, v, dense, nbh, kernel, return_pairs=True)
+            refine_labels(points, v, dense, nbh, kernel)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()

@@ -13,7 +13,7 @@ from lidar_ensemble.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from lidar_ensemble.selftrain import load_labels, load_selection_mask
 from lidar_ensemble.subsample import read_prediction_matrix, read_scan_prediction, write_prediction_matrix
 from lidar_ensemble.subsample import PredictionMatrix
-from tests.oracles import phi_stream, row_moments, sequence_rows, weight_histograms
+from tests.oracles import keep_refined, phi_stream, row_moments, sequence_rows, weight_histograms
 
 CONFIG_TEMPLATE = """
 [dataset]
@@ -179,6 +179,31 @@ def prediction_dir(dataset, config_path, tmp_path_factory):
 
 
 class TestAggregateCommand:
+    @pytest.mark.parametrize("command", ["aggregate", "lam-apply"])
+    def test_holds_one_refined_matrix_at_a_time(self, command, config_path, prediction_dir, checkpoint,
+                                                tmp_path, monkeypatch):
+        # each frame's refined rows are written by the worker that refined
+        # it, so none is alive when the next frame is refined
+        import weakref
+
+        from lidar_ensemble import selftrain
+
+        alive, refined_rows = [], []
+        original = selftrain.refine_labels
+
+        def refine(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refined_rows))
+            refined, weights = original(*args, **kwargs)
+            refined_rows.append(weakref.ref(refined.probs))
+            return refined, weights
+
+        monkeypatch.setattr(selftrain, "refine_labels", refine)
+        argv = [command, "--config", str(config_path), "--pred-dir", str(prediction_dir)]
+        if command == "lam-apply":
+            argv += ["--checkpoint", str(checkpoint)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+        assert alive == [0, 0, 0, 0]
+
     def test_refines_and_writes_manifest(self, config_path, prediction_dir, tmp_path):
         out = tmp_path / "agg"
         assert main(["aggregate", "--config", str(config_path), "--pred-dir", str(prediction_dir),
@@ -233,7 +258,7 @@ class TestLamCommands:
         cfg = load_config(config_path)
         seq, truths, _ = cli._load_sequence(cfg)
         within, _ = selftrain.generate_refined_predictions(
-            seq.scans, seq.poses, cfg.predictor, cfg.adaptation,
+            seq.scans, seq.poses, cfg.predictor, cfg.adaptation, keep_refined,
             seed=cfg.adaptation.seed, use_intensity=False)
         data = selftrain.build_lam_training_set(seq.scans, seq.poses, within, truths,
                                                 cfg.adaptation.aggregation, ignore_label=cfg.ignore_label)
@@ -639,7 +664,7 @@ class TestPipelineReuse:
         cfg = load_config(path)
         seq, _, _ = cli._load_sequence(cfg)
         within, _ = selftrain.generate_refined_predictions(
-            seq.scans, seq.poses, cfg.predictor, cfg.adaptation,
+            seq.scans, seq.poses, cfg.predictor, cfg.adaptation, keep_refined,
             seed=selftrain._iteration_seed(cfg.adaptation.seed, 0), use_intensity=False)
         chunks, queries = phi_stream(seq.scans, seq.poses, within, cfg.adaptation.aggregation)
         rows, row_query, num_queries = sequence_rows(seq.scans, chunks, queries)
@@ -664,7 +689,7 @@ def _old_refine_from_files(seq, pred_dir, agg, out_dir):
     for t in range(len(seq.scans)):
         dense = build_dense_cloud(pairs, seq.poses, t, agg.window, agg.stride)
         nbh = precompute_neighborhoods(SpatialIndex(dense.points), seq.scans[t].points, agg.k, agg.epsilon)
-        refined = refine_labels(seq.scans[t].points, within[t].probs, dense, nbh, agg.kernel)
+        refined, _ = refine_labels(seq.scans[t].points, within[t].probs, dense, nbh, agg.kernel)
         write_prediction_matrix(refined, refined_dir / f"{t:06d}.lprb")
     epsilon = "none" if agg.epsilon is None else repr(agg.epsilon)
     (out_dir / "refinement.txt").write_text(
@@ -1109,6 +1134,25 @@ seed = 3
         assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "x"),
                      "--threads", "1"]) == EXIT_IO
         assert "000002.lprb: 245 rows for a 250-point scan" in caplog.text
+
+    @pytest.mark.parametrize("command", ["aggregate", "pipeline"])
+    def test_class_count_mismatch_is_io_error(self, command, dataset, config_path, prediction_dir, tmp_path,
+                                              caplog):
+        # frame 1 exported with 4 classes, the others with the configured 3
+        import shutil
+
+        preds = tmp_path / "preds"
+        shutil.copytree(prediction_dir, preds)
+        full = read_prediction_matrix(preds / "000001.lprb")
+        wide = np.hstack([full.probs, np.zeros((len(full), 1))])
+        write_prediction_matrix(PredictionMatrix(wide, full.point_index), preds / "000001.lprb")
+        if command == "aggregate":
+            argv = ["aggregate", "--config", str(config_path), "--pred-dir", str(preds)]
+        else:
+            argv = ["pipeline", "--config", str(self.precomputed_config(dataset, preds, tmp_path)),
+                    "--threads", "1"]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == EXIT_IO
+        assert "000001.lprb: 4 classes, expected 3 (class count at byte offset 8)" in caplog.text
 
     def test_subsample_trials_rejected(self, dataset, prediction_dir, tmp_path):
         cfg = self.precomputed_config(dataset, prediction_dir, tmp_path, trials=3)

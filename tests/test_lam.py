@@ -21,9 +21,7 @@ from lidar_ensemble.lam import (
     initialize_lam_params,
     lam_backward,
     lam_forward,
-    lam_loss,
     load_lam_params,
-    lovasz_softmax,
     modulate_statistics,
     save_lam_params,
     segment_exp,
@@ -34,7 +32,7 @@ from lidar_ensemble.lam import (
     write_histogram_csv,
     write_loss_trace_csv,
 )
-from tests.oracles import phi_matrix, row_moments, score_array, weight_histograms
+from tests.oracles import lam_loss, lovasz_softmax, phi_matrix, row_moments, score_array, weight_histograms
 from lidar_ensemble.lam import _lovasz_softmax_with_grad
 
 

@@ -43,14 +43,10 @@ from lidar_ensemble.selftrain import (
     write_manifest,
 )
 from lidar_ensemble.subsample import PredictionMatrix, SubsampleSpec
-from lidar_ensemble.synth import (
-    HEIGHT_THRESHOLDS,
-    SyntheticSceneSpec,
-    generate_sequence,
-    sensor_config,
-)
-from tests.oracles import (concatenated_training_set, phi_matrix, pooled_weight_histograms,
-                           refine_labels_unblocked, train_lam_lists, training_lists)
+from lidar_ensemble.synth import HEIGHT_THRESHOLDS, SyntheticSceneSpec, generate_sequence
+from tests.oracles import (concatenated_training_set, keep_labels, keep_pairs, keep_refined, phi_matrix,
+                           pooled_weight_histograms, refine_labels_unblocked, sensor_config,
+                           train_lam_lists, training_lists)
 
 
 def identity_config(k=8, window=6):
@@ -187,8 +183,8 @@ class TestGeneratePseudoLabels:
         seq, truths = generate_sequence(spec)
         predictor = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
         config = identity_config(window=0)
-        _, refined = generate_refined_predictions(seq.scans, seq.poses, predictor, config, seed=0)
-        labels = apply_cbst(refined, CbstConfig(portion=1.0))
+        _, frames = generate_refined_predictions(seq.scans, seq.poses, predictor, config, keep_labels, seed=0)
+        labels = apply_cbst(frames, CbstConfig(portion=1.0))
         assert len(labels) == 1
         assert np.array_equal(labels[0].labels, truths[0])
         assert np.all(labels[0].confidence == 1.0)
@@ -205,7 +201,8 @@ class TestGeneratePseudoLabels:
             aggregation=AggregationSpec(kernel=UniformKernel(), k=10, epsilon=None, window=5, stride=1),
             cbst=CbstConfig(portion=1.0),
         )
-        within, refined = generate_refined_predictions(seq.scans, seq.poses, noisy, config, seed=1)
+        within, refined = generate_refined_predictions(seq.scans, seq.poses, noisy, config, keep_refined,
+                                                       seed=1)
         acc_within = np.mean([(w.probs.argmax(1) == t).mean() for w, t in zip(within, truths)])
         acc_refined = np.mean([(r.probs.argmax(1) == t).mean() for r, t in zip(refined, truths)])
         assert acc_refined > acc_within
@@ -231,7 +228,7 @@ class TestGeneratePseudoLabels:
             cbst=CbstConfig(portion=1.0),
         )
         within, refined = generate_refined_predictions(
-            seq.scans, seq.poses, FrameGatedNoise(), config, seed=2)
+            seq.scans, seq.poses, FrameGatedNoise(), config, keep_refined, seed=2)
         truth = truths[target_frame]
         acc_within = (within[target_frame].probs.argmax(1) == truth).mean()
         acc_refined = (refined[target_frame].probs.argmax(1) == truth).mean()
@@ -244,10 +241,10 @@ class TestGeneratePseudoLabels:
         base = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
         noisy = NoisyPredictor(base, 0.2, 0.2, np.inf, seed=10)
         config = identity_config(window=4)
-        one = apply_cbst(generate_refined_predictions(seq.scans, seq.poses, noisy, config, seed=2,
-                                                      threads=1)[1], config.cbst)
-        many = apply_cbst(generate_refined_predictions(seq.scans, seq.poses, noisy, config, seed=2,
-                                                       threads=8)[1], config.cbst)
+        one = apply_cbst(generate_refined_predictions(seq.scans, seq.poses, noisy, config, keep_labels,
+                                                      seed=2, threads=1)[1], config.cbst)
+        many = apply_cbst(generate_refined_predictions(seq.scans, seq.poses, noisy, config, keep_labels,
+                                                       seed=2, threads=8)[1], config.cbst)
         for a, b in zip(one, many):
             assert np.array_equal(a.labels, b.labels)
             assert np.array_equal(a.confidence, b.confidence)
@@ -263,7 +260,8 @@ class TestGeneratePseudoLabels:
         seq, _ = generate_sequence(spec)
         broken = BrokenPredictor(HeightThresholdRule((0.0,)))
         with pytest.raises(ValueError, match="shape mismatch"):
-            generate_refined_predictions(seq.scans, seq.poses, broken, identity_config(window=0), seed=0)
+            generate_refined_predictions(seq.scans, seq.poses, broken, identity_config(window=0),
+                                         keep_refined, seed=0)
 
     def test_negative_point_index_from_predictor_rejected(self):
         # idx_map[-1] would move the row onto the subsample's last point
@@ -322,9 +320,9 @@ class TestRunAdaptation:
         results, _ = run_adaptation(seq, predictor, noop_student_hook, config, tmp_path / "run")
         assert len(results) == 1
         from lidar_ensemble.selftrain import _iteration_seed
-        _, refined = generate_refined_predictions(seq.scans, seq.poses, predictor, config,
-                                                  seed=_iteration_seed(5, 0), use_intensity=False)
-        direct = apply_cbst(refined, CbstConfig(portion=1.0))
+        _, frames = generate_refined_predictions(seq.scans, seq.poses, predictor, config, keep_labels,
+                                                 seed=_iteration_seed(5, 0), use_intensity=False)
+        direct = apply_cbst(frames, CbstConfig(portion=1.0))
         for a, b in zip(results[0], direct):
             assert np.array_equal(a.labels, b.labels)
             assert np.array_equal(a.confidence, b.confidence)
@@ -413,6 +411,34 @@ class TestRunAdaptation:
         mask = load_selection_mask(tmp_path / "run" / "iteration_00" / seq.name / "000000.mask")
         assert np.array_equal(mask, label_sets[0].selected)
 
+    def test_held_bytes_per_point_do_not_grow_with_k(self, tmp_path):
+        # once refined, a frame is its labels and confidences (and, at
+        # iteration 0, its pair records), none of which has a K term; a
+        # refined (N, K) float64 matrix kept per frame would add 128 bytes
+        # per point from K 3 to K 19
+        seq, _ = self.make_sequence(frames=3, points=400)
+        points = sum(len(scan) for scan in seq.scans)
+        held = {}
+        for k_classes in (3, 19):
+            rule = HeightThresholdRule(tuple(np.linspace(-1.5, 3.0, k_classes - 1)))
+            config = AdaptationConfig(
+                sensor=sensor_config(),
+                subsample=SubsampleSpec(mode="random", ratio=0.5, trials=1, include_identity=True),
+                aggregation=AggregationSpec(kernel=UniformKernel(), k=8, epsilon=None, window=2, stride=1),
+                cbst=CbstConfig(portion=0.5),
+            )
+
+            def hook(iteration, label_sets):
+                held[k_classes] = tracemalloc.get_traced_memory()[0] - start
+
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run_adaptation(seq, MockPredictor(rule), hook, config, tmp_path / f"k{k_classes}")
+            finally:
+                tracemalloc.stop()
+        assert held[19] - held[3] <= 4 * points, {k: b / points for k, b in held.items()}
+
 
 def random_within(rng, scans, k_classes):
     """A random probability row per point of each scan."""
@@ -443,12 +469,12 @@ class TestHistogramPairRecords:
         kernel = (LamKernel(initialize_lam_params(phi_layout.feature_dim(3), hidden_sizes=(8, 8, 8),
                                                   seed=seed)) if lam_kernel else UniformKernel())
         agg = AggregationSpec(kernel=kernel, k=k, epsilon=epsilon, window=window, stride=stride)
-        _, records = cross_frame_refine(seq.scans, seq.poses, within, agg, return_pairs=True)
+        records = cross_frame_refine(seq.scans, seq.poses, within, agg, keep_pairs)
         features, weights = [], []
         for t in range(frames):
             dense, nbh = frame_neighborhoods(seq.scans, seq.poses, within, t, agg)
             features.append(_slice_features(dense, nbh.indices, nbh.distances))
-            weights.append(refine_labels_unblocked(within[t].probs, dense, nbh, kernel, True)[1])
+            weights.append(refine_labels_unblocked(within[t].probs, dense, nbh, kernel)[1])
         want = pooled_weight_histograms(features, weights, bins)
         got = weight_histograms(records, sequence_sensor_range(seq.scans), window, bins)
         assert list(got) == list(want)
@@ -463,8 +489,7 @@ class TestHistogramPairRecords:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            refined, records = cross_frame_refine(seq.scans, seq.poses, within, agg, return_pairs=True)
-            del refined
+            records = cross_frame_refine(seq.scans, seq.poses, within, agg, keep_pairs)
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
@@ -483,7 +508,8 @@ class TestLamTrainingSet:
         base = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
         predictor = NoisyPredictor(base, 0.2, 0.2, np.inf, seed=1)
         config = identity_config(window=1)
-        within, _ = generate_refined_predictions(seq.scans, seq.poses, predictor, config, seed=0)
+        within, _ = generate_refined_predictions(seq.scans, seq.poses, predictor, config, keep_refined,
+                                                 seed=0)
         agg = dataclasses.replace(config.aggregation, k=6, epsilon=0.5, stride=2)
         data = build_lam_training_set(seq.scans, seq.poses, within, truths, agg, ignore_label=1)
         phis, probs, labels = training_lists(seq.scans, seq.poses, within, truths, agg, ignore_label=1)
@@ -565,7 +591,8 @@ class TestLamTrainingSet:
         seq, truths = generate_sequence(SyntheticSceneSpec(num_frames=3, points_per_frame=80, seed=19))
         predictor = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
         config = identity_config(window=1)
-        within, _ = generate_refined_predictions(seq.scans, seq.poses, predictor, config, seed=0)
+        within, _ = generate_refined_predictions(seq.scans, seq.poses, predictor, config, keep_refined,
+                                                 seed=0)
         truths[1] = truths[1][:-5]
         with pytest.raises(FileFormatError, match="frame 1: 75 labels for a 80-point scan"):
             build_lam_training_set(seq.scans, seq.poses, within, truths, config.aggregation)
