@@ -50,9 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _bins(text: str) -> int:
-    """--bins: a histogram needs at least one bin, so 0 fails here and not
-    after the run has written its labels."""
+def _at_least_one(text: str) -> int:
+    """--bins and --threads: a histogram needs a bin and a run a worker, so
+    a smaller value fails here and not after the run has written its
+    labels."""
     try:
         value = int(text)
     except ValueError:
@@ -74,19 +75,37 @@ def _scan_paths(cfg: PipelineConfig):
 
 
 def _load_sequence(cfg: PipelineConfig):
+    """The dataset's scans and poses as a sequence, and the scans' paths."""
     paths = _scan_paths(cfg)
     scans = [load_point_cloud_bin(p, frame_id=i) for i, p in enumerate(paths)]
     poses = load_poses(cfg.poses_path)
     if len(poses) < len(scans):
         raise FileFormatError(f"{cfg.poses_path}: {len(poses)} poses for {len(scans)} scans, file ends "
                               f"at byte offset {cfg.poses_path.stat().st_size}")
-    truths = None
-    if cfg.labels_dir is not None:
-        label_paths = sorted(cfg.labels_dir.glob("*.label"))
-        if len(label_paths) != len(scans):
-            raise ConfigError(f"dataset.labels: {len(label_paths)} label files for {len(scans)} scans")
-        truths = [load_labels(p) for p in label_paths]
-    return LidarSequence(name="sequence", scans=scans, poses=poses[: len(scans)]), truths, paths
+    return LidarSequence(name="sequence", scans=scans, poses=poses[: len(scans)]), paths
+
+
+def _load_truths(cfg: PipelineConfig, seq: LidarSequence):
+    """The dataset's labels, one array per scan of seq, or None without a
+    labels directory. Each file holds one label per point of its scan,
+    each a class of the predictor or the ignore label."""
+    if cfg.labels_dir is None:
+        return None
+    label_paths = sorted(cfg.labels_dir.glob("*.label"))
+    if len(label_paths) != len(seq.scans):
+        raise ConfigError(f"dataset.labels: {len(label_paths)} label files for {len(seq.scans)} scans")
+    truths = []
+    for path, scan in zip(label_paths, seq.scans):
+        labels = load_labels(path)
+        if len(labels) != len(scan):
+            raise FileFormatError(f"{path}: {len(labels)} labels for a {len(scan)}-point scan, first unmatched "
+                                  f"at byte offset {4 * min(len(labels), len(scan))}")
+        bad = np.flatnonzero((labels >= cfg.predictor.num_classes) & (labels != cfg.ignore_label))
+        if bad.size:
+            raise FileFormatError(f"{path}: label {labels[bad[0]]} at byte offset {4 * bad[0]} is neither a "
+                                  f"class in [0, {cfg.predictor.num_classes}) nor the ignore label")
+        truths.append(labels)
+    return truths
 
 
 def _load_frame(cfg: PipelineConfig, frame: int):
@@ -105,7 +124,7 @@ def _read_pred_dir(cfg: PipelineConfig, seq: LidarSequence, pred_dir):
 
 def _resolve_threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        return args.threads
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
@@ -192,7 +211,7 @@ def _write_refined(seq: LidarSequence, within, agg, out_dir: Path):
 
 def cmd_aggregate(args) -> int:
     cfg = load_config(args.config)
-    seq, _, paths = _load_sequence(cfg)
+    seq, paths = _load_sequence(cfg)
     within = _read_pred_dir(cfg, seq, args.pred_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,7 +222,8 @@ def cmd_aggregate(args) -> int:
 
 def cmd_lam_train(args) -> int:
     cfg = load_config(args.config)
-    seq, truths, paths = _load_sequence(cfg)
+    seq, paths = _load_sequence(cfg)
+    truths = _load_truths(cfg, seq)
     if truths is None:
         raise ConfigError("dataset.labels: ground-truth labels are required to train the aggregation model")
     within = within_frame_predictions(seq.scans, cfg.predictor, cfg.adaptation,
@@ -226,7 +246,7 @@ def cmd_lam_train(args) -> int:
 
 def cmd_lam_apply(args) -> int:
     cfg = load_config(args.config)
-    seq, _, paths = _load_sequence(cfg)
+    seq, paths = _load_sequence(cfg)
     agg = cfg.adaptation.aggregation
     params = load_lam_params(args.checkpoint)
     within = _read_pred_dir(cfg, seq, args.pred_dir)
@@ -256,7 +276,7 @@ def _write_histograms(seq: LidarSequence, records, window: int, bins: int, out_d
 
 def cmd_lam_analyze(args) -> int:
     cfg = load_config(args.config)
-    seq, _, paths = _load_sequence(cfg)
+    seq, paths = _load_sequence(cfg)
     kernel = LamKernel(load_lam_params(args.checkpoint)) if args.checkpoint else UniformKernel()
     agg = dataclasses.replace(cfg.adaptation.aggregation, kernel=kernel)
     within = _read_pred_dir(cfg, seq, args.pred_dir)
@@ -346,7 +366,8 @@ def _parse_class_list(text):
 
 def cmd_pipeline(args) -> int:
     cfg = load_config(args.config)
-    seq, truths, paths = _load_sequence(cfg)
+    seq, paths = _load_sequence(cfg)
+    truths = _load_truths(cfg, seq)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -418,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("lam-train", cmd_lam_train, "Train the aggregation model on the configured labeled dataset.")
     p.add_argument("--config", required=True, help="pipeline configuration file")
     p.add_argument("--out", required=True, help="output directory (lam.ckpt, loss_trace.csv)")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: the CPUs this process may run on)")
+    p.add_argument("--threads", type=_at_least_one, default=None, help="worker threads (default: the CPUs this process may run on)")
 
     p = add("lam-apply", cmd_lam_apply, "Refine predictions with a trained model, optionally re-fitting its input statistics.")
     p.add_argument("--config", required=True, help="pipeline configuration file")
@@ -431,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="pipeline configuration file")
     p.add_argument("--pred-dir", required=True, help="directory of per-frame .lprb predictions")
     p.add_argument("--checkpoint", default="", help="model checkpoint; omit for the uniform kernel")
-    p.add_argument("--bins", type=_bins, default=20, help="histogram bins per slice")
+    p.add_argument("--bins", type=_at_least_one, default=20, help="histogram bins per slice")
     p.add_argument("--out", required=True, help="output directory")
 
     p = add("cbst", cmd_cbst, "Class-balanced selection of the most confident pseudo labels.")
@@ -451,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pipeline", cmd_pipeline, "Full pseudo-label pipeline: ensembling, refinement, CBST, reports.")
     p.add_argument("--config", required=True, help="pipeline configuration file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--bins", type=_bins, default=20, help="histogram bins per slice")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: the CPUs this process may run on)")
+    p.add_argument("--bins", type=_at_least_one, default=20, help="histogram bins per slice")
+    p.add_argument("--threads", type=_at_least_one, default=None, help="worker threads (default: the CPUs this process may run on)")
 
     # internal: synthetic dataset generator used by tests and CI
     p = sub.add_parser("synthgen", description="Generate a synthetic labeled dataset.")

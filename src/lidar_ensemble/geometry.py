@@ -218,11 +218,12 @@ def augment(cloud: PointCloud, spec: AugmentationSpec, rng: np.random.Generator)
 
 def load_point_cloud_bin(path, frame_id: int = 0) -> PointCloud:
     """Read consecutive (x, y, z, intensity) float32 little-endian records."""
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size % 4 != 0:
-        raise FileFormatError(
-            f"{path}: truncated point record at byte offset {(raw.size // 4) * 16}"
-        )
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    whole = len(blob) - len(blob) % 16
+    if whole != len(blob):
+        raise FileFormatError(f"{path}: truncated point record at byte offset {whole}")
+    raw = np.frombuffer(blob, dtype="<f4")
     bad = np.flatnonzero(~np.isfinite(raw))
     if bad.size:
         raise FileFormatError(f"{path}: non-finite value at byte offset {4 * bad[0]}")

@@ -711,10 +711,10 @@ class HistogramSlice:
     mean_weight: np.ndarray
 
 
-# neighbor references per np.take call when a slice is rebuilt: take
-# converts its indices to intp and, with out given, writes a copy of out,
-# so a block bounds both temporaries
-_TAKE_BLOCK = 1 << 16
+# pairs per histogram block: np.histogram sums its weights one block of
+# this many values at a time, in sorted order, so streaming the same blocks
+# keeps its bits; every buffer of weight_histograms has this length
+_HISTOGRAM_BLOCK = 1 << 16
 
 
 def offset_dtype(window: int):
@@ -737,20 +737,40 @@ class PairRecord:
     neighbor: np.ndarray
     temporal_offset: np.ndarray
 
-    def feature(self, name: str, sensor_distance: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
-        """Write the pairs' values of histogram slice name (one of
-        HISTOGRAM_SLICES) into out (float64, one per pair) with the bits
-        of their phi column, for a sequence whose points lie
-        sensor_distance from their sensors and that was searched with this
-        window; returns out."""
+    def feature(self, name: str, sensor_distance: np.ndarray, window: int, start: int,
+                out: np.ndarray) -> np.ndarray:
+        """Write the values of histogram slice name (one of
+        HISTOGRAM_SLICES) of pairs start:start + len(out) into out
+        (float64) with the bits of their phi column, for a sequence whose
+        points lie sensor_distance from their sensors and that was searched
+        with this window; returns out."""
+        end = start + len(out)
         if name == "temporal":
-            phi_layout.temporal_feature(self.temporal_offset, window, out=out)
+            phi_layout.temporal_feature(self.temporal_offset[start:end], window, out=out)
         elif name == "sensor_distance":
-            for lo in range(0, len(out), _TAKE_BLOCK):
-                np.take(sensor_distance, self.neighbor[lo:lo + _TAKE_BLOCK], out=out[lo:lo + _TAKE_BLOCK])
+            np.take(sensor_distance, self.neighbor[start:end], out=out)
         else:
-            out[:] = self.center_distance
+            out[:] = self.center_distance[start:end]
         return out
+
+
+def _pair_blocks(records):
+    """The records' pairs, in record order, as consecutive blocks of
+    _HISTOGRAM_BLOCK pairs (the last one shorter) that may cross record
+    boundaries; each block is a list of (record, start, end) pieces."""
+    block, filled = [], 0
+    for r in records:
+        start = 0
+        while start < len(r.weights):
+            end = min(len(r.weights), start + _HISTOGRAM_BLOCK - filled)
+            block.append((r, start, end))
+            filled += end - start
+            start = end
+            if filled == _HISTOGRAM_BLOCK:
+                yield block
+                block, filled = [], 0
+    if block:
+        yield block
 
 
 def weight_histograms(records, sensor_distance: np.ndarray, window: int, bins: int = 20) -> dict:
@@ -761,20 +781,44 @@ def weight_histograms(records, sensor_distance: np.ndarray, window: int, bins: i
     slice bins every pair by one feature, so per-slice counts sum to the
     number of pairs.
 
-    Beside the records it holds the pooled weights and one pooled slice,
-    which it rebuilds record by record for each slice in turn."""
-    weights = np.concatenate([r.weights for r in records])
-    if len(weights) == 0:
+    The pairs are read in np.histogram's own blocks, and each block is
+    sorted once for its counts and its weight sums, with np.histogram's
+    cumulative arithmetic: edges, counts and mean weights have the bits of
+    np.histogram over the pooled values. Beside the records it holds only
+    buffers of _HISTOGRAM_BLOCK elements."""
+    if not any(len(r.weights) for r in records):
         raise ValueError("no neighbor pairs to analyze")
-    values = np.empty(len(weights))
-    ends = np.cumsum([len(r.weights) for r in records])
+    values_buf, weights_buf = np.empty(_HISTOGRAM_BLOCK), np.empty(_HISTOGRAM_BLOCK)
+
+    def block_values(name, block):
+        """The block's values of slice name, a view of values_buf."""
+        n = 0
+        for r, start, end in block:
+            r.feature(name, sensor_distance, window, start, values_buf[n:n + end - start])
+            n += end - start
+        return values_buf[:n]
+
     report = {}
     for name in HISTOGRAM_SLICES:
-        for r, end in zip(records, ends):
-            r.feature(name, sensor_distance, window, values[end - len(r.weights):end])
-        edges = np.histogram_bin_edges(values, bins=bins)
-        counts, _ = np.histogram(values, bins=edges)
-        weight_sum, _ = np.histogram(values, bins=edges, weights=weights)
+        lo, hi = np.inf, -np.inf
+        for block in _pair_blocks(records):
+            values = block_values(name, block)
+            lo, hi = min(lo, values.min()), max(hi, values.max())
+        edges = np.histogram_bin_edges(np.array([lo, hi]), bins=bins)
+        cum_counts = np.zeros(len(edges), np.intp)
+        cum_weights = np.zeros(len(edges))
+        for block in _pair_blocks(records):
+            values = block_values(name, block)
+            weights = np.concatenate([r.weights[start:end] for r, start, end in block],
+                                     out=weights_buf[:len(values)])
+            order = np.argsort(values)
+            ranked = values[order]
+            # np.histogram's inclusive search: the last bin holds its right edge
+            at = np.concatenate((ranked.searchsorted(edges[:-1], "left"),
+                                 ranked.searchsorted(edges[-1:], "right")))
+            cum_counts += at
+            cum_weights += np.concatenate(([0.0], weights[order].cumsum()))[at]
+        counts, weight_sum = np.diff(cum_counts), np.diff(cum_weights)
         mean_weight = np.divide(weight_sum, counts, out=np.zeros(len(counts)), where=counts > 0)
         report[name] = HistogramSlice(edges=edges, counts=counts, mean_weight=mean_weight)
     return report

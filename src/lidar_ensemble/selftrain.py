@@ -14,7 +14,7 @@ import abc
 import hashlib
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,10 +101,39 @@ def _scan_rng(seed: int, scan: int) -> np.random.Generator:
 
 
 def _map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(i) for i in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """[fn(item) for item in items], run by the calling thread and
+    min(threads, len(items)) - 1 helper threads, each taking the next item
+    from one shared counter. After a failure no thread starts another
+    item; once the helpers have stopped, the exception of the lowest-index
+    failing item is raised, as the sequential loop would raise it."""
+    items = list(items)
+    results = [None] * len(items)
+    errors = {}
+    taken = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        while not errors:
+            with lock:
+                i = next(taken, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised by the calling thread below
+                errors[i] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(min(threads, len(items)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def within_frame_predictions(scans, predictor: Predictor, config: AdaptationConfig,

@@ -326,7 +326,7 @@ class TestRefineLabels:
                     (np.float64, True), (np.float64, True), (np.uint32, True), (np.int8, True)]
                 want = _slice_features(dense, nbh.indices, nbh.distances)
                 for name, values in want.items():
-                    got = record.feature(name, table, window, np.empty(len(values)))
+                    got = record.feature(name, table, window, 0, np.empty(len(values)))
                     assert got.dtype == values.dtype
                     assert got.tobytes() == values.tobytes(), name
 

@@ -169,7 +169,7 @@ def prediction_dir(dataset, config_path, tmp_path_factory):
     from lidar_ensemble.selftrain import within_frame_predictions
 
     cfg = load_config(config_path)
-    seq, _, _ = _load_sequence(cfg)
+    seq, _ = _load_sequence(cfg)
     within = within_frame_predictions(seq.scans, cfg.predictor, cfg.adaptation,
                                       seed=cfg.adaptation.seed)
     out = tmp_path_factory.mktemp("preds")
@@ -256,7 +256,8 @@ class TestLamCommands:
 
         # same checkpoint as training on the within-frame half of a full refinement pass
         cfg = load_config(config_path)
-        seq, truths, _ = cli._load_sequence(cfg)
+        seq, _ = cli._load_sequence(cfg)
+        truths = cli._load_truths(cfg, seq)
         within, _ = selftrain.generate_refined_predictions(
             seq.scans, seq.poses, cfg.predictor, cfg.adaptation, keep_refined,
             seed=cfg.adaptation.seed, use_intensity=False)
@@ -323,6 +324,15 @@ def test_bins_below_one_exit_1_before_any_work(command, bins, config_path, predi
     assert main([command, "--config", str(config_path), "--out", str(out), "--bins", bins]
                 + extra) == EXIT_CONFIG
     assert "--bins: must be at least 1" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["pipeline", "lam-train"])
+def test_threads_below_one_exit_1_before_any_work(command, threads, config_path, tmp_path, caplog):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config_path), "--out", str(out), "--threads", threads]) == EXIT_CONFIG
+    assert "--threads: must be at least 1" in caplog.text
     assert not out.exists()
 
 
@@ -409,10 +419,10 @@ def _run_logged(argv):
 
 
 class TestReaderFuzz:
-    """A prediction file or poses.txt cut at any byte, or with one bit
-    flipped, is read or rejected: aggregate --pred-dir and pipeline exit 0,
-    or exit 2 with one logged error that names a byte offset no larger
-    than the file, and raise nothing."""
+    """A prediction file, poses.txt, a scan or a label file cut at any
+    byte, or with one bit flipped, is read or rejected: aggregate
+    --pred-dir and pipeline exit 0, or exit 2 with one logged error that
+    names a byte offset no larger than the file, and raise nothing."""
 
     @pytest.fixture(scope="class")
     def work(self, dataset, prediction_dir, tmp_path_factory):
@@ -478,6 +488,31 @@ class TestReaderFuzz:
                         "--threads", "1"], len(blob))
         finally:
             path.write_bytes(original)
+
+    def fuzz_pipeline_input(self, case, work, path, record_bytes):
+        """pipeline over the dataset with path cut or flipped, its regions
+        the file's records of record_bytes bytes."""
+        original = path.read_bytes()
+        starts = range(0, len(original), record_bytes)
+        blob = self.fuzz(case, original, [(lo, lo + record_bytes) for lo in starts])
+        path.write_bytes(blob)
+        try:
+            self.check(["pipeline", "--config", str(work / "c.ini"), "--out", str(work / "run"),
+                        "--threads", "1"], len(blob))
+        finally:
+            path.write_bytes(original)
+
+    @settings(max_examples=150)
+    @given(case=st.data())
+    def test_cut_or_flipped_scan(self, case, work):
+        # records of (x, y, z, intensity) float32
+        self.fuzz_pipeline_input(case, work, work / "data" / "velodyne" / "000002.bin", 16)
+
+    @settings(max_examples=150)
+    @given(case=st.data())
+    def test_cut_or_flipped_labels(self, case, work):
+        # one u32 per point: semantic class in the low 16 bits, instance above
+        self.fuzz_pipeline_input(case, work, work / "data" / "labels" / "000002.label", 4)
 
 
 class TestCbstCommand:
@@ -611,6 +646,20 @@ class TestDatasetChecks:
         assert rc == EXIT_CONFIG
         assert "3 label files for 4 scans" in caplog.text
 
+    @pytest.mark.parametrize("command, code", [("aggregate", EXIT_OK), ("lam-analyze", EXIT_OK),
+                                               ("pipeline", EXIT_IO)])
+    def test_only_commands_that_score_or_train_read_labels(self, command, code, dataset, config_path,
+                                                            prediction_dir, tmp_path):
+        import shutil
+
+        root = tmp_path / "data"
+        shutil.copytree(dataset, root)
+        (root / "labels" / "000001.label").write_bytes(b"\x01\x00\x00")
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(config_path.read_text().replace(f"root = {dataset}", f"root = {root}"))
+        extra = ["--threads", "1"] if command == "pipeline" else ["--pred-dir", str(prediction_dir)]
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")] + extra) == code
+
     def test_default_threads_follow_cpu_affinity(self, monkeypatch):
         import argparse
         import os
@@ -662,7 +711,7 @@ class TestPipelineReuse:
         # reference: a separate analysis pass over iteration 0's within-frame
         # predictions, searched again and scored by weight_histograms
         cfg = load_config(path)
-        seq, _, _ = cli._load_sequence(cfg)
+        seq, _ = cli._load_sequence(cfg)
         within, _ = selftrain.generate_refined_predictions(
             seq.scans, seq.poses, cfg.predictor, cfg.adaptation, keep_refined,
             seed=selftrain._iteration_seed(cfg.adaptation.seed, 0), use_intensity=False)
@@ -743,7 +792,7 @@ class TestSharedNeighborPath:
                         .replace("window = 4", f"window = {window}")
                         .replace("epsilon =", f"epsilon = {epsilon}"))
         cfg = load_config(path)
-        seq, _, _ = _load_sequence(cfg)
+        seq, _ = _load_sequence(cfg)
         common = ["--config", str(path), "--pred-dir", str(prediction_dir)]
         runs = [(["aggregate"], lambda out: _old_refine_from_files(
             seq, prediction_dir, cfg.adaptation.aggregation, out))]
@@ -1111,7 +1160,7 @@ seed = 3
             write_prediction_matrix(PredictionMatrix(0.7 * pred.probs + 0.1, pred.point_index),
                                     soft / path.name)
         cfg = load_config(self.precomputed_config(dataset, soft, tmp_path, noise="0.4"))
-        seq, _, _ = cli._load_sequence(cfg)
+        seq, _ = cli._load_sequence(cfg)
         flipped = []
         for scan in seq.scans:
             stored = read_scan_prediction(soft / f"{scan.frame_id:06d}.lprb").probs

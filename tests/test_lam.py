@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -32,7 +32,8 @@ from lidar_ensemble.lam import (
     write_histogram_csv,
     write_loss_trace_csv,
 )
-from tests.oracles import lam_loss, lovasz_softmax, phi_matrix, row_moments, score_array, weight_histograms
+from tests.oracles import (lam_loss, lovasz_softmax, phi_matrix, pooled_weight_histograms, row_moments, score_array,
+                           weight_histograms)
 from lidar_ensemble.lam import _lovasz_softmax_with_grad
 
 
@@ -758,6 +759,20 @@ def pair_records(rng, sizes, scores, window, points=40):
     return records
 
 
+@st.composite
+def block_crossing_sizes(draw):
+    """Record lengths (pairs per scan) totalling more than three histogram
+    blocks, with an empty record and a record that crosses a block
+    boundary."""
+    block = lam._HISTOGRAM_BLOCK
+    sizes = draw(st.lists(st.one_of(st.just(0), st.integers(1, 80000)), min_size=1, max_size=5))
+    before = sum(sizes)
+    boundary = max(before // block + 1, 3) * block
+    sizes.append(boundary - before + draw(st.integers(1, block)))
+    sizes.insert(draw(st.integers(0, len(sizes))), 0)
+    return sizes
+
+
 class TestWeightHistograms:
     def test_uniform_kernel_gives_reciprocal_counts(self):
         rng = np.random.default_rng(18)
@@ -798,24 +813,66 @@ class TestWeightHistograms:
         lam_forward(params, phis)
         assert [(name, np.array(t).tobytes()) for name, t in lam._named_tensors(params)] == before
 
-    def test_memory_above_the_records_is_two_pooled_vectors(self):
-        # the pooled weights and one pooled slice, 8 bytes per pair each,
-        # plus block buffers of 65536 elements: numpy's histogram sorts and
-        # sums its input a block at a time, and the sensor distances are
-        # gathered lam._TAKE_BLOCK references at a time
-        rng = np.random.default_rng(25)
-        sizes = [[16] * 7500] * 10
-        records = pair_records(rng, sizes, np.zeros(16 * 75000), window=90, points=50000)
-        table = rng.uniform(1, 40, 50000)
-        pairs = 16 * 75000
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            lam.weight_histograms(records, table, 90)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * pairs + 8 * (1 << 16) * 8, peak / pairs
+    @settings(max_examples=12)
+    @given(sizes=block_crossing_sizes(), window=st.integers(0, 3),
+           decimals=st.one_of(st.none(), st.integers(0, 2)),
+           constant=st.sampled_from([None, "sensor_distance", "center_distance"]),
+           bins=st.integers(1, 25), seed=st.integers(0, 2 ** 16))
+    @example(sizes=[0, 65535, 0, 131075], window=0, decimals=1, constant="center_distance", bins=20, seed=0)
+    @example(sizes=[70000, 0, 60000, 70000], window=2, decimals=None, constant="sensor_distance", bins=7,
+             seed=1)
+    def test_streamed_blocks_keep_the_pooled_bits(self, sizes, window, decimals, constant, bins, seed):
+        # ties come from quantized distances and few temporal offsets; a
+        # zero window or a constant slice has min == max, which numpy
+        # widens by 0.5 either way
+        rng = np.random.default_rng(seed)
+        table = rng.uniform(1, 40, 1000)
+        if decimals is not None:
+            table = np.round(table, decimals)
+        if constant == "sensor_distance":
+            table[:] = table[0]
+        records, features = [], []
+        for n in sizes:
+            distance = rng.uniform(0, 2, n) if constant != "center_distance" else np.full(n, 0.75)
+            if decimals is not None:
+                distance = np.round(distance, decimals)
+            record = lam.PairRecord(
+                weights=rng.uniform(0, 1, n), center_distance=distance,
+                neighbor=rng.integers(0, len(table), n).astype(np.uint32),
+                temporal_offset=rng.integers(-window, window + 1, n).astype(lam.offset_dtype(window)))
+            records.append(record)
+            features.append({"temporal": phi_layout.temporal_feature(record.temporal_offset, window),
+                             "sensor_distance": table[record.neighbor], "center_distance": distance})
+        assert sum(sizes) > 3 * lam._HISTOGRAM_BLOCK and 0 in sizes
+        want = pooled_weight_histograms(features, [r.weights for r in records], bins)
+        got = lam.weight_histograms(records, table, window, bins)
+        assert list(got) == list(want)
+        for name, hs in want.items():
+            for field in ("edges", "counts", "mean_weight"):
+                a, b = getattr(got[name], field), getattr(hs, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, field)
+
+    def test_memory_above_the_records_is_a_few_blocks(self):
+        # the pairs are read in blocks of 65536 (lam._HISTOGRAM_BLOCK): two
+        # buffers hold a block's values and weights, and the sort, gather
+        # and cumulative sum of a block take a few more of the same length;
+        # nothing grows with the pair count
+        block_bytes = 8 * (1 << 16)
+        peaks = []
+        for scans in (10, 20):
+            rng = np.random.default_rng(25)
+            pairs = 16 * 7500 * scans
+            records = pair_records(rng, [[16] * 7500] * scans, np.zeros(pairs), window=90, points=50000)
+            table = rng.uniform(1, 40, 50000)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                lam.weight_histograms(records, table, 90)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 8 * block_bytes, [p / block_bytes for p in peaks]
+        assert peaks[1] - peaks[0] < block_bytes // 8, peaks
 
     def test_csv_rendering(self, tmp_path):
         rng = np.random.default_rng(21)

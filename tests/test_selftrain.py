@@ -2,6 +2,9 @@
 generation, CBST selection, the adaptation loop, and artifact files."""
 
 import dataclasses
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lidar_ensemble import phi_layout
+from lidar_ensemble import phi_layout, selftrain
 from lidar_ensemble.aggregate import AggregationSpec, LamKernel, UniformKernel, _slice_features
 from lidar_ensemble.errors import FileFormatError
 from lidar_ensemble.geometry import PointCloud
@@ -649,3 +652,89 @@ class TestArtifactFiles:
         cloud = PointCloud(points=np.ones((2, 3)))
         with pytest.raises(ValueError, match="equal length"):
             LidarSequence(name="x", scans=[cloud], poses=[])
+
+
+class TestWorkerPool:
+    """selftrain._map runs its items on the calling thread and at most
+    min(threads, len(items)) - 1 helpers, in item order, and fails as the
+    sequential loop would."""
+
+    @staticmethod
+    def run_recording(items, threads, fn=lambda i: i * i):
+        ran = {}
+
+        def record(i):
+            ran[i] = threading.get_ident()
+            time.sleep(0.02)  # lets every worker take an item
+            return fn(i)
+
+        return selftrain._map(record, items, threads), ran
+
+    @pytest.mark.parametrize("items,threads", [(6, 1), (6, 2), (2, 3), (9, 4)])
+    def test_results_come_back_in_item_order(self, items, threads):
+        results, ran = self.run_recording(range(items), threads)
+        assert results == [i * i for i in range(items)]
+        assert sorted(ran) == list(range(items))
+
+    @pytest.mark.parametrize("items,threads", [(6, 1), (6, 2), (2, 3), (9, 4)])
+    def test_calling_thread_is_one_of_the_workers(self, items, threads):
+        _, ran = self.run_recording(range(items), threads)
+        assert threading.get_ident() in ran.values()
+        assert len(set(ran.values())) <= min(threads, items)
+
+    def test_starts_no_more_helpers_than_items_need(self, monkeypatch):
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+        results, ran = self.run_recording(range(3), 64)
+        assert results == [0, 1, 4]
+        assert len(started) <= 2
+        assert len(set(ran.values())) <= 3
+
+    @pytest.mark.parametrize("slow", [1, 2])
+    def test_lowest_failing_item_propagates(self, slow):
+        def fn(i):
+            if i in (1, 2):
+                if i == slow:
+                    time.sleep(0.05)
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match="item 1"):
+            self.run_recording(range(6), 2, fn)
+
+    def test_no_item_starts_after_a_failure(self):
+        started = []
+
+        def fn(i):
+            started.append(i)
+            if i == 0:
+                raise ValueError("item 0")
+            time.sleep(0.05)
+            return i
+
+        with pytest.raises(ValueError, match="item 0"):
+            selftrain._map(fn, range(10), 2)
+        assert set(started) <= {0, 1}
+
+    def test_every_item_runs_once_under_frequent_switches(self):
+        # more workers than cores, switching threads every microsecond: a
+        # lost update of the shared counter would run an item twice or never
+        runs, out = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: out.append(
+                selftrain._map(lambda i: runs.append(i) or -i, range(3000), 8)))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert out == [[-i for i in range(3000)]]
+        assert sorted(runs) == list(range(3000))
