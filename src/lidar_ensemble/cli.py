@@ -51,9 +51,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _at_least_one(text: str) -> int:
-    """--bins and --threads: a histogram needs a bin and a run a worker, so
-    a smaller value fails here and not after the run has written its
-    labels."""
+    """--bins, --threads and --classes: a histogram needs a bin, a run a
+    worker and a confusion matrix a class, so a smaller value fails here
+    and not after the run has written its labels or blamed a label file."""
     try:
         value = int(text)
     except ValueError:
@@ -312,20 +312,41 @@ def cmd_cbst(args) -> int:
 
 
 def _load_label_inputs(spec: str):
+    """The labels of a .label file, or of every .label file under a
+    directory in name order, with the files and the index of each file's
+    first label."""
     path = Path(spec)
     if path.is_dir():
         files = sorted(path.glob("*.label"))
         if not files:
             raise ConfigError(f"no .label files under {path}")
-        return np.concatenate([load_labels(p) for p in files]), files
-    return load_labels(path), [path]
+    else:
+        files = [path]
+    parts = [load_labels(p) for p in files]
+    starts = np.cumsum([0] + [len(part) for part in parts[:-1]])
+    return np.concatenate(parts), files, starts
+
+
+def _reject_label(labels, files, starts, bad, classes: int):
+    """A FileFormatError naming the file and byte offset of the first label
+    flagged in bad, if any."""
+    first = np.flatnonzero(bad)
+    if first.size:
+        i = first[0]
+        f = int(np.searchsorted(starts, i, side="right")) - 1
+        raise FileFormatError(f"{files[f]}: label {labels[i]} at byte offset {4 * (i - starts[f])} is not a class "
+                              f"in [0, {classes})")
 
 
 def cmd_metrics(args) -> int:
-    pred, pred_files = _load_label_inputs(args.pred)
-    truth, truth_files = _load_label_inputs(args.truth)
+    pred, pred_files, pred_starts = _load_label_inputs(args.pred)
+    truth, truth_files, truth_starts = _load_label_inputs(args.truth)
     if len(pred) != len(truth):
         raise ConfigError(f"prediction and truth cover {len(pred)} vs {len(truth)} points")
+    # the points the confusion matrix counts, whose two labels must be classes
+    scored = np.ones(len(truth), bool) if args.ignore is None else truth != args.ignore
+    for labels, files, starts in ((truth, truth_files, truth_starts), (pred, pred_files, pred_starts)):
+        _reject_label(labels, files, starts, scored & (labels >= args.classes), args.classes)
     matrix = confusion(pred, truth, args.classes, ignore_label=args.ignore)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -463,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("metrics", cmd_metrics, "Confusion matrix, per-class IoU, and mIoU between label files.")
     p.add_argument("--pred", required=True, help="predicted .label file or directory")
     p.add_argument("--truth", required=True, help="ground-truth .label file or directory")
-    p.add_argument("--classes", type=int, required=True, help="number of classes")
+    p.add_argument("--classes", type=_at_least_one, required=True, help="number of classes")
     p.add_argument("--ignore", type=int, default=None, help="ground-truth label to skip")
     p.add_argument("--static", default="", help="comma-separated static class ids for 2x2 condensation")
     p.add_argument("--dynamic", default="", help="comma-separated dynamic class ids for 2x2 condensation")

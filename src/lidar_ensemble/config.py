@@ -168,21 +168,34 @@ def load_config(path) -> PipelineConfig:
 
     Unknown sections or keys are errors; the dataset root, scans and poses
     must exist, and a labels directory that does not is treated as unset.
+    Every ConfigError raised names the file in one line.
     """
     path = Path(path)
+    try:
+        return _load_config(path)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _load_config(path: Path) -> PipelineConfig:
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError("file not found")
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"byte 0x{exc.object[exc.start]:02x} at byte offset {exc.start} is not UTF-8") from exc
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        parser.read_string(text, source=str(path))
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as exc:  # parsing, or a value's % interpolation
+        raise ConfigError("cannot parse: " + " ".join(str(exc).split())) from exc
 
     raw = {section: dict(DEFAULTS[section]) for section in DEFAULTS}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in DEFAULTS:
             raise ConfigError(f"unknown section [{section}]")
-        for key, value in parser.items(section):
+        for key, value in items:
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
             raw[section][key] = value

@@ -109,11 +109,10 @@ def initialize_lam_params(feature_dim: int, hidden_sizes=HIDDEN_SIZES, seed: int
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-# Rows per block of the elementwise passes: a block of the widest default
-# layer (512 x 128 float64, 512 KB) stays in L2 cache between its steps.
+# Rows per block of the elementwise passes, and per lam_forward call of
+# eval_scores: a block of the widest default layer (512 x 128 float64,
+# 512 KB) stays in L2 cache between its steps.
 _ROW_BLOCK = 512
-# rows per lam_forward call of eval_scores
-_EVAL_CHUNK = 2048
 
 
 class _Workspace:
@@ -247,12 +246,12 @@ def eval_scores(params: LamParams, rows: int, fill) -> np.ndarray:
     they are never held whole.
 
     Running statistics make the rows independent, so the rows are scored
-    in chunks of _EVAL_CHUNK rows through one workspace; large monolithic
+    in blocks of _ROW_BLOCK rows through one workspace; large monolithic
     batches thrash memory. Zero rows give zero scores.
     """
     ws = _Workspace()
     scores = np.empty(rows)
-    for lo, hi in _blocks(rows, _EVAL_CHUNK):
+    for lo, hi in _blocks(rows, _ROW_BLOCK):
         chunk = ws.take("feats", hi - lo, params.feature_dim)
         fill(lo, hi, chunk)
         scores[lo:hi] = lam_forward(params, chunk, workspace=ws)[0]

@@ -16,8 +16,8 @@ import numpy as np
 
 from .geometry import RigidTransform, compose, invert, sensor_range
 
-# candidate pairs per chunk of a grid search, with or without epsilon
-# (256 KB per temporary)
+# candidate pairs per chunk of a grid search, with or without epsilon, and
+# (query, z-column) ranges per block of queries (256 KB per temporary)
 _CANDIDATE_BUDGET = 1 << 15
 # the (dx, dy) cell offsets of the 9 z-columns around a cell
 _COLUMNS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
@@ -172,12 +172,15 @@ class SpatialIndex:
         the column's three cells (adjacent keys along z). A column whose
         box lies beyond eps from the query in x or y is skipped; a z cell
         beyond eps is not, as its candidates fail the distance test anyway.
-        The queries then run in chunks of about
-        _CANDIDATE_BUDGET candidate pairs, so temporaries stay bounded
-        whatever N is: each candidate's distance is computed canonically,
-        one coordinate at a time, and only pairs within eps are kept; these
-        are ordered by (query, distance, index) and each query's row is cut
-        at k.
+        The points are keyed one axis at a time, and the cell-sorted queries
+        find their ranges a block of _CANDIDATE_BUDGET / 9 queries at a time
+        and then run in chunks of about _CANDIDATE_BUDGET candidate pairs,
+        so temporaries stay bounded whatever N is: each candidate's distance
+        is computed canonically, one coordinate at a time, and only pairs
+        within eps are kept; these are ordered by (query, distance, index)
+        and each query's row is cut at k. Once every chunk has run, each
+        chunk's pairs are written into its queries' rows of the result and
+        the chunk is dropped, so the pairs are held at most twice.
 
         Without eps, the same search runs at a radius r, first
         sqrt(e1 * e2 * min(k, M) / (pi * M)), or 1 where that is 0: the
@@ -187,7 +190,8 @@ class SpatialIndex:
         cloud; a few far points, which would make the extents and so r and
         every query's candidates huge, leave them unchanged. A row with
         min(k, M) pairs within r is final: every point outside the ball is
-        farther than each of them. The other rows are searched again at 2r
+        farther than each of them. Each chunk writes its full rows into
+        the (N, min(k, M)) result; the other rows are searched again at 2r
         until every row is full.
         """
         if k < 1:
@@ -207,18 +211,23 @@ class SpatialIndex:
         above = np.minimum(below + 1, m - 1)
         part = np.partition(self.points, sorted({*below, *above}), axis=0)
         low, high = part[below] + (part[above] - part[below]) * (pos - below)[:, None]
+        del part
         e1, e2 = np.sort(2.0 * (high - low))[1:]
         radius = math.sqrt(e1 * e2 * width / (math.pi * m)) or 1.0
         idx = np.empty((len(queries), width), np.int64)
         dist = np.empty((len(queries), width))
+        done = np.zeros(len(queries), bool)
         rows = np.arange(len(queries))
         while len(rows):
-            found = _grid_search(self.points, queries[rows], k, radius)
-            full = found.valid_count == width
-            pairs = np.repeat(full, found.valid_count)
-            idx[rows[full]] = found.indices[pairs].reshape(-1, width)
-            dist[rows[full]] = found.distances[pairs].reshape(-1, width)
-            rows = rows[~full]
+            # each chunk's full rows go straight to their rows of the output
+            for chunk_rows, found, chunk_idx, chunk_dist in _grid_chunks(self.points, queries[rows], k, radius):
+                full = found == width
+                pairs = np.repeat(full, found)
+                out = rows[chunk_rows[full]]
+                idx[out] = chunk_idx[pairs].reshape(-1, width)
+                dist[out] = chunk_dist[pairs].reshape(-1, width)
+                done[out] = True
+            rows = np.flatnonzero(~done)
             radius *= 2.0
             if math.isinf(radius):
                 raise ValueError("point distances overflow float64")
@@ -227,78 +236,101 @@ class SpatialIndex:
 
 def _grid_search(points: np.ndarray, queries: np.ndarray, k: int, eps: float) -> Neighborhoods:
     """Exact epsilon search on a cell grid; see SpatialIndex.query_batch."""
+    valid = np.zeros(len(queries), np.int64)
+    chunks = []
+    for rows, found, idx, dist in _grid_chunks(points, queries, k, eps):
+        valid[rows] = found
+        chunks.append((rows, found, idx, dist))
+    offsets = np.zeros(len(queries) + 1, np.int64)
+    np.cumsum(valid, out=offsets[1:])
+    indices = np.empty(offsets[-1], np.int64)
+    distances = np.empty(offsets[-1])
+    # each chunk's pairs into its queries' rows, the chunk dropped once written
+    chunks.reverse()
+    while chunks:
+        rows, found, idx, dist = chunks.pop()
+        to = np.repeat(offsets[rows] - (np.cumsum(found) - found), found)
+        to += np.arange(len(to))
+        indices[to] = idx
+        distances[to] = dist
+    return Neighborhoods(offsets, indices, distances, k)
+
+
+def _grid_chunks(points: np.ndarray, queries: np.ndarray, k: int, eps: float):
+    """(rows, found, idx, dist) of each chunk of an epsilon search: the
+    chunk's queries (indices into queries), the number of pairs each keeps
+    (at most k), and those pairs, query after query, each query's in
+    (distance, index) order.
+
+    The queries are sorted by cell and taken in blocks of
+    _CANDIDATE_BUDGET / 9 queries, so a block's (queries, 9) candidate
+    ranges hold _CANDIDATE_BUDGET entries; a query cell split across two
+    blocks is looked up in both. Each block is cut by _query_blocks into
+    chunks of about _CANDIDATE_BUDGET candidate pairs.
+    """
     n = len(queries)
     if n == 0:
-        return Neighborhoods(np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros(0), k)
+        return
     grid = _CellGrid(np.concatenate([_bounds(points), _bounds(queries)]), eps)
-    pkey, _ = grid.keys(points)
+    pkey = grid.keys(points)
     order = np.argsort(pkey)
     cell_keys = pkey[order]
+    del pkey
     xs, ys, zs = (points[order, axis] for axis in range(3))
 
-    qkey, frac = grid.keys(queries)
+    qkey = grid.keys(queries)
     qorder = np.argsort(qkey)
-    qkey, frac = qkey[qorder], frac[qorder]
-    qx, qy, qz = (queries[qorder, axis] for axis in range(3))
-    start, length = grid.candidate_ranges(cell_keys, qkey, frac)
-    per_query = length.sum(axis=1)
-
+    qkey = qkey[qorder]
     shift = -(math.frexp(eps)[1] + 1)
-    valid = np.empty(n, np.int64)
-    idx_parts, dist_parts = [], []
-    # candidates of each chunk: rows [lo, hi) of the cell-sorted queries
-    for lo, hi in _query_blocks(np.concatenate([[0], np.cumsum(per_query)]), _CANDIDATE_BUDGET):
-        counts = per_query[lo:hi]
-        span_len = length[lo:hi].ravel()
-        span_start = start[lo:hi].ravel()[span_len > 0]
-        span_len = span_len[span_len > 0]
-        pos = np.repeat(span_start - (np.cumsum(span_len) - span_len), span_len)
-        pos += np.arange(len(pos))
-        sq = xs[pos] - np.repeat(qx[lo:hi], counts)
-        sq *= sq
-        for coords, query_coords in ((ys, qy), (zs, qz)):
-            diff = coords[pos] - np.repeat(query_coords[lo:hi], counts)
-            diff *= diff
-            sq += diff
-        dist = np.sqrt(sq, out=sq)
-        hit = np.flatnonzero(dist <= eps)
-        row = np.repeat(np.arange(hi - lo), counts)[hit]
-        idx, dist = order[pos[hit]], dist[hit]
+    step = max(1, _CANDIDATE_BUDGET // len(_COLUMNS))
+    for b0 in range(0, n, step):
+        rows = qorder[b0:b0 + step]
+        block = queries[rows]
+        start, length = grid.candidate_ranges(cell_keys, qkey[b0:b0 + step], grid.fractions(block))
+        per_query = length.sum(axis=1)
+        qx, qy, qz = block.T
+        # candidates of each chunk: rows [lo, hi) of the block
+        for lo, hi in _query_blocks(np.concatenate([[0], np.cumsum(per_query)]), _CANDIDATE_BUDGET):
+            counts = per_query[lo:hi]
+            span_len = length[lo:hi].ravel()
+            span_start = start[lo:hi].ravel()[span_len > 0]
+            span_len = span_len[span_len > 0]
+            pos = np.repeat(span_start - (np.cumsum(span_len) - span_len), span_len)
+            pos += np.arange(len(pos))
+            sq = xs[pos] - np.repeat(qx[lo:hi], counts)
+            sq *= sq
+            for coords, query_coords in ((ys, qy), (zs, qz)):
+                diff = coords[pos] - np.repeat(query_coords[lo:hi], counts)
+                diff *= diff
+                sq += diff
+            dist = np.sqrt(sq, out=sq)
+            hit = np.flatnonzero(dist <= eps)
+            row = np.repeat(np.arange(hi - lo), counts)[hit]
+            idx, dist = order[pos[hit]], dist[hit]
 
-        # one sort by (row, distance): the row plus the distance scaled by a
-        # power of two below 1/(2 eps) orders the rows apart and the pairs of
-        # a row by distance, up to rounding, which can only merge keys;
-        # every run of equal keys is then put in (distance, index) order
-        key = np.ldexp(dist, shift)
-        key += row
-        rank = np.argsort(key)
-        key = key[rank]
-        tied = np.flatnonzero(key[1:] == key[:-1])
-        if len(tied):
-            in_run = np.zeros(len(key), bool)
-            in_run[tied] = in_run[tied + 1] = True
-            runs = np.flatnonzero(in_run)
-            members = rank[runs]
-            rank[runs] = members[np.lexsort((idx[members], dist[members], key[runs]))]
-        idx, dist = idx[rank], dist[rank]
-        found = np.bincount(row, minlength=hi - lo)
-        if found.max(initial=0) > k:
-            first = np.cumsum(found) - found
-            keep = np.arange(len(idx)) - np.repeat(first, found) < k
-            idx, dist = idx[keep], dist[keep]
-        valid[lo:hi] = np.minimum(found, k)
-        idx_parts.append(idx)
-        dist_parts.append(dist)
-
-    # back from cell order to query order
-    sorted_first = np.cumsum(valid) - valid
-    valid_out = np.empty(n, np.int64)
-    valid_out[qorder] = valid
-    first_out = np.empty(n, np.int64)
-    first_out[qorder] = sorted_first
-    offsets = np.concatenate([[0], np.cumsum(valid_out)])
-    gather = np.repeat(first_out - offsets[:-1], valid_out) + np.arange(offsets[-1])
-    return Neighborhoods(offsets, np.concatenate(idx_parts)[gather], np.concatenate(dist_parts)[gather], k)
+            # one sort by (row, distance): the row plus the distance scaled by
+            # a power of two below 1/(2 eps) orders the rows apart and the
+            # pairs of a row by distance, up to rounding, which can only merge
+            # keys; every run of equal keys is then put in (distance, index)
+            # order
+            key = np.ldexp(dist, shift)
+            key += row
+            rank = np.argsort(key)
+            key = key[rank]
+            tied = np.flatnonzero(key[1:] == key[:-1])
+            if len(tied):
+                in_run = np.zeros(len(key), bool)
+                in_run[tied] = in_run[tied + 1] = True
+                runs = np.flatnonzero(in_run)
+                members = rank[runs]
+                rank[runs] = members[np.lexsort((idx[members], dist[members], key[runs]))]
+            idx, dist = idx[rank], dist[rank]
+            found = np.bincount(row, minlength=hi - lo)
+            if found.max(initial=0) > k:
+                first = np.cumsum(found) - found
+                keep = np.arange(len(idx)) - np.repeat(first, found) < k
+                idx, dist = idx[keep], dist[keep]
+            yield rows[lo:hi], np.minimum(found, k), idx, dist
 
 
 def _query_blocks(offsets: np.ndarray, budget: int):
@@ -351,12 +383,23 @@ class _CellGrid:
         # of its fraction, with a factor 4 to spare
         self.slack = (reach / cell + 1.0) * 2.0 ** -51
 
-    def keys(self, points: np.ndarray):
-        """(linear cell key, position inside the cell in [0, 1] per axis)."""
+    def keys(self, points: np.ndarray) -> np.ndarray:
+        """Linear cell key of each point, summed one axis at a time: integer
+        sums are exact, so no (M, 3) temporary is needed."""
+        key = np.zeros(len(points), np.int64)
+        for axis in range(3):
+            cells = points[:, axis] / self.cell
+            np.floor(cells, out=cells)
+            cells -= self.origin[axis]
+            part = cells.astype(np.int64)
+            part *= self.stride[axis]
+            key += part
+        return key
+
+    def fractions(self, points: np.ndarray) -> np.ndarray:
+        """Position of each point inside its cell, in [0, 1] per axis."""
         scaled = points / self.cell
-        floor = np.floor(scaled)
-        cells = (floor - self.origin).astype(np.int64)
-        return cells @ self.stride, scaled - floor
+        return scaled - np.floor(scaled)
 
     def candidate_ranges(self, cell_keys: np.ndarray, qkey: np.ndarray, frac: np.ndarray):
         """Start and length in cell_keys order of the 9 z-columns of 3 cells

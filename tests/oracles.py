@@ -3,7 +3,8 @@
 The scalar feature and kernel of one (query, neighbor) pair; the per-frame
 feature stream the CLI analysis commands used to build with their own dense
 cloud, index and query per frame; conversions between compressed-row
-Neighborhoods and the padded (N, k) layout; the per-query LAM
+Neighborhoods and the padded (N, k) layout, and the padded neighbor sets of
+a full distance scan; the per-query LAM
 training-set builder and list-concatenating training loop the compressed
 rows replaced; the training-set builder that concatenated each frame's
 kept feature rows, and every feature row of a training set as one array;
@@ -101,6 +102,23 @@ def padded(nbh):
     indices[slots] = nbh.indices
     distances[slots] = nbh.distances
     return indices, distances, valid
+
+
+def brute_force_batch(points, queries, k, eps=None):
+    """Padded (indices, distances, valid_count) of every query by a full
+    distance scan, ordered by (distance, index)."""
+    diff = points[None, :, :] - queries[:, None, :]
+    d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
+    index = np.broadcast_to(np.arange(len(points)), d.shape)
+    order = np.lexsort((index, d), axis=1)[:, :k]
+    dist = np.take_along_axis(d, order, axis=1)
+    valid = (dist <= (np.inf if eps is None else eps)).sum(axis=1)
+    keep = np.arange(order.shape[1])[None, :] < valid[:, None]
+    out_idx = np.zeros((len(queries), k), dtype=np.int64)
+    out_dist = np.zeros((len(queries), k))
+    out_idx[:, :order.shape[1]] = np.where(keep, order, 0)
+    out_dist[:, :order.shape[1]] = np.where(keep, dist, 0.0)
+    return out_idx, out_dist, valid
 
 
 def from_padded(indices, distances, valid_count):

@@ -1,7 +1,6 @@
 """Tests for kernel-weighted cross-frame label refinement."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from lidar_ensemble.selftrain import (cross_frame_refine, frame_neighborhoods, s
                                       write_manifest)
 from lidar_ensemble.subsample import PredictionMatrix
 from lidar_ensemble.synth import SyntheticSceneSpec, generate_sequence
+from tests.conftest import traced
 from tests.oracles import (from_padded, keep_pairs, kernel_score, padded, phi, phi_matrix,
                            refine_labels_unblocked, score_array)
 
@@ -450,11 +450,12 @@ def assert_same_refinement(got, want):
     assert np.array_equal(got.point_index, want.point_index)
 
 
-PAIR_BUDGETS = [1, 7, lam._EVAL_CHUNK - 1, lam._EVAL_CHUNK + 1, 12345]
+# budgets either side of one and of four eval blocks
+PAIR_BUDGETS = [1, 7, lam._ROW_BLOCK - 1, lam._ROW_BLOCK + 1, 2047, 2049, 12345]
 
 
 class TestBlockedRefinement:
-    """refine_labels scores _EVAL_CHUNK pairs at a time and sums labels
+    """refine_labels scores lam._ROW_BLOCK pairs at a time and sums labels
     over blocks of whole queries; every output bit is that of the same
     arithmetic over the whole scan's arrays."""
 
@@ -487,8 +488,8 @@ class TestBlockedRefinement:
         assert [q for block in blocks for q in range(*block)] == list(range(len(nbh)))
         for q0, q1 in blocks:  # at most budget pairs, or one query
             assert nbh.offsets[q1] - nbh.offsets[q0] <= budget or q1 - q0 == 1
-        chunk = lam._EVAL_CHUNK
-        assert len(nbh.indices) > 2 * chunk
+        chunk = lam._ROW_BLOCK
+        assert len(nbh.indices) > 8 * chunk
         assert any(nbh.offsets[q0] // chunk != (nbh.offsets[q1] - 1) // chunk
                    for q0, q1 in blocks if nbh.offsets[q1] > nbh.offsets[q0])
         params = initialize_lam_params(phi_layout.feature_dim(4), hidden_sizes=(8, 8, 8), seed=7)
@@ -503,25 +504,19 @@ class TestBlockedRefinement:
         # per pair, a few float64 vectors (scores, exp, weights and their
         # temporaries); per scan, the refined
         # rows and their copy; per block, (_PAIR_BUDGET, K) neighbor rows
-        # and, for the LAM, one eval chunk's phi rows and activations
+        # and, for the LAM, one eval block's phi rows and activations
         rng = np.random.default_rng(k_classes)
         dense, v, nbh = ragged_frame(rng, 10000, 30, k_classes, empty=0.05, full=0.3, m=5000)
         width = phi_layout.feature_dim(k_classes)
         if kernel == "lam":  # the default 32/64/128 network
             kernel, widest = LamKernel(initialize_lam_params(width, seed=1)), max(lam.HIDDEN_SIZES)
-            eval_bytes = lam._EVAL_CHUNK * 8 * (2 * width + 2 * widest)
+            eval_bytes = lam._ROW_BLOCK * 8 * (2 * width + 2 * widest)
         else:
             kernel, eval_bytes = UniformKernel(), 0
         pairs = len(nbh.indices)
         bound = (64 * pairs + 2 * v.nbytes + 2 * aggregate._PAIR_BUDGET * 8 * k_classes + eval_bytes)
         points = np.zeros((len(v), 3))
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            refine_labels(points, v, dense, nbh, kernel)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced(lambda: refine_labels(points, v, dense, nbh, kernel))
         assert peak <= bound, (peak / pairs, bound / pairs)
 
     def test_lam_of_another_class_count_is_rejected(self):
@@ -533,7 +528,7 @@ class TestBlockedRefinement:
 
     @pytest.mark.parametrize("queries", [1, 40, 600])
     def test_modulation_moments_give_the_bits_of_numpy(self, queries):
-        # 600 queries hold several eval chunks of pairs
+        # 600 queries hold several eval blocks of pairs
         rng = np.random.default_rng(queries)
         dense, v, nbh = ragged_frame(rng, queries, 16, 3, empty=0.0, full=0.5)
         rows, _ = phi_pairs(v, dense, nbh)

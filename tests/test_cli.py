@@ -1,6 +1,7 @@
 """Tests for the command-line surface: subcommand behavior, exit codes,
 manifests, and end-to-end determinism."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,16 @@ def test_threads_below_one_exit_1_before_any_work(command, threads, config_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("classes", ["0", "-3"])
+def test_classes_below_one_exit_1_before_any_work(classes, dataset, tmp_path, caplog):
+    out = tmp_path / "out"
+    labels = str(dataset / "labels")
+    assert main(["metrics", "--pred", labels, "--truth", labels, "--classes", classes,
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "--classes: must be at least 1" in caplog.text
+    assert not out.exists()
+
+
 def _checkpoint_records(blob):
     """(start, data start, end) of every tensor record of a checkpoint."""
     records, off = [], 16
@@ -422,7 +433,10 @@ class TestReaderFuzz:
     """A prediction file, poses.txt, a scan or a label file cut at any
     byte, or with one bit flipped, is read or rejected: aggregate
     --pred-dir and pipeline exit 0, or exit 2 with one logged error that
-    names a byte offset no larger than the file, and raise nothing."""
+    names a byte offset no larger than the file, and raise nothing. A
+    config file so cut or flipped gives exit 0, or exit 1 with one logged
+    error that names it, or exit 2 when it has fewer classes than the
+    dataset's labels."""
 
     @pytest.fixture(scope="class")
     def work(self, dataset, prediction_dir, tmp_path_factory):
@@ -450,8 +464,6 @@ class TestReaderFuzz:
 
     @staticmethod
     def check(argv, size):
-        import re
-
         code, errors = _run_logged(argv)
         assert code in (EXIT_OK, EXIT_IO), errors
         if code == EXIT_IO:
@@ -514,6 +526,32 @@ class TestReaderFuzz:
         # one u32 per point: semantic class in the low 16 bits, instance above
         self.fuzz_pipeline_input(case, work, work / "data" / "labels" / "000002.label", 4)
 
+    @settings(max_examples=150)
+    @given(case=st.data())
+    def test_cut_or_flipped_config(self, case, work):
+        # the config file is read or rejected in one line that names it
+        path = work / "c.ini"
+        original = path.read_bytes()
+        lines = np.cumsum([0] + [len(line) for line in original.splitlines(keepends=True)])
+        path.write_bytes(self.fuzz(case, original, list(zip(lines[:-1], lines[1:]))))
+        try:
+            code, errors = _run_logged(["pipeline", "--config", str(path), "--out", str(work / "run"),
+                                        "--threads", "1"])
+        finally:
+            path.write_bytes(original)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO), errors
+        if code != EXIT_OK:
+            (error,) = errors
+            assert "\n" not in error, error
+        if code == EXIT_CONFIG:
+            assert error.startswith(f"configuration: {path}: "), error
+        elif code == EXIT_IO:
+            # a cut thresholds line leaves fewer classes than the dataset's
+            # labels, which reads as a label file with a flipped bit does
+            labels = re.escape(str(work / "data" / "labels"))
+            assert re.fullmatch(rf"i/o: {labels}/\d+\.label: label \d+ at byte offset \d+ is neither a class "
+                                rf"in \[0, [12]\) nor the ignore label", error), error
+
 
 class TestCbstCommand:
     def test_writes_labels_and_masks(self, config_path, prediction_dir, tmp_path):
@@ -560,6 +598,29 @@ class TestMetricsCommand:
                    "--classes", "3", "--out", str(tmp_path / "m4")])
         assert rc == EXIT_IO
         assert f"byte offset {pred.stat().st_size - 1}" in caplog.text
+
+    @pytest.mark.parametrize("side", ["pred", "truth"])
+    def test_label_out_of_range_names_file_and_offset(self, side, tmp_path):
+        # the second file of a directory; label 3 at a point whose truth is
+        # the ignore label is skipped, as the confusion matrix skips it
+        good = tmp_path / "good"
+        bad = tmp_path / "bad"
+        for d in (good, bad):
+            d.mkdir()
+            for name in ("a", "b"):
+                np.array([0, 1, 2, 1], "<u4").tofile(d / f"{name}.label")
+        np.array([0, 1, 7, 1], "<u4").tofile(bad / "b.label")
+        if side == "truth":
+            np.array([9, 1, 2, 1], "<u4").tofile(bad / "a.label")
+        else:
+            np.array([3, 1, 2, 1], "<u4").tofile(bad / "a.label")
+            np.array([9, 1, 2, 1], "<u4").tofile(good / "a.label")
+        paths = {"pred": good, "truth": good, side: bad}
+        code, errors = _run_logged(["metrics", "--pred", str(paths["pred"]), "--truth", str(paths["truth"]),
+                                    "--classes", "3", "--ignore", "9", "--out", str(tmp_path / "m")])
+        assert code == EXIT_IO
+        assert errors == [f"i/o: {bad / 'b.label'}: label 7 at byte offset 8 is not a class in [0, 3)"]
+        assert not (tmp_path / "m").exists()
 
 
 class TestPipelineCommand:

@@ -1,6 +1,7 @@
 """Tests for configuration parsing, defaults, and validation."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,30 @@ class TestDefaults:
         assert "config.aggregate.k" in keys
         assert "config.run.seed" in keys
         assert "config.predictor.kind" in keys
+
+
+class TestUnreadableFile:
+    """Every error of load_config is one line that starts with the file."""
+
+    @pytest.mark.parametrize("tail, message", [
+        (b"[ru", r": cannot parse: Source contains parsing errors: .* \[line 3\]: '\[ru'$"),
+        (b"[aggregate]\nk = 1%0\n", r": cannot parse: '%' must be followed by '%' or '\(', found: '%0'$"),
+        (b"[aggregate]\nk = \xff1\n", r": byte 0xff at byte offset {offset} is not UTF-8$"),
+        (b"[aggregate]\nkk = 1\n", r": unknown key aggregate.kk$"),
+    ], ids=["cut", "interpolation", "not-utf8", "unknown-key"])
+    def test_error_names_the_file_in_one_line(self, tmp_path, dataset, tail, message):
+        path = write_config(tmp_path, dataset)
+        head = path.read_bytes()
+        path.write_bytes(head + tail)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        text = str(info.value)
+        assert "\n" not in text and text.startswith(f"{path}: ")
+        assert re.search(message.format(offset=len(head) + len(b"[aggregate]\nk = ")), text), text
+
+    def test_missing_file_is_named(self, tmp_path):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(tmp_path / 'none.ini'))}: file not found$"):
+            load_config(tmp_path / "none.ini")
 
 
 class TestValidation:

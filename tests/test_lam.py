@@ -1,7 +1,6 @@
 """Tests for the learned aggregation model: forward/backward, losses,
 training, statistics modulation, weight analysis, serialization."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +31,7 @@ from lidar_ensemble.lam import (
     write_histogram_csv,
     write_loss_trace_csv,
 )
+from tests.conftest import traced
 from tests.oracles import (lam_loss, lovasz_softmax, phi_matrix, pooled_weight_histograms, row_moments, score_array,
                            weight_histograms)
 from lidar_ensemble.lam import _lovasz_softmax_with_grad
@@ -263,7 +263,7 @@ class TestCacheFreeEval:
 
     def test_scores_match_the_oracle_chunk_by_chunk(self):
         rng = np.random.default_rng(33)
-        chunk = lam._EVAL_CHUNK
+        chunk = lam._ROW_BLOCK
         for d, hidden, rows in ((9, (32, 64, 128), 2 * chunk + 17), (41, (8, 16, 4), 7),
                                 (9, (64, 32), chunk + 1), (41, (32, 64, 128), chunk)):
             params = varied_params(rng, d, hidden)
@@ -806,7 +806,7 @@ class TestWeightHistograms:
         rng = np.random.default_rng(24)
         params = varied_params(rng, 7, (8, 16, 4))
         before = [(name, np.array(t).tobytes()) for name, t in lam._named_tensors(params)]
-        phis = rng.normal(size=(lam._EVAL_CHUNK + 5, 7))
+        phis = rng.normal(size=(4 * lam._ROW_BLOCK + 5, 7))
         row_query = np.repeat(np.arange(len(phis) // 5), 5)
         score_array(params, phis)
         weight_histograms(params, phis[:len(row_query)], row_query, len(row_query) // 5)
@@ -864,13 +864,7 @@ class TestWeightHistograms:
             pairs = 16 * 7500 * scans
             records = pair_records(rng, [[16] * 7500] * scans, np.zeros(pairs), window=90, points=50000)
             table = rng.uniform(1, 40, 50000)
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                lam.weight_histograms(records, table, 90)
-                peaks.append(tracemalloc.get_traced_memory()[1] - start)
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced(lambda: lam.weight_histograms(records, table, 90))[1])
         assert max(peaks) <= 8 * block_bytes, [p / block_bytes for p in peaks]
         assert peaks[1] - peaks[0] < block_bytes // 8, peaks
 

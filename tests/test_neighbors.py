@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lidar_ensemble import neighbors
@@ -14,7 +14,8 @@ from lidar_ensemble.neighbors import (
     precompute_neighborhoods,
 )
 from lidar_ensemble.subsample import PredictionMatrix, within_frame_ensemble
-from tests.oracles import padded
+from tests.conftest import traced
+from tests.oracles import brute_force_batch, from_padded, padded
 
 
 def brute_force_neighbors(points, query, k, eps=None):
@@ -288,23 +289,6 @@ class TestNeighborhoodsLayout:
             Neighborhoods(offsets, np.zeros(pairs, dtype=np.int64), np.zeros(pairs), capacity=2)
 
 
-def brute_force_batch(points, queries, k, eps=None):
-    """Padded (indices, distances, valid_count) of every query by a full
-    distance scan, ordered by (distance, index)."""
-    diff = points[None, :, :] - queries[:, None, :]
-    d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
-    index = np.broadcast_to(np.arange(len(points)), d.shape)
-    order = np.lexsort((index, d), axis=1)[:, :k]
-    dist = np.take_along_axis(d, order, axis=1)
-    valid = (dist <= (np.inf if eps is None else eps)).sum(axis=1)
-    keep = np.arange(order.shape[1])[None, :] < valid[:, None]
-    out_idx = np.zeros((len(queries), k), dtype=np.int64)
-    out_dist = np.zeros((len(queries), k))
-    out_idx[:, :order.shape[1]] = np.where(keep, order, 0)
-    out_dist[:, :order.shape[1]] = np.where(keep, dist, 0.0)
-    return out_idx, out_dist, valid
-
-
 @st.composite
 def adversarial_queries(draw):
     """Quantized cloud with one point copied at least 70 times, queries on
@@ -444,8 +428,11 @@ class TestCellGrid:
         box = np.array([[-1e9, -1e9, -1e9], [1e9, 1e9, 1e9]])
         grid = neighbors._CellGrid(box, 0.2)
         assert grid.cell > 1e3
-        keys, _ = grid.keys(box)
+        keys = grid.keys(box)
         assert 0 < keys[0] < keys[1] < 2 ** 62
+        # summed one axis at a time, the keys are those of the (M, 3) product
+        cells = (np.floor(box / grid.cell) - grid.origin).astype(np.int64)
+        assert np.array_equal(keys, cells @ grid.stride)
 
     def test_pairs_at_eps_across_cell_faces(self):
         # pairs a 3-4-5 triangle apart (distance exactly eps in binary), each
@@ -469,3 +456,108 @@ class TestCellGrid:
         points.append([[eps, 0.0, 0.0]])
         valid = assert_matches_brute_force(np.concatenate(points), np.array(queries), 500, eps)
         assert valid.min() >= 1
+
+
+@st.composite
+def split_block_queries(draw):
+    """A search whose cell-sorted queries fill several candidate-range
+    blocks of step queries, with more than step copies of one query, so
+    that query's cell is split across two blocks; the budget is 9 * step.
+
+    Also drawn: a quantized cloud with exact duplicates, so ties fall at
+    the k-th slot; epsilon 0, None, or a grid distance, so ties fall at
+    epsilon; points and queries on the faces of the search's cells and a
+    few ulps either side, with a pair at epsilon across a face; and far
+    corners that put the box's cell count just below or just above the
+    int64 key-span guard, which doubles the cells above it."""
+    step = draw(st.sampled_from([1, 2, 5, neighbors._CANDIDATE_BUDGET // len(neighbors._COLUMNS)]))
+    grid_step = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    cells = st.tuples(*[st.integers(-3, 3)] * 3)
+    base = np.array(draw(st.lists(cells, min_size=1, max_size=8)), dtype=np.float64) * grid_step
+    copies = [draw(st.integers(1, 12)) for _ in base]
+    points = [np.repeat(base, copies, axis=0)]
+    queries = [base, np.array(draw(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), max_size=3))).reshape(-1, 3)]
+
+    kind = draw(st.sampled_from(["none", "zero", "grid"]))
+    if kind == "grid":
+        offset = np.array(draw(cells), dtype=np.float64) * grid_step
+        eps = float(np.sqrt(offset[0] ** 2 + offset[1] ** 2 + offset[2] ** 2)) or grid_step
+    else:
+        eps = None if kind == "none" else 0.0
+    # the box is +-bound on every axis, set by its corners; with the guard,
+    # bound puts the cell count per axis near 2^(62/3)
+    bound = 8.0
+    guard = draw(st.sampled_from([None, -4, 4]))
+    if guard is not None and eps:
+        cell = eps * (1.0 + 2.0 ** -40)
+        bound = cell * (2.0 ** (62 / 3) - 3 + guard) / 2
+    corners = np.array([[x, y, z] for x in (-bound, bound) for y in (-bound, bound) for z in (-bound, bound)])
+    points.append(corners)
+    if eps:
+        cell = neighbors._CellGrid(corners, eps).cell
+        for face in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)):
+            axis = draw(st.integers(0, 2))
+            ulps = draw(st.integers(-2, 2))
+            q = np.zeros(3)
+            q[axis] = face * cell
+            q[axis] += ulps * np.spacing(q[axis])
+            leg = np.zeros(3)
+            leg[axis] = eps
+            queries.append(q[None])
+            points.append(np.stack([q, q + leg, q - leg]))
+    points = np.concatenate(points)
+    points = points[np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).permutation(len(points))]
+
+    split = draw(st.integers(0, len(base) - 1))
+    queries.append(np.repeat(base[split:split + 1], draw(st.integers(step + 1, step + 40)), axis=0))
+    queries = np.concatenate(queries)
+    queries = queries[np.random.default_rng(len(queries)).permutation(len(queries))]
+    return points, queries, draw(st.integers(1, 100)), eps, len(neighbors._COLUMNS) * step
+
+
+class TestBlockedSearch:
+    """The search takes its cell-sorted queries in blocks of
+    _CANDIDATE_BUDGET / 9 and scatters each chunk's pairs straight into
+    query order; the kNN rounds write their full rows into the output."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(split_block_queries())
+    @example((np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]] * 3), np.zeros((7, 3)), 4, 0.5, 18))
+    def test_matches_brute_force_bit_for_bit(self, case):
+        points, queries, k, eps, budget = case
+        step = budget // len(neighbors._COLUMNS)
+        if eps is not None:  # some cell's queries straddle a block boundary
+            grid = neighbors._CellGrid(np.concatenate([neighbors._bounds(points), neighbors._bounds(queries)]),
+                                       eps)
+            keys = np.sort(grid.keys(queries))
+            assert len(keys) > step and (keys[step - 1:-1:step] == keys[step::step]).any()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "_CANDIDATE_BUDGET", budget)
+            got = SpatialIndex(points).query_batch(queries, k, eps)
+        # every copy of a query has the same neighbors: scan each once
+        unique, inverse = np.unique(queries, axis=0, return_inverse=True)
+        o_idx, o_dist, o_valid = brute_force_batch(points, unique, k, eps)
+        inverse = inverse.ravel()
+        want = from_padded(o_idx[inverse], o_dist[inverse], o_valid[inverse])
+        assert np.array_equal(got.offsets, want.offsets)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.distances.view(np.uint64), want.distances.view(np.uint64))
+
+    @pytest.mark.parametrize("k, eps", [(60, 0.2), (16, None)])
+    def test_memory_above_the_result_does_not_grow_with_the_queries(self, k, eps):
+        # a chunk's working set is about eight float64 or int64 temporaries
+        # per candidate; the points' cell keys, order and sorted coordinates
+        # take 40 bytes per 24-byte point. Above its result the search holds
+        # these, the query blocks' ranges and a few small per-query arrays,
+        # so four times as many queries add less than one chunk
+        chunk = 8 * 8 * neighbors._CANDIDATE_BUDGET
+        rng = np.random.default_rng(24)
+        points = rng.uniform(0.0, [12.0, 12.0, 1.0], size=(48000, 3))
+        queries = rng.uniform(0.0, [12.0, 12.0, 1.0], size=(16000, 3))
+        index = SpatialIndex(points)
+        above = []
+        for n in (4000, 16000):
+            nbh, peak, _ = traced(lambda: index.query_batch(queries[:n], k, eps))
+            above.append(peak - nbh.offsets.nbytes - nbh.indices.nbytes - nbh.distances.nbytes)
+        assert above[1] - above[0] <= chunk, [a / chunk for a in above]
+        assert max(above) <= 3 * chunk + 2 * points.nbytes, [a / chunk for a in above]

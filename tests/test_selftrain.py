@@ -47,6 +47,7 @@ from lidar_ensemble.selftrain import (
 )
 from lidar_ensemble.subsample import PredictionMatrix, SubsampleSpec
 from lidar_ensemble.synth import HEIGHT_THRESHOLDS, SyntheticSceneSpec, generate_sequence
+from tests.conftest import traced
 from tests.oracles import (concatenated_training_set, keep_labels, keep_pairs, keep_refined, phi_matrix,
                            pooled_weight_histograms, refine_labels_unblocked, sensor_config,
                            train_lam_lists, training_lists)
@@ -432,14 +433,10 @@ class TestRunAdaptation:
             )
 
             def hook(iteration, label_sets):
-                held[k_classes] = tracemalloc.get_traced_memory()[0] - start
+                # bytes traced since traced() started, which traced nothing
+                held[k_classes] = tracemalloc.get_traced_memory()[0]
 
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                run_adaptation(seq, MockPredictor(rule), hook, config, tmp_path / f"k{k_classes}")
-            finally:
-                tracemalloc.stop()
+            traced(lambda: run_adaptation(seq, MockPredictor(rule), hook, config, tmp_path / f"k{k_classes}"))
         assert held[19] - held[3] <= 4 * points, {k: b / points for k, b in held.items()}
 
 
@@ -489,13 +486,7 @@ class TestHistogramPairRecords:
         seq, _ = generate_sequence(SyntheticSceneSpec(num_frames=4, points_per_frame=2000, seed=4))
         within = random_within(np.random.default_rng(4), seq.scans, 3)
         agg = AggregationSpec(kernel=UniformKernel(), k=16, epsilon=None, window=2, stride=1)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            records = cross_frame_refine(seq.scans, seq.poses, within, agg, keep_pairs)
-            held = tracemalloc.get_traced_memory()[0] - start
-        finally:
-            tracemalloc.stop()
+        records, _, held = traced(lambda: cross_frame_refine(seq.scans, seq.poses, within, agg, keep_pairs))
         pairs = sum(len(r.weights) for r in records)
         assert pairs == 4 * 2000 * 16
         assert held <= 24 * pairs, held / pairs
@@ -564,23 +555,12 @@ class TestLamTrainingSet:
         # and point tables; the build peaks at 0.74 times the rows' bytes
         # (mostly one frame's search) and training at batch 32 at 0.45
         # times; an (R, D) array alone would break the bound of 0.9 times
-        import tracemalloc
-
         seq, truths = generate_sequence(SyntheticSceneSpec(num_frames=12, points_per_frame=600, seed=5))
         predictor = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
         within = [predictor(scan) for scan in seq.scans]
         agg = AggregationSpec(kernel=UniformKernel(), k=16, epsilon=None, window=20, stride=1)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            data = build_lam_training_set(seq.scans, seq.poses, within, truths, agg)
-            build_peak = tracemalloc.get_traced_memory()[1] - start
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            train_lam(data, TrainConfig(epochs=1, batch=32, seed=0))
-            train_peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        data, build_peak, _ = traced(lambda: build_lam_training_set(seq.scans, seq.poses, within, truths, agg))
+        _, train_peak, _ = traced(lambda: train_lam(data, TrainConfig(epochs=1, batch=32, seed=0)))
         queries = points = 12 * 600
         pairs = queries * 16
         phi_bytes = pairs * phi_layout.feature_dim(3) * 8
