@@ -72,15 +72,6 @@ class AggregationSpec:
         ]
 
 
-def _slice_features(dense: DenseCloud, flat_idx: np.ndarray, dists: np.ndarray) -> dict:
-    """The phi columns the weight histograms slice by, per pair."""
-    return {
-        "temporal": phi_layout.temporal_feature(dense.temporal_offset.take(flat_idx), dense.window),
-        "sensor_distance": dense.sensor_distance.take(flat_idx),
-        "center_distance": dists,
-    }
-
-
 def phi_pairs(v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods, lo: int = 0, hi: int | None = None,
               out: np.ndarray | None = None):
     """Feature rows of the (query, neighbor) pairs lo:hi of a scan (all
@@ -94,13 +85,13 @@ def phi_pairs(v: np.ndarray, dense: DenseCloud, nbh: Neighborhoods, lo: int = 0,
     hi = len(nbh.indices) if hi is None else hi
     row_query = np.searchsorted(nbh.offsets, np.arange(lo, hi), side="right") - 1
     flat_idx = nbh.indices[lo:hi]
-    features = _slice_features(dense, flat_idx, nbh.distances[lo:hi])
     if out is None:
         out = np.empty((hi - lo, phi_layout.feature_dim(dense.num_classes)))
     # take gathers rows several times faster than fancy indexing
     rows = phi_layout.write_rows(
-        out, features["center_distance"], v.take(row_query, axis=0), dense.probs.take(flat_idx, axis=0),
-        features["temporal"], features["sensor_distance"])
+        out, nbh.distances[lo:hi], v.take(row_query, axis=0), dense.probs.take(flat_idx, axis=0),
+        phi_layout.temporal_feature(dense.temporal_offset.take(flat_idx), dense.window),
+        dense.sensor_distance.take(flat_idx))
     return rows, row_query
 
 

@@ -88,7 +88,8 @@ def _load_sequence(cfg: PipelineConfig):
 def _load_truths(cfg: PipelineConfig, seq: LidarSequence):
     """The dataset's labels, one array per scan of seq, or None without a
     labels directory. Each file holds one label per point of its scan,
-    each a class of the predictor or the ignore label."""
+    each a class of the predictor or the ignore label; a label that is
+    neither names both config keys too, as the config may be what is off."""
     if cfg.labels_dir is None:
         return None
     label_paths = sorted(cfg.labels_dir.glob("*.label"))
@@ -100,10 +101,14 @@ def _load_truths(cfg: PipelineConfig, seq: LidarSequence):
         if len(labels) != len(scan):
             raise FileFormatError(f"{path}: {len(labels)} labels for a {len(scan)}-point scan, first unmatched "
                                   f"at byte offset {4 * min(len(labels), len(scan))}")
-        bad = np.flatnonzero((labels >= cfg.predictor.num_classes) & (labels != cfg.ignore_label))
+        num_classes = cfg.predictor.num_classes
+        bad = np.flatnonzero((labels >= num_classes) & (labels != cfg.ignore_label))
         if bad.size:
+            key = "thresholds" if cfg.raw["predictor"]["kind"].strip() == "mock_height" else "num_classes"
+            ignore = "unset" if cfg.ignore_label is None else f"= {cfg.ignore_label}"
             raise FileFormatError(f"{path}: label {labels[bad[0]]} at byte offset {4 * bad[0]} is neither a "
-                                  f"class in [0, {cfg.predictor.num_classes}) nor the ignore label")
+                                  f"class in [0, {num_classes}) nor the ignore label (config: class count "
+                                  f"{num_classes} from predictor.{key}, run.ignore_label {ignore})")
         truths.append(labels)
     return truths
 

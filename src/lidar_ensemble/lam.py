@@ -377,7 +377,7 @@ def _cross_entropy_with_grad(probs: np.ndarray, truth: np.ndarray):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Adam training hyperparameters (beta1 0.9, beta2 0.999, eps 1e-8)."""
+    """Adam training hyperparameters; its decays and eps are ADAM_*."""
 
     learning_rate: float = 1e-3
     epochs: int = 25
@@ -488,14 +488,14 @@ class LamTrainingSet:
         return column_moments(fill, len(self.neighbor), self.feature_dim)
 
 
-def column_moments(fill, rows: int, width: int, block: int = _ROW_BLOCK) -> RowMoments:
+def column_moments(fill, rows: int, width: int) -> RowMoments:
     """RowMoments(rows, mean, var) with the bits of np.mean(a, axis=0) and
     np.var(a, axis=0) for an (rows, width) array a, rows >= 1 and width >=
     2, that is never held whole: fill(lo, hi, out) writes a's rows lo:hi
-    into out, at most block rows at a time. numpy takes both as column sums
+    into out, at most _ROW_BLOCK rows at a time. numpy takes both as column sums
     in row order (_ColumnSum), divided by rows: of a, then of the squared
     deviations from the mean, so each is one pass of fill calls."""
-    block = min(block, rows)
+    block = min(_ROW_BLOCK, rows)
     scratch = np.empty((block + 1, width))
     total = _ColumnSum(scratch)
     for lo, hi in _blocks(rows, block):
@@ -572,9 +572,12 @@ def training_loss_and_grads(params: LamParams, phis: np.ndarray, row_query: np.n
     return total, ce, lov, grads
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class _Adam:
-    def __init__(self, names, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, names, lr):
+        self.lr = lr
         self.step_count = 0
         self.m = {name: None for name in names}
         self.v = {name: None for name in names}
@@ -588,30 +591,29 @@ class _Adam:
             if self.m[name] is None:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            mhat = self.m[name] / (1 - self.beta1 ** t)
-            vhat = self.v[name] / (1 - self.beta2 ** t)
-            update = self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
+            mhat = self.m[name] / (1 - ADAM_BETA1 ** t)
+            vhat = self.v[name] / (1 - ADAM_BETA2 ** t)
+            update = self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
             if name == "head.bias":
                 params.head_bias = float(params.head_bias - update[0])
             else:
                 tensors[name] -= update
 
 
-def train_lam(data: LamTrainingSet, config: TrainConfig, params: LamParams | None = None):
+def train_lam(data: LamTrainingSet, config: TrainConfig):
     """Train the aggregation model on precomputed source neighborhoods.
 
     Fresh parameters are initialized from config.seed and standardization
-    statistics fit to the training features unless params is given.
-    Each batch's feature rows are built into a reused workspace buffer.
+    statistics fit to the training features. Each batch's feature rows are
+    built into a reused workspace buffer.
     Returns (params, per-epoch EpochStats list).
     """
     if len(data) == 0:
         raise ValueError("training set is empty")
-    if params is None:
-        params = initialize_lam_params(data.feature_dim, seed=config.seed)
-        params = modulate_statistics(params, [data.phi_moments()])
+    params = modulate_statistics(initialize_lam_params(data.feature_dim, seed=config.seed),
+                                 [data.phi_moments()])
     rng = np.random.default_rng(config.seed)
     adam = _Adam([name for name, _ in params.named_parameters()], config.learning_rate)
     sizes = np.diff(data.offsets)

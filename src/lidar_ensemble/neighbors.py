@@ -153,9 +153,6 @@ class SpatialIndex:
             raise ValueError("index requires a nonempty (M, 3) array of finite points")
         self.points = points
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def query_batch(self, queries: np.ndarray, k: int, eps: float | None = None):
         """The k nearest neighbors of each query, all within eps when eps is set.
 

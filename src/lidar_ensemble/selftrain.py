@@ -391,19 +391,15 @@ class RadialBandsRule:
 
 
 class MockPredictor(Predictor):
-    """Deterministic geometric labeler emitting one-hot (or softened) rows."""
+    """Deterministic geometric labeler emitting one-hot rows."""
 
-    def __init__(self, rule, smoothing: float = 0.0):
+    def __init__(self, rule):
         self.rule = rule
         self.num_classes = rule.num_classes
-        if not (0.0 <= smoothing < 1.0):
-            raise ValueError("smoothing must be in [0, 1)")
-        self.smoothing = smoothing
 
     def __call__(self, cloud: PointCloud) -> PredictionMatrix:
         labels = np.asarray(self.rule(cloud.points), dtype=np.int64)
-        return PredictionMatrix(_one_hot(labels, self.num_classes, self.smoothing),
-                                np.arange(len(cloud)))
+        return PredictionMatrix(_one_hot(labels, self.num_classes), np.arange(len(cloud)))
 
 
 class NoisyPredictor(Predictor):
@@ -462,9 +458,9 @@ class PrecomputedPredictor(Predictor):
         return pred
 
 
-def _one_hot(labels: np.ndarray, num_classes: int, smoothing: float = 0.0) -> np.ndarray:
-    probs = np.full((len(labels), num_classes), smoothing / max(1, num_classes - 1))
-    probs[np.arange(len(labels)), labels] = 1.0 - smoothing
+def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    probs = np.zeros((len(labels), num_classes))
+    probs[np.arange(len(labels)), labels] = 1.0
     return probs
 
 

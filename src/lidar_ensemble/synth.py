@@ -21,6 +21,10 @@ from .selftrain import LidarSequence, save_labels
 HEIGHT_THRESHOLDS = (0.5, 2.5)
 NUM_CLASSES = 3
 
+SPEED = 2.5  # meters per frame along x
+EXTENT = 15.0  # half-width of the scene around the sensor's path
+NUM_PILLARS = 24
+NUM_CANOPIES = 10
 GROUND_Z = (0.05, 0.4)
 PILLAR_Z = (0.6, 2.4)
 CANOPY_Z = (2.6, 4.0)
@@ -32,21 +36,17 @@ class SyntheticSceneSpec:
     num_frames: int = 20
     points_per_frame: int = 1000
     seed: int = 0
-    speed: float = 2.5
-    extent: float = 15.0
-    num_pillars: int = 24
-    num_canopies: int = 10
 
     def __post_init__(self):
         if self.num_frames < 1 or self.points_per_frame < 1:
             raise ValueError("num_frames and points_per_frame must be >= 1")
 
 
-def _sensor_pose(spec: SyntheticSceneSpec, frame: int) -> RigidTransform:
+def _sensor_pose(frame: int) -> RigidTransform:
     yaw = 0.06 * np.sin(0.4 * frame + 1.0)
     c, s = np.cos(yaw), np.sin(yaw)
     rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    translation = np.array([spec.speed * frame, 0.8 * np.sin(0.25 * frame), 0.0])
+    translation = np.array([SPEED * frame, 0.8 * np.sin(0.25 * frame), 0.0])
     return RigidTransform(rotation, translation)
 
 
@@ -58,29 +58,29 @@ def generate_sequence(spec: SyntheticSceneSpec):
     world frame.
     """
     scene_rng = np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, 0x5CE7E)))
-    corridor = (-10.0, spec.speed * spec.num_frames + 10.0)
+    corridor = (-10.0, SPEED * spec.num_frames + 10.0)
     pillars = np.stack([
-        scene_rng.uniform(corridor[0], corridor[1], spec.num_pillars),
-        scene_rng.uniform(-spec.extent, spec.extent, spec.num_pillars),
+        scene_rng.uniform(corridor[0], corridor[1], NUM_PILLARS),
+        scene_rng.uniform(-EXTENT, EXTENT, NUM_PILLARS),
     ], axis=1)
     canopies = np.stack([
-        scene_rng.uniform(corridor[0], corridor[1], spec.num_canopies),
-        scene_rng.uniform(-spec.extent, spec.extent, spec.num_canopies),
+        scene_rng.uniform(corridor[0], corridor[1], NUM_CANOPIES),
+        scene_rng.uniform(-EXTENT, EXTENT, NUM_CANOPIES),
     ], axis=1)
 
     scans, poses, truths = [], [], []
     counts = _class_counts(spec.points_per_frame)
     for frame in range(spec.num_frames):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, frame)))
-        pose = _sensor_pose(spec, frame)
+        pose = _sensor_pose(frame)
         center = pose.translation[:2]
 
         ground = np.stack([
-            rng.uniform(center[0] - spec.extent, center[0] + spec.extent, counts[0]),
-            rng.uniform(center[1] - spec.extent, center[1] + spec.extent, counts[0]),
+            rng.uniform(center[0] - EXTENT, center[0] + EXTENT, counts[0]),
+            rng.uniform(center[1] - EXTENT, center[1] + EXTENT, counts[0]),
             rng.uniform(*GROUND_Z, counts[0]),
         ], axis=1)
-        which = rng.integers(0, spec.num_pillars, counts[1])
+        which = rng.integers(0, NUM_PILLARS, counts[1])
         angle = rng.uniform(0, 2 * np.pi, counts[1])
         radius = rng.uniform(0.05, 0.4, counts[1])
         pillar = np.stack([
@@ -88,7 +88,7 @@ def generate_sequence(spec: SyntheticSceneSpec):
             pillars[which, 1] + radius * np.sin(angle),
             rng.uniform(*PILLAR_Z, counts[1]),
         ], axis=1)
-        which = rng.integers(0, spec.num_canopies, counts[2])
+        which = rng.integers(0, NUM_CANOPIES, counts[2])
         canopy = np.stack([
             canopies[which, 0] + rng.uniform(-2.0, 2.0, counts[2]),
             canopies[which, 1] + rng.uniform(-2.0, 2.0, counts[2]),

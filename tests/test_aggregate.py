@@ -12,7 +12,6 @@ from lidar_ensemble.aggregate import (
     AggregationSpec,
     LamKernel,
     UniformKernel,
-    _slice_features,
     phi_moments,
     phi_pairs,
     refine_labels,
@@ -305,8 +304,8 @@ class TestRefineLabels:
     def test_pair_features_equal_the_slice_gather(self):
         # both kernels, with and without eps, at zero and wider windows:
         # each scan's PairRecord, read through the sequence's sensor ranges
-        # and the window, gives the bits that _slice_features gathers from
-        # the scan's dense cloud, as phi_pairs does its columns
+        # and the window, gives the bits of the phi columns that phi_pairs
+        # gathers from the scan's dense cloud
         rng = np.random.default_rng(21)
         seq, _ = generate_sequence(SyntheticSceneSpec(num_frames=5, points_per_frame=150, seed=21))
         within = []
@@ -324,7 +323,9 @@ class TestRefineLabels:
                 assert [(a.dtype, a.flags.c_contiguous) for a in (
                     record.weights, record.center_distance, record.neighbor, record.temporal_offset)] == [
                     (np.float64, True), (np.float64, True), (np.uint32, True), (np.int8, True)]
-                want = _slice_features(dense, nbh.indices, nbh.distances)
+                want = {"temporal": phi_layout.temporal_feature(dense.temporal_offset[nbh.indices], dense.window),
+                        "sensor_distance": dense.sensor_distance[nbh.indices],
+                        "center_distance": nbh.distances}
                 for name, values in want.items():
                     got = record.feature(name, table, window, 0, np.empty(len(values)))
                     assert got.dtype == values.dtype

@@ -547,10 +547,11 @@ class TestReaderFuzz:
             assert error.startswith(f"configuration: {path}: "), error
         elif code == EXIT_IO:
             # a cut thresholds line leaves fewer classes than the dataset's
-            # labels, which reads as a label file with a flipped bit does
+            # labels: the error names the label file and the config keys
             labels = re.escape(str(work / "data" / "labels"))
             assert re.fullmatch(rf"i/o: {labels}/\d+\.label: label \d+ at byte offset \d+ is neither a class "
-                                rf"in \[0, [12]\) nor the ignore label", error), error
+                                rf"in \[0, ([12])\) nor the ignore label \(config: class count \1 from "
+                                rf"predictor\.thresholds, run\.ignore_label unset\)", error), error
 
 
 class TestCbstCommand:
@@ -706,6 +707,21 @@ class TestDatasetChecks:
         rc = main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "x"), "--threads", "1"])
         assert rc == EXIT_CONFIG
         assert "3 label files for 4 scans" in caplog.text
+
+    @pytest.mark.parametrize("predictor, key", [("thresholds = 0.5", "predictor.thresholds"),
+                                                ("kind = mock_bands\nnum_classes = 2", "predictor.num_classes")])
+    def test_too_few_classes_names_the_config_keys(self, predictor, key, config_path, tmp_path):
+        # a 2-class predictor over the 3-class drive: the labels are fine,
+        # so the error names the keys that set the class count
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(config_path.read_text().replace("kind = mock_height\nthresholds = 0.5,2.5", predictor))
+        code, errors = _run_logged(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                                    "--threads", "1"])
+        assert code == EXIT_IO
+        (error,) = errors
+        assert re.fullmatch(r"i/o: .*/\d+\.label: label 2 at byte offset \d+ is neither a class in \[0, 2\) nor "
+                            rf"the ignore label \(config: class count 2 from {re.escape(key)}, "
+                            r"run\.ignore_label unset\)", error), error
 
     @pytest.mark.parametrize("command, code", [("aggregate", EXIT_OK), ("lam-analyze", EXIT_OK),
                                                ("pipeline", EXIT_IO)])

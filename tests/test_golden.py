@@ -9,13 +9,17 @@ moves and declares them:
     PYTHONPATH=src python -m tests.test_golden --record
 
 Every path in the configs and on the command lines is relative to one work
-directory, so the manifests are covered too. The run is traced, and every
-function in src/ must be called by some case or be listed in UNREACHED.
+directory, so the manifests are covered too. The run is traced: every
+function in src/ must be called by some case or be listed in UNREACHED,
+and every defaulted parameter must be set off its default by some case or
+be listed in DEFAULT_ONLY.
 """
 
 import argparse
 import ast
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import sys
@@ -198,6 +202,46 @@ noise = 0.2
 [run]
 seed = 23
 """,
+    # the LAM at 3 classes with the loss weights and the learning rate off
+    # their defaults
+    "lam-train-weights.ini": SENSOR + """
+[dataset]
+root = source
+[aggregate]
+k = 6
+epsilon =
+window = 2
+stride = 1
+[lam]
+learning_rate = 0.01
+epochs = 2
+batch = 64
+ce_weight = 0.5
+lovasz_weight = 2.0
+[predictor]
+noise = 0.2
+[run]
+seed = 29
+""",
+    # random subsampling without the untouched cloud as trial 0: four
+    # draws of 80% of the rows, which together cover every point
+    "no-identity.ini": SENSOR + """
+[dataset]
+root = target
+[subsample]
+ratio = 0.8
+trials = 4
+include_identity = false
+[aggregate]
+k = 6
+epsilon = 0.5
+window = 1
+stride = 1
+[predictor]
+noise = 0.2
+[run]
+seed = 31
+""",
     # the stored 19-class predictions as the teacher
     "precomputed.ini": SENSOR + """
 [dataset]
@@ -228,6 +272,7 @@ COMMANDS = {
     "pipeline-knn-t2": ["pipeline", "--config", "knn.ini", "--threads", "2", "--bins", "7"],
     "lam-train": ["lam-train", "--config", "lam-train.ini", "--threads", "2"],
     "lam-train-eps": ["lam-train", "--config", "lam-train-eps.ini", "--threads", "1"],
+    "lam-train-weights": ["lam-train", "--config", "lam-train-weights.ini", "--threads", "1"],
     "pipeline-lam-t1": ["pipeline", "--config", "lam.ini", "--threads", "1"],
     "aggregate": ["aggregate", "--config", "lam.ini", "--pred-dir", "preds"],
     "lam-apply": ["lam-apply", "--config", "lam.ini", "--pred-dir", "preds",
@@ -247,6 +292,7 @@ COMMANDS = {
     "pipeline-precomputed-t1": ["pipeline", "--config", "precomputed.ini", "--threads", "1"],
     "pipeline-iterations-t1": ["pipeline", "--config", "iterations.ini", "--threads", "1"],
     "pipeline-window0-t1": ["pipeline", "--config", "window0.ini", "--threads", "1"],
+    "pipeline-no-identity-t1": ["pipeline", "--config", "no-identity.ini", "--threads", "1"],
 }
 
 
@@ -296,7 +342,6 @@ UNREACHED = {
     "selftrain.Predictor.__call__",
     # sizes that the library offers and the pipeline does not ask for
     "neighbors.DenseCloud.__len__",
-    "neighbors.SpatialIndex.__len__",
     # the student augmentation, which no command applies until the
     # augment.* keys are decided with the benchmark (ROADMAP item 1)
     "geometry.augment",
@@ -307,13 +352,20 @@ UNREACHED = {
 
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
-    """The digests of one run of every case, and the code objects it
-    called in any thread (sys.setprofile)."""
-    called = set()
+    """The digests of one run of every case, the code objects it called in
+    any thread (sys.setprofile), and the defaulted parameters, as
+    module.qualified_name.parameter, that some call bound to another value."""
+    called, overridden = set(), set()
+    defaulted = defaulted_parameters()
 
     def profile(frame, event, arg):
         if event == "call":
             called.add(frame.f_code)
+            params = defaulted.get(frame.f_code)
+            if params is not None:
+                values = frame.f_locals
+                overridden.update(name for name, param, default in params
+                                  if not _is_default(values[param], default))
 
     threading.setprofile(profile)
     sys.setprofile(profile)
@@ -322,12 +374,18 @@ def golden_run(tmp_path_factory):
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
-    return digests, called
+    return digests, called, overridden
 
 
 @pytest.fixture(scope="module")
 def digests(golden_run):
     return golden_run[0]
+
+
+def _first_line(node) -> int:
+    """The first line of the code object of a def or lambda node: a
+    decorated function's code starts at its first decorator."""
+    return min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
 
 
 def source_functions():
@@ -338,9 +396,7 @@ def source_functions():
     def walk(path, node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # a decorated function's code starts at its first decorator
-                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found[(str(path), line)] = f"{path.stem}.{prefix}{child.name}"
+                found[(str(path), _first_line(child))] = f"{path.stem}.{prefix}{child.name}"
                 walk(path, child, f"{prefix}{child.name}.")
             elif isinstance(child, ast.ClassDef):
                 walk(path, child, f"{prefix}{child.name}.")
@@ -350,10 +406,77 @@ def source_functions():
     return found
 
 
+def _is_default(value, default) -> bool:
+    """value is default: equal for a literal of the default's own type,
+    else the same object."""
+    if type(value) is type(default) and isinstance(default, (bool, int, float, str, tuple, type(None))):
+        return value == default
+    return value is default
+
+
+def defaulted_parameters():
+    """{code object: [(module.qualified_name.parameter, parameter, default)]}
+    of every function, method and dataclass __init__ in src/lidar_ensemble
+    that has a defaulted parameter. A nested function's defaults, which
+    live only on the function objects its parent makes, are read from its
+    source as literals."""
+    found = {}
+
+    def add(code, name, defaults, nodes):
+        if defaults:
+            found[code] = [(f"{name}.{param}", param, default) for param, default in defaults.items()]
+        for const in filter(inspect.iscode, code.co_consts):
+            args = nodes.get((const.co_firstlineno, const.co_name))  # None for a comprehension
+            literal = {}
+            if args is not None:
+                params = args.posonlyargs + args.args
+                literal = {a.arg: ast.literal_eval(d) for a, d in
+                           zip(params[len(params) - len(args.defaults):], args.defaults)}
+                literal.update((a.arg, ast.literal_eval(d)) for a, d in
+                               zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+            add(const, f"{name}.{const.co_name}", literal, nodes)
+
+    for path in sorted(Path(lidar_ensemble.__file__).resolve().parent.glob("*.py")):
+        module = importlib.import_module(f"lidar_ensemble.{path.stem}")
+        # (first line of its code object, name): the arguments of every def and lambda
+        nodes = {(_first_line(n), getattr(n, "name", "<lambda>")): n.args
+                 for n in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))}
+        functions = []
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                functions += [m.fget if isinstance(m, property) else getattr(m, "__func__", m)
+                              for m in vars(obj).values()]
+            else:
+                functions.append(obj)
+        for fn in filter(inspect.isfunction, functions):
+            defaults = {p.name: p.default for p in inspect.signature(fn).parameters.values()
+                        if p.default is not inspect.Parameter.empty}
+            add(fn.__code__, f"{path.stem}.{fn.__qualname__}", defaults, nodes)
+    return found
+
+
 def test_every_function_is_reached_by_a_case(golden_run):
     called = {(code.co_filename, code.co_firstlineno) for code in golden_run[1]}
     unreached = {name for key, name in source_functions().items() if key not in called}
     assert sorted(unreached) == sorted(UNREACHED)
+
+
+# the defaulted parameters in src/ that no case binds to another value, as
+# module.qualified_name.parameter; the default test fails on any other, and
+# on an entry here that a case overrides
+DEFAULT_ONLY = {
+    # the cases train at the paper's widths; the tests build small networks,
+    # which lam_forward, lam_backward and load_lam_params accept at any width
+    "lam.initialize_lam_params.hidden_sizes",
+}
+
+
+def test_every_default_is_overridden_by_a_case(golden_run):
+    defaulted = {name for params in defaulted_parameters().values() for name, _, _ in params}
+    assert sorted(defaulted - golden_run[2]) == sorted(DEFAULT_ONLY)
 
 
 def test_every_public_command_has_a_case():

@@ -529,11 +529,10 @@ class TestTraining:
     def test_zero_learning_rate_leaves_parameters_unchanged(self):
         rng = np.random.default_rng(9)
         data, _ = separable_task(rng, 50)
-        init = initialize_lam_params(7, seed=5)
-        init = modulate_statistics(init, [data.phi_moments()])
+        cfg = TrainConfig(learning_rate=0.0, epochs=3, batch=16, seed=5)
+        init = modulate_statistics(initialize_lam_params(7, seed=cfg.seed), [data.phi_moments()])
         before = {name: t.copy() for name, t in init.named_parameters()}
-        params, _ = train_lam(data, TrainConfig(learning_rate=0.0, epochs=3, batch=16, seed=5),
-                              params=init)
+        params, _ = train_lam(data, cfg)
         for name, tensor in params.named_parameters():
             assert np.array_equal(tensor, before[name]), name
 
@@ -565,13 +564,18 @@ class TestTraining:
         assert trace_a == trace_b
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    def test_non_finite_loss_aborts_with_step(self):
+    def test_non_finite_loss_aborts_with_step(self, monkeypatch):
         rng = np.random.default_rng(12)
         data, _ = separable_task(rng, 20)
-        bad = initialize_lam_params(7, seed=0)
-        bad.head_weight[0] = np.nan
+
+        def bad_init(feature_dim, seed):
+            bad = initialize_lam_params(feature_dim, seed=seed)
+            bad.head_weight[0] = np.nan
+            return bad
+
+        monkeypatch.setattr(lam, "initialize_lam_params", bad_init)
         with pytest.raises(LamTrainingError, match="step 0"):
-            train_lam(data, TrainConfig(epochs=1, batch=8), params=bad)
+            train_lam(data, TrainConfig(epochs=1, batch=8))
 
     def test_trace_has_one_record_per_epoch(self):
         rng = np.random.default_rng(13)
@@ -673,9 +677,10 @@ class TestModulateStatistics:
 
     @given(st.data())
     def test_streamed_moments_give_the_bits_of_numpy(self, data):
-        rows = data.draw(st.integers(1, 40), label="rows")
+        # a short block, or one to four blocks of _ROW_BLOCK rows, the last partial or full
+        block = lam._ROW_BLOCK
+        rows = data.draw(st.one_of(st.integers(1, 40), st.integers(block - 1, 3 * block + 1)), label="rows")
         width = data.draw(st.integers(2, 9), label="width")
-        block = data.draw(st.one_of(st.just(1), st.integers(1, rows + 2)), label="block")
         values = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]),
                            st.floats(-1e6, 1e6, allow_nan=False))
         a = data.draw(hnp.arrays(np.float64, (rows, width), elements=values), label="a")
@@ -685,23 +690,23 @@ class TestModulateStatistics:
             out[:] = a[lo:hi]
 
         with np.errstate(over="ignore", invalid="ignore"):
-            moments = lam.column_moments(fill, rows, width, block)
+            moments = lam.column_moments(fill, rows, width)
             assert moments.rows == rows
             assert moments.mean.tobytes() == np.mean(a, axis=0).tobytes()
             assert moments.var.tobytes() == np.var(a, axis=0).tobytes()
 
     def test_row_moments_stand_for_their_chunk(self):
-        # moments streamed from blocks of a chunk never held whole merge
-        # like the chunk's own
+        # moments streamed from the three blocks of a chunk never held
+        # whole merge like the chunk's own
         rng = np.random.default_rng(25)
-        a, b = rng.normal(size=(40, 7)), rng.normal(loc=3.0, size=(13, 7))
+        a, b = rng.normal(size=(2 * lam._ROW_BLOCK + 40, 7)), rng.normal(loc=3.0, size=(13, 7))
         params = initialize_lam_params(7, seed=0)
         want = modulate_statistics(params, [row_moments(a), row_moments(b)])
 
         def fill(lo, hi, out):
             out[:] = a[lo:hi]
 
-        got = modulate_statistics(params, [lam.column_moments(fill, len(a), 7, block=9), row_moments(b)])
+        got = modulate_statistics(params, [lam.column_moments(fill, len(a), 7), row_moments(b)])
         assert got.std_mean.tobytes() == want.std_mean.tobytes()
         assert got.std_var.tobytes() == want.std_var.tobytes()
 

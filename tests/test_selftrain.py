@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lidar_ensemble import phi_layout, selftrain
-from lidar_ensemble.aggregate import AggregationSpec, LamKernel, UniformKernel, _slice_features
+from lidar_ensemble.aggregate import AggregationSpec, LamKernel, UniformKernel
 from lidar_ensemble.errors import FileFormatError
 from lidar_ensemble.geometry import PointCloud
 from lidar_ensemble.lam import (TrainConfig, initialize_lam_params, save_lam_params, train_lam,
@@ -122,12 +122,12 @@ class TestMockPredictors:
             assert pred.probs.tobytes() == preds[0].probs.tobytes()
             assert pred.point_index.tobytes() == preds[0].point_index.tobytes()
 
-    def test_smoothing_keeps_argmax(self):
-        predictor = MockPredictor(HeightThresholdRule((0.0,)), smoothing=0.2)
-        cloud = PointCloud(points=np.array([[0.0, 0.0, 1.0]]))
+    def test_rows_are_one_hot_at_the_rule_label(self):
+        predictor = MockPredictor(HeightThresholdRule((0.0,)))
+        cloud = PointCloud(points=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
         pred = predictor(cloud)
-        assert pred.probs.argmax(axis=1).tolist() == [1]
-        assert pred.probs[0].max() == pytest.approx(0.8)
+        assert pred.probs.argmax(axis=1).tolist() == [1, 0]
+        assert pred.probs.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 class TestCbst:
@@ -473,7 +473,10 @@ class TestHistogramPairRecords:
         features, weights = [], []
         for t in range(frames):
             dense, nbh = frame_neighborhoods(seq.scans, seq.poses, within, t, agg)
-            features.append(_slice_features(dense, nbh.indices, nbh.distances))
+            features.append({
+                "temporal": phi_layout.temporal_feature(dense.temporal_offset[nbh.indices], dense.window),
+                "sensor_distance": dense.sensor_distance[nbh.indices],
+                "center_distance": nbh.distances})
             weights.append(refine_labels_unblocked(within[t].probs, dense, nbh, kernel)[1])
         want = pooled_weight_histograms(features, weights, bins)
         got = weight_histograms(records, sequence_sensor_range(seq.scans), window, bins)
