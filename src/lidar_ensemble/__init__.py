@@ -7,12 +7,10 @@ __version__ = "0.1.0"
 
 from .aggregate import AggregationSpec, LamKernel, UniformKernel, refine_labels
 from .geometry import (
-    AugmentationSpec,
     PointCloud,
     RangeImageIndex,
     RigidTransform,
     SensorConfig,
-    augment,
     compose,
     invert,
     project_to_range_image,

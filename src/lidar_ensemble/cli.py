@@ -208,7 +208,7 @@ def _write_refined(seq: LidarSequence, within, agg, out_dir: Path):
     refined_dir.mkdir(parents=True, exist_ok=True)
 
     def write(t, refined, pairs):
-        write_prediction_matrix(refined, refined_dir / f"{t:06d}.lprb")
+        write_prediction_matrix(refined(), refined_dir / f"{t:06d}.lprb")
 
     cross_frame_refine(seq.scans, seq.poses, within, agg, write)
     write_manifest(out_dir / "refinement.txt", agg.manifest_items())

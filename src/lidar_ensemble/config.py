@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .aggregate import AggregationSpec, LamKernel, UniformKernel
-from .geometry import AugmentationSpec, SensorConfig
+from .geometry import SensorConfig
 from .lam import TrainConfig, load_lam_params
 from .selftrain import (AdaptationConfig, CbstConfig, HeightThresholdRule, MockPredictor,
                         NoisyPredictor, PrecomputedPredictor, Predictor, RadialBandsRule,
@@ -267,17 +267,14 @@ def _load_config(path: Path) -> PipelineConfig:
     predictor = _predictor(raw, root, subsample, seed)
     # checked but read by nothing; the keys go at the benchmark re-baseline
     _get(raw, "sensor", "beams", int, lambda v: v >= 1)
-    _build(
-        "augment", AugmentationSpec,
-        rotation_range=_get(raw, "augment", "rotation", _float),
-        flip_x=_get(raw, "augment", "flip_x", _bool),
-        flip_y=_get(raw, "augment", "flip_y", _bool),
-        scale_range=(
-            _get(raw, "augment", "scale_min", _float),
-            _get(raw, "augment", "scale_max", _float),
-        ),
-        translation_sigma=_get(raw, "augment", "translation_sigma", _float),
-    )
+    _get(raw, "augment", "rotation", _float, lambda v: v >= 0)
+    _get(raw, "augment", "flip_x", _bool)
+    _get(raw, "augment", "flip_y", _bool)
+    scale_min = _get(raw, "augment", "scale_min", _float)
+    scale_max = _get(raw, "augment", "scale_max", _float, lambda v: v > 0)
+    if scale_min > scale_max:
+        raise ConfigError(f"augment.scale_min: {scale_min!r} exceeds augment.scale_max {scale_max!r}")
+    _get(raw, "augment", "translation_sigma", _float, lambda v: v >= 0)
     # the one policy there is: intensity off in iteration 0, on afterwards
     _get(raw, "adaptation", "intensity_policy", str.strip,
          lambda v: v == "drop_first_iteration_then_use")

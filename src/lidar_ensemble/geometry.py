@@ -1,4 +1,4 @@
-"""Point cloud containers, rigid transforms, range-image projection, augmentation.
+"""Point cloud containers, rigid transforms, range-image projection, file formats.
 
 Coordinates follow the usual automotive convention: x forward, y left,
 z up, all in meters. A pose maps scan-local coordinates into a shared
@@ -171,45 +171,6 @@ def project_to_range_image(cloud: PointCloud, config: SensorConfig) -> RangeImag
         pixel_of_point=np.stack([u, v], axis=1),
         range_of_point=rng,
     )
-
-
-@dataclass(frozen=True)
-class AugmentationSpec:
-    """Random augmentation parameters, applied rotate -> flip -> scale -> translate."""
-
-    rotation_range: float = 0.0
-    flip_x: bool = False
-    flip_y: bool = False
-    scale_range: tuple = (1.0, 1.0)
-    translation_sigma: float = 0.0
-
-    def __post_init__(self):
-        lo, hi = self.scale_range
-        if not (lo <= hi and hi > 0.0):
-            raise ValueError(f"scale_range must be a nonempty interval with positive values: {self.scale_range}")
-        if self.rotation_range < 0:
-            raise ValueError("rotation_range must be >= 0")
-        if self.translation_sigma < 0:
-            raise ValueError("translation_sigma must be >= 0")
-
-
-def augment(cloud: PointCloud, spec: AugmentationSpec, rng: np.random.Generator) -> PointCloud:
-    """Randomly augment a cloud; deterministic given the generator state.
-
-    Draw order is fixed: rotation angle, flip-x coin (only when enabled),
-    flip-y coin (only when enabled), scale, translation vector.
-    """
-    angle = np.radians(rng.uniform(-spec.rotation_range, spec.rotation_range))
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    pts = cloud.points @ rot.T
-    if spec.flip_x and rng.random() < 0.5:
-        pts = pts * np.array([-1.0, 1.0, 1.0])
-    if spec.flip_y and rng.random() < 0.5:
-        pts = pts * np.array([1.0, -1.0, 1.0])
-    pts = pts * rng.uniform(spec.scale_range[0], spec.scale_range[1])
-    pts = pts + rng.normal(0.0, spec.translation_sigma, size=3)
-    return dataclasses.replace(cloud, points=pts)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ mock predictors ship for testing.
 from __future__ import annotations
 
 import abc
+import functools
 import hashlib
 import os
 import struct
@@ -145,6 +146,14 @@ def within_frame_predictions(scans, predictor: Predictor, config: AdaptationConf
     def stage_within(t: int) -> PredictionMatrix:
         cloud = scans[t] if use_intensity else scans[t].without_intensity()
         ensemble = make_ensemble(cloud, config.sensor, config.subsample, _scan_rng(seed, t))
+        covered = np.zeros(len(cloud), bool)
+        for _, idx_map in ensemble:
+            covered[idx_map] = True
+        if not covered.all():
+            raise ValueError(
+                f"frame {cloud.frame_id}: {np.count_nonzero(~covered)} of {len(cloud)} points fall in "
+                f"no subsample trial; set subsample.include_identity = true, or raise "
+                f"subsample.ratio or subsample.trials")
         trials = []
         for sub, idx_map in ensemble:
             pred = predictor(sub)
@@ -201,17 +210,23 @@ def cross_frame_refine(scans, poses, within, agg: AggregationSpec, finish, threa
     window refines each scan against itself.
 
     Returns finish(t, refined, pairs) for every scan t, in frame order,
-    called by the worker that refined t; pairs() builds t's PairRecord for
-    the weight histograms (weight_histograms reads them with
-    sequence_sensor_range and agg.window). Independent of thread count.
+    called by the worker that handles t; refined() is t's refined
+    prediction and pairs() builds t's PairRecord for the weight histograms
+    (weight_histograms reads them with sequence_sensor_range and
+    agg.window). t is searched and refined at the first call of either,
+    once, so a finish that calls neither does no search. Independent of
+    thread count.
     """
     first = first_points(scans)
 
     def refine(t: int):
-        dense, nbh = frame_neighborhoods(scans, poses, within, t, agg)
-        refined, weights = refine_labels(scans[t].points, within[t].probs, dense, nbh, agg.kernel)
+        @functools.cache
+        def searched():
+            dense, nbh = frame_neighborhoods(scans, poses, within, t, agg)
+            return (dense, nbh, *refine_labels(scans[t].points, within[t].probs, dense, nbh, agg.kernel))
 
         def pairs() -> PairRecord:
+            dense, nbh, _, weights = searched()
             if first[-1] > np.iinfo(np.uint32).max + 1:
                 raise ValueError(f"pair records index at most 2^32 sequence points, not {first[-1]}")
             return PairRecord(
@@ -219,7 +234,7 @@ def cross_frame_refine(scans, poses, within, agg: AggregationSpec, finish, threa
                 neighbor=sequence_points(dense, first, nbh.indices).astype(np.uint32),
                 temporal_offset=dense.temporal_offset.take(nbh.indices).astype(offset_dtype(agg.window)))
 
-        return finish(t, refined, pairs)
+        return finish(t, lambda: searched()[2], pairs)
 
     return _map(refine, range(len(scans)), threads)
 
@@ -230,18 +245,18 @@ def generate_refined_predictions(scans, poses, predictor: Predictor, config: Ada
 
     Returns (within, kept): the per-scan prediction matrices after the
     subsample-ensemble average, and finish(t, refined, pairs) of every scan
-    (cross_frame_refine). A zero-width window gives finish the within-frame
-    prediction as refined, so the pipeline with one identity trial and
-    window 0 reduces to the raw predictor; pairs() then holds the scan's
-    search of itself. Deterministic given the seed, independent of thread
-    count.
+    (cross_frame_refine). At a zero-width window refined() is the
+    within-frame prediction, so the pipeline with one identity trial and
+    window 0 reduces to the raw predictor, and only pairs() searches the
+    scan, against itself. Deterministic given the seed, independent of
+    thread count.
     """
     agg = config.aggregation
     within = within_frame_predictions(scans, predictor, config, seed=seed,
                                       use_intensity=use_intensity, threads=threads)
 
     def finish_frame(t, refined, pairs):
-        return finish(t, within[t] if agg.window == 0 else refined, pairs)
+        return finish(t, (lambda: within[t]) if agg.window == 0 else refined, pairs)
 
     return within, cross_frame_refine(scans, poses, within, agg, finish_frame, threads=threads)
 
@@ -327,7 +342,7 @@ def run_adaptation(seq: LidarSequence, teacher: Predictor, student_hook, config:
         # within-frame or refined, outlive the call
         kept = generate_refined_predictions(
             seq.scans, seq.poses, predictor, config,
-            lambda t, refined, pairs: (hard_labels(refined), pairs() if iteration == 0 else None),
+            lambda t, refined, pairs: (hard_labels(refined()), pairs() if iteration == 0 else None),
             seed=_iteration_seed(config.seed, iteration), use_intensity=use_intensity, threads=threads)[1]
         if iteration == 0:
             records = [record for _, record in kept]

@@ -18,8 +18,9 @@ refinement over whole-scan (pairs, K) and (pairs, 2K + 3) arrays, as it
 ran before its blocks; cross_frame_refine finish callbacks that keep each
 scan's refined rows, hard labels or pair record; the LAM loss and the
 Lovasz-Softmax value without gradients, beside the training loss that
-computes them with gradients; and the rigid-transform, augmentation-scheme
-and synthetic-sensor helpers that only tests use.
+computes them with gradients; the student's data augmentation, which no
+command runs (config checks its augment.* keys); and the rigid-transform,
+augmentation-scheme and synthetic-sensor helpers that only tests use.
 """
 
 import dataclasses
@@ -28,7 +29,7 @@ import numpy as np
 
 from lidar_ensemble import lam, phi_layout
 from lidar_ensemble.aggregate import UniformKernel, phi_pairs
-from lidar_ensemble.geometry import AugmentationSpec, PointCloud, RigidTransform, SensorConfig
+from lidar_ensemble.geometry import PointCloud, RigidTransform, SensorConfig
 from lidar_ensemble.lam import lam_forward
 from lidar_ensemble.neighbors import (
     Neighborhoods,
@@ -294,7 +295,7 @@ def keep_refined(t, refined, pairs):
     """A cross_frame_refine finish that keeps every scan's refined matrix,
     as cross_frame_refine returned them before each frame ended in its
     worker."""
-    return refined
+    return refined()
 
 
 def keep_pairs(t, refined, pairs):
@@ -305,7 +306,7 @@ def keep_pairs(t, refined, pairs):
 def keep_labels(t, refined, pairs):
     """A cross_frame_refine finish that keeps every scan's (labels,
     confidence), which apply_cbst takes."""
-    return hard_labels(refined)
+    return hard_labels(refined())
 
 
 def lovasz_softmax(probs, truth) -> float:
@@ -349,6 +350,45 @@ def identity_transform() -> RigidTransform:
 def apply_transform(cloud: PointCloud, t: RigidTransform) -> PointCloud:
     """Rigidly move a cloud; intensity and frame_id are preserved."""
     return dataclasses.replace(cloud, points=t.apply(cloud.points))
+
+
+@dataclasses.dataclass(frozen=True)
+class AugmentationSpec:
+    """Random augmentation parameters, applied rotate -> flip -> scale -> translate."""
+
+    rotation_range: float = 0.0
+    flip_x: bool = False
+    flip_y: bool = False
+    scale_range: tuple = (1.0, 1.0)
+    translation_sigma: float = 0.0
+
+    def __post_init__(self):
+        lo, hi = self.scale_range
+        if not (lo <= hi and hi > 0.0):
+            raise ValueError(f"scale_range must be a nonempty interval with positive values: {self.scale_range}")
+        if self.rotation_range < 0:
+            raise ValueError("rotation_range must be >= 0")
+        if self.translation_sigma < 0:
+            raise ValueError("translation_sigma must be >= 0")
+
+
+def augment(cloud: PointCloud, spec: AugmentationSpec, rng: np.random.Generator) -> PointCloud:
+    """Randomly augment a cloud; deterministic given the generator state.
+
+    Draw order is fixed: rotation angle, flip-x coin (only when enabled),
+    flip-y coin (only when enabled), scale, translation vector.
+    """
+    angle = np.radians(rng.uniform(-spec.rotation_range, spec.rotation_range))
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    pts = cloud.points @ rot.T
+    if spec.flip_x and rng.random() < 0.5:
+        pts = pts * np.array([-1.0, 1.0, 1.0])
+    if spec.flip_y and rng.random() < 0.5:
+        pts = pts * np.array([1.0, -1.0, 1.0])
+    pts = pts * rng.uniform(spec.scale_range[0], spec.scale_range[1])
+    pts = pts + rng.normal(0.0, spec.translation_sigma, size=3)
+    return dataclasses.replace(cloud, points=pts)
 
 
 def basic_augmentation() -> AugmentationSpec:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidar_ensemble import cli
+from lidar_ensemble import cli, selftrain
 from lidar_ensemble.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from lidar_ensemble.selftrain import load_labels, load_selection_mask
 from lidar_ensemble.subsample import read_prediction_matrix, read_scan_prediction, write_prediction_matrix
@@ -693,6 +693,46 @@ class TestPipelineCommand:
         for value in ("junk", "0", "64"):
             monkeypatch.setenv("LIDAR_ENSEMBLE_THREADS", value)
             assert _resolve_threads(args) == unset
+
+
+@pytest.fixture(scope="module")
+def small_drive(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small")
+    assert main(["synthgen", "--out", str(root), "--frames", "3", "--points", "220", "--seed", "21"]) == EXIT_OK
+    return root
+
+
+def test_window_0_searches_each_scan_once(small_drive, tmp_path, monkeypatch):
+    # at window 0 the labels are the within-frame argmax at every
+    # iteration, and only iteration 0's pair records read the search
+    calls = []
+    original = selftrain.refine_labels
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(selftrain, "refine_labels", counted)
+    config = tmp_path / "window0.ini"
+    config.write_text(CONFIG_TEMPLATE.format(root=small_drive).replace("window = 4", "window = 0")
+                      + "\n[adaptation]\niterations = 2\n")
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--threads", "1"]) == EXIT_OK
+    assert calls == [220, 220, 220]
+
+
+def test_subsamples_that_miss_a_point_name_the_frame_and_keys(small_drive, tmp_path):
+    # two draws of half the rows leave some row of frame 0 in neither
+    config = tmp_path / "no-identity.ini"
+    config.write_text(CONFIG_TEMPLATE.format(root=small_drive).replace(
+        "[subsample]\n", "[subsample]\nratio = 0.5\ninclude_identity = false\n"))
+    code, messages = _run_logged(["pipeline", "--config", str(config), "--out", str(tmp_path / "out"),
+                                  "--threads", "1"])
+    assert code == EXIT_CONFIG
+    assert len(messages) == 1
+    assert re.fullmatch(r"invalid input: frame 0: \d+ of 220 points fall in no subsample trial; "
+                        r"set subsample\.include_identity = true, or raise subsample\.ratio or "
+                        r"subsample\.trials", messages[0]), messages[0]
 
 
 class TestDatasetChecks:

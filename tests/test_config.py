@@ -13,6 +13,7 @@ from lidar_ensemble.geometry import load_point_cloud_bin
 from lidar_ensemble.lam import initialize_lam_params, save_lam_params
 from lidar_ensemble.selftrain import HeightThresholdRule, MockPredictor, RadialBandsRule
 from lidar_ensemble.subsample import write_prediction_matrix
+from tests.oracles import AugmentationSpec
 
 
 @pytest.fixture
@@ -137,13 +138,34 @@ class TestValidation:
 
     @pytest.mark.parametrize("body, key", [
         ("[sensor]\nbeams = 0\n", "sensor.beams"),
-        ("[augment]\nscale_min = 2\n", "scale_range"),
-        ("[augment]\nrotation = -1\n", "rotation_range"),
+        ("[augment]\nscale_min = 2\n", r"augment\.scale_min"),
+        ("[augment]\nscale_max = 0.5\n", r"augment\.scale_max"),
+        ("[augment]\nscale_min = -1\nscale_max = 0\n", r"augment\.scale_max"),
+        ("[augment]\nrotation = -1\n", r"augment\.rotation"),
+        ("[augment]\ntranslation_sigma = -0.1\n", r"augment\.translation_sigma"),
+        ("[augment]\nflip_x = maybe\n", r"augment\.flip_x"),
     ])
     def test_keys_without_effect_are_still_checked(self, tmp_path, dataset, body, key):
         # read by nothing, listed in every manifest: removed at the benchmark re-baseline
         with pytest.raises(ConfigError, match=key):
             load_config(write_config(tmp_path, dataset, body))
+
+    def test_augment_keys_accept_what_the_augmentation_spec_accepted(self, tmp_path, dataset):
+        # the checks of the deleted geometry.AugmentationSpec, kept in oracles
+        for rotation, scale_min, scale_max, sigma in itertools.product(
+                ("-1", "-0.0", "45"), ("-1", "0.9", "2"), ("-0.5", "0", "1.1", "2"), ("-0.1", "0", "0.5")):
+            try:
+                AugmentationSpec(float(rotation), True, True, (float(scale_min), float(scale_max)), float(sigma))
+                accepted = True
+            except ValueError:
+                accepted = False
+            body = (f"[augment]\nrotation = {rotation}\nscale_min = {scale_min}\n"
+                    f"scale_max = {scale_max}\ntranslation_sigma = {sigma}\n")
+            if accepted:
+                load_config(write_config(tmp_path, dataset, body))
+            else:
+                with pytest.raises(ConfigError, match=r"augment\."):
+                    load_config(write_config(tmp_path, dataset, body))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,9 @@ import pytest
 
 from lidar_ensemble.errors import FileFormatError
 from lidar_ensemble.geometry import (
-    AugmentationSpec,
     PointCloud,
     RigidTransform,
     SensorConfig,
-    augment,
     compose,
     invert,
     load_point_cloud_bin,
@@ -18,7 +16,8 @@ from lidar_ensemble.geometry import (
     save_point_cloud_bin,
     save_poses,
 )
-from tests.oracles import apply_transform, basic_augmentation, identity_transform, intense_augmentation
+from tests.oracles import (AugmentationSpec, apply_transform, augment, basic_augmentation, identity_transform,
+                          intense_augmentation)
 
 
 def random_rigid(rng):

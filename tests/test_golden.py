@@ -11,8 +11,10 @@ moves and declares them:
 Every path in the configs and on the command lines is relative to one work
 directory, so the manifests are covered too. The run is traced: every
 function in src/ must be called by some case or be listed in UNREACHED,
-and every defaulted parameter must be set off its default by some case or
-be listed in DEFAULT_ONLY.
+every defaulted parameter must be set off its default by some case or be
+listed in DEFAULT_ONLY, every callable parameter must be filled by two
+functions or be listed in CONSTANT_CALLABLES, and some case must cross
+each block size in BLOCKS.
 """
 
 import argparse
@@ -31,6 +33,7 @@ import numpy as np
 import pytest
 
 import lidar_ensemble
+from lidar_ensemble import aggregate, lam, neighbors
 from lidar_ensemble.cli import EXIT_OK, build_parser, main
 from lidar_ensemble.selftrain import load_labels
 from lidar_ensemble.subsample import PredictionMatrix, write_prediction_matrix
@@ -242,6 +245,24 @@ noise = 0.2
 [run]
 seed = 31
 """,
+    # kNN at k 8 on 4000-point frames: each frame's 32000 pairs cross the
+    # refinement's pair blocks and its 4000 queries the search's query
+    # blocks, and the drive's 96000 pairs cross the histogram blocks
+    "blocks.ini": SENSOR + """
+[dataset]
+root = wide
+[subsample]
+trials = 2
+[aggregate]
+k = 8
+epsilon =
+window = 1
+stride = 1
+[predictor]
+noise = 0.2
+[run]
+seed = 37
+""",
     # the stored 19-class predictions as the teacher
     "precomputed.ini": SENSOR + """
 [dataset]
@@ -293,6 +314,7 @@ COMMANDS = {
     "pipeline-iterations-t1": ["pipeline", "--config", "iterations.ini", "--threads", "1"],
     "pipeline-window0-t1": ["pipeline", "--config", "window0.ini", "--threads", "1"],
     "pipeline-no-identity-t1": ["pipeline", "--config", "no-identity.ini", "--threads", "1"],
+    "pipeline-blocks-t2": ["pipeline", "--config", "blocks.ini", "--threads", "2"],
 }
 
 
@@ -316,8 +338,8 @@ def run_all(work: Path) -> dict:
     previous = os.getcwd()
     os.chdir(work)
     try:
-        for drive, seed in (("target", "21"), ("source", "22")):
-            assert main(["synthgen", "--out", drive, "--frames", "3", "--points", "220",
+        for drive, points, seed in (("target", "220", "21"), ("source", "220", "22"), ("wide", "4000", "24")):
+            assert main(["synthgen", "--out", drive, "--frames", "3", "--points", points,
                          "--seed", seed]) == EXIT_OK
         for name, text in CONFIGS.items():
             Path(name).write_text(text)
@@ -342,30 +364,69 @@ UNREACHED = {
     "selftrain.Predictor.__call__",
     # sizes that the library offers and the pipeline does not ask for
     "neighbors.DenseCloud.__len__",
-    # the student augmentation, which no command applies until the
-    # augment.* keys are decided with the benchmark (ROADMAP item 1)
-    "geometry.augment",
     # the documented reader of the .mask files that pipeline and cbst write
     "selftrain.load_selection_mask",
 }
 
 
+# each block size in src/, with the function that cuts its input into
+# blocks of that size and the size of one call's input, read from the
+# call's arguments; the block test fails unless some case exceeds each, so
+# a budget change cannot leave every case inside one block
+BLOCKS = {
+    "aggregate._PAIR_BUDGET": (aggregate._PAIR_BUDGET, aggregate.refine_labels,
+                               lambda args: len(args["nbh"].indices)),
+    "neighbors._CANDIDATE_BUDGET // 9": (neighbors._CANDIDATE_BUDGET // len(neighbors._COLUMNS),
+                                         neighbors._grid_chunks, lambda args: len(args["queries"])),
+    "lam._HISTOGRAM_BLOCK": (lam._HISTOGRAM_BLOCK, lam.weight_histograms,
+                             lambda args: sum(len(r.weights) for r in args["records"])),
+}
+
+
+def _filler(value):
+    """The code a function or bound method runs; a class or builtin itself;
+    None for a value that is neither, a callable instance included."""
+    code = getattr(getattr(value, "__func__", value), "__code__", None)
+    if code is None and (inspect.isclass(value) or inspect.isbuiltin(value)
+                         or inspect.ismethoddescriptor(value)):
+        return value
+    return code
+
+
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
     """The digests of one run of every case, the code objects it called in
-    any thread (sys.setprofile), and the defaulted parameters, as
-    module.qualified_name.parameter, that some call bound to another value."""
+    any thread (sys.setprofile), the defaulted parameters, as
+    module.qualified_name.parameter, that some call bound to another value,
+    {parameter: _filler of each function that filled it} of the
+    parameters of every function and method in src/, and the input sizes
+    of each of the BLOCKS."""
     called, overridden = set(), set()
     defaulted = defaulted_parameters()
+    parameters = source_parameters()
+    filled = {}
+    sizes = {block: set() for block in BLOCKS}
+    probes = {fn.__code__: (block, size) for block, (_, fn, size) in BLOCKS.items()}
 
     def profile(frame, event, arg):
         if event == "call":
-            called.add(frame.f_code)
-            params = defaulted.get(frame.f_code)
+            code = frame.f_code
+            called.add(code)
+            params = defaulted.get(code)
             if params is not None:
                 values = frame.f_locals
                 overridden.update(name for name, param, default in params
                                   if not _is_default(values[param], default))
+            params = parameters.get(code)
+            if params is not None:
+                values = frame.f_locals
+                for name, param in params:
+                    filler = _filler(values[param])
+                    if filler is not None:
+                        filled.setdefault(name, set()).add(filler)
+            if code in probes:
+                block, size = probes[code]
+                sizes[block].add(size(frame.f_locals))  # set.add: atomic across the run's threads
 
     threading.setprofile(profile)
     sys.setprofile(profile)
@@ -374,7 +435,7 @@ def golden_run(tmp_path_factory):
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
-    return digests, called, overridden
+    return digests, called, overridden, filled, sizes
 
 
 @pytest.fixture(scope="module")
@@ -414,6 +475,35 @@ def _is_default(value, default) -> bool:
     return value is default
 
 
+def source_modules():
+    """(path, module) of every module of src/lidar_ensemble."""
+    for path in sorted(Path(lidar_ensemble.__file__).resolve().parent.glob("*.py")):
+        yield path, importlib.import_module(f"lidar_ensemble.{path.stem}")
+
+
+def module_functions(module):
+    """Every module-level function and method (a property's getter, a
+    dataclass __init__) that module defines."""
+    functions = []
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isclass(obj):
+            functions += [m.fget if isinstance(m, property) else getattr(m, "__func__", m)
+                          for m in vars(obj).values()]
+        else:
+            functions.append(obj)
+    return list(filter(inspect.isfunction, functions))
+
+
+def source_parameters():
+    """{code object: [(module.qualified_name.parameter, parameter)]} of
+    every module-level function and method in src/lidar_ensemble."""
+    return {fn.__code__: [(f"{path.stem}.{fn.__qualname__}.{param}", param)
+                          for param in inspect.signature(fn).parameters]
+            for path, module in source_modules() for fn in module_functions(module)}
+
+
 def defaulted_parameters():
     """{code object: [(module.qualified_name.parameter, parameter, default)]}
     of every function, method and dataclass __init__ in src/lidar_ensemble
@@ -436,22 +526,12 @@ def defaulted_parameters():
                                zip(args.kwonlyargs, args.kw_defaults) if d is not None)
             add(const, f"{name}.{const.co_name}", literal, nodes)
 
-    for path in sorted(Path(lidar_ensemble.__file__).resolve().parent.glob("*.py")):
-        module = importlib.import_module(f"lidar_ensemble.{path.stem}")
+    for path, module in source_modules():
         # (first line of its code object, name): the arguments of every def and lambda
         nodes = {(_first_line(n), getattr(n, "name", "<lambda>")): n.args
                  for n in ast.walk(ast.parse(path.read_text()))
                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))}
-        functions = []
-        for obj in vars(module).values():
-            if getattr(obj, "__module__", None) != module.__name__:
-                continue
-            if inspect.isclass(obj):
-                functions += [m.fget if isinstance(m, property) else getattr(m, "__func__", m)
-                              for m in vars(obj).values()]
-            else:
-                functions.append(obj)
-        for fn in filter(inspect.isfunction, functions):
+        for fn in module_functions(module):
             defaults = {p.name: p.default for p in inspect.signature(fn).parameters.values()
                         if p.default is not inspect.Parameter.empty}
             add(fn.__code__, f"{path.stem}.{fn.__qualname__}", defaults, nodes)
@@ -477,6 +557,37 @@ DEFAULT_ONLY = {
 def test_every_default_is_overridden_by_a_case(golden_run):
     defaulted = {name for params in defaulted_parameters().values() for name, _, _ in params}
     assert sorted(defaulted - golden_run[2]) == sorted(DEFAULT_ONLY)
+
+
+# the parameters of functions and methods in src/ that one function fills
+# in every call of every case, as module.qualified_name.parameter; the
+# callable test fails on any other, and on an entry here that a case fills
+# with two functions or never fills with one
+CONSTANT_CALLABLES = {
+    # the documented extension point of run_adaptation: a student trainer
+    # plugs in here, and no command trains one (ROADMAP item 14)
+    "selftrain.run_adaptation.student_hook",
+    # run_adaptation's finish; perfbench's tracer counts
+    # selftrain.refine_passes by calls of generate_refined_predictions, so
+    # folding it into run_adaptation waits on a benchmark change; the tests
+    # also pass oracles.keep_refined
+    "selftrain.generate_refined_predictions.finish",
+    # refine_labels' phi_pairs rows: lam cannot import aggregate.phi_pairs,
+    # and the fill is the protocol column_moments takes from two callers
+    "lam.eval_scores.fill",
+}
+
+
+def test_every_callable_parameter_takes_two_functions(golden_run):
+    constant = {name for name, codes in golden_run[3].items() if len(codes) == 1}
+    assert sorted(constant) == sorted(CONSTANT_CALLABLES)
+
+
+def test_some_case_crosses_every_block(golden_run):
+    largest = {block: max(sizes, default=0) for block, sizes in golden_run[4].items()}
+    below = {block: (largest[block], limit) for block, (limit, _, _) in BLOCKS.items()
+             if largest[block] <= limit}
+    assert not below, f"no case exceeds these blocks (largest input, block size): {below}"
 
 
 def test_every_public_command_has_a_case():
