@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .aggregate import LamKernel, UniformKernel, phi_moments
+from .aggregate import LamKernel, phi_moments
 from .config import ConfigError, PipelineConfig, load_config
 from .errors import FileFormatError
 from .geometry import load_point_cloud_bin, load_poses, project_to_range_image, save_point_cloud_bin
-from .lam import (LamTrainingError, load_lam_params, modulate_statistics, save_lam_params,
-                  train_lam, weight_histograms, write_histogram_csv, write_loss_trace_csv)
+from .lam import (LamTrainingError, modulate_statistics, save_lam_params, train_lam, weight_histograms,
+                  write_histogram_csv, write_loss_trace_csv)
 from .metrics import (condense_static_dynamic, confusion, iou, write_confusion_csv,
                       write_iou_csv, write_iou_summary)
 from .selftrain import (LidarSequence, PrecomputedPredictor, apply_cbst, build_lam_training_set,
@@ -216,12 +216,29 @@ def _write_refined(seq: LidarSequence, within, agg, out_dir: Path):
 
 def cmd_aggregate(args) -> int:
     cfg = load_config(args.config)
+    agg = cfg.adaptation.aggregation
+    if args.modulate and not isinstance(agg.kernel, LamKernel):
+        raise ConfigError(f"{args.config}: aggregate.kernel: --modulate re-fits a LAM checkpoint, and the "
+                          f"config names kernel = {agg.kernel_name}")
     seq, paths = _load_sequence(cfg)
     within = _read_pred_dir(cfg, seq, args.pred_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_refined(seq, within, cfg.adaptation.aggregation, out_dir)
-    _command_manifest(out_dir, cfg, args, inputs=paths, extra=[("pred_dir", str(args.pred_dir))])
+    inputs, extra = list(paths), [("pred_dir", str(args.pred_dir))]
+    if args.modulate:
+        def frame_moments():  # each frame's feature-row moments, built one block at a time
+            for t in range(len(seq.scans)):
+                dense, nbh = frame_neighborhoods(seq.scans, seq.poses, within, t, agg)
+                if len(nbh.indices):
+                    yield phi_moments(within[t].probs, dense, nbh)
+
+        params = modulate_statistics(agg.kernel.params, frame_moments())
+        save_lam_params(params, out_dir / "modulated.ckpt")
+        agg = dataclasses.replace(agg, kernel=LamKernel(params))
+        inputs.append(cfg.checkpoint)
+        extra.append(("modulated", "true"))
+    _write_refined(seq, within, agg, out_dir)
+    _command_manifest(out_dir, cfg, args, inputs=inputs, extra=extra)
     return EXIT_OK
 
 
@@ -249,30 +266,6 @@ def cmd_lam_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_lam_apply(args) -> int:
-    cfg = load_config(args.config)
-    seq, paths = _load_sequence(cfg)
-    agg = cfg.adaptation.aggregation
-    params = load_lam_params(args.checkpoint)
-    within = _read_pred_dir(cfg, seq, args.pred_dir)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.modulate:
-        def frame_moments():  # each frame's feature-row moments, built one block at a time
-            for t in range(len(seq.scans)):
-                dense, nbh = frame_neighborhoods(seq.scans, seq.poses, within, t, agg)
-                if len(nbh.indices):
-                    yield phi_moments(within[t].probs, dense, nbh)
-
-        params = modulate_statistics(params, frame_moments())
-        save_lam_params(params, out_dir / "modulated.ckpt")
-    _write_refined(seq, within, dataclasses.replace(agg, kernel=LamKernel(params)), out_dir)
-    _command_manifest(out_dir, cfg, args, inputs=list(paths) + [args.checkpoint],
-                      extra=[("pred_dir", str(args.pred_dir)),
-                             ("modulated", str(bool(args.modulate)).lower())])
-    return EXIT_OK
-
-
 def _write_histograms(seq: LidarSequence, records, window: int, bins: int, out_dir: Path):
     """histograms.csv of the PairRecords of seq's scans, searched with window."""
     report = weight_histograms(records, sequence_sensor_range(seq.scans), window, bins=bins)
@@ -282,8 +275,7 @@ def _write_histograms(seq: LidarSequence, records, window: int, bins: int, out_d
 def cmd_lam_analyze(args) -> int:
     cfg = load_config(args.config)
     seq, paths = _load_sequence(cfg)
-    kernel = LamKernel(load_lam_params(args.checkpoint)) if args.checkpoint else UniformKernel()
-    agg = dataclasses.replace(cfg.adaptation.aggregation, kernel=kernel)
+    agg = cfg.adaptation.aggregation
     within = _read_pred_dir(cfg, seq, args.pred_dir)
     records = cross_frame_refine(seq.scans, seq.poses, within, agg, lambda t, refined, pairs: pairs())
     out_dir = Path(args.out)
@@ -432,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lidar-ensemble", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
-    public = ("project", "subsample", "ensemble", "aggregate", "lam-train", "lam-apply",
-              "lam-analyze", "cbst", "metrics", "pipeline")
+    public = ("project", "subsample", "ensemble", "aggregate", "lam-train", "lam-analyze", "cbst",
+              "metrics", "pipeline")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{" + ",".join(public) + "}", parser_class=_Parser)
 
@@ -460,6 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("aggregate", cmd_aggregate, "Cross-frame refinement of per-frame predictions with the configured kernel.")
     p.add_argument("--config", required=True, help="pipeline configuration file")
     p.add_argument("--pred-dir", required=True, help="directory of per-frame .lprb predictions")
+    p.add_argument("--modulate", action="store_true",
+                   help="re-fit the LAM's standardization statistics to this dataset first (aggregate.kernel = lam)")
     p.add_argument("--out", required=True, help="output directory")
 
     p = add("lam-train", cmd_lam_train, "Train the aggregation model on the configured labeled dataset.")
@@ -467,17 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory (lam.ckpt, loss_trace.csv)")
     p.add_argument("--threads", type=_at_least_one, default=None, help="worker threads (default: the CPUs this process may run on)")
 
-    p = add("lam-apply", cmd_lam_apply, "Refine predictions with a trained model, optionally re-fitting its input statistics.")
-    p.add_argument("--config", required=True, help="pipeline configuration file")
-    p.add_argument("--pred-dir", required=True, help="directory of per-frame .lprb predictions")
-    p.add_argument("--checkpoint", required=True, help="trained model checkpoint (.ckpt)")
-    p.add_argument("--modulate", action="store_true", help="replace standardization statistics with this dataset's")
-    p.add_argument("--out", required=True, help="output directory")
-
     p = add("lam-analyze", cmd_lam_analyze, "Histogram the normalized aggregation weights over feature slices.")
     p.add_argument("--config", required=True, help="pipeline configuration file")
     p.add_argument("--pred-dir", required=True, help="directory of per-frame .lprb predictions")
-    p.add_argument("--checkpoint", default="", help="model checkpoint; omit for the uniform kernel")
     p.add_argument("--bins", type=_at_least_one, default=20, help="histogram bins per slice")
     p.add_argument("--out", required=True, help="output directory")
 

@@ -56,6 +56,7 @@ class PipelineConfig:
     train: TrainConfig
     predictor: Predictor
     ignore_label: int | None
+    checkpoint: Path | None  # aggregate.checkpoint resolved, when aggregate.kernel = lam
     raw: dict = field(default_factory=dict)
 
     def manifest_items(self):
@@ -225,6 +226,7 @@ def _load_config(path: Path) -> PipelineConfig:
         include_identity=_get(raw, "subsample", "include_identity", _bool),
     )
     kernel_name = raw["aggregate"]["kernel"].strip().lower()
+    ckpt_path = None
     if kernel_name == "uniform":
         kernel = UniformKernel()
     elif kernel_name == "lam":
@@ -288,5 +290,6 @@ def _load_config(path: Path) -> PipelineConfig:
         train=train,
         predictor=predictor,
         ignore_label=_get(raw, "run", "ignore_label", _optional(int)),
+        checkpoint=ckpt_path,
         raw=raw,
     )

@@ -103,32 +103,34 @@ def _scan_rng(seed: int, scan: int) -> np.random.Generator:
 
 def _map(fn, items, threads: int):
     """[fn(item) for item in items], run by the calling thread and
-    min(threads, len(items)) - 1 helper threads, each taking the next item
-    from one shared counter. After a failure no thread starts another
-    item; once the helpers have stopped, the exception of the lowest-index
-    failing item is raised, as the sequential loop would raise it."""
+    min(threads, len(items)) - 1 helper threads: worker w runs item w
+    first, then takes the next item from one shared counter. After a
+    failure no thread starts another item; once the helpers have stopped,
+    the exception of the lowest-index failing item is raised, as the
+    sequential loop would raise it."""
     items = list(items)
     results = [None] * len(items)
     errors = {}
-    taken = iter(range(len(items)))
+    workers = min(threads, len(items))
+    taken = iter(range(workers, len(items)))
     lock = threading.Lock()
 
-    def work():
-        while not errors:
-            with lock:
-                i = next(taken, None)
-            if i is None:
-                return
+    def work(i):
+        while i is not None and not errors:
             try:
                 results[i] = fn(items[i])
             except BaseException as exc:  # raised by the calling thread below
                 errors[i] = exc
+            with lock:
+                i = next(taken, None)
 
-    helpers = [threading.Thread(target=work) for _ in range(min(threads, len(items)) - 1)]
+    # worker w starts at item w, so the calling thread (worker 0) runs an
+    # item however fast the helpers are
+    helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
     for helper in helpers:
         helper.start()
     try:
-        work()
+        work(0 if workers else None)
     finally:
         for helper in helpers:
             helper.join()

@@ -65,6 +65,19 @@ def config_path(dataset, tmp_path_factory):
     return path
 
 
+def write_lam_config(path, dataset, checkpoint):
+    """The test config with aggregate.kernel = lam and checkpoint as
+    aggregate.checkpoint, written to path."""
+    path.write_text(CONFIG_TEMPLATE.format(root=dataset).replace(
+        "kernel = uniform", f"kernel = lam\ncheckpoint = {checkpoint}"))
+    return path
+
+
+@pytest.fixture(scope="module")
+def lam_config_path(dataset, checkpoint, tmp_path_factory):
+    return write_lam_config(tmp_path_factory.mktemp("cfg") / "lam.ini", dataset, checkpoint)
+
+
 class TestParsing:
     def test_help_succeeds(self, capsys):
         assert main(["--help"]) == 0
@@ -180,8 +193,8 @@ def prediction_dir(dataset, config_path, tmp_path_factory):
 
 
 class TestAggregateCommand:
-    @pytest.mark.parametrize("command", ["aggregate", "lam-apply"])
-    def test_holds_one_refined_matrix_at_a_time(self, command, config_path, prediction_dir, checkpoint,
+    @pytest.mark.parametrize("modulate", [False, True], ids=["aggregate", "aggregate-modulate"])
+    def test_holds_one_refined_matrix_at_a_time(self, modulate, config_path, lam_config_path, prediction_dir,
                                                 tmp_path, monkeypatch):
         # each frame's refined rows are written by the worker that refined
         # it, so none is alive when the next frame is refined
@@ -199,9 +212,8 @@ class TestAggregateCommand:
             return refined, weights
 
         monkeypatch.setattr(selftrain, "refine_labels", refine)
-        argv = [command, "--config", str(config_path), "--pred-dir", str(prediction_dir)]
-        if command == "lam-apply":
-            argv += ["--checkpoint", str(checkpoint)]
+        argv = ["aggregate", "--config", str(lam_config_path if modulate else config_path),
+                "--pred-dir", str(prediction_dir)] + ["--modulate"] * modulate
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
         assert alive == [0, 0, 0, 0]
 
@@ -214,6 +226,18 @@ class TestAggregateCommand:
         sidecar = (out / "refinement.txt").read_text()
         assert "kernel = uniform" in sidecar
         assert "phi_layout_version = 1" in sidecar
+        manifest = (out / "manifest.txt").read_text()
+        assert "command = aggregate\n" in manifest
+        assert "modulated" not in manifest and "input.lam.ckpt" not in manifest
+
+    def test_modulate_without_a_lam_kernel_is_config_error(self, config_path, prediction_dir, tmp_path):
+        out = tmp_path / "agg"
+        code, messages = _run_logged(["aggregate", "--config", str(config_path), "--pred-dir",
+                                      str(prediction_dir), "--modulate", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert len(messages) == 1 and "\n" not in messages[0]
+        assert "aggregate.kernel" in messages[0] and "kernel = uniform" in messages[0]
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -269,16 +293,18 @@ class TestLamCommands:
         assert (out / "lam.ckpt").read_bytes() == (tmp_path / "reference.ckpt").read_bytes()
         assert (out / "lam.ckpt").read_bytes() == checkpoint.read_bytes()
 
-    def test_apply_with_modulation(self, config_path, prediction_dir, checkpoint, tmp_path):
+    def test_apply_with_modulation(self, lam_config_path, prediction_dir, checkpoint, tmp_path):
         out = tmp_path / "applied"
-        assert main(["lam-apply", "--config", str(config_path), "--pred-dir", str(prediction_dir),
-                     "--checkpoint", str(checkpoint), "--modulate", "--out", str(out)]) == EXIT_OK
+        assert main(["aggregate", "--config", str(lam_config_path), "--pred-dir", str(prediction_dir),
+                     "--modulate", "--out", str(out)]) == EXIT_OK
         assert (out / "modulated.ckpt").exists()
         assert (out / "refined" / "000000.lprb").exists()
         assert "kernel = lam" in (out / "refinement.txt").read_text()
+        manifest = (out / "manifest.txt").read_text()
+        assert "modulated = true\n" in manifest
+        assert f"input.lam.ckpt = {selftrain.file_checksum(checkpoint)}\n" in manifest
 
-    def test_apply_misshapen_checkpoint_is_io_error(self, config_path, prediction_dir, tmp_path,
-                                                    caplog):
+    def test_apply_misshapen_checkpoint_is_io_error(self, dataset, prediction_dir, tmp_path, caplog):
         from lidar_ensemble.lam import initialize_lam_params, save_lam_params
 
         params = initialize_lam_params(9, seed=0)
@@ -286,8 +312,9 @@ class TestLamCommands:
         bad = tmp_path / "bad.ckpt"
         save_lam_params(params, bad)
         record = bad.read_bytes().index(b"layer1.weight") - 4
-        assert main(["lam-apply", "--config", str(config_path), "--pred-dir", str(prediction_dir),
-                     "--checkpoint", str(bad), "--out", str(tmp_path / "applied")]) == EXIT_IO
+        cfg = write_lam_config(tmp_path / "c.ini", dataset, bad)
+        assert main(["aggregate", "--config", str(cfg), "--pred-dir", str(prediction_dir),
+                     "--modulate", "--out", str(tmp_path / "applied")]) == EXIT_IO
         assert f"byte offset {record}" in caplog.text
 
     def test_config_named_corrupt_checkpoint_is_io_error(self, dataset, checkpoint, tmp_path,
@@ -297,23 +324,25 @@ class TestLamCommands:
         for ckpt, code, message in ((bad, EXIT_IO, "malformed tensor record at byte offset"),
                                     (tmp_path / "missing.ckpt", EXIT_CONFIG,
                                      "aggregate.checkpoint: path does not exist")):
-            cfg = tmp_path / "c.ini"
-            cfg.write_text(CONFIG_TEMPLATE.format(root=dataset).replace(
-                "kernel = uniform", f"kernel = lam\ncheckpoint = {ckpt}"))
+            cfg = write_lam_config(tmp_path / "c.ini", dataset, ckpt)
             caplog.clear()
             assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run"),
                          "--threads", "1"]) == code
             assert message in caplog.text
 
-    def test_analyze_uniform_and_lam(self, config_path, prediction_dir, checkpoint, tmp_path):
-        for name, extra in (("u", []), ("l", ["--checkpoint", str(checkpoint)])):
+    def test_analyze_uniform_and_lam(self, config_path, lam_config_path, prediction_dir, tmp_path):
+        # each run weighs with the kernel its config names
+        for name, cfg in (("uniform", config_path), ("lam", lam_config_path)):
             out = tmp_path / name
-            assert main(["lam-analyze", "--config", str(config_path),
+            assert main(["lam-analyze", "--config", str(cfg),
                          "--pred-dir", str(prediction_dir), "--out", str(out),
-                         "--bins", "5"] + extra) == EXIT_OK
+                         "--bins", "5"]) == EXIT_OK
             lines = (out / "histograms.csv").read_text().strip().splitlines()
             assert lines[0] == "slice,bin_left,bin_right,count,normalized_weight_mean"
             assert len(lines) == 1 + 3 * 5
+            assert f"\nkernel = {name}\n" in (out / "manifest.txt").read_text()
+        assert (tmp_path / "lam" / "histograms.csv").read_bytes() != \
+            (tmp_path / "uniform" / "histograms.csv").read_bytes()
 
 
 @pytest.mark.parametrize("bins", ["0", "-3"])
@@ -364,15 +393,20 @@ def _checkpoint_records(blob):
 class TestCheckpointFuzz:
     """A checkpoint cut at any byte, or with one bit flipped in its header,
     a record head or its data, loads or is rejected with a byte offset, and
-    lam-apply exits 2 on it without a traceback."""
+    aggregate --modulate on a config naming it exits 2 without a
+    traceback."""
 
     @pytest.fixture(scope="class")
     def work(self, tmp_path_factory):
         return tmp_path_factory.mktemp("fuzz")
 
+    @pytest.fixture(scope="class")
+    def fuzzed_config(self, dataset, work):
+        return write_lam_config(work / "fuzzed.ini", dataset, work / "fuzzed.ckpt")
+
     @settings(max_examples=300)
     @given(case=st.data())
-    def test_cut_or_flipped_checkpoint_loads_or_names_an_offset(self, case, config_path, prediction_dir,
+    def test_cut_or_flipped_checkpoint_loads_or_names_an_offset(self, case, fuzzed_config, prediction_dir,
                                                                  checkpoint, work):
         import logging
         import re
@@ -407,8 +441,8 @@ class TestCheckpointFuzz:
         handler.emit = messages.append
         logging.getLogger("lidar_ensemble").addHandler(handler)
         try:
-            assert main(["lam-apply", "--config", str(config_path), "--pred-dir", str(prediction_dir),
-                         "--checkpoint", str(path), "--out", str(work / "applied")]) == EXIT_IO
+            assert main(["aggregate", "--config", str(fuzzed_config), "--pred-dir", str(prediction_dir),
+                         "--modulate", "--out", str(work / "applied")]) == EXIT_IO
         finally:
             logging.getLogger("lidar_ensemble").removeHandler(handler)
         assert [m.getMessage() for m in messages] == [f"i/o: {error}"]
@@ -893,9 +927,9 @@ def _old_lam_analyze(cfg, seq, pred_dir, checkpoint, bins, out_dir):
 
 
 class TestSharedNeighborPath:
-    """aggregate, lam-apply and lam-analyze find each frame's neighbors
-    through selftrain.cross_frame_refine and write the same bytes as their
-    earlier per-command searches."""
+    """aggregate, aggregate --modulate and lam-analyze find each frame's
+    neighbors through selftrain.cross_frame_refine and write the same bytes
+    as their earlier per-command searches."""
 
     @pytest.mark.filterwarnings("ignore:variance floored:RuntimeWarning")
     @pytest.mark.parametrize("window, epsilon", [(4, ""), (0, "1.0")])
@@ -908,35 +942,38 @@ class TestSharedNeighborPath:
         path.write_text(CONFIG_TEMPLATE.format(root=dataset)
                         .replace("window = 4", f"window = {window}")
                         .replace("epsilon =", f"epsilon = {epsilon}"))
+        lam_path = tmp_path / "shared-lam.ini"
+        lam_path.write_text(path.read_text().replace("kernel = uniform",
+                                                     f"kernel = lam\ncheckpoint = {checkpoint}"))
         cfg = load_config(path)
         seq, _ = _load_sequence(cfg)
-        common = ["--config", str(path), "--pred-dir", str(prediction_dir)]
-        runs = [(["aggregate"], lambda out: _old_refine_from_files(
+        common = ["--pred-dir", str(prediction_dir)]
+        runs = [(["aggregate", "--config", str(path)], lambda out: _old_refine_from_files(
             seq, prediction_dir, cfg.adaptation.aggregation, out))]
         for modulate in (False, True):
-            runs.append((["lam-apply", "--checkpoint", str(checkpoint)] + ["--modulate"] * modulate,
+            runs.append((["aggregate", "--config", str(lam_path)] + ["--modulate"] * modulate,
                          lambda out, m=modulate: _old_lam_apply(cfg, seq, prediction_dir,
                                                                 checkpoint, m, out)))
-        for ckpt in ("", str(checkpoint)):
-            runs.append((["lam-analyze", "--bins", "6"] + ["--checkpoint", ckpt] * bool(ckpt),
+        for config, ckpt in ((path, ""), (lam_path, str(checkpoint))):
+            runs.append((["lam-analyze", "--config", str(config), "--bins", "6"],
                          lambda out, c=ckpt: _old_lam_analyze(cfg, seq, prediction_dir, c, 6, out)))
         for i, (command, reference) in enumerate(runs):
             out, old = tmp_path / f"new{i}", tmp_path / f"old{i}"
             old.mkdir()
             reference(old)
-            assert main(command[:1] + common + command[1:] + ["--out", str(out)]) == EXIT_OK
+            assert main(command + common + ["--out", str(out)]) == EXIT_OK
             expected = sorted(p.relative_to(old) for p in old.rglob("*") if p.is_file())
             written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
             assert written == sorted(expected + [Path("manifest.txt")]), command
             for rel in expected:
                 assert (out / rel).read_bytes() == (old / rel).read_bytes(), (command, str(rel))
             if command[0] == "lam-analyze":
-                kernel = "lam" if "--checkpoint" in command else "uniform"
+                kernel = "lam" if str(lam_path) in command else "uniform"
                 assert f"kernel = {kernel}\n" in (out / "manifest.txt").read_text()
 
-    @pytest.mark.parametrize("command", [["aggregate"], ["lam-apply", "--modulate"], ["lam-analyze"]])
-    def test_short_prediction_file_is_io_error(self, command, config_path, prediction_dir,
-                                               checkpoint, tmp_path, caplog):
+    @pytest.mark.parametrize("command", [["aggregate"], ["aggregate", "--modulate"], ["lam-analyze"]])
+    def test_short_prediction_file_is_io_error(self, command, config_path, lam_config_path, prediction_dir,
+                                               tmp_path, caplog):
         import shutil
 
         preds = tmp_path / "preds"
@@ -944,9 +981,8 @@ class TestSharedNeighborPath:
         full = read_prediction_matrix(preds / "000002.lprb")
         write_prediction_matrix(PredictionMatrix(full.probs[:-5], full.point_index[:-5]),
                                 preds / "000002.lprb")
-        extra = ["--checkpoint", str(checkpoint)] if command[0] != "aggregate" else []
-        rc = main(command + ["--config", str(config_path), "--pred-dir", str(preds),
-                             "--out", str(tmp_path / "x")] + extra)
+        cfg = config_path if command == ["aggregate"] else lam_config_path
+        rc = main(command + ["--config", str(cfg), "--pred-dir", str(preds), "--out", str(tmp_path / "x")])
         assert rc == EXIT_IO
         assert "000002.lprb: 245 rows for a 250-point scan" in caplog.text
 
@@ -967,15 +1003,15 @@ class TestPredictionRowOrder:
         return out
 
     @pytest.mark.parametrize("command", [
-        ["aggregate"], ["lam-apply", "--modulate"], ["lam-analyze"], ["cbst"]])
-    def test_row_order_does_not_change_outputs(self, command, config_path, prediction_dir,
-                                               permuted_dir, checkpoint, tmp_path):
-        extra = ["--checkpoint", str(checkpoint)] if command[0].startswith("lam-") else []
+        ["aggregate"], ["aggregate", "--modulate"], ["lam-analyze"], ["cbst"]])
+    def test_row_order_does_not_change_outputs(self, command, config_path, lam_config_path, prediction_dir,
+                                               permuted_dir, tmp_path):
+        cfg = lam_config_path if command in (["aggregate", "--modulate"], ["lam-analyze"]) else config_path
         outputs = []
         for name, preds in (("ordered", prediction_dir), ("permuted", permuted_dir)):
             out = tmp_path / name
-            assert main(command + ["--config", str(config_path), "--pred-dir", str(preds),
-                                   "--out", str(out)] + extra) == EXIT_OK
+            assert main(command + ["--config", str(cfg), "--pred-dir", str(preds),
+                                   "--out", str(out)]) == EXIT_OK
             outputs.append({str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
                             if p.is_file() and p.name != "manifest.txt"})
         assert outputs[0]
@@ -1039,7 +1075,7 @@ class TestNonFiniteInput:
                      "--out", str(tmp_path / "agg")]) == EXIT_IO
         assert f"000002.lprb: non-finite probability at byte offset {offset}" in caplog.text
 
-    def test_nan_checkpoint_weight(self, config_path, prediction_dir, tmp_path, caplog):
+    def test_nan_checkpoint_weight(self, dataset, prediction_dir, tmp_path, caplog):
         from lidar_ensemble.lam import initialize_lam_params, save_lam_params
 
         params = initialize_lam_params(9, seed=0)
@@ -1048,8 +1084,9 @@ class TestNonFiniteInput:
         save_lam_params(params, bad)
         # record: name length, name, rank, two dims, then the float64 data
         data = bad.read_bytes().index(b"layer0.weight") + len(b"layer0.weight") + 4 + 8
-        assert main(["lam-apply", "--config", str(config_path), "--pred-dir", str(prediction_dir),
-                     "--checkpoint", str(bad), "--out", str(tmp_path / "applied")]) == EXIT_IO
+        cfg = write_lam_config(tmp_path / "c.ini", dataset, bad)
+        assert main(["aggregate", "--config", str(cfg), "--pred-dir", str(prediction_dir),
+                     "--modulate", "--out", str(tmp_path / "applied")]) == EXIT_IO
         assert (f"tensor 'layer0.weight' holds a non-finite value at byte offset {data + 8 * (2 * 9 + 3)}"
                 in caplog.text)
 
@@ -1080,7 +1117,8 @@ def test_import_does_not_load_scipy():
 
 
 @pytest.mark.parametrize("command, epsilon", [("pipeline", "0.5"), ("pipeline", ""), ("aggregate", ""),
-                                              ("lam-apply", ""), ("lam-train", "")])
+                                              pytest.param("aggregate --modulate", "", id="aggregate-modulate-"),
+                                              ("lam-train", "")])
 def test_no_command_loads_scipy(command, epsilon, dataset, prediction_dir, checkpoint, tmp_path):
     # searches with and without epsilon both run on the numpy cell grid; nor
     # numpy.ma, which np.unique and np.quantile import on their first call
@@ -1088,13 +1126,15 @@ def test_no_command_loads_scipy(command, epsilon, dataset, prediction_dir, check
     import subprocess
     import sys
 
+    command, *flags = command.split()
+    text = CONFIG_TEMPLATE.format(root=dataset).replace("epsilon =", f"epsilon = {epsilon}")
+    if flags:  # --modulate re-fits the configured LAM
+        text = text.replace("kernel = uniform", f"kernel = lam\ncheckpoint = {checkpoint}")
     cfg = tmp_path / "run.ini"
-    cfg.write_text(CONFIG_TEMPLATE.format(root=dataset).replace("epsilon =", f"epsilon = {epsilon}"))
-    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
-    if command in ("aggregate", "lam-apply"):
+    cfg.write_text(text)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")] + flags
+    if command == "aggregate":
         argv += ["--pred-dir", str(prediction_dir)]
-    if command == "lam-apply":
-        argv += ["--checkpoint", str(checkpoint)]
     if command in ("pipeline", "lam-train"):
         argv += ["--threads", "1"]
     code = ("import sys; from lidar_ensemble.cli import main; "
@@ -1114,16 +1154,16 @@ def test_non_finite_epsilon_is_config_error(epsilon, dataset, tmp_path, caplog):
 
 
 # commands that read a config, with their other required arguments
-CONFIG_COMMANDS = {
-    "project": ["--frame", "0"],
-    "subsample": ["--frame", "0"],
-    "aggregate": ["--pred-dir", "."],
-    "lam-train": [],
-    "lam-apply": ["--pred-dir", ".", "--checkpoint", "model.ckpt"],
-    "lam-analyze": ["--pred-dir", "."],
-    "cbst": ["--pred-dir", "."],
-    "pipeline": [],
-}
+CONFIG_COMMANDS = [
+    ["project", "--frame", "0"],
+    ["subsample", "--frame", "0"],
+    ["aggregate", "--pred-dir", "."],
+    ["aggregate", "--pred-dir", ".", "--modulate"],
+    ["lam-train"],
+    ["lam-analyze", "--pred-dir", "."],
+    ["cbst", "--pred-dir", "."],
+    ["pipeline"],
+]
 
 
 @pytest.mark.parametrize("key, value", [
@@ -1171,9 +1211,9 @@ def test_bad_value_exits_1_from_every_command(key, value, dataset, tmp_path, cap
     section, name = key.split(".")
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[dataset]\nroot = {dataset}\n[{section}]\n{name} = {value}\n")
-    for command, argv in CONFIG_COMMANDS.items():
+    for command in CONFIG_COMMANDS:
         caplog.clear()
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)] + argv) \
+        assert main(command[:1] + ["--config", str(cfg), "--out", str(tmp_path / command[0])] + command[1:]) \
             == EXIT_CONFIG, command
         assert key in caplog.text, command
 

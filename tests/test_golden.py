@@ -3,8 +3,9 @@ tiny synthetic drives, against the table in tests/golden_digests.json.
 
 Criterion 11 compares reruns and thread counts with each other; this test
 compares them with a record, so a change that moves any output byte fails
-here. A change that moves bytes on purpose re-records only the entries it
-moves and declares them:
+here. A change that moves bytes on purpose re-records the table and
+declares the entries it moved, which the recorder prints, one (case, file)
+digest added, changed or dropped per line:
 
     PYTHONPATH=src python -m tests.test_golden --record
 
@@ -296,10 +297,8 @@ COMMANDS = {
     "lam-train-weights": ["lam-train", "--config", "lam-train-weights.ini", "--threads", "1"],
     "pipeline-lam-t1": ["pipeline", "--config", "lam.ini", "--threads", "1"],
     "aggregate": ["aggregate", "--config", "lam.ini", "--pred-dir", "preds"],
-    "lam-apply": ["lam-apply", "--config", "lam.ini", "--pred-dir", "preds",
-                  "--checkpoint", "lam-train/lam.ckpt", "--modulate"],
-    "lam-analyze": ["lam-analyze", "--config", "lam.ini", "--pred-dir", "preds",
-                    "--checkpoint", "lam-train/lam.ckpt", "--bins", "5"],
+    "aggregate-modulate": ["aggregate", "--config", "lam.ini", "--pred-dir", "preds", "--modulate"],
+    "lam-analyze": ["lam-analyze", "--config", "lam.ini", "--pred-dir", "preds", "--bins", "5"],
     "cbst": ["cbst", "--config", "lam.ini", "--pred-dir", "aggregate/refined"],
     "metrics": ["metrics", "--pred", "cbst", "--truth", "target/labels",
                 "--classes", str(LAM_CLASSES), "--ignore", "1", "--static", "0,2",
@@ -369,17 +368,23 @@ UNREACHED = {
 }
 
 
-# each block size in src/, with the function that cuts its input into
+# each block size in src/, with the functions that cut their input into
 # blocks of that size and the size of one call's input, read from the
 # call's arguments; the block test fails unless some case exceeds each, so
 # a budget change cannot leave every case inside one block
 BLOCKS = {
-    "aggregate._PAIR_BUDGET": (aggregate._PAIR_BUDGET, aggregate.refine_labels,
+    "aggregate._PAIR_BUDGET": (aggregate._PAIR_BUDGET, [aggregate.refine_labels],
                                lambda args: len(args["nbh"].indices)),
     "neighbors._CANDIDATE_BUDGET // 9": (neighbors._CANDIDATE_BUDGET // len(neighbors._COLUMNS),
-                                         neighbors._grid_chunks, lambda args: len(args["queries"])),
-    "lam._HISTOGRAM_BLOCK": (lam._HISTOGRAM_BLOCK, lam.weight_histograms,
+                                         [neighbors._grid_chunks], lambda args: len(args["queries"])),
+    # the candidate pairs of one query block of _grid_chunks, which
+    # _query_blocks cuts into chunks; aggregate cuts by _PAIR_BUDGET with it
+    "neighbors._CANDIDATE_BUDGET": (neighbors._CANDIDATE_BUDGET, [neighbors._query_blocks],
+                                    lambda args: int(args["offsets"][-1])
+                                    if args["budget"] == neighbors._CANDIDATE_BUDGET else 0),
+    "lam._HISTOGRAM_BLOCK": (lam._HISTOGRAM_BLOCK, [lam.weight_histograms],
                              lambda args: sum(len(r.weights) for r in args["records"])),
+    "lam._ROW_BLOCK": (lam._ROW_BLOCK, [lam.eval_scores, lam.column_moments], lambda args: args["rows"]),
 }
 
 
@@ -406,7 +411,7 @@ def golden_run(tmp_path_factory):
     parameters = source_parameters()
     filled = {}
     sizes = {block: set() for block in BLOCKS}
-    probes = {fn.__code__: (block, size) for block, (_, fn, size) in BLOCKS.items()}
+    probes = {fn.__code__: (block, size) for block, (_, fns, size) in BLOCKS.items() for fn in fns}
 
     def profile(frame, event, arg):
         if event == "call":
@@ -601,14 +606,38 @@ def test_table_covers_every_case():
     assert sorted(json.loads(TABLE.read_text())["cases"]) == sorted(COMMANDS)
 
 
+def moved_entries(old: dict, new: dict):
+    """(change, case, file) of every digest that is in new and not old
+    ("added"), in both with another value ("changed") or in old only
+    ("dropped"), in case and file order."""
+    moved = []
+    for case in sorted(old.keys() | new.keys()):
+        before, after = old.get(case, {}), new.get(case, {})
+        for path in sorted(before.keys() | after.keys()):
+            if path not in before:
+                moved.append(("added", case, path))
+            elif path not in after:
+                moved.append(("dropped", case, path))
+            elif before[path] != after[path]:
+                moved.append(("changed", case, path))
+    return moved
+
+
 @pytest.mark.parametrize("case", sorted(COMMANDS))
 def test_output_bytes_match_the_table(case, digests):
     table = json.loads(TABLE.read_text())
     expected, actual = table["cases"][case], digests[case]
-    moved = sorted(path for path in expected.keys() | actual.keys()
-                   if expected.get(path) != actual.get(path))
+    moved = [path for _, _, path in moved_entries({case: expected}, {case: actual})]
     assert not moved, (f"{case}: {moved} differ from the table (recorded with numpy "
                        f"{table['numpy']}, running numpy {np.__version__})")
+
+
+def test_the_recorder_names_every_moved_entry():
+    old = {"a": {"x": "1", "y": "2"}, "b": {"z": "3"}}
+    new = {"a": {"x": "1", "y": "9", "w": "4"}, "c": {"z": "3"}}
+    assert moved_entries(old, new) == [("added", "a", "w"), ("changed", "a", "y"), ("dropped", "b", "z"),
+                                       ("added", "c", "z")]
+    assert moved_entries(old, old) == []
 
 
 if __name__ == "__main__":
@@ -616,5 +645,8 @@ if __name__ == "__main__":
         sys.exit("usage: python -m tests.test_golden --record")
     with tempfile.TemporaryDirectory() as work:
         cases = run_all(Path(work))
+    old = json.loads(TABLE.read_text())["cases"] if TABLE.exists() else {}
+    for change, case, path in moved_entries(old, cases):
+        print(f"{change} {case} {path}")
     TABLE.write_text(json.dumps({"numpy": np.__version__, "cases": cases}, indent=1, sort_keys=True) + "\n")
     print(f"recorded {sum(map(len, cases.values()))} digests in {TABLE}")

@@ -110,6 +110,14 @@ class TestMockPredictors:
         assert not flipped[:200].any()
         assert flipped[200:].all()
 
+    @pytest.mark.parametrize("near_rate, far_rate", [(0.0, 1.0), (1.0, 0.0)])
+    def test_point_at_the_range_threshold_gets_the_near_rate(self, near_rate, far_rate):
+        base = MockPredictor(HeightThresholdRule((0.0,)))
+        gated = NoisyPredictor(base, near_rate=near_rate, far_rate=far_rate, range_threshold=5.0, seed=4)
+        cloud = PointCloud(points=np.array([[3.0, 4.0, 0.0]]))  # exactly 5 m from the sensor
+        flipped = gated(cloud).probs.argmax(1) != base(cloud).probs.argmax(1)
+        assert flipped.tolist() == [near_rate == 1.0]
+
     def test_equal_rates_ignore_the_threshold(self):
         base = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
         cloud = PointCloud(points=np.random.default_rng(4).normal(scale=10.0, size=(2000, 3)), frame_id=2)
@@ -152,6 +160,19 @@ class TestCbst:
             for c, n in enumerate(sizes):
                 expected = -(-n // 5)  # ceil(n/5) in exact integer arithmetic
                 assert selected[labels == c].sum() == expected
+
+    def test_portion_times_count_a_rounding_error_above_an_integer(self):
+        # 0.28 * 25 is 7.000000000000001 in floating point; the class keeps 7
+        labels = np.zeros(25, dtype=int)
+        conf = np.linspace(0.99, 0.01, 25)
+        assert 0.28 * 25 > 7
+        assert cbst_select(labels, conf, CbstConfig(portion=0.28)).sum() == 7
+
+    def test_tiny_portion_keeps_one_point_per_class(self):
+        labels = np.array([0, 0, 0, 1, 1, 2])
+        conf = np.array([0.9, 0.5, 0.7, 0.4, 0.6, 0.3])
+        selected = cbst_select(labels, conf, CbstConfig(portion=1e-12))
+        assert selected.tolist() == [True, False, False, False, True, True]
 
     def test_ties_at_threshold_all_selected(self):
         labels = np.zeros(5, dtype=int)
@@ -664,6 +685,19 @@ class TestWorkerPool:
         _, ran = self.run_recording(range(items), threads)
         assert threading.get_ident() in ran.values()
         assert len(set(ran.values())) <= min(threads, items)
+
+    def test_calling_thread_runs_an_item_when_the_helpers_run_first(self, monkeypatch):
+        # the fastest helpers there can be: each runs to completion inside
+        # start(), before the calling thread reaches its own loop
+        class EagerThread(threading.Thread):
+            def start(self):
+                super().start()
+                self.join()
+
+        monkeypatch.setattr(threading, "Thread", EagerThread)
+        results, ran = self.run_recording(range(9), 4)
+        assert results == [i * i for i in range(9)]
+        assert threading.get_ident() in ran.values()
 
     def test_starts_no_more_helpers_than_items_need(self, monkeypatch):
         started = []
