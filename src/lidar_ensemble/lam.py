@@ -175,6 +175,14 @@ def _blocks(rows: int, block: int):
         yield lo, min(lo + block, rows)
 
 
+def _affine_relu(xhat: np.ndarray, layer: DenseBnLayer, out: np.ndarray) -> None:
+    """out = max(xhat * gamma + beta, 0), a layer's activation from its
+    normalized pre-activation; out may be xhat."""
+    np.multiply(xhat, layer.gamma, out=out)
+    np.add(out, layer.beta, out=out)
+    np.maximum(out, 0.0, out=out)
+
+
 def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
                 workspace: _Workspace | None = None):
     """Score a batch of feature vectors.
@@ -182,7 +190,12 @@ def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
     Returns (scores (R,), cache). With train, batch statistics normalize
     each layer and the running statistics advance with momentum 0.1; the
     cache lives in workspace, when one is given, until its next use, and
-    lam_backward consumes it. Otherwise the running statistics normalize
+    lam_backward consumes it. It holds what the backward cannot rebuild:
+    the standardized input x0, each layer's normalized pre-activation
+    xhat and inverse deviation ivar, and the last layer's activation
+    a_last. Every activation is written into one workspace buffer of
+    rows x the widest layer, since each is dead once the next layer's
+    matmul has read it. Otherwise the running statistics normalize
     and params is not written, so the scores are a pure function of params
     and feats, and no activation is kept: two workspace buffers take turns
     as a layer's input and output, each output is normalized and rectified
@@ -200,6 +213,8 @@ def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
     np.subtract(feats, params.std_mean, out=act)
     np.divide(act, np.sqrt(params.std_var), out=act)
     x0, layers = act, []
+    if train:  # sized for the widest layer at once, so no take of "act" below grows it
+        ws.take("act", rows, max((len(layer.weight) for layer in params.layers), default=0))
     for i, layer in enumerate(params.layers):
         width = len(layer.weight)
         block = _block_rows(rows, width)
@@ -208,7 +223,7 @@ def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
         np.matmul(act, layer.weight.T, out=z)
         if train:
             mean = z.mean(axis=0)
-            sq_sum = _ColumnSum(ws.take(f"sum{i}", block + 1, width))
+            sq_sum = _ColumnSum(ws.take("sum", block + 1, width))
             for lo, hi in _blocks(rows, block):
                 zc = z[lo:hi]
                 np.subtract(zc, mean, out=zc)
@@ -222,17 +237,16 @@ def lam_forward(params: LamParams, feats: np.ndarray, train: bool = False,
             mean = layer.run_mean
             var = layer.run_var
         ivar = 1.0 / np.sqrt(var + BN_EPS)
-        next_act = ws.take(f"act{i}", rows, width) if train else z
+        # the input activation is dead once the matmul has read it
+        next_act = ws.take("act", rows, width) if train else z
         for lo, hi in _blocks(rows, block):
-            xhat, y = z[lo:hi], next_act[lo:hi]
+            xhat = z[lo:hi]
             if not train:
                 np.subtract(xhat, mean, out=xhat)
             np.multiply(xhat, ivar, out=xhat)
-            np.multiply(xhat, layer.gamma, out=y)
-            np.add(y, layer.beta, out=y)
-            np.maximum(y, 0.0, out=y)
+            _affine_relu(xhat, layer, next_act[lo:hi])
         if train:
-            layers.append({"a_prev": act, "xhat": z, "act": next_act, "ivar": ivar})
+            layers.append({"xhat": z, "ivar": ivar})
         act = next_act
     scores = act @ params.head_weight + params.head_bias
     if not train:
@@ -264,30 +278,33 @@ def lam_backward(params: LamParams, cache: dict, dscores: np.ndarray,
     given its gradient w.r.t. the scores, for a cache of a train forward
     (batch statistics).
 
-    The cache is consumed: the gradients are written over activations that
+    The cache is consumed: the gradients are written over arrays that
     are dead by then. The top layer's gradient overwrites a_last, a block
-    at a time after the block's ReLU mask is read, and layer i - 1's
-    overwrites layer i's xhat once layer i's weight gradient is taken; a
-    workspace buffer holds it only where the fan-in is wider than the
-    layer."""
+    at a time after the block's ReLU mask is read. Layer i's weight
+    gradient needs the activation of layer i - 1, which the cache does not
+    keep: it is rebuilt from that layer's xhat with the forward's own
+    multiply, add and maximum, so it has the forward's bits, into layer
+    i's xhat once layer i's dz is formed, and layer i - 1's gradient goes
+    beside it. Where the two do not fit in that xhat (twice the fan-in
+    wider than the layer) both take workspace buffers. The rebuilt
+    activation also gives layer i - 1 its ReLU mask. All layers share one
+    column-sum scratch and one mask buffer."""
     ws = _Workspace() if workspace is None else workspace
     grads = {}
-    a_last = cache["a_last"]
-    grads["head.weight"] = a_last.T @ dscores
+    d_act = act = cache["a_last"]
+    grads["head.weight"] = act.T @ dscores
     grads["head.bias"] = np.atleast_1d(dscores.sum())
     rows = len(dscores)
     last = len(params.layers) - 1
-    d_act = a_last
     for i in reversed(range(len(params.layers))):
         layer = params.layers[i]
-        lc = cache["layers"][i]
-        xhat, act, ivar = lc["xhat"], lc["act"], lc["ivar"]
+        xhat, ivar = cache["layers"][i]["xhat"], cache["layers"][i]["ivar"]
         width = xhat.shape[1]
         block = _block_rows(rows, width)
-        scratch = ws.take(f"sum{i}", block + 1, width)
+        scratch = ws.take("sum", block + 1, width)
         # the ReLU mask: act = max(y, 0) is positive exactly where y is,
-        # NaN included, so it is rebuilt here rather than kept by the forward
-        mask = ws.take(f"mask{i}", block, width, dtype=bool)
+        # NaN included
+        mask = ws.take("mask", block, width, dtype=bool)
         beta_sum, gamma_sum, dxhat_sum, dxhat_x_sum = (_ColumnSum(scratch) for _ in range(4))
         # d_act becomes dy, then dxhat, then dz in place
         for lo, hi in _blocks(rows, block):
@@ -316,15 +333,25 @@ def lam_backward(params: LamParams, cache: dict, dscores: np.ndarray,
             np.multiply(xhat[lo:hi], dxhat_x_sum.total, out=tmp)
             np.subtract(d, tmp, out=d)
             np.multiply(d, coef, out=d)
-        grads[f"layer{i}.weight"] = d_act.T @ lc["a_prev"]
-        if i > 0:  # the input gradient of layer 0 has no reader
-            fan_in = layer.weight.shape[1]
-            if fan_in <= width:  # the first rows * fan_in values of the C-contiguous xhat
-                d_prev = xhat.reshape(-1)[:rows * fan_in].reshape(rows, fan_in)
-            else:
-                d_prev = ws.take(f"dact{i - 1}", rows, fan_in)
-            np.matmul(d_act, layer.weight, out=d_prev)
-            d_act = d_prev
+        if i == 0:  # the input gradient of layer 0 has no reader
+            grads["layer0.weight"] = d_act.T @ cache["x0"]
+            break
+        fan_in = layer.weight.shape[1]
+        if 2 * fan_in <= width:  # the first 2 * rows * fan_in values of the C-contiguous xhat
+            flat = xhat.reshape(-1)
+            a_prev = flat[:rows * fan_in].reshape(rows, fan_in)
+            d_prev = flat[rows * fan_in:2 * rows * fan_in].reshape(rows, fan_in)
+        else:  # layer i + 1's activation is dead once the mask is read; its
+            # gradient, d_act, is not: the gradient's name alternates, so the
+            # matmul below never writes over its own input
+            a_prev = ws.take("a_prev", rows, fan_in)
+            d_prev = ws.take(f"d_prev{i % 2}", rows, fan_in)
+        prev, prev_xhat = params.layers[i - 1], cache["layers"][i - 1]["xhat"]
+        for lo, hi in _blocks(rows, _block_rows(rows, fan_in)):
+            _affine_relu(prev_xhat[lo:hi], prev, a_prev[lo:hi])
+        grads[f"layer{i}.weight"] = d_act.T @ a_prev
+        np.matmul(d_act, layer.weight, out=d_prev)
+        d_act, act = d_prev, a_prev
     return grads
 
 

@@ -4,7 +4,8 @@ The scalar feature and kernel of one (query, neighbor) pair; the per-frame
 feature stream the CLI analysis commands used to build with their own dense
 cloud, index and query per frame; conversions between compressed-row
 Neighborhoods and the padded (N, k) layout, and the padded neighbor sets of
-a full distance scan; the per-query LAM
+a full distance scan; the LAM forward and its train backward as plain
+whole-array numpy, one fresh array per step; the per-query LAM
 training-set builder and list-concatenating training loop the compressed
 rows replaced; the training-set builder that concatenated each frame's
 kept feature rows, and every feature row of a training set as one array;
@@ -20,7 +21,9 @@ scan's refined rows, hard labels or pair record; the LAM loss and the
 Lovasz-Softmax value without gradients, beside the training loss that
 computes them with gradients; the student's data augmentation, which no
 command runs (config checks its augment.* keys); and the rigid-transform,
-augmentation-scheme and synthetic-sensor helpers that only tests use.
+augmentation-scheme and synthetic-sensor helpers that only tests use;
+and two test predictors, one that labels by intensity when it sees it and
+one whose noise is keyed to each point's own bytes.
 """
 
 import dataclasses
@@ -37,8 +40,9 @@ from lidar_ensemble.neighbors import (
     build_dense_cloud,
     precompute_neighborhoods,
 )
-from lidar_ensemble.selftrain import frame_neighborhoods, hard_labels
+from lidar_ensemble.selftrain import HeightThresholdRule, Predictor, frame_neighborhoods, hard_labels
 from lidar_ensemble.subsample import PredictionMatrix
+from lidar_ensemble.synth import HEIGHT_THRESHOLDS
 
 
 def phi(point, v_point, dense, neighbor_index):
@@ -184,6 +188,56 @@ def phi_matrix(data):
     pairs = np.arange(len(data.neighbor))
     return data.phi_rows(pairs, np.searchsorted(data.offsets, pairs, side="right") - 1,
                          np.empty((len(pairs), data.feature_dim)))
+
+
+def oracle_forward(params, feats, train=False, workspace=None):
+    """lam_forward as plain whole-array numpy, one fresh array per step."""
+    feats = np.asarray(feats, dtype=np.float64)
+    act = (feats - params.std_mean) / np.sqrt(params.std_var)
+    cache = {"x0": act, "layers": []}
+    rows = len(feats)
+    for layer in params.layers:
+        z = act @ layer.weight.T
+        if train:
+            mean = z.mean(axis=0)
+            var = z.var(axis=0)
+            run_var_update = var * rows / (rows - 1) if rows > 1 else var
+            layer.run_mean += 0.1 * (mean - layer.run_mean)
+            layer.run_var += 0.1 * (run_var_update - layer.run_var)
+        else:
+            mean = layer.run_mean
+            var = layer.run_var
+        ivar = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (z - mean) * ivar
+        y = layer.gamma * xhat + layer.beta
+        cache["layers"].append({"a_prev": act, "xhat": xhat, "y": y, "ivar": ivar})
+        act = np.maximum(y, 0.0)
+    cache["a_last"] = act
+    scores = act @ params.head_weight + params.head_bias
+    return scores, cache
+
+
+def oracle_backward(params, cache, dscores, workspace=None):
+    """lam_backward (of a train forward) as plain whole-array numpy."""
+    grads = {}
+    a_last = cache["a_last"]
+    grads["head.weight"] = a_last.T @ dscores
+    grads["head.bias"] = np.atleast_1d(dscores.sum())
+    d_act = np.outer(dscores, params.head_weight)
+    rows = len(dscores)
+    for i in reversed(range(len(params.layers))):
+        layer = params.layers[i]
+        lc = cache["layers"][i]
+        dy = d_act * (lc["y"] > 0)
+        grads[f"layer{i}.gamma"] = (dy * lc["xhat"]).sum(axis=0)
+        grads[f"layer{i}.beta"] = dy.sum(axis=0)
+        dxhat = dy * layer.gamma
+        dz = (lc["ivar"] / rows) * (
+            rows * dxhat - dxhat.sum(axis=0) - lc["xhat"] * (dxhat * lc["xhat"]).sum(axis=0)
+        )
+        grads[f"layer{i}.weight"] = dz.T @ lc["a_prev"]
+        d_act = dz @ layer.weight
+    return grads
 
 
 def train_lam_lists(phis, probs, labels, config):
@@ -406,3 +460,52 @@ def intense_augmentation() -> AugmentationSpec:
 def sensor_config() -> SensorConfig:
     """Range-image geometry of the synthetic drives (synth.generate_sequence)."""
     return SensorConfig(height=32, width=512, fov_up=15.0, fov_down=25.0)
+
+
+class IntensityPredictor(Predictor):
+    """One-hot rows of the height rule of the synthetic drives, or, for a
+    cloud that carries intensity, of the intensity band: class
+    floor(intensity * K) of K equal bands of [0, 1]. Which of the two a
+    scan's labels follow shows whether its predictor saw intensity."""
+
+    def __init__(self):
+        self.height = HeightThresholdRule(HEIGHT_THRESHOLDS)
+        self.num_classes = self.height.num_classes
+
+    def labels(self, cloud: PointCloud) -> np.ndarray:
+        if cloud.intensity is None:
+            return self.height(cloud.points)
+        return np.minimum((cloud.intensity * self.num_classes).astype(np.int64), self.num_classes - 1)
+
+    def __call__(self, cloud: PointCloud) -> PredictionMatrix:
+        return PredictionMatrix(np.eye(self.num_classes)[self.labels(cloud)], np.arange(len(cloud)))
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, elementwise on uint64."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+class PointKeyedNoise(Predictor):
+    """base's rows mixed half and half with a random simplex row drawn
+    from each point's own coordinate bytes and the seed, so a point gets
+    the same row wherever it stands in its cloud (NoisyPredictor's draws
+    follow the point order). perm, a permutation of the classes, reorders
+    the columns of every row it returns."""
+
+    def __init__(self, base: Predictor, seed: int = 0, perm=None):
+        self.base, self.seed = base, seed
+        self.num_classes = base.num_classes
+        self.perm = np.arange(self.num_classes) if perm is None else np.asarray(perm)
+
+    def __call__(self, cloud: PointCloud) -> PredictionMatrix:
+        pred = self.base(cloud)
+        key = np.full(len(cloud), self.seed, dtype=np.uint64)
+        for column in np.ascontiguousarray(cloud.points).view(np.uint64).T:
+            key = _mix64(key ^ column)
+        draws = np.stack([_mix64(key + np.uint64(c + 1)) for c in range(self.num_classes)], axis=1)
+        noise = (draws >> np.uint64(11)) * 2.0 ** -53 + 0.05
+        probs = 0.5 * pred.probs + 0.5 * noise / noise.sum(axis=1, keepdims=True)
+        return PredictionMatrix(probs[:, self.perm], pred.point_index)

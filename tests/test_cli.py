@@ -1,6 +1,7 @@
 """Tests for the command-line surface: subcommand behavior, exit codes,
 manifests, and end-to-end determinism."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from lidar_ensemble.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from lidar_ensemble.selftrain import load_labels, load_selection_mask
 from lidar_ensemble.subsample import read_prediction_matrix, read_scan_prediction, write_prediction_matrix
 from lidar_ensemble.subsample import PredictionMatrix
-from tests.oracles import keep_refined, phi_stream, row_moments, sequence_rows, weight_histograms
+from tests.oracles import (IntensityPredictor, keep_refined, phi_stream, row_moments, sequence_rows,
+                           weight_histograms)
 
 CONFIG_TEMPLATE = """
 [dataset]
@@ -292,6 +294,29 @@ class TestLamCommands:
         lam.save_lam_params(params, tmp_path / "reference.ckpt")
         assert (out / "lam.ckpt").read_bytes() == (tmp_path / "reference.ckpt").read_bytes()
         assert (out / "lam.ckpt").read_bytes() == checkpoint.read_bytes()
+
+    def test_train_hides_intensity_from_the_predictor(self, config_path, tmp_path, monkeypatch):
+        # the within-frame pass of lam-train runs as iteration 0 does, so
+        # a predictor that labels by intensity when it sees it gives the
+        # height labels
+        from lidar_ensemble.config import load_config
+
+        predictor, seen = IntensityPredictor(), []
+        monkeypatch.setattr(cli, "load_config",
+                            lambda path: dataclasses.replace(load_config(path), predictor=predictor))
+
+        def build(scans, poses, within, *args, **kwargs):
+            seen.append((scans, within))
+            return selftrain.build_lam_training_set(scans, poses, within, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_lam_training_set", build)
+        assert main(["lam-train", "--config", str(config_path), "--out", str(tmp_path / "lam"),
+                     "--threads", "1"]) == EXIT_OK
+        [(scans, within)] = seen
+        for scan, pred in zip(scans, within):
+            height = predictor.labels(scan.without_intensity())
+            assert not np.array_equal(height, predictor.labels(scan))
+            assert np.array_equal(pred.probs.argmax(axis=1), height)
 
     def test_apply_with_modulation(self, lam_config_path, prediction_dir, checkpoint, tmp_path):
         out = tmp_path / "applied"

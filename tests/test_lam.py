@@ -32,8 +32,8 @@ from lidar_ensemble.lam import (
     write_loss_trace_csv,
 )
 from tests.conftest import traced
-from tests.oracles import (lam_loss, lovasz_softmax, phi_matrix, pooled_weight_histograms, row_moments, score_array,
-                           weight_histograms)
+from tests.oracles import (lam_loss, lovasz_softmax, oracle_backward, oracle_forward, phi_matrix,
+                           pooled_weight_histograms, row_moments, score_array, weight_histograms)
 from lidar_ensemble.lam import _lovasz_softmax_with_grad
 
 
@@ -85,7 +85,7 @@ class TestForward:
         feats = rng.normal(size=(50, 7))
         before = [(l.run_mean.copy(), l.run_var.copy()) for l in params.layers]
         _, cache = lam_forward(params, feats, train=True)
-        z0 = cache["layers"][0]["a_prev"] @ params.layers[0].weight.T
+        z0 = cache["x0"] @ params.layers[0].weight.T
         expected_mean = before[0][0] * 0.9 + 0.1 * z0.mean(axis=0)
         assert np.abs(params.layers[0].run_mean - expected_mean).max() < 1e-12
         expected_var = before[0][1] * 0.9 + 0.1 * z0.var(axis=0) * 50 / 49
@@ -102,56 +102,6 @@ class TestForward:
         feats[1, 3] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             lam_forward(params, feats)
-
-
-def oracle_forward(params, feats, train=False, workspace=None):
-    """lam_forward as plain whole-array numpy, one fresh array per step."""
-    feats = np.asarray(feats, dtype=np.float64)
-    act = (feats - params.std_mean) / np.sqrt(params.std_var)
-    cache = {"x0": act, "layers": []}
-    rows = len(feats)
-    for layer in params.layers:
-        z = act @ layer.weight.T
-        if train:
-            mean = z.mean(axis=0)
-            var = z.var(axis=0)
-            run_var_update = var * rows / (rows - 1) if rows > 1 else var
-            layer.run_mean += 0.1 * (mean - layer.run_mean)
-            layer.run_var += 0.1 * (run_var_update - layer.run_var)
-        else:
-            mean = layer.run_mean
-            var = layer.run_var
-        ivar = 1.0 / np.sqrt(var + 1e-5)
-        xhat = (z - mean) * ivar
-        y = layer.gamma * xhat + layer.beta
-        cache["layers"].append({"a_prev": act, "xhat": xhat, "y": y, "ivar": ivar})
-        act = np.maximum(y, 0.0)
-    cache["a_last"] = act
-    scores = act @ params.head_weight + params.head_bias
-    return scores, cache
-
-
-def oracle_backward(params, cache, dscores, workspace=None):
-    """lam_backward (of a train forward) as plain whole-array numpy."""
-    grads = {}
-    a_last = cache["a_last"]
-    grads["head.weight"] = a_last.T @ dscores
-    grads["head.bias"] = np.atleast_1d(dscores.sum())
-    d_act = np.outer(dscores, params.head_weight)
-    rows = len(dscores)
-    for i in reversed(range(len(params.layers))):
-        layer = params.layers[i]
-        lc = cache["layers"][i]
-        dy = d_act * (lc["y"] > 0)
-        grads[f"layer{i}.gamma"] = (dy * lc["xhat"]).sum(axis=0)
-        grads[f"layer{i}.beta"] = dy.sum(axis=0)
-        dxhat = dy * layer.gamma
-        dz = (lc["ivar"] / rows) * (
-            rows * dxhat - dxhat.sum(axis=0) - lc["xhat"] * (dxhat * lc["xhat"]).sum(axis=0)
-        )
-        grads[f"layer{i}.weight"] = dz.T @ lc["a_prev"]
-        d_act = dz @ layer.weight
-    return grads
 
 
 def varied_params(rng, d, hidden):
@@ -177,8 +127,9 @@ class TestBlockedStepMatchesOracle:
     were."""
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
-    # (64, 32) and (8, 16, 4) narrow, so an input gradient wider than its
-    # layer's xhat takes a workspace buffer
+    # every layer after the first of (4, 4, 4), (8, 8) and (64, 32), and the
+    # last of (8, 16, 4), is narrower than twice its fan-in, so the rebuilt
+    # activation and the input gradient take workspace buffers
     @pytest.mark.parametrize("hidden", [(4, 4, 4), (8, 8), (32, 64, 128), (64, 32), (8, 16, 4)])
     @pytest.mark.parametrize("rows", ORACLE_ROWS)
     def test_scores_statistics_and_gradients(self, rows, hidden, mode):
@@ -209,23 +160,67 @@ class TestBlockedStepMatchesOracle:
             assert np.array_equal(grads[name], value), name
 
     def test_reused_workspace_matches_fresh_calls(self):
+        # (32, 64, 128) rebuilds each activation in the next layer's xhat; in
+        # (48, 40, 24) and (8, 8) it never fits there, so workspace buffers
+        # take it, two layers in a row in (48, 40, 24); (6, 1, 12) has both,
+        # and a 1-wide layer that is one block of every row
         rng = np.random.default_rng(30)
-        params = varied_params(rng, 9, (32, 64, 128))
-        ref, got = params.copy(), params.copy()
+        for hidden in ((32, 64, 128), (48, 40, 24), (8, 8), (6, 1, 12)):
+            params = varied_params(rng, 9, hidden)
+            ref, got = params.copy(), params.copy()
+            workspace = lam._Workspace()
+            for rows in (1, BLOCK + 1, 4113, BLOCK, 1, 4113):
+                feats = rng.normal(size=(rows, 9)) * rng.uniform(0.1, 10.0, 9)
+                dscores = rng.normal(size=rows)
+                ref_scores, ref_cache = oracle_forward(ref, feats, train=True)
+                ref_grads = oracle_backward(ref, ref_cache, dscores)
+                scores, cache = lam_forward(got, feats, train=True, workspace=workspace)
+                grads = lam_backward(got, cache, dscores, workspace=workspace)
+                assert np.array_equal(scores, ref_scores)
+                assert grads.keys() == ref_grads.keys()
+                for name, value in ref_grads.items():
+                    assert np.array_equal(grads[name], value), (hidden, rows, name)
+                for a, b in zip(got.layers, ref.layers):
+                    assert np.array_equal(a.run_mean, b.run_mean)
+                    assert np.array_equal(a.run_var, b.run_var)
+
+    @staticmethod
+    def train_step(widths, rows=4096, size=64, k=3):
+        """A training_loss_and_grads step of rows feature rows, in
+        neighborhoods of size rows: step(workspace) runs it."""
+        rng = np.random.default_rng(35)
+        d = phi_layout.feature_dim(k)
+        params = varied_params(rng, d, widths)
+        args = (rng.normal(size=(rows, d)), np.repeat(np.arange(rows // size), size),
+                random_simplex(rng, rows, k), rng.integers(0, k, rows // size))
+
+        def step(workspace):
+            total, *_ = training_loss_and_grads(params, *args, workspace=workspace)
+            assert np.isfinite(total)
+
+        return step
+
+    def test_train_step_workspace_fits_its_budget(self):
+        # the cache keeps x0 and each layer's xhat, and every activation
+        # shares one buffer of the widest layer; beside them only the
+        # column-sum scratch of block + 1 rows and the block's ReLU mask
+        rows, d, widths = 4096, phi_layout.feature_dim(3), lam.HIDDEN_SIZES
         workspace = lam._Workspace()
-        for rows in (4113, 7, BLOCK + 1, 4113):
-            feats = rng.normal(size=(rows, 9))
-            dscores = rng.normal(size=rows)
-            ref_scores, ref_cache = oracle_forward(ref, feats, train=True)
-            ref_grads = oracle_backward(ref, ref_cache, dscores)
-            scores, cache = lam_forward(got, feats, train=True, workspace=workspace)
-            grads = lam_backward(got, cache, dscores, workspace=workspace)
-            assert np.array_equal(scores, ref_scores)
-            for name, value in ref_grads.items():
-                assert np.array_equal(grads[name], value), name
-            for a, b in zip(got.layers, ref.layers):
-                assert np.array_equal(a.run_mean, b.run_mean)
-                assert np.array_equal(a.run_var, b.run_var)
+        self.train_step(widths, rows)(workspace)
+        held = sum(buf.nbytes for buf in workspace._buffers.values())
+        budget = (8 * rows * (d + sum(widths) + max(widths))
+                  + 8 * (BLOCK + 1) * max(widths) + BLOCK * max(widths))
+        assert held <= budget
+
+    # (48, 40, 24) takes workspace buffers for the rebuilt activations and
+    # the input gradients, two layers in a row
+    @pytest.mark.parametrize("widths", [lam.HIDDEN_SIZES, (48, 40, 24)])
+    def test_warm_workspace_step_allocates_no_layer_array(self, widths):
+        rows, workspace = 4096, lam._Workspace()
+        step = self.train_step(widths, rows)
+        step(workspace)
+        _, peak, _ = traced(lambda: step(workspace))
+        assert peak < 8 * rows * min(widths)
 
     def test_ragged_training_saves_oracle_checkpoint(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(31)

@@ -48,9 +48,9 @@ from lidar_ensemble.selftrain import (
 from lidar_ensemble.subsample import PredictionMatrix, SubsampleSpec
 from lidar_ensemble.synth import HEIGHT_THRESHOLDS, SyntheticSceneSpec, generate_sequence
 from tests.conftest import traced
-from tests.oracles import (concatenated_training_set, keep_labels, keep_pairs, keep_refined, phi_matrix,
-                           pooled_weight_histograms, refine_labels_unblocked, sensor_config,
-                           train_lam_lists, training_lists)
+from tests.oracles import (IntensityPredictor, PointKeyedNoise, concatenated_training_set, keep_labels,
+                           keep_pairs, keep_refined, phi_matrix, pooled_weight_histograms,
+                           refine_labels_unblocked, sensor_config, train_lam_lists, training_lists)
 
 
 def identity_config(k=8, window=6):
@@ -459,6 +459,71 @@ class TestRunAdaptation:
 
             traced(lambda: run_adaptation(seq, MockPredictor(rule), hook, config, tmp_path / f"k{k_classes}"))
         assert held[19] - held[3] <= 4 * points, {k: b / points for k, b in held.items()}
+
+
+class TestIntensityPolicy:
+    """Iteration 0 hides intensity from the teacher, and later iterations
+    show it to the student hook's predictor. At window 0 the labels are
+    the within-frame argmax, so they show what the predictor saw."""
+
+    def test_iteration_0_gets_height_labels_and_iteration_1_intensity_labels(self, tmp_path):
+        seq, _ = generate_sequence(SyntheticSceneSpec(num_frames=2, points_per_frame=300, seed=8))
+        predictor = IntensityPredictor()
+        config = dataclasses.replace(identity_config(window=0), iterations=2)
+        results, _ = run_adaptation(seq, predictor, lambda iteration, labels: predictor, config,
+                                    tmp_path / "run")
+        for scan, first, second in zip(seq.scans, *results):
+            height, intensity = predictor.labels(scan.without_intensity()), predictor.labels(scan)
+            assert not np.array_equal(height, intensity)
+            assert np.array_equal(first.labels, height)
+            assert np.array_equal(second.labels, intensity)
+
+
+class TestMetamorphicRelations:
+    """Relations of the uniform kernel that rest on no formula an oracle
+    shares with the code: with eps and with kNN, shuffling each scan's
+    points shuffles the refined rows, and permuting the classes permutes
+    them, bit for bit. The noise is keyed to each point's own bytes, so
+    it does not follow the point order."""
+
+    @staticmethod
+    def refined(scans, poses, predictor, epsilon):
+        config = dataclasses.replace(
+            identity_config(),
+            subsample=SubsampleSpec(mode="random", ratio=0.5, trials=2, include_identity=True),
+            aggregation=AggregationSpec(kernel=UniformKernel(), k=8, epsilon=epsilon, window=2, stride=1))
+        return generate_refined_predictions(scans, poses, predictor, config, keep_refined, seed=4)[1]
+
+    @staticmethod
+    def drive(seed):
+        seq, _ = generate_sequence(SyntheticSceneSpec(num_frames=3, points_per_frame=200, seed=seed))
+        return seq
+
+    @pytest.mark.parametrize("epsilon", [None, 0.5], ids=["knn", "eps"])
+    @settings(max_examples=5)
+    @given(seed=st.integers(0, 2 ** 16), noise_seed=st.integers(0, 2 ** 16))
+    def test_shuffling_each_scan_shuffles_the_refined_rows(self, epsilon, seed, noise_seed):
+        seq = self.drive(seed)
+        rng = np.random.default_rng(noise_seed)
+        orders = [rng.permutation(len(scan)) for scan in seq.scans]
+        shuffled = [PointCloud(scan.points[order], scan.intensity[order], scan.frame_id)
+                    for scan, order in zip(seq.scans, orders)]
+        predictor = PointKeyedNoise(MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS)), seed=noise_seed)
+        want = self.refined(seq.scans, seq.poses, predictor, epsilon)
+        got = self.refined(shuffled, seq.poses, predictor, epsilon)
+        for a, b, order in zip(want, got, orders):
+            assert np.array_equal(b.probs, a.probs[order])
+
+    @pytest.mark.parametrize("epsilon", [None, 0.5], ids=["knn", "eps"])
+    @settings(max_examples=5)
+    @given(seed=st.integers(0, 2 ** 16), perm=st.permutations(range(len(HEIGHT_THRESHOLDS) + 1)))
+    def test_permuting_the_classes_permutes_the_refined_rows(self, epsilon, seed, perm):
+        seq = self.drive(seed)
+        base = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
+        want = self.refined(seq.scans, seq.poses, PointKeyedNoise(base, seed=seed), epsilon)
+        got = self.refined(seq.scans, seq.poses, PointKeyedNoise(base, seed=seed, perm=perm), epsilon)
+        for a, b in zip(want, got):
+            assert np.array_equal(b.probs, a.probs[:, perm])
 
 
 def random_within(rng, scans, k_classes):
