@@ -29,9 +29,8 @@ from .metrics import (condense_static_dynamic, confusion, iou, write_confusion_c
                       write_iou_csv, write_iou_summary)
 from .selftrain import (LidarSequence, PrecomputedPredictor, apply_cbst, build_lam_training_set,
                         cross_frame_refine, file_checksum, frame_neighborhoods, hard_labels,
-                        load_labels, noop_student_hook, run_adaptation, save_labels,
-                        save_selection_mask, sequence_sensor_range, within_frame_predictions,
-                        write_manifest)
+                        load_labels, run_adaptation, save_labels, save_selection_mask,
+                        sequence_sensor_range, within_frame_predictions, write_manifest)
 from .subsample import (apply_row_mask, read_prediction_matrix, read_scan_prediction, row_mask,
                         within_frame_ensemble, write_prediction_matrix)
 
@@ -82,7 +81,7 @@ def _load_sequence(cfg: PipelineConfig):
     if len(poses) < len(scans):
         raise FileFormatError(f"{cfg.poses_path}: {len(poses)} poses for {len(scans)} scans, file ends "
                               f"at byte offset {cfg.poses_path.stat().st_size}")
-    return LidarSequence(name="sequence", scans=scans, poses=poses[: len(scans)]), paths
+    return LidarSequence(scans=scans, poses=poses[: len(scans)]), paths
 
 
 def _load_truths(cfg: PipelineConfig, seq: LidarSequence):
@@ -389,10 +388,10 @@ def cmd_pipeline(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results, pairs = run_adaptation(seq, cfg.predictor, noop_student_hook, cfg.adaptation, out_dir,
+    results, pairs = run_adaptation(seq, cfg.predictor, cfg.adaptation, out_dir,
                                     threads=_resolve_threads(args))
 
-    # analysis artifacts reflect the first (teacher) iteration
+    # analysis artifacts reflect iteration 0, which hides intensity
     _write_histograms(seq, pairs, cfg.adaptation.aggregation.window, args.bins, out_dir)
 
     if truths is not None:

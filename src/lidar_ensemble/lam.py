@@ -568,11 +568,6 @@ def segment_softmax(scores: np.ndarray, row_query: np.ndarray, n: int) -> np.nda
     return e / z[row_query]
 
 
-def _softmax_refine(scores: np.ndarray, row_query: np.ndarray, probs: np.ndarray, n: int):
-    w = segment_softmax(scores, row_query, n)
-    return w, segment_sum(w[:, None] * probs, row_query, n)
-
-
 def training_loss_and_grads(params: LamParams, phis: np.ndarray, row_query: np.ndarray,
                             probs: np.ndarray, labels: np.ndarray,
                             ce_weight: float = 1.0, lovasz_weight: float = 1.0,
@@ -587,7 +582,8 @@ def training_loss_and_grads(params: LamParams, phis: np.ndarray, row_query: np.n
     """
     n = len(labels)
     scores, cache = lam_forward(params, phis, train=True, workspace=workspace)
-    weights, refined = _softmax_refine(scores, row_query, probs, n)
+    weights = segment_softmax(scores, row_query, n)
+    refined = segment_sum(weights[:, None] * probs, row_query, n)
     ce, g_ce = _cross_entropy_with_grad(refined, labels)
     lov, g_lov = _lovasz_softmax_with_grad(refined, labels)
     g_refined = ce_weight * g_ce + lovasz_weight * g_lov

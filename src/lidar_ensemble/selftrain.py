@@ -29,10 +29,6 @@ from .neighbors import SpatialIndex, build_dense_cloud, precompute_neighborhoods
 from .subsample import (PredictionMatrix, SubsampleSpec, make_ensemble, read_scan_prediction,
                         within_frame_ensemble)
 
-class AdaptationError(RuntimeError):
-    """Raised when the student trainer hook fails; carries the iteration."""
-
-
 class Predictor(abc.ABC):
     """External segmentation model contract: cloud in, probability rows out.
 
@@ -308,7 +304,6 @@ def apply_cbst(frames, config: CbstConfig):
 class LidarSequence:
     """One drive: scans plus their frame-to-global poses."""
 
-    name: str
     scans: list
     poses: list
 
@@ -317,23 +312,20 @@ class LidarSequence:
             raise ValueError("scans and poses must have equal length")
 
 
-def run_adaptation(seq: LidarSequence, teacher: Predictor, student_hook, config: AdaptationConfig,
-                   out_dir, threads: int = 1):
-    """Iterate label generation and student training on one sequence.
+def run_adaptation(seq: LidarSequence, teacher: Predictor, config: AdaptationConfig, out_dir,
+                   threads: int = 1):
+    """Iterated pseudo-label generation on one sequence.
 
-    Iteration 0 uses the teacher with intensity dropped; later iterations
-    use the predictor returned by student_hook with intensity enabled.
-    Labels, masks, and the manifest are persisted (atomically) before the
-    hook runs, so a crashed student never loses its inputs. student_hook
-    is called as hook(iteration, [PseudoLabelSet]) and returns the next
-    predictor (or None to keep the current one).
+    Iteration 0 runs the teacher with intensity dropped; later iterations
+    run it with intensity and a fresh seed. Each iteration's labels and
+    masks, and the manifest, are persisted atomically before the next
+    iteration starts, so a failure keeps every finished iteration.
 
     Returns the per-iteration [PseudoLabelSet] lists and the PairRecord of
     each scan of iteration 0's refinement, for the weight histograms.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    predictor = teacher
     results = []
     manifest_items = [("iterations", str(config.iterations)), ("seed", str(config.seed))]
     for iteration in range(config.iterations):
@@ -343,25 +335,21 @@ def run_adaptation(seq: LidarSequence, teacher: Predictor, student_hook, config:
         # refined it, and in its PairRecord at iteration 0; no (N, K) rows,
         # within-frame or refined, outlive the call
         kept = generate_refined_predictions(
-            seq.scans, seq.poses, predictor, config,
+            seq.scans, seq.poses, teacher, config,
             lambda t, refined, pairs: (hard_labels(refined()), pairs() if iteration == 0 else None),
             seed=_iteration_seed(config.seed, iteration), use_intensity=use_intensity, threads=threads)[1]
         if iteration == 0:
             records = [record for _, record in kept]
         label_sets = apply_cbst([frame for frame, _ in kept], config.cbst)
         results.append(label_sets)
-        seq_dir = out_dir / f"iteration_{iteration:02d}" / seq.name
+        # a run adapts one sequence, so the KITTI-style per-sequence
+        # directory has one fixed name
+        seq_dir = out_dir / f"iteration_{iteration:02d}" / "sequence"
         seq_dir.mkdir(parents=True, exist_ok=True)
         for frame, ls in enumerate(label_sets):
             save_labels(ls.labels, seq_dir / f"{frame:06d}.label")
             save_selection_mask(ls.selected, seq_dir / f"{frame:06d}.mask")
         write_manifest(out_dir / "run_manifest.txt", manifest_items)
-        try:
-            next_predictor = student_hook(iteration, label_sets)
-        except Exception as exc:
-            raise AdaptationError(f"student hook failed at iteration {iteration}") from exc
-        if next_predictor is not None:
-            predictor = next_predictor
     return results, records
 
 
@@ -370,11 +358,6 @@ def _iteration_seed(seed: int, iteration: int) -> int:
     # sequences; it stays so that no recorded run changes its seeds
     mix = np.random.SeedSequence(entropy=(seed, iteration, 0))
     return int(mix.generate_state(1, dtype=np.uint64)[0])
-
-
-def noop_student_hook(iteration, label_sets):
-    """Keeps the current predictor; useful for label-generation-only runs."""
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,7 @@ def generate_sequence(spec: SyntheticSceneSpec):
         scans.append(PointCloud(points=local, intensity=intensity, frame_id=frame))
         poses.append(pose)
         truths.append(truth)
-    name = f"synthetic_{spec.seed:04d}"
-    return LidarSequence(name=name, scans=scans, poses=poses), truths
+    return LidarSequence(scans=scans, poses=poses), truths
 
 
 def _class_counts(total: int):

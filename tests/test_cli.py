@@ -1,7 +1,10 @@
 """Tests for the command-line surface: subcommand behavior, exit codes,
 manifests, and end-to-end determinism."""
 
+import ast
+import builtins
 import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -129,6 +132,49 @@ class TestUncaughtErrors:
                      "--classes", "3", "--out", str(tmp_path / "m")]) == code
         assert "Traceback" not in capsys.readouterr().err
         assert [r.getMessage() for r in caplog.records] == [message]
+
+    # raise sites of classes that no except clause of main catches, as
+    # (module, function, class name), with the reason each never ends a
+    # command in a traceback
+    UNCAUGHT_RAISES = {
+        # modulate_statistics' check that its stream holds RowMoments: an
+        # internal contract, and every command builds that stream itself
+        ("lam", "modulate_statistics", "TypeError"),
+        # the --bins, --threads and --classes type: argparse catches it and
+        # calls _Parser.error, which raises ConfigError
+        ("cli", "_at_least_one", "ArgumentTypeError"),
+    }
+
+    def test_every_class_raised_in_src_has_an_exit_code(self):
+        def named(node, namespace):
+            if isinstance(node, ast.Attribute):
+                return getattr(named(node.value, namespace), node.attr)
+            return namespace[node.id] if node.id in namespace else getattr(builtins, node.id)
+
+        main_def = next(node for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+                        if isinstance(node, ast.FunctionDef) and node.name == "main")
+        caught = tuple(named(kind, vars(cli))
+                       for handler in ast.walk(main_def) if isinstance(handler, ast.ExceptHandler)
+                       for kind in (handler.type.elts if isinstance(handler.type, ast.Tuple)
+                                    else [handler.type]))
+        uncaught = set()
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            module = importlib.import_module(f"lidar_ensemble.{path.stem}")
+            raised_in = {}
+            for function in ast.walk(ast.parse(path.read_text())):
+                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    # ast.walk reaches a nested function after its parent,
+                    # so each raise ends up with its innermost function
+                    raised_in.update((node, function.name) for node in ast.walk(function)
+                                     if isinstance(node, ast.Raise))
+            for node, function in raised_in.items():
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                # a bare raise, or one of a caught instance (_map's), re-raises
+                if isinstance(exc, (ast.Name, ast.Attribute)):
+                    kind = named(exc, vars(module))
+                    if not issubclass(kind, caught):
+                        uncaught.add((path.stem, function, kind.__name__))
+        assert uncaught == self.UNCAUGHT_RAISES
 
 
 class TestProject:

@@ -271,8 +271,9 @@ def drives(tmp_path_factory):
 
 
 def test_every_key_changes_an_output_or_is_rejected(drives, tmp_path):
-    # ROADMAP item 8: a key that no command reads fails here, so a new key
-    # needs its reader, and a table entry, from the start
+    # ROADMAP aim 2 deletes config that is accepted but ignored: a key that
+    # no command reads fails here, so a new key needs its reader, and a
+    # table entry, from the start
     keys = {f"{section}.{key}" for section, items in DEFAULTS.items() for key in items}
     assert set(KEY_EFFECTS) == keys
     run_ids = itertools.count()

@@ -185,10 +185,10 @@ noise = 0.2
 [run]
 seed = 19
 """,
-    # window 0: each scan refined against itself only, so the labels are
-    # the within-frame argmax, while histograms.csv comes from each scan's
-    # search of itself at iteration 0; random subsampling, noise and a
-    # second iteration
+    # window 0: pipeline keeps each scan's within-frame rows, so the
+    # labels are the within-frame argmax, while histograms.csv comes from
+    # each scan's search of itself at iteration 0; random subsampling,
+    # noise and a second iteration
     "window0.ini": SENSOR + """
 [dataset]
 root = target
@@ -569,9 +569,6 @@ def test_every_default_is_overridden_by_a_case(golden_run):
 # callable test fails on any other, and on an entry here that a case fills
 # with two functions or never fills with one
 CONSTANT_CALLABLES = {
-    # the documented extension point of run_adaptation: a student trainer
-    # plugs in here, and no command trains one (ROADMAP item 14)
-    "selftrain.run_adaptation.student_hook",
     # run_adaptation's finish; perfbench's tracer counts
     # selftrain.refine_passes by calls of generate_refined_predictions, so
     # folding it into run_adaptation waits on a benchmark change; the tests

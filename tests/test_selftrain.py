@@ -5,22 +5,21 @@ import dataclasses
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lidar_ensemble import phi_layout, selftrain
 from lidar_ensemble.aggregate import AggregationSpec, LamKernel, UniformKernel
 from lidar_ensemble.errors import FileFormatError
-from lidar_ensemble.geometry import PointCloud
+from lidar_ensemble.geometry import PointCloud, RigidTransform, compose
 from lidar_ensemble.lam import (TrainConfig, initialize_lam_params, save_lam_params, train_lam,
                                  weight_histograms)
+from lidar_ensemble.neighbors import build_dense_cloud
 from lidar_ensemble.selftrain import (
     AdaptationConfig,
-    AdaptationError,
     CbstConfig,
     HeightThresholdRule,
     LidarSequence,
@@ -37,7 +36,6 @@ from lidar_ensemble.selftrain import (
     generate_refined_predictions,
     load_labels,
     load_selection_mask,
-    noop_student_hook,
     run_adaptation,
     save_labels,
     save_selection_mask,
@@ -48,8 +46,8 @@ from lidar_ensemble.selftrain import (
 from lidar_ensemble.subsample import PredictionMatrix, SubsampleSpec
 from lidar_ensemble.synth import HEIGHT_THRESHOLDS, SyntheticSceneSpec, generate_sequence
 from tests.conftest import traced
-from tests.oracles import (IntensityPredictor, PointKeyedNoise, concatenated_training_set, keep_labels,
-                           keep_pairs, keep_refined, phi_matrix, pooled_weight_histograms,
+from tests.oracles import (IntensityPredictor, PointKeyedNoise, brute_force_batch, concatenated_training_set,
+                           keep_labels, keep_pairs, keep_refined, phi_matrix, pooled_weight_histograms,
                            refine_labels_unblocked, sensor_config, train_lam_lists, training_lists)
 
 
@@ -331,7 +329,7 @@ class TestRunAdaptation:
         spec = SyntheticSceneSpec(num_frames=frames, points_per_frame=points, seed=seed)
         return generate_sequence(spec)
 
-    def test_single_iteration_noop_hook_equals_generate(self, tmp_path):
+    def test_single_iteration_equals_generate(self, tmp_path):
         seq, _ = self.make_sequence()
         predictor = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
         config = AdaptationConfig(
@@ -342,7 +340,7 @@ class TestRunAdaptation:
             iterations=1,
             seed=5,
         )
-        results, _ = run_adaptation(seq, predictor, noop_student_hook, config, tmp_path / "run")
+        results, _ = run_adaptation(seq, predictor, config, tmp_path / "run")
         assert len(results) == 1
         from lidar_ensemble.selftrain import _iteration_seed
         _, frames = generate_refined_predictions(seq.scans, seq.poses, predictor, config, keep_labels,
@@ -362,39 +360,35 @@ class TestRunAdaptation:
             cbst=CbstConfig(portion=1.0),
             iterations=3,
         )
-        seen = []
-        hook_calls = []
-
-        def hook(iteration, labels):
-            hook_calls.append(iteration)
-            return predictor
-
-        run_adaptation(seq, predictor, hook, config, tmp_path / "run")
+        run_adaptation(seq, predictor, config, tmp_path / "run")
         manifest = (tmp_path / "run" / "run_manifest.txt").read_text()
         for it, expected in enumerate(["false", "true", "true"]):
             assert f"iteration_{it:02d}.intensity_used = {expected}" in manifest
-        assert hook_calls == [0, 1, 2]
 
-    def test_artifacts_persisted_before_hook_runs(self, tmp_path):
+    def test_failure_in_iteration_1_keeps_iteration_0_on_disk(self, tmp_path):
         seq, _ = self.make_sequence()
-        predictor = MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS))
+
+        class FailsOnIntensity(MockPredictor):
+            def __call__(self, cloud):
+                if cloud.intensity is not None:
+                    raise RuntimeError("predictor crashed")
+                return super().__call__(cloud)
+
         config = AdaptationConfig(
             sensor=sensor_config(),
             subsample=SubsampleSpec(mode="random", ratio=0.5, trials=1, include_identity=True),
             aggregation=AggregationSpec(kernel=UniformKernel(), k=6, epsilon=None, window=2, stride=1),
             cbst=CbstConfig(portion=1.0),
-            iterations=1,
+            iterations=2,
         )
         out = tmp_path / "run"
-
-        def hook(iteration, labels):
-            for frame in range(len(seq.scans)):
-                assert (out / "iteration_00" / seq.name / f"{frame:06d}.label").exists()
-                assert (out / "iteration_00" / seq.name / f"{frame:06d}.mask").exists()
-            raise RuntimeError("student crashed")
-
-        with pytest.raises(AdaptationError, match="iteration 0"):
-            run_adaptation(seq, predictor, hook, config, out)
+        with pytest.raises(RuntimeError, match="predictor crashed"):
+            run_adaptation(seq, FailsOnIntensity(HeightThresholdRule(HEIGHT_THRESHOLDS)), config, out)
+        for frame in range(len(seq.scans)):
+            assert (out / "iteration_00" / "sequence" / f"{frame:06d}.label").exists()
+            assert (out / "iteration_00" / "sequence" / f"{frame:06d}.mask").exists()
+        assert "iteration_00.intensity_used = false" in (out / "run_manifest.txt").read_text()
+        assert not (out / "iteration_01").exists()
 
     def test_replay_is_byte_identical(self, tmp_path):
         seq, _ = self.make_sequence()
@@ -408,8 +402,8 @@ class TestRunAdaptation:
             iterations=1,
             seed=99,
         )
-        run_adaptation(seq, noisy, noop_student_hook, config, tmp_path / "a")
-        run_adaptation(seq, noisy, noop_student_hook, config, tmp_path / "b")
+        run_adaptation(seq, noisy, config, tmp_path / "a")
+        run_adaptation(seq, noisy, config, tmp_path / "b")
         files_a = sorted((tmp_path / "a").rglob("*"))
         files_b = sorted((tmp_path / "b").rglob("*"))
         assert [f.name for f in files_a] == [f.name for f in files_b]
@@ -428,12 +422,12 @@ class TestRunAdaptation:
             cbst=CbstConfig(portion=0.2),
             iterations=1,
         )
-        results, _ = run_adaptation(seq, noisy, noop_student_hook, config, tmp_path / "run")
+        results, _ = run_adaptation(seq, noisy, config, tmp_path / "run")
         label_sets = results[0]
         total = sum(len(ls.labels) for ls in label_sets)
         selected = sum(int(ls.selected.sum()) for ls in label_sets)
         assert 0 < selected < total
-        mask = load_selection_mask(tmp_path / "run" / "iteration_00" / seq.name / "000000.mask")
+        mask = load_selection_mask(tmp_path / "run" / "iteration_00" / "sequence" / "000000.mask")
         assert np.array_equal(mask, label_sets[0].selected)
 
     def test_held_bytes_per_point_do_not_grow_with_k(self, tmp_path):
@@ -452,26 +446,21 @@ class TestRunAdaptation:
                 aggregation=AggregationSpec(kernel=UniformKernel(), k=8, epsilon=None, window=2, stride=1),
                 cbst=CbstConfig(portion=0.5),
             )
-
-            def hook(iteration, label_sets):
-                # bytes traced since traced() started, which traced nothing
-                held[k_classes] = tracemalloc.get_traced_memory()[0]
-
-            traced(lambda: run_adaptation(seq, MockPredictor(rule), hook, config, tmp_path / f"k{k_classes}"))
+            held[k_classes] = traced(
+                lambda: run_adaptation(seq, MockPredictor(rule), config, tmp_path / f"k{k_classes}"))[2]
         assert held[19] - held[3] <= 4 * points, {k: b / points for k, b in held.items()}
 
 
 class TestIntensityPolicy:
     """Iteration 0 hides intensity from the teacher, and later iterations
-    show it to the student hook's predictor. At window 0 the labels are
-    the within-frame argmax, so they show what the predictor saw."""
+    show it. At window 0 the labels are the within-frame argmax, so they
+    show what the teacher saw."""
 
     def test_iteration_0_gets_height_labels_and_iteration_1_intensity_labels(self, tmp_path):
         seq, _ = generate_sequence(SyntheticSceneSpec(num_frames=2, points_per_frame=300, seed=8))
         predictor = IntensityPredictor()
         config = dataclasses.replace(identity_config(window=0), iterations=2)
-        results, _ = run_adaptation(seq, predictor, lambda iteration, labels: predictor, config,
-                                    tmp_path / "run")
+        results, _ = run_adaptation(seq, predictor, config, tmp_path / "run")
         for scan, first, second in zip(seq.scans, *results):
             height, intensity = predictor.labels(scan.without_intensity()), predictor.labels(scan)
             assert not np.array_equal(height, intensity)
@@ -483,21 +472,87 @@ class TestMetamorphicRelations:
     """Relations of the uniform kernel that rest on no formula an oracle
     shares with the code: with eps and with kNN, shuffling each scan's
     points shuffles the refined rows, and permuting the classes permutes
-    them, bit for bit. The noise is keyed to each point's own bytes, so
-    it does not follow the point order."""
+    them, bit for bit; moving every pose by one rigid motion keeps them
+    bit for bit, and reversing the sequence keeps them to the last bits
+    and negates every pair's temporal offset. The noise is keyed to each
+    point's own bytes, so it does not follow the point order."""
+
+    # |refined row difference| under time reversal: a point's subsample
+    # trial count follows its scan's place in the list, and the mean of c
+    # copies of one row can differ from it in the last bit; measured at
+    # most 3.3e-16 (1.5 ULP of 1)
+    REVERSAL_BOUND = 4 * np.finfo(np.float64).eps
 
     @staticmethod
-    def refined(scans, poses, predictor, epsilon):
+    def aggregation(epsilon):
+        return AggregationSpec(kernel=UniformKernel(), k=8, epsilon=epsilon, window=2, stride=1)
+
+    @classmethod
+    def refined(cls, scans, poses, predictor, epsilon, trials=2, finish=keep_refined):
         config = dataclasses.replace(
             identity_config(),
-            subsample=SubsampleSpec(mode="random", ratio=0.5, trials=2, include_identity=True),
-            aggregation=AggregationSpec(kernel=UniformKernel(), k=8, epsilon=epsilon, window=2, stride=1))
-        return generate_refined_predictions(scans, poses, predictor, config, keep_refined, seed=4)[1]
+            subsample=SubsampleSpec(mode="random", ratio=0.5, trials=trials, include_identity=True),
+            aggregation=cls.aggregation(epsilon))
+        return generate_refined_predictions(scans, poses, predictor, config, finish, seed=4)[1]
 
     @staticmethod
     def drive(seed):
         seq, _ = generate_sequence(SyntheticSceneSpec(num_frames=3, points_per_frame=200, seed=seed))
         return seq
+
+    @staticmethod
+    def clear_of_ties(seq, agg: AggregationSpec, margin=1e-9):
+        """Whether each point's k + 1 nearest candidates in its window lie
+        more than margin apart and more than margin from eps: then moving
+        every candidate by less than margin keeps each neighborhood and the
+        order of its sum."""
+        ones = [PredictionMatrix(np.ones((len(scan), 1)), np.arange(len(scan))) for scan in seq.scans]
+        for t, scan in enumerate(seq.scans):
+            dense = build_dense_cloud(list(zip(seq.scans, ones)), seq.poses, t, agg.window, agg.stride)
+            nearest = brute_force_batch(dense.points, scan.points, agg.k + 1)[1]
+            if (np.diff(nearest, axis=1) <= margin).any():
+                return False
+            if agg.epsilon is not None and (np.abs(nearest - agg.epsilon) <= margin).any():
+                return False
+        return True
+
+    @pytest.mark.parametrize("epsilon", [None, 0.5], ids=["knn", "eps"])
+    @settings(max_examples=5)
+    @given(seed=st.integers(0, 2 ** 16), polar=st.floats(0, np.pi), azimuth=st.floats(-np.pi, np.pi),
+           angle=st.floats(-np.pi, np.pi), shift=st.tuples(*[st.floats(-2000, 2000)] * 3))
+    @example(seed=1, polar=1.2, azimuth=0.4, angle=0.7, shift=(1400.0, -500.0, 30.0))
+    def test_moving_every_pose_keeps_the_refined_rows(self, epsilon, seed, polar, azimuth, angle, shift):
+        seq = self.drive(seed)
+        assume(self.clear_of_ties(seq, self.aggregation(epsilon)))
+        x, y, z = np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)
+        cross = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        motion = RigidTransform(np.eye(3) + np.sin(angle) * cross + (1 - np.cos(angle)) * cross @ cross,
+                                np.array(shift))
+        predictor = PointKeyedNoise(MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS)), seed=seed)
+        want = self.refined(seq.scans, seq.poses, predictor, epsilon)
+        got = self.refined(seq.scans, [compose(motion, pose) for pose in seq.poses], predictor, epsilon)
+        for a, b in zip(want, got):
+            assert np.array_equal(b.probs, a.probs)
+
+    @pytest.mark.parametrize("epsilon", [None, 0.5], ids=["knn", "eps"])
+    @settings(max_examples=5)
+    @given(seed=st.integers(0, 2 ** 16))
+    def test_reversing_the_sequence_keeps_the_refined_rows(self, epsilon, seed):
+        seq = self.drive(seed)
+        predictor = PointKeyedNoise(MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS)), seed=seed)
+
+        def both(t, refined, pairs):
+            return refined(), pairs()
+
+        want = self.refined(seq.scans, seq.poses, predictor, epsilon, trials=3, finish=both)
+        got = self.refined(seq.scans[::-1], seq.poses[::-1], predictor, epsilon, trials=3, finish=both)[::-1]
+        for (a, a_pairs), (b, b_pairs) in zip(want, got):
+            assert np.abs(b.probs - a.probs).max() <= self.REVERSAL_BOUND
+            top = np.sort(a.probs, axis=1)
+            clear = top[:, -1] - top[:, -2] > 2 * self.REVERSAL_BOUND
+            assert np.array_equal(b.probs.argmax(axis=1)[clear], a.probs.argmax(axis=1)[clear])
+            assert np.array_equal(b_pairs.center_distance, a_pairs.center_distance)
+            assert np.array_equal(b_pairs.temporal_offset, -a_pairs.temporal_offset)
 
     @pytest.mark.parametrize("epsilon", [None, 0.5], ids=["knn", "eps"])
     @settings(max_examples=5)
@@ -720,7 +775,7 @@ class TestArtifactFiles:
     def test_sequence_length_validation(self):
         cloud = PointCloud(points=np.ones((2, 3)))
         with pytest.raises(ValueError, match="equal length"):
-            LidarSequence(name="x", scans=[cloud], poses=[])
+            LidarSequence(scans=[cloud], poses=[])
 
 
 class TestWorkerPool:
