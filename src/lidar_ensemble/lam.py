@@ -772,7 +772,8 @@ class PairRecord:
         if name == "temporal":
             phi_layout.temporal_feature(self.temporal_offset[start:end], window, out=out)
         elif name == "sensor_distance":
-            np.take(sensor_distance, self.neighbor[start:end], out=out)
+            # np.take's mode="raise" would buffer out beside the index cast
+            out[:] = sensor_distance[self.neighbor[start:end]]
         else:
             out[:] = self.center_distance[start:end]
         return out
@@ -808,8 +809,10 @@ def weight_histograms(records, sensor_distance: np.ndarray, window: int, bins: i
     The pairs are read in np.histogram's own blocks, and each block is
     sorted once for its counts and its weight sums, with np.histogram's
     cumulative arithmetic: edges, counts and mean weights have the bits of
-    np.histogram over the pooled values. Beside the records it holds only
-    buffers of _HISTOGRAM_BLOCK elements."""
+    np.histogram over the pooled values. Beside the records it holds three
+    buffers of _HISTOGRAM_BLOCK elements: a block's values, its weights and
+    their sort order. The edges are searched through the order, and the
+    sorted weights and their running sum go into the values' buffer."""
     if not any(len(r.weights) for r in records):
         raise ValueError("no neighbor pairs to analyze")
     values_buf, weights_buf = np.empty(_HISTOGRAM_BLOCK), np.empty(_HISTOGRAM_BLOCK)
@@ -836,12 +839,16 @@ def weight_histograms(records, sensor_distance: np.ndarray, window: int, bins: i
             weights = np.concatenate([r.weights[start:end] for r, start, end in block],
                                      out=weights_buf[:len(values)])
             order = np.argsort(values)
-            ranked = values[order]
             # np.histogram's inclusive search: the last bin holds its right edge
-            at = np.concatenate((ranked.searchsorted(edges[:-1], "left"),
-                                 ranked.searchsorted(edges[-1:], "right")))
+            at = np.concatenate((values.searchsorted(edges[:-1], "left", sorter=order),
+                                 values.searchsorted(edges[-1:], "right", sorter=order)))
             cum_counts += at
-            cum_weights += np.concatenate(([0.0], weights[order].cumsum()))[at]
+            # the sorted weights' running sum, in the values' buffer, which is
+            # dead once searched (mode="raise" would buffer the output)
+            cum = np.take(weights, order, out=values, mode="clip")
+            del order
+            np.cumsum(cum, out=cum)
+            cum_weights += np.where(at > 0, cum[at - 1], 0.0)
         counts, weight_sum = np.diff(cum_counts), np.diff(cum_weights)
         mean_weight = np.divide(weight_sum, counts, out=np.zeros(len(counts)), where=counts > 0)
         report[name] = HistogramSlice(edges=edges, counts=counts, mean_weight=mean_weight)

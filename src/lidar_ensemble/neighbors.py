@@ -16,8 +16,8 @@ import numpy as np
 
 from .geometry import RigidTransform, compose, invert, sensor_range
 
-# candidate pairs per chunk of a grid search, with or without epsilon, and
-# (query, z-column) ranges per block of queries (256 KB per temporary)
+# candidate pairs per chunk of a grid search, with or without epsilon (256 KB
+# per temporary); its queries find their ranges 1/64 as many at a time
 _CANDIDATE_BUDGET = 1 << 15
 # the (dx, dy) cell offsets of the 9 z-columns around a cell
 _COLUMNS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
@@ -108,28 +108,27 @@ def build_dense_cloud(scans, poses, t: int, window: int, stride: int = 1) -> Den
     frames = [i for i in range(t - reach, t + reach + 1, stride) if 0 <= i < len(scans)]
     to_ref = invert(_pose_at(poses, t, t))
 
-    pts_parts, prob_parts, off_parts, dist_parts, frame_parts = [], [], [], [], []
     for i in frames:
         cloud, pred = scans[i]
         if pred is None:
             raise ValueError(f"missing prediction for frame {i}")
         if not np.array_equal(pred.point_index, np.arange(len(cloud))):
             raise ValueError(f"frame {i}: prediction rows are not the {len(cloud)} points in point order")
+    # each field allocated once and every scan written into its slice: no scan is held twice
+    first = np.cumsum([0] + [len(scans[i][0]) for i in frames])
+    m = int(first[-1])
+    points, probs = np.empty((m, 3)), np.empty((m, scans[t][1].probs.shape[1]))
+    offset, distance, source = np.empty(m, np.int64), np.empty(m), np.empty(m, np.int64)
+    for i, a, b in zip(frames, first[:-1], first[1:]):
+        cloud, pred = scans[i]
         align = compose(to_ref, _pose_at(poses, i, t))
-        dist_parts.append(sensor_range(cloud.points))
-        pts_parts.append(align.apply(cloud.points))
-        prob_parts.append(pred.probs)
-        off_parts.append(np.full(len(cloud), i - t, dtype=np.int64))
-        frame_parts.append(np.full(len(cloud), i, dtype=np.int64))
-
-    return DenseCloud(
-        points=np.concatenate(pts_parts, axis=0),
-        probs=np.concatenate(prob_parts, axis=0),
-        temporal_offset=np.concatenate(off_parts),
-        sensor_distance=np.concatenate(dist_parts),
-        source_frame=np.concatenate(frame_parts),
-        window=window,
-    )
+        distance[a:b] = sensor_range(cloud.points)
+        points[a:b] = align.apply(cloud.points)
+        probs[a:b] = pred.probs
+        offset[a:b] = i - t
+        source[a:b] = i
+    return DenseCloud(points=points, probs=probs, temporal_offset=offset, sensor_distance=distance,
+                      source_frame=source, window=window)
 
 
 def _pose_at(poses, i: int, t: int) -> RigidTransform:
@@ -170,12 +169,13 @@ class SpatialIndex:
         box lies beyond eps from the query in x or y is skipped; a z cell
         beyond eps is not, as its candidates fail the distance test anyway.
         The points are keyed one axis at a time, and the cell-sorted queries
-        find their ranges a block of _CANDIDATE_BUDGET / 9 queries at a time
-        and then run in chunks of about _CANDIDATE_BUDGET candidate pairs,
-        so temporaries stay bounded whatever N is: each candidate's distance
-        is computed canonically, one coordinate at a time, and only pairs
-        within eps are kept; these are ordered by (query, distance, index)
-        and each query's row is cut at k. Once every chunk has run, each
+        find their ranges a block of _CANDIDATE_BUDGET / 64 queries at a
+        time (about 64 values per query, as many as a chunk has candidates)
+        and then run in chunks of about _CANDIDATE_BUDGET candidate
+        pairs, so temporaries stay bounded whatever N is: each candidate's
+        distance is computed canonically, one coordinate at a time, and only
+        pairs within eps are kept; these are ordered by (query, distance,
+        index) and each query's row is cut at k. Once every chunk has run, each
         chunk's pairs are written into its queries' rows of the result and
         the chunk is dropped, so the pairs are held at most twice.
 
@@ -260,9 +260,11 @@ def _grid_chunks(points: np.ndarray, queries: np.ndarray, k: int, eps: float):
     (distance, index) order.
 
     The queries are sorted by cell and taken in blocks of
-    _CANDIDATE_BUDGET / 9 queries, so a block's (queries, 9) candidate
-    ranges hold _CANDIDATE_BUDGET entries; a query cell split across two
-    blocks is looked up in both. Each block is cut by _query_blocks into
+    _CANDIDATE_BUDGET / 64 queries: a block's (queries, 9) candidate ranges
+    and their temporaries take about 64 int64 or float64 values per query,
+    so a block holds about as many values as a chunk has candidates. A
+    query cell split across two blocks is looked up in both; the search is
+    exact for any block size. Each block is cut by _query_blocks into
     chunks of about _CANDIDATE_BUDGET candidate pairs.
     """
     n = len(queries)
@@ -279,7 +281,7 @@ def _grid_chunks(points: np.ndarray, queries: np.ndarray, k: int, eps: float):
     qorder = np.argsort(qkey)
     qkey = qkey[qorder]
     shift = -(math.frexp(eps)[1] + 1)
-    step = max(1, _CANDIDATE_BUDGET // len(_COLUMNS))
+    step = max(1, _CANDIDATE_BUDGET // 64)
     for b0 in range(0, n, step):
         rows = qorder[b0:b0 + step]
         block = queries[rows]

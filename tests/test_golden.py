@@ -25,6 +25,7 @@ import importlib
 import inspect
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -375,8 +376,8 @@ UNREACHED = {
 BLOCKS = {
     "aggregate._PAIR_BUDGET": (aggregate._PAIR_BUDGET, [aggregate.refine_labels],
                                lambda args: len(args["nbh"].indices)),
-    "neighbors._CANDIDATE_BUDGET // 9": (neighbors._CANDIDATE_BUDGET // len(neighbors._COLUMNS),
-                                         [neighbors._grid_chunks], lambda args: len(args["queries"])),
+    "neighbors._CANDIDATE_BUDGET // 64": (neighbors._CANDIDATE_BUDGET // 64, [neighbors._grid_chunks],
+                                          lambda args: len(args["queries"])),
     # the candidate pairs of one query block of _grid_chunks, which
     # _query_blocks cuts into chunks; aggregate cuts by _PAIR_BUDGET with it
     "neighbors._CANDIDATE_BUDGET": (neighbors._CANDIDATE_BUDGET, [neighbors._query_blocks],
@@ -627,6 +628,51 @@ def test_output_bytes_match_the_table(case, digests):
     moved = [path for _, _, path in moved_entries({case: expected}, {case: actual})]
     assert not moved, (f"{case}: {moved} differ from the table (recorded with numpy "
                        f"{table['numpy']}, running numpy {np.__version__})")
+
+
+# numpy's AVX-512 dispatch off and OpenBLAS's Haswell kernels, as on an AVX2
+# machine; the profile test sets both in its subprocess only
+PLATFORM_PROFILE = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR", "OPENBLAS_CORETYPE": "Haswell"}
+_TIE_ORDER = ("weight_histograms argsorts each block with numpy's unstable sort, whose SIMD kernels order "
+              "tied values differently at each dispatch level, so the weights' cumulative sum adds in "
+              "another order")
+_LAM_KERNELS = "the LAM's SIMD exp and log and its BLAS products give other bits (ROADMAP item 13)"
+_LAM_WEIGHTS = f"{_TIE_ORDER}; and the LAM kernel's weights come from {_LAM_KERNELS}"
+# (case, file): why its bytes move under PLATFORM_PROFILE; the profile test
+# fails on any other moved file and on an entry here that holds
+PLATFORM_BYTES = {
+    **{(case, "histograms.csv"): _TIE_ORDER
+       for case in ("pipeline-bands-t2", "pipeline-iterations-t1", "pipeline-no-identity-t1",
+                    "pipeline-precomputed-t1", "pipeline-uniform-t1", "pipeline-uniform-t2",
+                    "pipeline-window0-t1")},
+    ("lam-analyze", "histograms.csv"): _LAM_WEIGHTS,
+    ("pipeline-lam-t1", "histograms.csv"): _LAM_WEIGHTS,
+    **{(case, "lam.ckpt"): f"training: {_LAM_KERNELS}" for case in ("lam-train", "lam-train-eps",
+                                                                    "lam-train-weights")},
+    ("aggregate-modulate", "modulated.ckpt"): f"the modulated statistics: {_LAM_KERNELS}",
+    ("lam-train-eps", "loss_trace.csv"): f"the training losses: {_LAM_KERNELS}",
+    ("lam-train-weights", "loss_trace.csv"): f"the training losses: {_LAM_KERNELS}",
+    ("aggregate-modulate", "manifest.txt"): "records the checksum of lam-train's lam.ckpt, its input",
+    ("lam-train-weights", "manifest.txt"): "records the final training loss",
+}
+
+
+def test_platform_profile_moves_only_the_declared_bytes(tmp_path):
+    # every case run in a subprocess under PLATFORM_PROFILE, against the
+    # table, which was recorded on an AVX-512 CPU with the default kernels
+    script = ("import json, sys; from pathlib import Path; from tests.test_golden import run_all; "
+              "Path(sys.argv[2]).write_text(json.dumps(run_all(sys.argv[1])))")
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, **PLATFORM_PROFILE,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")])}
+    (tmp_path / "work").mkdir()
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "work"), str(tmp_path / "digests.json")],
+                   cwd=root, env=env, check=True, capture_output=True)
+    moved = moved_entries(json.loads(TABLE.read_text())["cases"], json.loads((tmp_path / "digests.json").read_text()))
+    assert all(change == "changed" for change, _, _ in moved), moved
+    moved = {(case, path) for _, case, path in moved}
+    assert sorted(moved - PLATFORM_BYTES.keys()) == [], "moved under the profile and not declared"
+    assert sorted(PLATFORM_BYTES.keys() - moved) == [], "declared and no longer moved"
 
 
 def test_the_recorder_names_every_moved_entry():

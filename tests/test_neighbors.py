@@ -154,6 +154,23 @@ class TestBuildDenseCloud:
         # dense probs must follow cloud order, not matrix row order
         assert np.abs(dense.probs[perm] - probs).max() < 1e-12
 
+    def test_memory_above_the_cloud_is_one_scan(self):
+        # every field is allocated once and each scan's slice written in
+        # place: above the result the build holds one scan's aligned
+        # points, ranges and their temporaries, and then the constructor's
+        # simplex check (a row sum, its difference from 1 and its absolute
+        # value, 3 float64 per point)
+        rng = np.random.default_rng(8)
+        n, scans = 4000, 4
+        frames = [(PointCloud(points=rng.normal(size=(n, 3)) * 10.0, frame_id=i), uniform_pred(n, 3, rng))
+                  for i in range(scans)]
+        poses = [translation(i, 0.5 * i, 0) for i in range(scans)]
+        dense, peak, _ = traced(lambda: build_dense_cloud(frames, poses, t=1, window=3))
+        cloud = sum(getattr(dense, f).nbytes
+                    for f in ("points", "probs", "temporal_offset", "sensor_distance", "source_frame"))
+        assert len(dense) == n * scans
+        assert peak - cloud <= cloud // scans + 3 * 8 * len(dense), (peak - cloud) / cloud
+
 
 class TestKnnEpsilon:
     def test_coincident_point_at_distance_zero(self):
@@ -462,7 +479,8 @@ class TestCellGrid:
 def split_block_queries(draw):
     """A search whose cell-sorted queries fill several candidate-range
     blocks of step queries, with more than step copies of one query, so
-    that query's cell is split across two blocks; the budget is 9 * step.
+    that query's cell is split across two blocks; the budget is 64 * step,
+    as _grid_chunks takes blocks of _CANDIDATE_BUDGET // 64 queries.
 
     Also drawn: a quantized cloud with exact duplicates, so ties fall at
     the k-th slot; epsilon 0, None, or a grid distance, so ties fall at
@@ -470,7 +488,7 @@ def split_block_queries(draw):
     few ulps either side, with a pair at epsilon across a face; and far
     corners that put the box's cell count just below or just above the
     int64 key-span guard, which doubles the cells above it."""
-    step = draw(st.sampled_from([1, 2, 5, neighbors._CANDIDATE_BUDGET // len(neighbors._COLUMNS)]))
+    step = draw(st.sampled_from([1, 2, 5, neighbors._CANDIDATE_BUDGET // 64]))
     grid_step = draw(st.sampled_from([0.25, 0.5, 1.0]))
     cells = st.tuples(*[st.integers(-3, 3)] * 3)
     base = np.array(draw(st.lists(cells, min_size=1, max_size=8)), dtype=np.float64) * grid_step
@@ -512,20 +530,20 @@ def split_block_queries(draw):
     queries.append(np.repeat(base[split:split + 1], draw(st.integers(step + 1, step + 40)), axis=0))
     queries = np.concatenate(queries)
     queries = queries[np.random.default_rng(len(queries)).permutation(len(queries))]
-    return points, queries, draw(st.integers(1, 100)), eps, len(neighbors._COLUMNS) * step
+    return points, queries, draw(st.integers(1, 100)), eps, 64 * step
 
 
 class TestBlockedSearch:
     """The search takes its cell-sorted queries in blocks of
-    _CANDIDATE_BUDGET / 9 and scatters each chunk's pairs straight into
+    _CANDIDATE_BUDGET / 64 and scatters each chunk's pairs straight into
     query order; the kNN rounds write their full rows into the output."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(split_block_queries())
-    @example((np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]] * 3), np.zeros((7, 3)), 4, 0.5, 18))
+    @example((np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]] * 3), np.zeros((7, 3)), 4, 0.5, 128))
     def test_matches_brute_force_bit_for_bit(self, case):
         points, queries, k, eps, budget = case
-        step = budget // len(neighbors._COLUMNS)
+        step = budget // 64
         if eps is not None:  # some cell's queries straddle a block boundary
             grid = neighbors._CellGrid(np.concatenate([neighbors._bounds(points), neighbors._bounds(queries)]),
                                        eps)
@@ -548,8 +566,9 @@ class TestBlockedSearch:
         # a chunk's working set is about eight float64 or int64 temporaries
         # per candidate; the points' cell keys, order and sorted coordinates
         # take 40 bytes per 24-byte point. Above its result the search holds
-        # these, the query blocks' ranges and a few small per-query arrays,
-        # so four times as many queries add less than one chunk
+        # these, one query block's ranges (about 64 values per query, an
+        # eighth of a chunk) and a few small per-query arrays, so four times
+        # as many queries add less than one chunk
         chunk = 8 * 8 * neighbors._CANDIDATE_BUDGET
         rng = np.random.default_rng(24)
         points = rng.uniform(0.0, [12.0, 12.0, 1.0], size=(48000, 3))
@@ -560,4 +579,4 @@ class TestBlockedSearch:
             nbh, peak, _ = traced(lambda: index.query_batch(queries[:n], k, eps))
             above.append(peak - nbh.offsets.nbytes - nbh.indices.nbytes - nbh.distances.nbytes)
         assert above[1] - above[0] <= chunk, [a / chunk for a in above]
-        assert max(above) <= 3 * chunk + 2 * points.nbytes, [a / chunk for a in above]
+        assert max(above) <= 1.5 * chunk + 2 * points.nbytes, [a / chunk for a in above]

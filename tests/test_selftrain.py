@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lidar_ensemble import phi_layout, selftrain
-from lidar_ensemble.aggregate import AggregationSpec, LamKernel, UniformKernel
+from lidar_ensemble.aggregate import AggregationSpec, LamKernel, UniformKernel, refine_labels
 from lidar_ensemble.errors import FileFormatError
 from lidar_ensemble.geometry import PointCloud, RigidTransform, compose
 from lidar_ensemble.lam import (TrainConfig, initialize_lam_params, save_lam_params, train_lam,
@@ -858,6 +858,28 @@ class TestWorkerPool:
         with pytest.raises(ValueError, match="item 0"):
             selftrain._map(fn, range(10), 2)
         assert set(started) <= {0, 1}
+
+    def test_a_second_worker_adds_at_most_one_frame(self):
+        # item 12's memory gate at test scale, on the pipeline-uniform
+        # benchmark's drive shape at the paper defaults: the second worker
+        # holds one more frame's search and refinement, and both thread
+        # counts keep the same labels and pair records
+        seq, _ = generate_sequence(SyntheticSceneSpec(num_frames=12, points_per_frame=4000, seed=0))
+        within = random_within(np.random.default_rng(0), seq.scans, 3)
+        agg = AggregationSpec(kernel=UniformKernel())
+        t = len(seq.scans) // 2
+
+        def frame():
+            dense, nbh = frame_neighborhoods(seq.scans, seq.poses, within, t, agg)
+            return refine_labels(seq.scans[t].points, within[t].probs, dense, nbh, agg.kernel)
+
+        def keep(t, refined, pairs):
+            return keep_labels(t, refined, pairs), pairs()
+
+        frame_peak = traced(frame)[1]
+        peaks = [traced(lambda: cross_frame_refine(seq.scans, seq.poses, within, agg, keep, threads))[1]
+                 for threads in (1, 2)]
+        assert peaks[1] - peaks[0] <= 1.2 * frame_peak, [p / frame_peak for p in peaks]
 
     def test_every_item_runs_once_under_frequent_switches(self):
         # more workers than cores, switching threads every microsecond: a
