@@ -335,6 +335,13 @@ def _reject_label(labels, files, starts, bad, classes: int):
 
 
 def cmd_metrics(args) -> int:
+    grouping = {}
+    for group in ("static", "dynamic"):
+        for c in _parse_class_list(getattr(args, group)):
+            if not 0 <= c < args.classes:
+                raise ConfigError(f"--{group}: class {c} is not in [0, {args.classes})")
+            if grouping.setdefault(c, group) != group:
+                raise ConfigError(f"--{group}: class {c} is listed by --{grouping[c]} too")
     pred, pred_files, pred_starts = _load_label_inputs(args.pred)
     truth, truth_files, truth_starts = _load_label_inputs(args.truth)
     if len(pred) != len(truth):
@@ -349,11 +356,6 @@ def cmd_metrics(args) -> int:
     report = _write_scores(matrix, out_dir)
     extra = [("classes", str(args.classes)), ("miou", f"{report.miou:.2f}")]
     if args.static or args.dynamic:
-        grouping = {}
-        for c in _parse_class_list(args.static):
-            grouping[c] = "static"
-        for c in _parse_class_list(args.dynamic):
-            grouping[c] = "dynamic"
         condensed = condense_static_dynamic(matrix, grouping)
         lines = ["group,static,dynamic"]
         for r, name in enumerate(("static", "dynamic")):

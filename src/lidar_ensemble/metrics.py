@@ -96,26 +96,19 @@ class CondensedMatrix:
 
 def condense_static_dynamic(matrix: ConfusionMatrix, grouping: dict) -> CondensedMatrix:
     """Collapse a confusion matrix by a total class -> "static"/"dynamic" map."""
-    group_idx = np.empty(matrix.num_classes, dtype=np.int64)
+    # each class's one-hot group row; the ignore class's row stays zero, so
+    # its row and column of counts fall out of the grouped sum
+    member = np.zeros((matrix.num_classes, 2), dtype=np.int64)
     for c in range(matrix.num_classes):
         if c == matrix.ignore_label:
-            group_idx[c] = 0
             continue
         if c not in grouping:
             raise ValueError(f"grouping does not cover class {c}")
         name = grouping[c]
         if name not in CondensedMatrix.GROUPS:
             raise ValueError(f"unknown group {name!r} for class {c}")
-        group_idx[c] = CondensedMatrix.GROUPS.index(name)
-
-    counts = np.zeros((2, 2), dtype=np.int64)
-    for t in range(matrix.num_classes):
-        if t == matrix.ignore_label:
-            continue
-        for p in range(matrix.num_classes):
-            if p == matrix.ignore_label:
-                continue
-            counts[group_idx[t], group_idx[p]] += matrix.counts[t, p]
+        member[c, CondensedMatrix.GROUPS.index(name)] = 1
+    counts = member.T @ matrix.counts @ member
 
     normalized = np.zeros((2, 2))
     empty = []

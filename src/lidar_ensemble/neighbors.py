@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RigidTransform, compose, invert, sensor_range
+from .subsample import SIMPLEX_TOL
 
 # candidate pairs per chunk of a grid search, with or without epsilon (256 KB
 # per temporary); its queries find their ranges 1/64 as many at a time
@@ -47,7 +48,7 @@ class DenseCloud:
                 raise ValueError(f"{name} must have length {m}")
         if m and np.abs(self.temporal_offset).max() > self.window:
             raise ValueError("temporal offsets exceed the window")
-        if m and (self.probs.min() < 0.0 or np.abs(self.probs.sum(axis=1) - 1.0).max() > 1e-5):
+        if m and (self.probs.min() < 0.0 or np.abs(self.probs.sum(axis=1) - 1.0).max() > SIMPLEX_TOL):
             raise ValueError("probability rows must lie on the simplex")
 
     def __len__(self) -> int:

@@ -205,15 +205,16 @@ def sequence_points(dense, first: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def cross_frame_refine(scans, poses, within, agg: AggregationSpec, finish, threads: int = 1):
     """Cross-frame ensembling: every scan's prediction refined with agg's
     kernel against its window, one neighbor search per scan. A zero-width
-    window refines each scan against itself.
+    window has no other scan to ensemble with, so there refined() is the
+    scan's within-frame prediction and does not search.
 
     Returns finish(t, refined, pairs) for every scan t, in frame order,
     called by the worker that handles t; refined() is t's refined
     prediction and pairs() builds t's PairRecord for the weight histograms
     (weight_histograms reads them with sequence_sensor_range and
-    agg.window). t is searched and refined at the first call of either,
-    once, so a finish that calls neither does no search. Independent of
-    thread count.
+    agg.window), at window 0 from t's search of itself. t is searched at
+    the first call that needs it, once, so a finish that calls neither
+    does no search. Independent of thread count.
     """
     first = first_points(scans)
 
@@ -232,7 +233,7 @@ def cross_frame_refine(scans, poses, within, agg: AggregationSpec, finish, threa
                 neighbor=sequence_points(dense, first, nbh.indices).astype(np.uint32),
                 temporal_offset=dense.temporal_offset.take(nbh.indices).astype(offset_dtype(agg.window)))
 
-        return finish(t, lambda: searched()[2], pairs)
+        return finish(t, (lambda: within[t]) if agg.window == 0 else (lambda: searched()[2]), pairs)
 
     return _map(refine, range(len(scans)), threads)
 
@@ -243,20 +244,12 @@ def generate_refined_predictions(scans, poses, predictor: Predictor, config: Ada
 
     Returns (within, kept): the per-scan prediction matrices after the
     subsample-ensemble average, and finish(t, refined, pairs) of every scan
-    (cross_frame_refine). At a zero-width window refined() is the
-    within-frame prediction, so the pipeline with one identity trial and
-    window 0 reduces to the raw predictor, and only pairs() searches the
-    scan, against itself. Deterministic given the seed, independent of
+    (cross_frame_refine). Deterministic given the seed, independent of
     thread count.
     """
-    agg = config.aggregation
     within = within_frame_predictions(scans, predictor, config, seed=seed,
                                       use_intensity=use_intensity, threads=threads)
-
-    def finish_frame(t, refined, pairs):
-        return finish(t, (lambda: within[t]) if agg.window == 0 else refined, pairs)
-
-    return within, cross_frame_refine(scans, poses, within, agg, finish_frame, threads=threads)
+    return within, cross_frame_refine(scans, poses, within, config.aggregation, finish, threads=threads)
 
 
 def hard_labels(pred: PredictionMatrix):

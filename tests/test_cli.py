@@ -691,6 +691,18 @@ class TestMetricsCommand:
         assert lines[0] == "group,static,dynamic"
         assert lines[1].startswith("static,1.0,")
 
+    @pytest.mark.parametrize("static, dynamic, message", [
+        ("0", "1,2,3", "--dynamic: class 3 is not in [0, 3)"),
+        ("-1,0", "1,2", "--static: class -1 is not in [0, 3)"),
+        ("0,1", "1,2", "--dynamic: class 1 is listed by --static too")])
+    def test_bad_class_grouping_exits_1_before_any_output(self, static, dynamic, message, dataset, tmp_path):
+        code, errors = _run_logged(["metrics", "--pred", str(dataset / "labels"), "--truth", str(dataset / "labels"),
+                                    "--classes", "3", f"--static={static}", f"--dynamic={dynamic}",
+                                    "--out", str(tmp_path / "m")])
+        assert code == EXIT_CONFIG
+        assert errors == [f"configuration: {message}"]
+        assert not (tmp_path / "m").exists()
+
     def test_length_mismatch(self, dataset, tmp_path):
         rc = main(["metrics", "--pred", str(dataset / "labels" / "000000.label"),
                    "--truth", str(dataset / "labels"), "--classes", "3",
@@ -826,6 +838,40 @@ def test_window_0_searches_each_scan_once(small_drive, tmp_path, monkeypatch):
     assert calls == [220, 220, 220]
 
 
+@pytest.mark.parametrize("window", [0, 2])
+def test_cbst_over_aggregate_composes_to_pipeline(window, small_drive, tmp_path):
+    # a one-hot teacher and the uniform kernel: each refined row is a count
+    # fraction with at most k in its denominator, and float32 keeps such
+    # fractions apart, so cbst on aggregate's float32 rows ranks the points
+    # as pipeline does on its float64 rows
+    rng = np.random.default_rng(8)
+    teacher = tmp_path / "teacher"
+    teacher.mkdir()
+    for path in sorted((small_drive / "labels").glob("*.label")):
+        labels = load_labels(path)
+        flip = rng.random(len(labels)) < 0.2
+        labels[flip] = (labels[flip] + 1) % 3
+        write_prediction_matrix(PredictionMatrix(np.eye(3)[labels], np.arange(len(labels))),
+                                teacher / f"{path.stem}.lprb")
+    config = tmp_path / "composed.ini"
+    config.write_text(CONFIG_TEMPLATE.format(root=small_drive)
+                      .replace("trials = 2", "trials = 1").replace("window = 4", f"window = {window}")
+                      .replace("kind = mock_height", f"kind = precomputed\ndirectory = {teacher}")
+                      .replace("noise = 0.25", "noise = 0"))
+    for argv in (["pipeline", "--threads", "1"], ["aggregate", "--pred-dir", str(teacher)],
+                 ["cbst", "--pred-dir", str(tmp_path / "aggregate" / "refined")],
+                 ["lam-analyze", "--pred-dir", str(teacher)]):
+        assert main(argv + ["--config", str(config), "--out", str(tmp_path / argv[0])]) == EXIT_OK
+    labels = tmp_path / "pipeline" / "iteration_00" / "sequence"
+    names = sorted(p.name for p in labels.iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "cbst").iterdir() if p.name != "manifest.txt")
+    assert len(names) == 6
+    for name in names:
+        assert (labels / name).read_bytes() == (tmp_path / "cbst" / name).read_bytes(), name
+    assert ((tmp_path / "pipeline" / "histograms.csv").read_bytes()
+            == (tmp_path / "lam-analyze" / "histograms.csv").read_bytes())
+
+
 def test_subsamples_that_miss_a_point_name_the_frame_and_keys(small_drive, tmp_path):
     # two draws of half the rows leave some row of frame 0 in neither
     config = tmp_path / "no-identity.ini"
@@ -948,7 +994,7 @@ class TestPipelineReuse:
 def _old_refine_from_files(seq, pred_dir, agg, out_dir):
     """aggregate's refinement as it was written before the commands shared
     selftrain.cross_frame_refine: its own dense cloud, index and query per
-    frame."""
+    frame, and at window 0 each frame's rows as read, unrefined."""
     from lidar_ensemble import phi_layout
     from lidar_ensemble.aggregate import refine_labels
     from lidar_ensemble.neighbors import SpatialIndex, build_dense_cloud, precompute_neighborhoods
@@ -958,9 +1004,11 @@ def _old_refine_from_files(seq, pred_dir, agg, out_dir):
     refined_dir = out_dir / "refined"
     refined_dir.mkdir(parents=True, exist_ok=True)
     for t in range(len(seq.scans)):
-        dense = build_dense_cloud(pairs, seq.poses, t, agg.window, agg.stride)
-        nbh = precompute_neighborhoods(SpatialIndex(dense.points), seq.scans[t].points, agg.k, agg.epsilon)
-        refined, _ = refine_labels(seq.scans[t].points, within[t].probs, dense, nbh, agg.kernel)
+        refined = within[t]
+        if agg.window > 0:
+            dense = build_dense_cloud(pairs, seq.poses, t, agg.window, agg.stride)
+            nbh = precompute_neighborhoods(SpatialIndex(dense.points), seq.scans[t].points, agg.k, agg.epsilon)
+            refined, _ = refine_labels(seq.scans[t].points, within[t].probs, dense, nbh, agg.kernel)
         write_prediction_matrix(refined, refined_dir / f"{t:06d}.lprb")
     epsilon = "none" if agg.epsilon is None else repr(agg.epsilon)
     (out_dir / "refinement.txt").write_text(

@@ -285,6 +285,25 @@ num_classes = 19
 [run]
 seed = 17
 """,
+    # window 0 over the stored 19-class predictions: aggregate writes each
+    # frame's rows unrefined, in point order
+    "window0-preds.ini": SENSOR + """
+[dataset]
+root = target
+[subsample]
+trials = 1
+[aggregate]
+k = 7
+epsilon = 0.5
+window = 0
+stride = 1
+[predictor]
+kind = precomputed
+directory = ../preds
+num_classes = 19
+[run]
+seed = 17
+""",
 }
 
 # case -> command line; each case writes under its own output directory, given
@@ -299,6 +318,7 @@ COMMANDS = {
     "pipeline-lam-t1": ["pipeline", "--config", "lam.ini", "--threads", "1"],
     "aggregate": ["aggregate", "--config", "lam.ini", "--pred-dir", "preds"],
     "aggregate-modulate": ["aggregate", "--config", "lam.ini", "--pred-dir", "preds", "--modulate"],
+    "aggregate-window0": ["aggregate", "--config", "window0-preds.ini", "--pred-dir", "preds"],
     "lam-analyze": ["lam-analyze", "--config", "lam.ini", "--pred-dir", "preds", "--bins", "5"],
     "cbst": ["cbst", "--config", "lam.ini", "--pred-dir", "aggregate/refined"],
     "metrics": ["metrics", "--pred", "cbst", "--truth", "target/labels",

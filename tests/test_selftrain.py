@@ -474,26 +474,58 @@ class TestMetamorphicRelations:
     points shuffles the refined rows, and permuting the classes permutes
     them, bit for bit; moving every pose by one rigid motion keeps them
     bit for bit, and reversing the sequence keeps them to the last bits
-    and negates every pair's temporal offset. The noise is keyed to each
-    point's own bytes, so it does not follow the point order."""
+    and negates every pair's temporal offset. The LAM kernel keeps its
+    rows to the last bits under the shuffle and the rigid motion. The
+    noise is keyed to each point's own bytes, so it does not follow the
+    point order."""
 
     # |refined row difference| under time reversal: a point's subsample
     # trial count follows its scan's place in the list, and the mean of c
     # copies of one row can differ from it in the last bit; measured at
     # most 3.3e-16 (1.5 ULP of 1)
     REVERSAL_BOUND = 4 * np.finfo(np.float64).eps
+    # |refined row difference| of the LAM kernel at the default widths,
+    # measured over 150 drives of 3 x 200 points, eps and kNN: shuffling
+    # each scan moved 72 of 180 000 rows, by at most 2.2e-16 (1 ULP of 1),
+    # as BLAS rounds a row's products by its place in a block; moving every
+    # pose moved 62% of the rows, by at most 2.9e-15 with shifts of 2000 m,
+    # as the aligned points round differently. No argmax changed in either
+    LAM_SHUFFLE_BOUND = 4 * np.finfo(np.float64).eps
+    LAM_MOTION_BOUND = 128 * np.finfo(np.float64).eps
 
     @staticmethod
-    def aggregation(epsilon):
-        return AggregationSpec(kernel=UniformKernel(), k=8, epsilon=epsilon, window=2, stride=1)
+    def aggregation(epsilon, kernel=UniformKernel()):
+        return AggregationSpec(kernel=kernel, k=8, epsilon=epsilon, window=2, stride=1)
 
     @classmethod
-    def refined(cls, scans, poses, predictor, epsilon, trials=2, finish=keep_refined):
+    def refined(cls, scans, poses, predictor, epsilon, trials=2, finish=keep_refined, kernel=UniformKernel()):
         config = dataclasses.replace(
             identity_config(),
             subsample=SubsampleSpec(mode="random", ratio=0.5, trials=trials, include_identity=True),
-            aggregation=cls.aggregation(epsilon))
+            aggregation=cls.aggregation(epsilon, kernel))
         return generate_refined_predictions(scans, poses, predictor, config, finish, seed=4)[1]
+
+    @staticmethod
+    def lam_kernel(seed):
+        return LamKernel(initialize_lam_params(phi_layout.feature_dim(len(HEIGHT_THRESHOLDS) + 1), seed=seed))
+
+    @staticmethod
+    def assert_close(want, got, bound):
+        """Rows within bound, with the same argmax wherever want's two
+        largest entries lie more than 2 * bound apart."""
+        assert np.abs(got - want).max() <= bound
+        top = np.sort(want, axis=1)
+        clear = top[:, -1] - top[:, -2] > 2 * bound
+        assert np.array_equal(got.argmax(axis=1)[clear], want.argmax(axis=1)[clear])
+
+    @staticmethod
+    def rigid_motion(polar, azimuth, angle, shift):
+        """The rotation by angle about the unit axis at (polar, azimuth),
+        then the shift."""
+        x, y, z = np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)
+        cross = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        return RigidTransform(np.eye(3) + np.sin(angle) * cross + (1 - np.cos(angle)) * cross @ cross,
+                              np.array(shift))
 
     @staticmethod
     def drive(seed):
@@ -524,10 +556,7 @@ class TestMetamorphicRelations:
     def test_moving_every_pose_keeps_the_refined_rows(self, epsilon, seed, polar, azimuth, angle, shift):
         seq = self.drive(seed)
         assume(self.clear_of_ties(seq, self.aggregation(epsilon)))
-        x, y, z = np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)
-        cross = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-        motion = RigidTransform(np.eye(3) + np.sin(angle) * cross + (1 - np.cos(angle)) * cross @ cross,
-                                np.array(shift))
+        motion = self.rigid_motion(polar, azimuth, angle, shift)
         predictor = PointKeyedNoise(MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS)), seed=seed)
         want = self.refined(seq.scans, seq.poses, predictor, epsilon)
         got = self.refined(seq.scans, [compose(motion, pose) for pose in seq.poses], predictor, epsilon)
@@ -547,10 +576,7 @@ class TestMetamorphicRelations:
         want = self.refined(seq.scans, seq.poses, predictor, epsilon, trials=3, finish=both)
         got = self.refined(seq.scans[::-1], seq.poses[::-1], predictor, epsilon, trials=3, finish=both)[::-1]
         for (a, a_pairs), (b, b_pairs) in zip(want, got):
-            assert np.abs(b.probs - a.probs).max() <= self.REVERSAL_BOUND
-            top = np.sort(a.probs, axis=1)
-            clear = top[:, -1] - top[:, -2] > 2 * self.REVERSAL_BOUND
-            assert np.array_equal(b.probs.argmax(axis=1)[clear], a.probs.argmax(axis=1)[clear])
+            self.assert_close(a.probs, b.probs, self.REVERSAL_BOUND)
             assert np.array_equal(b_pairs.center_distance, a_pairs.center_distance)
             assert np.array_equal(b_pairs.temporal_offset, -a_pairs.temporal_offset)
 
@@ -568,6 +594,39 @@ class TestMetamorphicRelations:
         got = self.refined(shuffled, seq.poses, predictor, epsilon)
         for a, b, order in zip(want, got, orders):
             assert np.array_equal(b.probs, a.probs[order])
+
+    @pytest.mark.parametrize("epsilon", [None, 0.5], ids=["knn", "eps"])
+    @settings(max_examples=5)
+    @given(seed=st.integers(0, 2 ** 16), noise_seed=st.integers(0, 2 ** 16))
+    def test_shuffling_each_scan_shuffles_the_lam_refined_rows(self, epsilon, seed, noise_seed):
+        seq = self.drive(seed)
+        rng = np.random.default_rng(noise_seed)
+        orders = [rng.permutation(len(scan)) for scan in seq.scans]
+        shuffled = [PointCloud(scan.points[order], scan.intensity[order], scan.frame_id)
+                    for scan, order in zip(seq.scans, orders)]
+        predictor = PointKeyedNoise(MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS)), seed=noise_seed)
+        kernel = self.lam_kernel(seed)
+        want = self.refined(seq.scans, seq.poses, predictor, epsilon, kernel=kernel)
+        got = self.refined(shuffled, seq.poses, predictor, epsilon, kernel=kernel)
+        for a, b, order in zip(want, got, orders):
+            self.assert_close(a.probs[order], b.probs, self.LAM_SHUFFLE_BOUND)
+
+    @pytest.mark.parametrize("epsilon", [None, 0.5], ids=["knn", "eps"])
+    @settings(max_examples=5)
+    @given(seed=st.integers(0, 2 ** 16), polar=st.floats(0, np.pi), azimuth=st.floats(-np.pi, np.pi),
+           angle=st.floats(-np.pi, np.pi), shift=st.tuples(*[st.floats(-2000, 2000)] * 3))
+    @example(seed=1, polar=1.2, azimuth=0.4, angle=0.7, shift=(2000.0, -2000.0, 2000.0))
+    def test_moving_every_pose_keeps_the_lam_refined_rows(self, epsilon, seed, polar, azimuth, angle, shift):
+        seq = self.drive(seed)
+        assume(self.clear_of_ties(seq, self.aggregation(epsilon)))
+        motion = self.rigid_motion(polar, azimuth, angle, shift)
+        predictor = PointKeyedNoise(MockPredictor(HeightThresholdRule(HEIGHT_THRESHOLDS)), seed=seed)
+        kernel = self.lam_kernel(seed)
+        want = self.refined(seq.scans, seq.poses, predictor, epsilon, kernel=kernel)
+        got = self.refined(seq.scans, [compose(motion, pose) for pose in seq.poses], predictor, epsilon,
+                           kernel=kernel)
+        for a, b in zip(want, got):
+            self.assert_close(a.probs, b.probs, self.LAM_MOTION_BOUND)
 
     @pytest.mark.parametrize("epsilon", [None, 0.5], ids=["knn", "eps"])
     @settings(max_examples=5)
